@@ -55,8 +55,6 @@ func main() {
 		"answer cache entries per phase; repeated queries and back-navigation are served instantly (0 disables)")
 	answerCacheTTL := flag.Duration("answer-cache-ttl", 0,
 		"answer cache entry lifetime (0 = no expiry; the data never changes under a REPL session)")
-	shards := flag.Int("shards", 0,
-		"partition the fact table into this many zone-mapped shards for pruned scatter-gather scans (<=1 = monolithic)")
 	flag.Parse()
 
 	var wh *kdap.Warehouse
@@ -94,9 +92,6 @@ func main() {
 	opts := kdap.DefaultExploreOptions()
 	engine := kdap.NewEngine(wh)
 	engine.SetAnswerCache(*answerCacheSize, *answerCacheTTL)
-	if *shards > 1 {
-		engine.SetShards(*shards)
-	}
 	r := &repl{s: kdap.NewSession(engine, opts)}
 	r.s.SetTracing(*trace)
 	if *timeout > 0 {
@@ -158,7 +153,7 @@ func (r *repl) dispatch(line string) {
 			"  pivot N M    cross-tabulate facet attributes N and M\n" +
 			"  mode X       surprise / bellwether\n" +
 			"  stats        cache hit rates and sizes for this session\n" +
-			"  profile      execution profile of the last query/pick/drill (cache, shards, kernels, stages)\n" +
+			"  profile      execution profile of the last query/pick/drill (cache, segments, kernels, stages)\n" +
 			"  quit")
 	case "pick":
 		r.pick(fields[1:])

@@ -14,6 +14,7 @@ import (
 	"kdap/internal/experiments"
 	"kdap/internal/kdapcore"
 	"kdap/internal/olap"
+	"kdap/internal/relation"
 	"kdap/internal/workload"
 )
 
@@ -38,16 +39,6 @@ type benchFile struct {
 	GoMaxProcs  int           `json:"gomaxprocs"`
 	Dataset     string        `json:"dataset"`
 	Results     []benchResult `json:"results"`
-	// Baseline holds the pre-columnar seed numbers (go test -bench
-	// -benchtime=20x on the same machine), kept verbatim so the
-	// speedup this PR claims stays auditable.
-	Baseline map[string]benchResult `json:"baseline_pre_columnar"`
-	// BaselinePreCancellation pins the kernel numbers from just before
-	// the context-first refactor threaded cancellation checks through
-	// the hot loops (go test -bench -benchtime=100x, same machine), so
-	// the refactor's zero-overhead claim — a nil Done channel costs
-	// nothing — stays auditable against the Results above.
-	BaselinePreCancellation map[string]benchResult `json:"baseline_pre_cancellation"`
 	// Telemetry snapshots the engine's own counters after the timed
 	// runs: cache hit rates and kernel-path counts explain the numbers
 	// above (e.g. a warm constraint cache or an all-columnar run).
@@ -56,15 +47,16 @@ type benchFile struct {
 	// (differentiate + explore) through the answer cache, plus the
 	// cache's counters after the timed runs.
 	AnswerCache answerCacheBench `json:"answer_cache"`
-	// Sharded compares a cold selective drill-down through a
-	// zone-mapped sharded executor against the monolithic scan. The
-	// nightly gate requires Speedup >= 2.
-	Sharded shardedBench `json:"sharded"`
+	// Pruning pins a cold selective drill-down through the row-space
+	// planner: latency plus how many of the fact table's segments the
+	// drill skipped. The nightly gate holds the latency to the shared
+	// 20% budget and the zone-skip rate to a 50% floor.
+	Pruning pruningBench `json:"pruning"`
 	// Quality pins star-net ranking quality on the 50-query workload;
 	// the nightly gate fails on any precision@1 drop.
 	Quality qualityBench `json:"quality"`
 	// KernelSweep re-times the hot kernels (GroupByDict, FusedAggregate)
-	// and the sharded drill at GOMAXPROCS 1/4/16, replacing the old
+	// and the pruned drill at GOMAXPROCS 1/4/16, replacing the old
 	// single-GOMAXPROCS kernel snapshot: the parallel path only trips
 	// above the striping threshold, so a one-point measurement says
 	// nothing about the multicore ladder.
@@ -99,25 +91,22 @@ type kernelSweepEntry struct {
 	Results    []benchResult `json:"results"`
 }
 
-// shardedBench is the sharded-vs-monolithic drill-down comparison.
-type shardedBench struct {
+// pruningBench is the cold pruned drill-down rung.
+type pruningBench struct {
 	// Query is the drill whose numeric bound lands on the
 	// ingest-clustered SalesKey column, so zone maps can prune.
-	Query  string `json:"query"`
-	Shards int    `json:"shards"`
-	// MonolithicNsPerOp and ShardedNsPerOp time SubspaceRows with the
-	// rows cache purged before every iteration (cold semijoin + drill
-	// filter each time).
-	MonolithicNsPerOp int64   `json:"monolithic_ns_per_op"`
-	ShardedNsPerOp    int64   `json:"sharded_ns_per_op"`
-	Speedup           float64 `json:"speedup"`
-	// Per-drill planner profile: shards scanned vs pruned by zone maps
-	// or constraint bits for one cold execution of Query.
-	ShardsScanned    int64 `json:"shards_scanned"`
-	ShardsPrunedZone int64 `json:"shards_pruned_zone"`
-	ShardsPrunedBits int64 `json:"shards_pruned_bits"`
-	// SubspaceRows is the drill's result cardinality, asserted equal
-	// between the two engines before anything is timed.
+	Query string `json:"query"`
+	// NsPerOp times SubspaceRows with the rows cache purged before every
+	// iteration (cold semijoin + drill filter each time).
+	NsPerOp int64 `json:"ns_per_op"`
+	// Segments is the fact table's segment count; the three counters are
+	// the planner's verdicts over one cold execution of Query (a drill
+	// plans more than one scan, so they need not sum to Segments).
+	Segments            int   `json:"segments"`
+	SegmentsScanned     int64 `json:"segments_scanned"`
+	SegmentsSkippedZone int64 `json:"segments_skipped_zone"`
+	SegmentsSkippedBits int64 `json:"segments_skipped_bits"`
+	// SubspaceRows is the drill's result cardinality.
 	SubspaceRows int `json:"subspace_rows"`
 }
 
@@ -214,67 +203,41 @@ func measure(name string, fn func()) benchResult {
 	return benchResult{Name: name, NsPerOp: ns, AllocsPerOp: allocs}
 }
 
-// benchSharded builds two engines over the same warehouse — one
-// partitioned into zone-mapped shards, one monolithic — and times a
-// cold selective drill-down through each. The drill's numeric bound
-// lands on the ingest-clustered SalesKey column, so the sharded planner
-// can prove most shards irrelevant from their zone maps alone.
-func benchSharded() (shardedBench, error) {
-	const (
-		drillQuery = "Road Bikes SalesKey>54000"
-		shardCount = 32
-	)
+// pruningQuery is the drill the pruning rung and the kernel sweep time:
+// its numeric bound lands on the ingest-clustered SalesKey column, so
+// the planner can prove most segments irrelevant from zone maps alone.
+const pruningQuery = "Road Bikes SalesKey>54000"
+
+// benchPruning times a cold selective drill-down on AW_ONLINE and
+// captures the planner's per-drill verdict.
+func benchPruning() (pruningBench, error) {
 	wh := dataset.AWOnline()
-	mono := experiments.Engine(wh)
-	shd := experiments.Engine(wh)
-	shd.SetShards(shardCount)
-
-	monoNets, err := mono.Differentiate(drillQuery)
-	if err != nil || len(monoNets) == 0 {
-		return shardedBench{}, fmt.Errorf("sharded bench: differentiate: %v (%d nets)", err, len(monoNets))
+	fact := wh.DB.Table(wh.Graph.FactTable())
+	e := experiments.Engine(wh)
+	nets, err := e.Differentiate(pruningQuery)
+	if err != nil || len(nets) == 0 {
+		return pruningBench{}, fmt.Errorf("pruning bench: differentiate: %v (%d nets)", err, len(nets))
 	}
-	shdNets, err := shd.Differentiate(drillQuery)
-	if err != nil || len(shdNets) == 0 {
-		return shardedBench{}, fmt.Errorf("sharded bench: differentiate: %v (%d nets)", err, len(shdNets))
-	}
-
-	// One cold drill per engine first: assert both produce the same
-	// subspace and capture the planner's per-drill pruning profile.
-	before := shd.Executor().Stats()
-	shd.InvalidateSubspaceRows()
-	rows := shd.SubspaceRows(shdNets[0])
-	after := shd.Executor().Stats()
-	mono.InvalidateSubspaceRows()
-	monoRows := mono.SubspaceRows(monoNets[0])
+	before := e.Executor().Stats()
+	rows := e.SubspaceRows(nets[0])
+	after := e.Executor().Stats()
 	if len(rows) == 0 {
-		return shardedBench{}, fmt.Errorf("sharded bench: %q drill produced no rows", drillQuery)
+		return pruningBench{}, fmt.Errorf("pruning bench: %q drill produced no rows", pruningQuery)
 	}
-	if len(rows) != len(monoRows) {
-		return shardedBench{}, fmt.Errorf("sharded bench: sharded drill %d rows, monolithic %d", len(rows), len(monoRows))
-	}
-
-	monoRes := measure("MonolithicDrill", func() {
-		mono.InvalidateSubspaceRows()
-		if len(mono.SubspaceRows(monoNets[0])) != len(rows) {
-			panic("monolithic drill changed cardinality")
+	res := measure("PrunedDrill", func() {
+		e.InvalidateSubspaceRows()
+		if len(e.SubspaceRows(nets[0])) != len(rows) {
+			panic("pruned drill changed cardinality")
 		}
 	})
-	shdRes := measure("ShardedDrill", func() {
-		shd.InvalidateSubspaceRows()
-		if len(shd.SubspaceRows(shdNets[0])) != len(rows) {
-			panic("sharded drill changed cardinality")
-		}
-	})
-	return shardedBench{
-		Query:             drillQuery,
-		Shards:            shardCount,
-		MonolithicNsPerOp: monoRes.NsPerOp,
-		ShardedNsPerOp:    shdRes.NsPerOp,
-		Speedup:           float64(monoRes.NsPerOp) / float64(shdRes.NsPerOp),
-		ShardsScanned:     after.ShardsScanned - before.ShardsScanned,
-		ShardsPrunedZone:  after.ShardsPrunedZone - before.ShardsPrunedZone,
-		ShardsPrunedBits:  after.ShardsPrunedBits - before.ShardsPrunedBits,
-		SubspaceRows:      len(rows),
+	return pruningBench{
+		Query:               pruningQuery,
+		NsPerOp:             res.NsPerOp,
+		Segments:            relation.NumSegments(fact.Len(), fact.SegmentSize()),
+		SegmentsScanned:     after.SegmentsScanned - before.SegmentsScanned,
+		SegmentsSkippedZone: after.SegmentsSkippedZone - before.SegmentsSkippedZone,
+		SegmentsSkippedBits: after.SegmentsSkippedBits - before.SegmentsSkippedBits,
+		SubspaceRows:        len(rows),
 	}, nil
 }
 
@@ -304,7 +267,7 @@ func benchQuality() (qualityBench, error) {
 }
 
 // computeKernelSweep times the two hot scan kernels and the cold
-// sharded drill at each GOMAXPROCS rung. AW_ONLINE's fact table is far
+// pruned drill at each GOMAXPROCS rung. AW_ONLINE's fact table is far
 // above the default striping threshold, so rungs above 1 actually take
 // the parallel path (asserted by TestBenchWorkloadTakesParallelPath).
 func computeKernelSweep() ([]kernelSweepEntry, error) {
@@ -317,9 +280,7 @@ func computeKernelSweep() ([]kernelSweepEntry, error) {
 	}
 	rows := ex.FactRows(nil)
 
-	shd := experiments.Engine(dataset.AWOnline())
-	shd.SetShards(32)
-	nets, err := shd.Differentiate("Road Bikes SalesKey>54000")
+	nets, err := e.Differentiate(pruningQuery)
 	if err != nil || len(nets) == 0 {
 		return nil, fmt.Errorf("kernel sweep: differentiate: %v (%d nets)", err, len(nets))
 	}
@@ -338,10 +299,10 @@ func computeKernelSweep() ([]kernelSweepEntry, error) {
 					panic("zero aggregate")
 				}
 			}),
-			measure("ShardedDrill", func() {
-				shd.InvalidateSubspaceRows()
-				if len(shd.SubspaceRows(nets[0])) == 0 {
-					panic("sharded drill produced no rows")
+			measure("PrunedDrill", func() {
+				e.InvalidateSubspaceRows()
+				if len(e.SubspaceRows(nets[0])) == 0 {
+					panic("pruned drill produced no rows")
 				}
 			}),
 		}})
@@ -401,14 +362,6 @@ func computeBench() (benchFile, error) {
 				}
 			}),
 		},
-		Baseline: map[string]benchResult{
-			"Table2Facets": {Name: "BenchmarkTable2Facets", NsPerOp: 67288548, AllocsPerOp: 22094},
-			"GroupBy":      {Name: "BenchmarkGroupBy", NsPerOp: 3748548, AllocsPerOp: 61},
-		},
-		BaselinePreCancellation: map[string]benchResult{
-			"GroupByDict":    {Name: "BenchmarkGroupByDict/dict", NsPerOp: 177768, AllocsPerOp: 7},
-			"FusedAggregate": {Name: "BenchmarkFusedAggregate/fused", NsPerOp: 183794, AllocsPerOp: 0},
-		},
 	}
 	out.Telemetry = benchTelemetry{
 		SubspaceRowsCache: snapshotCache(e.RowsCacheStats()),
@@ -446,13 +399,10 @@ func computeBench() (benchFile, error) {
 		Explore:       snapshotAnswers(explStats),
 	}
 
-	if out.Sharded, err = benchSharded(); err != nil {
+	if out.Pruning, err = benchPruning(); err != nil {
 		return benchFile{}, err
 	}
-	out.Results = append(out.Results,
-		benchResult{Name: "MonolithicDrill", NsPerOp: out.Sharded.MonolithicNsPerOp},
-		benchResult{Name: "ShardedDrill", NsPerOp: out.Sharded.ShardedNsPerOp},
-	)
+	out.Results = append(out.Results, benchResult{Name: "PrunedDrill", NsPerOp: out.Pruning.NsPerOp})
 	if out.Quality, err = benchQuality(); err != nil {
 		return benchFile{}, err
 	}
@@ -492,8 +442,8 @@ func benchJSON() error {
 	for _, r := range out.Results {
 		fmt.Printf("%-16s %12d ns/op %10.0f allocs/op\n", r.Name, r.NsPerOp, r.AllocsPerOp)
 	}
-	fmt.Printf("sharded drill    %.2fx speedup (%d scanned / %d zone-pruned / %d bit-pruned)\n",
-		out.Sharded.Speedup, out.Sharded.ShardsScanned, out.Sharded.ShardsPrunedZone, out.Sharded.ShardsPrunedBits)
+	fmt.Printf("pruned drill     %d segments: %d scanned / %d zone-skipped / %d bit-skipped\n",
+		out.Pruning.Segments, out.Pruning.SegmentsScanned, out.Pruning.SegmentsSkippedZone, out.Pruning.SegmentsSkippedBits)
 	fmt.Printf("quality          precision@1 %.2f (%d/%d)\n",
 		out.Quality.PrecisionAt1, out.Quality.Top1, out.Quality.Queries)
 	for _, ks := range out.KernelSweep {
@@ -520,7 +470,7 @@ const nightlySlack = 1.20
 // nightly re-runs the measured suite in-process and compares it against
 // the committed BENCH.json baseline. It fails (non-nil error, so the
 // process exits 1) on any >20% latency regression, any precision@1
-// drop, or a sharded drill speedup below 2x.
+// drop, or a pruned drill that zone-skips under half the segments.
 func nightly() error {
 	buf, err := os.ReadFile("BENCH.json")
 	if err != nil {
@@ -568,9 +518,13 @@ func nightly() error {
 			fresh.Quality.PrecisionAt1, base.Quality.PrecisionAt1,
 			fresh.Quality.Top1, fresh.Quality.Queries, base.Quality.Top1, base.Quality.Queries))
 	}
-	fmt.Printf("%-16s %11.2fx        baseline %11.2fx\n", "sharded speedup", fresh.Sharded.Speedup, base.Sharded.Speedup)
-	if fresh.Sharded.Speedup < 2 {
-		failures = append(failures, fmt.Sprintf("sharded drill speedup %.2fx below the 2x floor", fresh.Sharded.Speedup))
+	// The pruned drill's latency is held by the PrunedDrill row above;
+	// its skip floor keeps the zone maps earning it.
+	fmt.Printf("%-16s %8d/%-3d        baseline %8d/%-3d (floor 50%%)\n", "pruning skip",
+		fresh.Pruning.SegmentsSkippedZone, fresh.Pruning.Segments, base.Pruning.SegmentsSkippedZone, base.Pruning.Segments)
+	if 2*fresh.Pruning.SegmentsSkippedZone < int64(fresh.Pruning.Segments) {
+		failures = append(failures, fmt.Sprintf("pruned drill zone-skipped %d of %d segments, below the 50%% floor",
+			fresh.Pruning.SegmentsSkippedZone, fresh.Pruning.Segments))
 	}
 
 	// Kernel sweep: every (kernel, GOMAXPROCS) point holds to the same

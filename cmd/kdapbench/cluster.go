@@ -52,8 +52,7 @@ type clusterRung struct {
 }
 
 // clusterQuery is the ladder's drill: selective enough that row-set
-// transfer doesn't dwarf the semijoin, same query the sharded bench
-// uses.
+// transfer doesn't dwarf the semijoin.
 const clusterQuery = "Road Bikes UnitPrice>1000"
 
 // startBenchWorkers launches n in-process workers on loopback and

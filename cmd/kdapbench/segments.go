@@ -105,14 +105,17 @@ func benchSegmentsScale(n int) (segmentsScaleBench, error) {
 	// One instrumented cold drill for the skip and paging profile.
 	store.DropCache()
 	e.InvalidateSubspaceRows()
-	before := store.Stats()
+	before, planBefore := store.Stats(), e.Executor().Stats()
 	rows := e.SubspaceRows(nets[0])
-	after := store.Stats()
+	after, planAfter := store.Stats(), e.Executor().Stats()
 	if len(rows) == 0 {
 		return segmentsScaleBench{}, fmt.Errorf("segments bench: %q drill produced no rows", query)
 	}
 	nseg := relation.NumSegments(store.NumRows(), store.SegmentSize())
-	skipped := (after.SkippedBloom - before.SkippedBloom) + (after.SkippedZone - before.SkippedZone)
+	// Zone skips are the planner's verdicts plus the store's own lookup
+	// scans; Bloom skips only ever come from the latter.
+	skippedZone := (planAfter.SegmentsSkippedZone - planBefore.SegmentsSkippedZone) + (after.SkippedZone - before.SkippedZone)
+	skipped := (after.SkippedBloom - before.SkippedBloom) + skippedZone
 
 	cold := timeMinNs(segBenchColdIt, func() {
 		store.DropCache()
@@ -137,7 +140,7 @@ func benchSegmentsScale(n int) (segmentsScaleBench, error) {
 		ColdDrillNs:  cold,
 		WarmDrillNs:  warm,
 		SkippedBloom: after.SkippedBloom - before.SkippedBloom,
-		SkippedZone:  after.SkippedZone - before.SkippedZone,
+		SkippedZone:  skippedZone,
 		SkippedPct:   100 * float64(skipped) / float64(nseg),
 		PagedIn:      after.PagedIn - before.PagedIn,
 		Evicted:      after.Evicted - before.Evicted,

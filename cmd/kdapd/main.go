@@ -4,7 +4,7 @@
 //
 //	kdapd [-addr :8080] [-db ebiz,online,reseller] [-log text|json]
 //	      [-query-timeout 10s] [-max-inflight 0]
-//	      [-answer-cache-size 512] [-answer-cache-ttl 5m] [-shards 0]
+//	      [-answer-cache-size 512] [-answer-cache-ttl 5m]
 //	      [-autotune] [-batch-window 0] [-batch-max 16] [-slo-target 250ms]
 //	      [-mmap-dir DIR] [-segment-size 8192] [-segment-cache-mb 64]
 //	      [-worker -shard-range I/N | -coordinator -workers HOST:PORT,...]
@@ -75,8 +75,6 @@ func main() {
 		"answer cache entries per warehouse and phase (0 disables caching, ETags, and request coalescing)")
 	answerCacheTTL := flag.Duration("answer-cache-ttl", 5*time.Minute,
 		"answer cache entry lifetime (0 = no expiry)")
-	shards := flag.Int("shards", 0,
-		"partition each fact table into this many zone-mapped shards for pruned scatter-gather scans (<=1 = monolithic)")
 	autotune := flag.Bool("autotune", false,
 		"calibrate the parallel-kernel row threshold at startup against the largest served fact table")
 	batchWindow := flag.Duration("batch-window", 0,
@@ -155,7 +153,7 @@ func main() {
 		log.Fatal("-worker and -coordinator are mutually exclusive")
 	}
 	if *worker {
-		runWorker(*addr, *shardRange, *shards, *maxInflight, warehouses, stores)
+		runWorker(*addr, *shardRange, *maxInflight, warehouses, stores)
 		return
 	}
 
@@ -164,7 +162,6 @@ func main() {
 	srvOpts.MaxInflight = *maxInflight
 	srvOpts.AnswerCacheSize = *answerCacheSize
 	srvOpts.AnswerCacheTTL = *answerCacheTTL
-	srvOpts.Shards = *shards
 	srvOpts.Autotune = *autotune
 	srvOpts.BatchWindow = *batchWindow
 	srvOpts.BatchMax = *batchMax
@@ -244,7 +241,7 @@ func main() {
 // warehouse (built exactly like the server's, so a scan here is
 // byte-identical to a coordinator-local scan), owning the -shard-range
 // slice of every fact table. Shuts down gracefully on SIGINT/SIGTERM.
-func runWorker(addr, shardRange string, shards, maxInflight int, warehouses map[string]*dataset.Warehouse, stores []*persist.Store) {
+func runWorker(addr, shardRange string, maxInflight int, warehouses map[string]*dataset.Warehouse, stores []*persist.Store) {
 	var idx, total int
 	if n, err := fmt.Sscanf(shardRange, "%d/%d", &idx, &total); n != 2 || err != nil {
 		log.Fatalf("-worker requires -shard-range I/N, got %q", shardRange)
@@ -254,11 +251,7 @@ func runWorker(addr, shardRange string, shards, maxInflight int, warehouses map[
 	}
 	engines := make(map[string]*kdapcore.Engine, len(warehouses))
 	for name, wh := range warehouses {
-		e := experiments.Engine(wh)
-		if shards > 1 {
-			e.SetShards(shards)
-		}
-		engines[name] = e
+		engines[name] = experiments.Engine(wh)
 	}
 	w := cluster.NewWorker(engines, idx, total, maxInflight)
 	ln, err := net.Listen("tcp", addr)

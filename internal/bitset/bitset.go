@@ -113,8 +113,8 @@ func (s *Set) AndCount(o *Set) int {
 
 // AnyInRange reports whether the set contains any element in [lo, hi).
 // The check is word-parallel — masked compares on the two boundary
-// words, a zero test per interior word — so the shard planner can probe
-// a row range far cheaper than materializing it.
+// words, a zero test per interior word — so the segment planner can
+// probe a row range far cheaper than materializing it.
 func (s *Set) AnyInRange(lo, hi int) bool {
 	if lo < 0 {
 		lo = 0
@@ -142,69 +142,64 @@ func (s *Set) AnyInRange(lo, hi int) bool {
 	return s.words[hiW]&hiMask != 0
 }
 
-// AppendRange appends the elements in [lo, hi) to dst in ascending
-// order and returns the extended slice. It is ToSlice restricted to a
-// row range, used by the sharded gather to emit one shard's rows.
-func (s *Set) AppendRange(dst []int, lo, hi int) []int {
+// clampRange narrows [lo, hi) to the universe every set covers. Mixed
+// universes truncate to the smallest — an element outside any set's
+// universe is absent from it.
+func clampRange(lo, hi int, sets []*Set) (int, int) {
 	if lo < 0 {
 		lo = 0
 	}
-	if hi > s.n {
-		hi = s.n
-	}
-	for wi := lo >> 6; wi <= (hi-1)>>6 && lo < hi; wi++ {
-		w := s.words[wi]
-		base := wi << 6
-		if base < lo {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if base+63 >= hi {
-			w &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
-		}
-		for w != 0 {
-			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
+	for _, s := range sets {
+		if s.n < hi {
+			hi = s.n
 		}
 	}
-	return dst
+	return lo, hi
+}
+
+// rangeWord returns word wi of the intersection of sets, masked to the
+// (already clamped, non-empty) range [lo, hi).
+func rangeWord(wi, lo, hi int, sets []*Set) uint64 {
+	w := sets[0].words[wi]
+	for _, o := range sets[1:] {
+		w &= o.words[wi]
+	}
+	if base := wi << 6; base < lo {
+		w &= ^uint64(0) << (uint(lo) & 63)
+	}
+	if wi<<6+63 >= hi {
+		w &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
+	}
+	return w
+}
+
+// IntersectRangeCount returns how many elements of [lo, hi) are present
+// in every set — the exact length IntersectRangeAppend would append —
+// at a popcount per word. With no sets it returns 0.
+func IntersectRangeCount(lo, hi int, sets []*Set) int {
+	if len(sets) == 0 {
+		return 0
+	}
+	lo, hi = clampRange(lo, hi, sets)
+	c := 0
+	for wi := lo >> 6; lo < hi && wi <= (hi-1)>>6; wi++ {
+		c += bits.OnesCount64(rangeWord(wi, lo, hi, sets))
+	}
+	return c
 }
 
 // IntersectRangeAppend appends, in ascending order, the elements of
 // [lo, hi) present in every set, without materializing the
-// intersection. Mixed universes truncate to the smallest — an element
-// outside any set's universe is absent from it. With no sets it appends
-// nothing.
+// intersection. With no sets it appends nothing.
 func IntersectRangeAppend(dst []int, lo, hi int, sets []*Set) []int {
 	if len(sets) == 0 {
 		return dst
 	}
-	first := sets[0]
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > first.n {
-		hi = first.n
-	}
-	for _, o := range sets[1:] {
-		if o.n < hi {
-			hi = o.n
-		}
-	}
-	for wi := lo >> 6; wi <= (hi-1)>>6 && lo < hi; wi++ {
-		w := first.words[wi]
-		for _, o := range sets[1:] {
-			w &= o.words[wi]
-		}
+	lo, hi = clampRange(lo, hi, sets)
+	for wi := lo >> 6; lo < hi && wi <= (hi-1)>>6; wi++ {
 		base := wi << 6
-		if base < lo {
-			w &= ^uint64(0) << (uint(lo) & 63)
-		}
-		if base+63 >= hi {
-			w &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
-		}
-		for w != 0 {
+		for w := rangeWord(wi, lo, hi, sets); w != 0; w &= w - 1 {
 			dst = append(dst, base+bits.TrailingZeros64(w))
-			w &= w - 1
 		}
 	}
 	return dst

@@ -201,7 +201,10 @@ func TestRangeOpsMatchReference(t *testing.T) {
 		if a.AnyInRange(lo, hi) != (len(wantRange) > 0) {
 			return false
 		}
-		if got := a.AppendRange(nil, lo, hi); !reflect.DeepEqual(got, wantRange) {
+		if got := IntersectRangeAppend(nil, lo, hi, []*Set{a}); !reflect.DeepEqual(got, wantRange) {
+			return false
+		}
+		if IntersectRangeCount(lo, hi, []*Set{a}) != len(wantRange) || IntersectRangeCount(lo, hi, []*Set{a, b}) != len(wantBoth) {
 			return false
 		}
 		got := IntersectRangeAppend(nil, lo, hi, []*Set{a, b})
@@ -223,8 +226,11 @@ func TestRangeOpsEdges(t *testing.T) {
 	if s.AnyInRange(5, 5) || s.AnyInRange(-10, 0) || s.AnyInRange(130, 200) {
 		t.Error("degenerate ranges matched")
 	}
-	if got := s.AppendRange([]int{7}, 63, 130); !reflect.DeepEqual(got, []int{7, 63, 64, 129}) {
-		t.Errorf("AppendRange = %v", got)
+	if got := IntersectRangeAppend([]int{7}, 63, 130, []*Set{s}); !reflect.DeepEqual(got, []int{7, 63, 64, 129}) {
+		t.Errorf("IntersectRangeAppend onto a prefix = %v", got)
+	}
+	if n := IntersectRangeCount(-5, 500, []*Set{s}); n != 4 {
+		t.Errorf("IntersectRangeCount over the clamped universe = %d", n)
 	}
 	if got := IntersectRangeAppend(nil, 0, 130, nil); got != nil {
 		t.Errorf("no sets should append nothing, got %v", got)

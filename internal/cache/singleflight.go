@@ -17,6 +17,12 @@ type flight[V any] struct {
 	err     error
 }
 
+// ErrLeaderPanicked is what waiters receive when the computation they
+// were waiting on panicked: the panic itself belongs to the leader's
+// goroutine, so the waiters get an ordinary error and the key is free
+// for the next caller.
+var ErrLeaderPanicked = errors.New("cache: in-flight computation panicked")
+
 // Group collapses concurrent calls with the same key into one
 // computation (the classic "singleflight" pattern, generic over key and
 // value). The zero value is ready to use; a Group must not be copied
@@ -59,6 +65,10 @@ func (g *Group[K, V]) Waiting(key K) int {
 //     do not inherit that error: each retries, and one becomes the new
 //     leader under its own (live) context. The leader itself does get
 //     its context error back.
+//
+// A panic in fn propagates to the leader's caller, but first the key is
+// released and waiters are woken with ErrLeaderPanicked — a panicking
+// leader must not leave the key in flight forever.
 func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V, error)) (v V, shared bool, err error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -89,11 +99,16 @@ func (g *Group[K, V]) Do(ctx context.Context, key K, fn func(context.Context) (V
 		f := &flight[V]{done: make(chan struct{})}
 		g.inflight[key] = f
 		g.mu.Unlock()
-		f.v, f.err = fn(ctx)
-		g.mu.Lock()
-		delete(g.inflight, key)
-		g.mu.Unlock()
-		close(f.done)
+		func() {
+			f.err = ErrLeaderPanicked // overwritten unless fn panics
+			defer func() {
+				g.mu.Lock()
+				delete(g.inflight, key)
+				g.mu.Unlock()
+				close(f.done)
+			}()
+			f.v, f.err = fn(ctx)
+		}()
 		return f.v, false, f.err
 	}
 }

@@ -203,3 +203,86 @@ func TestGroupWaiterHonorsOwnContext(t *testing.T) {
 		t.Fatal("waiter did not observe its own cancellation")
 	}
 }
+
+// panicLeader runs do as a leader whose computation panics once waiters
+// are confirmed blocked on the key, recovering the panic it must still
+// see. It returns the waiters' errors.
+func panicLeader(t *testing.T, waiters int, waiting func() int, do func(fn func() int) error) []error {
+	t.Helper()
+	errs := make([]error, waiters)
+	var wg sync.WaitGroup
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		defer func() {
+			if recover() == nil {
+				t.Error("the leader's panic was swallowed")
+			}
+		}()
+		_ = do(func() int {
+			close(entered)
+			<-release
+			panic("boom")
+		})
+	}()
+	<-entered
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = do(func() int {
+				t.Error("a waiter ran the computation while the leader held the key")
+				return 0
+			})
+		}(i)
+	}
+	waitFor(t, func() bool { return waiting() == waiters })
+	close(release)
+	wg.Wait() // a poisoned key would hang here until the test times out
+	return errs
+}
+
+// A panicking leader must release its key and wake its waiters with an
+// error before the panic propagates; the next call runs fresh.
+func TestGroupPanickingLeaderReleasesKey(t *testing.T) {
+	var g Group[string, int]
+	ctx := context.Background()
+	errs := panicLeader(t, 3, func() int { return g.Waiting("k") }, func(fn func() int) error {
+		_, _, err := g.Do(ctx, "k", func(context.Context) (int, error) { return fn(), nil })
+		return err
+	})
+	for i, err := range errs {
+		if !errors.Is(err, ErrLeaderPanicked) {
+			t.Errorf("waiter %d: err = %v, want ErrLeaderPanicked", i, err)
+		}
+	}
+	if g.Waiting("k") != 0 {
+		t.Fatal("key still in flight after the panic")
+	}
+	v, shared, err := g.Do(ctx, "k", func(context.Context) (int, error) { return 7, nil })
+	if v != 7 || shared || err != nil {
+		t.Fatalf("call after the panic: v=%d shared=%v err=%v", v, shared, err)
+	}
+}
+
+// Answers.Compute coalesces through the same Group, so it inherits the
+// rule: waiters get the error, nothing is cached, the next call computes.
+func TestAnswersPanickingLeaderReleasesKey(t *testing.T) {
+	a := NewAnswers[int](4, 0, nil)
+	ctx := context.Background()
+	errs := panicLeader(t, 2, func() int { return a.Waiting("k") }, func(fn func() int) error {
+		_, _, err := a.Compute(ctx, "k", func(context.Context) (int, bool, error) { return fn(), true, nil })
+		return err
+	})
+	for i, err := range errs {
+		if !errors.Is(err, ErrLeaderPanicked) {
+			t.Errorf("waiter %d: err = %v, want ErrLeaderPanicked", i, err)
+		}
+	}
+	v, outcome, err := a.Compute(ctx, "k", func(context.Context) (int, bool, error) { return 5, true, nil })
+	if v != 5 || outcome != OutcomeMiss || err != nil {
+		t.Fatalf("call after the panic: v=%d outcome=%v err=%v", v, outcome, err)
+	}
+}

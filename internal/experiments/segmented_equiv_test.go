@@ -70,44 +70,3 @@ func TestSegmentedFacetsByteIdentical(t *testing.T) {
 	}
 	t.Logf("segment stats: %+v", st)
 }
-
-// Sharding composes with segment backing: shard boundaries align to
-// segment multiples and zone maps fold from the manifest, and output
-// must still match the resident monolithic engine bit for bit.
-func TestSegmentedShardedFacetsByteIdentical(t *testing.T) {
-	wh := dataset.AWOnline()
-	bwh, _, err := persist.BackedWarehouse(t.TempDir(), wh)
-	if err != nil {
-		t.Fatalf("backed warehouse: %v", err)
-	}
-	mono := Engine(wh)
-	seg := Engine(bwh)
-	seg.SetShards(4)
-	opts := kdapcore.DefaultExploreOptions()
-
-	explored := 0
-	for _, q := range workload.AWOnlineQueries() {
-		nets, err := mono.Differentiate(q.Text)
-		if err != nil {
-			t.Fatalf("query %d %q: %v", q.ID, q.Text, err)
-		}
-		if len(nets) == 0 {
-			continue
-		}
-		want, wantErr := mono.Explore(nets[0], opts)
-		got, gotErr := seg.Explore(nets[0], opts)
-		if wantErr != nil || gotErr != nil {
-			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
-				t.Fatalf("query %d: explore errors diverge: resident=%v backed=%v", q.ID, wantErr, gotErr)
-			}
-			continue
-		}
-		if !bytes.Equal(got.Fingerprint(), want.Fingerprint()) {
-			t.Fatalf("query %d %q: sharded backed facets differ from resident", q.ID, q.Text)
-		}
-		explored++
-	}
-	if explored < 40 {
-		t.Fatalf("only %d/50 workload queries produced an interpretation", explored)
-	}
-}

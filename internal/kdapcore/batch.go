@@ -32,6 +32,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"kdap/internal/cache"
 	"kdap/internal/telemetry"
 	"kdap/internal/telemetry/profile"
 )
@@ -73,7 +74,9 @@ type scopeEntry struct {
 // computation is in flight (it waits) or after (it reads the memo).
 // cache.Group's cancellation rule carries over: a leader's context
 // error is never shared; the entry is vacated and a later caller
-// recomputes under its own (live) context.
+// recomputes under its own (live) context. So does its panic rule: a
+// panicking leader vacates the entry and wakes waiters with
+// cache.ErrLeaderPanicked before the panic propagates.
 func (sc *scanScope) do(ctx context.Context, key string, fn func(context.Context) (any, error)) (any, error) {
 	for {
 		if err := ctx.Err(); err != nil {
@@ -108,13 +111,18 @@ func (sc *scanScope) do(ctx context.Context, key string, fn func(context.Context
 		e := &scopeEntry{done: make(chan struct{})}
 		sc.m[key] = e
 		sc.mu.Unlock()
-		e.v, e.err = fn(ctx)
-		if e.err != nil && isContextErr(e.err) {
-			sc.mu.Lock()
-			delete(sc.m, key)
-			sc.mu.Unlock()
-		}
-		close(e.done)
+		func() {
+			e.err = cache.ErrLeaderPanicked // overwritten unless fn panics
+			defer func() {
+				if isContextErr(e.err) || errors.Is(e.err, cache.ErrLeaderPanicked) {
+					sc.mu.Lock()
+					delete(sc.m, key)
+					sc.mu.Unlock()
+				}
+				close(e.done)
+			}()
+			e.v, e.err = fn(ctx)
+		}()
 		return e.v, e.err
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"kdap/internal/fulltext"
 	"kdap/internal/olap"
 	"kdap/internal/schemagraph"
-	"kdap/internal/shard"
 	"kdap/internal/telemetry"
 	"kdap/internal/telemetry/profile"
 )
@@ -114,15 +113,6 @@ func NewEngine(g *schemagraph.Graph, ix *fulltext.Index, m olap.Measure, agg ola
 		batchSizeHist: telemetry.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
 }
-
-// SetShards partitions the engine's fact table into n contiguous
-// row-range shards with zone maps, enabling shard-pruned scatter-gather
-// on semijoins, numeric filters, and series extraction (n <= 1 restores
-// monolithic scans). Facet output is byte-identical either way —
-// sharding only changes what gets scanned. Call it at startup, before
-// serving queries; it is safe later too, but materialized subspaces in
-// the rows cache keep the rows they were built with.
-func (e *Engine) SetShards(n int) { e.exec.SetShards(n) }
 
 // cacheBudgeter is implemented by segment backings (internal/persist)
 // whose page cache runs under an adjustable byte budget.
@@ -338,29 +328,7 @@ func (e *Engine) materializeRows(ctx context.Context, cs []olap.Constraint, filt
 		// so the gathered set is already the filtered materialization.
 		return e.scatter.ScatterRows(ctx, cs, filters)
 	}
-	// Numeric drills on fact (measure) columns become declarative bounds
-	// for the semijoin's shard planner: a shard whose zone map misses the
-	// bound interval is skipped before any bitset is intersected. The
-	// filters still run below, so the row set is exactly the unbounded
-	// semijoin's after filtering.
-	var bounds []shard.Bound
-	for _, nf := range filters {
-		if nf.OnFact {
-			lo, hi := nf.bounds()
-			bounds = append(bounds, shard.Bound{Col: nf.Attr.Attr, Lo: lo, Hi: hi})
-		}
-	}
-	rows, err := e.exec.FactRowsBoundedCtx(ctx, cs, bounds)
-	if err != nil {
-		return nil, err
-	}
-	if len(filters) > 0 {
-		rows, err = e.applyFiltersCtx(ctx, rows, filters)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
 }
 
 // extendRowsEntry grows a cached fact-row set to the current fact
@@ -375,15 +343,9 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, ent rowsEntry,
 
 	_, sp := telemetry.StartSpan(ctx, "subspace_extend")
 	defer sp.End()
-	tail, err := e.exec.FactRowsInRange(ctx, cs, ent.upTo, n)
+	tail, err := e.FactRowsRange(ctx, cs, filters, ent.upTo, n)
 	if err != nil {
 		return nil, err
-	}
-	if len(tail) > 0 && len(filters) > 0 {
-		tail, err = e.applyFiltersCtx(ctx, tail, filters)
-		if err != nil {
-			return nil, err
-		}
 	}
 	merged := mergeAscUnique(ent.rows, tail)
 	e.rowsCache.Put(key, rowsEntry{rows: merged, upTo: n})
@@ -445,8 +407,7 @@ func (e *Engine) RowsCacheStats() cache.Stats { return e.rowsCache.Stats() }
 
 // InvalidateSubspaceRows drops every materialized subspace so the next
 // SubspaceRows recomputes the semijoin. Benchmarks use it to time the
-// cold drill path; SetShards does not need it because sharded and
-// monolithic scans produce identical row sets.
+// cold drill path.
 func (e *Engine) InvalidateSubspaceRows() { e.rowsCache.Purge() }
 
 // Index returns the engine's full-text index (telemetry wiring).

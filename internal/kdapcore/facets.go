@@ -922,13 +922,9 @@ func (e *Engine) Drill(sn *StarNet, attr schemagraph.AttrRef, role string, value
 // callers arriving from rendered labels (the CLI, the HTTP API) hold
 // strings even for numeric attributes shown categorically.
 func (e *Engine) coerceValue(attr schemagraph.AttrRef, v relation.Value) (relation.Value, error) {
-	t := e.graph.DB().Table(attr.Table)
-	if t == nil {
-		return relation.Value{}, fmt.Errorf("kdap: no table %q", attr.Table)
-	}
-	col, ok := t.Schema().Column(attr.Attr)
-	if !ok {
-		return relation.Value{}, fmt.Errorf("kdap: no attribute %s", attr)
+	col, err := e.attrColumn(attr)
+	if err != nil {
+		return relation.Value{}, err
 	}
 	if v.Kind() == col.Kind || v.IsNull() {
 		return v, nil
@@ -965,6 +961,22 @@ func (e *Engine) coerceValue(attr schemagraph.AttrRef, v relation.Value) (relati
 	return relation.Value{}, fmt.Errorf("kdap: cannot use %s value for %s (%s column)", v.Kind(), attr, col.Kind)
 }
 
+// attrColumn resolves a drill's attribute to its column, rejecting
+// unknown tables and columns: drill targets arrive from outside (the
+// HTTP API, the REPL), and a net carrying a column that does not exist
+// would fail only later, inside the scan.
+func (e *Engine) attrColumn(attr schemagraph.AttrRef) (relation.Column, error) {
+	t := e.graph.DB().Table(attr.Table)
+	if t == nil {
+		return relation.Column{}, fmt.Errorf("kdap: no table %q", attr.Table)
+	}
+	col, ok := t.Schema().Column(attr.Attr)
+	if !ok {
+		return relation.Column{}, fmt.Errorf("kdap: no attribute %s", attr)
+	}
+	return col, nil
+}
+
 // DrillRange narrows the star net to a numeric facet range [lo, hi) —
 // the drill-down entry point for the numeric instances Algorithm 2
 // produces. The range is closed on the right when hi equals the domain
@@ -973,6 +985,13 @@ func (e *Engine) coerceValue(attr schemagraph.AttrRef, v relation.Value) (relati
 func (e *Engine) DrillRange(sn *StarNet, attr schemagraph.AttrRef, role string, lo, hi float64) (*StarNet, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("kdap: empty range [%g, %g]", lo, hi)
+	}
+	col, err := e.attrColumn(attr)
+	if err != nil {
+		return nil, err
+	}
+	if col.Kind != relation.KindInt && col.Kind != relation.KindFloat {
+		return nil, fmt.Errorf("kdap: attribute %s is not numeric", attr)
 	}
 	mk := func(op FilterOp, v float64) (NumericFilter, error) {
 		fact := e.graph.DB().Table(e.graph.FactTable())

@@ -98,7 +98,7 @@ func (nf NumericFilter) String() string {
 
 // bounds returns the conservative closed interval [lo, hi] containing
 // every value the predicate accepts — what licenses the executor's
-// shard planner to skip shards whose zone map misses the interval.
+// planner to skip segments whose zone misses the interval.
 // Exactness stays with Op.Matches; the bounds only bound.
 func (nf NumericFilter) bounds() (lo, hi float64) {
 	switch nf.Op {
@@ -194,22 +194,11 @@ func (e *Engine) extractFilters(keywords []string) (filters []NumericFilter, res
 	return filters, rest, nil
 }
 
-// applyFilters narrows fact rows by every predicate.
-func (e *Engine) applyFilters(rows []int, filters []NumericFilter) []int {
-	out, _ := e.applyFiltersCtx(context.Background(), rows, filters)
-	return out
-}
-
-// filterCheckRows is the stride between ctx.Err() checks in the fact-
-// column predicate loop (the dimension branch delegates its own checks
-// to FilterRowsNumericCtx).
-const filterCheckRows = 8192
-
-// applyFiltersCtx is applyFilters under a cancellable context, checking
-// between predicates and every filterCheckRows rows within one.
+// applyFiltersCtx narrows fact rows by every predicate: each runs
+// through the executor's planner-driven numeric filter, declaring the
+// closed interval its operator implies so segments whose zone misses it
+// are never scanned.
 func (e *Engine) applyFiltersCtx(ctx context.Context, rows []int, filters []NumericFilter) ([]int, error) {
-	fact := e.graph.DB().Table(e.graph.FactTable())
-	done := ctx.Done()
 	for _, nf := range filters {
 		if len(rows) == 0 {
 			return rows, nil
@@ -217,44 +206,12 @@ func (e *Engine) applyFiltersCtx(ctx context.Context, rows []int, filters []Nume
 		nf := nf
 		match := func(x float64) bool { return nf.Op.Matches(x, nf.Value) }
 		lo, hi := nf.bounds()
-		if nf.OnFact {
-			// Under a partition the executor's vectorized scan skips
-			// shards whose zone map misses [lo, hi] and reads the dense
-			// float view; over a disk-backed fact table the segment walk
-			// skips segments on zone evidence without paging them in.
-			// Both produce exactly the rows the boxed scan below keeps
-			// (NULL is NaN in the float view and matches no operator).
-			// The boxed path is retained for plain resident tables as
-			// the honest pre-sharding baseline for the benches.
-			if e.exec.Partition() != nil || fact.Backing() != nil {
-				var err error
-				rows, err = e.exec.FilterFactNumericCtx(ctx, rows, nf.Attr.Attr, lo, hi, match)
-				if err != nil {
-					return nil, err
-				}
-				continue
-			}
-			ci := fact.Schema().ColumnIndex(nf.Attr.Attr)
-			var out []int
-			for base := 0; base < len(rows); base += filterCheckRows {
-				if done != nil {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				end := min(base+filterCheckRows, len(rows))
-				for _, r := range rows[base:end] {
-					v := fact.Row(r)[ci]
-					if !v.IsNull() && nf.Op.Matches(v.AsFloat(), nf.Value) {
-						out = append(out, r)
-					}
-				}
-			}
-			rows = out
-			continue
-		}
 		var err error
-		rows, err = e.exec.FilterRowsNumericBoundCtx(ctx, rows, nf.Attr.Attr, nf.Path, lo, hi, match)
+		if nf.OnFact {
+			rows, err = e.exec.FilterFactNumericCtx(ctx, rows, nf.Attr.Attr, lo, hi, match)
+		} else {
+			rows, err = e.exec.FilterRowsNumericBoundCtx(ctx, rows, nf.Attr.Attr, nf.Path, lo, hi, match)
+		}
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,9 @@ import (
 // differences all surface — unlike the JSON the HTTP layer emits, which
 // sanitizes non-finite scores. Two Facets fingerprint equal iff a user
 // could not tell them apart by any field; the equivalence suites use it
-// to hold the sharded executor to byte-identical output against the
-// monolithic scan.
+// to hold every execution strategy (pruned, batched, backed, appended,
+// clustered) to byte-identical output, and a golden set of its digests
+// pins the output across refactors.
 func (f *Facets) Fingerprint() []byte {
 	var b bytes.Buffer
 	fmt.Fprintf(&b, "rows=%d agg=%s partial=%v",

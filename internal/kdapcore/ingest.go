@@ -3,9 +3,8 @@ package kdapcore
 // Streaming ingest with incremental maintenance. AppendFacts is the
 // engine's single writer entry point: it appends a batch of fact rows
 // through relation.Table.AppendFacts (resident or disk-backed tail
-// segments alike), widens the shard partition, indexes any new
-// full-text values the batch introduced, and then invalidates cached
-// answers with *delta scope* — only answers whose sub-dataspace or
+// segments alike), indexes any new full-text values the batch
+// introduced, and then invalidates cached answers with *delta scope* — only answers whose sub-dataspace or
 // roll-up background spaces could contain an appended row are evicted;
 // everything else keeps serving from cache.
 //
@@ -123,10 +122,6 @@ func (e *Engine) AppendFacts(ctx context.Context, rows [][]relation.Value) (Appe
 	}
 	hi := fact.Len()
 	res := AppendResult{Start: start, Rows: hi - lo}
-
-	// Widen the shard partition's last shard over the appended rows
-	// (no-op when unsharded); plans over the old partition stay valid.
-	e.exec.ExtendForAppend(hi)
 
 	_, sp = telemetry.StartSpan(ctx, "index_terms")
 	res.NewTerms = e.indexAppendedValues(fact, rows)
@@ -250,20 +245,8 @@ func (e *Engine) appendIntersects(ctx context.Context, sn *StarNet, lo, hi int) 
 		variants = append(variants, others)
 	}
 	for _, cs := range variants {
-		rows, err := e.exec.FactRowsInRange(ctx, cs, lo, hi)
-		if err != nil {
-			return true
-		}
-		if len(rows) == 0 {
-			continue
-		}
-		if len(sn.Filters) > 0 {
-			rows, err = e.applyFiltersCtx(ctx, rows, sn.Filters)
-			if err != nil {
-				return true
-			}
-		}
-		if len(rows) > 0 {
+		rows, err := e.FactRowsRange(ctx, cs, sn.Filters, lo, hi)
+		if err != nil || len(rows) > 0 {
 			return true
 		}
 	}

@@ -258,7 +258,7 @@ func TestSubspaceRowsExtendAcrossAppend(t *testing.T) {
 // TestIngestConcurrentWithQueries is the writer/reader soak (run it
 // under -race): one appender streams the tail in small batches while
 // query workers differentiate, explore, and drill through the answer
-// cache and the sharded executor. Afterwards every worker query must
+// cache and the planner-driven executor. Afterwards every worker query must
 // fingerprint byte-identically to a from-scratch build.
 func TestIngestConcurrentWithQueries(t *testing.T) {
 	const (
@@ -269,7 +269,6 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 	wh, tail := dataset.AWOnlineScaledPartial(scale, resident)
 	e := ingestTestEngine(wh)
 	e.SetAnswerCache(128, 0)
-	e.SetShards(8)
 	queries := []string{
 		"Road Bikes", "Mountain Bikes California", "Helmets", "Jerseys",
 		"Touring Bikes", "Bottles and Cages", "Gloves", "Cleaners",

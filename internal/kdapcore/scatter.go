@@ -131,22 +131,31 @@ func degradedRows(ctx context.Context, err error) ([]int, bool) {
 	return de.Rows, true
 }
 
-// FactRowsRange is the worker-side scan primitive: the fact rows in
-// [lo, hi) satisfying the constraints, with numeric filters applied
-// per-row — exactly the slice of the full materialization that falls in
-// the range. Workers evaluate it node-locally (dimension tables are
-// replicated, so the semijoin never leaves the node); the coordinator
-// uses it for hedged and fallback re-scans of a lost node's range.
+// FactRowsRange returns the fact rows in [lo, hi) that satisfy the
+// constraints and the numeric filters — exactly the slice of the full
+// materialization that falls in the range. It is the one local
+// materialization body: the whole sub-dataspace is the range
+// [0, FactLen), a cached row set extends over an ingest tail, and a
+// cluster worker scans the range it owns (dimension tables are
+// replicated, so the semijoin never leaves the node; the coordinator
+// uses it for hedged and fallback re-scans of a lost node's range).
+//
+// Numeric drills on fact columns double as declarative bounds for the
+// executor's planner: a segment whose zone misses the bound interval is
+// skipped before any bitset is intersected. The filters still run on
+// the survivors, so the rows are exactly the unbounded semijoin's after
+// filtering.
 func (e *Engine) FactRowsRange(ctx context.Context, cs []olap.Constraint, filters []NumericFilter, lo, hi int) ([]int, error) {
-	rows, err := e.exec.FactRowsInRange(ctx, cs, lo, hi)
+	var bounds []olap.Bound
+	for _, nf := range filters {
+		if nf.OnFact {
+			blo, bhi := nf.bounds()
+			bounds = append(bounds, olap.Bound{Col: nf.Attr.Attr, Lo: blo, Hi: bhi})
+		}
+	}
+	rows, err := e.exec.FactRowsInRange(ctx, cs, bounds, lo, hi)
 	if err != nil {
 		return nil, err
 	}
-	if len(rows) > 0 && len(filters) > 0 {
-		rows, err = e.applyFiltersCtx(ctx, rows, filters)
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
+	return e.applyFiltersCtx(ctx, rows, filters)
 }

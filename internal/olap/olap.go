@@ -33,7 +33,7 @@ import (
 	"kdap/internal/cache"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
-	"kdap/internal/shard"
+	"kdap/internal/telemetry"
 )
 
 // Measure evaluates a numeric measure on one fact row. The paper's
@@ -249,19 +249,14 @@ type Executor struct {
 	factMap   map[string][]int32 // path signature -> fact row -> dim row (-1 when unlinked)
 	attrCode  map[attrColKey]*codeColumn
 	attrFloat map[attrColKey][]float64
-	// attrZone holds lazily-built per-shard zone maps over the memoized
-	// fact-aligned attribute columns, keyed like attrFloat, rebuilt when
-	// SetShards replaces the partition and extended in place (copy-on-
-	// grow) when a streaming append grows the last shard.
-	attrZone map[attrColKey]*attrZones
+	// attrZones holds lazily-derived per-segment zones over the memoized
+	// fact-aligned attribute columns, keyed like attrFloat and widened
+	// (copy-on-grow) past appended rows on read.
+	attrZones map[attrColKey]attrZones
 	// constraintBits caches each constraint's fact-row set; candidate
 	// star nets combine a small vocabulary of hit groups, so hit rates
 	// are high during differentiation-heavy workloads.
 	constraintBits *cache.Clock[string, *bitset.Set]
-
-	// partition, when set, enables sharded scatter-gather on the row-set
-	// producers (see sharded.go). nil means monolithic scans.
-	partition atomic.Pointer[shard.Partition]
 
 	stats execCounters
 }
@@ -287,9 +282,9 @@ type execCounters struct {
 	codeVecBuilds  atomic.Int64
 	floatColBuilds atomic.Int64
 
-	shardsScanned    atomic.Int64
-	shardsPrunedZone atomic.Int64
-	shardsPrunedBits atomic.Int64
+	segmentsScanned     atomic.Int64
+	segmentsSkippedZone atomic.Int64
+	segmentsSkippedBits atomic.Int64
 }
 
 // ExecStats is a point-in-time snapshot of the executor's kernel
@@ -313,11 +308,11 @@ type ExecStats struct {
 	// CodeVecBuilds / FloatColBuilds count cold fact-aligned column
 	// materializations (cache misses in the executor's memos).
 	CodeVecBuilds, FloatColBuilds int64
-	// ShardsScanned counts shards the planner let through to a scan;
-	// ShardsPrunedZone / ShardsPrunedBits count shards it skipped, by
-	// the evidence that pruned them (zone-map miss vs constraint bitset
-	// empty over the shard's row range). All zero when monolithic.
-	ShardsScanned, ShardsPrunedZone, ShardsPrunedBits int64
+	// SegmentsScanned counts segments the planner let through to a scan;
+	// SegmentsSkippedZone / SegmentsSkippedBits count segments it
+	// skipped, by evidence (a zone missing a declared bound vs a
+	// constraint bitset with no member in the segment's rows).
+	SegmentsScanned, SegmentsSkippedZone, SegmentsSkippedBits int64
 }
 
 // Stats snapshots the executor's kernel counters.
@@ -337,9 +332,9 @@ func (ex *Executor) Stats() ExecStats {
 		CodeVecBuilds:  ex.stats.codeVecBuilds.Load(),
 		FloatColBuilds: ex.stats.floatColBuilds.Load(),
 
-		ShardsScanned:    ex.stats.shardsScanned.Load(),
-		ShardsPrunedZone: ex.stats.shardsPrunedZone.Load(),
-		ShardsPrunedBits: ex.stats.shardsPrunedBits.Load(),
+		SegmentsScanned:     ex.stats.segmentsScanned.Load(),
+		SegmentsSkippedZone: ex.stats.segmentsSkippedZone.Load(),
+		SegmentsSkippedBits: ex.stats.segmentsSkippedBits.Load(),
 	}
 }
 
@@ -362,7 +357,7 @@ func NewExecutor(g *schemagraph.Graph) *Executor {
 		factMap:        make(map[string][]int32),
 		attrCode:       make(map[attrColKey]*codeColumn),
 		attrFloat:      make(map[attrColKey][]float64),
-		attrZone:       make(map[attrColKey]*attrZones),
+		attrZones:      make(map[attrColKey]attrZones),
 		constraintBits: cache.NewClock[string, *bitset.Set](constraintCacheCap),
 	}
 }
@@ -570,130 +565,11 @@ func (ex *Executor) FactRows(constraints []Constraint) []int {
 }
 
 // FactRowsCtx is FactRows under a context: cancellation is checked
-// between constraints and inside each constraint's semijoin, returning
-// ctx.Err() instead of completing the intersection.
+// between constraints, inside each constraint's semijoin and between
+// segment runs, returning ctx.Err() instead of completing the
+// intersection.
 func (ex *Executor) FactRowsCtx(ctx context.Context, constraints []Constraint) ([]int, error) {
-	return ex.FactRowsBoundedCtx(ctx, constraints, nil)
-}
-
-// FactRowsBoundedCtx is FactRowsCtx with declared numeric drill bounds:
-// under a partition the planner also skips shards whose zone maps miss
-// a bound's closed interval, so the semijoin intersection itself never
-// touches shards a later drill predicate would discard wholesale. The
-// caller MUST re-apply the row-level predicates the bounds were derived
-// from — a bound licenses skipping provably irrelevant shards, nothing
-// more. Monolithically (and with no bounds) this is exactly FactRowsCtx.
-func (ex *Executor) FactRowsBoundedCtx(ctx context.Context, constraints []Constraint, bounds []shard.Bound) ([]int, error) {
-	if len(constraints) == 0 {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if p := ex.partition.Load(); p != nil && len(bounds) > 0 {
-			return ex.factRowsSharded(ctx, p, bounds, nil)
-		}
-		all := make([]int, ex.fact.Len())
-		for i := range all {
-			all[i] = i
-		}
-		return all, nil
-	}
-	if p := ex.partition.Load(); p != nil {
-		sets := make([]*bitset.Set, len(constraints))
-		for i, c := range constraints {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			s, err := ex.constraintSet(ctx, c)
-			if err != nil {
-				return nil, err
-			}
-			sets[i] = s
-		}
-		rows, err := ex.factRowsSharded(ctx, p, bounds, sets)
-		if err != nil || len(rows) == 0 {
-			return nil, err
-		}
-		return rows, nil
-	}
-	first, err := ex.constraintSet(ctx, constraints[0])
-	if err != nil {
-		return nil, err
-	}
-	if len(constraints) == 1 {
-		rows := first.ToSlice()
-		if len(rows) == 0 {
-			return nil, nil
-		}
-		return rows, nil
-	}
-	acc := first.Clone()
-	for _, c := range constraints[1:] {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s, err := ex.constraintSet(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		acc.AndWith(s)
-		if acc.Count() == 0 {
-			return nil, nil
-		}
-	}
-	rows := acc.ToSlice()
-	if len(rows) == 0 {
-		return nil, nil
-	}
-	return rows, nil
-}
-
-// FactRowsInRange returns the fact rows in [lo, hi) satisfying every
-// constraint (every row in the range when constraints is empty). Built
-// for streaming appends: per-constraint bitsets are coverage-complete
-// to the current fact length, so deciding whether an appended row range
-// touches a sub-dataspace costs O(hi-lo), never a dataspace rescan.
-func (ex *Executor) FactRowsInRange(ctx context.Context, constraints []Constraint, lo, hi int) ([]int, error) {
-	if n := ex.fact.Len(); hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if lo >= hi {
-		return nil, nil
-	}
-	if len(constraints) == 0 {
-		out := make([]int, hi-lo)
-		for i := range out {
-			out[i] = lo + i
-		}
-		return out, nil
-	}
-	sets := make([]*bitset.Set, len(constraints))
-	for i, c := range constraints {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		s, err := ex.constraintSet(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		sets[i] = s
-	}
-	out := sets[0].AppendRange(nil, lo, hi)
-	for _, s := range sets[1:] {
-		if len(out) == 0 {
-			return nil, nil
-		}
-		kept := out[:0]
-		for _, r := range out {
-			if s.Contains(r) {
-				kept = append(kept, r)
-			}
-		}
-		out = kept
-	}
-	return out, nil
+	return ex.FactRowsInRange(ctx, constraints, nil, 0, ex.fact.Len())
 }
 
 // Aggregate applies the measure and aggregation function over fact
@@ -970,23 +846,38 @@ func (ex *Executor) NumericSeries(rows []int, attr string, path schemagraph.Join
 }
 
 // NumericSeriesCtx is NumericSeries under a context, checking for
-// cancellation every cancelCheckRows rows.
+// cancellation every cancelCheckRows rows. Segments in which the
+// attribute is NULL or unlinked on every row are skipped on zone
+// evidence, and a large row set is extracted over concurrent row-ordered
+// spans whose outputs concatenate to exactly the serial series.
 func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure) ([]ValueMeasure, error) {
 	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
 		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
 	}
-	if p := ex.partition.Load(); p != nil && len(rows) >= ParallelRowThreshold() {
-		return ex.numericSeriesSharded(ctx, p, rows, attr, path, m)
+	if len(rows) == 0 {
+		return []ValueMeasure{}, nil
 	}
 	vals := ex.attrFloats(attr, path)
-	return seriesOver(ctx, rows, vals, measureVec(m), m, ex.fact)
+	vec := measureVec(m)
+	_, sp := telemetry.StartSpan(ctx, "segment_scan")
+	defer sp.End()
+	zone := ex.attrZone(attr, path, vals, negInf, posInf)
+	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
+	spans, total := rowSpans(rows, runs)
+	return gather(ctx, ex, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
+		for _, ix := range part {
+			var err error
+			if out, err = seriesOver(ctx, out, rows[ix.lo:ix.hi], vals, vec, m, ex.fact); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	})
 }
 
-// seriesOver extracts (attribute value, measure) pairs for one span of
-// rows against pre-extracted columns; it is the shared body of the
-// monolithic pass and each sharded worker.
-func seriesOver(ctx context.Context, rows []int, vals, vec []float64, m Measure, fact *relation.Table) ([]ValueMeasure, error) {
-	out := make([]ValueMeasure, 0, len(rows))
+// seriesOver appends the (attribute value, measure) pairs of one span
+// of rows, read from pre-extracted columns, to out.
+func seriesOver(ctx context.Context, out []ValueMeasure, rows []int, vals, vec []float64, m Measure, fact *relation.Table) ([]ValueMeasure, error) {
 	done := ctx.Done()
 	var cur *relation.FloatCursor
 	if vec == nil && !m.constOne {
@@ -1048,9 +939,9 @@ func (ex *Executor) FilterRowsNumeric(rows []int, attr string, path schemagraph.
 
 // FilterRowsNumericCtx is FilterRowsNumeric under a context, checking
 // for cancellation every cancelCheckRows rows. With an opaque predicate
-// the bound interval defaults to the whole line, so under a partition
-// only all-NULL shards prune; callers that know the predicate's shape
-// should use FilterRowsNumericBoundCtx.
+// the bound interval defaults to the whole line, so only all-NULL
+// segments are skipped; callers that know the predicate's shape should
+// use FilterRowsNumericBoundCtx.
 func (ex *Executor) FilterRowsNumericCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, pred func(float64) bool) ([]int, error) {
 	return ex.FilterRowsNumericBoundCtx(ctx, rows, attr, path, negInf, posInf, pred)
 }

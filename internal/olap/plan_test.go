@@ -1,0 +1,578 @@
+package olap
+
+import (
+	"context"
+	"math"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"kdap/internal/bitset"
+	"kdap/internal/persist"
+	"kdap/internal/relation"
+	"kdap/internal/schemagraph"
+)
+
+// planMart is a small two-dimension star whose fact table is built to
+// give every kind of segment evidence something to bite on:
+//
+//   - Seq ascends with the row ID (the ingest-clustered case), so a
+//     bound on it leaves a contiguous run of segments;
+//   - Noise is uncorrelated with row order and NULL on ~10% of rows, and
+//     NULL on every row of one band — an empty (all-NULL) zone;
+//   - KA links to dimension A at random (sometimes NULL, sometimes
+//     dangling), except in one band where every row links to A rows
+//     whose Score is NULL — an empty *attribute* zone;
+//   - KB is banded (long runs of one key), so a constraint on B has no
+//     member in most segments — bit evidence.
+//
+// Row i is a pure function of i (rowAt), so a resident table, a backed
+// one and any append schedule over either hold identical data.
+type planMart struct {
+	g      *schemagraph.Graph
+	ex     *Executor
+	fact   *relation.Table
+	pathA  schemagraph.JoinPath
+	pathB  schemagraph.JoinPath
+	aName  map[int64]relation.Value // AKey → Name, read off the dimension rows
+	aScore map[int64]relation.Value // AKey → Score (possibly NULL)
+	bLabel map[int64]relation.Value // BKey → Label
+}
+
+const (
+	planNA, planNB = 12, 6
+	planBand       = 700 // rows per KB band; NULL bands are multiples of it
+)
+
+func planFactSchema() *relation.Schema {
+	return relation.MustSchema("F", []relation.Column{
+		{Name: "Seq", Kind: relation.KindInt},
+		{Name: "Noise", Kind: relation.KindFloat},
+		{Name: "KA", Kind: relation.KindInt},
+		{Name: "KB", Kind: relation.KindInt},
+	}, "", []relation.ForeignKey{
+		{Column: "KA", RefTable: "A", RefColumn: "AKey"},
+		{Column: "KB", RefTable: "B", RefColumn: "BKey"},
+	})
+}
+
+// rowAt generates fact row i.
+func rowAt(i int) []relation.Value {
+	h := uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
+	h ^= h >> 29
+	h *= 0xBF58476D1CE4E5B9
+	h ^= h >> 32
+	band := i / planBand
+	noise := relation.Float(float64(h%1000) / 10)
+	if h%10 == 0 || band == 3 {
+		noise = relation.Null()
+	}
+	ka := relation.Int(int64(h>>8)%planNA + 1)
+	switch {
+	case band == 5:
+		ka = relation.Int(int64(h>>8)%2 + 1) // A rows 1 and 2 carry NULL Score
+	case h%37 == 0:
+		ka = relation.Null()
+	case h%41 == 0:
+		ka = relation.Int(999) // dangling
+	}
+	return []relation.Value{
+		relation.Int(int64(i)), noise, ka, relation.Int(int64(band%planNB) + 1),
+	}
+}
+
+// buildPlanMart builds the mart over n fact rows, resident when segSize
+// is 0 and disk-backed with that segment size otherwise.
+func buildPlanMart(t *testing.T, n, segSize int) *planMart {
+	t.Helper()
+	db := relation.NewDatabase("plan")
+	a := db.MustCreateTable(relation.MustSchema("A", []relation.Column{
+		{Name: "AKey", Kind: relation.KindInt},
+		{Name: "Name", Kind: relation.KindString},
+		{Name: "Score", Kind: relation.KindFloat},
+	}, "AKey", nil))
+	b := db.MustCreateTable(relation.MustSchema("B", []relation.Column{
+		{Name: "BKey", Kind: relation.KindInt},
+		{Name: "Label", Kind: relation.KindString},
+	}, "BKey", nil))
+	m := &planMart{
+		aName: map[int64]relation.Value{}, aScore: map[int64]relation.Value{}, bLabel: map[int64]relation.Value{},
+	}
+	for k := int64(1); k <= planNA; k++ {
+		score := relation.Float(float64(k*k) / 2)
+		if k <= 2 {
+			score = relation.Null()
+		}
+		name := relation.String(string(rune('a' + k%5)))
+		a.MustAppend(relation.Int(k), name, score)
+		m.aName[k], m.aScore[k] = name, score
+	}
+	for k := int64(1); k <= planNB; k++ {
+		label := relation.String(string(rune('p' + k%3)))
+		b.MustAppend(relation.Int(k), label)
+		m.bLabel[k] = label
+	}
+	fact := relation.NewTable(planFactSchema())
+	for i := 0; i < n; i++ {
+		fact.MustAppend(rowAt(i)...)
+	}
+	if segSize > 0 {
+		dir := t.TempDir()
+		if err := persist.WriteTableSegments(dir, fact, persist.SegmentWriterOptions{SegmentSize: segSize}); err != nil {
+			t.Fatal(err)
+		}
+		backed, store, err := persist.OpenBackedTable(dir, fact.Schema())
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		fact = backed
+	}
+	if err := db.AddTable(fact); err != nil {
+		t.Fatal(err)
+	}
+	g := schemagraph.New(db, "F")
+	for _, d := range []*schemagraph.Dimension{
+		{Name: "DA", Tables: []string{"A"}, GroupBy: []schemagraph.AttrRef{{Table: "A", Attr: "Name"}, {Table: "A", Attr: "Score"}}},
+		{Name: "DB", Tables: []string{"B"}, GroupBy: []schemagraph.AttrRef{{Table: "B", Attr: "Label"}}},
+	} {
+		if err := g.AddDimension(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.Build(); err != nil {
+		t.Fatal(err)
+	}
+	var ok bool
+	if m.pathA, ok = g.PathFromFact("A", "DA"); !ok {
+		t.Fatal("no path to A")
+	}
+	if m.pathB, ok = g.PathFromFact("B", "DB"); !ok {
+		t.Fatal("no path to B")
+	}
+	m.g, m.fact, m.ex = g, fact, NewExecutor(g)
+	return m
+}
+
+// --- the row-at-a-time oracle ---
+
+// numericPred is a closed-interval predicate with its declared bound.
+type numericPred struct{ lo, hi float64 }
+
+func (p numericPred) match(x float64) bool { return x >= p.lo && x <= p.hi }
+
+// satisfies evaluates one constraint on one boxed fact row by looking
+// the foreign key up in maps read straight off the dimension rows.
+func (m *planMart) satisfies(row []relation.Value, c Constraint) bool {
+	var fk relation.Value
+	var attr map[int64]relation.Value
+	switch c.Table {
+	case "A":
+		fk, attr = row[2], m.aName
+	case "B":
+		fk, attr = row[3], m.bLabel
+	}
+	if fk.IsNull() {
+		return false
+	}
+	v, linked := attr[fk.IntVal()]
+	if !linked {
+		return false
+	}
+	for _, want := range c.Values {
+		if v == want {
+			return true
+		}
+	}
+	return false
+}
+
+// score returns the A.Score a fact row reaches, NaN when NULL/unlinked.
+func (m *planMart) score(row []relation.Value) float64 {
+	if row[2].IsNull() {
+		return math.NaN()
+	}
+	v, linked := m.aScore[row[2].IntVal()]
+	if !linked || v.IsNull() {
+		return math.NaN()
+	}
+	return v.AsFloat()
+}
+
+// oracleRows is the reference for every row-set producer: walk [lo, hi)
+// one boxed row at a time, keeping rows that satisfy every constraint,
+// the fact-column predicates and the A.Score predicate.
+func (m *planMart) oracleRows(lo, hi int, cs []Constraint, factPreds map[string]numericPred, scorePred *numericPred) []int {
+	var out []int
+	lo, hi = max(lo, 0), min(hi, m.fact.Len())
+rows:
+	for r := lo; r < hi; r++ {
+		row := m.fact.Row(r)
+		for _, c := range cs {
+			if !m.satisfies(row, c) {
+				continue rows
+			}
+		}
+		for col, p := range factPreds {
+			v := row[m.fact.Schema().ColumnIndex(col)]
+			if v.IsNull() || !p.match(v.AsFloat()) {
+				continue rows
+			}
+		}
+		if scorePred != nil {
+			if s := m.score(row); math.IsNaN(s) || !scorePred.match(s) {
+				continue rows
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+func (m *planMart) oracleSeries(rows []int) []ValueMeasure {
+	out := []ValueMeasure{}
+	for _, r := range rows {
+		row := m.fact.Row(r)
+		if s := m.score(row); !math.IsNaN(s) {
+			out = append(out, ValueMeasure{Value: s, Measure: row[0].AsFloat()})
+		}
+	}
+	return out
+}
+
+// --- random scan descriptions ---
+
+func (m *planMart) randConstraints(rng *rand.Rand) []Constraint {
+	var cs []Constraint
+	if rng.Intn(3) > 0 {
+		vals := []relation.Value{relation.String(string(rune('a' + rng.Intn(5))))}
+		if rng.Intn(2) == 0 {
+			vals = append(vals, relation.String(string(rune('a'+rng.Intn(5)))))
+		}
+		cs = append(cs, Constraint{Table: "A", Attr: "Name", Values: vals, Path: m.pathA})
+	}
+	if rng.Intn(3) > 0 {
+		cs = append(cs, Constraint{Table: "B", Attr: "Label",
+			Values: []relation.Value{relation.String(string(rune('p' + rng.Intn(3))))}, Path: m.pathB})
+	}
+	return cs
+}
+
+func randPred(rng *rand.Rand, span float64) numericPred {
+	lo := rng.Float64() * span
+	switch rng.Intn(4) {
+	case 0:
+		return numericPred{lo, math.Inf(1)}
+	case 1:
+		return numericPred{math.Inf(-1), lo}
+	case 2:
+		return numericPred{lo, lo} // equality
+	default:
+		return numericPred{lo, lo + rng.Float64()*span/4}
+	}
+}
+
+func sameRows(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
+
+// checkPlanned runs one random scan description through all four
+// producers and compares each with the oracle.
+func (m *planMart) checkPlanned(t *testing.T, rng *rand.Rand) {
+	t.Helper()
+	ctx := context.Background()
+	n := m.fact.Len()
+	lo, hi := rng.Intn(n+200)-100, rng.Intn(n+200)-100
+	if rng.Intn(4) == 0 {
+		lo, hi = 0, n+rng.Intn(50) // whole table, hi past the end
+	}
+	cs := m.randConstraints(rng)
+
+	// Constraint intersection, unbounded.
+	got, err := m.ex.FactRowsInRange(ctx, cs, nil, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.oracleRows(lo, hi, cs, nil, nil); !sameRows(got, want) {
+		t.Fatalf("FactRowsInRange(%v, [%d,%d)) = %d rows, oracle %d", cs, lo, hi, len(got), len(want))
+	}
+
+	// With declared bounds the intersection may only drop rows the
+	// predicates reject, and the fact-column filter finishes the job.
+	factPreds := map[string]numericPred{}
+	if rng.Intn(2) == 0 {
+		factPreds["Seq"] = randPred(rng, float64(n))
+	}
+	if rng.Intn(2) == 0 {
+		factPreds["Noise"] = randPred(rng, 100)
+	}
+	var bounds []Bound
+	for col, p := range factPreds {
+		bounds = append(bounds, Bound{Col: col, Lo: p.lo, Hi: p.hi})
+	}
+	bounded, err := m.ex.FactRowsInRange(ctx, cs, bounds, lo, hi)
+	if err != nil {
+		t.Fatal(err)
+	}
+	filtered := bounded
+	for col, p := range factPreds {
+		if filtered, err = m.ex.FilterFactNumericCtx(ctx, filtered, col, p.lo, p.hi, p.match); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantFiltered := m.oracleRows(lo, hi, cs, factPreds, nil)
+	if !sameRows(filtered, wantFiltered) {
+		t.Fatalf("bounded intersection + fact filters %v over [%d,%d) = %d rows, oracle %d",
+			factPreds, lo, hi, len(filtered), len(wantFiltered))
+	}
+	// The fact filter over the *unbounded* rows must land on the same set.
+	unb := got
+	for col, p := range factPreds {
+		if unb, err = m.ex.FilterFactNumericCtx(ctx, unb, col, p.lo, p.hi, p.match); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !sameRows(unb, wantFiltered) {
+		t.Fatalf("fact filters %v over unbounded rows = %d rows, oracle %d", factPreds, len(unb), len(wantFiltered))
+	}
+
+	// Dimension-attribute filter.
+	sp := randPred(rng, planNA*planNA/2)
+	attrRows, err := m.ex.FilterRowsNumericBoundCtx(ctx, got, "Score", m.pathA, sp.lo, sp.hi, sp.match)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.oracleRows(lo, hi, cs, nil, &sp); !sameRows(attrRows, want) {
+		t.Fatalf("Score filter [%g,%g] = %d rows, oracle %d", sp.lo, sp.hi, len(attrRows), len(want))
+	}
+
+	// Numeric series.
+	series, err := m.ex.NumericSeriesCtx(ctx, got, "Score", m.pathA, ColumnMeasure(m.fact, "Seq"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := m.oracleSeries(got); !reflect.DeepEqual(series, want) {
+		t.Fatalf("series over %d rows: %d pairs, oracle %d", len(got), len(series), len(want))
+	}
+}
+
+// TestPlannedRowsMatchOracle is the planner's property test: random
+// constraint sets × bounds × [lo,hi) ranges × append schedules, over a
+// resident table (8192-row segments) and a backed one (128-row segments,
+// sometimes ending exactly on a segment boundary), serial and fanned
+// out. Every producer must return exactly the oracle's rows.
+func TestPlannedRowsMatchOracle(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		n, seg   int
+		parallel bool
+	}{
+		{"resident/serial", 19_000, 0, false},
+		{"resident/parallel", 19_000, 0, true},
+		{"backed/serial", 128 * 29, 128, false},
+		{"backed/parallel", 128*29 + 77, 128, true},
+		{"empty", 0, 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.parallel {
+				SetParallelRowThreshold(64)
+				defer SetParallelRowThreshold(0)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+			}
+			m := buildPlanMart(t, tc.n, tc.seg)
+			rng := rand.New(rand.NewSource(int64(tc.n) + 7))
+			next := tc.n
+			for round := 0; round < 6; round++ {
+				for trial := 0; trial < 12; trial++ {
+					m.checkPlanned(t, rng)
+				}
+				// Append a batch: sometimes a few rows, sometimes enough to
+				// seal the tail segment and open new ones.
+				grow := []int{1, 40, 128, 300, 9000}[rng.Intn(5)]
+				if tc.seg > 0 && grow > 1000 {
+					grow = 5*tc.seg + 3
+				}
+				batch := make([][]relation.Value, grow)
+				for i := range batch {
+					batch[i] = rowAt(next + i)
+				}
+				if _, err := m.fact.AppendFacts(batch); err != nil {
+					t.Fatal(err)
+				}
+				next += grow
+			}
+			st := m.ex.Stats()
+			if tc.n > 0 && (st.SegmentsScanned == 0 || st.SegmentsSkippedZone == 0 || st.SegmentsSkippedBits == 0) {
+				t.Errorf("planner verdicts never exercised: %+v", st)
+			}
+			if tc.parallel && st.ParallelScans == 0 {
+				t.Error("no scan fanned out")
+			}
+		})
+	}
+}
+
+// planCounts runs fn and returns the planner counters it moved.
+func planCounts(ex *Executor, fn func()) (scanned, zone, bits int64) {
+	before := ex.Stats()
+	fn()
+	after := ex.Stats()
+	return after.SegmentsScanned - before.SegmentsScanned,
+		after.SegmentsSkippedZone - before.SegmentsSkippedZone,
+		after.SegmentsSkippedBits - before.SegmentsSkippedBits
+}
+
+// Zone evidence on the clustered column leaves exactly the segments the
+// layout predicts, coalesced into one run; an uncorrelated column and a
+// column without zones prune nothing.
+func TestPlanZoneEvidence(t *testing.T) {
+	m := buildPlanMart(t, 1000, 128) // segments 0..7, the last 104 rows
+	ctx := context.Background()
+	var runs []span
+	scanned, zone, bits := planCounts(m.ex, func() {
+		runs = m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 730, Hi: posInf})}, nil)
+	})
+	if !reflect.DeepEqual(runs, []span{{640, 1000}}) || scanned != 3 || zone != 5 || bits != 0 {
+		t.Fatalf("Seq>=730: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
+	}
+	// A range clipped inside segments keeps its own ends.
+	runs = m.ex.planRuns(ctx, 700, 900, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 0, Hi: 800})}, nil)
+	if !reflect.DeepEqual(runs, []span{{700, 896}}) {
+		t.Fatalf("clipped range runs = %v", runs)
+	}
+	if _, zone, _ = planCounts(m.ex, func() {
+		m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Noise", Lo: 40, Hi: 60})}, nil)
+	}); zone != 0 {
+		t.Fatalf("uncorrelated column skipped %d segments", zone)
+	}
+	if _, zone, _ = planCounts(m.ex, func() {
+		m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Nope", Lo: 0, Hi: 1})}, nil)
+	}); zone != 0 {
+		t.Fatalf("a column without zones skipped %d segments", zone)
+	}
+}
+
+// Bit evidence: a constraint with members in one KB band survives only
+// in the segments that band touches; zone evidence is consulted first.
+func TestPlanBitEvidence(t *testing.T) {
+	m := buildPlanMart(t, 2100, 128) // KB bands of 700 rows: keys 1,2,3
+	ctx := context.Background()
+	s, err := m.ex.constraintSet(ctx, Constraint{Table: "B", Attr: "Label",
+		Values: []relation.Value{m.bLabel[2]}, Path: m.pathB})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Label of key 2 is unique among keys 1..3 → rows [700,1400) →
+	// segments 5 (640..767) through 10 (1280..1407).
+	var runs []span
+	scanned, zone, bits := planCounts(m.ex, func() { runs = m.ex.planRuns(ctx, 0, 2100, nil, []*bitset.Set{s}) })
+	if !reflect.DeepEqual(runs, []span{{640, 1408}}) || scanned != 6 || bits != 11 || zone != 0 {
+		t.Fatalf("band constraint: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
+	}
+	scanned, zone, bits = planCounts(m.ex, func() {
+		runs = m.ex.planRuns(ctx, 0, 2100, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 1300, Hi: posInf})}, []*bitset.Set{s})
+	})
+	if !reflect.DeepEqual(runs, []span{{1280, 1408}}) || scanned != 1 || zone != 10 || bits != 6 {
+		t.Fatalf("composed: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
+	}
+}
+
+// splitSpans must preserve order and content, cut at most kernelStripes
+// groups, and balance them within one row.
+func TestSplitSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 200; trial++ {
+		var spans []span
+		at := 0
+		for i := rng.Intn(6) + 1; i > 0; i-- {
+			at += rng.Intn(50)
+			w := rng.Intn(400) + 1
+			spans = append(spans, span{at, at + w})
+			at += w
+		}
+		var want, got []int
+		for _, sp := range spans {
+			for x := sp.lo; x < sp.hi; x++ {
+				want = append(want, x)
+			}
+		}
+		groups := splitSpans(spans)
+		if len(groups) > kernelStripes {
+			t.Fatalf("%d groups", len(groups))
+		}
+		quota := (len(want) + kernelStripes - 1) / kernelStripes
+		for gi, g := range groups {
+			size := 0
+			for _, sp := range g {
+				size += sp.hi - sp.lo
+				for x := sp.lo; x < sp.hi; x++ {
+					got = append(got, x)
+				}
+			}
+			if size > quota || (size < quota && gi != len(groups)-1) {
+				t.Fatalf("group %d holds %d rows, quota %d", gi, size, quota)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("split lost or reordered rows: %v", spans)
+		}
+	}
+}
+
+// Zones planted while the tail segment held a handful of rows must widen
+// when an append lands values outside them in that same segment — for
+// the table's fact-column zones and the executor's attribute zones
+// alike. Every equality probe over the grown table must match the
+// oracle; a stale zone would skip the tail segment and lose rows.
+func TestZonesWidenPastAppendedRows(t *testing.T) {
+	for name, tc := range map[string]struct{ n, seg int }{
+		"resident": {5, 0},
+		"backed":   {128*3 + 5, 128},
+	} {
+		t.Run(name, func(t *testing.T) {
+			m := buildPlanMart(t, tc.n, tc.seg)
+			ctx := context.Background()
+			probe := func() {
+				t.Helper()
+				n := m.fact.Len()
+				all, err := m.ex.FactRowsInRange(ctx, nil, nil, 0, n)
+				if err != nil || len(all) != n {
+					t.Fatalf("all rows: %d of %d, err %v", len(all), n, err)
+				}
+				for k := int64(3); k <= planNA; k++ {
+					p := numericPred{m.aScore[k].AsFloat(), m.aScore[k].AsFloat()}
+					got, err := m.ex.FilterRowsNumericBoundCtx(ctx, all, "Score", m.pathA, p.lo, p.hi, p.match)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := m.oracleRows(0, n, nil, nil, &p); !sameRows(got, want) {
+						t.Fatalf("Score=%g over %d rows: %d rows, oracle %d", p.lo, n, len(got), len(want))
+					}
+				}
+				for _, p := range []numericPred{{0, 3}, {50, 51}, {97, 100}} {
+					preds := map[string]numericPred{"Noise": p}
+					got, err := m.ex.FactRowsInRange(ctx, nil, []Bound{{Col: "Noise", Lo: p.lo, Hi: p.hi}}, 0, n)
+					if err == nil {
+						got, err = m.ex.FilterFactNumericCtx(ctx, got, "Noise", p.lo, p.hi, p.match)
+					}
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want := m.oracleRows(0, n, nil, preds, nil); !sameRows(got, want) {
+						t.Fatalf("Noise in [%g,%g] over %d rows: %d rows, oracle %d", p.lo, p.hi, n, len(got), len(want))
+					}
+				}
+			}
+			probe()
+			for _, grow := range []int{40, 3000} {
+				batch := make([][]relation.Value, grow)
+				for i := range batch {
+					batch[i] = rowAt(m.fact.Len() + i)
+				}
+				if _, err := m.fact.AppendFacts(batch); err != nil {
+					t.Fatal(err)
+				}
+				probe()
+			}
+		})
+	}
+}

@@ -11,13 +11,13 @@ import (
 // the decoder fuzzer: every column shape (numeric with zones+Bloom,
 // dict with term lists, plain dict, empty table).
 func fuzzManifests() [][]byte {
-	mkZone := func(lo, hi float64) zoneEntry { return zoneEntry{Min: lo, Max: hi} }
+	mkZone := func(lo, hi float64) relation.Zone { return relation.Zone{Min: lo, Max: hi} }
 	full := &manifest{
 		segSize: 64, numRows: 130,
 		cols: []manifestCol{
 			{
 				name: "K", kind: relation.KindInt,
-				zones:  []zoneEntry{mkZone(1, 64), mkZone(65, 128), mkZone(129, 130)},
+				zones:  []relation.Zone{mkZone(1, 64), mkZone(65, 128), mkZone(129, 130)},
 				blooms: []bloomFilter{newBloom([]uint64{1, 2}), newBloom([]uint64{3}), newBloom(nil)},
 			},
 			{
@@ -27,7 +27,7 @@ func fuzzManifests() [][]byte {
 			},
 			{
 				name: "V", kind: relation.KindFloat,
-				zones: []zoneEntry{mkZone(0, 9.5), mkZone(math.Inf(1), math.Inf(-1)), mkZone(-1, 1)},
+				zones: []relation.Zone{mkZone(0, 9.5), mkZone(math.Inf(1), math.Inf(-1)), mkZone(-1, 1)},
 			},
 			{
 				name: "S", kind: relation.KindString, isDict: true,

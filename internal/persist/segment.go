@@ -46,12 +46,6 @@ const (
 	flagTermSegs = 1 << 3
 )
 
-// zoneEntry is one segment's min/max over a numeric column. An empty
-// zone (all NULL) has Min > Max and overlaps nothing.
-type zoneEntry struct{ Min, Max float64 }
-
-func emptyZoneEntry() zoneEntry { return zoneEntry{Min: math.Inf(1), Max: math.Inf(-1)} }
-
 // manifest is the decoded form of the manifest file.
 type manifest struct {
 	segSize int
@@ -64,9 +58,9 @@ type manifestCol struct {
 	name     string
 	kind     relation.Kind
 	dict     []relation.Value
-	zones    []zoneEntry   // per segment, numeric columns only
-	blooms   []bloomFilter // per segment, bloom columns only
-	termSegs [][]int32     // per dict code, full-text dict columns only
+	zones    []relation.Zone // per segment, numeric columns only
+	blooms   []bloomFilter   // per segment, bloom columns only
+	termSegs [][]int32       // per dict code, full-text dict columns only
 	isDict   bool
 }
 
@@ -346,7 +340,7 @@ func decodeManifest(data []byte) (*manifest, error) {
 			if !numeric {
 				return nil, fmt.Errorf("persist: column %q: zones on non-numeric column", c.name)
 			}
-			c.zones = make([]zoneEntry, nseg)
+			c.zones = make([]relation.Zone, nseg)
 			for si := 0; si < nseg; si++ {
 				if c.zones[si].Min, err = d.f64(); err != nil {
 					return nil, err
@@ -460,8 +454,8 @@ type writerCol struct {
 	dict   []relation.Value
 
 	// per-segment accumulators, flushed at each segment boundary
-	zone     zoneEntry
-	zones    []zoneEntry
+	zone     relation.Zone
+	zones    []relation.Zone
 	bloomOn  bool
 	segHash  map[uint64]struct{}
 	blooms   []bloomFilter
@@ -510,7 +504,7 @@ func NewSegmentWriter(dir string, schema *relation.Schema, opts SegmentWriterOpt
 			numeric: c.Kind == relation.KindInt || c.Kind == relation.KindFloat,
 			f:       f,
 			bw:      bufio.NewWriterSize(f, 1<<16),
-			zone:    emptyZoneEntry(),
+			zone:    relation.EmptyZone(),
 			bloomOn: bloomOn[c.Name],
 		}
 		if !wc.numeric {
@@ -544,7 +538,7 @@ func (w *SegmentWriter) flushSegment() {
 	for _, wc := range w.cols {
 		if wc.numeric {
 			wc.zones = append(wc.zones, wc.zone)
-			wc.zone = emptyZoneEntry()
+			wc.zone = relation.EmptyZone()
 		}
 		if wc.bloomOn {
 			hashes := make([]uint64, 0, len(wc.segHash))
@@ -586,14 +580,7 @@ func (w *SegmentWriter) Append(row []relation.Value) error {
 		}
 		if wc.numeric {
 			f := stored.FloatOrNaN()
-			if !math.IsNaN(f) {
-				if f < wc.zone.Min {
-					wc.zone.Min = f
-				}
-				if f > wc.zone.Max {
-					wc.zone.Max = f
-				}
-			}
+			wc.zone.Observe(f)
 			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
 			if _, err := wc.bw.Write(buf[:8]); err != nil {
 				return err
@@ -723,7 +710,7 @@ type storeCol struct {
 	numeric bool
 	f       *os.File
 	dict    []relation.Value
-	zones   []zoneEntry
+	zones   []relation.Zone
 	blooms  []bloomFilter
 	termSeg [][]int32
 
@@ -736,7 +723,7 @@ type storeCol struct {
 	wf       *os.File
 	tailF    []float64
 	tailC    []int32
-	zoneAcc  zoneEntry
+	zoneAcc  relation.Zone
 	openHash map[uint64]struct{}
 }
 
@@ -965,11 +952,7 @@ func (st *Store) SegmentZoneOverlaps(col string, si int, lo, hi float64) (overla
 	if st.cols[ci].zones == nil || si >= len(st.cols[ci].zones) {
 		return true, false
 	}
-	z := st.cols[ci].zones[si]
-	if z.Min > z.Max {
-		return false, true
-	}
-	return z.Min <= hi && z.Max >= lo, true
+	return st.cols[ci].zones[si].Overlaps(lo, hi), true
 }
 
 // NoteSkips implements relation.ColumnBacking.
@@ -980,27 +963,6 @@ func (st *Store) NoteSkips(bloom, zone int) {
 	if zone > 0 {
 		st.skippedZone.Add(int64(zone))
 	}
-}
-
-// SegmentZones returns per-segment min/max pairs for a numeric column
-// (empty zones have min > max), or nil when the column carries none.
-func (st *Store) SegmentZones(col string) (mins, maxs []float64) {
-	ci := st.colIndex(col)
-	if ci < 0 {
-		return nil, nil
-	}
-	st.metaMu.RLock()
-	defer st.metaMu.RUnlock()
-	if st.cols[ci].zones == nil {
-		return nil, nil
-	}
-	z := st.cols[ci].zones
-	mins = make([]float64, len(z))
-	maxs = make([]float64, len(z))
-	for i := range z {
-		mins[i], maxs[i] = z[i].Min, z[i].Max
-	}
-	return mins, maxs
 }
 
 // ValueSegments implements relation.TermSegmenter: the ascending list
@@ -1284,7 +1246,7 @@ func (st *Store) ensureAppendableLocked() error {
 		// lists on full-text dictionary columns.
 		if empty {
 			if c.numeric && c.zones == nil {
-				c.zones = []zoneEntry{}
+				c.zones = []relation.Zone{}
 			}
 			if c.blooms == nil && st.defaultBloomCol(c.col) {
 				c.blooms = []bloomFilter{}
@@ -1296,7 +1258,7 @@ func (st *Store) ensureAppendableLocked() error {
 		if !c.numeric && c.col.FullText && c.termSeg == nil && len(c.dict) == 0 {
 			c.termSeg = [][]int32{}
 		}
-		c.zoneAcc = emptyZoneEntry()
+		c.zoneAcc = relation.EmptyZone()
 		if c.blooms != nil {
 			c.openHash = make(map[uint64]struct{})
 		}
@@ -1318,13 +1280,8 @@ func (st *Store) ensureAppendableLocked() error {
 			for i := range c.tailF {
 				f := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 				c.tailF[i] = f
+				c.zoneAcc.Observe(f)
 				if !math.IsNaN(f) {
-					if f < c.zoneAcc.Min {
-						c.zoneAcc.Min = f
-					}
-					if f > c.zoneAcc.Max {
-						c.zoneAcc.Max = f
-					}
 					if c.openHash != nil {
 						c.openHash[hashValue(numericValue(c.col.Kind, f))] = struct{}{}
 					}
@@ -1411,12 +1368,12 @@ func (st *Store) AppendRows(rows [][]relation.Value) error {
 			st.openSeg = n / st.segSize
 			for _, c := range st.cols {
 				if c.zones != nil {
-					c.zones = append(c.zones, emptyZoneEntry())
+					c.zones = append(c.zones, relation.EmptyZone())
 				}
 				if c.blooms != nil {
 					c.blooms = append(c.blooms, bloomFilter{})
 				}
-				c.zoneAcc = emptyZoneEntry()
+				c.zoneAcc = relation.EmptyZone()
 				if c.openHash != nil {
 					clear(c.openHash)
 				}
@@ -1440,14 +1397,7 @@ func (st *Store) AppendRows(rows [][]relation.Value) error {
 				if c.numeric {
 					f := stored.FloatOrNaN()
 					c.tailF = append(c.tailF, f)
-					if !math.IsNaN(f) {
-						if f < c.zoneAcc.Min {
-							c.zoneAcc.Min = f
-						}
-						if f > c.zoneAcc.Max {
-							c.zoneAcc.Max = f
-						}
-					}
+					c.zoneAcc.Observe(f)
 				} else {
 					code := int32(-1)
 					if !stored.IsNull() {
@@ -1515,7 +1465,7 @@ func (st *Store) sealOpenLocked() error {
 	for _, c := range st.cols {
 		c.tailF = c.tailF[:0]
 		c.tailC = c.tailC[:0]
-		c.zoneAcc = emptyZoneEntry()
+		c.zoneAcc = relation.EmptyZone()
 		if c.openHash != nil {
 			clear(c.openHash)
 		}
@@ -1582,7 +1532,7 @@ func (st *Store) Flush() error {
 			}
 		}
 		if c.zones != nil {
-			mc.zones = append([]zoneEntry(nil), c.zones...)
+			mc.zones = append([]relation.Zone(nil), c.zones...)
 		}
 		if c.blooms != nil {
 			mc.blooms = append([]bloomFilter(nil), c.blooms...)

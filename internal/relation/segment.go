@@ -1,6 +1,9 @@
 package relation
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Segmented column access. A column is exposed as a sequence of
 // fixed-size segments (DefaultSegmentSize rows, the last one short), so
@@ -30,6 +33,57 @@ func NumSegments(n, segSize int) int {
 		return 0
 	}
 	return (n + segSize - 1) / segSize
+}
+
+// Zone is the min/max summary of a numeric column over one segment,
+// ignoring NULL (NaN). It is the only zone-map type in the system: the
+// segment stores persist it, resident tables derive it lazily from
+// their dense float views, and the executor keeps it over fact-aligned
+// dimension-attribute columns. A zone with no numeric rows has
+// Min > Max (the empty interval) and overlaps nothing.
+type Zone struct{ Min, Max float64 }
+
+// EmptyZone is the identity for zone accumulation.
+func EmptyZone() Zone { return Zone{Min: math.Inf(1), Max: math.Inf(-1)} }
+
+// Overlaps reports whether any value in the zone can fall in the closed
+// interval [lo, hi]. Conservative by construction: true only means the
+// segment must be scanned, never that it matches.
+func (z Zone) Overlaps(lo, hi float64) bool {
+	return z.Min <= z.Max && z.Min <= hi && z.Max >= lo
+}
+
+// Observe folds one value into the zone; NaN is ignored.
+func (z *Zone) Observe(v float64) {
+	if v < z.Min {
+		z.Min = v
+	}
+	if v > z.Max {
+		z.Max = v
+	}
+}
+
+// ExtendZones returns per-segment zones covering every row of vals,
+// given zones that already cover its first upTo rows. The input slice
+// is never written (copy-on-grow), so readers holding it keep a
+// consistent, merely narrower, view; zones only ever widen, so an older
+// slice stays conservative for the prefix it covers.
+func ExtendZones(zones []Zone, upTo int, vals []float64, segSize int) []Zone {
+	if upTo >= len(vals) {
+		return zones
+	}
+	out := make([]Zone, NumSegments(len(vals), segSize))
+	copy(out, zones)
+	for si := len(zones); si < len(out); si++ {
+		out[si] = EmptyZone()
+	}
+	for si := upTo / segSize; si < len(out); si++ {
+		z := &out[si]
+		for _, v := range vals[max(si*segSize, upTo):min((si+1)*segSize, len(vals))] {
+			z.Observe(v)
+		}
+	}
+	return out
 }
 
 // FloatReader yields a numeric column segment by segment as float64

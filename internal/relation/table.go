@@ -47,6 +47,10 @@ type Table struct {
 	colMu     sync.RWMutex
 	floatCols map[int][]float64
 	dictCols  map[int]*dictColumn
+	// zoneCols holds a resident table's per-segment zone maps, derived
+	// per numeric column from the float view on first use and widened
+	// past appended rows on read, like every other derived view.
+	zoneCols map[int]colZones
 
 	// backing, when non-nil, makes this a backed table: rows is empty
 	// and every access goes through the segmented column readers (see
@@ -80,6 +84,12 @@ type dictColumn struct {
 	code  map[Value]int32
 }
 
+// colZones is one column's per-segment zones plus the rows they cover.
+type colZones struct {
+	zones []Zone
+	upTo  int
+}
+
 // NewTable creates an empty table with the given schema.
 func NewTable(schema *Schema) *Table {
 	return &Table{
@@ -106,9 +116,58 @@ func NewBackedTable(schema *Schema, backing ColumnBacking) (*Table, error) {
 }
 
 // Backing returns the table's column backing, or nil for a resident
-// table. Execution layers use it to reach the per-segment skip evidence
-// and the paging counters.
+// table. Execution layers use it to reach the paging counters and the
+// cache budget; segment skip evidence is asked of the Table itself.
 func (t *Table) Backing() ColumnBacking { return t.backing }
+
+// SegmentSize returns the row count of the table's physical unit: the
+// backing's segment size, or DefaultSegmentSize for a resident table.
+func (t *Table) SegmentSize() int {
+	if t.backing != nil {
+		return t.backing.SegmentSize()
+	}
+	return DefaultSegmentSize
+}
+
+// SegmentZoneOverlaps reports zone-map evidence for any table: whether
+// a value in segment si of col can fall in the closed interval
+// [lo, hi]. hasZone false (non-numeric or unknown column, segment past
+// the covered rows) means no evidence — the segment must be scanned. A
+// backed table answers from its store's manifest; a resident table from
+// zones derived lazily off the column's float view, covering at least
+// the rows published when the call started.
+func (t *Table) SegmentZoneOverlaps(col string, si int, lo, hi float64) (overlaps, hasZone bool) {
+	if t.backing != nil {
+		return t.backing.SegmentZoneOverlaps(col, si, lo, hi)
+	}
+	ci := t.schema.ColumnIndex(col)
+	if ci < 0 {
+		return true, false
+	}
+	if k := t.schema.Columns[ci].Kind; k != KindInt && k != KindFloat {
+		return true, false
+	}
+	n := len(t.view())
+	t.colMu.RLock()
+	z := t.zoneCols[ci]
+	t.colMu.RUnlock()
+	if z.upTo < n {
+		vals := t.FloatColumn(col)
+		t.colMu.Lock()
+		if z = t.zoneCols[ci]; z.upTo < len(vals) {
+			z = colZones{zones: ExtendZones(z.zones, z.upTo, vals, DefaultSegmentSize), upTo: len(vals)}
+			if t.zoneCols == nil {
+				t.zoneCols = make(map[int]colZones)
+			}
+			t.zoneCols[ci] = z
+		}
+		t.colMu.Unlock()
+	}
+	if si < 0 || si >= len(z.zones) {
+		return true, false
+	}
+	return z.zones[si].Overlaps(lo, hi), true
+}
 
 // Schema returns the table's schema.
 func (t *Table) Schema() *Schema { return t.schema }

@@ -14,8 +14,9 @@ import (
 
 // TestServeSegmentedWarehouse serves EBiz twice — resident and with the
 // fact table disk-backed under a tiny cache budget — and requires the
-// same interpretation list and explore body, plus the five
-// kdap_segments_* families on /metrics with a live paged_in count.
+// same interpretation list and explore body, plus the store's four
+// kdap_segments_* paging families on /metrics with a live paged_in
+// count beside the planner's three.
 func TestServeSegmentedWarehouse(t *testing.T) {
 	resident := dataset.EBiz()
 	backed, store, err := persist.BackedWarehouseOpts(t.TempDir(), dataset.EBiz(),
@@ -27,7 +28,6 @@ func TestServeSegmentedWarehouse(t *testing.T) {
 
 	mk := func(wh *dataset.Warehouse) *httptest.Server {
 		opts := DefaultOptions()
-		opts.Shards = 4
 		opts.SegmentCacheMB = 1
 		srv := NewWithOptions(map[string]*dataset.Warehouse{"ebiz": wh}, opts)
 		srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
@@ -87,7 +87,9 @@ func TestServeSegmentedWarehouse(t *testing.T) {
 		"kdap_segments_paged_in_total",
 		"kdap_segments_evicted_total",
 		"kdap_segments_skipped_bloom_total",
+		"kdap_segments_scanned_total",
 		"kdap_segments_skipped_zone_total",
+		"kdap_segments_skipped_bits_total",
 	} {
 		if !strings.Contains(string(metrics), fam) {
 			t.Errorf("metrics missing %s", fam)
@@ -97,14 +99,21 @@ func TestServeSegmentedWarehouse(t *testing.T) {
 		t.Error("backed serving paged nothing in")
 	}
 
-	// The resident server must not register segment families.
+	// The resident server carries the planner's families (segments are
+	// the row-space unit of every table) but none of the paging ones.
 	resp2, err := http.Get(rts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp2.Body.Close()
 	rm, _ := io.ReadAll(resp2.Body)
-	if strings.Contains(string(rm), "kdap_segments_") {
-		t.Error("resident server exposes segment families")
+	if !strings.Contains(string(rm), "kdap_segments_scanned_total") {
+		t.Error("resident server lacks the planner's segment families")
+	}
+	for _, fam := range []string{"kdap_segments_resident_total", "kdap_segments_paged_in_total",
+		"kdap_segments_evicted_total", "kdap_segments_skipped_bloom_total"} {
+		if strings.Contains(string(rm), fam) {
+			t.Errorf("resident server exposes paging family %s", fam)
+		}
 	}
 }

@@ -71,11 +71,6 @@ type Options struct {
 	// AnswerCacheTTL expires cached answers this long after insertion;
 	// zero keeps them until evicted or invalidated.
 	AnswerCacheTTL time.Duration
-	// Shards partitions each warehouse's fact table into this many
-	// contiguous row-range shards with zone maps, enabling shard-pruned
-	// scatter-gather execution; <= 1 keeps monolithic scans. Results are
-	// byte-identical either way.
-	Shards int
 	// Autotune calibrates the parallel-kernel row threshold at startup
 	// against the largest served fact table (see olap.CalibrateThreshold)
 	// instead of trusting the factory default. The tuning is process-wide
@@ -194,9 +189,6 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 		}
 		e := kdapcore.NewEngine(wh.Graph, wh.Index, m, olap.Sum)
 		e.SetAnswerCache(opts.AnswerCacheSize, opts.AnswerCacheTTL)
-		if opts.Shards > 1 {
-			e.SetShards(opts.Shards)
-		}
 		if opts.BatchWindow > 0 {
 			e.SetBatching(opts.BatchWindow, opts.BatchMax)
 		}
@@ -230,7 +222,7 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 	if len(opts.ClusterWorkers) > 0 {
 		// The coordinator is built over the same engines that serve
 		// requests, so its fallback and hedged re-scans share every cache
-		// and shard structure with the local path.
+		// and derived column with the local path.
 		s.cluster = cluster.New(opts.ClusterWorkers, s.engines, opts.Cluster)
 		for name, e := range s.engines {
 			e.SetScatter(s.cluster.Scatterer(name))

@@ -331,3 +331,42 @@ func TestSuggestEndpoint(t *testing.T) {
 		t.Errorf("unknown db: %d", resp.StatusCode)
 	}
 }
+
+// A drill naming a column that does not exist (or a non-numeric one for
+// a range drill) must be refused at drill time with a 400 naming the
+// attribute — not accepted and left to blow up the session's next
+// explore inside the scan.
+func TestDrillRejectsBadAttributes(t *testing.T) {
+	srv := New(map[string]*dataset.Warehouse{"aw": dataset.AWOnline()})
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	var q QueryResponse
+	post(t, ts, "/api/query", map[string]any{"db": "aw", "q": "Road Bikes"}, &q)
+	if len(q.Interpretations) == 0 {
+		t.Fatal("no interpretations")
+	}
+	for name, body := range map[string]map[string]any{
+		"unknown on fact":      {"numeric": true, "table": "FactInternetSales", "attr": "Bogus", "lo": 1, "hi": 2},
+		"unknown on dimension": {"numeric": true, "table": "DimProduct", "attr": "Bogus", "role": "Product", "lo": 1, "hi": 2},
+		"non-numeric":          {"numeric": true, "table": "DimProduct", "attr": "ModelName", "role": "Product", "lo": 1, "hi": 2},
+		"unknown categorical":  {"table": "DimProduct", "attr": "Bogus", "role": "Product", "value": "x"},
+	} {
+		body["session"], body["pick"] = q.Session, 1
+		var out map[string]string
+		resp := post(t, ts, "/api/drill", body, &out)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%v), want 400", name, resp.StatusCode, out)
+			continue
+		}
+		if want := body["attr"].(string); !strings.Contains(out["error"], want) {
+			t.Errorf("%s: error %q does not name %q", name, out["error"], want)
+		}
+	}
+	// The session is still usable.
+	var f FacetsDTO
+	if resp := post(t, ts, "/api/explore", map[string]any{"session": q.Session, "pick": 1}, &f); resp.StatusCode != http.StatusOK || f.SubspaceSize == 0 {
+		t.Fatalf("explore after refused drills: %d, %d rows", resp.StatusCode, f.SubspaceSize)
+	}
+}

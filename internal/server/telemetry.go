@@ -167,15 +167,23 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		"Cold fact-aligned column materializations by kind.",
 		func() float64 { return float64(st().FloatColBuilds) }, "kind", "float", "db", db)
 
-	s.reg.CounterFunc("kdap_shards_scanned_total",
-		"Shards the scatter-gather planner let through to a scan.",
-		func() float64 { return float64(st().ShardsScanned) }, "db", db)
-	s.reg.CounterFunc("kdap_shards_pruned_total",
-		"Shards skipped by the planner, by evidence: a zone map missing the predicate's bound interval, or a constraint bitset empty over the shard's row range.",
-		func() float64 { return float64(st().ShardsPrunedZone) }, "reason", "zone", "db", db)
-	s.reg.CounterFunc("kdap_shards_pruned_total",
-		"Shards skipped by the planner, by evidence: a zone map missing the predicate's bound interval, or a constraint bitset empty over the shard's row range.",
-		func() float64 { return float64(st().ShardsPrunedBits) }, "reason", "bits", "db", db)
+	// The planner's verdict, in segments, for resident and backed fact
+	// tables alike. A backed table's value-lookup scans skip segments on
+	// the same zone evidence outside the planner; the store counts those
+	// and they fold into the same family.
+	lookupZoneSkips := func() int64 { return 0 }
+	if sst, ok := e.Executor().FactBacking().(interface{ Stats() persist.SegStats }); ok {
+		lookupZoneSkips = func() int64 { return sst.Stats().SkippedZone }
+	}
+	s.reg.CounterFunc("kdap_segments_scanned_total",
+		"Fact-table segments the row-space planner let through to a scan, by warehouse.",
+		func() float64 { return float64(st().SegmentsScanned) }, "db", db)
+	s.reg.CounterFunc("kdap_segments_skipped_zone_total",
+		"Segments skipped because the per-segment zone map missed the predicate's bound interval, by warehouse.",
+		func() float64 { return float64(st().SegmentsSkippedZone + lookupZoneSkips()) }, "db", db)
+	s.reg.CounterFunc("kdap_segments_skipped_bits_total",
+		"Segments skipped because a constraint bitset has no member in the segment's rows, by warehouse.",
+		func() float64 { return float64(st().SegmentsSkippedBits) }, "db", db)
 
 	s.reg.RegisterHistogram("kdap_fulltext_probe_seconds",
 		"Full-text index probe latency (Search and SearchPhrase).",
@@ -276,9 +284,6 @@ func (s *Server) wireSegmentMetrics(db string, b relation.ColumnBacking) {
 	s.reg.CounterFunc("kdap_segments_skipped_bloom_total",
 		"Segments skipped because a per-segment Bloom filter ruled the probed value out, by warehouse.",
 		func() float64 { return float64(st.Stats().SkippedBloom) }, "db", db)
-	s.reg.CounterFunc("kdap_segments_skipped_zone_total",
-		"Segments skipped because the per-segment zone map missed the predicate's bound interval, by warehouse.",
-		func() float64 { return float64(st.Stats().SkippedZone) }, "db", db)
 }
 
 // registerDebugEndpoints mounts /metrics, the pprof profile handlers,

@@ -4,10 +4,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
+	"kdap/internal/dataset"
+	"kdap/internal/relation"
 	"kdap/internal/telemetry"
 )
 
@@ -193,5 +198,67 @@ func TestDebugEndpoints(t *testing.T) {
 	}
 	if _, ok := vars["memstats"]; !ok {
 		t.Error("expvar missing memstats")
+	}
+}
+
+// metricValue reads one series' value out of an exposition body.
+func metricValue(t *testing.T, body, series string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(rest, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", line, err)
+			}
+			return v
+		}
+	}
+	t.Fatalf("metrics missing %s", series)
+	return 0
+}
+
+// Pruning is on by default and visible: a server built from
+// DefaultOptions, nothing else configured, must zone-skip at least half
+// of AW_ONLINE's segments on a drill whose bound lands on the
+// ingest-clustered SalesKey column, and say so on /metrics, in the
+// request's wide event and in its span tree.
+func TestPruningOnByDefault(t *testing.T) {
+	wh := dataset.AWOnline()
+	srv := NewWithOptions(map[string]*dataset.Warehouse{"aw": wh}, DefaultOptions())
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	fact := wh.DB.Table(wh.Graph.FactTable())
+	segments := float64(relation.NumSegments(fact.Len(), fact.SegmentSize()))
+
+	const series = `kdap_segments_skipped_zone_total{db="aw"}`
+	before := metricValue(t, scrape(t, ts.URL), series)
+	var q QueryResponse
+	post(t, ts, "/api/query", map[string]any{"db": "aw", "q": "Road Bikes SalesKey>54000"}, &q)
+	var f FacetsDTO
+	resp, err := http.Post(ts.URL+"/api/explore?trace=1&profile=1", "application/json",
+		strings.NewReader(`{"session":"`+q.Session+`","pick":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&f); err != nil || f.SubspaceSize == 0 {
+		t.Fatalf("explore: %v, %d rows", err, f.SubspaceSize)
+	}
+	body := scrape(t, ts.URL)
+	if skipped := metricValue(t, body, series) - before; 2*skipped < segments {
+		t.Errorf("drill raised %s by %g, want at least half of %g segments", series, skipped, segments)
+	}
+	if metricValue(t, body, `kdap_segments_scanned_total{db="aw"}`) == 0 {
+		t.Error("no segment scanned")
+	}
+	metricValue(t, body, `kdap_segments_skipped_bits_total{db="aw"}`)
+	if f.Profile == nil || 2*float64(f.Profile.SegmentsSkippedZone) < segments || f.Profile.SegmentsScanned == 0 {
+		t.Errorf("wide event does not carry the planner's verdict: %+v", f.Profile)
+	}
+	names := map[string]bool{}
+	spanNames(f.Trace, names)
+	if !names["segment_scan"] {
+		t.Errorf("span tree has no segment_scan: %v", names)
 	}
 }

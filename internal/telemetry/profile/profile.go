@@ -1,7 +1,7 @@
 // Package profile assembles one canonical wide event per request: the
 // single record that answers "why was this query slow" by capturing
 // everything the pipeline knows and previously dropped — cache outcome,
-// batch membership, shard pruning, kernel path, fulltext postings
+// batch membership, segment pruning, kernel path, fulltext postings
 // touched, anneal iterations, ranking candidates, queue wait, per-stage
 // durations, and the final disposition. Completed events feed the
 // always-on flight recorder (recorder.go): ring buffers of recent /
@@ -61,19 +61,19 @@ type P struct {
 	stages       []Stage
 	done         bool
 
-	sharedScans      atomic.Int64
-	shardsScanned    atomic.Int64
-	shardsPrunedZone atomic.Int64
-	shardsPrunedBits atomic.Int64
-	serialScans      atomic.Int64
-	parallelScans    atomic.Int64
-	kernelStripes    atomic.Int64
-	rowsScanned      atomic.Int64
-	fulltextProbes   atomic.Int64
-	fulltextPostings atomic.Int64
-	annealRuns       atomic.Int64
-	annealIters      atomic.Int64
-	candidates       atomic.Int64
+	sharedScans         atomic.Int64
+	segmentsScanned     atomic.Int64
+	segmentsSkippedZone atomic.Int64
+	segmentsSkippedBits atomic.Int64
+	serialScans         atomic.Int64
+	parallelScans       atomic.Int64
+	kernelStripes       atomic.Int64
+	rowsScanned         atomic.Int64
+	fulltextProbes      atomic.Int64
+	fulltextPostings    atomic.Int64
+	annealRuns          atomic.Int64
+	annealIters         atomic.Int64
+	candidates          atomic.Int64
 
 	clusterScatters   atomic.Int64
 	clusterNodes      atomic.Int64
@@ -190,15 +190,15 @@ func (p *P) AddSharedScan() {
 	p.sharedScans.Add(1)
 }
 
-// AddShards records one shard plan: shards actually scanned vs. pruned
-// by zone maps and by constraint-bitset evidence.
-func (p *P) AddShards(scanned, prunedZone, prunedBits int) {
+// AddSegments records one planner verdict: segments let through to a
+// scan vs. skipped on zone-map and on constraint-bitset evidence.
+func (p *P) AddSegments(scanned, skippedZone, skippedBits int) {
 	if p == nil {
 		return
 	}
-	p.shardsScanned.Add(int64(scanned))
-	p.shardsPrunedZone.Add(int64(prunedZone))
-	p.shardsPrunedBits.Add(int64(prunedBits))
+	p.segmentsScanned.Add(int64(scanned))
+	p.segmentsSkippedZone.Add(int64(skippedZone))
+	p.segmentsSkippedBits.Add(int64(skippedBits))
 }
 
 // AddKernelScan records one columnar kernel invocation: the path taken
@@ -347,9 +347,9 @@ type Event struct {
 	BatchRole   string `json:"batchRole,omitempty"`
 	SharedScans int64  `json:"sharedScans,omitempty"`
 
-	ShardsScanned    int64 `json:"shardsScanned,omitempty"`
-	ShardsPrunedZone int64 `json:"shardsPrunedZone,omitempty"`
-	ShardsPrunedBits int64 `json:"shardsPrunedBits,omitempty"`
+	SegmentsScanned     int64 `json:"segmentsScanned,omitempty"`
+	SegmentsSkippedZone int64 `json:"segmentsSkippedZone,omitempty"`
+	SegmentsSkippedBits int64 `json:"segmentsSkippedBits,omitempty"`
 
 	SerialScans   int64 `json:"serialScans,omitempty"`
 	ParallelScans int64 `json:"parallelScans,omitempty"`
@@ -413,9 +413,9 @@ func (p *P) Snapshot() *Event {
 	p.mu.Unlock()
 
 	ev.SharedScans = p.sharedScans.Load()
-	ev.ShardsScanned = p.shardsScanned.Load()
-	ev.ShardsPrunedZone = p.shardsPrunedZone.Load()
-	ev.ShardsPrunedBits = p.shardsPrunedBits.Load()
+	ev.SegmentsScanned = p.segmentsScanned.Load()
+	ev.SegmentsSkippedZone = p.segmentsSkippedZone.Load()
+	ev.SegmentsSkippedBits = p.segmentsSkippedBits.Load()
 	ev.SerialScans = p.serialScans.Load()
 	ev.ParallelScans = p.parallelScans.Load()
 	ev.KernelStripes = p.kernelStripes.Load()
@@ -477,9 +477,9 @@ func (ev *Event) Render() string {
 		}
 		b.WriteByte('\n')
 	}
-	if ev.ShardsScanned+ev.ShardsPrunedZone+ev.ShardsPrunedBits > 0 {
-		fmt.Fprintf(&b, "  shards: scanned=%d pruned_zone=%d pruned_bits=%d\n",
-			ev.ShardsScanned, ev.ShardsPrunedZone, ev.ShardsPrunedBits)
+	if ev.SegmentsScanned+ev.SegmentsSkippedZone+ev.SegmentsSkippedBits > 0 {
+		fmt.Fprintf(&b, "  segments: scanned=%d skipped_zone=%d skipped_bits=%d\n",
+			ev.SegmentsScanned, ev.SegmentsSkippedZone, ev.SegmentsSkippedBits)
 	}
 	if ev.SerialScans+ev.ParallelScans > 0 {
 		fmt.Fprintf(&b, "  kernels: serial=%d striped=%d stripes=%d rows=%d\n",

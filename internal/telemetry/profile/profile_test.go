@@ -17,7 +17,7 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		p := FromContext(ctx)
 		p.AddKernelScan(true, 16, 1024)
-		p.AddShards(2, 6, 0)
+		p.AddSegments(2, 6, 0)
 		p.AddFulltextProbe(128)
 		p.AddSharedScan()
 		p.AddAnneal(500)
@@ -63,7 +63,7 @@ func TestConcurrentAdds(t *testing.T) {
 			q := FromContext(ctx)
 			for i := 0; i < 100; i++ {
 				q.AddKernelScan(true, 16, 10)
-				q.AddShards(1, 1, 1)
+				q.AddSegments(1, 1, 1)
 				q.AddSharedScan()
 			}
 		}()
@@ -73,8 +73,8 @@ func TestConcurrentAdds(t *testing.T) {
 	if ev.ParallelScans != 800 || ev.KernelStripes != 800*16 || ev.RowsScanned != 8000 {
 		t.Errorf("lost kernel adds: %+v", ev)
 	}
-	if ev.ShardsScanned != 800 || ev.SharedScans != 800 {
-		t.Errorf("lost shard/shared adds: %+v", ev)
+	if ev.SegmentsScanned != 800 || ev.SharedScans != 800 {
+		t.Errorf("lost segment/shared adds: %+v", ev)
 	}
 	if !ev.InFlight {
 		t.Error("unfinished profile should snapshot as in-flight")
@@ -185,7 +185,7 @@ func TestSnapshotAndRender(t *testing.T) {
 	p.SetQueueWait(250 * time.Microsecond)
 	p.SetBatch(3, 4)
 	p.AddSharedScan()
-	p.AddShards(8, 56, 0)
+	p.AddSegments(8, 56, 0)
 	p.AddKernelScan(true, 16, 60000)
 	p.AddKernelScan(false, 0, 100)
 	p.AddFulltextProbe(1840)
@@ -226,7 +226,7 @@ func TestSnapshotAndRender(t *testing.T) {
 		`query: "nut bmx 2003"`,
 		"queue_wait: 250µs",
 		"batch: role=leader id=3 size=4 shared_scans=1",
-		"shards: scanned=8 pruned_zone=56 pruned_bits=0",
+		"segments: scanned=8 skipped_zone=56 skipped_bits=0",
 		"kernels: serial=1 striped=1 stripes=16 rows=60100",
 		"fulltext: probes=1 postings=1840",
 		"anneal: runs=1 iters=500",

@@ -5,8 +5,8 @@
 # operator's guide quietly rotted; a documented-but-unexposed family
 # means the docs promise telemetry the server no longer serves (or a
 # subsystem stopped registering at startup). The daemon runs with every
-# optional subsystem enabled — sharding, batching, admission control,
-# the answer cache, disk-backed segmented storage, and scatter-gather
+# optional subsystem enabled — batching, admission control, the answer
+# cache, disk-backed segmented storage, and scatter-gather
 # coordination over two cluster workers — so conditionally-registered
 # families (including kdap_cluster_*) are all on.
 # Run from the repository root.
@@ -28,7 +28,7 @@ W1_PID=$!
   2>"$TMP/w2.log" &
 W2_PID=$!
 "$TMP/kdapd" -addr "$ADDR" -db ebiz -log json \
-  -shards 8 -batch-window 2ms -max-inflight 8 -slo-target 250ms \
+  -batch-window 2ms -max-inflight 8 -slo-target 250ms \
   -mmap-dir "$TMP/segments" -segment-size 1024 -segment-cache-mb 16 \
   -coordinator -workers "$W1_ADDR,$W2_ADDR" \
   2>"$TMP/kdapd.log" &
