@@ -6,7 +6,7 @@ package main
 // stacks —
 //
 //	serial   in-process, every request does all of its own work
-//	batched  in-process, shared-scan batched execution (no answer cache)
+//	batched  in-process, batched execution (no answer cache)
 //	http     the full kdapd stack over HTTP: batching + answer cache
 //
 // — swept over GOMAXPROCS 1/4/16. Every mode replays the exact same
@@ -217,9 +217,9 @@ func qpsSerial(wh *dataset.Warehouse, qs []workload.Query, picks [][]int) (qpsMo
 	})
 }
 
-// qpsBatched measures shared-scan batched execution with the answer
-// cache off, so the speedup over serial is attributable to batching
-// alone (gather + scan scope + in-flight dedup).
+// qpsBatched measures batched execution with the answer cache off:
+// gather plus in-flight dedup. (The serial side shares distributions
+// through its spaces just as the batched side does.)
 func qpsBatched(wh *dataset.Warehouse, qs []workload.Query, picks [][]int) (qpsModeResult, int64, int64, error) {
 	lats, wall, scans, answers, err := qpsBatchedRun(wh, qs, picks)
 	if err != nil {

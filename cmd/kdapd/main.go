@@ -78,9 +78,9 @@ func main() {
 	autotune := flag.Bool("autotune", false,
 		"calibrate the parallel-kernel row threshold at startup against the largest served fact table")
 	batchWindow := flag.Duration("batch-window", 0,
-		"gather window for shared-scan batched execution (0 disables batching)")
+		"gather window for batched execution (0 disables batching)")
 	batchMax := flag.Int("batch-max", 16,
-		"max requests gathered into one shared-scan batch before it flushes early")
+		"max requests gathered into one batch before it flushes early")
 	sloTarget := flag.Duration("slo-target", 250*time.Millisecond,
 		"per-request latency target for kdap_slo_* classification and the /debug/queries slow ring")
 	mmapDir := flag.String("mmap-dir", "",

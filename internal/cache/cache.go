@@ -109,6 +109,20 @@ func (c *Clock[K, V]) Get(k K) (V, bool) {
 	return e.v, true
 }
 
+// Peek returns the value cached under k without counting a lookup or
+// granting a second chance — for a fill's leader re-checking, inside its
+// flight, a miss it has already been charged for.
+func (c *Clock[K, V]) Peek(k K) (V, bool) {
+	c.mu.RLock()
+	e := c.m[k]
+	c.mu.RUnlock()
+	if e == nil {
+		var zero V
+		return zero, false
+	}
+	return e.v, true
+}
+
 // Put inserts or replaces the value under k, evicting the first entry
 // without a second chance when the cache is full.
 func (c *Clock[K, V]) Put(k K, v V) {

@@ -305,11 +305,22 @@ func TestClusterNodeLossDegradation(t *testing.T) {
 		}
 	}
 
-	// Recovery: the degraded row set must not have been cached anywhere.
+	// Recovery: the degraded row sets must not have been cached anywhere,
+	// and nothing computed over them retained — every space of the
+	// degraded explore was ephemeral, so the healthy explore of the same
+	// net scans afresh rather than adopting a distribution.
+	if n := tc.engine.RowsCacheStats().Len; n != 0 {
+		t.Fatalf("%d spaces cached while every scatter was degraded", n)
+	}
 	tc.workers[1].SetFaultHook(nil)
+	distBefore := tc.engine.DistributionStats()
 	f2, got := explore(t, tc.engine, query, opts)
 	if f2.Partial || len(f2.DegradedNodes) != 0 {
 		t.Fatalf("post-recovery explore still partial: %v", f2.DegradedNodes)
+	}
+	if d := tc.engine.DistributionStats(); d.Hits != distBefore.Hits || d.Misses == distBefore.Misses {
+		t.Fatalf("post-recovery explore adopted %d distributions and filled %d; want 0 adopted, all filled",
+			d.Hits-distBefore.Hits, d.Misses-distBefore.Misses)
 	}
 	_, want := explore(t, mono, query, kdapcore.DefaultExploreOptions())
 	if !bytes.Equal(want, got) {

@@ -13,12 +13,12 @@ import (
 )
 
 // Batched execution is pure scheduling: over the full Table 3 workload,
-// explores gathered into shared-scan batches must produce byte-identical
-// facet output to solo execution, query by query. The solo answers are
+// explores gathered into batches must produce byte-identical facet
+// output to solo execution, query by query. The solo answers are
 // computed first on an unbatched engine; then every workload explore is
 // fired concurrently at a batched engine (no answer cache, so all
-// sharing comes from the batch layer) and each result's fingerprint is
-// compared to its solo twin.
+// sharing comes from in-flight dedup and the spaces' distributions) and
+// each result's fingerprint is compared to its solo twin.
 func TestBatchedFacetsByteIdentical(t *testing.T) {
 	wh := dataset.AWOnline()
 	solo := Engine(wh)
@@ -88,6 +88,6 @@ func TestBatchedFacetsByteIdentical(t *testing.T) {
 		t.Fatalf("batched engine never gathered: %+v", st)
 	}
 	if st.SharedScans == 0 {
-		t.Fatalf("no scan was shared across the batch — the scope never fired: %+v", st)
+		t.Fatalf("no distribution was adopted across 50 concurrent explores: %+v", st)
 	}
 }

@@ -53,16 +53,20 @@ func goldenEntry(e *kdapcore.Engine, sn *kdapcore.StarNet) string {
 	return fmt.Sprintf("rows=%d:%s\tfacets=%s", len(rows), hex.EncodeToString(rsum[:]), fp)
 }
 
-// goldenPass digests the 50 Table-3 queries' top-1 nets plus the fixed
-// drilled set over one engine, each line prefixed by label. n is the
-// warehouse's build-time fact count, which scales the SalesKey bounds
-// (SalesKey is ingest-clustered: row i carries key i+1).
-func goldenPass(t *testing.T, label string, e *kdapcore.Engine, n int) []string {
+// namedNet is one entry of the golden set; sn is nil when the query has
+// no interpretation.
+type namedNet struct {
+	name string
+	sn   *kdapcore.StarNet
+}
+
+// goldenNets resolves the golden set over one engine: the 50 Table-3
+// queries' top-1 nets plus the fixed drilled set. n is the warehouse's
+// build-time fact count, which scales the SalesKey bounds (SalesKey is
+// ingest-clustered: row i carries key i+1).
+func goldenNets(t *testing.T, label string, e *kdapcore.Engine, n int) []namedNet {
 	t.Helper()
-	var out []string
-	add := func(name string, sn *kdapcore.StarNet) {
-		out = append(out, label+"/"+name+"\t"+goldenEntry(e, sn))
-	}
+	var out []namedNet
 	top := func(q string) *kdapcore.StarNet {
 		nets, err := e.Differentiate(q)
 		if err != nil {
@@ -74,11 +78,7 @@ func goldenPass(t *testing.T, label string, e *kdapcore.Engine, n int) []string 
 		return nets[0]
 	}
 	for _, q := range workload.AWOnlineQueries() {
-		if sn := top(q.Text); sn != nil {
-			add(fmt.Sprintf("q%02d", q.ID), sn)
-		} else {
-			out = append(out, fmt.Sprintf("%s/q%02d\tno interpretation", label, q.ID))
-		}
+		out = append(out, namedNet{fmt.Sprintf("q%02d", q.ID), top(q.Text)})
 	}
 
 	base := top("Road Bikes")
@@ -92,20 +92,39 @@ func goldenPass(t *testing.T, label string, e *kdapcore.Engine, n int) []string 
 		return sn
 	}
 	fact := e.Graph().FactTable()
-	add("drill-categorical", must(e.Drill(base,
-		schemagraph.AttrRef{Table: "DimCustomer", Attr: "Occupation"}, "Customer", relation.String("Professional"))))
+	out = append(out, namedNet{"drill-categorical", must(e.Drill(base,
+		schemagraph.AttrRef{Table: "DimCustomer", Attr: "Occupation"}, "Customer", relation.String("Professional")))})
 	filterQ := fmt.Sprintf("Road Bikes SalesKey>%d", n/10*9)
 	if sn := top(filterQ); sn != nil {
-		add("filter-saleskey-gt", sn)
+		out = append(out, namedNet{"filter-saleskey-gt", sn})
 	} else {
 		t.Fatalf("%s: %q has no interpretation", label, filterQ)
 	}
-	add("drillrange-fact-saleskey", must(e.DrillRange(base,
-		schemagraph.AttrRef{Table: fact, Attr: "SalesKey"}, "", float64(n/3), float64(n/12*11))))
-	add("drillrange-fact-unitprice", must(e.DrillRange(base,
-		schemagraph.AttrRef{Table: fact, Attr: "UnitPrice"}, "", 500, 1500)))
-	add("drillrange-dim-dealerprice", must(e.DrillRange(base,
-		schemagraph.AttrRef{Table: "DimProduct", Attr: "DealerPrice"}, "Product", 457, 1500)))
+	out = append(out, namedNet{"drillrange-fact-saleskey", must(e.DrillRange(base,
+		schemagraph.AttrRef{Table: fact, Attr: "SalesKey"}, "", float64(n/3), float64(n/12*11)))})
+	out = append(out, namedNet{"drillrange-fact-unitprice", must(e.DrillRange(base,
+		schemagraph.AttrRef{Table: fact, Attr: "UnitPrice"}, "", 500, 1500))})
+	out = append(out, namedNet{"drillrange-dim-dealerprice", must(e.DrillRange(base,
+		schemagraph.AttrRef{Table: "DimProduct", Attr: "DealerPrice"}, "Product", 457, 1500))})
+	return out
+}
+
+// goldenLine digests one net of the golden set over e.
+func goldenLine(label string, e *kdapcore.Engine, nn namedNet) string {
+	if nn.sn == nil {
+		return label + "/" + nn.name + "\tno interpretation"
+	}
+	return label + "/" + nn.name + "\t" + goldenEntry(e, nn.sn)
+}
+
+// goldenPass digests the golden set over one engine, each line prefixed
+// by label.
+func goldenPass(t *testing.T, label string, e *kdapcore.Engine, n int) []string {
+	t.Helper()
+	var out []string
+	for _, nn := range goldenNets(t, label, e, n) {
+		out = append(out, goldenLine(label, e, nn))
+	}
 	return out
 }
 

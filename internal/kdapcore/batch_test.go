@@ -3,14 +3,9 @@ package kdapcore
 import (
 	"bytes"
 	"context"
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
-
-	"kdap/internal/cache"
-	"kdap/internal/telemetry"
 )
 
 // The batch storm: many goroutines fire a small, highly duplicated
@@ -145,58 +140,5 @@ func TestBatchGatherCancellation(t *testing.T) {
 	}
 	if !bytes.Equal(got.Fingerprint(), want.Fingerprint()) {
 		t.Fatal("post-cancellation batched explore diverged from solo")
-	}
-}
-
-// A batch member whose scan panics must vacate its scope entry and wake
-// the members waiting on it with an error before the panic propagates —
-// same rule as cache.Group — so the rest of the batch is not wedged.
-func TestScanScopePanickingLeaderReleasesKey(t *testing.T) {
-	sc := &scanScope{shared: new(atomic.Int64)}
-	ctx := context.Background()
-	entered, release := make(chan struct{}), make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		defer func() {
-			if recover() == nil {
-				t.Error("the leader's panic was swallowed")
-			}
-		}()
-		_, _ = sc.do(ctx, "k", func(context.Context) (any, error) {
-			close(entered)
-			<-release
-			panic("boom")
-		})
-	}()
-	<-entered
-	// The waiter records a batch_shared span the moment it starts waiting;
-	// the leader panics only once that span exists.
-	tr := telemetry.NewTrace("waiter")
-	var waiterErr error
-	go func() {
-		defer wg.Done()
-		_, waiterErr = sc.do(tr.Context(ctx), "k", func(context.Context) (any, error) {
-			t.Error("the waiter ran the scan while the leader held the entry")
-			return nil, nil
-		})
-	}()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, waiting := tr.Stages()["batch_shared"]; waiting {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never blocked on the entry")
-		}
-	}
-	close(release)
-	wg.Wait() // a poisoned entry would hang here
-	if !errors.Is(waiterErr, cache.ErrLeaderPanicked) {
-		t.Fatalf("waiter err = %v, want ErrLeaderPanicked", waiterErr)
-	}
-	v, err := sc.do(ctx, "k", func(context.Context) (any, error) { return 7, nil })
-	if v != 7 || err != nil {
-		t.Fatalf("call after the panic: v=%v err=%v", v, err)
 	}
 }

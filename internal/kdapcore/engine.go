@@ -34,20 +34,22 @@ type Engine struct {
 	// the default TF-IDF model).
 	sim atomic.Pointer[fulltext.Similarity]
 
-	// Materialized sub-dataspaces, keyed by star-net signature. Repeated
-	// exploration of the same interpretation — the common interactive
-	// pattern of mode switches and back-navigation — skips the semijoin.
-	// The paper's §7 notes subspace aggregation as the cost to optimize;
-	// this is the simplest materialization that helps an interactive
-	// session. Second-chance eviction keeps the interpretations the
-	// session keeps returning to. Each entry records the fact length it
-	// covers; entries left behind by a streaming append are extended
-	// over just the appended rows at next fetch, never rebuilt.
-	rowsCache *cache.Clock[string, rowsEntry]
+	// Materialized spaces — a net's own sub-dataspace and roll-up
+	// background spaces alike — keyed by constraintsKey: the row list
+	// plus the distributions computed over it (space.go). Repeated
+	// exploration of the same interpretation skips the semijoin and the
+	// scans; a drilled or sibling net finds its background here. The
+	// paper's §7 notes subspace aggregation as the cost to optimize; this
+	// is the simplest materialization that helps an interactive session.
+	// Second-chance eviction keeps the spaces the session keeps returning
+	// to. Each entry records the fact length it covers; entries left
+	// behind by a streaming append are extended over just the appended
+	// rows at next fetch, never rebuilt.
+	rowsCache *cache.Clock[string, *space]
 
-	// rowsFlight collapses concurrent materializations of the same row
-	// set (subspace semijoins and roll-up spaces alike) into one scan.
-	rowsFlight cache.Group[string, []int]
+	// rowsFlight collapses concurrent materializations of the same space
+	// into one scan.
+	rowsFlight cache.Group[string, *space]
 
 	// scatter, when set (SetScatter), routes fact-row materializations
 	// through a cluster scatter-gatherer instead of local scans. See
@@ -62,14 +64,16 @@ type Engine struct {
 	// advances it, retiring cached answers and HTTP ETags together.
 	dataVersion atomic.Uint64
 
-	// Shared-scan batching state (see batch.go): the gather scheduler,
+	// Batching state (see batch.go): the gather scheduler,
 	// whole-request singleflights for engines running without an answer
-	// cache, and the counters BatchStats reports.
+	// cache, and the counters BatchStats reports. scanShared and
+	// distFills are the space memo's hit and miss counts (space.go).
 	batch         atomic.Pointer[batcher]
 	explFlight    cache.Group[string, *Facets]
 	diffFlight    cache.Group[string, []*StarNet]
 	batchSizeHist *telemetry.Histogram
 	scanShared    atomic.Int64
+	distFills     atomic.Int64
 	explShared    atomic.Int64
 	diffShared    atomic.Int64
 
@@ -87,13 +91,6 @@ type Engine struct {
 	ingestKept    atomic.Int64
 }
 
-// rowsEntry is one materialized fact-row set plus the fact length it
-// was computed (or last extended) against.
-type rowsEntry struct {
-	rows []int
-	upTo int
-}
-
 // rowsCacheCap bounds the subspace cache.
 const rowsCacheCap = 128
 
@@ -108,7 +105,7 @@ func NewEngine(g *schemagraph.Graph, ix *fulltext.Index, m olap.Measure, agg ola
 		agg:       agg,
 		hitLim:    defaultHitLimits(),
 		netLim:    defaultNetLimits(),
-		rowsCache: cache.NewClock[string, rowsEntry](rowsCacheCap),
+		rowsCache: cache.NewClock[string, *space](rowsCacheCap),
 		// Batch sizes are small integers, not latencies: bucket by count.
 		batchSizeHist: telemetry.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
@@ -280,39 +277,23 @@ func (e *Engine) SuggestKeywords(query string, max int) map[string][]string {
 }
 
 // SubspaceRows materializes the fact rows of the net's sub-dataspace
-// DS', caching by interpretation signature. The returned slice is shared
+// DS', cached under its constraint set. The returned slice is shared
 // and must not be modified.
 func (e *Engine) SubspaceRows(sn *StarNet) []int {
-	rows, _ := e.subspaceRowsCtx(context.Background(), sn)
-	return rows
+	sp, err := e.subspaceRowsCtx(context.Background(), sn)
+	if err != nil {
+		return nil
+	}
+	return sp.rows
 }
 
-// subspaceRowsCtx is SubspaceRows with the semijoin recorded as a
-// subspace_semijoin span (cache hits are effectively free and show up
-// as near-zero spans). A cancelled semijoin is never cached: partial
-// row sets must not masquerade as the materialized subspace.
-func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) ([]int, error) {
-	sig := sn.Signature()
-	n := e.exec.FactLen()
-	if ent, ok := e.rowsCache.Get(sig); ok {
-		if ent.upTo >= n {
-			return ent.rows, nil
-		}
-		return e.extendRowsEntry(ctx, sig, ent, n, sn.Constraints(), sn.Filters)
-	}
-	_, sp := telemetry.StartSpan(ctx, "subspace_semijoin")
-	defer sp.End()
-	// Concurrent identical semijoins collapse into one scan; a cancelled
-	// leader's partial result is never shared (cache.Group's contract).
-	rows, _, err := e.rowsFlight.Do(ctx, sig, func(ctx context.Context) ([]int, error) {
-		rows, err := e.materializeRows(ctx, sn.Constraints(), sn.Filters)
-		if err != nil {
-			return nil, err
-		}
-		e.rowsCache.Put(sig, rowsEntry{rows: rows, upTo: n})
-		return rows, nil
-	})
-	return rows, err
+// subspaceRowsCtx resolves the net's sub-dataspace DS' as a space,
+// recorded as a subspace_semijoin span (cache hits are effectively free
+// and show up as near-zero spans).
+func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) (*space, error) {
+	ctx, span := telemetry.StartSpan(ctx, "subspace_semijoin")
+	defer span.End()
+	return e.factRowsKeyed(ctx, sn.Constraints(), sn.Filters)
 }
 
 // materializeRows produces a constrained-and-filtered fact-row set —
@@ -331,25 +312,32 @@ func (e *Engine) materializeRows(ctx context.Context, cs []olap.Constraint, filt
 	return e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
 }
 
-// extendRowsEntry grows a cached fact-row set to the current fact
-// length: the appended row range is checked against the same constraint
-// bitsets and filters that built the entry, and the qualifying tail
-// rows merge into a fresh slice (copy-on-grow; readers holding the old
-// slice are unaffected). The scan that built the entry may have raced
+// extendRowsEntry grows a cached space to the current fact length: the
+// appended row range is checked against the same constraint bitsets and
+// filters that built the entry. Facts are append-only and dimensions
+// frozen, so a row set under a fixed key only ever grows: when no
+// appended row qualifies the space is carried forward, distributions
+// included, with its coverage advanced; when some do, the qualifying
+// tail rows merge into a fresh slice (copy-on-grow; readers holding the
+// old slice are unaffected) that starts a fresh, empty space — the
+// from-scratch rebuild. The scan that built the entry may have raced
 // past its recorded coverage — results are ascending and membership is
 // deterministic, so the merge deduplicates any overlap exactly.
-func (e *Engine) extendRowsEntry(ctx context.Context, key string, ent rowsEntry, n int,
-	cs []olap.Constraint, filters []NumericFilter) ([]int, error) {
+func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n int,
+	cs []olap.Constraint, filters []NumericFilter) (*space, error) {
 
-	_, sp := telemetry.StartSpan(ctx, "subspace_extend")
-	defer sp.End()
-	tail, err := e.FactRowsRange(ctx, cs, filters, ent.upTo, n)
+	_, span := telemetry.StartSpan(ctx, "subspace_extend")
+	defer span.End()
+	tail, err := e.FactRowsRange(ctx, cs, filters, sp.upTo, n)
 	if err != nil {
 		return nil, err
 	}
-	merged := mergeAscUnique(ent.rows, tail)
-	e.rowsCache.Put(key, rowsEntry{rows: merged, upTo: n})
-	return merged, nil
+	next := &space{rows: sp.rows, upTo: n, dist: sp.dist}
+	if len(tail) > 0 {
+		next = newSpace(mergeAscUnique(sp.rows, tail), n)
+	}
+	e.rowsCache.Put(key, next)
+	return next, nil
 }
 
 // mergeAscUnique merges two ascending row lists, dropping duplicates.
@@ -376,30 +364,38 @@ func mergeAscUnique(a, b []int) []int {
 	return append(out, b[j:]...)
 }
 
-// factRowsKeyed materializes an arbitrary constrained-and-filtered row
-// set under a canonical key, serving repeats from the subspace cache and
-// collapsing concurrent duplicates. Roll-up background spaces go through
-// here: distinct interpretations frequently share them (every
-// single-group net rolls up to the same spaces its siblings do), so
-// keying them makes that sharing durable across requests, not just
-// within one batch.
-func (e *Engine) factRowsKeyed(ctx context.Context, key string, cs []olap.Constraint, filters []NumericFilter) ([]int, error) {
+// factRowsKeyed materializes a constrained-and-filtered row set as a
+// space under its canonical key, serving repeats from the subspace
+// cache and collapsing concurrent duplicates. Sub-dataspaces and
+// roll-up background spaces both go through here, so a space is held
+// once whatever role it was first reached in. A cancelled or degraded
+// materialization is never cached: partial row sets must not masquerade
+// as the space.
+func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filters []NumericFilter) (*space, error) {
+	key := constraintsKey(cs, filters)
 	n := e.exec.FactLen()
-	if ent, ok := e.rowsCache.Get(key); ok {
-		if ent.upTo >= n {
-			return ent.rows, nil
+	if sp, ok := e.rowsCache.Get(key); ok {
+		if sp.upTo >= n {
+			return sp, nil
 		}
-		return e.extendRowsEntry(ctx, key, ent, n, cs, filters)
+		return e.extendRowsEntry(ctx, key, sp, n, cs, filters)
 	}
-	rows, _, err := e.rowsFlight.Do(ctx, key, func(ctx context.Context) ([]int, error) {
+	sp, _, err := e.rowsFlight.Do(ctx, key, func(ctx context.Context) (*space, error) {
+		// A flight that finished between the miss above and this one's
+		// start has already Put the space; building a second would orphan
+		// the distributions computed on the first.
+		if sp, ok := e.rowsCache.Peek(key); ok && sp.upTo >= n {
+			return sp, nil
+		}
 		rows, err := e.materializeRows(ctx, cs, filters)
 		if err != nil {
 			return nil, err
 		}
-		e.rowsCache.Put(key, rowsEntry{rows: rows, upTo: n})
-		return rows, nil
+		sp := newSpace(rows, n)
+		e.rowsCache.Put(key, sp)
+		return sp, nil
 	})
-	return rows, err
+	return sp, err
 }
 
 // RowsCacheStats snapshots the materialized-subspace cache counters.

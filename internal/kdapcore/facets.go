@@ -179,15 +179,12 @@ type Facets struct {
 // rollup is one background space RUP(DS'): the sub-dataspace generalized
 // along one hitted dimension.
 type rollup struct {
-	dim  string
-	rows []int
-	agg  float64
-	// key is the space's canonical identity (its constraint-and-filter
-	// set): scans over the same roll-up space share work under it, both
-	// across requests in a batch scope and in the engine's subspace
-	// cache. Distinct interpretations meet at these keys constantly —
-	// every single-group net rolls up to the same "all" space.
-	key string
+	dim string
+	// sp is the background space. Distinct interpretations meet at these
+	// constantly — every single-group net rolls up to the same "all"
+	// space — and share the distributions it carries.
+	sp  *space
+	agg float64
 }
 
 // Explore runs the second KDAP phase: build the dynamic facets of the
@@ -226,28 +223,24 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 		dc = &degradeCollector{}
 		ctx = withDegradeCollector(ctx, dc)
 	}
-	rows, err := e.subspaceRowsCtx(ctx, sn)
-	if err != nil {
-		if dr, ok := degradedRows(ctx, err); ok {
-			rows = dr
-		} else {
-			return nil, err
-		}
+	local, err := e.subspaceRowsCtx(ctx, sn)
+	if local, err = acceptDegraded(ctx, local, err); err != nil {
+		return nil, err
 	}
-	if len(rows) == 0 {
+	if len(local.rows) == 0 {
 		return nil, fmt.Errorf("kdap: empty sub-dataspace for %q", sn.Query)
 	}
-	totalAgg, err := e.exec.AggregateCtx(ctx, rows, e.measure, e.agg)
+	totalAgg, err := e.spaceAggregate(ctx, local)
 	if err != nil {
 		return nil, err
 	}
 	f := &Facets{
 		Net:            sn,
-		SubspaceSize:   len(rows),
+		SubspaceSize:   len(local.rows),
 		TotalAggregate: totalAgg,
 	}
 	_, rsp := telemetry.StartSpan(ctx, "rollup_build")
-	rollups, err := e.buildRollupsCtx(ctx, sn)
+	rollups, err := e.buildRollupsCtx(ctx, sn, local)
 	rsp.End()
 	if err != nil {
 		return nil, err
@@ -294,7 +287,7 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 				continue
 			}
 			promoted[attr] = true
-			af, err := e.promotedFacet(ctx, attr, bg, rows, f.TotalAggregate, rollups, opts)
+			af, err := e.promotedFacet(ctx, attr, bg, local, f.TotalAggregate, rollups, opts)
 			if err != nil {
 				return nil, err
 			}
@@ -310,7 +303,7 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 	sctx, ssp := telemetry.StartSpan(ctx, "facet_score")
 	runJob := func(j *job) {
 		jctx, jsp := telemetry.StartSpan(sctx, "score "+j.attr.String())
-		j.out, j.err = e.scoreAttr(jctx, j.attr, j.role, rows, f.TotalAggregate, rollups, opts)
+		j.out, j.err = e.scoreAttr(jctx, j.attr, j.role, local, f.TotalAggregate, rollups, opts)
 		jsp.End()
 	}
 	if opts.Parallel && len(jobs) > 1 {
@@ -424,32 +417,19 @@ func (e *Engine) generalizeConstraint(c olap.Constraint, role string) (olap.Cons
 	return olap.Constraint{Table: parent.Table, Attr: parent.Attr, Values: parentVals, Path: ppath}, true
 }
 
-// buildRollups produces one background space per hitted group by
+// buildRollupsCtx produces one background space per hitted group by
 // generalizing that group to the parent level of its hierarchy (§5.2.1's
 // roll-up partitioning). When generalizing one level does not actually
 // enlarge the subspace — the hit value is its parent's only child, like a
 // state's single city — the roll-up climbs further, and a hit with no
 // (remaining) hierarchy parent rolls all the way up by dropping its
-// constraint.
-func (e *Engine) buildRollups(sn *StarNet) []rollup {
-	out, _ := e.buildRollupsCtx(context.Background(), sn)
-	return out
-}
-
-// buildRollupsCtx is buildRollups under a cancellable context: each
+// constraint. local is the net's already-resolved DS': the climb test
+// compares against the very space the facets are built from. Each
 // per-group semijoin and aggregate goes through the ctx-first executor
 // entry points, so a cancelled explore stops between (or inside) the
 // roll-up computations.
-func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet) ([]rollup, error) {
+func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet, local *space) ([]rollup, error) {
 	base := sn.Constraints() // merged: one constraint per attribute domain
-	baseRows, err := e.subspaceRowsCtx(ctx, sn)
-	if err != nil {
-		if dr, ok := degradedRows(ctx, err); ok {
-			baseRows = dr
-		} else {
-			return nil, err
-		}
-	}
 	var out []rollup
 	for i := range base {
 		others := make([]olap.Constraint, 0, len(base))
@@ -458,8 +438,7 @@ func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet) ([]rollup, er
 
 		cur := base[i]
 		role := cur.Path.Role
-		var rows []int
-		var key string
+		var sp *space
 		for {
 			gen, ok := e.generalizeConstraint(cur, role)
 			var cs []olap.Constraint
@@ -468,35 +447,32 @@ func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet) ([]rollup, er
 			} else {
 				cs = others // top of the hierarchy: roll up to "all"
 			}
-			key = constraintsKey(cs, sn.Filters)
-			rows, err = e.factRowsKeyed(ctx, key, cs, sn.Filters)
-			if err != nil {
-				if dr, ok := degradedRows(ctx, err); ok {
-					rows = dr
-				} else {
-					return nil, err
-				}
+			var err error
+			sp, err = e.factRowsKeyed(ctx, cs, sn.Filters)
+			if sp, err = acceptDegraded(ctx, sp, err); err != nil {
+				return nil, err
 			}
-			if !ok || len(rows) > len(baseRows) {
+			if !ok || len(sp.rows) > len(local.rows) {
 				break
 			}
 			// The parent level did not widen the space; climb further.
 			cur = gen
 		}
-		if len(rows) == 0 {
+		if len(sp.rows) == 0 {
 			continue
 		}
-		agg, err := e.rollupAggregate(ctx, key, rows)
+		agg, err := e.spaceAggregate(ctx, sp)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, rollup{dim: base[i].Path.Dim, rows: rows, agg: agg, key: key})
+		out = append(out, rollup{dim: base[i].Path.Dim, sp: sp, agg: agg})
 	}
 	return out, nil
 }
 
 // constraintsKey renders the canonical identity of a constrained,
-// filtered fact-row set — the cache and sharing key for roll-up spaces.
+// filtered fact-row set — the one cache key of a space, whether it is
+// reached as a net's own DS' or as a roll-up background.
 // Order-independent: constraint and filter parts are sorted.
 func constraintsKey(cs []olap.Constraint, filters []NumericFilter) string {
 	parts := make([]string, 0, len(cs)+len(filters))
@@ -513,23 +489,6 @@ func constraintsKey(cs []olap.Constraint, filters []NumericFilter) string {
 	}
 	sort.Strings(parts)
 	return "ru\x1f" + strings.Join(parts, "\x1f")
-}
-
-// rollupAggregate computes G(RUP) — through the batch scope when one is
-// attached, so concurrent requests sharing a roll-up space aggregate it
-// once.
-func (e *Engine) rollupAggregate(ctx context.Context, key string, rows []int) (float64, error) {
-	sc := scanScopeOf(ctx)
-	if sc == nil {
-		return e.exec.AggregateCtx(ctx, rows, e.measure, e.agg)
-	}
-	v, err := sc.do(ctx, "agg\x1f"+key, func(ctx context.Context) (any, error) {
-		return e.exec.AggregateCtx(ctx, rows, e.measure, e.agg)
-	})
-	if err != nil {
-		return 0, err
-	}
-	return v.(float64), nil
 }
 
 // modeScore converts a correlation into the mode's interestingness score:
@@ -570,7 +529,7 @@ func evidenceScore(x, y []float64, opts ExploreOptions) float64 {
 // partitioning and, if it survives, organizes its instances. A nil facet
 // with nil error means the attribute produced no informative partition;
 // a non-nil error is a cancelled context.
-func (e *Engine) scoreAttr(ctx context.Context, attr schemagraph.AttrRef, role string, rows []int,
+func (e *Engine) scoreAttr(ctx context.Context, attr schemagraph.AttrRef, role string, local *space,
 	totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
 
 	path, ok := e.graph.PathFromFact(attr.Table, role)
@@ -583,48 +542,26 @@ func (e *Engine) scoreAttr(ctx context.Context, attr schemagraph.AttrRef, role s
 	}
 	numeric := col.Kind == relation.KindInt || col.Kind == relation.KindFloat
 	if numeric {
-		return e.scoreNumericAttr(ctx, attr, path, rows, totalAgg, rollups, opts)
+		return e.scoreNumericAttr(ctx, attr, path, local, totalAgg, rollups, opts)
 	}
-	return e.scoreCategoricalAttr(ctx, attr, path, rows, totalAgg, rollups, opts)
+	return e.scoreCategoricalAttr(ctx, attr, path, local, totalAgg, rollups, opts)
 }
 
-// groupBysOver runs the local group-by and every roll-up's group-by for
-// one attribute. Outside a batch the calls fuse into one multi-row-set
-// walk over the shared columns (olap.GroupByMultiCtx); inside a batch
-// each roll-up scan goes through the scope, so concurrent requests that
-// share a roll-up space compute its group-by once. Either way every
-// per-set result is byte-identical to a solo GroupByCtx call.
-func (e *Engine) groupBysOver(ctx context.Context, local []int, rollups []rollup, attr string,
+// groupBysOver returns G(DS', attr) and every roll-up's G(RUP, attr).
+// Each is looked up on its space and scanned only on first touch, by a
+// solo GroupByCtx call — one path whether or not batching is on.
+func (e *Engine) groupBysOver(ctx context.Context, local *space, rollups []rollup, attr string,
 	path schemagraph.JoinPath) (map[relation.Value]float64, []map[relation.Value]float64, error) {
 
-	sc := scanScopeOf(ctx)
-	if sc == nil {
-		sets := make([][]int, 0, len(rollups)+1)
-		sets = append(sets, local)
-		for i := range rollups {
-			sets = append(sets, rollups[i].rows)
-		}
-		res, err := e.exec.GroupByMultiCtx(ctx, sets, attr, path, e.measure, e.agg)
-		if err != nil {
-			return nil, nil, err
-		}
-		return res[0], res[1:], nil
-	}
-	lg, err := e.exec.GroupByCtx(ctx, local, attr, path, e.measure, e.agg)
+	lg, err := e.spaceGroupBy(ctx, local, attr, path)
 	if err != nil {
 		return nil, nil, err
 	}
 	bgs := make([]map[relation.Value]float64, len(rollups))
 	for i := range rollups {
-		ru := &rollups[i]
-		key := "gb\x1f" + ru.key + "\x1f" + path.Role + "\x1f" + path.Source + "." + attr
-		v, err := sc.do(ctx, key, func(ctx context.Context) (any, error) {
-			return e.exec.GroupByCtx(ctx, ru.rows, attr, path, e.measure, e.agg)
-		})
-		if err != nil {
+		if bgs[i], err = e.spaceGroupBy(ctx, rollups[i].sp, attr, path); err != nil {
 			return nil, nil, err
 		}
-		bgs[i] = v.(map[relation.Value]float64)
 	}
 	return lg, bgs, nil
 }
@@ -633,10 +570,10 @@ func (e *Engine) groupBysOver(ctx context.Context, local []int, rollups []rollup
 // correlate the DS' aggregate series with each roll-up's series over the
 // categories present in DS', keep the worst (most interesting) score.
 func (e *Engine) scoreCategoricalAttr(ctx context.Context, attr schemagraph.AttrRef, path schemagraph.JoinPath,
-	rows []int, totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
+	sp *space, totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
 
 	_, gsp := telemetry.StartSpan(ctx, "groupby_kernel")
-	local, bgs, err := e.groupBysOver(ctx, rows, rollups, attr.Attr, path)
+	local, bgs, err := e.groupBysOver(ctx, sp, rollups, attr.Attr, path)
 	gsp.End()
 	if err != nil {
 		return nil, err
@@ -723,10 +660,10 @@ func (e *Engine) categoricalInstances(cats []relation.Value, local, bg map[relat
 // (§5.2.2), applies Equation 1 over the bucket series, then merges the
 // basic intervals into display ranges with Algorithm 2.
 func (e *Engine) scoreNumericAttr(ctx context.Context, attr schemagraph.AttrRef, path schemagraph.JoinPath,
-	rows []int, totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
+	local *space, totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
 
 	_, nsp := telemetry.StartSpan(ctx, "numeric_series")
-	localVals, err := e.exec.NumericSeriesCtx(ctx, rows, attr.Attr, path, e.measure)
+	localVals, err := e.exec.NumericSeriesCtx(ctx, local.rows, attr.Attr, path, e.measure)
 	nsp.End()
 	if err != nil {
 		return nil, err
@@ -745,10 +682,13 @@ func (e *Engine) scoreNumericAttr(ctx context.Context, attr schemagraph.AttrRef,
 		}
 	}
 	if len(distinct) <= opts.DisplayIntervals {
-		return e.scoreCategoricalAttr(ctx, attr, path, rows, totalAgg, rollups, opts)
+		return e.scoreCategoricalAttr(ctx, attr, path, local, totalAgg, rollups, opts)
 	}
 	iv := MakeIntervals(localVals, opts.Buckets)
-	x := iv.AggregateSeries(localVals)
+	x, err := e.spaceSeries(ctx, local, attr.Attr, path, iv, localVals)
+	if err != nil {
+		return nil, err
+	}
 
 	_, csp := telemetry.StartSpan(ctx, "rollup_correlate")
 	best := math.Inf(-1)
@@ -756,12 +696,11 @@ func (e *Engine) scoreNumericAttr(ctx context.Context, attr schemagraph.AttrRef,
 	var bestRU *rollup
 	for i := range rollups {
 		ru := &rollups[i]
-		bgVals, err := e.rollupSeries(ctx, ru, attr.Attr, path)
+		y, err := e.spaceSeries(ctx, ru.sp, attr.Attr, path, iv, nil)
 		if err != nil {
 			csp.End()
 			return nil, err
 		}
-		y := iv.AggregateSeries(bgVals)
 		xo, yo := OccupiedSeries(x, y)
 		s := evidenceScore(xo, yo, opts)
 		if s > best {
@@ -780,24 +719,6 @@ func (e *Engine) scoreNumericAttr(ctx context.Context, attr schemagraph.AttrRef,
 		return nil, err
 	}
 	return af, nil
-}
-
-// rollupSeries extracts a roll-up space's numeric series — through the
-// batch scope when one is attached, sharing the extraction among
-// concurrent requests over the same space.
-func (e *Engine) rollupSeries(ctx context.Context, ru *rollup, attr string, path schemagraph.JoinPath) ([]olap.ValueMeasure, error) {
-	sc := scanScopeOf(ctx)
-	if sc == nil {
-		return e.exec.NumericSeriesCtx(ctx, ru.rows, attr, path, e.measure)
-	}
-	key := "ns\x1f" + ru.key + "\x1f" + path.Role + "\x1f" + path.Source + "." + attr
-	v, err := sc.do(ctx, key, func(ctx context.Context) (any, error) {
-		return e.exec.NumericSeriesCtx(ctx, ru.rows, attr, path, e.measure)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]olap.ValueMeasure), nil
 }
 
 // numericInstances merges basic intervals into K display ranges and
@@ -850,7 +771,7 @@ func (e *Engine) numericInstances(ctx context.Context, iv Intervals, x, y []floa
 // instances are the hit values themselves (the user's entry point for
 // drill-down and for resolving residual ambiguity, §5.2.1).
 func (e *Engine) promotedFacet(ctx context.Context, attr schemagraph.AttrRef, bg *BoundGroup,
-	rows []int, totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
+	sp *space, totalAgg float64, rollups []rollup, opts ExploreOptions) (*AttrFacet, error) {
 
 	af := &AttrFacet{Attr: attr, Role: bg.Path.Role, Score: math.Inf(1), Promoted: true}
 	var ru *rollup
@@ -864,7 +785,7 @@ func (e *Engine) promotedFacet(ctx context.Context, attr schemagraph.AttrRef, bg
 	if ru != nil {
 		withRU = []rollup{*ru}
 	}
-	local, bgs, err := e.groupBysOver(ctx, rows, withRU, attr.Attr, bg.Path)
+	local, bgs, err := e.groupBysOver(ctx, sp, withRU, attr.Attr, bg.Path)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -330,6 +331,21 @@ func TestInterestModeString(t *testing.T) {
 	}
 }
 
+// rollupsOf resolves the net's DS' and builds its roll-up spaces.
+func rollupsOf(t *testing.T, e *Engine, sn *StarNet) []rollup {
+	t.Helper()
+	ctx := context.Background()
+	local, err := e.subspaceRowsCtx(ctx, sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rollups, err := e.buildRollupsCtx(ctx, sn, local)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rollups
+}
+
 // Roll-up correctness: the background space must be a superset of DS'.
 func TestRollupSuperset(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
@@ -338,16 +354,16 @@ func TestRollupSuperset(t *testing.T) {
 	for _, r := range rows {
 		inRows[r] = true
 	}
-	rollups := e.buildRollups(sn)
+	rollups := rollupsOf(t, e, sn)
 	if len(rollups) == 0 {
 		t.Fatal("no rollups for a hitted net")
 	}
 	for _, ru := range rollups {
-		if len(ru.rows) < len(rows) {
-			t.Errorf("rollup %s smaller than DS': %d < %d", ru.dim, len(ru.rows), len(rows))
+		if len(ru.sp.rows) < len(rows) {
+			t.Errorf("rollup %s smaller than DS': %d < %d", ru.dim, len(ru.sp.rows), len(rows))
 		}
 		inRU := map[int]bool{}
-		for _, r := range ru.rows {
+		for _, r := range ru.sp.rows {
 			inRU[r] = true
 		}
 		for r := range inRows {
@@ -366,7 +382,7 @@ func TestRollupSuperset(t *testing.T) {
 // stores; the LCD hit at GroupName level widens to its LineName parent.
 func TestRollupLevels(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
-	rollups := e.buildRollups(sn)
+	rollups := rollupsOf(t, e, sn)
 	dims := map[string]bool{}
 	for _, ru := range rollups {
 		dims[ru.dim] = true

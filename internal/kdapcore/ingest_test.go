@@ -255,6 +255,79 @@ func TestSubspaceRowsExtendAcrossAppend(t *testing.T) {
 	}
 }
 
+// TestDistributionsCarriedAcrossAppend pins what an append does to a
+// space: one no appended row falls in is carried forward, distributions
+// included, with its coverage advanced; one the batch touches starts a
+// fresh, empty space over the merged rows — the from-scratch rebuild.
+// The generator's appended facts are late-dated, so the CalendarYear =
+// 2001 slice qualifies as untouched, while its roll-up to "all" is
+// touched by every batch.
+func TestDistributionsCarriedAcrossAppend(t *testing.T) {
+	const (
+		scale    = 40_000
+		resident = 30_000
+	)
+	wh, tail := dataset.AWOnlineScaledPartial(scale, resident)
+	e := ingestTestEngine(wh)
+	ctx := context.Background()
+	opts := DefaultExploreOptions()
+	sn := top1(t, e, "2001")
+	if _, err := e.ExploreCtx(ctx, sn, opts); err != nil {
+		t.Fatal(err)
+	}
+	year, rollups := spacesOf(t, e, sn)
+	if len(rollups) != 1 || len(rollups[0].sp.rows) != resident {
+		t.Fatalf("expected one roll-up to all %d rows, got %d roll-ups", resident, len(rollups))
+	}
+	all := rollups[0].sp
+	yearGB := len(distKeys(year, "gb"))
+	if yearGB == 0 || len(distKeys(all, "gb")) == 0 {
+		t.Fatal("explore left no group-bys on its spaces")
+	}
+
+	for _, b := range [][][]relation.Value{tail[:3000], tail[3000:7000], tail[7000:]} {
+		if _, err := e.AppendFacts(ctx, b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	year2, rollups2 := spacesOf(t, e, sn)
+	all2 := rollups2[0].sp
+	if year2.dist != year.dist || len(distKeys(year2, "gb")) != yearGB {
+		t.Error("a space no appended row falls in lost its distributions")
+	}
+	if year2.upTo != scale || len(year2.rows) != len(year.rows) {
+		t.Errorf("carried space: upTo=%d rows=%d, want upTo=%d rows=%d", year2.upTo, len(year2.rows), scale, len(year.rows))
+	}
+	// (Resolving the roll-ups just now refilled the fresh space's
+	// aggregate; its group-bys stay empty until the next explore.)
+	if all2.dist == all.dist || len(distKeys(all2, "gb")) != 0 {
+		t.Error("a space the append grew kept distributions computed over its old rows")
+	}
+	if len(all2.rows) != scale {
+		t.Errorf("extended \"all\" has %d rows, want %d", len(all2.rows), scale)
+	}
+
+	// The explore after the appends scans only what changed — "all" —
+	// and lands on the bytes an engine that first sees the table at its
+	// final length computes.
+	before := e.Executor().Stats()
+	f, err := e.ExploreCtx(ctx, sn, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := e.Executor().Stats()
+	if got, want := groupByCalls(after)-groupByCalls(before), int64(len(distKeys(all2, "gb"))); got != want {
+		t.Errorf("post-append explore ran %d group-by kernels, want %d (the touched space's only)", got, want)
+	}
+	fresh, err := ingestTestEngine(wh).ExploreCtx(ctx, sn, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(f.Fingerprint(), fresh.Fingerprint()) {
+		t.Error("facets over carried and rebuilt spaces differ from a fresh engine's over the same rows")
+	}
+}
+
 // TestIngestConcurrentWithQueries is the writer/reader soak (run it
 // under -race): one appender streams the tail in small batches while
 // query workers differentiate, explore, and drill through the answer

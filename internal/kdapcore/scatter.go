@@ -114,21 +114,24 @@ func withDegradeCollector(ctx context.Context, dc *degradeCollector) context.Con
 	return context.WithValue(ctx, degradeKey{}, dc)
 }
 
-// degradedRows unwraps a DegradedError into its partial row set iff the
-// context carries a collector (i.e. the running explore opted into
-// partial answers); the failed nodes are recorded for attribution. For
-// every other caller the error stays an error.
-func degradedRows(ctx context.Context, err error) ([]int, bool) {
+// acceptDegraded passes a materialization's outcome through, except
+// that a DegradedError becomes an ephemeral space over its partial rows
+// iff the context carries a collector (i.e. the running explore opted
+// into partial answers); the failed nodes are recorded for attribution.
+// The space is never Put in the rows cache, so nothing computed over
+// partial rows is retained. For every other caller the error stays an
+// error.
+func acceptDegraded(ctx context.Context, sp *space, err error) (*space, error) {
 	var de *DegradedError
 	if !errors.As(err, &de) {
-		return nil, false
+		return sp, err
 	}
 	dc, _ := ctx.Value(degradeKey{}).(*degradeCollector)
 	if dc == nil {
-		return nil, false
+		return nil, err
 	}
 	dc.add(de.Nodes)
-	return de.Rows, true
+	return newSpace(de.Rows, 0), nil
 }
 
 // FactRowsRange returns the fact rows in [lo, hi) that satisfy the

@@ -277,8 +277,6 @@ type execCounters struct {
 	parallelScans  atomic.Int64
 	serialScans    atomic.Int64
 	kernelChunks   atomic.Int64
-	multiScans     atomic.Int64
-	multiRowSets   atomic.Int64
 	codeVecBuilds  atomic.Int64
 	floatColBuilds atomic.Int64
 
@@ -300,11 +298,6 @@ type ExecStats struct {
 	// SerialScans stayed under the parallel row threshold (or ran their
 	// stripes inline at GOMAXPROCS=1).
 	ParallelScans, SerialScans, KernelChunks int64
-	// MultiScans counts fused multi-row-set passes (GroupByMultiCtx
-	// calls); MultiRowSets is how many row sets those passes evaluated —
-	// the difference from MultiScans is the scans a non-fused pipeline
-	// would have issued separately.
-	MultiScans, MultiRowSets int64
 	// CodeVecBuilds / FloatColBuilds count cold fact-aligned column
 	// materializations (cache misses in the executor's memos).
 	CodeVecBuilds, FloatColBuilds int64
@@ -327,8 +320,6 @@ func (ex *Executor) Stats() ExecStats {
 		ParallelScans:  ex.stats.parallelScans.Load(),
 		SerialScans:    ex.stats.serialScans.Load(),
 		KernelChunks:   ex.stats.kernelChunks.Load(),
-		MultiScans:     ex.stats.multiScans.Load(),
-		MultiRowSets:   ex.stats.multiRowSets.Load(),
 		CodeVecBuilds:  ex.stats.codeVecBuilds.Load(),
 		FloatColBuilds: ex.stats.floatColBuilds.Load(),
 
@@ -424,7 +415,9 @@ func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph
 			continue
 		}
 		// A bitset over the next table dedups and sorts in one pass —
-		// ToSlice emits ascending row IDs.
+		// ToSlice emits ascending row IDs. Its universe is the length this
+		// hop observed: a lookup index extended by a racing append may
+		// return rows past it, which belong to a later, longer scan.
 		seen := bitset.New(next.Len())
 		for base := 0; base < len(cur); base += cancelCheckRows {
 			if done != nil {
@@ -439,7 +432,9 @@ func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph
 					continue
 				}
 				for _, nr := range next.Lookup(hop.ToCol, v) {
-					seen.Add(nr)
+					if nr < seen.Len() {
+						seen.Add(nr)
+					}
 				}
 			}
 		}
@@ -487,7 +482,10 @@ func (ex *Executor) constraintSet(ctx context.Context, c Constraint) (*bitset.Se
 	if err != nil {
 		return nil, err
 	}
-	s := bitset.FromSorted(n, mapped)
+	// The semijoin may have observed a longer fact table than n (an
+	// append landed meanwhile); the set covers exactly [0, n) and
+	// extends over the rest like any entry an append left short.
+	s := bitset.FromSorted(n, mapped[:sort.SearchInts(mapped, n)])
 	ex.constraintBits.Put(sig, s)
 	return s, nil
 }
@@ -626,7 +624,16 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[relation.Value]float64, len(dict))
+	// Sized to the groups present, not the dictionary: a space keeps its
+	// group-bys, and a small subspace touches few of a large domain's
+	// values.
+	n := 0
+	for _, t := range touched {
+		if t {
+			n++
+		}
+	}
+	out := make(map[relation.Value]float64, n)
 	for c := range states {
 		if touched[c] {
 			out[dict[c]] = states[c].final(agg)

@@ -77,10 +77,10 @@ type Options struct {
 	// and decided before the first request, so every response the process
 	// ever serves uses one consistent stripe schedule.
 	Autotune bool
-	// BatchWindow enables shared-scan batched execution: a query-phase
-	// request that misses every cache waits up to this long for other
-	// in-flight requests against the same warehouse, and the batch runs
-	// as one fused scan pass. Zero disables batching. Results are
+	// BatchWindow enables batched execution: a query-phase request that
+	// misses every cache waits up to this long for other in-flight
+	// requests against the same warehouse; identical members collapse to
+	// one computation. Zero disables batching. Results are
 	// byte-identical to solo execution.
 	BatchWindow time.Duration
 	// BatchMax caps how many requests one batch may gather before it

@@ -117,11 +117,15 @@ func (s *Server) wireAdmissionMetrics() {
 // counters into the registry as func-backed series labeled by db.
 func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	for _, c := range []struct {
-		name string
-		fn   func() cache.Stats
+		name  string
+		fn    func() cache.Stats
+		evict bool
 	}{
-		{"subspace_rows", e.RowsCacheStats},
-		{"constraint", e.Executor().ConstraintCacheStats},
+		{"subspace_rows", e.RowsCacheStats, true},
+		{"constraint", e.Executor().ConstraintCacheStats, true},
+		// A space's distributions live and die with its subspace_rows
+		// entry: lookups only. A hit is a scan adopted, not run.
+		{"distributions", e.DistributionStats, false},
 	} {
 		fn := c.fn
 		s.reg.CounterFunc("kdap_cache_hits_total",
@@ -130,9 +134,11 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		s.reg.CounterFunc("kdap_cache_misses_total",
 			"Clock cache misses by cache and warehouse.",
 			func() float64 { return float64(fn().Misses) }, "cache", c.name, "db", db)
-		s.reg.CounterFunc("kdap_cache_evictions_total",
-			"Clock cache evictions by cache and warehouse.",
-			func() float64 { return float64(fn().Evictions) }, "cache", c.name, "db", db)
+		if c.evict {
+			s.reg.CounterFunc("kdap_cache_evictions_total",
+				"Clock cache evictions by cache and warehouse.",
+				func() float64 { return float64(fn().Evictions) }, "cache", c.name, "db", db)
+		}
 	}
 
 	st := e.Executor().Stats
@@ -192,14 +198,11 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	if e.BatchingEnabled() {
 		bst := e.BatchStats
 		s.reg.CounterFunc("kdap_batch_released_total",
-			"Shared-scan batches released (window expiry or size cap).",
+			"Batches released (window expiry or size cap).",
 			func() float64 { return float64(bst().Batches) }, "db", db)
 		s.reg.CounterFunc("kdap_batch_requests_total",
-			"Requests that entered a shared-scan gather window.",
+			"Requests that entered a batch gather window.",
 			func() float64 { return float64(bst().Requests) }, "db", db)
-		s.reg.CounterFunc("kdap_batch_shared_scans_total",
-			"Scan-scope computations served from a batch neighbor's work instead of recomputed.",
-			func() float64 { return float64(bst().SharedScans) }, "db", db)
 		s.reg.CounterFunc("kdap_batch_shared_answers_total",
 			"Whole requests that adopted an identical in-flight batch member's result, by phase.",
 			func() float64 { return float64(bst().SharedExplores) }, "phase", "explore", "db", db)

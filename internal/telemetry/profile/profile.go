@@ -160,7 +160,7 @@ func (p *P) SetQueueWait(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// SetBatch records membership in a shared-scan batch.
+// SetBatch records membership in a batch.
 func (p *P) SetBatch(id uint64, size int) {
 	if p == nil {
 		return
@@ -182,7 +182,8 @@ func (p *P) MarkSharedAnswer() {
 	p.mu.Unlock()
 }
 
-// AddSharedScan counts one scan adopted from the batch's shared memo.
+// AddSharedScan counts one distribution adopted from a space's memo
+// instead of scanned.
 func (p *P) AddSharedScan() {
 	if p == nil {
 		return
@@ -472,10 +473,10 @@ func (ev *Event) Render() string {
 		if ev.BatchID != 0 {
 			fmt.Fprintf(&b, " id=%d size=%d", ev.BatchID, ev.BatchSize)
 		}
-		if ev.SharedScans > 0 {
-			fmt.Fprintf(&b, " shared_scans=%d", ev.SharedScans)
-		}
 		b.WriteByte('\n')
+	}
+	if ev.SharedScans > 0 {
+		fmt.Fprintf(&b, "  distributions: adopted=%d\n", ev.SharedScans)
 	}
 	if ev.SegmentsScanned+ev.SegmentsSkippedZone+ev.SegmentsSkippedBits > 0 {
 		fmt.Fprintf(&b, "  segments: scanned=%d skipped_zone=%d skipped_bits=%d\n",

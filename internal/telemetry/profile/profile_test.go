@@ -225,7 +225,8 @@ func TestSnapshotAndRender(t *testing.T) {
 		"cache=miss",
 		`query: "nut bmx 2003"`,
 		"queue_wait: 250µs",
-		"batch: role=leader id=3 size=4 shared_scans=1",
+		"batch: role=leader id=3 size=4",
+		"distributions: adopted=1",
 		"segments: scanned=8 skipped_zone=56 skipped_bits=0",
 		"kernels: serial=1 striped=1 stripes=16 rows=60100",
 		"fulltext: probes=1 postings=1840",
