@@ -43,6 +43,31 @@ func (s *Set) Add(x int) {
 	s.words[x>>6] |= 1 << (uint(x) & 63)
 }
 
+// AddMapped adds every x in [lo, lo+len(to)) whose image to[x-lo] is a
+// member of hit; a negative image maps nowhere. It is the scan form of a
+// many-to-one semijoin — to is a fact→dimension row mapping, hit the
+// matching dimension rows — and assembles each result word in a register
+// before touching s. It panics if the range leaves the universe.
+func (s *Set) AddMapped(lo int, to []int32, hit *Set) {
+	hi := lo + len(to)
+	if lo < 0 || hi > s.n {
+		panic("bitset: range outside universe")
+	}
+	for x := lo; x < hi; {
+		wi := x >> 6
+		var w uint64
+		for end := min((wi+1)<<6, hi); x < end; x++ {
+			// A negative image wraps to a huge unsigned one; the membership
+			// bit is shifted into place rather than branched on, so hit
+			// density does not cost mispredictions.
+			if d := uint(to[x-lo]); d < uint(hit.n) {
+				w |= (hit.words[d>>6] >> (d & 63) & 1) << (uint(x) & 63)
+			}
+		}
+		s.words[wi] |= w
+	}
+}
+
 // Contains reports membership of x.
 func (s *Set) Contains(x int) bool {
 	if x < 0 || x >= s.n {

@@ -257,3 +257,43 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// AddMapped agrees with the element-at-a-time loop it replaces, for
+// ranges starting and ending anywhere in a word, negative (unmapped)
+// images, images past hit's universe, and a set that already holds
+// elements.
+func TestAddMappedMatchesReference(t *testing.T) {
+	rng := stats.NewRNG(53)
+	for trial := 0; trial < 200; trial++ {
+		n, dims := 1+rng.Intn(400), 1+rng.Intn(70)
+		hit := New(dims)
+		for d := 0; d < dims; d++ {
+			if rng.Intn(3) == 0 {
+				hit.Add(d)
+			}
+		}
+		got := New(n)
+		for k := rng.Intn(5); k > 0; k-- {
+			got.Add(rng.Intn(n))
+		}
+		want := got.Clone()
+		lo := rng.Intn(n)
+		to := make([]int32, rng.Intn(n-lo+1))
+		for i := range to {
+			to[i] = int32(rng.Intn(dims+3)) - 1 // -1 … dims+1
+			if hit.Contains(int(to[i])) {
+				want.Add(lo + i)
+			}
+		}
+		got.AddMapped(lo, to, hit)
+		if !reflect.DeepEqual(got.ToSlice(), want.ToSlice()) {
+			t.Fatalf("trial %d: AddMapped(%d, %d images) = %v, want %v", trial, lo, len(to), got.ToSlice(), want.ToSlice())
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("AddMapped past the universe did not panic")
+		}
+	}()
+	New(10).AddMapped(8, make([]int32, 3), New(1))
+}

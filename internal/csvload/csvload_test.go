@@ -235,6 +235,29 @@ func TestLoadErrors(t *testing.T) {
 		t.Errorf("bad cell: %v", err)
 	}
 
+	// An integer a float64 column cannot hold exactly is refused, naming
+	// table, column and value — resident and segmented loads alike.
+	sub = corrupt("sales.csv", "SaleKey,ProductKey,StoreKey,Qty,Amount\n1,9007199254740993,1,1,1\n")
+	wantInexact := func(err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("integer beyond 2^53 accepted")
+		}
+		for _, part := range []string{"Sales.ProductKey", "9007199254740993", "2^53"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("error %q does not name %q", err, part)
+			}
+		}
+	}
+	_, err := LoadDir(sub)
+	wantInexact(err)
+	m, err := LoadManifest(filepath.Join(sub, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = LoadWithOptions(sub, m, LoadOptions{SegmentDir: t.TempDir(), SegmentSize: 64})
+	wantInexact(err)
+
 	// Dangling foreign key caught by strict validation.
 	sub = corrupt("sales.csv", "SaleKey,ProductKey,StoreKey,Qty,Amount\n1,999,1,1,1\n")
 	if _, err := LoadDir(sub); err == nil {

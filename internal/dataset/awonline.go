@@ -486,10 +486,9 @@ func buildAWOnline() *Warehouse {
 	custGeo := buildAWOnlineCustomers(db, rng, sh, nCustomers)
 
 	fact := db.MustCreateTable(awOnlineFactSchema())
-	_ = genAWOnlineFacts(rng, sh, custGeo, nCustomers, AWOnlineFactCount, false, func(vals []relation.Value) error {
-		fact.MustAppend(vals...)
-		return nil
-	})
+	emit, flush := batchAppender(fact)
+	_ = genAWOnlineFacts(rng, sh, custGeo, nCustomers, AWOnlineFactCount, false, emit)
+	flush()
 
 	g := awOnlineGraph(db)
 	db.Freeze()

@@ -68,4 +68,11 @@ func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 	if after.PagedIn == before.PagedIn {
 		t.Error("drill paged nothing in — not actually disk-backed?")
 	}
+
+	// The resident oracle took the same route: the semijoin into facts is
+	// a scan for resident and backed alike, so a frozen fact-sized table
+	// holds no hash index, before or after serving the drill.
+	if cols := rwh.DB.Table(rwh.Graph.FactTable()).IndexedColumns(); len(cols) != 0 {
+		t.Errorf("resident fact table carries hash indexes on %v", cols)
+	}
 }

@@ -9,9 +9,10 @@ import (
 
 // dirtyWarehouse builds a small star schema with deliberately broken
 // rows: a fact with a dangling product key, a fact with a NULL product
-// key, and a product with a dangling group key. Real warehouses have
-// them; the executor must degrade gracefully (drop the unlinkable rows)
-// rather than panic or miscount.
+// key, a product with a dangling group key, and two products holding
+// the same key. Real warehouses have them; the executor must degrade
+// gracefully (drop the unlinkable rows, credit a fact to one dimension
+// row) rather than panic or miscount.
 func dirtyWarehouse(t *testing.T) (*schemagraph.Graph, *Executor) {
 	t.Helper()
 	db := relation.NewDatabase("dirty")
@@ -32,7 +33,8 @@ func dirtyWarehouse(t *testing.T) (*schemagraph.Graph, *Executor) {
 
 	group.MustAppend(relation.Int(1), relation.String("Widgets"))
 	prod.MustAppend(relation.Int(1), relation.String("Widget A"), relation.Int(1))
-	prod.MustAppend(relation.Int(2), relation.String("Widget B"), relation.Int(999)) // dangling group
+	prod.MustAppend(relation.Int(2), relation.String("Widget B"), relation.Int(999))   // dangling group
+	prod.MustAppend(relation.Int(1), relation.String("Widget A bis"), relation.Int(1)) // duplicated key
 	fact.MustAppend(relation.Int(1), relation.Int(1), relation.Float(10))
 	fact.MustAppend(relation.Int(2), relation.Int(2), relation.Float(20))
 	fact.MustAppend(relation.Int(3), relation.Int(777), relation.Float(40)) // dangling product
@@ -69,6 +71,45 @@ func TestDirtyDataSemijoin(t *testing.T) {
 	// Only facts 1 and 2 link to real products.
 	if len(rows) != 2 || rows[0] != 0 || rows[1] != 1 {
 		t.Errorf("rows = %v", rows)
+	}
+}
+
+// A fact whose key matches several dimension rows belongs to the first
+// of them, in a subspace exactly as in a group-by: both read the same
+// fact→dimension mapping. (The forward hash-index semijoin this replaced
+// counted the fact under both rows, so a subspace and its own group-by
+// disagreed.)
+func TestDirtyDataDuplicateKeyCreditsFirstRow(t *testing.T) {
+	g, ex := dirtyWarehouse(t)
+	path, _ := g.PathFromFact("Prod", "Product")
+	factRows := func(names ...string) []int {
+		c := Constraint{Table: "Prod", Attr: "Name", Path: path}
+		for _, n := range names {
+			c.Values = append(c.Values, relation.String(n))
+		}
+		return ex.FactRows([]Constraint{c})
+	}
+	if rows := factRows("Widget A"); len(rows) != 1 || rows[0] != 0 {
+		t.Errorf("first holder of ProdKey 1: rows = %v, want [0]", rows)
+	}
+	if rows := factRows("Widget A bis"); len(rows) != 0 {
+		t.Errorf("second holder of ProdKey 1 owns no facts: rows = %v", rows)
+	}
+	if rows := factRows("Widget A", "Widget A bis"); len(rows) != 1 || rows[0] != 0 {
+		t.Errorf("both holders together: rows = %v, want [0]", rows)
+	}
+	counts := ex.GroupBy(ex.FactRows(nil), "Name", path, CountMeasure(), Count)
+	for _, name := range []string{"Widget A", "Widget A bis", "Widget B"} {
+		if got, want := float64(len(factRows(name))), counts[relation.String(name)]; got != want {
+			t.Errorf("%s: subspace holds %v facts, group-by credits %v", name, got, want)
+		}
+	}
+	// Two hops: the duplicate shares its group, so the group's subspace
+	// still holds fact 0 once.
+	grpPath, _ := g.PathFromFact("Grp", "Product")
+	rows := ex.FactRows([]Constraint{{Table: "Grp", Attr: "GrpName", Values: []relation.Value{relation.String("Widgets")}, Path: grpPath}})
+	if len(rows) != 1 || rows[0] != 0 {
+		t.Errorf("group subspace = %v, want [0]", rows)
 	}
 }
 

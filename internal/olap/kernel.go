@@ -235,6 +235,7 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 	if vec == nil && !m.constOne {
 		cur = measureCursor(m)
 	}
+	var row []relation.Value // scratch for row-at-a-time measures
 	for base := 0; base < len(rows); base += cancelCheckRows {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
@@ -277,7 +278,8 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 					continue
 				}
 				touched[c] = true
-				states[c].add(m.Eval(ex.fact.Row(r)))
+				row = ex.fact.RowInto(row, r)
+				states[c].add(m.Eval(row))
 			}
 		}
 	}
@@ -327,6 +329,7 @@ func (ex *Executor) scanAggregateChunk(ctx context.Context, rows []int, m Measur
 	if vec == nil && !m.constOne {
 		cur = measureCursor(m)
 	}
+	var row []relation.Value // scratch for row-at-a-time measures
 	for base := 0; base < len(rows); base += cancelCheckRows {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
@@ -349,7 +352,8 @@ func (ex *Executor) scanAggregateChunk(ctx context.Context, rows []int, m Measur
 			}
 		default:
 			for _, r := range rows[base:end] {
-				st.add(m.Eval(ex.fact.Row(r)))
+				row = ex.fact.RowInto(row, r)
+				st.add(m.Eval(row))
 			}
 		}
 	}

@@ -24,6 +24,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -70,7 +71,10 @@ func ColumnMeasure(t *relation.Table, col string) Measure {
 		Name: col,
 		Eval: func(row []relation.Value) float64 { return row[ci].AsFloat() },
 		Vec: func() []float64 {
-			return t.ResidentFloatColumn(col) // nil when backed
+			if t.Backing() != nil {
+				return nil
+			}
+			return t.FloatColumn(col)
 		},
 		Seg: func() relation.FloatReader { return t.FloatReader(col) },
 	}
@@ -372,75 +376,78 @@ func (ex *Executor) MapRows(rows []int, path schemagraph.JoinPath) []int {
 	return out
 }
 
-// MapRowsCtx is MapRows under a context: the hop walk checks for
-// cancellation between hops and every cancelCheckRows source rows, so a
-// semijoin over a large dimension stops promptly when the caller's
-// deadline fires. Returns ctx.Err() on cancellation.
+// MapRowsCtx is MapRows under a context, returning ctx.Err() on
+// cancellation. A path that ends at the fact table is resolved by the
+// one semijoin into facts (see semijoin); a path between dimension
+// tables is walked hop by hop.
 func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph.JoinPath) ([]int, error) {
-	cur := rows
-	curTable := ex.g.DB().Table(path.Source)
-	done := ctx.Done()
-	for _, hop := range path.Hops {
-		next := ex.g.DB().Table(hop.ToTable)
-		if next == nil {
-			panic(fmt.Sprintf("olap: path references missing table %q", hop.ToTable))
-		}
-		fromIdx := curTable.Schema().ColumnIndex(hop.FromCol)
-		if fromIdx < 0 {
-			panic(fmt.Sprintf("olap: %s has no column %q", hop.FromTable, hop.FromCol))
-		}
-		if next.Backing() != nil {
-			// A backed hop target has no hash index — per-row Lookup
-			// would rescan the column once per source row. Batch the
-			// distinct hop values and resolve them in one Bloom/zone-
-			// pruned segment scan; LookupIn's ascending deduplicated
-			// output is exactly the bitset union below.
+	if len(path.Hops) == 0 || path.Target() != ex.fact.Name() {
+		return ex.walkHops(ctx, rows, path.Source, path.Hops)
+	}
+	s, err := ex.semijoin(ctx, rows, path, nil, ex.fact.Len())
+	if err != nil {
+		return nil, err
+	}
+	return s.ToSlice(), nil
+}
+
+// walkHops maps rows of table from across hops between dimension
+// tables: each hop resolves the distinct values of its source column in
+// the next table's hash index (a Bloom/zone-pruned scan when that table
+// is backed). The result is ascending and deduplicated.
+func (ex *Executor) walkHops(ctx context.Context, rows []int, from string, hops []schemagraph.Hop) ([]int, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	cur, curTable := rows, ex.table(from)
+	for _, hop := range hops {
+		seen := make(map[relation.Value]struct{}, len(cur))
+		vals := make([]relation.Value, 0, len(cur))
+		for base := 0; base < len(cur); base += cancelCheckRows {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			seen := make(map[relation.Value]struct{}, len(cur))
-			vals := make([]relation.Value, 0, len(cur))
-			for _, r := range cur {
-				v := curTable.Row(r)[fromIdx]
-				if v.IsNull() {
-					continue
-				}
-				if _, dup := seen[v]; dup {
+			for _, r := range cur[base:min(base+cancelCheckRows, len(cur))] {
+				v := curTable.Value(r, hop.FromCol)
+				if _, dup := seen[v]; dup || v.IsNull() {
 					continue
 				}
 				seen[v] = struct{}{}
 				vals = append(vals, v)
 			}
-			cur, curTable = next.LookupIn(hop.ToCol, vals), next
-			continue
 		}
-		// A bitset over the next table dedups and sorts in one pass —
-		// ToSlice emits ascending row IDs. Its universe is the length this
-		// hop observed: a lookup index extended by a racing append may
-		// return rows past it, which belong to a later, longer scan.
-		seen := bitset.New(next.Len())
-		for base := 0; base < len(cur); base += cancelCheckRows {
-			if done != nil {
-				if err := ctx.Err(); err != nil {
-					return nil, err
-				}
-			}
-			end := min(base+cancelCheckRows, len(cur))
-			for _, r := range cur[base:end] {
-				v := curTable.Row(r)[fromIdx]
-				if v.IsNull() {
-					continue
-				}
-				for _, nr := range next.Lookup(hop.ToCol, v) {
-					if nr < seen.Len() {
-						seen.Add(nr)
-					}
-				}
-			}
-		}
-		cur, curTable = seen.ToSlice(), next
+		curTable = ex.table(hop.ToTable)
+		cur = curTable.LookupIn(hop.ToCol, vals)
 	}
 	return cur, nil
+}
+
+// functionalFrom returns the index of the first hop of path's longest
+// all-functional suffix: hops whose target holds the foreign key, so
+// that walked back from the fact each row references at most one row of
+// the hop's source. A snowflake path is functional throughout (0); a
+// path that first climbs to a shared table (CUSTOMER → LOC → STORE → …)
+// is functional only after the climb. The last hop always counts — it
+// is the one into the facts.
+func (ex *Executor) functionalFrom(path schemagraph.JoinPath) int {
+	i := max(len(path.Hops)-1, 0)
+	for ; i > 0; i-- {
+		h := path.Hops[i-1]
+		fk := relation.ForeignKey{Column: h.ToCol, RefTable: h.FromTable, RefColumn: h.FromCol}
+		if !slices.Contains(ex.table(h.ToTable).Schema().ForeignKeys, fk) {
+			break
+		}
+	}
+	return i
+}
+
+// table resolves a table a path or constraint names.
+func (ex *Executor) table(name string) *relation.Table {
+	t := ex.g.DB().Table(name)
+	if t == nil {
+		panic(fmt.Sprintf("olap: path references missing table %q", name))
+	}
+	return t
 }
 
 // constraintSig canonically identifies a constraint for caching.
@@ -458,55 +465,68 @@ func constraintSig(c Constraint) string {
 // group survives churn from one-off candidate nets. A cancelled semijoin
 // is never cached — partial bitsets must not poison later queries.
 //
-// A cached set left behind by a streaming append (its universe shorter
-// than the fact table) is extended over just the appended rows via the
-// fact→dimension memo — never rebuilt — and re-cached; the shorter set
-// stays intact for readers already holding it.
+// A cold constraint and a cached set left behind by a streaming append
+// (its universe shorter than the fact table) are the same computation
+// from different starting universes: the semijoin scans only the rows
+// the set does not cover yet, and the shorter set stays intact for
+// readers already holding it.
 func (ex *Executor) constraintSet(ctx context.Context, c Constraint) (*bitset.Set, error) {
 	n := ex.fact.Len()
 	sig := constraintSig(c)
-	if s, ok := ex.constraintBits.Get(sig); ok {
-		if s.Len() >= n {
-			return s, nil
-		}
-		ext := ex.extendConstraintSet(c, s, n)
-		ex.constraintBits.Put(sig, ext)
-		return ext, nil
+	s, _ := ex.constraintBits.Get(sig)
+	if s != nil && s.Len() >= n {
+		return s, nil
 	}
-	t := ex.g.DB().Table(c.Table)
-	if t == nil {
-		panic(fmt.Sprintf("olap: constraint references missing table %q", c.Table))
-	}
-	dimRows := lookupHitRows(t, c.Attr, c.Values)
-	mapped, err := ex.MapRowsCtx(ctx, dimRows, c.Path)
+	t := ex.table(c.Table)
+	ext, err := ex.semijoin(ctx, lookupHitRows(t, c.Attr, c.Values), c.Path, s, n)
 	if err != nil {
 		return nil, err
 	}
-	// The semijoin may have observed a longer fact table than n (an
-	// append landed meanwhile); the set covers exactly [0, n) and
-	// extends over the rest like any entry an append left short.
-	s := bitset.FromSorted(n, mapped[:sort.SearchInts(mapped, n)])
-	ex.constraintBits.Put(sig, s)
-	return s, nil
+	ex.constraintBits.Put(sig, ext)
+	return ext, nil
 }
 
-// extendConstraintSet grows a constraint's fact-row set to universe n:
-// each appended fact row joins the set iff its linked dimension row (via
-// the fact→dimension memo, which star-schema key uniqueness makes
-// equivalent to the forward semijoin) is one of the constraint's hit
-// rows. O(appended rows), independent of the dataspace size.
-func (ex *Executor) extendConstraintSet(c Constraint, s *bitset.Set, n int) *bitset.Set {
-	t := ex.g.DB().Table(c.Table)
-	hit := bitset.FromSorted(t.Len(), lookupHitRows(t, c.Attr, c.Values))
-	f2d := ex.factToDim(c.Path)
-	out := bitset.New(n)
-	out.OrWith(s)
-	for f := s.Len(); f < n && f < len(f2d); f++ {
-		if d := f2d[f]; d >= 0 && hit.Contains(int(d)) {
-			out.Add(f)
-		}
+// semijoin is the one semijoin into the facts, for resident and backed
+// tables alike: it grows s (nil for none) to the set, over universe n,
+// of fact rows that link through path to one of the given rows of
+// path.Source. Hops before the path's functional suffix are walked
+// forward between dimension tables; the suffix — the whole path in a
+// snowflake — is a scan of its fact→dimension mapping, the one every
+// group-by along it reads too: fact row f is in iff factToDim(suffix)[f]
+// is a hit. Only rows [s.Len(), n) are scanned, assembled a 64-row word
+// at a time: ~2 ms per million facts for a cold constraint however many
+// rows match, O(appended rows) for an extension.
+//
+// Going through the mapping fixes the rule for dirty keys: a fact whose
+// key matches several dimension rows belongs to the first of them only,
+// in a subspace exactly as in a group-by.
+func (ex *Executor) semijoin(ctx context.Context, rows []int, path schemagraph.JoinPath, s *bitset.Set, n int) (*bitset.Set, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return out
+	suffix := path
+	if k := ex.functionalFrom(path); k > 0 {
+		var err error
+		if rows, err = ex.walkHops(ctx, rows, path.Source, path.Hops[:k]); err != nil {
+			return nil, err
+		}
+		suffix = schemagraph.JoinPath{Source: path.Hops[k].FromTable, Hops: path.Hops[k:]}
+	}
+	hit := bitset.FromSorted(ex.table(suffix.Source).Len(), rows)
+	f2d := ex.factToDim(suffix)
+	out := bitset.New(n)
+	lo := 0
+	if s != nil {
+		out.OrWith(s)
+		lo = s.Len()
+	}
+	for ; lo < n; lo += cancelCheckRows {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		out.AddMapped(lo, f2d[lo:min(lo+cancelCheckRows, n)], hit)
+	}
+	return out, nil
 }
 
 // lookupHitRows resolves a hit group's value set to rows of its table.
@@ -515,19 +535,12 @@ func (ex *Executor) extendConstraintSet(c Constraint, s *bitset.Set, n int) *bit
 // to the union of the values' segments; otherwise it is a plain
 // LookupIn — which on a backed table still gets Bloom/zone pruning.
 func lookupHitRows(t *relation.Table, attr string, vals []relation.Value) []int {
-	b := t.Backing()
-	if b == nil {
-		return t.LookupIn(attr, vals)
+	if ts, ok := t.Backing().(relation.TermSegmenter); ok {
+		if segs, ok := unionValueSegments(ts, attr, vals); ok {
+			return t.LookupInSegments(attr, vals, segs)
+		}
 	}
-	ts, ok := b.(relation.TermSegmenter)
-	if !ok {
-		return t.LookupIn(attr, vals)
-	}
-	segs, ok := unionValueSegments(ts, attr, vals)
-	if !ok {
-		return t.LookupIn(attr, vals)
-	}
-	return t.LookupInSegments(attr, vals, segs)
+	return t.LookupIn(attr, vals)
 }
 
 // unionValueSegments unions the per-value segment lists, ascending and
@@ -600,8 +613,10 @@ func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg
 func (ex *Executor) AggregateRef(rows []int, m Measure, agg Agg) float64 {
 	ex.stats.aggregateRef.Add(1)
 	st := newAggState()
+	var row []relation.Value
 	for _, r := range rows {
-		st.add(m.Eval(ex.fact.Row(r)))
+		row = ex.fact.RowInto(row, r)
+		st.add(m.Eval(row))
 	}
 	return st.final(agg)
 }
@@ -645,7 +660,10 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 // factToDim returns, memoized, the functional mapping fact row → dimension
 // row for a path from a dimension table to the fact table. Star schemas
 // make the fact→dimension direction many-to-one, so each fact row maps to
-// at most one dimension row (-1 when a foreign key is NULL or dangling).
+// at most one dimension row: -1 when a foreign key is NULL or dangling,
+// the first matching row when a key is duplicated. Group-bys read it
+// for attribute columns and semijoin reads it for subspaces, which is
+// why the two agree on dirty keys.
 //
 // The mapping always covers the fact table's row count observed at call
 // time: a memo left short by a streaming append is extended over just
@@ -679,8 +697,8 @@ func (ex *Executor) factToDim(path schemagraph.JoinPath) []int32 {
 }
 
 // buildF2DRange computes the fact→dimension mapping for fact rows
-// [lo, hi) by walking the reversed path fact → ... → dimension,
-// column-at-a-time.
+// [lo, hi) by walking the reversed path fact → ... → dimension, one hop
+// column at a time through the tables' segmented readers.
 func (ex *Executor) buildF2DRange(path schemagraph.JoinPath, lo, hi int) []int32 {
 	cur := make([]int32, hi-lo)
 	for i := range cur {
@@ -689,42 +707,23 @@ func (ex *Executor) buildF2DRange(path schemagraph.JoinPath, lo, hi int) []int32
 	curTable := ex.fact
 	for i := len(path.Hops) - 1; i >= 0; i-- {
 		hop := path.Hops[i].Reverse() // now oriented away from the fact
-		next := ex.g.DB().Table(hop.ToTable)
-		fromIdx := curTable.Schema().ColumnIndex(hop.FromCol)
-		out := make([]int32, len(cur))
-		if curTable.Backing() != nil {
-			ex.factToDimBackedHop(curTable, next, hop.FromCol, hop.ToCol, cur, out)
-		} else {
-			for f, r := range cur {
-				if r < 0 {
-					out[f] = -1
-					continue
-				}
-				v := curTable.Row(int(r))[fromIdx]
-				if v.IsNull() {
-					out[f] = -1
-					continue
-				}
-				matches := next.Lookup(hop.ToCol, v)
-				if len(matches) == 0 {
-					out[f] = -1
-				} else {
-					out[f] = int32(matches[0])
-				}
-			}
-		}
-		cur, curTable = out, next
+		next := ex.table(hop.ToTable)
+		factToDimHop(curTable, next, hop.FromCol, hop.ToCol, cur)
+		curTable = next
 	}
 	return cur
 }
 
-// factToDimBackedHop resolves one reversed hop when the current table
-// is backed: the hop column is read through a segment cursor instead of
-// assembling boxed rows, and each distinct value resolves to its target
-// row once through a memo — identical output to the per-row walk, one
-// column of I/O instead of the whole table.
-func (ex *Executor) factToDimBackedHop(curTable, next *relation.Table, fromCol, toCol string, cur, out []int32) {
-	c, _ := curTable.Schema().Column(fromCol)
+// factToDimHop resolves one reversed hop in place: rows[f] is a row of
+// curTable (or -1) on entry and the row of next it references on
+// return. The hop column is read through a segment cursor — one column
+// of I/O, never a boxed row — and each distinct value resolves to its
+// first matching target row once, through a memo.
+func factToDimHop(curTable, next *relation.Table, fromCol, toCol string, rows []int32) {
+	c, ok := curTable.Schema().Column(fromCol)
+	if !ok {
+		panic(fmt.Sprintf("olap: %s has no column %q", curTable.Name(), fromCol))
+	}
 	firstOf := func(v relation.Value) int32 {
 		matches := next.Lookup(toCol, v)
 		if len(matches) == 0 {
@@ -735,28 +734,25 @@ func (ex *Executor) factToDimBackedHop(curTable, next *relation.Table, fromCol, 
 	if c.Kind == relation.KindInt || c.Kind == relation.KindFloat {
 		cursor := relation.NewFloatCursor(curTable.FloatReader(fromCol))
 		memo := make(map[float64]int32)
-		for f, r := range cur {
+		for f, r := range rows {
 			if r < 0 {
-				out[f] = -1
 				continue
 			}
 			fv := cursor.At(int(r))
 			if math.IsNaN(fv) {
-				out[f] = -1
+				rows[f] = -1
 				continue
 			}
 			d, ok := memo[fv]
 			if !ok {
-				var v relation.Value
 				if c.Kind == relation.KindInt {
-					v = relation.Int(int64(fv))
+					d = firstOf(relation.Int(int64(fv)))
 				} else {
-					v = relation.Float(fv)
+					d = firstOf(relation.Float(fv))
 				}
-				d = firstOf(v)
 				memo[fv] = d
 			}
-			out[f] = d
+			rows[f] = d
 		}
 		return
 	}
@@ -765,21 +761,20 @@ func (ex *Executor) factToDimBackedHop(curTable, next *relation.Table, fromCol, 
 	cursor := relation.NewDictCursor(rd)
 	memo := make([]int32, len(dict))
 	have := make([]bool, len(dict))
-	for f, r := range cur {
+	for f, r := range rows {
 		if r < 0 {
-			out[f] = -1
 			continue
 		}
 		code := cursor.At(int(r))
 		if code < 0 {
-			out[f] = -1
+			rows[f] = -1
 			continue
 		}
 		if !have[code] {
 			memo[code] = firstOf(dict[code])
 			have[code] = true
 		}
-		out[f] = memo[code]
+		rows[f] = memo[code]
 	}
 }
 
@@ -805,18 +800,15 @@ func (ex *Executor) GroupBy(rows []int, attr string, path schemagraph.JoinPath, 
 func (ex *Executor) GroupByRef(rows []int, attr string, path schemagraph.JoinPath, m Measure, agg Agg) map[relation.Value]float64 {
 	ex.stats.groupByRef.Add(1)
 	dimTable := ex.g.DB().Table(path.Source)
-	ai := dimTable.Schema().ColumnIndex(attr)
-	if ai < 0 {
-		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
-	}
 	f2d := ex.factToDim(path)
 	states := make(map[relation.Value]*aggState)
+	var row []relation.Value
 	for _, r := range rows {
 		d := f2d[r]
 		if d < 0 {
 			continue
 		}
-		v := dimTable.Row(int(d))[ai]
+		v := dimTable.Value(int(d), attr)
 		if v.IsNull() {
 			continue
 		}
@@ -826,7 +818,8 @@ func (ex *Executor) GroupByRef(rows []int, attr string, path schemagraph.JoinPat
 			st = &s
 			states[v] = st
 		}
-		st.add(m.Eval(ex.fact.Row(r)))
+		row = ex.fact.RowInto(row, r)
+		st.add(m.Eval(row))
 	}
 	out := make(map[relation.Value]float64, len(states))
 	for v, st := range states {
@@ -890,6 +883,7 @@ func seriesOver(ctx context.Context, out []ValueMeasure, rows []int, vals, vec [
 	if vec == nil && !m.constOne {
 		cur = measureCursor(m)
 	}
+	var row []relation.Value // scratch for row-at-a-time measures
 	for base := 0; base < len(rows); base += cancelCheckRows {
 		if done != nil {
 			if err := ctx.Err(); err != nil {
@@ -928,7 +922,8 @@ func seriesOver(ctx context.Context, out []ValueMeasure, rows []int, vals, vec [
 				if math.IsNaN(v) {
 					continue
 				}
-				out = append(out, ValueMeasure{Value: v, Measure: m.Eval(fact.Row(r))})
+				row = fact.RowInto(row, r)
+				out = append(out, ValueMeasure{Value: v, Measure: m.Eval(row)})
 			}
 		}
 	}
@@ -960,14 +955,10 @@ func (ex *Executor) FilterRowsNumericCtx(ctx context.Context, rows []int, attr s
 func (ex *Executor) DimValues(fromTable string, rows []int, path schemagraph.JoinPath, attr string) []relation.Value {
 	target := ex.g.DB().Table(path.Target())
 	mapped := ex.MapRows(rows, path)
-	ai := target.Schema().ColumnIndex(attr)
-	if ai < 0 {
-		panic(fmt.Sprintf("olap: %s has no column %q", path.Target(), attr))
-	}
 	seen := make(map[relation.Value]struct{})
 	var out []relation.Value
 	for _, r := range mapped {
-		v := target.Row(r)[ai]
+		v := target.Value(r, attr)
 		if v.IsNull() {
 			continue
 		}

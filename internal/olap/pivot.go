@@ -48,6 +48,7 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 	states := make(map[int64]*aggState)
 	rowSeen := make([]bool, len(rDict))
 	colSeen := make([]bool, len(cDict))
+	var row []relation.Value // scratch for row-at-a-time measures
 	for _, fr := range rows {
 		rc, cc := rCodes[fr], cCodes[fr]
 		if rc < 0 || cc < 0 {
@@ -65,7 +66,8 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 		if vec != nil {
 			st.add(vec[fr])
 		} else {
-			st.add(m.Eval(ex.fact.Row(fr)))
+			row = ex.fact.RowInto(row, fr)
+			st.add(m.Eval(row))
 		}
 	}
 

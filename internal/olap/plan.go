@@ -267,8 +267,8 @@ func (ex *Executor) FactRowsInRange(ctx context.Context, constraints []Constrain
 // superset of pred's accepting set (the caller derives it from the
 // predicate's operator). Segments whose zone misses [lo, hi] are dropped
 // wholesale — on a backed table their pages are never read — and the
-// rest are walked through a segment cursor; the resident dense view is
-// just another reader. NULL (NaN) never matches. rows must be sorted
+// rest are walked through a segment cursor; a resident column is just
+// another reader. NULL (NaN) never matches. rows must be sorted
 // ascending.
 func (ex *Executor) FilterFactNumericCtx(ctx context.Context, rows []int, col string, lo, hi float64, pred func(float64) bool) ([]int, error) {
 	return ex.filterNumeric(ctx, rows, ex.fact.FloatReader(col), ex.factZone(Bound{Col: col, Lo: lo, Hi: hi}), pred)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -250,4 +251,60 @@ func TestAppendConcurrentReaders(t *testing.T) {
 	if bt.Len() != total {
 		t.Fatalf("len %d, want %d", bt.Len(), total)
 	}
+}
+
+// TestBackedAppendRejectsInexactInt: an integer beyond ±2^53 cannot
+// round-trip a float64 column file. A backed table refuses it at
+// AppendFacts — the whole batch, before any row lands — and the segment
+// writer refuses it on the streaming build path, both naming table,
+// column and value.
+func TestBackedAppendRejectsInexactInt(t *testing.T) {
+	tab := segTestTable(t, 100)
+	dir := t.TempDir()
+	if err := WriteTableSegments(dir, tab, SegmentWriterOptions{SegmentSize: 64}); err != nil {
+		t.Fatal(err)
+	}
+	bt, st, err := OpenBackedTable(dir, tab.Schema())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	const big = int64(1)<<53 + 1
+	wantInexact := func(err error, col string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("integer beyond 2^53 accepted")
+		}
+		for _, part := range []string{"T." + col, "9007199254740993", "2^53"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("error %q does not name %q", err, part)
+			}
+		}
+	}
+	good := segTestRows(101)[100]
+	_, err = bt.AppendFacts([][]relation.Value{good,
+		{relation.Int(102), relation.String("alpha"), relation.Float(1), relation.Int(-big)}})
+	wantInexact(err, "FK")
+	// Widening into a Float column is held to the same bound.
+	_, err = bt.AppendFacts([][]relation.Value{
+		{relation.Int(102), relation.String("alpha"), relation.Int(big), relation.Int(1)}})
+	wantInexact(err, "V")
+	if bt.Len() != 100 {
+		t.Fatalf("rejected batches landed rows: len %d", bt.Len())
+	}
+	// ±2^53 itself is exact.
+	if _, err := bt.AppendFacts([][]relation.Value{
+		{relation.Int(big - 1), relation.String("alpha"), relation.Int(1 - big), relation.Int(1)}}); err != nil {
+		t.Fatalf("2^53 rejected: %v", err)
+	}
+	if got := bt.Value(100, "K"); got != relation.Int(big-1) {
+		t.Errorf("2^53 read back as %#v", got)
+	}
+
+	w, err := NewSegmentWriter(t.TempDir(), tab.Schema(), SegmentWriterOptions{SegmentSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	wantInexact(w.Append([]relation.Value{relation.Int(big), relation.String("alpha"), relation.Float(1), relation.Int(1)}), "K")
 }

@@ -567,16 +567,13 @@ func (w *SegmentWriter) Append(row []relation.Value) error {
 	for i, v := range row {
 		wc := w.cols[i]
 		c := wc.col
-		// Validate and widen exactly like Table.Append.
+		// Validate and widen exactly like Table.AppendFacts.
+		if err := c.Coerce(w.schema.Name, v); err != nil {
+			return err
+		}
 		stored := v
-		switch {
-		case v.IsNull():
-		case v.Kind() == c.Kind:
-		case c.Kind == relation.KindFloat && v.Kind() == relation.KindInt:
+		if c.Kind == relation.KindFloat && v.Kind() == relation.KindInt {
 			stored = relation.Float(float64(v.IntVal()))
-		default:
-			return fmt.Errorf("persist: %s.%s: cannot store %s value %#v in %s column",
-				w.schema.Name, c.Name, v.Kind(), v, c.Kind)
 		}
 		if wc.numeric {
 			f := stored.FloatOrNaN()
@@ -1342,8 +1339,9 @@ func numericValue(kind relation.Kind, f float64) relation.Value {
 	return relation.Float(f)
 }
 
-// AppendRows implements relation.AppendableBacking: validates, widens,
-// and appends the rows at the tail of every column, maintaining zone
+// AppendRows implements relation.AppendableBacking: validates the whole
+// batch before any row lands, then widens and appends the rows at the
+// tail of every column, maintaining zone
 // maps, Bloom filters, dictionaries, and term segment lists
 // incrementally. Safe to call concurrently with readers; appenders are
 // serialized.
@@ -1356,6 +1354,11 @@ func (st *Store) AppendRows(rows [][]relation.Value) error {
 	for _, row := range rows {
 		if len(row) != len(st.cols) {
 			return fmt.Errorf("persist: row arity %d, want %d", len(row), len(st.cols))
+		}
+		for ci, v := range row {
+			if err := st.cols[ci].col.Coerce(st.schema.Name, v); err != nil {
+				return err
+			}
 		}
 	}
 	for i := 0; i < len(rows); {
@@ -1384,15 +1387,8 @@ func (st *Store) AppendRows(rows [][]relation.Value) error {
 			for ci, c := range st.cols {
 				v := row[ci]
 				stored := v
-				switch {
-				case v.IsNull():
-				case v.Kind() == c.col.Kind:
-				case c.col.Kind == relation.KindFloat && v.Kind() == relation.KindInt:
+				if c.col.Kind == relation.KindFloat && v.Kind() == relation.KindInt {
 					stored = relation.Float(float64(v.IntVal()))
-				default:
-					st.metaMu.Unlock()
-					return fmt.Errorf("persist: %s: cannot store %s value %#v in %s column",
-						c.col.Name, v.Kind(), v, c.col.Kind)
 				}
 				if c.numeric {
 					f := stored.FloatOrNaN()

@@ -9,8 +9,8 @@ import (
 // fixed-size segments (DefaultSegmentSize rows, the last one short), so
 // execution kernels can iterate storage-aligned spans instead of whole
 // dense slices. Two families of readers implement the interfaces: the
-// resident ones below, which subslice the Table's cached dense views at
-// zero cost, and the disk-backed ones in internal/persist, which page
+// resident ones below, which subslice the Table's columns at zero
+// cost, and the disk-backed ones in internal/persist, which page
 // segments in from column files under a byte budget. Everything the
 // kernels compute is a pure function of the values a reader yields, so
 // swapping one family for the other never changes output bytes.
@@ -38,7 +38,7 @@ func NumSegments(n, segSize int) int {
 // Zone is the min/max summary of a numeric column over one segment,
 // ignoring NULL (NaN). It is the only zone-map type in the system: the
 // segment stores persist it, resident tables derive it lazily from
-// their dense float views, and the executor keeps it over fact-aligned
+// their float columns, and the executor keeps it over fact-aligned
 // dimension-attribute columns. A zone with no numeric rows has
 // Min > Max (the empty interval) and overlaps nothing.
 type Zone struct{ Min, Max float64 }
@@ -145,8 +145,9 @@ type ColumnBacking interface {
 
 // AppendableBacking is the optional mutation extension of a
 // ColumnBacking: a backing that can accept new rows at the tail while
-// concurrent readers keep scanning. Rows arrive already validated and
-// widened against the table schema. Implementations must keep every
+// concurrent readers keep scanning. Rows arrive validated against the
+// table schema (Column.Coerce); an Int bound for a Float column is
+// widened by the backing. Implementations must keep every
 // published segment, zone map, Bloom filter, and term segment list
 // consistent with the row count they report — a reader that observed
 // NumRows() == n must be able to read all n rows' evidence.

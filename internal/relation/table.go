@@ -6,82 +6,95 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // Table is an append-only relation. Rows are identified by dense integer
 // row IDs (their insertion position), which the rest of the system uses
 // as compact fact/dimension handles.
 //
-// Hash indexes are built lazily per column on first lookup and maintained
-// on subsequent appends. Concurrent reads are always safe, and appends
-// through Append/AppendFacts are safe concurrently with readers: the row
-// snapshot is published through an atomic pointer, so a reader sees the
-// row count current when its access started (a consistent prefix) and
-// never a torn row. The lazy index and column-view builds are guarded by
-// locks and track how many rows they cover, extending their tails on
-// demand (Freeze additionally pre-builds the key indexes and numeric
-// views so the common lookups never take the build path at all).
-// Appends themselves are serialized by a writer mutex.
+// Typed columns are the storage. A resident table holds one []float64
+// per Int/Float column (NaN marks NULL) and a []int32 code vector plus a
+// first-seen dictionary per column of any other kind — the same
+// representation internal/persist pages from disk, with memory as the
+// backing. There is no boxed row store underneath: Row, Scan and Filter
+// materialise []Value rows from the columns for exports, integrity
+// checks and test oracles.
+//
+// An append writes the column tails and publishes one immutable
+// snapshot (row count + column headers) through an atomic pointer, so a
+// reader sees every column at the length current when its access
+// started — a consistent prefix, never a torn row — and appends are safe
+// concurrently with readers. Appends themselves are serialized by a
+// writer mutex. Hash indexes (Lookup) and zones (SegmentZoneOverlaps)
+// are derived lazily under their own locks and tail-extended on demand.
 type Table struct {
 	schema *Schema
-	// rows is the build-time row storage, read only when pub has never
-	// been published. The first AppendFacts snapshots it into pub and
-	// the field is never written again, so readers racing the first
-	// publish still see a stable header.
-	rows [][]Value
-	// pub is the published row snapshot: a header whose len is the row
-	// count visible to readers. Appends write new rows into spare
-	// capacity beyond the published len, then publish a longer header —
-	// readers never index past the len they loaded.
-	pub atomic.Pointer[[][]Value]
-	// appendMu serializes writers.
+
+	// cur is a resident table's published snapshot; nil when backed.
+	cur atomic.Pointer[snapshot]
+	// appendMu serializes writers and guards codeOf.
 	appendMu sync.Mutex
+	// codeOf is the writer's value→code map per dictionary-coded column
+	// (nil entries for numeric columns).
+	codeOf []map[Value]int32
 
 	idxMu   sync.RWMutex
 	indexes map[string]*colIndex
 
-	// Columnar views, built on demand (numeric ones also at Freeze) and
-	// extended in place on append. Unlike the hash indexes these are
-	// guarded by their own lock, so a cold column may be materialized
-	// safely mid-read by the executor's concurrent kernels.
-	colMu     sync.RWMutex
-	floatCols map[int][]float64
-	dictCols  map[int]*dictColumn
-	// zoneCols holds a resident table's per-segment zone maps, derived
-	// per numeric column from the float view on first use and widened
-	// past appended rows on read, like every other derived view.
+	// colMu guards the derived views below, each built on first use and
+	// extended in place (or copy-on-grow) past appended rows.
+	colMu sync.RWMutex
+	// numDicts holds dictionary views of resident numeric columns, for
+	// group-bys over numeric attributes.
+	numDicts map[int]*numDict
+	// zoneCols holds a resident table's per-segment zone maps.
 	zoneCols map[int]colZones
-
-	// backing, when non-nil, makes this a backed table: rows is empty
-	// and every access goes through the segmented column readers (see
-	// segment.go). Backed tables carry no hash indexes (lookups are
-	// Bloom/zone-pruned segment scans), never materialize whole dense
-	// columns, and accept appends only when the backing implements
-	// AppendableBacking.
-	backing ColumnBacking
 	// dictIdx caches, per backed dict column, the value→code map used
-	// to translate lookup values into codes. Guarded by colMu.
+	// to translate lookup values into codes.
 	dictIdx map[int]map[Value]int32
+
+	// backing, when non-nil, makes this a backed table: every access
+	// goes through the segmented column readers (see segment.go). Backed
+	// tables carry no hash indexes (lookups are Bloom/zone-pruned segment
+	// scans), never materialize whole dense columns, and accept appends
+	// only when the backing implements AppendableBacking.
+	backing ColumnBacking
+}
+
+// column is one resident column: floats for Int/Float kinds, codes and
+// dict for every other kind. Appends write past the published len of
+// the slices and never rewrite a published element, so headers handed
+// to readers stay valid forever.
+type column struct {
+	floats []float64
+	codes  []int32
+	dict   []Value
+}
+
+// snapshot is one published state of a resident table: every column
+// holds exactly n rows.
+type snapshot struct {
+	n    int
+	cols []column
 }
 
 // colIndex is one column's hash index together with the number of rows
 // it covers, so an index built from an older snapshot is extended — not
-// rebuilt — the next time it is consulted. Keeping the coverage count on
-// the struct (rather than in a parallel map) keeps the hot lookup path
-// at a single map access.
+// rebuilt — the next time it is consulted.
 type colIndex struct {
 	buckets map[Value][]int
 	n       int // rows covered
 }
 
-// dictColumn is a dictionary-encoded column view: codes[row] indexes
-// dict, or is -1 where the stored value is NULL. The dictionary holds
-// distinct values in first-seen row order; code is the reverse map kept
-// so appends can extend codes without rescanning.
-type dictColumn struct {
+// numDict is the dictionary view of a resident numeric column:
+// codes[row] indexes dict (distinct values in first-seen row order), -1
+// where the cell is NULL. code is the reverse map kept so the view can
+// be extended without rescanning.
+type numDict struct {
 	codes []int32
 	dict  []Value
-	code  map[Value]int32
+	code  map[float64]int32
 }
 
 // colZones is one column's per-segment zones plus the rows they cover.
@@ -90,21 +103,77 @@ type colZones struct {
 	upTo  int
 }
 
-// NewTable creates an empty table with the given schema.
-func NewTable(schema *Schema) *Table {
-	return &Table{
-		schema:  schema,
-		indexes: make(map[string]*colIndex),
+// hashIndexMaxRows is the largest table Freeze pre-builds key indexes
+// for. Hash indexes serve lookups *into* a table — a dimension key
+// resolved while a fact→dimension mapping is built, a snowflake hop
+// between dimension tables — and nothing looks up into the fact table:
+// the semijoin into facts is a scan of that mapping (olap). At ~100
+// bytes per indexed row a fact-sized index would cost more than the
+// columns it indexes.
+const hashIndexMaxRows = 1 << 16
+
+// maxExactInt bounds the integers a float64 column stores exactly.
+const maxExactInt = 1 << 53
+
+func numeric(k Kind) bool { return k == KindInt || k == KindFloat }
+
+// numericValue boxes a numeric cell: NaN is NULL.
+func numericValue(k Kind, f float64) Value {
+	switch {
+	case math.IsNaN(f):
+		return Null()
+	case k == KindInt:
+		return Int(int64(f))
+	default:
+		return Float(f)
 	}
 }
 
-// NewBackedTable creates an immutable table whose column storage lives
-// behind the given backing (typically persist's segment store). The
-// backing must provide a reader for every schema column: FloatReader
-// for numeric columns, DictReader otherwise.
+// Coerce validates v for storage in column c of the named table. NULL
+// and values of the column's kind are accepted, and an Int is accepted
+// into a Float column (columns hold it widened). An Int beyond ±2^53 is
+// rejected: numeric columns are float64, which cannot represent it
+// exactly, and a silently rounded key would join the wrong row.
+func (c Column) Coerce(table string, v Value) error {
+	switch {
+	case v.IsNull():
+		return nil
+	case v.Kind() == KindInt && numeric(c.Kind):
+		if i := v.IntVal(); i > maxExactInt || i < -maxExactInt {
+			return fmt.Errorf("relation: %s.%s: integer %d is beyond ±2^53 and cannot be stored exactly in a float64 column",
+				table, c.Name, i)
+		}
+		return nil
+	case v.Kind() == c.Kind:
+		return nil
+	}
+	return fmt.Errorf("relation: %s.%s: cannot store %s value %#v in %s column",
+		table, c.Name, v.Kind(), v, c.Kind)
+}
+
+// NewTable creates an empty resident table with the given schema.
+func NewTable(schema *Schema) *Table {
+	t := &Table{
+		schema:  schema,
+		indexes: make(map[string]*colIndex),
+		codeOf:  make([]map[Value]int32, len(schema.Columns)),
+	}
+	for ci, c := range schema.Columns {
+		if !numeric(c.Kind) {
+			t.codeOf[ci] = make(map[Value]int32)
+		}
+	}
+	t.cur.Store(&snapshot{cols: make([]column, len(schema.Columns))})
+	return t
+}
+
+// NewBackedTable creates a table whose column storage lives behind the
+// given backing (typically persist's segment store). The backing must
+// provide a reader for every schema column: FloatReader for numeric
+// columns, DictReader otherwise.
 func NewBackedTable(schema *Schema, backing ColumnBacking) (*Table, error) {
 	for _, c := range schema.Columns {
-		if c.Kind == KindInt || c.Kind == KindFloat {
+		if numeric(c.Kind) {
 			if backing.FloatReader(c.Name) == nil {
 				return nil, fmt.Errorf("relation: %s: backing has no float reader for column %q", schema.Name, c.Name)
 			}
@@ -134,25 +203,21 @@ func (t *Table) SegmentSize() int {
 // [lo, hi]. hasZone false (non-numeric or unknown column, segment past
 // the covered rows) means no evidence — the segment must be scanned. A
 // backed table answers from its store's manifest; a resident table from
-// zones derived lazily off the column's float view, covering at least
-// the rows published when the call started.
+// zones derived lazily off the column, covering at least the rows
+// published when the call started.
 func (t *Table) SegmentZoneOverlaps(col string, si int, lo, hi float64) (overlaps, hasZone bool) {
 	if t.backing != nil {
 		return t.backing.SegmentZoneOverlaps(col, si, lo, hi)
 	}
 	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
+	if ci < 0 || !numeric(t.schema.Columns[ci].Kind) {
 		return true, false
 	}
-	if k := t.schema.Columns[ci].Kind; k != KindInt && k != KindFloat {
-		return true, false
-	}
-	n := len(t.view())
+	vals := t.cur.Load().cols[ci].floats
 	t.colMu.RLock()
 	z := t.zoneCols[ci]
 	t.colMu.RUnlock()
-	if z.upTo < n {
-		vals := t.FloatColumn(col)
+	if z.upTo < len(vals) {
 		t.colMu.Lock()
 		if z = t.zoneCols[ci]; z.upTo < len(vals) {
 			z = colZones{zones: ExtendZones(z.zones, z.upTo, vals, DefaultSegmentSize), upTo: len(vals)}
@@ -175,63 +240,40 @@ func (t *Table) Schema() *Schema { return t.schema }
 // Name returns the table name.
 func (t *Table) Name() string { return t.schema.Name }
 
-// view returns the published row snapshot. Its length is the row count
-// visible to the caller; later appends only ever publish longer
-// snapshots, so everything below the loaded length is immutable.
-func (t *Table) view() [][]Value {
-	if p := t.pub.Load(); p != nil {
-		return *p
-	}
-	return t.rows
-}
-
 // Len returns the number of rows.
 func (t *Table) Len() int {
 	if t.backing != nil {
 		return t.backing.NumRows()
 	}
-	return len(t.view())
+	return t.cur.Load().n
 }
 
 // Append validates the row against the schema and appends it, returning
-// the new row ID. Int values are widened into float columns.
+// the new row ID.
 func (t *Table) Append(row []Value) (int, error) {
 	return t.AppendFacts([][]Value{row})
 }
 
 // AppendFacts validates and appends a batch of rows, returning the row
-// ID of the first appended row. It is the streaming-ingest entry point:
-// safe to call concurrently with readers, which keep seeing a consistent
-// prefix of the table while the hash indexes and columnar views are
-// extended in place — never rebuilt. On a backed table the rows are
-// handed to the backing, which must implement AppendableBacking.
+// ID of the first appended row; the whole batch is rejected, before any
+// row lands, on the first value Column.Coerce refuses. It is the
+// streaming-ingest entry point: safe to call concurrently with readers,
+// which keep seeing a consistent prefix of the table. The rows are
+// scattered into the column tails on the writer's side and published as
+// one snapshot; hash indexes and zones catch up lazily on the read side.
+// On a backed table the rows are handed to the backing, which must
+// implement AppendableBacking.
 func (t *Table) AppendFacts(rows [][]Value) (int, error) {
-	// One flat backing array for the whole batch: at streaming rates the
-	// per-row slice headers are pure GC pressure, and row-major layout
-	// keeps the batch contiguous for the extension loops below.
-	ncols := len(t.schema.Columns)
-	flat := make([]Value, len(rows)*ncols)
-	stored := make([][]Value, len(rows))
-	for ri, row := range rows {
-		if len(row) != ncols {
-			return 0, fmt.Errorf("relation: %s: row arity %d, want %d", t.Name(), len(row), ncols)
+	cols := t.schema.Columns
+	for _, row := range rows {
+		if len(row) != len(cols) {
+			return 0, fmt.Errorf("relation: %s: row arity %d, want %d", t.Name(), len(row), len(cols))
 		}
-		srow := flat[ri*ncols : (ri+1)*ncols : (ri+1)*ncols]
 		for i, v := range row {
-			c := t.schema.Columns[i]
-			switch {
-			case v.IsNull():
-				srow[i] = v
-			case v.Kind() == c.Kind:
-				srow[i] = v
-			case c.Kind == KindFloat && v.Kind() == KindInt:
-				srow[i] = Float(float64(v.IntVal()))
-			default:
-				return 0, fmt.Errorf("relation: %s.%s: cannot store %s value %#v in %s column",
-					t.Name(), c.Name, v.Kind(), v, c.Kind)
+			if err := cols[i].Coerce(t.Name(), v); err != nil {
+				return 0, err
 			}
 		}
-		stored[ri] = srow
 	}
 
 	t.appendMu.Lock()
@@ -243,60 +285,41 @@ func (t *Table) AppendFacts(rows [][]Value) (int, error) {
 			return 0, fmt.Errorf("relation: %s: backing does not support appends", t.Name())
 		}
 		start := t.backing.NumRows()
-		if err := ab.AppendRows(stored); err != nil {
+		if err := ab.AppendRows(rows); err != nil {
 			return 0, err
 		}
 		return start, nil
 	}
 
-	base := t.view()
-	start := len(base)
-	grown := append(base, stored...)
-	// Publish the longer snapshot. When append grew in place the new
-	// elements landed beyond every older snapshot's len, so concurrent
-	// readers are unaffected; when it reallocated, older snapshots keep
-	// their own backing.
-	t.pub.Store(&grown)
-
-	// Hash indexes and columnar views are NOT extended here: every read
-	// path (indexLookup, FloatColumn, DictColumn) checks its coverage
-	// against the snapshot it holds and tail-extends under its own lock,
-	// so eager maintenance would only move that amortized cost onto the
-	// write path — measured at ~70% of the append, almost all of it
-	// Value-keyed map inserts for the fact table's six hash indexes.
-	return start, nil
-}
-
-// extendFloatColLocked brings the cached float view of column ci up to
-// the given snapshot. Caller holds colMu. In-place growth is safe: new
-// entries land beyond the len of every slice header already handed out.
-func (t *Table) extendFloatColLocked(ci int, rows [][]Value) {
-	c := t.floatCols[ci]
-	for i := len(c); i < len(rows); i++ {
-		c = append(c, rows[i][ci].FloatOrNaN())
-	}
-	t.floatCols[ci] = c
-}
-
-// extendDictColLocked brings the cached dictionary view of column ci up
-// to the given snapshot, growing the dictionary for first-seen values.
-// Caller holds colMu.
-func (t *Table) extendDictColLocked(ci int, rows [][]Value) {
-	dc := t.dictCols[ci]
-	for i := len(dc.codes); i < len(rows); i++ {
-		v := rows[i][ci]
-		if v.IsNull() {
-			dc.codes = append(dc.codes, -1)
-			continue
+	// When append grows a column in place the new elements land beyond
+	// every published snapshot's len, so concurrent readers are
+	// unaffected; when it reallocates, older snapshots keep their own
+	// array.
+	s := t.cur.Load()
+	grown := make([]column, len(cols))
+	for ci, c := range s.cols {
+		if codeOf := t.codeOf[ci]; codeOf == nil {
+			for _, row := range rows {
+				c.floats = append(c.floats, row[ci].FloatOrNaN())
+			}
+		} else {
+			for _, row := range rows {
+				v, code := row[ci], int32(-1)
+				if !v.IsNull() {
+					var ok bool
+					if code, ok = codeOf[v]; !ok {
+						code = int32(len(c.dict))
+						codeOf[v] = code
+						c.dict = append(c.dict, v)
+					}
+				}
+				c.codes = append(c.codes, code)
+			}
 		}
-		c, ok := dc.code[v]
-		if !ok {
-			c = int32(len(dc.dict))
-			dc.code[v] = c
-			dc.dict = append(dc.dict, v)
-		}
-		dc.codes = append(dc.codes, c)
+		grown[ci] = c
 	}
+	t.cur.Store(&snapshot{n: s.n + len(rows), cols: grown})
+	return s.n, nil
 }
 
 // MustAppend is Append that panics on error; for statically known rows.
@@ -308,71 +331,99 @@ func (t *Table) MustAppend(row ...Value) int {
 	return id
 }
 
-// Row returns the stored row for id. The returned slice must not be
-// modified. On a backed table the row is assembled from the column
-// segments — correct but per-value; kernels should read columns through
-// FloatReader/DictReader instead.
-func (t *Table) Row(id int) []Value {
-	if t.backing != nil {
-		row := make([]Value, len(t.schema.Columns))
-		for ci, c := range t.schema.Columns {
-			row[ci] = t.backedValue(id, ci, c)
+// cell boxes one cell. s is the resident snapshot the caller loaded
+// (one snapshot per row keeps the row consistent), nil on a backed
+// table.
+func (t *Table) cell(s *snapshot, id, ci int) Value {
+	c := t.schema.Columns[ci]
+	if s != nil {
+		if numeric(c.Kind) {
+			return numericValue(c.Kind, s.cols[ci].floats[id])
 		}
-		return row
-	}
-	return t.view()[id]
-}
-
-// backedValue reads one cell of a backed table through its column reader.
-func (t *Table) backedValue(id, ci int, c Column) Value {
-	ss := t.backing.SegmentSize()
-	si, off := id/ss, id%ss
-	if c.Kind == KindInt || c.Kind == KindFloat {
-		f := t.backing.FloatReader(c.Name).FloatSegment(si)[off]
-		if math.IsNaN(f) {
-			return Null()
+		if code := s.cols[ci].codes[id]; code >= 0 {
+			return s.cols[ci].dict[code]
 		}
-		if c.Kind == KindInt {
-			return Int(int64(f))
-		}
-		return Float(f)
-	}
-	rd := t.backing.DictReader(c.Name)
-	code := rd.CodeSegment(si)[off]
-	if code < 0 {
 		return Null()
 	}
-	return rd.Dict()[code]
+	ss := t.backing.SegmentSize()
+	si, off := id/ss, id%ss
+	if numeric(c.Kind) {
+		return numericValue(c.Kind, t.backing.FloatReader(c.Name).FloatSegment(si)[off])
+	}
+	rd := t.backing.DictReader(c.Name)
+	if code := rd.CodeSegment(si)[off]; code >= 0 {
+		return rd.Dict()[code]
+	}
+	return Null()
+}
+
+// Row materialises row id from the columns into a fresh slice. Correct
+// but per-value, and an allocation per call: kernels read columns
+// through FloatReader/DictReader, or reuse a scratch row via RowInto.
+func (t *Table) Row(id int) []Value { return t.RowInto(nil, id) }
+
+// RowInto is Row writing into dst (reallocated only when too short),
+// so a scan evaluating a row-at-a-time measure reuses one scratch row.
+func (t *Table) RowInto(dst []Value, id int) []Value {
+	return t.rowInto(t.cur.Load(), dst, id)
+}
+
+func (t *Table) rowInto(s *snapshot, dst []Value, id int) []Value {
+	n := len(t.schema.Columns)
+	if cap(dst) < n {
+		dst = make([]Value, n)
+	}
+	dst = dst[:n]
+	for ci := range dst {
+		dst[ci] = t.cell(s, id, ci)
+	}
+	return dst
+}
+
+// mustColumn resolves a column name, panicking when it does not exist.
+func (t *Table) mustColumn(col string) int {
+	ci := t.schema.ColumnIndex(col)
+	if ci < 0 {
+		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
+	}
+	return ci
 }
 
 // Value returns the value at (row id, column name). It panics if the
 // column does not exist.
 func (t *Table) Value(id int, col string) Value {
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
-	}
-	if t.backing != nil {
-		return t.backedValue(id, ci, t.schema.Columns[ci])
-	}
-	return t.view()[id][ci]
+	return t.cell(t.cur.Load(), id, t.mustColumn(col))
 }
 
 // indexLookup resolves rows whose col equals any of vals through the
-// hash index, building or tail-extending the index as needed so it
-// covers at least the caller's row snapshot. The whole map access stays
-// under the lock — appends mutate bucket headers in place — but the
-// returned bucket slices are safe to use after release: an append only
-// ever writes past their published len.
+// hash index, building or tail-extending it first so it covers at least
+// the rows published when the call started. Keys are the boxed cell
+// values, so matching is kind-exact: an Int never matches a Float
+// column and vice versa. The map is only touched under the lock —
+// extension mutates bucket headers in place — but the returned buckets
+// are safe to use after release: an extension only ever writes past
+// their published len.
 func (t *Table) indexLookup(col string, vals []Value) [][]int {
-	rows := t.view()
+	if t.backing != nil {
+		panic(fmt.Sprintf("relation: %s is backed; lookups are segment scans, not hash indexes", t.Name()))
+	}
+	ci := t.mustColumn(col)
+	s := t.cur.Load()
 	t.idxMu.RLock()
 	idx := t.indexes[col]
-	if idx == nil || idx.n < len(rows) {
+	if idx == nil || idx.n < s.n {
 		t.idxMu.RUnlock()
-		t.extendIndex(col, rows)
+		t.idxMu.Lock()
+		if idx = t.indexes[col]; idx == nil {
+			idx = &colIndex{buckets: make(map[Value][]int)}
+			t.indexes[col] = idx
+		}
+		for ; idx.n < s.n; idx.n++ {
+			v := t.cell(s, idx.n, ci)
+			idx.buckets[v] = append(idx.buckets[v], idx.n)
+		}
+		t.idxMu.Unlock()
 		t.idxMu.RLock()
-		idx = t.indexes[col]
 	}
 	out := make([][]int, len(vals))
 	for i, v := range vals {
@@ -382,71 +433,64 @@ func (t *Table) indexLookup(col string, vals []Value) [][]int {
 	return out
 }
 
-// extendIndex builds or tail-extends col's hash index so it covers at
-// least the given row snapshot.
-func (t *Table) extendIndex(col string, rows [][]Value) {
-	if t.backing != nil {
-		panic(fmt.Sprintf("relation: %s is backed; lookups are segment scans, not hash indexes", t.Name()))
-	}
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
-	}
-	t.idxMu.Lock()
-	idx := t.indexes[col]
-	if idx == nil {
-		idx = &colIndex{buckets: make(map[Value][]int)}
-		t.indexes[col] = idx
-	}
-	for id := idx.n; id < len(rows); id++ {
-		v := rows[id][ci]
-		idx.buckets[v] = append(idx.buckets[v], id)
-	}
-	if idx.n < len(rows) {
-		idx.n = len(rows)
-	}
-	t.idxMu.Unlock()
-}
-
-// index pre-builds the hash index for col (Freeze's hook).
-func (t *Table) index(col string) {
-	t.indexLookup(col, nil)
-}
-
-// Freeze pre-builds hash indexes on the primary key and every foreign-key
-// column so that subsequent concurrent lookups never mutate the table,
-// and materializes the float view of every numeric column for the
-// columnar kernels. Dictionary views stay lazy (their own lock makes a
-// cold build safe mid-read) since most string columns are never grouped
-// by.
+// Freeze pre-builds the hash indexes on the primary key and every
+// foreign-key column of a dimension-sized resident table (see
+// hashIndexMaxRows), so the common lookups never take the build path.
+// Larger tables are left unindexed; a Lookup into one still works and
+// builds its index on first use.
 func (t *Table) Freeze() {
-	if t.backing != nil {
-		// Backed tables carry no hash indexes and never materialize
-		// dense views; there is nothing to pre-build.
+	if t.backing != nil || t.Len() > hashIndexMaxRows {
 		return
 	}
 	if t.schema.Key != "" {
-		t.index(t.schema.Key)
+		t.indexLookup(t.schema.Key, nil)
 	}
 	for _, fk := range t.schema.ForeignKeys {
-		t.index(fk.Column)
-	}
-	for _, c := range t.schema.Columns {
-		if c.Kind == KindInt || c.Kind == KindFloat {
-			t.FloatColumn(c.Name)
-		}
+		t.indexLookup(fk.Column, nil)
 	}
 }
 
-// FloatColumn returns the dense float64 view of col: one entry per row,
-// with NULL (and any non-numeric value) represented as NaN. The view is
-// built once and cached; the returned slice is shared and must not be
-// modified.
-func (t *Table) FloatColumn(col string) []float64 {
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
+// IndexedColumns returns the names of the columns that currently carry
+// a hash index, sorted.
+func (t *Table) IndexedColumns() []string {
+	t.idxMu.RLock()
+	defer t.idxMu.RUnlock()
+	out := make([]string, 0, len(t.indexes))
+	for col := range t.indexes {
+		out = append(out, col)
 	}
+	sort.Strings(out)
+	return out
+}
+
+// ResidentBytes returns the bytes a resident table's columns occupy,
+// computed from their lengths (dictionary entries at the size of a
+// Value plus their string bytes); 0 for a backed table. Derived
+// structures — hash indexes, zones — are not counted.
+func (t *Table) ResidentBytes() int64 {
+	s := t.cur.Load()
+	if s == nil {
+		return 0
+	}
+	valueSize := int64(unsafe.Sizeof(Value{}))
+	var b int64
+	for _, c := range s.cols {
+		b += int64(len(c.floats))*8 + int64(len(c.codes))*4 + int64(len(c.dict))*valueSize
+		for _, v := range c.dict {
+			if v.Kind() == KindString {
+				b += int64(len(v.Str()))
+			}
+		}
+	}
+	return b
+}
+
+// FloatColumn returns the dense float64 form of col: one entry per row,
+// NaN where the cell is NULL. For a numeric column this is the column's
+// storage, shared and never to be modified; any other column yields
+// all-NaN (callers probe attribute columns whose kind they do not know).
+func (t *Table) FloatColumn(col string) []float64 {
+	ci := t.mustColumn(col)
 	if t.backing != nil {
 		// Materializing a whole backed column would defeat the paging
 		// budget; every caller on the backed path must go through
@@ -454,62 +498,65 @@ func (t *Table) FloatColumn(col string) []float64 {
 		// loud test failure instead of a silent RSS blowup.
 		panic(fmt.Sprintf("relation: %s is backed; use FloatReader(%q) instead of FloatColumn", t.Name(), col))
 	}
-	rows := t.view()
-	t.colMu.RLock()
-	c := t.floatCols[ci]
-	t.colMu.RUnlock()
-	if len(c) >= len(rows) {
-		return c
+	s := t.cur.Load()
+	if numeric(t.schema.Columns[ci].Kind) {
+		return s.cols[ci].floats
 	}
-	t.colMu.Lock()
-	if t.floatCols == nil {
-		t.floatCols = make(map[int][]float64)
+	nan := make([]float64, s.n)
+	for i := range nan {
+		nan[i] = math.NaN()
 	}
-	if _, ok := t.floatCols[ci]; !ok {
-		t.floatCols[ci] = make([]float64, 0, len(rows))
-	}
-	t.extendFloatColLocked(ci, rows)
-	c = t.floatCols[ci]
-	t.colMu.Unlock()
-	return c
+	return nan
 }
 
-// DictColumn returns the dictionary-encoded view of col: codes[row]
+// DictColumn returns the dictionary-encoded form of col: codes[row]
 // indexes dict (distinct non-NULL values in first-seen order), or is -1
-// where the value is NULL. The view is built once and cached; the
-// returned slices are shared and must not be modified.
+// where the value is NULL. For a non-numeric column this is the
+// column's storage; a numeric column's dictionary view is derived on
+// first use and extended past appended rows. The returned slices are
+// shared and must not be modified.
 func (t *Table) DictColumn(col string) (codes []int32, dict []Value) {
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
-	}
+	ci := t.mustColumn(col)
 	if t.backing != nil {
 		panic(fmt.Sprintf("relation: %s is backed; use DictReader(%q) instead of DictColumn", t.Name(), col))
 	}
-	rows := t.view()
+	s := t.cur.Load()
+	kind := t.schema.Columns[ci].Kind
+	if !numeric(kind) {
+		return s.cols[ci].codes, s.cols[ci].dict
+	}
 	t.colMu.RLock()
-	dc := t.dictCols[ci]
-	if dc != nil && len(dc.codes) >= len(rows) {
-		codes, dict = dc.codes, dc.dict
+	nd := t.numDicts[ci]
+	if nd != nil && len(nd.codes) >= s.n {
+		codes, dict = nd.codes, nd.dict
 		t.colMu.RUnlock()
 		return codes, dict
 	}
 	t.colMu.RUnlock()
 	t.colMu.Lock()
-	if t.dictCols == nil {
-		t.dictCols = make(map[int]*dictColumn)
-	}
-	if _, ok := t.dictCols[ci]; !ok {
-		t.dictCols[ci] = &dictColumn{
-			codes: make([]int32, 0, len(rows)),
-			code:  make(map[Value]int32),
+	defer t.colMu.Unlock()
+	if nd = t.numDicts[ci]; nd == nil {
+		nd = &numDict{code: make(map[float64]int32)}
+		if t.numDicts == nil {
+			t.numDicts = make(map[int]*numDict)
 		}
+		t.numDicts[ci] = nd
 	}
-	t.extendDictColLocked(ci, rows)
-	dc = t.dictCols[ci]
-	codes, dict = dc.codes, dc.dict
-	t.colMu.Unlock()
-	return codes, dict
+	// In-place growth is safe: new entries land beyond the len of every
+	// slice header already handed out.
+	for _, f := range s.cols[ci].floats[min(len(nd.codes), s.n):] {
+		code := int32(-1)
+		if !math.IsNaN(f) {
+			var ok bool
+			if code, ok = nd.code[f]; !ok {
+				code = int32(len(nd.dict))
+				nd.code[f] = code
+				nd.dict = append(nd.dict, numericValue(kind, f))
+			}
+		}
+		nd.codes = append(nd.codes, code)
+	}
+	return nd.codes, nd.dict
 }
 
 // Lookup returns the IDs of rows whose col equals v, using (and caching) a
@@ -519,29 +566,26 @@ func (t *Table) Lookup(col string, v Value) []int {
 	if t.backing != nil {
 		return t.lookupScan(col, []Value{v}, nil)
 	}
-	// Open-coded single-value fast path: joins call Lookup once per fact
-	// row, so the [][]int the batched form allocates would be real GC
-	// pressure here. The bucket is safe to use after the lock is
-	// released — an append only ever writes past its published len.
-	rows := t.view()
-	t.idxMu.RLock()
-	if idx := t.indexes[col]; idx != nil && idx.n >= len(rows) {
-		b := idx.buckets[v]
-		t.idxMu.RUnlock()
-		return b
-	}
-	t.idxMu.RUnlock()
 	return t.indexLookup(col, []Value{v})[0]
 }
 
 // LookupIn returns the IDs of rows whose col equals any of vals, in
-// ascending row order without duplicates. On a backed table the whole
-// value set is resolved in one segment scan, skipping segments that the
-// column's Bloom filters or zone maps prove cannot contain any of the
-// values.
+// ascending row order without duplicates.
 func (t *Table) LookupIn(col string, vals []Value) []int {
+	return t.LookupInSegments(col, vals, nil)
+}
+
+// LookupInSegments is LookupIn restricted, on a backed table, to the
+// given segments (ascending, deduplicated segment indices; nil for all)
+// — the hook for posting-level skip lists, where an upstream index
+// already knows which segments can contain a value. A backed table
+// resolves the whole value set in one segment scan, skipping segments
+// that the column's Bloom filters or zone maps prove cannot contain any
+// of the values; a resident table answers from its hash index and
+// ignores segs.
+func (t *Table) LookupInSegments(col string, vals []Value, segs []int32) []int {
 	if t.backing != nil {
-		return t.lookupScan(col, vals, nil)
+		return t.lookupScan(col, vals, segs)
 	}
 	var out []int
 	for _, bucket := range t.indexLookup(col, vals) {
@@ -551,20 +595,9 @@ func (t *Table) LookupIn(col string, vals []Value) []int {
 	return dedupSorted(out)
 }
 
-// LookupInSegments is LookupIn restricted to the given segments of a
-// backed table (ascending, deduplicated segment indices) — the hook for
-// posting-level skip lists, where an upstream index already knows which
-// segments can contain a value. On a resident table segs is ignored.
-func (t *Table) LookupInSegments(col string, vals []Value, segs []int32) []int {
-	if t.backing != nil {
-		return t.lookupScan(col, vals, segs)
-	}
-	return t.LookupIn(col, vals)
-}
-
 // FloatReader returns the segmented float view of a numeric column:
 // the backing's pageable reader for a backed table, a zero-copy wrapper
-// over the cached dense view otherwise.
+// over the column otherwise.
 func (t *Table) FloatReader(col string) FloatReader {
 	if t.backing != nil {
 		rd := t.backing.FloatReader(col)
@@ -587,16 +620,6 @@ func (t *Table) DictReader(col string) DictReader {
 	}
 	codes, dict := t.DictColumn(col)
 	return ResidentCodes(codes, dict)
-}
-
-// ResidentFloatColumn returns the dense float view of col, or nil when
-// the table is backed — the measure constructors use it so vectorized
-// fast paths engage only when the column is truly resident.
-func (t *Table) ResidentFloatColumn(col string) []float64 {
-	if t.backing != nil {
-		return nil
-	}
-	return t.FloatColumn(col)
 }
 
 // dictCodeMap returns (building and caching on first use) the value→code
@@ -634,10 +657,7 @@ func (t *Table) dictCodeMap(ci int, rd DictReader) map[Value]int32 {
 // kind-exact, mirroring the resident hash index: an Int value never
 // matches a Float column and vice versa.
 func (t *Table) lookupScan(col string, vals []Value, segs []int32) []int {
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
-	}
+	ci := t.mustColumn(col)
 	c := t.schema.Columns[ci]
 	ss := t.backing.SegmentSize()
 	nseg := NumSegments(t.Len(), ss)
@@ -659,7 +679,7 @@ func (t *Table) lookupScan(col string, vals []Value, segs []int32) []int {
 	skippedBloom, skippedZone := 0, 0
 	defer func() { t.backing.NoteSkips(skippedBloom, skippedZone) }()
 
-	if c.Kind == KindInt || c.Kind == KindFloat {
+	if numeric(c.Kind) {
 		// Numeric column: wanted values become exact float targets.
 		// Kind-mismatched values are dropped; NULL matches NaN cells.
 		wantNull := false
@@ -766,7 +786,7 @@ func (t *Table) lookupScan(col string, vals []Value, segs []int32) []int {
 func (t *Table) segMayContainAny(col string, si int, vals []Value, kind Kind) (maybe, has bool) {
 	has = false
 	for _, v := range vals {
-		if v.IsNull() || ((kind == KindInt || kind == KindFloat) && v.Kind() != kind) {
+		if v.IsNull() || (numeric(kind) && v.Kind() != kind) {
 			continue
 		}
 		m, ok := t.backing.SegmentMayContain(col, si, v)
@@ -782,19 +802,18 @@ func (t *Table) segMayContainAny(col string, si int, vals []Value, kind Kind) (m
 }
 
 // Scan calls fn for every row ID in insertion order, stopping early if fn
-// returns false. On a backed table each row is assembled from its column
-// segments — use the readers directly for anything hot.
+// returns false. Each row is materialised from the columns into one
+// scratch slice that is only valid during the call — fn must copy what
+// it keeps. Use the column readers directly for anything hot.
 func (t *Table) Scan(fn func(id int, row []Value) bool) {
-	if t.backing != nil {
-		n := t.Len()
-		for id := 0; id < n; id++ {
-			if !fn(id, t.Row(id)) {
-				return
-			}
-		}
-		return
+	s := t.cur.Load()
+	n := t.Len()
+	if s != nil {
+		n = s.n
 	}
-	for id, row := range t.view() {
+	var row []Value
+	for id := 0; id < n; id++ {
+		row = t.rowInto(s, row, id)
 		if !fn(id, row) {
 			return
 		}
@@ -802,76 +821,39 @@ func (t *Table) Scan(fn func(id int, row []Value) bool) {
 }
 
 // Filter returns the IDs of rows satisfying pred, in insertion order.
+// pred sees a scratch row, as Scan's callback does.
 func (t *Table) Filter(pred func(row []Value) bool) []int {
 	var out []int
-	if t.backing != nil {
-		n := t.Len()
-		for id := 0; id < n; id++ {
-			if pred(t.Row(id)) {
-				out = append(out, id)
-			}
-		}
-		return out
-	}
-	for id, row := range t.view() {
+	t.Scan(func(id int, row []Value) bool {
 		if pred(row) {
 			out = append(out, id)
 		}
-	}
+		return true
+	})
 	return out
 }
 
 // DistinctValues returns the distinct non-NULL values of col in first-seen
 // order.
 func (t *Table) DistinctValues(col string) []Value {
-	ci := t.schema.ColumnIndex(col)
-	if ci < 0 {
-		panic(fmt.Sprintf("relation: %s has no column %q", t.Name(), col))
+	ci := t.mustColumn(col)
+	c := t.schema.Columns[ci]
+	if !numeric(c.Kind) {
+		// A dict column's dictionary is exactly its distinct non-NULL
+		// values in first-seen order.
+		return append([]Value(nil), t.DictReader(col).Dict()...)
 	}
-	if t.backing != nil {
-		c := t.schema.Columns[ci]
-		if c.Kind != KindInt && c.Kind != KindFloat {
-			// A dict column's dictionary is exactly its distinct non-NULL
-			// values in first-seen order.
-			dict := t.backing.DictReader(c.Name).Dict()
-			out := make([]Value, len(dict))
-			copy(out, dict)
-			return out
-		}
-		rd := t.backing.FloatReader(c.Name)
-		seen := make(map[float64]struct{})
-		var out []Value
-		nseg := NumSegments(t.Len(), t.backing.SegmentSize())
-		for si := 0; si < nseg; si++ {
-			for _, f := range rd.FloatSegment(si) {
-				if math.IsNaN(f) {
-					continue
-				}
-				if _, ok := seen[f]; ok {
-					continue
-				}
-				seen[f] = struct{}{}
-				if c.Kind == KindInt {
-					out = append(out, Int(int64(f)))
-				} else {
-					out = append(out, Float(f))
-				}
-			}
-		}
-		return out
-	}
-	seen := make(map[Value]struct{})
+	rd := t.FloatReader(col)
+	seen := make(map[float64]struct{})
 	var out []Value
-	for _, row := range t.view() {
-		v := row[ci]
-		if v.IsNull() {
-			continue
+	for si, nseg := 0, NumSegments(rd.Len(), rd.SegmentSize()); si < nseg; si++ {
+		for _, f := range rd.FloatSegment(si) {
+			if _, ok := seen[f]; ok || math.IsNaN(f) {
+				continue
+			}
+			seen[f] = struct{}{}
+			out = append(out, numericValue(c.Kind, f))
 		}
-		if _, ok := seen[v]; ok {
-			continue
-		}
-		seen[v] = struct{}{}
-		out = append(out, v)
 	}
 	return out
 }

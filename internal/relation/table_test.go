@@ -336,11 +336,11 @@ func TestFloatColumn(t *testing.T) {
 			t.Errorf("string column row %d = %g", i, v)
 		}
 	}
-	// The view is cached...
+	// The column is shared, not copied...
 	if &pop[0] != &tbl.FloatColumn("Population")[0] {
-		t.Error("FloatColumn not cached")
+		t.Error("FloatColumn copied the column")
 	}
-	// ...and invalidated by Append.
+	// ...and a later call sees appended rows.
 	tbl.MustAppend(Int(5), String("Austin"), Float(7))
 	pop2 := tbl.FloatColumn("Population")
 	if len(pop2) != 5 || pop2[4] != 7 {
@@ -383,10 +383,10 @@ func TestDictColumn(t *testing.T) {
 			t.Errorf("row %d decodes to %v, want %v", i, dict[codes[i]], v)
 		}
 	}
-	// Cached, then invalidated by Append.
+	// Shared, not copied; a later call sees appended rows.
 	c2, _ := tbl.DictColumn("Name")
 	if &codes[0] != &c2[0] {
-		t.Error("DictColumn not cached")
+		t.Error("DictColumn copied the column")
 	}
 	tbl.MustAppend(Int(5), String("Austin"), Float(7))
 	c3, d3 := tbl.DictColumn("Name")
@@ -395,8 +395,8 @@ func TestDictColumn(t *testing.T) {
 	}
 }
 
-// Freeze pre-builds numeric float views; concurrent readers of frozen
-// tables then share them without taking the build path.
+// Columns are storage, not views built at Freeze: concurrent readers of a
+// frozen table share them with no build path to take.
 func TestFreezeBuildsFloatColumns(t *testing.T) {
 	tbl := columnarTable(t)
 	tbl.Freeze()

@@ -1,7 +1,8 @@
 // Package relation implements a small in-memory relational engine: typed
-// values, table schemas with primary/foreign keys, hash-indexed tables, and
-// the scan/filter/semijoin primitives that the KDAP star-net executor is
-// built on.
+// values, table schemas with primary/foreign keys, tables stored as typed
+// columns (with hash indexes on dimension-sized ones), and the
+// scan/filter/lookup primitives that the KDAP star-net executor is built
+// on.
 //
 // The engine intentionally supports exactly the operations a star/snowflake
 // OLAP schema needs — equality lookups along key columns, predicate scans,

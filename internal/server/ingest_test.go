@@ -76,26 +76,31 @@ func TestIngestAppendsRows(t *testing.T) {
 func TestIngestRejectsBadBatches(t *testing.T) {
 	ts := newTestServer(t)
 	for _, tc := range []struct {
-		name   string
-		body   map[string]any
-		status int
+		name    string
+		body    map[string]any
+		status  int
+		errPart string
 	}{
-		{"unknown db", map[string]any{"db": "nope", "rows": [][]any{ebizFactRow(1)}}, http.StatusNotFound},
-		{"empty rows", map[string]any{"db": "ebiz", "rows": [][]any{}}, http.StatusBadRequest},
-		{"arity", map[string]any{"db": "ebiz", "rows": [][]any{{1, 2, 3}}}, http.StatusBadRequest},
-		{"kind", map[string]any{"db": "ebiz", "rows": [][]any{{1, 1, 1, "two", 19.99}}}, http.StatusBadRequest},
-		{"fractional int", map[string]any{"db": "ebiz", "rows": [][]any{{1, 1, 1, 2.5, 19.99}}}, http.StatusBadRequest},
+		{"unknown db", map[string]any{"db": "nope", "rows": [][]any{ebizFactRow(1)}}, http.StatusNotFound, ""},
+		{"empty rows", map[string]any{"db": "ebiz", "rows": [][]any{}}, http.StatusBadRequest, ""},
+		{"arity", map[string]any{"db": "ebiz", "rows": [][]any{{1, 2, 3}}}, http.StatusBadRequest, ""},
+		{"kind", map[string]any{"db": "ebiz", "rows": [][]any{{1, 1, 1, "two", 19.99}}}, http.StatusBadRequest, ""},
+		{"fractional int", map[string]any{"db": "ebiz", "rows": [][]any{{1, 1, 1, 2.5, 19.99}}}, http.StatusBadRequest, ""},
 		{"atomic batch", map[string]any{"db": "ebiz", "rows": [][]any{
 			ebizFactRow(dataset.EBizFactCount + 1), {1, 1, 1, "two", 19.99},
-		}}, http.StatusBadRequest},
+		}}, http.StatusBadRequest, ""},
+		// A well-formed JSON integer that a float64 column would round.
+		{"inexact int", map[string]any{"db": "ebiz", "rows": [][]any{
+			ebizFactRow(dataset.EBizFactCount + 1), {int64(1)<<53 + 1, 1, 1, 2, 19.99},
+		}}, http.StatusBadRequest, "TRANSITEM.ItemKey: integer 9007199254740993 is beyond ±2^53"},
 	} {
 		var e map[string]string
 		r := post(t, ts, "/api/ingest", tc.body, &e)
 		if r.StatusCode != tc.status {
 			t.Errorf("%s: status %d, want %d", tc.name, r.StatusCode, tc.status)
 		}
-		if e["error"] == "" {
-			t.Errorf("%s: no error message", tc.name)
+		if e["error"] == "" || !strings.Contains(e["error"], tc.errPart) {
+			t.Errorf("%s: error %q, want one naming %q", tc.name, e["error"], tc.errPart)
 		}
 	}
 

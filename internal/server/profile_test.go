@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"kdap/internal/telemetry/profile"
 )
@@ -181,7 +182,14 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 func TestSLOAndRuntimeMetrics(t *testing.T) {
 	ts := newTestServer(t)
 	postJSON(t, ts.URL, "/api/query", `{"db":"ebiz","q":"Columbus LCD"}`, nil)
+	// The request is classified when its handler returns, which is after
+	// the client has its response: scrape until the classification shows.
 	body := scrape(t, ts.URL)
+	for deadline := time.Now().Add(2 * time.Second); time.Now().Before(deadline) &&
+		!strings.Contains(body, `kdap_slo_good_total{route="/api/query"} 1`); {
+		time.Sleep(time.Millisecond)
+		body = scrape(t, ts.URL)
+	}
 	for _, want := range []string{
 		`kdap_slo_good_total{route="/api/query"}`,
 		`kdap_slo_bad_total{route="/api/query"}`,

@@ -67,6 +67,9 @@ func TestHealthAndWarehouses(t *testing.T) {
 	if h.Warehouses["ebiz"] <= 0 {
 		t.Errorf("fact rows missing: %+v", h.Warehouses)
 	}
+	if h.ResidentBytes["ebiz"] <= 0 {
+		t.Errorf("resident column bytes missing: %+v", h.ResidentBytes)
+	}
 
 	var whs map[string][]string
 	r2, err := http.Get(ts.URL + "/api/warehouses")

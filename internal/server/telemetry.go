@@ -214,6 +214,12 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 			e.BatchSizeHistogram(), "db", db)
 	}
 
+	for _, tn := range e.Graph().DB().TableNames() {
+		t := e.Graph().DB().Table(tn)
+		s.reg.GaugeFunc("kdap_table_resident_bytes",
+			"Bytes of resident column storage per table, computed from column lengths (0 for a disk-backed table; hash indexes and derived caches not counted).",
+			func() float64 { return float64(t.ResidentBytes()) }, "db", db, "table", tn)
+	}
 	s.reg.GaugeFunc("kdap_warehouse_fact_rows",
 		"Fact table row count per warehouse (live — it grows under streaming ingest).",
 		func() float64 { return float64(e.Executor().FactLen()) }, "db", db)
@@ -366,20 +372,29 @@ type HealthResponse struct {
 	GoVersion  string         `json:"goVersion"`
 	UptimeSecs float64        `json:"uptimeSecs"`
 	Warehouses map[string]int `json:"warehouses"` // name → fact rows
+	// ResidentBytes is each warehouse's resident column storage, summed
+	// over its tables (kdap_table_resident_bytes has the per-table split).
+	ResidentBytes map[string]int64 `json:"residentBytes"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// Row counts are read live from each engine — streaming ingest grows
 	// them past the startup snapshot in s.factRows.
 	rows := make(map[string]int, len(s.engines))
+	resident := make(map[string]int64, len(s.engines))
 	for name, e := range s.engines {
 		rows[name] = e.Executor().FactLen()
+		db := e.Graph().DB()
+		for _, tn := range db.TableNames() {
+			resident[name] += db.Table(tn).ResidentBytes()
+		}
 	}
 	writeJSON(w, http.StatusOK, HealthResponse{
-		Status:     "ok",
-		Version:    buildVersion(),
-		GoVersion:  runtime.Version(),
-		UptimeSecs: time.Since(s.start).Seconds(),
-		Warehouses: rows,
+		Status:        "ok",
+		Version:       buildVersion(),
+		GoVersion:     runtime.Version(),
+		UptimeSecs:    time.Since(s.start).Seconds(),
+		Warehouses:    rows,
+		ResidentBytes: resident,
 	})
 }

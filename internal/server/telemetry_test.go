@@ -61,6 +61,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kdap_olap_scans_total{db="ebiz",mode="serial"}`,
 		`kdap_fulltext_probe_seconds_count{db="ebiz"}`,
 		`kdap_warehouse_fact_rows{db="ebiz"}`,
+		`kdap_table_resident_bytes{db="ebiz",table="TRANSITEM"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %s", want)
