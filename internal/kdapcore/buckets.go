@@ -19,22 +19,44 @@ type Intervals struct {
 func (iv Intervals) Buckets() int { return len(iv.Edges) - 1 }
 
 // Find returns the bucket index containing v, or -1 when v is outside the
-// domain.
+// domain or NaN. A value on an edge shared by several buckets belongs to
+// the first of them, except the domain's top edge, which closes the last
+// bucket.
+//
+// Equal-width edges put v in bucket (v-lo)/width, so that is computed
+// and then checked against the edges themselves — they, not the
+// arithmetic, decide, so rounding in the quotient cannot move a value
+// across an edge. The guess is exact or one off for equal-width edges;
+// for edges of any other shape (MakeDistinctIntervals) it is only a
+// starting point and a binary search finishes the job.
 func (iv Intervals) Find(v float64) int {
 	n := iv.Buckets()
-	if n <= 0 || v < iv.Edges[0] || v > iv.Edges[n] {
+	if n <= 0 || !(v >= iv.Edges[0] && v <= iv.Edges[n]) {
 		return -1
 	}
 	if v == iv.Edges[n] {
 		return n - 1
 	}
-	i := sort.SearchFloat64s(iv.Edges, v)
-	// SearchFloat64s returns the first edge >= v; bucket is the one to
-	// the left unless v sits exactly on an edge.
-	if i < len(iv.Edges) && iv.Edges[i] == v {
-		return i
+	// From here Edges[0] <= v < Edges[n]: exactly one g in [0, n) has
+	// Edges[g] <= v < Edges[g+1].
+	g := 0
+	if f := (v - iv.Edges[0]) / (iv.Edges[n] - iv.Edges[0]) * float64(n); f >= float64(n) {
+		g = n - 1
+	} else if f > 0 { // not NaN (infinite edges)
+		g = int(f)
 	}
-	return i - 1
+	if v < iv.Edges[g] {
+		g--
+	} else if v >= iv.Edges[g+1] {
+		g++
+	}
+	if !(iv.Edges[g] <= v && v < iv.Edges[g+1]) {
+		g = sort.Search(n, func(i int) bool { return iv.Edges[i+1] > v })
+	}
+	for g > 0 && iv.Edges[g-1] == v {
+		g--
+	}
+	return g
 }
 
 // Label renders bucket i the way the paper's Table 2 shows numeric
@@ -163,13 +185,23 @@ func OccupiedSeries(x, y []float64) (xs, ys []float64) {
 // PAR(RUP(DS'), attr) restriction).
 func (iv Intervals) AggregateSeries(vals []olap.ValueMeasure) []float64 {
 	out := make([]float64, iv.Buckets())
-	if len(out) == 0 {
-		return out
-	}
+	iv.Accumulate(out, vals)
+	return out
+}
+
+// Accumulate adds the measure of each of vals into its basic interval's
+// slot of series, in the order given — so accumulating a series piece by
+// piece yields the bytes accumulating it whole does. A pair whose
+// measure is NULL (NaN) is skipped, the rule every group-by follows
+// (olap's aggState.add): one dirty fact must not turn its whole bucket
+// into NaN.
+func (iv Intervals) Accumulate(series []float64, vals []olap.ValueMeasure) {
 	for _, vm := range vals {
+		if math.IsNaN(vm.Measure) {
+			continue
+		}
 		if b := iv.Find(vm.Value); b >= 0 {
-			out[b] += vm.Measure
+			series[b] += vm.Measure
 		}
 	}
-	return out
 }

@@ -168,10 +168,13 @@ func (e *Engine) spaceGroupBy(ctx context.Context, sp *space, attr string, path 
 // into iv — iv.AggregateSeries(NumericSeries(S, attr)). Equal-width
 // intervals are a function of their two outer edges and their count, so
 // those identify the entry; what is kept is the bucket series (40
-// floats by default), never the raw per-row series of a million-row
-// roll-up. vals, when non-nil, is the space's raw series the caller has
-// already extracted (a net's own DS', whose values shaped iv): the fill
-// buckets it instead of scanning a second time.
+// floats by default), and the raw per-row series of a million-row
+// roll-up is never even built: the fill folds each stride of the scan
+// into the buckets as it streams by, in row order, which is the order
+// AggregateSeries would add the materialised series in. vals, when
+// non-nil, is the space's raw series the caller has already extracted
+// (a net's own DS', whose values shaped iv): the fill buckets it
+// instead of scanning a second time.
 func (e *Engine) spaceSeries(ctx context.Context, sp *space, attr string, path schemagraph.JoinPath,
 	iv Intervals, vals []olap.ValueMeasure) ([]float64, error) {
 
@@ -181,13 +184,17 @@ func (e *Engine) spaceSeries(ctx context.Context, sp *space, attr string, path s
 		"\x1f" + strconv.FormatFloat(iv.Edges[n], 'x', -1, 64) +
 		"\x1f" + strconv.Itoa(n)
 	return distribution(ctx, e, sp, key, func(ctx context.Context) ([]float64, error) {
-		if vals == nil {
-			var err error
-			if vals, err = e.exec.NumericSeriesCtx(ctx, sp.rows, attr, path, e.measure); err != nil {
-				return nil, err
-			}
+		if vals != nil {
+			return iv.AggregateSeries(vals), nil
 		}
-		return iv.AggregateSeries(vals), nil
+		series := make([]float64, n)
+		err := e.exec.FoldNumericSeriesCtx(ctx, sp.rows, attr, path, e.measure, func(stride []olap.ValueMeasure) {
+			iv.Accumulate(series, stride)
+		})
+		if err != nil {
+			return nil, err
+		}
+		return series, nil
 	})
 }
 

@@ -1,6 +1,8 @@
 package olap
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"kdap/internal/relation"
@@ -9,10 +11,11 @@ import (
 
 // dirtyWarehouse builds a small star schema with deliberately broken
 // rows: a fact with a dangling product key, a fact with a NULL product
-// key, a product with a dangling group key, and two products holding
-// the same key. Real warehouses have them; the executor must degrade
-// gracefully (drop the unlinkable rows, credit a fact to one dimension
-// row) rather than panic or miscount.
+// key, a fact with a NULL measure, a product with a dangling group key,
+// and two products holding the same key. Real warehouses have them; the
+// executor must degrade gracefully (drop the unlinkable rows, credit a
+// fact to one dimension row, skip a NULL measure) rather than panic or
+// miscount.
 func dirtyWarehouse(t *testing.T) (*schemagraph.Graph, *Executor) {
 	t.Helper()
 	db := relation.NewDatabase("dirty")
@@ -39,6 +42,7 @@ func dirtyWarehouse(t *testing.T) (*schemagraph.Graph, *Executor) {
 	fact.MustAppend(relation.Int(2), relation.Int(2), relation.Float(20))
 	fact.MustAppend(relation.Int(3), relation.Int(777), relation.Float(40)) // dangling product
 	fact.MustAppend(relation.Int(4), relation.Null(), relation.Float(80))   // NULL product
+	fact.MustAppend(relation.Int(5), relation.Int(2), relation.Null())      // NULL measure
 
 	g := schemagraph.New(db, "Fact")
 	if err := g.AddDimension(&schemagraph.Dimension{
@@ -68,8 +72,8 @@ func TestDirtyDataSemijoin(t *testing.T) {
 		Values: []relation.Value{relation.String("Widget A"), relation.String("Widget B")},
 		Path:   path,
 	}})
-	// Only facts 1 and 2 link to real products.
-	if len(rows) != 2 || rows[0] != 0 || rows[1] != 1 {
+	// Only facts 1, 2 and 5 link to real products.
+	if len(rows) != 3 || rows[0] != 0 || rows[1] != 1 || rows[2] != 4 {
 		t.Errorf("rows = %v", rows)
 	}
 }
@@ -117,7 +121,7 @@ func TestDirtyDataGroupByDropsUnlinked(t *testing.T) {
 	g, ex := dirtyWarehouse(t)
 	m := ColumnMeasure(g.DB().Table("Fact"), "Amount")
 	all := ex.FactRows(nil)
-	if len(all) != 4 {
+	if len(all) != 5 {
 		t.Fatalf("all = %d", len(all))
 	}
 	prodPath, _ := g.PathFromFact("Prod", "Product")
@@ -145,7 +149,44 @@ func TestDirtyDataNumericSeries(t *testing.T) {
 	// ProdKey as a "numeric attribute" on the product table: only linked
 	// facts appear.
 	series := ex.NumericSeries(all, "ProdKey", prodPath, m)
-	if len(series) != 2 {
+	if len(series) != 3 {
 		t.Errorf("series = %v", series)
+	}
+}
+
+// A fact whose measure is NULL stays in the dataspace — its attribute
+// values are present, so it touches its group and appears in the numeric
+// series — but adds nothing to any aggregate: aggState.add skips it, and
+// the consumers of a series skip it the same way (kdapcore's
+// Intervals.Accumulate; TestNullMeasureDoesNotPoisonBucket there).
+func TestDirtyDataNullMeasure(t *testing.T) {
+	g, ex := dirtyWarehouse(t)
+	m := ColumnMeasure(g.DB().Table("Fact"), "Amount")
+	all := ex.FactRows(nil)
+	prodPath, _ := g.PathFromFact("Prod", "Product")
+	for agg, want := range map[Agg]float64{Sum: 20, Count: 1, Avg: 20, Min: 20, Max: 20} {
+		if got := ex.GroupBy(all, "Name", prodPath, m, agg)[relation.String("Widget B")]; got != want {
+			t.Errorf("Widget B %v = %v, want %v: the NULL-measure fact must not count", agg, got, want)
+		}
+	}
+	if got := ex.Aggregate(all, m, Sum); got != 150 {
+		t.Errorf("total = %v, want 150", got)
+	}
+	var streamed []ValueMeasure
+	err := ex.FoldNumericSeriesCtx(context.Background(), all, "ProdKey", prodPath, m, func(stride []ValueMeasure) {
+		streamed = append(streamed, stride...)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	series := ex.NumericSeries(all, "ProdKey", prodPath, m)
+	if len(series) != 3 || series[2].Value != 2 || !math.IsNaN(series[2].Measure) {
+		t.Fatalf("series = %v, want the NULL-measure fact as (2, NaN)", series)
+	}
+	for i := range series {
+		if len(streamed) != len(series) || streamed[i].Value != series[i].Value ||
+			math.Float64bits(streamed[i].Measure) != math.Float64bits(series[i].Measure) {
+			t.Fatalf("streamed %v, materialised %v", streamed, series)
+		}
 	}
 }

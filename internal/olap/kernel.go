@@ -12,12 +12,13 @@ import (
 	"kdap/internal/telemetry/profile"
 )
 
-// The columnar execution kernels: tight loops over pre-extracted
-// []int32 code vectors and []float64 measure columns, with a striped
-// parallel variant engaged for large row sets. They are pure execution
-// strategy — every kernel produces results identical to the row-at-a-
-// time reference path (see GroupByRef), modulo the float summation
-// order of the stripe merge, which is canonical: a row set at or above
+// The columnar execution kernels: tight loops over pre-extracted code
+// vectors (one, two or four bytes per row — see codeColumn) and
+// []float64 measure columns, with a striped parallel variant engaged for
+// large row sets. They are pure execution strategy — every kernel
+// produces results identical to the row-at-a-time reference path (see
+// GroupByRef), modulo the float summation order of the stripe merge,
+// which is canonical: a row set at or above
 // the parallel threshold is always split into exactly kernelStripes
 // contiguous stripes whose partials merge in stripe-index order,
 // whether the stripes run on one goroutine or sixteen. The stripe grid
@@ -178,12 +179,24 @@ func runStripes(nstripes, workers int, body func(i int)) {
 // dictionary code, returning the dense state slice and a touched mask
 // (a group is "touched" when any row carries its code, even if every
 // measure value was NaN — matching the reference path, which creates a
-// group state before evaluating the measure).
-func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ngroups int, m Measure) ([]aggState, []bool, error) {
+// group state before evaluating the measure). It dispatches on the
+// column's width to the one kernel, instantiated per code type.
+func (ex *Executor) groupScan(ctx context.Context, rows []int, cc *codeColumn, m Measure) ([]aggState, []bool, error) {
+	switch cc.width {
+	case 1:
+		return groupScanCodes(ctx, ex, rows, cc.u8, len(cc.dict), m)
+	case 2:
+		return groupScanCodes(ctx, ex, rows, cc.u16, len(cc.dict), m)
+	default:
+		return groupScanCodes(ctx, ex, rows, cc.u32, len(cc.dict), m)
+	}
+}
+
+func groupScanCodes[C code](ctx context.Context, ex *Executor, rows []int, codes []C, ngroups int, m Measure) ([]aggState, []bool, error) {
 	if len(rows) < ParallelRowThreshold() {
 		ex.stats.serialScans.Add(1)
 		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
-		return ex.groupScanChunk(ctx, rows, codes, ngroups, m)
+		return groupScanChunk(ctx, ex, rows, codes, ngroups, m)
 	}
 	spans := stripeSpans(len(rows))
 	workers := scanWorkers()
@@ -200,7 +213,7 @@ func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ng
 	errs := make([]error, len(spans))
 	runStripes(len(spans), workers, func(i int) {
 		sp := spans[i]
-		states[i], touched[i], errs[i] = ex.groupScanChunk(ctx, rows[sp.lo:sp.hi], codes, ngroups, m)
+		states[i], touched[i], errs[i] = groupScanChunk(ctx, ex, rows[sp.lo:sp.hi], codes, ngroups, m)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -223,7 +236,10 @@ func (ex *Executor) groupScan(ctx context.Context, rows []int, codes []int32, ng
 
 // groupScanChunk is the sequential fused scan+aggregate kernel over one
 // stripe of rows, checking for cancellation every cancelCheckRows rows.
-func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int32, ngroups int, m Measure) ([]aggState, []bool, error) {
+// Per row it streams one code (1, 2 or 4 bytes) and, for a vector
+// measure, one float64; the all-ones code marks a row with no group.
+func groupScanChunk[C code](ctx context.Context, ex *Executor, rows []int, codes []C, ngroups int, m Measure) ([]aggState, []bool, error) {
+	null := ^C(0)
 	states := make([]aggState, ngroups)
 	for g := range states {
 		states[g] = newAggState()
@@ -247,7 +263,7 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 		case vec != nil:
 			for _, r := range rows[base:end] {
 				c := codes[r]
-				if c < 0 {
+				if c == null {
 					continue
 				}
 				touched[c] = true
@@ -256,7 +272,7 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 		case m.constOne:
 			for _, r := range rows[base:end] {
 				c := codes[r]
-				if c < 0 {
+				if c == null {
 					continue
 				}
 				touched[c] = true
@@ -265,7 +281,7 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 		case cur != nil:
 			for _, r := range rows[base:end] {
 				c := codes[r]
-				if c < 0 {
+				if c == null {
 					continue
 				}
 				touched[c] = true
@@ -274,7 +290,7 @@ func (ex *Executor) groupScanChunk(ctx context.Context, rows []int, codes []int3
 		default:
 			for _, r := range rows[base:end] {
 				c := codes[r]
-				if c < 0 {
+				if c == null {
 					continue
 				}
 				touched[c] = true
@@ -367,64 +383,154 @@ type attrColKey struct {
 	attr string
 }
 
-// codeColumn is a fact-aligned dictionary-encoded attribute column:
-// codes[factRow] indexes dict, or is -1 when the fact row has no linked
-// dimension row or the attribute value is NULL.
+// code is the element type of a code vector.
+type code interface{ ~uint8 | ~uint16 | ~uint32 }
+
+// codeColumn is a fact-aligned dictionary-encoded attribute column,
+// stored at the narrowest width that holds its dictionary: the vector
+// matching width (1, 2 or 4 bytes per fact row) is the live one, and
+// vec[factRow] indexes dict, or is all-ones at that width when the fact
+// row has no linked dimension row or the attribute value is NULL. A group-by gathers one code per row of its row set, so the
+// element width is what it streams from memory: most attributes have
+// under 255 distinct values and cost a byte per row.
 type codeColumn struct {
-	codes []int32
+	width int
+	u8    []uint8
+	u16   []uint16
+	u32   []uint32
 	dict  []relation.Value
 }
 
-// attrCodes returns, memoized, the fact-aligned code vector for the
+// codeWidth returns the bytes per code for a dictionary of ndict values:
+// the codes 0..ndict-1 and the all-ones NULL code must be distinct.
+func codeWidth(ndict int) int {
+	switch {
+	case ndict <= math.MaxUint8:
+		return 1
+	case ndict <= math.MaxUint16:
+		return 2
+	default:
+		return 4
+	}
+}
+
+// rows returns the number of fact rows the column covers.
+func (cc *codeColumn) rows() int {
+	if cc == nil {
+		return 0
+	}
+	return len(cc.u8) + len(cc.u16) + len(cc.u32)
+}
+
+// at returns the code of fact row r, -1 for none.
+func (cc *codeColumn) at(r int) int32 {
+	switch cc.width {
+	case 1:
+		if c := cc.u8[r]; c != math.MaxUint8 {
+			return int32(c)
+		}
+	case 2:
+		if c := cc.u16[r]; c != math.MaxUint16 {
+			return int32(c)
+		}
+	default:
+		if c := cc.u32[r]; c != math.MaxUint32 {
+			return int32(c)
+		}
+	}
+	return -1
+}
+
+// grown returns a column of n rows at the width dict needs whose first
+// cc.rows() codes are cc's — copied when the width is unchanged, widened
+// (NULL to NULL) when dict outgrew it — and whose remaining codes come
+// from composing f2d with dimCodes. cc is left intact for the readers
+// holding it. Only cc's live vector is non-nil, so of the copy and widen
+// calls below exactly the one that reads it does any work.
+func (cc *codeColumn) grown(n int, f2d, dimCodes []int32, dict []relation.Value) *codeColumn {
+	lo := cc.rows()
+	out := &codeColumn{width: codeWidth(len(dict)), dict: dict}
+	switch out.width {
+	case 1:
+		out.u8 = make([]uint8, n)
+		if cc != nil {
+			copy(out.u8, cc.u8)
+		}
+		encodeCodes(out.u8[lo:], f2d[lo:n], dimCodes)
+	case 2:
+		out.u16 = make([]uint16, n)
+		if cc != nil {
+			copy(out.u16, cc.u16)
+			widenCodes(out.u16, cc.u8)
+		}
+		encodeCodes(out.u16[lo:], f2d[lo:n], dimCodes)
+	default:
+		out.u32 = make([]uint32, n)
+		if cc != nil {
+			copy(out.u32, cc.u32)
+			widenCodes(out.u32, cc.u16)
+			widenCodes(out.u32, cc.u8)
+		}
+		encodeCodes(out.u32[lo:], f2d[lo:n], dimCodes)
+	}
+	return out
+}
+
+// encodeCodes fills dst[i] with the code of the dimension row f2d[i].
+func encodeCodes[C code](dst []C, f2d, dimCodes []int32) {
+	for i, d := range f2d {
+		dst[i] = ^C(0)
+		if d >= 0 {
+			if c := dimCodes[d]; c >= 0 {
+				dst[i] = C(c)
+			}
+		}
+	}
+}
+
+// widenCodes copies src into the front of dst at dst's wider type.
+func widenCodes[D, C code](dst []D, src []C) {
+	for i, c := range src {
+		if c == ^C(0) {
+			dst[i] = ^D(0)
+		} else {
+			dst[i] = D(c)
+		}
+	}
+}
+
+// attrCodes returns, memoized, the fact-aligned code column for the
 // attribute at the far end of path: the composition of factToDim with
 // the dimension table's dictionary-encoded column. This is what turns
-// GroupBy into a scan over int32 codes. The vector always covers the
-// fact row count observed at call time: a memo left short by a
+// GroupBy into a scan over small integer codes. The column always covers
+// the fact row count observed at call time: a memo left short by a
 // streaming append is extended over just the appended rows
-// (copy-on-grow), so kernels never index past a code vector with a row
-// set derived from a newer snapshot.
-func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) ([]int32, []relation.Value) {
+// (copy-on-grow, at the column's width), so kernels never index past a
+// code vector with a row set derived from a newer snapshot. Only a
+// fact-table attribute's dictionary can grow with an append; when it
+// outgrows the width the extension widens the whole vector.
+func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) *codeColumn {
 	key := attrColKey{path.Signature(), attr}
 	for {
 		n := ex.fact.Len()
 		ex.mu.RLock()
 		cc := ex.attrCode[key]
 		ex.mu.RUnlock()
-		if cc != nil && len(cc.codes) >= n {
-			return cc.codes, cc.dict
+		if cc != nil && cc.rows() >= n {
+			return cc
 		}
 		ex.stats.codeVecBuilds.Add(1)
-		dimTable := ex.g.DB().Table(path.Source)
-		dimCodes, dict := dimTable.DictColumn(attr)
+		dimCodes, dict := ex.g.DB().Table(path.Source).DictColumn(attr)
 		f2d := ex.factToDim(path) // covers ≥ n
-		lo := 0
-		if cc != nil {
-			lo = len(cc.codes)
-		}
-		tail := make([]int32, n-lo)
-		for i := range tail {
-			if d := f2d[lo+i]; d < 0 {
-				tail[i] = -1
-			} else {
-				tail[i] = dimCodes[d]
-			}
-		}
+		next := cc.grown(n, f2d, dimCodes, dict)
 		ex.mu.Lock()
-		prev := ex.attrCode[key]
-		if (prev == nil) != (cc == nil) || (prev != nil && len(prev.codes) != lo) {
+		if ex.attrCode[key] != cc {
 			ex.mu.Unlock()
 			continue // raced with another builder; retry against its result
 		}
-		var merged []int32
-		if cc != nil {
-			merged = append(cc.codes[:lo:lo], tail...)
-		} else {
-			merged = tail
-		}
-		cc = &codeColumn{codes: merged, dict: dict}
-		ex.attrCode[key] = cc
+		ex.attrCode[key] = next
 		ex.mu.Unlock()
-		return cc.codes, cc.dict
+		return next
 	}
 }
 

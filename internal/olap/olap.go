@@ -8,11 +8,11 @@
 // (GroupByRef, AggregateRef) walks boxed relation.Value rows and exists
 // for the equivalence tests; the default path runs columnar kernels
 // (kernel.go) over dense []float64 measure vectors and dictionary-coded
-// []int32 attribute columns, memoized fact-aligned per join path, and
-// fans out across cores above a row threshold with a deterministic
-// chunk-order merge. Per-constraint semijoin bitsets are cached in a
-// CLOCK-evicted store so star nets sharing hit groups share the
-// semijoin work.
+// attribute columns one to four bytes wide, memoized fact-aligned per
+// join path, and fans out across cores above a row threshold with a
+// deterministic chunk-order merge. Per-constraint semijoin bitsets are
+// cached in a CLOCK-evicted store so star nets sharing hit groups share
+// the semijoin work.
 //
 // An Executor is safe for concurrent use, exposes kernel-path and
 // cache counters as snapshots (Stats, ConstraintCacheStats — the
@@ -35,6 +35,7 @@ import (
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
+	"kdap/internal/telemetry/profile"
 )
 
 // Measure evaluates a numeric measure on one fact row. The paper's
@@ -331,6 +332,37 @@ func (ex *Executor) Stats() ExecStats {
 		SegmentsSkippedZone: ex.stats.segmentsSkippedZone.Load(),
 		SegmentsSkippedBits: ex.stats.segmentsSkippedBits.Load(),
 	}
+}
+
+// ResidentBytes is the size of the fact-aligned columns an executor has
+// derived and memoized so far, by kind.
+type ResidentBytes struct {
+	// CodeVectors: dictionary-coded attribute columns, 1, 2 or 4 bytes
+	// per fact row each. FactToDim: fact→dimension row mappings, 4 bytes
+	// per fact row per join path. AttrFloats: numeric attribute columns,
+	// 8 bytes per fact row each.
+	CodeVectors int64 `json:"codeVectors"`
+	FactToDim   int64 `json:"factToDim"`
+	AttrFloats  int64 `json:"attrFloats"`
+}
+
+// ResidentBytes sums the executor's memoized columns from their lengths
+// and element widths (dictionaries belong to the tables and are counted
+// there).
+func (ex *Executor) ResidentBytes() ResidentBytes {
+	var b ResidentBytes
+	ex.mu.RLock()
+	defer ex.mu.RUnlock()
+	for _, cc := range ex.attrCode {
+		b.CodeVectors += int64(cc.rows()) * int64(cc.width)
+	}
+	for _, m := range ex.factMap {
+		b.FactToDim += int64(len(m)) * 4
+	}
+	for _, f := range ex.attrFloat {
+		b.AttrFloats += int64(len(f)) * 8
+	}
+	return b
 }
 
 // ConstraintCacheStats snapshots the per-constraint semijoin cache.
@@ -634,8 +666,8 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 	} else {
 		ex.stats.groupByEval.Add(1)
 	}
-	codes, dict := ex.attrCodes(attr, path)
-	states, touched, err := ex.groupScan(ctx, rows, codes, len(dict), m)
+	cc := ex.attrCodes(attr, path)
+	states, touched, err := ex.groupScan(ctx, rows, cc, m)
 	if err != nil {
 		return nil, err
 	}
@@ -651,7 +683,7 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 	out := make(map[relation.Value]float64, n)
 	for c := range states {
 		if touched[c] {
-			out[dict[c]] = states[c].final(agg)
+			out[cc.dict[c]] = states[c].final(agg)
 		}
 	}
 	return out, nil
@@ -851,83 +883,116 @@ func (ex *Executor) NumericSeries(rows []int, attr string, path schemagraph.Join
 // evidence, and a large row set is extracted over concurrent row-ordered
 // spans whose outputs concatenate to exactly the serial series.
 func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure) ([]ValueMeasure, error) {
+	spans, total, vals := ex.seriesSpans(ctx, rows, attr, path)
+	if total == 0 {
+		return []ValueMeasure{}, nil
+	}
+	_, sp := telemetry.StartSpan(ctx, "segment_scan")
+	defer sp.End()
+	return gather(ctx, ex, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
+		sc := newSeriesScan(vals, m, ex.fact) // one per group: cursors are not shareable
+		err := forStrides(ctx, rows, part, func(stride []int) { out = sc.appendPairs(out, stride) })
+		return out, err
+	})
+}
+
+// FoldNumericSeriesCtx streams the series NumericSeriesCtx would return
+// through fold without materialising it: fold sees the pairs in row
+// order, at most cancelCheckRows at a time, in a buffer that is reused
+// between calls and must not be retained. A consumer that adds into
+// per-bucket sums in the order it is handed pairs gets the bytes it
+// would get from the materialised series, while the scan's working set
+// is one stride instead of 16 bytes per row of a roll-up space.
+func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure, fold func([]ValueMeasure)) error {
+	spans, total, vals := ex.seriesSpans(ctx, rows, attr, path)
+	if total == 0 {
+		return nil
+	}
+	_, sp := telemetry.StartSpan(ctx, "segment_scan")
+	defer sp.End()
+	ex.stats.serialScans.Add(1)
+	profile.FromContext(ctx).AddKernelScan(false, 0, total)
+	sc := newSeriesScan(vals, m, ex.fact)
+	buf := make([]ValueMeasure, 0, min(total, cancelCheckRows))
+	return forStrides(ctx, rows, spans, func(stride []int) { fold(sc.appendPairs(buf, stride)) })
+}
+
+// seriesSpans resolves what a numeric-series scan reads: the fact-aligned
+// attribute column and the index spans of rows left after segments with
+// no value for the attribute are skipped on zone evidence.
+func (ex *Executor) seriesSpans(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath) (spans []span, total int, vals []float64) {
 	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
 		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
 	}
 	if len(rows) == 0 {
-		return []ValueMeasure{}, nil
+		return nil, 0, nil
 	}
-	vals := ex.attrFloats(attr, path)
-	vec := measureVec(m)
-	_, sp := telemetry.StartSpan(ctx, "segment_scan")
-	defer sp.End()
+	vals = ex.attrFloats(attr, path)
 	zone := ex.attrZone(attr, path, vals, negInf, posInf)
 	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
-	spans, total := rowSpans(rows, runs)
-	return gather(ctx, ex, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
-		for _, ix := range part {
-			var err error
-			if out, err = seriesOver(ctx, out, rows[ix.lo:ix.hi], vals, vec, m, ex.fact); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	})
+	spans, total = rowSpans(rows, runs)
+	return spans, total, vals
 }
 
-// seriesOver appends the (attribute value, measure) pairs of one span
-// of rows, read from pre-extracted columns, to out.
-func seriesOver(ctx context.Context, out []ValueMeasure, rows []int, vals, vec []float64, m Measure, fact *relation.Table) ([]ValueMeasure, error) {
-	done := ctx.Done()
-	var cur *relation.FloatCursor
-	if vec == nil && !m.constOne {
-		cur = measureCursor(m)
+// seriesScan reads (attribute value, measure) pairs for fact rows from
+// pre-extracted columns. Not safe for concurrent use: it owns a segment
+// cursor and a row scratch.
+type seriesScan struct {
+	vals, vec []float64
+	m         Measure
+	cur       *relation.FloatCursor
+	fact      *relation.Table
+	row       []relation.Value // scratch for row-at-a-time measures
+}
+
+func newSeriesScan(vals []float64, m Measure, fact *relation.Table) *seriesScan {
+	sc := &seriesScan{vals: vals, vec: measureVec(m), m: m, fact: fact}
+	if sc.vec == nil && !m.constOne {
+		sc.cur = measureCursor(m)
 	}
-	var row []relation.Value // scratch for row-at-a-time measures
-	for base := 0; base < len(rows); base += cancelCheckRows {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
+	return sc
+}
+
+// appendPairs appends the pairs of rows to out, dropping rows whose
+// attribute is absent (NaN).
+func (sc *seriesScan) appendPairs(out []ValueMeasure, rows []int) []ValueMeasure {
+	vals := sc.vals
+	switch {
+	case sc.vec != nil:
+		for _, r := range rows {
+			v := vals[r]
+			if math.IsNaN(v) {
+				continue
 			}
+			out = append(out, ValueMeasure{Value: v, Measure: sc.vec[r]})
 		}
-		end := min(base+cancelCheckRows, len(rows))
-		switch {
-		case vec != nil:
-			for _, r := range rows[base:end] {
-				v := vals[r]
-				if math.IsNaN(v) {
-					continue
-				}
-				out = append(out, ValueMeasure{Value: v, Measure: vec[r]})
+	case sc.m.constOne:
+		for _, r := range rows {
+			v := vals[r]
+			if math.IsNaN(v) {
+				continue
 			}
-		case m.constOne:
-			for _, r := range rows[base:end] {
-				v := vals[r]
-				if math.IsNaN(v) {
-					continue
-				}
-				out = append(out, ValueMeasure{Value: v, Measure: 1})
+			out = append(out, ValueMeasure{Value: v, Measure: 1})
+		}
+	case sc.cur != nil:
+		for _, r := range rows {
+			v := vals[r]
+			if math.IsNaN(v) {
+				continue
 			}
-		case cur != nil:
-			for _, r := range rows[base:end] {
-				v := vals[r]
-				if math.IsNaN(v) {
-					continue
-				}
-				out = append(out, ValueMeasure{Value: v, Measure: cur.At(r)})
+			out = append(out, ValueMeasure{Value: v, Measure: sc.cur.At(r)})
+		}
+	default:
+		for _, r := range rows {
+			v := vals[r]
+			if math.IsNaN(v) {
+				continue
 			}
-		default:
-			for _, r := range rows[base:end] {
-				v := vals[r]
-				if math.IsNaN(v) {
-					continue
-				}
-				row = fact.RowInto(row, r)
-				out = append(out, ValueMeasure{Value: v, Measure: m.Eval(row)})
-			}
+			sc.row = sc.fact.RowInto(sc.row, r)
+			out = append(out, ValueMeasure{Value: v, Measure: sc.m.Eval(sc.row)})
 		}
 	}
-	return out, nil
+	return out
 }
 
 // FilterRowsNumeric keeps the fact rows whose numeric attribute at the

@@ -39,9 +39,11 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 		panic(fmt.Sprintf("olap: pivot attrs %q/%q missing", rowAttr, colAttr))
 	}
 	// Columnar scan: both axes read fact-aligned dictionary codes, so
-	// the cell key is a pair of int32s instead of two boxed Values.
-	rCodes, rDict := ex.attrCodes(rowAttr, rowPath)
-	cCodes, cDict := ex.attrCodes(colAttr, colPath)
+	// the cell key is a pair of int32s instead of two boxed Values. The
+	// axes may differ in code width; at reads either.
+	rCol := ex.attrCodes(rowAttr, rowPath)
+	cCol := ex.attrCodes(colAttr, colPath)
+	rDict, cDict := rCol.dict, cCol.dict
 	vec := measureVec(m)
 
 	cellOf := func(rc, cc int32) int64 { return int64(rc)<<32 | int64(uint32(cc)) }
@@ -50,7 +52,7 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 	colSeen := make([]bool, len(cDict))
 	var row []relation.Value // scratch for row-at-a-time measures
 	for _, fr := range rows {
-		rc, cc := rCodes[fr], cCodes[fr]
+		rc, cc := rCol.at(fr), cCol.at(fr)
 		if rc < 0 || cc < 0 {
 			continue
 		}

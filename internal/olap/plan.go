@@ -147,6 +147,23 @@ func spanLen(spans []span) int {
 	return n
 }
 
+// forStrides hands body the rows of spans in order, cancelCheckRows at a
+// time, checking for cancellation in between.
+func forStrides(ctx context.Context, rows []int, spans []span, body func(stride []int)) error {
+	done := ctx.Done()
+	for _, ix := range spans {
+		for base := ix.lo; base < ix.hi; base += cancelCheckRows {
+			if done != nil {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+			}
+			body(rows[base:min(base+cancelCheckRows, ix.hi)])
+		}
+	}
+	return nil
+}
+
 // gather runs one exact row-set scan over spans, where rows is the
 // output size that decides the schedule: below ParallelRowThreshold (or
 // on one core) body runs once over every span; above it the spans split
@@ -297,24 +314,16 @@ func (ex *Executor) filterNumeric(ctx context.Context, rows []int, rd relation.F
 	defer sp.End()
 	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
 	spans, total := rowSpans(rows, runs)
-	done := ctx.Done()
 	out, err := gather(ctx, ex, spans, total, spanLen, func(out []int, part []span) ([]int, error) {
 		cur := relation.NewFloatCursor(rd) // one per group: cursors are not shareable
-		for _, ix := range part {
-			for base := ix.lo; base < ix.hi; base += cancelCheckRows {
-				if done != nil {
-					if err := ctx.Err(); err != nil {
-						return nil, err
-					}
-				}
-				for _, r := range rows[base:min(base+cancelCheckRows, ix.hi)] {
-					if v := cur.At(r); !math.IsNaN(v) && pred(v) {
-						out = append(out, r)
-					}
+		err := forStrides(ctx, rows, part, func(stride []int) {
+			for _, r := range stride {
+				if v := cur.At(r); !math.IsNaN(v) && pred(v) {
+					out = append(out, r)
 				}
 			}
-		}
-		return out, nil
+		})
+		return out, err
 	})
 	if len(out) == 0 {
 		return nil, err

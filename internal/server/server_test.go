@@ -70,6 +70,9 @@ func TestHealthAndWarehouses(t *testing.T) {
 	if h.ResidentBytes["ebiz"] <= 0 {
 		t.Errorf("resident column bytes missing: %+v", h.ResidentBytes)
 	}
+	if _, ok := h.ExecutorBytes["ebiz"]; !ok {
+		t.Errorf("executor column bytes missing: %+v", h.ExecutorBytes)
+	}
 
 	var whs map[string][]string
 	r2, err := http.Get(ts.URL + "/api/warehouses")

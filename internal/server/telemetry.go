@@ -20,6 +20,7 @@ import (
 
 	"kdap/internal/cache"
 	"kdap/internal/kdapcore"
+	"kdap/internal/olap"
 	"kdap/internal/persist"
 	"kdap/internal/relation"
 	"kdap/internal/telemetry"
@@ -220,6 +221,18 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 			"Bytes of resident column storage per table, computed from column lengths (0 for a disk-backed table; hash indexes and derived caches not counted).",
 			func() float64 { return float64(t.ResidentBytes()) }, "db", db, "table", tn)
 	}
+	for _, k := range []struct {
+		kind string
+		of   func(olap.ResidentBytes) int64
+	}{
+		{"code_vectors", func(b olap.ResidentBytes) int64 { return b.CodeVectors }},
+		{"fact_to_dim", func(b olap.ResidentBytes) int64 { return b.FactToDim }},
+		{"attr_floats", func(b olap.ResidentBytes) int64 { return b.AttrFloats }},
+	} {
+		s.reg.GaugeFunc("kdap_executor_resident_bytes",
+			"Bytes of fact-aligned columns the executor has derived and memoized, by kind, computed from slice lengths and element widths.",
+			func() float64 { return float64(k.of(e.Executor().ResidentBytes())) }, "kind", k.kind, "db", db)
+	}
 	s.reg.GaugeFunc("kdap_warehouse_fact_rows",
 		"Fact table row count per warehouse (live — it grows under streaming ingest).",
 		func() float64 { return float64(e.Executor().FactLen()) }, "db", db)
@@ -375,6 +388,9 @@ type HealthResponse struct {
 	// ResidentBytes is each warehouse's resident column storage, summed
 	// over its tables (kdap_table_resident_bytes has the per-table split).
 	ResidentBytes map[string]int64 `json:"residentBytes"`
+	// ExecutorBytes is what each warehouse's executor has derived on top
+	// of that: the kdap_executor_resident_bytes gauges.
+	ExecutorBytes map[string]olap.ResidentBytes `json:"executorBytes"`
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
@@ -382,8 +398,10 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 	// them past the startup snapshot in s.factRows.
 	rows := make(map[string]int, len(s.engines))
 	resident := make(map[string]int64, len(s.engines))
+	derived := make(map[string]olap.ResidentBytes, len(s.engines))
 	for name, e := range s.engines {
 		rows[name] = e.Executor().FactLen()
+		derived[name] = e.Executor().ResidentBytes()
 		db := e.Graph().DB()
 		for _, tn := range db.TableNames() {
 			resident[name] += db.Table(tn).ResidentBytes()
@@ -396,5 +414,6 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		UptimeSecs:    time.Since(s.start).Seconds(),
 		Warehouses:    rows,
 		ResidentBytes: resident,
+		ExecutorBytes: derived,
 	})
 }

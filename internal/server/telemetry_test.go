@@ -62,6 +62,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kdap_fulltext_probe_seconds_count{db="ebiz"}`,
 		`kdap_warehouse_fact_rows{db="ebiz"}`,
 		`kdap_table_resident_bytes{db="ebiz",table="TRANSITEM"}`,
+		`kdap_executor_resident_bytes{db="ebiz",kind="code_vectors"}`,
+		`kdap_executor_resident_bytes{db="ebiz",kind="fact_to_dim"}`,
+		`kdap_executor_resident_bytes{db="ebiz",kind="attr_floats"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %s", want)
