@@ -275,10 +275,9 @@ func BenchmarkGroupBy(b *testing.B) {
 
 // BenchmarkGroupByDict measures the same full-dataspace two-hop
 // group-by as BenchmarkGroupBy, but is pinned to the columnar kernel's
-// workload for the perf trajectory in BENCH.json: dictionary-encoded
-// attribute codes accumulated into a dense state slice. The /ref
-// variant runs the retained row-at-a-time reference path over the
-// identical inputs.
+// workload: dictionary-encoded attribute codes accumulated into a dense
+// state slice. The /ref variant runs the retained row-at-a-time
+// reference path over the identical inputs.
 func BenchmarkGroupByDict(b *testing.B) {
 	e := NewEngine(AWOnline())
 	ex := e.Executor()

@@ -3,9 +3,10 @@
 //
 // Usage:
 //
-//	kdapbench [-exp all|table1|table2|table3|fig4|fig4r|fig4sim|fig5|fig6|fig7|merge|latency|discover|calibrate|qps|bench|segments|ingest|cluster|nightly]
+//	kdapbench [-exp all|table1|table2|table3|fig4|fig4r|fig4sim|fig5|fig6|fig7|merge|latency|discover]
 //
-// The output is what EXPERIMENTS.md records as "measured".
+// The output is what EXPERIMENTS.md records as "measured". Serving
+// performance is measured by the benchmark module under benchmark/.
 package main
 
 import (
@@ -22,21 +23,8 @@ import (
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, table3, fig4, fig4r, fig4sim, fig5, fig6, fig7, merge, latency, discover, calibrate, qps, bench, segments, ingest, cluster, nightly")
+	exp := flag.String("exp", "all", "experiment to run: all, table1, table2, table3, fig4, fig4r, fig4sim, fig5, fig6, fig7, merge, latency, discover")
 	flag.Parse()
-
-	// nightly is a gate, not an experiment: it never runs under "all"
-	// (which regenerates BENCH.json — a gate that rewrites its own
-	// baseline would always pass).
-	if *exp == "nightly" {
-		start := time.Now()
-		if err := nightly(); err != nil {
-			fmt.Fprintf(os.Stderr, "nightly: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[nightly completed in %v]\n", time.Since(start).Round(time.Millisecond))
-		return
-	}
 
 	run := func(name string, fn func() error) {
 		if *exp != "all" && *exp != name {
@@ -62,35 +50,6 @@ func main() {
 	run("merge", mergeAblation)
 	run("latency", latency)
 	run("discover", discover)
-	// calibrate mutates the process-wide kernel tuning, so it only runs
-	// when asked for by name, never under "all".
-	if *exp == "calibrate" {
-		run("calibrate", calibrate)
-	}
-	// qps mutates GOMAXPROCS during its sweep and takes tens of seconds,
-	// so like calibrate it only runs when asked for by name.
-	if *exp == "qps" {
-		run("qps", qpsReport)
-	}
-	// segments streams multi-million-row warehouses onto disk and takes
-	// minutes at the 10M rung, so it too only runs when asked by name;
-	// it rewrites only BENCH.json's "segments" section.
-	if *exp == "segments" {
-		run("segments", segmentsJSON)
-	}
-	// ingest builds two half-million-fact warehouses and runs query
-	// storms against a live append stream, so it also only runs when
-	// asked by name; it rewrites only BENCH.json's "ingest" section.
-	if *exp == "ingest" {
-		run("ingest", ingestJSON)
-	}
-	// cluster boots loopback worker topologies and runs the full 50-query
-	// parity sweep through real sockets, so it also only runs when asked
-	// by name; it rewrites only BENCH.json's "cluster" section.
-	if *exp == "cluster" {
-		run("cluster", clusterJSON)
-	}
-	run("bench", benchJSON)
 }
 
 func table1() error {

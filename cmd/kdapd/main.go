@@ -5,19 +5,8 @@
 //	kdapd [-addr :8080] [-db ebiz,online,reseller] [-log text|json]
 //	      [-query-timeout 10s] [-max-inflight 0]
 //	      [-answer-cache-size 512] [-answer-cache-ttl 5m]
-//	      [-autotune] [-batch-window 0] [-batch-max 16] [-slo-target 250ms]
+//	      [-autotune] [-slo-target 250ms]
 //	      [-mmap-dir DIR] [-segment-size 8192] [-segment-cache-mb 64]
-//	      [-worker -shard-range I/N | -coordinator -workers HOST:PORT,...]
-//
-// Cluster modes (see docs/CLUSTER.md):
-//
-//	kdapd -worker -shard-range 0/2 -addr :9001
-//	    serve the binary scatter protocol on -addr, owning shard range
-//	    0 of 2 of every -db warehouse (no HTTP API)
-//	kdapd -coordinator -workers host1:9001,host2:9002
-//	    serve the HTTP API as a scatter-gather coordinator over the
-//	    listed workers (list order is shard order); -cluster-fallback,
-//	    -node-timeout, and -hedge-after tune dispatch
 //
 // With -mmap-dir, each served warehouse's fact table is rewritten into
 // segmented column files under DIR/<warehouse> at startup and served
@@ -53,12 +42,7 @@ import (
 	"syscall"
 	"time"
 
-	"net"
-
-	"kdap/internal/cluster"
 	"kdap/internal/dataset"
-	"kdap/internal/experiments"
-	"kdap/internal/kdapcore"
 	"kdap/internal/persist"
 	"kdap/internal/server"
 )
@@ -77,10 +61,6 @@ func main() {
 		"answer cache entry lifetime (0 = no expiry)")
 	autotune := flag.Bool("autotune", false,
 		"calibrate the parallel-kernel row threshold at startup against the largest served fact table")
-	batchWindow := flag.Duration("batch-window", 0,
-		"gather window for batched execution (0 disables batching)")
-	batchMax := flag.Int("batch-max", 16,
-		"max requests gathered into one batch before it flushes early")
 	sloTarget := flag.Duration("slo-target", 250*time.Millisecond,
 		"per-request latency target for kdap_slo_* classification and the /debug/queries slow ring")
 	mmapDir := flag.String("mmap-dir", "",
@@ -89,20 +69,6 @@ func main() {
 		"rows per storage segment when -mmap-dir is set (power of two; 0 = 8192)")
 	segmentCacheMB := flag.Int("segment-cache-mb", 64,
 		"segment page-cache budget per disk-backed warehouse, in MiB (0 = store default)")
-	worker := flag.Bool("worker", false,
-		"run as a cluster worker: serve the binary scatter protocol on -addr instead of the HTTP API (requires -shard-range)")
-	shardRange := flag.String("shard-range", "",
-		"this worker's shard assignment as I/N (e.g. 0/2): contiguous fact-row range I of N per warehouse")
-	coordinator := flag.Bool("coordinator", false,
-		"run as a cluster coordinator: scatter fact-row materialization to -workers (requires -workers)")
-	workerAddrs := flag.String("workers", "",
-		"comma-separated worker addresses in shard order (with -coordinator)")
-	clusterFallback := flag.Bool("cluster-fallback", true,
-		"re-scan a failed worker's range locally so answers stay complete (false degrades to attributed partial answers)")
-	nodeTimeout := flag.Duration("node-timeout", 2*time.Second,
-		"hard per-worker deadline for one scatter leg")
-	hedgeAfter := flag.Duration("hedge-after", 500*time.Millisecond,
-		"launch a hedged local re-scan when a worker exceeds this soft deadline (0 disables hedging)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -149,60 +115,16 @@ func main() {
 		}
 	}
 
-	if *worker && *coordinator {
-		log.Fatal("-worker and -coordinator are mutually exclusive")
-	}
-	if *worker {
-		runWorker(*addr, *shardRange, *maxInflight, warehouses, stores)
-		return
-	}
-
 	srvOpts := server.DefaultOptions()
 	srvOpts.QueryTimeout = *queryTimeout
 	srvOpts.MaxInflight = *maxInflight
 	srvOpts.AnswerCacheSize = *answerCacheSize
 	srvOpts.AnswerCacheTTL = *answerCacheTTL
 	srvOpts.Autotune = *autotune
-	srvOpts.BatchWindow = *batchWindow
-	srvOpts.BatchMax = *batchMax
 	srvOpts.SLOTarget = *sloTarget
 	srvOpts.SegmentCacheMB = *segmentCacheMB
-	if *coordinator {
-		if *workerAddrs == "" {
-			log.Fatal("-coordinator requires -workers")
-		}
-		for _, a := range strings.Split(*workerAddrs, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				srvOpts.ClusterWorkers = append(srvOpts.ClusterWorkers, a)
-			}
-		}
-		copts := cluster.DefaultOptions()
-		copts.NodeTimeout = *nodeTimeout
-		copts.HedgeAfter = *hedgeAfter
-		copts.Fallback = *clusterFallback
-		srvOpts.Cluster = copts
-	}
 	api := server.NewWithOptions(warehouses, srvOpts)
 	api.SetLogger(logger)
-	if cl := api.Cluster(); cl != nil {
-		// Workers may still be binding; retry topology verification
-		// briefly before refusing to serve over a skewed cluster.
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			err := cl.Verify(ctx)
-			cancel()
-			if err == nil {
-				break
-			}
-			if time.Now().After(deadline) {
-				log.Fatalf("cluster verification failed: %v", err)
-			}
-			time.Sleep(500 * time.Millisecond)
-		}
-		fmt.Printf("cluster verified: %d worker(s)\n", len(srvOpts.ClusterWorkers))
-		defer cl.Close()
-	}
 	srv := &http.Server{
 		Addr:              *addr,
 		Handler:           api,
@@ -230,45 +152,6 @@ func main() {
 		log.Fatal(err)
 	}
 	<-done
-	for _, st := range stores {
-		if err := st.Close(); err != nil {
-			log.Printf("closing segment store: %v", err)
-		}
-	}
-}
-
-// runWorker serves the binary scatter protocol: one engine per
-// warehouse (built exactly like the server's, so a scan here is
-// byte-identical to a coordinator-local scan), owning the -shard-range
-// slice of every fact table. Shuts down gracefully on SIGINT/SIGTERM.
-func runWorker(addr, shardRange string, maxInflight int, warehouses map[string]*dataset.Warehouse, stores []*persist.Store) {
-	var idx, total int
-	if n, err := fmt.Sscanf(shardRange, "%d/%d", &idx, &total); n != 2 || err != nil {
-		log.Fatalf("-worker requires -shard-range I/N, got %q", shardRange)
-	}
-	if total <= 0 || idx < 0 || idx >= total {
-		log.Fatalf("shard range %d/%d out of bounds", idx, total)
-	}
-	engines := make(map[string]*kdapcore.Engine, len(warehouses))
-	for name, wh := range warehouses {
-		engines[name] = experiments.Engine(wh)
-	}
-	w := cluster.NewWorker(engines, idx, total, maxInflight)
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		log.Fatal(err)
-	}
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-		<-sig
-		w.Close()
-	}()
-	fmt.Printf("kdapd worker %d/%d listening on %s, serving %d warehouse(s)\n",
-		idx, total, addr, len(warehouses))
-	if err := w.Serve(ln); err != nil && !errors.Is(err, net.ErrClosed) {
-		log.Fatal(err)
-	}
 	for _, st := range stores {
 		if err := st.Close(); err != nil {
 			log.Printf("closing segment store: %v", err)

@@ -1,9 +1,13 @@
 package experiments
 
 import (
+	"fmt"
+	"path/filepath"
+	"strconv"
 	"testing"
 
 	"kdap/internal/dataset"
+	"kdap/internal/kdapcore"
 	"kdap/internal/persist"
 	"kdap/internal/relation"
 )
@@ -11,10 +15,10 @@ import (
 // A selective drill over the scaled warehouse's ingest-clustered
 // SalesKey must be answered from disk while proving the majority of
 // segments irrelevant from manifest evidence alone (zone maps, Bloom
-// filters) — the acceptance floor the 10M-fact bench rung holds to.
-// Here the scale is shrunk (100k facts, 2k-row segments) so the test
-// stays tier-1 fast; the skip geometry is identical, only the constant
-// differs.
+// filters) — the floor BenchmarkBackedColdDrill measures at 1M and 10M
+// facts. Here the scale is shrunk (100k facts, 2k-row segments) so the
+// test stays tier-1 fast; the skip geometry is identical, only the
+// constant differs.
 func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 	const (
 		facts   = 100_000
@@ -74,5 +78,66 @@ func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 	// holds no hash index, before or after serving the drill.
 	if cols := rwh.DB.Table(rwh.Graph.FactTable()).IndexedColumns(); len(cols) != 0 {
 		t.Errorf("resident fact table carries hash indexes on %v", cols)
+	}
+}
+
+// BenchmarkBackedColdDrill times a selective drill served entirely from
+// a disk-backed fact table at 1M and 10M facts under a 64 MiB page
+// budget. Every iteration drops the segment page cache and the rows
+// cache, so each page the drill touches is read from disk again. It
+// reports the share of segments skipped on manifest evidence (zone maps
+// and Bloom filters) and the pages read per drill. The warehouse is
+// built once per size, outside the timer. Run with:
+//
+//	go test -run '^$' -bench BackedColdDrill -benchtime 3x ./internal/experiments
+func BenchmarkBackedColdDrill(b *testing.B) {
+	dir := b.TempDir()
+	for _, n := range []int{1_000_000, 10_000_000} {
+		var (
+			store *persist.Store
+			e     *kdapcore.Engine
+			sn    *kdapcore.StarNet
+		)
+		b.Run(fmt.Sprintf("facts=%d", n), func(sb *testing.B) {
+			if store == nil {
+				wh, st, err := persist.AWOnlineScaledBacked(filepath.Join(dir, strconv.Itoa(n)), n, 0)
+				if err != nil {
+					sb.Fatalf("build %d facts: %v", n, err)
+				}
+				b.Cleanup(func() { st.Close() })
+				st.SetCacheBudget(64 << 20)
+				query := fmt.Sprintf("Road Bikes SalesKey>%d", n/10*9)
+				eng := Engine(wh)
+				nets, err := eng.Differentiate(query)
+				if err != nil || len(nets) == 0 {
+					sb.Fatalf("differentiate %q: %v (%d nets)", query, err, len(nets))
+				}
+				store, e, sn = st, eng, nets[0]
+			}
+			nseg := relation.NumSegments(store.NumRows(), store.SegmentSize())
+			want := -1
+			var skipped, pagedIn int64
+			sb.ResetTimer()
+			for i := 0; i < sb.N; i++ {
+				store.DropCache()
+				e.InvalidateSubspaceRows()
+				before, planBefore := store.Stats(), e.Executor().Stats()
+				rows := e.SubspaceRows(sn)
+				after, planAfter := store.Stats(), e.Executor().Stats()
+				if want < 0 {
+					want = len(rows)
+				}
+				if len(rows) == 0 || len(rows) != want {
+					sb.Fatalf("cold drill returned %d rows, want %d (nonzero)", len(rows), want)
+				}
+				// Zone skips are the planner's verdicts plus the store's own
+				// lookup scans; Bloom skips only ever come from the latter.
+				skipped = planAfter.SegmentsSkippedZone - planBefore.SegmentsSkippedZone +
+					after.SkippedZone - before.SkippedZone + after.SkippedBloom - before.SkippedBloom
+				pagedIn += after.PagedIn - before.PagedIn
+			}
+			sb.ReportMetric(100*float64(skipped)/float64(nseg), "skipped-%")
+			sb.ReportMetric(float64(pagedIn)/float64(sb.N), "pages/op")
+		})
 	}
 }

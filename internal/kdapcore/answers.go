@@ -185,11 +185,14 @@ func (e *Engine) differentiateCached(ctx context.Context, query string, method R
 	if ok {
 		return nets, CacheHit, nil
 	}
+	t0 := time.Now()
 	nets, outcome, err := e.diffAnswers.Compute(ctx, key, func(ctx context.Context) ([]*StarNet, bool, error) {
 		nets, err := e.differentiateRanked(ctx, query, method)
 		return nets, err == nil, err
 	})
-	return nets, fromAnswerOutcome(outcome), err
+	oc := fromAnswerOutcome(outcome)
+	noteShared(ctx, oc, t0)
+	return nets, oc, err
 }
 
 // ExploreCachedCtx is ExploreCtx through the answer cache, reporting
@@ -222,6 +225,7 @@ func (e *Engine) ExploreCachedCtx(ctx context.Context, sn *StarNet, opts Explore
 	// (ingest.go) — present from the moment the entry becomes visible.
 	// Nets are immutable once built, so sharing the pointer is safe.
 	e.exploreDeps.Put(key, sn)
+	t0 := time.Now()
 	f, outcome, err := e.explAnswers.Compute(ctx, key, func(ctx context.Context) (*Facets, bool, error) {
 		f, err := e.exploreUncached(ctx, sn, opts)
 		if err != nil {
@@ -231,10 +235,23 @@ func (e *Engine) ExploreCachedCtx(ctx context.Context, sn *StarNet, opts Explore
 		// shadow the complete answer for everyone after it.
 		return f, !f.Partial, nil
 	})
+	oc := fromAnswerOutcome(outcome)
+	noteShared(ctx, oc, t0)
 	if err != nil {
-		return nil, fromAnswerOutcome(outcome), err
+		return nil, oc, err
 	}
-	return rebindFacets(f, sn), fromAnswerOutcome(outcome), nil
+	return rebindFacets(f, sn), oc, nil
+}
+
+// noteShared is the one emission site of "adopted a peer's in-flight
+// answer": a coalesced caller's work ran in the leader's goroutine, so
+// its own span tree would hold only cache_lookup. The wait since t0 is
+// recorded as an answer_shared stage; the wide event's cache field
+// ("coalesced") marks the request as the follower.
+func noteShared(ctx context.Context, oc CacheOutcome, t0 time.Time) {
+	if oc == CacheCoalesced {
+		telemetry.SpanFromContext(ctx).AddTimed("answer_shared", time.Since(t0))
+	}
 }
 
 // fromAnswerOutcome maps the store's outcome onto the engine's.

@@ -51,11 +51,6 @@ type Engine struct {
 	// into one scan.
 	rowsFlight cache.Group[string, *space]
 
-	// scatter, when set (SetScatter), routes fact-row materializations
-	// through a cluster scatter-gatherer instead of local scans. See
-	// scatter.go for the exactness and degradation contract.
-	scatter RowScatterer
-
 	// Answer caches: finished Differentiate and Explore results, enabled
 	// by SetAnswerCache (nil = disabled). See answers.go.
 	diffAnswers *cache.Answers[[]*StarNet]
@@ -64,18 +59,10 @@ type Engine struct {
 	// advances it, retiring cached answers and HTTP ETags together.
 	dataVersion atomic.Uint64
 
-	// Batching state (see batch.go): the gather scheduler,
-	// whole-request singleflights for engines running without an answer
-	// cache, and the counters BatchStats reports. scanShared and
-	// distFills are the space memo's hit and miss counts (space.go).
-	batch         atomic.Pointer[batcher]
-	explFlight    cache.Group[string, *Facets]
-	diffFlight    cache.Group[string, []*StarNet]
-	batchSizeHist *telemetry.Histogram
-	scanShared    atomic.Int64
-	distFills     atomic.Int64
-	explShared    atomic.Int64
-	diffShared    atomic.Int64
+	// The space memo's hit and miss counts (space.go), reported by
+	// DistributionStats.
+	scanShared atomic.Int64
+	distFills  atomic.Int64
 
 	// Streaming-ingest state (see ingest.go): the single-writer append
 	// gate, the per-append sequence that feeds HTTP revalidation tags,
@@ -106,8 +93,6 @@ func NewEngine(g *schemagraph.Graph, ix *fulltext.Index, m olap.Measure, agg ola
 		hitLim:    defaultHitLimits(),
 		netLim:    defaultNetLimits(),
 		rowsCache: cache.NewClock[string, *space](rowsCacheCap),
-		// Batch sizes are small integers, not latencies: bucket by count.
-		batchSizeHist: telemetry.NewHistogram([]float64{1, 2, 4, 8, 16, 32, 64}),
 	}
 }
 
@@ -296,20 +281,30 @@ func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) (*space, erro
 	return e.factRowsKeyed(ctx, sn.Constraints(), sn.Filters)
 }
 
-// materializeRows produces a constrained-and-filtered fact-row set —
-// through the cluster scatter-gatherer when one is configured, by local
-// scan otherwise. Both paths return byte-identical rows; a scatter that
-// lost nodes returns its partial rows inside a *DegradedError, which
-// the caller's early return keeps out of the rows cache.
-func (e *Engine) materializeRows(ctx context.Context, cs []olap.Constraint, filters []NumericFilter) ([]int, error) {
-	if e.scatter != nil {
-		_, sp := telemetry.StartSpan(ctx, "cluster_scatter")
-		defer sp.End()
-		// Workers apply the numeric filters per-row inside their range,
-		// so the gathered set is already the filtered materialization.
-		return e.scatter.ScatterRows(ctx, cs, filters)
+// FactRowsRange returns the fact rows in [lo, hi) that satisfy the
+// constraints and the numeric filters — exactly the slice of the full
+// materialization that falls in the range. It is the one materialization
+// body: the whole sub-dataspace is the range [0, FactLen), and a cached
+// row set extends over an ingest tail.
+//
+// Numeric drills on fact columns double as declarative bounds for the
+// executor's planner: a segment whose zone misses the bound interval is
+// skipped before any bitset is intersected. The filters still run on
+// the survivors, so the rows are exactly the unbounded semijoin's after
+// filtering.
+func (e *Engine) FactRowsRange(ctx context.Context, cs []olap.Constraint, filters []NumericFilter, lo, hi int) ([]int, error) {
+	var bounds []olap.Bound
+	for _, nf := range filters {
+		if nf.OnFact {
+			blo, bhi := nf.bounds()
+			bounds = append(bounds, olap.Bound{Col: nf.Attr.Attr, Lo: blo, Hi: bhi})
+		}
 	}
-	return e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
+	rows, err := e.exec.FactRowsInRange(ctx, cs, bounds, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	return e.applyFiltersCtx(ctx, rows, filters)
 }
 
 // extendRowsEntry grows a cached space to the current fact length: the
@@ -368,7 +363,7 @@ func mergeAscUnique(a, b []int) []int {
 // space under its canonical key, serving repeats from the subspace
 // cache and collapsing concurrent duplicates. Sub-dataspaces and
 // roll-up background spaces both go through here, so a space is held
-// once whatever role it was first reached in. A cancelled or degraded
+// once whatever role it was first reached in. A cancelled
 // materialization is never cached: partial row sets must not masquerade
 // as the space.
 func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filters []NumericFilter) (*space, error) {
@@ -387,7 +382,7 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 		if sp, ok := e.rowsCache.Peek(key); ok && sp.upTo >= n {
 			return sp, nil
 		}
-		rows, err := e.materializeRows(ctx, cs, filters)
+		rows, err := e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
 		if err != nil {
 			return nil, err
 		}

@@ -165,15 +165,9 @@ type Facets struct {
 	// Dimensions appear in static (alphabetical) order, per §5.1.
 	Dimensions []*DimensionFacets
 	// Partial marks a result degraded by ExploreOptions.PartialOnDeadline:
-	// either the deadline fired during attribute scoring and only the
-	// attributes scored so far are included, or (under cluster execution)
-	// one or more worker nodes were lost and the facets cover only the
-	// surviving shard ranges.
+	// the deadline fired during attribute scoring and only the attributes
+	// scored so far are included.
 	Partial bool
-	// DegradedNodes attributes a cluster-degraded partial answer: the
-	// worker addresses whose shard ranges are missing from this result.
-	// Empty for complete answers and for deadline-only degradation.
-	DegradedNodes []string
 }
 
 // rollup is one background space RUP(DS'): the sub-dataspace generalized
@@ -212,19 +206,8 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 		return nil, fmt.Errorf("kdap: non-positive explore options")
 	}
 	e.applySegmentBudget(opts)
-	// Under cluster execution, PartialOnDeadline also covers node loss:
-	// arming the context with a collector lets every row materialization
-	// below (the base semijoin and each roll-up space) accept a degraded
-	// scatter's surviving rows instead of failing, recording the lost
-	// nodes for attribution. Without the opt-in, node loss stays an
-	// error.
-	var dc *degradeCollector
-	if opts.PartialOnDeadline && e.scatter != nil {
-		dc = &degradeCollector{}
-		ctx = withDegradeCollector(ctx, dc)
-	}
 	local, err := e.subspaceRowsCtx(ctx, sn)
-	if local, err = acceptDegraded(ctx, local, err); err != nil {
+	if err != nil {
 		return nil, err
 	}
 	if len(local.rows) == 0 {
@@ -378,16 +361,6 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 			f.Dimensions = append(f.Dimensions, dfs[di])
 		}
 	}
-	// Node-loss degradation: any scatter that lost a node downgraded the
-	// whole answer to the surviving shard ranges. Mark it partial — the
-	// answer cache refuses partials, so a recovered cluster serves the
-	// complete answer again — and attribute the dead nodes.
-	if dc != nil {
-		if failed := dc.failed(); len(failed) > 0 {
-			f.Partial = true
-			f.DegradedNodes = failed
-		}
-	}
 	return f, nil
 }
 
@@ -449,7 +422,7 @@ func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet, local *space)
 			}
 			var err error
 			sp, err = e.factRowsKeyed(ctx, cs, sn.Filters)
-			if sp, err = acceptDegraded(ctx, sp, err); err != nil {
+			if err != nil {
 				return nil, err
 			}
 			if !ok || len(sp.rows) > len(local.rows) {
@@ -549,7 +522,7 @@ func (e *Engine) scoreAttr(ctx context.Context, attr schemagraph.AttrRef, role s
 
 // groupBysOver returns G(DS', attr) and every roll-up's G(RUP, attr).
 // Each is looked up on its space and scanned only on first touch, by a
-// solo GroupByCtx call — one path whether or not batching is on.
+// solo GroupByCtx call.
 func (e *Engine) groupBysOver(ctx context.Context, local *space, rollups []rollup, attr string,
 	path schemagraph.JoinPath) (map[relation.Value]float64, []map[relation.Value]float64, error) {
 

@@ -11,17 +11,13 @@ import (
 // differences all surface — unlike the JSON the HTTP layer emits, which
 // sanitizes non-finite scores. Two Facets fingerprint equal iff a user
 // could not tell them apart by any field; the equivalence suites use it
-// to hold every execution strategy (pruned, batched, backed, appended,
-// clustered) to byte-identical output, and a golden set of its digests
+// to hold every execution strategy (pruned, backed, appended, warm
+// spaces) to byte-identical output, and a golden set of its digests
 // pins the output across refactors.
 func (f *Facets) Fingerprint() []byte {
 	var b bytes.Buffer
-	fmt.Fprintf(&b, "rows=%d agg=%s partial=%v",
+	fmt.Fprintf(&b, "rows=%d agg=%s partial=%v\n",
 		f.SubspaceSize, hexFloat(f.TotalAggregate), f.Partial)
-	if len(f.DegradedNodes) > 0 {
-		fmt.Fprintf(&b, " degraded=%v", f.DegradedNodes)
-	}
-	b.WriteByte('\n')
 	for _, d := range f.Dimensions {
 		fmt.Fprintf(&b, "dim %s hitted=%v\n", d.Dimension, d.Hitted)
 		for _, a := range d.Attributes {

@@ -2,7 +2,6 @@ package kdapcore
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -10,108 +9,161 @@ import (
 	"kdap/internal/telemetry/profile"
 )
 
-// Batched followers used to be observability holes: a request whose
-// answer came from a batch peer's work finished with an empty span tree
-// and no profile evidence of why. This pins the fix — an adopted answer
-// shows up as a batch_shared stage and the wide event carries the batch
-// membership (leader's batch ID, size, role) instead of omitting it.
+// Requests that share one computation are batched by the answer cache:
+// a request coalesced onto a peer's in-flight fill waits for work that
+// runs in the peer's goroutine. That wait must show in the follower's
+// own stage waterfall as answer_shared, or its span tree holds nothing
+// but cache_lookup. The leader here is a fill that blocks on a channel,
+// so the follower is deterministically a waiter when the fill completes.
 func TestBatchedFollowerAttribution(t *testing.T) {
 	e := ebizEngine()
-	e.SetBatching(50*time.Millisecond, 8)
-	nets, err := e.Differentiate("Columbus LCD")
+	e.SetAnswerCache(16, 0)
+	const query = "Columbus LCD"
+	nets, err := e.differentiateRanked(context.Background(), query, Standard)
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
 	}
 	opts := DefaultExploreOptions()
-
-	type result struct {
-		ev     *profile.Event
-		stages map[string]time.Duration
-		err    error
+	facets, err := e.exploreUncached(context.Background(), nets[0], opts)
+	if err != nil {
+		t.Fatal(err)
 	}
-	const n = 8
-	res := make([]result, n)
-	var wg sync.WaitGroup
-	for i := range res {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			// Mirror the server's per-request setup: a trace and a wide
-			// event on the context.
-			p := profile.New("explore", "")
-			tr := telemetry.NewTrace("explore")
-			ctx := profile.NewContext(tr.Context(context.Background()), p)
-			_, _, err := e.ExploreBatchedCtx(ctx, nets[0], opts)
-			tr.Finish()
-			p.SetStages(tr.Stages())
-			p.Finish(0, profile.DispositionOK, nil)
-			res[i] = result{p.Snapshot(), tr.Stages(), err}
-		}(i)
-	}
-	wg.Wait()
+	exploreKey, _ := ExploreCacheKey(nets[0], opts)
 
-	followers, sharers := 0, 0
-	for i, r := range res {
-		if r.err != nil {
-			t.Fatalf("request %d: %v", i, r.err)
-		}
-		if r.ev.BatchID == 0 {
-			t.Errorf("request %d joined no batch: %+v", i, r.ev)
-		}
-		if r.ev.BatchSize < 2 {
-			t.Errorf("request %d: batch size %d, want >= 2", i, r.ev.BatchSize)
-		}
-		switch r.ev.BatchRole {
-		case "follower":
-			followers++
-		case "leader":
-		default:
-			t.Errorf("request %d: batch role %q, want leader or follower", i, r.ev.BatchRole)
-		}
-		// Sharing takes two forms, and which one a given request gets is
-		// a race it may legitimately lose: adopting a peer's whole
-		// answer (role flips to follower), which must be attributed as a
-		// batch_shared stage, or adopting individual distributions from
-		// the spaces (sharedScans counts them).
-		if r.ev.BatchRole == "follower" {
-			if _, ok := r.stages["batch_shared"]; !ok {
-				t.Errorf("follower %d has no batch_shared stage: %+v %v", i, r.ev, r.stages)
+	for _, tc := range []struct {
+		name    string
+		lead    func(release <-chan struct{}, started chan<- struct{})
+		waiting func() int
+		follow  func(ctx context.Context) (CacheOutcome, error)
+	}{
+		{
+			name: "explore",
+			lead: func(release <-chan struct{}, started chan<- struct{}) {
+				e.explAnswers.Compute(context.Background(), exploreKey, func(context.Context) (*Facets, bool, error) {
+					close(started)
+					<-release
+					return facets, false, nil
+				})
+			},
+			waiting: func() int { return e.explAnswers.Waiting(exploreKey) },
+			follow: func(ctx context.Context) (CacheOutcome, error) {
+				_, oc, err := e.ExploreCachedCtx(ctx, nets[0], opts)
+				return oc, err
+			},
+		},
+		{
+			name: "differentiate",
+			lead: func(release <-chan struct{}, started chan<- struct{}) {
+				e.diffAnswers.Compute(context.Background(), diffAnswerKey(query, Standard), func(context.Context) ([]*StarNet, bool, error) {
+					close(started)
+					<-release
+					return nets, false, nil
+				})
+			},
+			waiting: func() int { return e.diffAnswers.Waiting(diffAnswerKey(query, Standard)) },
+			follow: func(ctx context.Context) (CacheOutcome, error) {
+				_, oc, err := e.DifferentiateCachedCtx(ctx, query)
+				return oc, err
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			release, started, leaderDone := make(chan struct{}), make(chan struct{}), make(chan struct{})
+			go func() {
+				defer close(leaderDone)
+				tc.lead(release, started)
+			}()
+			<-started
+
+			type result struct {
+				oc     CacheOutcome
+				stages map[string]time.Duration
+				err    error
 			}
-		}
-		if r.ev.BatchRole == "follower" || r.ev.SharedScans > 0 {
-			sharers++
-		}
-	}
-	// An 8-way identical storm through one batch must share: at least
-	// one request adopts a peer's answer or scan.
-	if sharers == 0 {
-		t.Fatalf("no sharing in an 8-way identical storm: %+v", e.BatchStats())
-	}
-	if followers == n {
-		t.Fatalf("every request claims to be a follower; someone must lead")
+			done := make(chan result, 1)
+			go func() {
+				tr := telemetry.NewTrace(tc.name)
+				oc, err := tc.follow(tr.Context(context.Background()))
+				tr.Finish()
+				done <- result{oc, tr.Stages(), err}
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for tc.waiting() != 1 {
+				if time.Now().After(deadline) {
+					t.Fatal("follower never joined the in-flight fill")
+				}
+				time.Sleep(time.Millisecond)
+			}
+			close(release)
+			<-leaderDone
+			r := <-done
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.oc != CacheCoalesced {
+				t.Fatalf("follower outcome = %v, want coalesced", r.oc)
+			}
+			if _, ok := r.stages["answer_shared"]; !ok {
+				t.Errorf("coalesced follower has no answer_shared stage: %v", r.stages)
+			}
+		})
 	}
 }
 
-// A solo (unbatched) engine must leave the batch identity fields zero —
-// attribution, not noise. Adopted distributions are not batch evidence:
-// a solo request looks them up on its spaces like any other.
+// A request that computes its own answer (unbatched: no peer fill to
+// join) must carry no evidence of sharing — a miss outcome and no
+// answer_shared stage — while its wide event still records the kernel
+// scans it ran. Adopted distributions are not sharing evidence: a solo
+// request looks them up on its spaces like any other.
 func TestUnbatchedProfileHasNoBatchFields(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
-	if err != nil || len(nets) == 0 {
-		t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
-	}
-	p := profile.New("explore", "")
-	ctx := profile.NewContext(context.Background(), p)
-	if _, _, err := e.ExploreBatchedCtx(ctx, nets[0], DefaultExploreOptions()); err != nil {
-		t.Fatal(err)
-	}
-	p.Finish(0, profile.DispositionOK, nil)
-	ev := p.Snapshot()
-	if ev.BatchID != 0 || ev.BatchSize != 0 || ev.BatchRole != "" {
-		t.Errorf("unbatched explore carries batch evidence: %+v", ev)
-	}
-	if ev.SerialScans+ev.ParallelScans == 0 {
-		t.Errorf("unbatched explore recorded no kernel scans: %+v", ev)
+	e.SetAnswerCache(16, 0)
+	const query = "Columbus LCD"
+	for _, tc := range []struct {
+		name   string
+		follow func(ctx context.Context) (CacheOutcome, error)
+	}{
+		{
+			name: "differentiate",
+			follow: func(ctx context.Context) (CacheOutcome, error) {
+				_, oc, err := e.DifferentiateCachedCtx(ctx, query)
+				return oc, err
+			},
+		},
+		{
+			name: "explore",
+			follow: func(ctx context.Context) (CacheOutcome, error) {
+				nets, err := e.Differentiate(query)
+				if err != nil || len(nets) == 0 {
+					t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
+				}
+				_, oc, err := e.ExploreCachedCtx(ctx, nets[0], DefaultExploreOptions())
+				return oc, err
+			},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := profile.New(tc.name, "")
+			tr := telemetry.NewTrace(tc.name)
+			ctx := profile.NewContext(tr.Context(context.Background()), p)
+			oc, err := tc.follow(ctx)
+			tr.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			p.SetStages(tr.Stages())
+			p.Finish(0, profile.DispositionOK, nil)
+			if oc != CacheMiss {
+				t.Fatalf("solo outcome = %v, want miss", oc)
+			}
+			if _, ok := tr.Stages()["answer_shared"]; ok {
+				t.Errorf("solo request carries an answer_shared stage: %v", tr.Stages())
+			}
+			if tc.name == "explore" {
+				if ev := p.Snapshot(); ev.SerialScans+ev.ParallelScans == 0 {
+					t.Errorf("solo explore recorded no kernel scans: %+v", ev)
+				}
+			}
+		})
 	}
 }

@@ -35,9 +35,6 @@ import (
 // computed (or last extended) against, and the distributions computed
 // over it. rows and upTo are immutable; dist is shared by pointer with
 // the space that replaces this one when an append adds no row to it.
-// A space that is never Put in the rows cache (a node-loss partial row
-// set) is ephemeral: its distributions die with the explore that built
-// it and can neither poison nor read shared ones.
 type space struct {
 	rows []int
 	upTo int
@@ -131,7 +128,7 @@ func isContextErr(err error) bool {
 
 // distribution is the one lookup site of a space's memo, and the one
 // emission site of "adopted, not scanned": a hit is counted on the
-// engine (BatchStats.SharedScans, kdap_cache_hits_total{cache=
+// engine (DistributionStats, kdap_cache_hits_total{cache=
 // "distributions"}) and on the request's wide event.
 func distribution[T any](ctx context.Context, e *Engine, sp *space, key string, fill func(context.Context) (T, error)) (T, error) {
 	v, adopted, err := sp.dist.do(ctx, key, func(ctx context.Context) (any, error) { return fill(ctx) })

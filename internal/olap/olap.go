@@ -291,7 +291,7 @@ type execCounters struct {
 }
 
 // ExecStats is a point-in-time snapshot of the executor's kernel
-// counters, exported at /metrics and recorded into BENCH.json.
+// counters, exported at /metrics.
 type ExecStats struct {
 	// GroupBy calls by path: the columnar kernel over a measure vector,
 	// the columnar kernel falling back to per-row measure eval, and the
@@ -640,8 +640,8 @@ func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg
 }
 
 // AggregateRef is the row-at-a-time reference implementation of
-// Aggregate, retained for correctness tests and as the perf-trajectory
-// baseline in cmd/kdapbench.
+// Aggregate, retained for correctness tests and as the /ref baseline of
+// the kernel micro-benchmarks in bench_test.go.
 func (ex *Executor) AggregateRef(rows []int, m Measure, agg Agg) float64 {
 	ex.stats.aggregateRef.Add(1)
 	st := newAggState()
@@ -828,7 +828,7 @@ func (ex *Executor) GroupBy(rows []int, attr string, path schemagraph.JoinPath, 
 
 // GroupByRef is the row-at-a-time, map-accumulating reference
 // implementation of GroupBy, retained for correctness tests and as the
-// perf-trajectory baseline in cmd/kdapbench.
+// /ref baseline of the kernel micro-benchmarks in bench_test.go.
 func (ex *Executor) GroupByRef(rows []int, attr string, path schemagraph.JoinPath, m Measure, agg Agg) map[relation.Value]float64 {
 	ex.stats.groupByRef.Add(1)
 	dimTable := ex.g.DB().Table(path.Source)

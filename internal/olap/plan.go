@@ -216,8 +216,8 @@ func gather[T any](ctx context.Context, ex *Executor, spans []span, rows int, bo
 // satisfy every constraint (every row of the range when constraints is
 // empty), skipping segments whose zone maps miss a declared bound or in
 // which some constraint has no member. It is the one constraint-
-// intersection body: the whole sub-dataspace, an ingest tail and a
-// cluster node's range are all just ranges. With bounds the caller MUST
+// intersection body: the whole sub-dataspace and an ingest tail are
+// both just ranges. With bounds the caller MUST
 // re-apply the row-level predicates they were derived from. hi is
 // clipped to the fact length observed on entry; per-constraint bitsets
 // are coverage-complete to at least that length.

@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"kdap/internal/cache"
-	"kdap/internal/cluster"
 	"kdap/internal/dataset"
 	"kdap/internal/kdapcore"
 	"kdap/internal/olap"
@@ -77,15 +76,6 @@ type Options struct {
 	// and decided before the first request, so every response the process
 	// ever serves uses one consistent stripe schedule.
 	Autotune bool
-	// BatchWindow enables batched execution: a query-phase request that
-	// misses every cache waits up to this long for other in-flight
-	// requests against the same warehouse; identical members collapse to
-	// one computation. Zero disables batching. Results are
-	// byte-identical to solo execution.
-	BatchWindow time.Duration
-	// BatchMax caps how many requests one batch may gather before it
-	// flushes early (default 16 when batching is on).
-	BatchMax int
 	// SegmentCacheMB bounds each disk-backed warehouse's segment page
 	// cache, in MiB (zero keeps the store's own default). It only
 	// applies to warehouses whose fact table carries a column backing
@@ -97,17 +87,6 @@ type Options struct {
 	// queries /debug/queries calls "slow" are exactly the ones burning
 	// the error budget.
 	SLOTarget time.Duration
-	// ClusterWorkers, when non-empty, runs this server as a
-	// scatter-gather coordinator: fact-row materialization fans out to
-	// the listed worker nodes (slice order is shard order — workers[i]
-	// owns range i of len(workers)), while every float kernel still runs
-	// here, keeping answers byte-identical to a monolithic server. See
-	// docs/CLUSTER.md.
-	ClusterWorkers []string
-	// Cluster tunes coordinator dispatch (deadlines, hedging, fallback).
-	// Start from cluster.DefaultOptions(); ignored without
-	// ClusterWorkers.
-	Cluster cluster.Options
 }
 
 // DefaultOptions returns the defaults New uses: no deadline, no
@@ -134,7 +113,6 @@ type Server struct {
 	logger   *slog.Logger
 	start    time.Time
 	factRows map[string]int
-	cluster  *cluster.Cluster
 
 	// sessions is the CLOCK-evicted session store: under the cap, hot
 	// sessions (anything resolved or created within one sweep of the
@@ -189,9 +167,6 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 		}
 		e := kdapcore.NewEngine(wh.Graph, wh.Index, m, olap.Sum)
 		e.SetAnswerCache(opts.AnswerCacheSize, opts.AnswerCacheTTL)
-		if opts.BatchWindow > 0 {
-			e.SetBatching(opts.BatchWindow, opts.BatchMax)
-		}
 		if b := fact.Backing(); b != nil {
 			if opts.SegmentCacheMB > 0 {
 				if bud, ok := b.(interface{ SetCacheBudget(bytes int64) }); ok {
@@ -218,16 +193,6 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 		if big != nil {
 			olap.ApplyTuning(olap.CalibrateThreshold(big.Executor(), big.Measure()))
 		}
-	}
-	if len(opts.ClusterWorkers) > 0 {
-		// The coordinator is built over the same engines that serve
-		// requests, so its fallback and hedged re-scans share every cache
-		// and derived column with the local path.
-		s.cluster = cluster.New(opts.ClusterWorkers, s.engines, opts.Cluster)
-		for name, e := range s.engines {
-			e.SetScatter(s.cluster.Scatterer(name))
-		}
-		s.cluster.WireMetrics(s.reg)
 	}
 	s.handle("GET /{$}", "/", s.handleUI)
 	s.handle("GET /healthz", "/healthz", s.handleHealth)
@@ -344,11 +309,6 @@ func (s *Server) SetLogger(l *slog.Logger) { s.logger = l }
 // want to register process-level series alongside the engine metrics.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Cluster returns the scatter-gather coordinator, or nil when the
-// server runs monolithic. kdapd uses it to Verify the topology before
-// serving and to Close the health poller on shutdown.
-func (s *Server) Cluster() *cluster.Cluster { return s.cluster }
-
 // ServeHTTP implements http.Handler.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
@@ -391,14 +351,11 @@ type FacetsDTO struct {
 	SubspaceSize   int                  `json:"subspaceSize"`
 	TotalAggregate float64              `json:"totalAggregate"`
 	Dimensions     []DimensionFacetsDTO `json:"dimensions"`
-	// Partial marks a deadline- or node-loss-degraded response (see
+	// Partial marks a deadline-degraded response (see
 	// exploreRequest.Partial).
-	Partial bool `json:"partial,omitempty"`
-	// DegradedNodes attributes a partial answer to the cluster workers
-	// that failed to contribute their shard ranges.
-	DegradedNodes []string            `json:"degradedNodes,omitempty"`
-	Trace         *telemetry.SpanJSON `json:"trace,omitempty"`
-	Profile       *profile.Event      `json:"profile,omitempty"`
+	Partial bool                `json:"partial,omitempty"`
+	Trace   *telemetry.SpanJSON `json:"trace,omitempty"`
+	Profile *profile.Event      `json:"profile,omitempty"`
 }
 
 // DimensionFacetsDTO is one dimension's facets.
@@ -487,7 +444,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Every query is traced so /metrics carries per-stage latency; the
 	// tree is serialized into the response only behind ?trace=1.
 	tr, ctx := traceRequest(r, "query")
-	nets, outcome, err := e.DifferentiateBatchedCtx(ctx, req.Q)
+	nets, outcome, err := e.DifferentiateCachedCtx(ctx, req.Q)
 	tr.Finish()
 	s.observeStages(tr)
 	p.SetStages(tr.Stages())
@@ -658,7 +615,7 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	tr, ctx := traceRequest(r, "explore")
-	f, outcome, err := e.ExploreBatchedCtx(ctx, sn, opts)
+	f, outcome, err := e.ExploreCachedCtx(ctx, sn, opts)
 	tr.Finish()
 	s.observeStages(tr)
 	p.SetStages(tr.Stages())
@@ -667,9 +624,6 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	p.SetCacheOutcome(outcome.String())
-	if s.cluster != nil && f.Partial && len(f.DegradedNodes) > 0 {
-		s.cluster.PartialAnswer()
-	}
 	// A deadline-degraded body must never be revalidated into
 	// permanence: no ETag on partial responses.
 	if etag != "" && !f.Partial {
@@ -786,7 +740,7 @@ func (s *Server) putSession(sess *session) string {
 func facetsDTO(f *kdapcore.Facets) FacetsDTO {
 	out := FacetsDTO{
 		SubspaceSize: f.SubspaceSize, TotalAggregate: f.TotalAggregate,
-		Partial: f.Partial, DegradedNodes: f.DegradedNodes,
+		Partial: f.Partial,
 	}
 	for _, d := range f.Dimensions {
 		dd := DimensionFacetsDTO{Dimension: d.Dimension, Hitted: d.Hitted}

@@ -196,25 +196,6 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		"Full-text index probe latency (Search and SearchPhrase).",
 		e.Index().ProbeHistogram(), "db", db)
 
-	if e.BatchingEnabled() {
-		bst := e.BatchStats
-		s.reg.CounterFunc("kdap_batch_released_total",
-			"Batches released (window expiry or size cap).",
-			func() float64 { return float64(bst().Batches) }, "db", db)
-		s.reg.CounterFunc("kdap_batch_requests_total",
-			"Requests that entered a batch gather window.",
-			func() float64 { return float64(bst().Requests) }, "db", db)
-		s.reg.CounterFunc("kdap_batch_shared_answers_total",
-			"Whole requests that adopted an identical in-flight batch member's result, by phase.",
-			func() float64 { return float64(bst().SharedExplores) }, "phase", "explore", "db", db)
-		s.reg.CounterFunc("kdap_batch_shared_answers_total",
-			"Whole requests that adopted an identical in-flight batch member's result, by phase.",
-			func() float64 { return float64(bst().SharedDifferentiates) }, "phase", "differentiate", "db", db)
-		s.reg.RegisterHistogram("kdap_batch_size",
-			"Requests gathered per released batch (bucket bounds are counts, not seconds).",
-			e.BatchSizeHistogram(), "db", db)
-	}
-
 	for _, tn := range e.Graph().DB().TableNames() {
 		t := e.Graph().DB().Table(tn)
 		s.reg.GaugeFunc("kdap_table_resident_bytes",

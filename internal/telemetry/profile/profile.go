@@ -1,7 +1,7 @@
 // Package profile assembles one canonical wide event per request: the
 // single record that answers "why was this query slow" by capturing
 // everything the pipeline knows and previously dropped — cache outcome,
-// batch membership, segment pruning, kernel path, fulltext postings
+// segment pruning, kernel path, fulltext postings
 // touched, anneal iterations, ranking candidates, queue wait, per-stage
 // durations, and the final disposition. Completed events feed the
 // always-on flight recorder (recorder.go): ring buffers of recent /
@@ -55,9 +55,6 @@ type P struct {
 	errMsg       string
 	queueWait    time.Duration
 	duration     time.Duration
-	batchID      uint64
-	batchSize    int
-	sharedAnswer bool
 	stages       []Stage
 	done         bool
 
@@ -74,14 +71,6 @@ type P struct {
 	annealRuns          atomic.Int64
 	annealIters         atomic.Int64
 	candidates          atomic.Int64
-
-	clusterScatters   atomic.Int64
-	clusterNodes      atomic.Int64
-	clusterNodeErrors atomic.Int64
-	clusterHedged     atomic.Int64
-	// clusterFailed is under mu (written on the request goroutine's
-	// error path, read by the in-flight snapshotter).
-	clusterFailed []string
 }
 
 // Stage is one flattened pipeline stage with its summed duration.
@@ -160,28 +149,6 @@ func (p *P) SetQueueWait(d time.Duration) {
 	p.mu.Unlock()
 }
 
-// SetBatch records membership in a batch.
-func (p *P) SetBatch(id uint64, size int) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.batchID = id
-	p.batchSize = size
-	p.mu.Unlock()
-}
-
-// MarkSharedAnswer marks the whole answer as adopted from a batch
-// peer's in-flight computation (the request is a follower).
-func (p *P) MarkSharedAnswer() {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	p.sharedAnswer = true
-	p.mu.Unlock()
-}
-
 // AddSharedScan counts one distribution adopted from a space's memo
 // instead of scanned.
 func (p *P) AddSharedScan() {
@@ -243,37 +210,6 @@ func (p *P) AddAnneal(iters int) {
 	}
 	p.annealRuns.Add(1)
 	p.annealIters.Add(int64(iters))
-}
-
-// AddClusterScatter records one scatter-gather fan-out and the worker
-// nodes it dispatched to.
-func (p *P) AddClusterScatter(nodes int) {
-	if p == nil {
-		return
-	}
-	p.clusterScatters.Add(1)
-	p.clusterNodes.Add(int64(nodes))
-}
-
-// AddClusterNodeError records one failed worker dispatch (deadline,
-// refusal, connection loss) and attributes the node.
-func (p *P) AddClusterNodeError(node string) {
-	if p == nil {
-		return
-	}
-	p.clusterNodeErrors.Add(1)
-	p.mu.Lock()
-	p.clusterFailed = append(p.clusterFailed, node)
-	p.mu.Unlock()
-}
-
-// AddClusterHedged counts one hedged local re-scan launched because a
-// worker exceeded the soft deadline.
-func (p *P) AddClusterHedged() {
-	if p == nil {
-		return
-	}
-	p.clusterHedged.Add(1)
 }
 
 // AddCandidates counts star-net candidates considered by ranking.
@@ -343,10 +279,7 @@ type Event struct {
 	Error       string    `json:"error,omitempty"`
 	QueueWaitUS int64     `json:"queueWaitUs,omitempty"`
 
-	BatchID     uint64 `json:"batchId,omitempty"`
-	BatchSize   int    `json:"batchSize,omitempty"`
-	BatchRole   string `json:"batchRole,omitempty"`
-	SharedScans int64  `json:"sharedScans,omitempty"`
+	SharedScans int64 `json:"sharedScans,omitempty"`
 
 	SegmentsScanned     int64 `json:"segmentsScanned,omitempty"`
 	SegmentsSkippedZone int64 `json:"segmentsSkippedZone,omitempty"`
@@ -363,12 +296,6 @@ type Event struct {
 	AnnealRuns  int64 `json:"annealRuns,omitempty"`
 	AnnealIters int64 `json:"annealIters,omitempty"`
 	Candidates  int64 `json:"candidates,omitempty"`
-
-	ClusterScatters    int64    `json:"clusterScatters,omitempty"`
-	ClusterNodes       int64    `json:"clusterNodes,omitempty"`
-	ClusterNodeErrors  int64    `json:"clusterNodeErrors,omitempty"`
-	ClusterHedged      int64    `json:"clusterHedged,omitempty"`
-	ClusterFailedNodes []string `json:"clusterFailedNodes,omitempty"`
 
 	Stages []Stage `json:"stages,omitempty"`
 }
@@ -391,25 +318,13 @@ func (p *P) Snapshot() *Event {
 		Cache:       p.cacheOutcome,
 		Error:       p.errMsg,
 		QueueWaitUS: p.queueWait.Microseconds(),
-		BatchID:     p.batchID,
-		BatchSize:   p.batchSize,
 		Stages:      p.stages,
-	}
-	if len(p.clusterFailed) > 0 {
-		ev.ClusterFailedNodes = append([]string(nil), p.clusterFailed...)
 	}
 	if p.done {
 		ev.DurationUS = p.duration.Microseconds()
 	} else {
 		ev.DurationUS = time.Since(p.start).Microseconds()
 		ev.InFlight = true
-	}
-	if p.batchID != 0 || p.sharedAnswer {
-		if p.sharedAnswer {
-			ev.BatchRole = "follower"
-		} else {
-			ev.BatchRole = "leader"
-		}
 	}
 	p.mu.Unlock()
 
@@ -426,10 +341,6 @@ func (p *P) Snapshot() *Event {
 	ev.AnnealRuns = p.annealRuns.Load()
 	ev.AnnealIters = p.annealIters.Load()
 	ev.Candidates = p.candidates.Load()
-	ev.ClusterScatters = p.clusterScatters.Load()
-	ev.ClusterNodes = p.clusterNodes.Load()
-	ev.ClusterNodeErrors = p.clusterNodeErrors.Load()
-	ev.ClusterHedged = p.clusterHedged.Load()
 	return ev
 }
 
@@ -468,13 +379,6 @@ func (ev *Event) Render() string {
 	if ev.QueueWaitUS > 0 {
 		fmt.Fprintf(&b, "  queue_wait: %s\n", fmtUS(ev.QueueWaitUS))
 	}
-	if ev.BatchRole != "" {
-		fmt.Fprintf(&b, "  batch: role=%s", ev.BatchRole)
-		if ev.BatchID != 0 {
-			fmt.Fprintf(&b, " id=%d size=%d", ev.BatchID, ev.BatchSize)
-		}
-		b.WriteByte('\n')
-	}
 	if ev.SharedScans > 0 {
 		fmt.Fprintf(&b, "  distributions: adopted=%d\n", ev.SharedScans)
 	}
@@ -495,14 +399,6 @@ func (ev *Event) Render() string {
 	}
 	if ev.Candidates > 0 {
 		fmt.Fprintf(&b, "  candidates: %d\n", ev.Candidates)
-	}
-	if ev.ClusterScatters > 0 {
-		fmt.Fprintf(&b, "  cluster: scatters=%d nodes=%d errors=%d hedged=%d",
-			ev.ClusterScatters, ev.ClusterNodes, ev.ClusterNodeErrors, ev.ClusterHedged)
-		if len(ev.ClusterFailedNodes) > 0 {
-			fmt.Fprintf(&b, " failed=%s", strings.Join(ev.ClusterFailedNodes, ","))
-		}
-		b.WriteByte('\n')
 	}
 	if len(ev.Stages) > 0 {
 		b.WriteString("  stages:\n")

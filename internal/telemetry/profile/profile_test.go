@@ -23,7 +23,6 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 		p.AddAnneal(500)
 		p.AddCandidates(12)
 		p.SetCacheOutcome("miss")
-		p.SetBatch(1, 4)
 		p.Finish(200, DispositionOK, nil)
 	})
 	if allocs != 0 {
@@ -36,7 +35,6 @@ func TestNilSafety(t *testing.T) {
 	p.SetDB("x")
 	p.SetQuery("x")
 	p.SetQueueWait(time.Second)
-	p.MarkSharedAnswer()
 	p.SetStages(map[string]time.Duration{"rank": time.Millisecond})
 	if p.Snapshot() != nil {
 		t.Error("nil profile snapshot should be nil")
@@ -183,7 +181,6 @@ func TestSnapshotAndRender(t *testing.T) {
 	p.SetQuery("nut bmx 2003")
 	p.SetCacheOutcome("miss")
 	p.SetQueueWait(250 * time.Microsecond)
-	p.SetBatch(3, 4)
 	p.AddSharedScan()
 	p.AddSegments(8, 56, 0)
 	p.AddKernelScan(true, 16, 60000)
@@ -202,21 +199,11 @@ func TestSnapshotAndRender(t *testing.T) {
 	if ev.Status != 200 || ev.Disposition != DispositionOK || ev.Error != "" {
 		t.Errorf("Finish not idempotent: %+v", ev)
 	}
-	if ev.BatchRole != "leader" {
-		t.Errorf("role = %q, want leader", ev.BatchRole)
-	}
 	if ev.Stages[0].Name != "hit_probe" {
 		t.Errorf("stages not sorted by duration: %+v", ev.Stages)
 	}
 	if _, err := json.Marshal(ev); err != nil {
 		t.Fatal(err)
-	}
-
-	p2 := New("explore", "req-10")
-	p2.MarkSharedAnswer()
-	p2.Finish(200, DispositionOK, nil)
-	if p2.Snapshot().BatchRole != "follower" {
-		t.Error("shared answer should mark follower role")
 	}
 
 	out := ev.Render()
@@ -225,7 +212,6 @@ func TestSnapshotAndRender(t *testing.T) {
 		"cache=miss",
 		`query: "nut bmx 2003"`,
 		"queue_wait: 250µs",
-		"batch: role=leader id=3 size=4",
 		"distributions: adopted=1",
 		"segments: scanned=8 skipped_zone=56 skipped_bits=0",
 		"kernels: serial=1 striped=1 stripes=16 rows=60100",

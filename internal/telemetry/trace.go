@@ -76,7 +76,7 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 // SpanFromContext returns the current span of ctx, or nil when no trace
 // is attached. Useful with AddTimed for stages whose duration is
 // measured around a call that may or may not have done shared work
-// (e.g. a batched follower adopting a peer's scan).
+// (e.g. a coalesced follower adopting a peer's in-flight answer).
 func SpanFromContext(ctx context.Context) *Span {
 	sp, _ := ctx.Value(spanKey{}).(*Span)
 	return sp

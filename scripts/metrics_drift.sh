@@ -5,46 +5,30 @@
 # operator's guide quietly rotted; a documented-but-unexposed family
 # means the docs promise telemetry the server no longer serves (or a
 # subsystem stopped registering at startup). The daemon runs with every
-# optional subsystem enabled — batching, admission control, the answer
-# cache, disk-backed segmented storage, and scatter-gather
-# coordination over two cluster workers — so conditionally-registered
-# families (including kdap_cluster_*) are all on.
+# optional subsystem enabled — admission control, the answer cache and
+# disk-backed segmented storage — so conditionally-registered families
+# (kdap_answer_cache_*, kdap_segments_*) are all on.
 # Run from the repository root.
 set -euo pipefail
 
 ADDR="${ADDR:-127.0.0.1:18081}"
-W1_ADDR="${W1_ADDR:-127.0.0.1:18082}"
-W2_ADDR="${W2_ADDR:-127.0.0.1:18083}"
 DOC="docs/OPERATIONS.md"
 TMP="$(mktemp -d)"
 
 go build -o "$TMP/kdapd" ./cmd/kdapd
-# Two workers first, so the coordinator's startup verification finds a
-# complete topology.
-"$TMP/kdapd" -addr "$W1_ADDR" -db ebiz -worker -shard-range 0/2 \
-  2>"$TMP/w1.log" &
-W1_PID=$!
-"$TMP/kdapd" -addr "$W2_ADDR" -db ebiz -worker -shard-range 1/2 \
-  2>"$TMP/w2.log" &
-W2_PID=$!
 "$TMP/kdapd" -addr "$ADDR" -db ebiz -log json \
-  -batch-window 2ms -max-inflight 8 -slo-target 250ms \
+  -max-inflight 8 -slo-target 250ms \
   -mmap-dir "$TMP/segments" -segment-size 1024 -segment-cache-mb 16 \
-  -coordinator -workers "$W1_ADDR,$W2_ADDR" \
   2>"$TMP/kdapd.log" &
 KDAPD_PID=$!
 cleanup() {
   status=$?
-  if [ "$status" -ne 0 ]; then
-    for lg in kdapd w1 w2; do
-      if [ -s "$TMP/$lg.log" ]; then
-        echo "== $lg log (drift gate failed with status $status)" >&2
-        cat "$TMP/$lg.log" >&2
-      fi
-    done
+  if [ "$status" -ne 0 ] && [ -s "$TMP/kdapd.log" ]; then
+    echo "== kdapd log (drift gate failed with status $status)" >&2
+    cat "$TMP/kdapd.log" >&2
   fi
-  kill "$KDAPD_PID" "$W1_PID" "$W2_PID" 2>/dev/null || true
-  wait "$KDAPD_PID" "$W1_PID" "$W2_PID" 2>/dev/null || true
+  kill "$KDAPD_PID" 2>/dev/null || true
+  wait "$KDAPD_PID" 2>/dev/null || true
   rm -rf "$TMP"
   exit "$status"
 }
