@@ -5,7 +5,7 @@
 //	kdapd [-addr :8080] [-db ebiz,online,reseller] [-log text|json]
 //	      [-query-timeout 10s] [-max-inflight 0]
 //	      [-answer-cache-size 512] [-answer-cache-ttl 5m]
-//	      [-autotune] [-slo-target 250ms]
+//	      [-slo-target 250ms]
 //	      [-mmap-dir DIR] [-segment-size 8192] [-segment-cache-mb 64]
 //
 // With -mmap-dir, each served warehouse's fact table is rewritten into
@@ -59,8 +59,6 @@ func main() {
 		"answer cache entries per warehouse and phase (0 disables caching, ETags, and request coalescing)")
 	answerCacheTTL := flag.Duration("answer-cache-ttl", 5*time.Minute,
 		"answer cache entry lifetime (0 = no expiry)")
-	autotune := flag.Bool("autotune", false,
-		"calibrate the parallel-kernel row threshold at startup against the largest served fact table")
 	sloTarget := flag.Duration("slo-target", 250*time.Millisecond,
 		"per-request latency target for kdap_slo_* classification and the /debug/queries slow ring")
 	mmapDir := flag.String("mmap-dir", "",
@@ -120,7 +118,6 @@ func main() {
 	srvOpts.MaxInflight = *maxInflight
 	srvOpts.AnswerCacheSize = *answerCacheSize
 	srvOpts.AnswerCacheTTL = *answerCacheTTL
-	srvOpts.Autotune = *autotune
 	srvOpts.SLOTarget = *sloTarget
 	srvOpts.SegmentCacheMB = *segmentCacheMB
 	api := server.NewWithOptions(warehouses, srvOpts)

@@ -13,9 +13,9 @@ import (
 // TTL-aware, size-bounded LRU store with singleflight fill. Callers go
 // through Do, which collapses concurrent identical requests into one
 // computation (losers wait and share the winner's result), refuses to
-// keep cancelled or caller-vetoed results, and stamps every entry with
-// the store's version so a Bump — a dataset reload, say — atomically
-// invalidates everything computed before it.
+// keep cancelled or caller-vetoed results, and captures the store's
+// version when a fill starts so a Bump — an append to the data, say —
+// retires everything computed before it, fills still in flight included.
 //
 // Values handed to Put/Do are shared between all future readers and
 // must be treated as immutable. Safe for concurrent use.
@@ -30,41 +30,20 @@ type Answers[V any] struct {
 	lru   *list.List               // front = most recently used
 	bytes int64
 
+	// version advances on every Bump. Only Bump writes it, under mu, so
+	// a put that still sees its fill's starting version under mu stores
+	// an answer no Bump has retired.
 	version atomic.Uint64
 	sf      Group[string, fill[V]]
-
-	// Delta invalidation: EvictIf removes matching entries immediately
-	// and records (seq, pred) in a bounded ring so in-flight
-	// computations that began before the eviction cannot re-publish a
-	// stale answer afterwards — put re-checks every invalidation newer
-	// than the computation's start sequence, and discards outright when
-	// the ring has already shed entries it would need (invalFloor).
-	invalSeq   atomic.Uint64
-	invals     []inval // guarded by mu; ascending seq
-	invalFloor uint64  // guarded by mu; newest seq dropped from the ring
 
 	hits, misses, evictions atomic.Int64
 }
 
-// inval is one recorded delta invalidation: answers whose computation
-// began at or before seq and whose key matches pred are stale.
-type inval struct {
-	seq  uint64
-	pred func(key string) bool
-}
-
-// invalRing bounds how many delta invalidations are retained for
-// in-flight put verification. Computations older than the retained
-// window are discarded rather than trusted — correctness never depends
-// on the ring being large, only throughput of very slow leaders.
-const invalRing = 64
-
-// aentry is one stored answer with its version stamp and expiry.
+// aentry is one stored answer with its expiry.
 type aentry[V any] struct {
 	key     string
 	v       V
 	size    int64
-	version uint64
 	expires time.Time // zero = no expiry
 }
 
@@ -76,7 +55,7 @@ type fill[V any] struct {
 
 // AnswerStats is a point-in-time snapshot of an answer store's
 // counters. Evictions counts every removal — capacity pressure, TTL
-// expiry, and version-stamp staleness alike.
+// expiry, and Bump alike.
 type AnswerStats struct {
 	Hits      int64
 	Misses    int64
@@ -117,8 +96,8 @@ func NewAnswers[V any](capacity int, ttl time.Duration, sizeOf func(V) int) *Ans
 }
 
 // Get returns the live answer under key, counting the lookup and
-// touching the entry's recency. Entries whose version stamp is stale or
-// whose TTL has passed are removed and reported as misses.
+// touching the entry's recency. Entries whose TTL has passed are removed
+// and reported as misses.
 func (a *Answers[V]) Get(key string) (V, bool) {
 	a.mu.Lock()
 	if el, ok := a.m[key]; ok {
@@ -154,43 +133,28 @@ func (a *Answers[V]) peek(key string) (V, bool) {
 	return zero, false
 }
 
-// liveLocked reports whether the entry is current-version and unexpired.
+// liveLocked reports whether the entry is unexpired.
 func (a *Answers[V]) liveLocked(e *aentry[V]) bool {
-	if e.version != a.version.Load() {
-		return false
-	}
 	return e.expires.IsZero() || !a.now().After(e.expires)
 }
 
-// Put stores v under key at the current version, evicting from the LRU
-// tail when the store is over capacity.
-func (a *Answers[V]) Put(key string, v V) {
-	a.put(key, v, a.version.Load(), a.invalSeq.Load())
-}
+// Put stores v under key, evicting from the LRU tail when the store is
+// over capacity.
+func (a *Answers[V]) Put(key string, v V) { a.put(key, v, a.version.Load()) }
 
-// put stores v stamped with an explicit version — the version the
-// computation began under, so an answer computed against a dataset that
-// was reloaded mid-computation can never be served afterwards. startSeq
-// is the invalidation sequence at computation start: if any delta
-// invalidation newer than it matches key, or the ring no longer holds
-// enough history to check, the answer is silently dropped instead of
-// stored — a leader that began before an append cannot publish a
-// pre-append answer after the append's eviction pass ran.
-func (a *Answers[V]) put(key string, v V, version, startSeq uint64) {
+// put stores v unless a Bump has run since version — the version the
+// computation began under — was current: an answer computed against
+// data that changed mid-computation is dropped, never stored.
+func (a *Answers[V]) put(key string, v V, version uint64) {
 	size := int64(a.sizeOf(v))
-	e := &aentry[V]{key: key, v: v, size: size, version: version}
+	e := &aentry[V]{key: key, v: v, size: size}
 	if a.ttl > 0 {
 		e.expires = a.now().Add(a.ttl)
 	}
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if startSeq < a.invalFloor {
+	if version != a.version.Load() {
 		return
-	}
-	for i := len(a.invals) - 1; i >= 0 && a.invals[i].seq > startSeq; i-- {
-		if a.invals[i].pred(key) {
-			return
-		}
 	}
 	if el, ok := a.m[key]; ok {
 		a.removeLocked(el)
@@ -203,33 +167,6 @@ func (a *Answers[V]) put(key string, v V, version, startSeq uint64) {
 	}
 }
 
-// EvictIf removes every stored answer whose key matches pred and
-// returns how many were dropped. The predicate is also recorded (see
-// put) so computations already in flight when EvictIf ran cannot
-// re-introduce an answer the eviction targeted. pred must be pure: it
-// is called under the store lock, now and on future puts.
-func (a *Answers[V]) EvictIf(pred func(key string) bool) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	seq := a.invalSeq.Add(1)
-	a.invals = append(a.invals, inval{seq: seq, pred: pred})
-	if len(a.invals) > invalRing {
-		a.invalFloor = a.invals[0].seq
-		a.invals = append(a.invals[:0:0], a.invals[1:]...)
-	}
-	n := 0
-	for el := a.lru.Front(); el != nil; {
-		next := el.Next()
-		if pred(el.Value.(*aentry[V]).key) {
-			a.removeLocked(el)
-			a.evictions.Add(1)
-			n++
-		}
-		el = next
-	}
-	return n
-}
-
 // removeLocked unlinks one entry and settles the bytes gauge.
 func (a *Answers[V]) removeLocked(el *list.Element) {
 	e := el.Value.(*aentry[V])
@@ -238,14 +175,21 @@ func (a *Answers[V]) removeLocked(el *list.Element) {
 	a.bytes -= e.size
 }
 
-// Bump advances the version stamp, logically invalidating every stored
-// answer at once. Stale entries are dropped lazily as lookups touch
-// them; in-flight computations that began before the bump will store
-// under the old stamp and likewise never be served.
-func (a *Answers[V]) Bump() { a.version.Add(1) }
-
-// Version returns the current version stamp.
-func (a *Answers[V]) Version() uint64 { return a.version.Load() }
+// Bump retires every answer at once: it advances the version, empties
+// the store, counts the dropped entries as evictions and returns how
+// many there were. Fills already in flight began under the old version,
+// so put drops them.
+func (a *Answers[V]) Bump() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.version.Add(1)
+	n := a.lru.Len()
+	clear(a.m)
+	a.lru.Init()
+	a.bytes = 0
+	a.evictions.Add(int64(n))
+	return n
+}
 
 // Outcome classifies how Do served an answer.
 type Outcome int
@@ -280,7 +224,6 @@ func (a *Answers[V]) Do(ctx context.Context, key string, fn func(context.Context
 // between the caller's Get and the fill's re-check.
 func (a *Answers[V]) Compute(ctx context.Context, key string, fn func(context.Context) (V, bool, error)) (V, Outcome, error) {
 	ver := a.version.Load()
-	startSeq := a.invalSeq.Load()
 	r, shared, err := a.sf.Do(ctx, key, func(ctx context.Context) (fill[V], error) {
 		if v, ok := a.peek(key); ok {
 			return fill[V]{v: v, fromCache: true}, nil
@@ -290,7 +233,7 @@ func (a *Answers[V]) Compute(ctx context.Context, key string, fn func(context.Co
 			return fill[V]{}, err
 		}
 		if store {
-			a.put(key, v, ver, startSeq)
+			a.put(key, v, ver)
 		}
 		return fill[V]{v: v}, nil
 	})
@@ -312,7 +255,7 @@ func (a *Answers[V]) Compute(ctx context.Context, key string, fn func(context.Co
 func (a *Answers[V]) Waiting(key string) int { return a.sf.Waiting(key) }
 
 // Len returns the number of stored entries, including any not yet
-// swept after a Bump or TTL expiry.
+// swept after TTL expiry.
 func (a *Answers[V]) Len() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()

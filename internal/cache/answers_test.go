@@ -93,11 +93,55 @@ func TestAnswersBumpMidComputation(t *testing.T) {
 		})
 	}()
 	<-started
-	a.Bump() // dataset reloaded while the fill is in flight
+	a.Bump() // data appended while the fill is in flight
 	close(release)
 	<-done
 	if _, ok := a.Get("k"); ok {
 		t.Fatal("answer computed against the old dataset version was served")
+	}
+}
+
+// TestAnswersBumpEmptiesStore: Bump retires eagerly — the entries and
+// their bytes leave the store and the gauges at once, counted as
+// evictions — and a fill that began before the Bump is neither served
+// nor stored.
+func TestAnswersBumpEmptiesStore(t *testing.T) {
+	a := NewAnswers[string](8, 0, func(s string) int { return len(s) })
+	a.Put("q:sales", "sales")
+	a.Put("q:promo", "promo")
+
+	started := make(chan struct{})
+	release := make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = a.Do(context.Background(), "q:late", func(context.Context) (string, bool, error) {
+			close(started)
+			<-release
+			return "late", true, nil
+		})
+	}()
+	<-started
+	if n := a.Bump(); n != 2 {
+		t.Fatalf("Bump dropped %d entries, want 2", n)
+	}
+	if st := a.Stats(); st.Len != 0 || st.Bytes != 0 || st.Evictions != 2 {
+		t.Fatalf("after Bump: len=%d bytes=%d evictions=%d, want 0/0/2", st.Len, st.Bytes, st.Evictions)
+	}
+	close(release)
+	<-done
+	if a.Len() != 0 {
+		t.Fatalf("a fill begun before the Bump was stored: len=%d", a.Len())
+	}
+	for _, k := range []string{"q:sales", "q:promo", "q:late"} {
+		if _, ok := a.Get(k); ok {
+			t.Fatalf("%s served after Bump", k)
+		}
+	}
+	// The store fills again at the new version.
+	a.Put("q:sales", "sales")
+	if v, ok := a.Get("q:sales"); !ok || v != "sales" {
+		t.Fatalf("post-Bump refill: %q, %v", v, ok)
 	}
 }
 
@@ -213,80 +257,5 @@ func TestAnswersCancelledComputationNotCached(t *testing.T) {
 	}
 	if _, ok := a.Get("k"); ok {
 		t.Fatal("cancelled computation was cached")
-	}
-}
-
-// TestAnswersEvictIf: delta invalidation removes exactly the matching
-// keys, leaves the rest live, and counts the removals as evictions.
-func TestAnswersEvictIf(t *testing.T) {
-	a := NewAnswers[int](8, 0, nil)
-	a.Put("q:sales", 1)
-	a.Put("q:returns", 2)
-	a.Put("q:promo", 3)
-	n := a.EvictIf(func(key string) bool { return key == "q:sales" || key == "q:promo" })
-	if n != 2 {
-		t.Fatalf("EvictIf removed %d entries, want 2", n)
-	}
-	if _, ok := a.Get("q:sales"); ok {
-		t.Fatal("evicted q:sales still served")
-	}
-	if _, ok := a.Get("q:promo"); ok {
-		t.Fatal("evicted q:promo still served")
-	}
-	if v, ok := a.Get("q:returns"); !ok || v != 2 {
-		t.Fatalf("untouched q:returns lost: %d, %v", v, ok)
-	}
-	if st := a.Stats(); st.Evictions != 2 {
-		t.Fatalf("evictions = %d, want 2", st.Evictions)
-	}
-}
-
-// TestAnswersEvictIfMidComputation: a leader that began computing
-// before an EvictIf targeting its key cannot publish afterwards — the
-// pre-append answer must not reappear under a post-append cache state.
-func TestAnswersEvictIfMidComputation(t *testing.T) {
-	a := NewAnswers[int](4, 0, nil)
-	started := make(chan struct{})
-	release := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		_, _, _ = a.Do(context.Background(), "k", func(context.Context) (int, bool, error) {
-			close(started)
-			<-release
-			return 1, true, nil
-		})
-	}()
-	<-started
-	a.EvictIf(func(key string) bool { return key == "k" }) // rows appended mid-fill
-	close(release)
-	<-done
-	if _, ok := a.Get("k"); ok {
-		t.Fatal("answer computed before the delta invalidation was served after it")
-	}
-	// A non-matching key computed across the same window still stores.
-	a.Put("other", 5)
-	if _, ok := a.Get("other"); !ok {
-		t.Fatal("unrelated key rejected by delta invalidation")
-	}
-}
-
-// TestAnswersEvictIfRingOverflow: when more invalidations land than the
-// ring retains, a put from before the retained window is discarded
-// conservatively — never trusted.
-func TestAnswersEvictIfRingOverflow(t *testing.T) {
-	a := NewAnswers[int](4, 0, nil)
-	ver, startSeq := a.version.Load(), a.invalSeq.Load()
-	for i := 0; i < invalRing+8; i++ {
-		a.EvictIf(func(string) bool { return false })
-	}
-	a.put("k", 1, ver, startSeq) // leader that started before the storm
-	if _, ok := a.Get("k"); ok {
-		t.Fatal("put older than the invalidation ring was stored")
-	}
-	// A fresh computation stores fine.
-	a.Put("k", 2)
-	if v, ok := a.Get("k"); !ok || v != 2 {
-		t.Fatalf("fresh put after overflow: %d, %v", v, ok)
 	}
 }

@@ -16,8 +16,8 @@
 //
 //   - Answers: a versioned, TTL-aware, size-bounded LRU store for
 //     finished query answers, with singleflight fill (Do), a bytes
-//     gauge, and version-stamp invalidation (Bump) so a reloaded
-//     dataset can never serve answers computed against its predecessor.
+//     gauge, and version-stamp invalidation (Bump) so data that changed
+//     can never serve answers computed before the change.
 //
 // Clock trades strict recency for read scalability (hot memo lookups);
 // Answers keeps strict LRU under one mutex because answer-granularity
@@ -106,20 +106,6 @@ func (c *Clock[K, V]) Get(k K) (V, bool) {
 	}
 	c.hits.Add(1)
 	e.ref.Store(true)
-	return e.v, true
-}
-
-// Peek returns the value cached under k without counting a lookup or
-// granting a second chance — for a fill's leader re-checking, inside its
-// flight, a miss it has already been charged for.
-func (c *Clock[K, V]) Peek(k K) (V, bool) {
-	c.mu.RLock()
-	e := c.m[k]
-	c.mu.RUnlock()
-	if e == nil {
-		var zero V
-		return zero, false
-	}
 	return e.v, true
 }
 

@@ -112,13 +112,6 @@ func TestStats(t *testing.T) {
 	c.Get("a")
 	c.Get("a")
 	c.Put("c", 3) // capacity 2: must evict
-	// Peek reads without charging a lookup.
-	if v, ok := c.Peek("c"); !ok || v != 3 {
-		t.Errorf("peek c = %d, %v", v, ok)
-	}
-	if _, ok := c.Peek("nope"); ok {
-		t.Error("peek found a missing key")
-	}
 	st := c.Stats()
 	if st.Hits != 2 || st.Misses != 1 || st.Evictions != 1 {
 		t.Errorf("stats = %+v", st)

@@ -6,7 +6,6 @@ import (
 
 	"kdap/internal/dataset"
 	"kdap/internal/kdapcore"
-	"kdap/internal/olap"
 	"kdap/internal/workload"
 )
 
@@ -36,7 +35,7 @@ func TestBenchWorkloadTakesParallelPath(t *testing.T) {
 	}
 	after := e.Executor().Stats()
 	if after.ParallelScans <= before.ParallelScans {
-		t.Fatalf("explore of %q at GOMAXPROCS=4 ran no parallel scans (threshold %d, serial %d->%d)",
-			q.Text, olap.ParallelRowThreshold(), before.SerialScans, after.SerialScans)
+		t.Fatalf("explore of %q at GOMAXPROCS=4 ran no parallel scans (serial %d->%d)",
+			q.Text, before.SerialScans, after.SerialScans)
 	}
 }

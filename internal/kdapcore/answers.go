@@ -13,9 +13,9 @@ package kdapcore
 //     enforced by cache.Group/cache.Answers);
 //   - partial (deadline-degraded) facets are never cached — a complete
 //     answer must not be masked by a degraded one;
-//   - every entry carries the data version current when its computation
-//     began, so InvalidateAnswers after a dataset reload atomically
-//     retires everything computed before it.
+//   - an append retires every cached explore answer at once, fills in
+//     flight included (ingest.go): the store's version stamp is the
+//     whole guard.
 //
 // Cached values ([]*StarNet, *Facets) are shared between callers and
 // treated as immutable — the established contract for both types once
@@ -72,15 +72,11 @@ func (o CacheOutcome) String() string {
 // Configure at startup — not safe to call concurrently with queries.
 func (e *Engine) SetAnswerCache(entries int, ttl time.Duration) {
 	if entries <= 0 {
-		e.diffAnswers, e.explAnswers, e.exploreDeps = nil, nil, nil
+		e.diffAnswers, e.explAnswers = nil, nil
 		return
 	}
 	e.diffAnswers = cache.NewAnswers[[]*StarNet](entries, ttl, netsFootprint)
 	e.explAnswers = cache.NewAnswers[*Facets](entries, ttl, facetsFootprint)
-	// The explore-key → star-net registry behind delta-scoped append
-	// invalidation (see ingest.go). Sized to the store: a key whose
-	// provenance has been evicted here is evicted conservatively there.
-	e.exploreDeps = cache.NewClock[string, *StarNet](entries)
 }
 
 // AnswerCacheEnabled reports whether SetAnswerCache has been configured.
@@ -94,23 +90,6 @@ func (e *Engine) AnswerCacheStats() (diff, expl cache.AnswerStats, ok bool) {
 	}
 	return e.diffAnswers.Stats(), e.explAnswers.Stats(), true
 }
-
-// InvalidateAnswers advances the engine's data version, retiring every
-// cached answer at once. Call it when the backing dataset changes (a
-// snapshot reload, a re-ingest): answers computed against the old data
-// — including fills still in flight — can never be served afterwards.
-func (e *Engine) InvalidateAnswers() {
-	e.dataVersion.Add(1)
-	if e.diffAnswers != nil {
-		e.diffAnswers.Bump()
-		e.explAnswers.Bump()
-	}
-}
-
-// DataVersion returns the engine's dataset version stamp. It advances
-// on InvalidateAnswers and participates in the HTTP layer's ETags, so
-// a reload also invalidates client-side conditional caching.
-func (e *Engine) DataVersion() uint64 { return e.dataVersion.Load() }
 
 // CanonicalQuery normalizes a keyword query to its cache identity:
 // whitespace runs collapse to single spaces. Token case is preserved —
@@ -127,10 +106,9 @@ func diffAnswerKey(query string, method RankMethod) string {
 // ExploreCacheKey renders the canonical cache identity of an Explore
 // call: the net's subspace signature plus every option that shapes the
 // result. ok is false when the call is uncacheable (a CustomScore func
-// cannot be canonicalized). Parallel, PartialOnDeadline, and
-// SegmentCacheMB are deliberately excluded — Parallel and
-// SegmentCacheMB produce identical output by contract (they shape
-// wall-clock and memory use only), and partial results are never
+// cannot be canonicalized). Parallel and PartialOnDeadline are
+// deliberately excluded — Parallel produces identical output by
+// contract (it shapes wall-clock only), and partial results are never
 // stored.
 func ExploreCacheKey(sn *StarNet, o ExploreOptions) (key string, ok bool) {
 	if o.CustomScore != nil {
@@ -213,18 +191,8 @@ func (e *Engine) ExploreCachedCtx(ctx context.Context, sn *StarNet, opts Explore
 	f, ok := e.explAnswers.Get(key)
 	sp.End()
 	if ok {
-		// The key's provenance was registered when the entry was first
-		// computed; re-registering per hit would put a mutex acquisition
-		// on the hot path (measured as a warm-hit + QPS regression). If
-		// the registry entry has aged out in the meantime, an append
-		// simply evicts this key conservatively (ingest.go).
 		return rebindFacets(f, sn), CacheHit, nil
 	}
-	// Record the key's provenance before the fill so a streaming append
-	// can decide whether its rows touch this answer's sub-dataspace
-	// (ingest.go) — present from the moment the entry becomes visible.
-	// Nets are immutable once built, so sharing the pointer is safe.
-	e.exploreDeps.Put(key, sn)
 	t0 := time.Now()
 	f, outcome, err := e.explAnswers.Compute(ctx, key, func(ctx context.Context) (*Facets, bool, error) {
 		f, err := e.exploreUncached(ctx, sn, opts)

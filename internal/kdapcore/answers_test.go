@@ -7,6 +7,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"kdap/internal/dataset"
+	"kdap/internal/relation"
 )
 
 // cachedEbizEngine is ebizEngine with the answer cache on.
@@ -86,24 +89,47 @@ func TestAnswerCacheCanonicalization(t *testing.T) {
 	}
 }
 
-// TestAnswerCacheInvalidation: InvalidateAnswers retires every cached
-// answer and advances the data version that ETags embed.
+// TestAnswerCacheInvalidation: an append retires every cached explore
+// answer — counted as evicted, gone from the store's gauges — and
+// advances the ingest sequence that ETags embed, while the
+// differentiate answer survives a batch that adds no full-text term and
+// is counted as kept.
 func TestAnswerCacheInvalidation(t *testing.T) {
-	e := cachedEbizEngine()
+	e := ingestTestEngine(dataset.EBiz())
+	e.SetAnswerCache(64, 0)
 	ctx := context.Background()
-	if _, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err != nil || outcome != CacheMiss {
-		t.Fatalf("cold: outcome=%v err=%v", outcome, err)
+	nets, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD")
+	if err != nil || outcome != CacheMiss || len(nets) < 2 {
+		t.Fatalf("cold: outcome=%v nets=%d err=%v", outcome, len(nets), err)
+	}
+	for _, sn := range nets[:2] {
+		if _, outcome, err := e.ExploreCachedCtx(ctx, sn, DefaultExploreOptions()); err != nil || outcome != CacheMiss {
+			t.Fatalf("cold explore: outcome=%v err=%v", outcome, err)
+		}
+	}
+	seq := e.IngestSeq()
+	row := []relation.Value{relation.Int(int64(dataset.EBizFactCount + 1)),
+		relation.Int(1), relation.Int(20), relation.Int(3), relation.Float(9.99)}
+	res, err := e.AppendFacts(ctx, [][]relation.Value{row})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.EvictedExplore != 2 || res.EvictedDiff != 0 || res.Kept != 1 {
+		t.Fatalf("append: evicted %d explore + %d differentiate, kept %d; want 2, 0, 1",
+			res.EvictedExplore, res.EvictedDiff, res.Kept)
+	}
+	if e.IngestSeq() != seq+1 {
+		t.Fatalf("IngestSeq = %d, want %d", e.IngestSeq(), seq+1)
+	}
+	diff, expl, _ := e.AnswerCacheStats()
+	if expl.Len != 0 || expl.Bytes != 0 || expl.Evictions != 2 {
+		t.Fatalf("explore store after append: len=%d bytes=%d evictions=%d, want 0/0/2", expl.Len, expl.Bytes, expl.Evictions)
+	}
+	if diff.Len != 1 || diff.Evictions != 0 {
+		t.Fatalf("differentiate store after append: len=%d evictions=%d, want 1/0", diff.Len, diff.Evictions)
 	}
 	if _, outcome, _ := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); outcome != CacheHit {
-		t.Fatalf("warm: outcome=%v, want hit", outcome)
-	}
-	v := e.DataVersion()
-	e.InvalidateAnswers()
-	if e.DataVersion() != v+1 {
-		t.Fatalf("DataVersion = %d, want %d", e.DataVersion(), v+1)
-	}
-	if _, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err != nil || outcome != CacheMiss {
-		t.Fatalf("post-invalidate: outcome=%v err=%v, want miss", outcome, err)
+		t.Fatalf("post-append differentiate: outcome=%v, want hit", outcome)
 	}
 }
 

@@ -47,17 +47,10 @@ type Engine struct {
 	// rows at next fetch, never rebuilt.
 	rowsCache *cache.Clock[string, *space]
 
-	// rowsFlight collapses concurrent materializations of the same space
-	// into one scan.
-	rowsFlight cache.Group[string, *space]
-
 	// Answer caches: finished Differentiate and Explore results, enabled
 	// by SetAnswerCache (nil = disabled). See answers.go.
 	diffAnswers *cache.Answers[[]*StarNet]
 	explAnswers *cache.Answers[*Facets]
-	// dataVersion stamps the dataset generation; InvalidateAnswers
-	// advances it, retiring cached answers and HTTP ETags together.
-	dataVersion atomic.Uint64
 
 	// The space memo's hit and miss counts (space.go), reported by
 	// DistributionStats.
@@ -66,11 +59,9 @@ type Engine struct {
 
 	// Streaming-ingest state (see ingest.go): the single-writer append
 	// gate, the per-append sequence that feeds HTTP revalidation tags,
-	// the explore-key → star-net registry behind delta-scoped answer
-	// eviction, and the kdap_ingest_* counters.
+	// and the kdap_ingest_* counters.
 	ingestMu      sync.Mutex
 	ingestSeq     atomic.Uint64
-	exploreDeps   *cache.Clock[string, *StarNet]
 	ingestBatches atomic.Int64
 	ingestRows    atomic.Int64
 	ingestTerms   atomic.Int64
@@ -93,24 +84,6 @@ func NewEngine(g *schemagraph.Graph, ix *fulltext.Index, m olap.Measure, agg ola
 		hitLim:    defaultHitLimits(),
 		netLim:    defaultNetLimits(),
 		rowsCache: cache.NewClock[string, *space](rowsCacheCap),
-	}
-}
-
-// cacheBudgeter is implemented by segment backings (internal/persist)
-// whose page cache runs under an adjustable byte budget.
-type cacheBudgeter interface {
-	SetCacheBudget(bytes int64)
-}
-
-// applySegmentBudget threads ExploreOptions.SegmentCacheMB to the fact
-// table's segment backing. A no-op for resident facts, non-positive
-// budgets, and backings without an adjustable cache.
-func (e *Engine) applySegmentBudget(opts ExploreOptions) {
-	if opts.SegmentCacheMB <= 0 {
-		return
-	}
-	if b, ok := e.exec.FactBacking().(cacheBudgeter); ok {
-		b.SetCacheBudget(int64(opts.SegmentCacheMB) << 20)
 	}
 }
 
@@ -361,11 +334,12 @@ func mergeAscUnique(a, b []int) []int {
 
 // factRowsKeyed materializes a constrained-and-filtered row set as a
 // space under its canonical key, serving repeats from the subspace
-// cache and collapsing concurrent duplicates. Sub-dataspaces and
-// roll-up background spaces both go through here, so a space is held
-// once whatever role it was first reached in. A cancelled
-// materialization is never cached: partial row sets must not masquerade
-// as the space.
+// cache. Sub-dataspaces and roll-up background spaces both go through
+// here, so a space is held once whatever role it was first reached in.
+// Concurrent first requests for one key each scan, and the last Put
+// wins: they compute the same rows, and coalescing them did not pay
+// (DESIGN.md "Cache layers, by ablation"). A cancelled materialization
+// is never cached: partial row sets must not masquerade as the space.
 func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filters []NumericFilter) (*space, error) {
 	key := constraintsKey(cs, filters)
 	n := e.exec.FactLen()
@@ -375,22 +349,13 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 		}
 		return e.extendRowsEntry(ctx, key, sp, n, cs, filters)
 	}
-	sp, _, err := e.rowsFlight.Do(ctx, key, func(ctx context.Context) (*space, error) {
-		// A flight that finished between the miss above and this one's
-		// start has already Put the space; building a second would orphan
-		// the distributions computed on the first.
-		if sp, ok := e.rowsCache.Peek(key); ok && sp.upTo >= n {
-			return sp, nil
-		}
-		rows, err := e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
-		if err != nil {
-			return nil, err
-		}
-		sp := newSpace(rows, n)
-		e.rowsCache.Put(key, sp)
-		return sp, nil
-	})
-	return sp, err
+	rows, err := e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
+	if err != nil {
+		return nil, err
+	}
+	sp := newSpace(rows, n)
+	e.rowsCache.Put(key, sp)
+	return sp, nil
 }
 
 // RowsCacheStats snapshots the materialized-subspace cache counters.

@@ -92,12 +92,6 @@ type ExploreOptions struct {
 	// still complete — cancellation before or during those stages always
 	// errors, since there is no meaningful partial result without them.
 	PartialOnDeadline bool
-	// SegmentCacheMB, when positive, re-budgets the fact table's segment
-	// page cache (disk-backed warehouses only; ignored for resident
-	// facts) before the explore runs. Like Parallel it shapes resource
-	// use, not output — facet bytes are identical under any budget — so
-	// it is excluded from the answer-cache key.
-	SegmentCacheMB int
 }
 
 // DefaultExploreOptions returns the paper's default parameters.
@@ -205,7 +199,6 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 	if opts.TopKAttrs <= 0 || opts.TopKInstances <= 0 || opts.Buckets <= 0 {
 		return nil, fmt.Errorf("kdap: non-positive explore options")
 	}
-	e.applySegmentBudget(opts)
 	local, err := e.subspaceRowsCtx(ctx, sn)
 	if err != nil {
 		return nil, err

@@ -4,9 +4,7 @@ package kdapcore
 // engine's single writer entry point: it appends a batch of fact rows
 // through relation.Table.AppendFacts (resident or disk-backed tail
 // segments alike), indexes any new full-text values the batch
-// introduced, and then invalidates cached answers with *delta scope* — only answers whose sub-dataspace or
-// roll-up background spaces could contain an appended row are evicted;
-// everything else keeps serving from cache.
+// introduced, and then retires every cached explore answer at once.
 //
 // Consistency model (per-scan prefix consistency):
 //
@@ -16,37 +14,33 @@ package kdapcore
 //     maps, materialized row sets) extend lazily to whatever length a
 //     scan observes — they are never rebuilt and never shrink.
 //   - A query that raced an append may answer from either side of it.
-//     What cannot happen is a *cached* stale answer surviving rows that
-//     affect it: the eviction predicate is recorded by the answer store
-//     (cache.Answers.EvictIf), so even an in-flight computation that
-//     began before the append cannot publish a pre-append answer for an
-//     affected key afterwards.
+//     What cannot happen is a *cached* answer computed before an append
+//     being served after it: the append advances the answer store's
+//     version (cache.Answers.Bump), and a fill that began under the old
+//     version is dropped instead of stored.
 //   - Appends are serialized by ingestMu; concurrency is between the
 //     one writer and many readers, never writer/writer.
 //
 // Invalidation rules:
 //
-//   - Explore answers: the answer for key k (net sn) depends on the
-//     rows of its subspace (filters ∧ all constraints) and of each
-//     roll-up background space. Every such space is contained in some
-//     "drop one constraint" variant (filters ∧ ⋀_{j≠i} c_j), so k is
-//     evicted iff some variant admits an appended row. Keys whose
-//     provenance is unknown (evicted from the exploreDeps registry) are
-//     evicted conservatively.
+//   - Explore answers: every append retires all of them. Whether the
+//     batch touched a given answer's spaces is decided one layer down,
+//     where it is cheap: a repeat explore finds its untouched spaces
+//     carried forward, distributions included, and rebuilds only the
+//     ones the batch grew.
 //   - Differentiate answers: they depend only on the schema graph and
-//     the full-text index, so they are evicted only when the batch
+//     the full-text index, so they are retired only when the batch
 //     added new postings (new values in fact full-text columns) —
 //     never on a plain measure append.
-//   - Materialized row sets (rowsCache) are not evicted at all: each
-//     entry records its coverage and extends itself over the appended
-//     range at next fetch (engine.go).
+//   - Materialized spaces (rowsCache) are not evicted at all: each
+//     entry records its coverage and, at next fetch, is either carried
+//     forward over the appended range or replaced by a fresh space over
+//     the grown row set (engine.go).
 
 import (
 	"context"
-	"sync"
 
 	"kdap/internal/fulltext"
-	"kdap/internal/olap"
 	"kdap/internal/relation"
 	"kdap/internal/telemetry"
 )
@@ -60,13 +54,14 @@ type AppendResult struct {
 	Rows int `json:"rows"`
 	// NewTerms counts full-text terms first seen in this batch.
 	NewTerms int `json:"new_terms,omitempty"`
-	// EvictedExplore and EvictedDiff count answer-cache entries retired
-	// because the batch intersects their dependency scope.
+	// EvictedExplore and EvictedDiff count answer-cache entries the
+	// batch retired: every explore answer, and every differentiate
+	// answer when the batch added new terms.
 	EvictedExplore int `json:"evicted_explore"`
 	EvictedDiff    int `json:"evicted_diff"`
-	// KeptExplore counts explore answers that survived the append —
-	// the delta-invalidation win over a global cache nuke.
-	KeptExplore int `json:"kept_explore"`
+	// Kept counts cached answers that survived the batch: the
+	// differentiate answers of a batch that added no new term.
+	Kept int `json:"kept"`
 }
 
 // IngestStats is a point-in-time snapshot of the engine's ingest
@@ -91,10 +86,9 @@ func (e *Engine) IngestStats() IngestStats {
 }
 
 // IngestSeq returns the number of accepted append batches. It advances
-// after each batch's eviction pass and participates in HTTP ETags:
-// client-side revalidation is conservative (any append retires every
-// conditional tag), while the server-side answer cache stays
-// delta-scoped.
+// after each batch's eviction pass and participates in HTTP ETags, so
+// any append retires every conditional tag, as it retires every cached
+// explore answer.
 func (e *Engine) IngestSeq() uint64 { return e.ingestSeq.Load() }
 
 // AppendFacts appends a batch of fact rows and incrementally maintains
@@ -128,7 +122,7 @@ func (e *Engine) AppendFacts(ctx context.Context, rows [][]relation.Value) (Appe
 	sp.End()
 
 	_, sp = telemetry.StartSpan(ctx, "evict_answers")
-	res.EvictedExplore, res.EvictedDiff, res.KeptExplore = e.evictForAppend(lo, hi, res.NewTerms > 0)
+	res.EvictedExplore, res.EvictedDiff, res.Kept = e.evictForAppend(res.NewTerms > 0)
 	sp.End()
 
 	e.ingestSeq.Add(1)
@@ -136,7 +130,7 @@ func (e *Engine) AppendFacts(ctx context.Context, rows [][]relation.Value) (Appe
 	e.ingestRows.Add(int64(res.Rows))
 	e.ingestTerms.Add(int64(res.NewTerms))
 	e.ingestEvicted.Add(int64(res.EvictedExplore + res.EvictedDiff))
-	e.ingestKept.Add(int64(res.KeptExplore))
+	e.ingestKept.Add(int64(res.Kept))
 	return res, nil
 }
 
@@ -173,82 +167,20 @@ func (e *Engine) indexAppendedValues(fact *relation.Table, rows [][]relation.Val
 	return e.index.TermCount() - before
 }
 
-// evictForAppend retires exactly the cached answers the appended row
-// range [lo, hi) can affect. kept reports how many explore answers
-// survived.
-func (e *Engine) evictForAppend(lo, hi int, newTerms bool) (expl, diff, kept int) {
+// evictForAppend retires what an append can make stale: every explore
+// answer, and every differentiate answer when newTerms says the batch
+// added postings. kept reports the cached answers that survived.
+func (e *Engine) evictForAppend(newTerms bool) (expl, diff, kept int) {
 	if e.explAnswers == nil {
 		return 0, 0, 0
 	}
-	before := e.explAnswers.Len()
-	expl = e.explAnswers.EvictIf(e.appendEvictionPred(lo, hi))
-	kept = before - expl
+	expl = e.explAnswers.Bump()
 	if newTerms {
 		// New postings can change hit sets and therefore every
 		// differentiate answer; plain measure appends change none.
-		diff = e.diffAnswers.EvictIf(func(string) bool { return true })
+		diff = e.diffAnswers.Bump()
+	} else {
+		kept = e.diffAnswers.Len()
 	}
 	return expl, diff, kept
-}
-
-// appendEvictionPred builds the delta-scope predicate for one appended
-// row range. The predicate is memoized per key because the answer
-// store re-applies it to late puts from computations that began before
-// the append (cache.Answers); the decision is deterministic either
-// way, the memo just skips repeat bitset walks.
-func (e *Engine) appendEvictionPred(lo, hi int) func(key string) bool {
-	var mu sync.Mutex
-	memo := make(map[string]bool)
-	return func(key string) bool {
-		mu.Lock()
-		v, ok := memo[key]
-		mu.Unlock()
-		if ok {
-			return v
-		}
-		v = e.appendTouchesKey(key, lo, hi)
-		mu.Lock()
-		memo[key] = v
-		mu.Unlock()
-		return v
-	}
-}
-
-// appendTouchesKey decides whether rows [lo, hi) can affect the explore
-// answer stored under key. Unknown provenance evicts conservatively.
-func (e *Engine) appendTouchesKey(key string, lo, hi int) bool {
-	sn, ok := e.exploreDeps.Get(key)
-	if !ok {
-		return true
-	}
-	return e.appendIntersects(context.Background(), sn, lo, hi)
-}
-
-// appendIntersects reports whether any appended row falls inside the
-// net's dependency scope: its subspace or any roll-up background
-// space. Each roll-up space — however far buildRollupsCtx climbed the
-// hierarchy — is contained in the "drop one constraint" variant of its
-// group, and the subspace is contained in every variant, so checking
-// the variants (under the net's filters) covers the whole scope. With
-// no constraints the scope is the filtered dataspace itself. Errors
-// evict conservatively — a failed proof of disjointness is not one.
-func (e *Engine) appendIntersects(ctx context.Context, sn *StarNet, lo, hi int) bool {
-	base := sn.Constraints()
-	variants := make([][]olap.Constraint, 0, len(base)+1)
-	if len(base) == 0 {
-		variants = append(variants, nil)
-	}
-	for i := range base {
-		others := make([]olap.Constraint, 0, len(base)-1)
-		others = append(others, base[:i]...)
-		others = append(others, base[i+1:]...)
-		variants = append(variants, others)
-	}
-	for _, cs := range variants {
-		rows, err := e.FactRowsRange(ctx, cs, sn.Filters, lo, hi)
-		if err != nil || len(rows) > 0 {
-			return true
-		}
-	}
-	return false
 }

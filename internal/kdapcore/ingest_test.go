@@ -83,15 +83,10 @@ func uncachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions)
 
 // TestAppendCacheConsistencyProperty is the streaming-ingest cache
 // oracle over the full 50-query workload: warm every query's answer,
-// stream in a tail of facts, and re-ask everything. Two properties must
-// hold for every query:
-//
-//  1. soundness — an explore served as a post-append cache hit must be
-//     byte-identical to its pre-append fingerprint (the delta-scoped
-//     eviction may only keep answers the appended rows cannot affect);
-//  2. freshness — every post-append answer, hit or recomputed, must be
-//     byte-identical to a from-scratch engine built over the full data
-//     (a query whose answer the append changed had its key evicted).
+// stream in a tail of facts, and re-ask everything. Every post-append
+// explore must be recomputed (the appends retired every cached one) over
+// spaces the engine carried or rebuilt, and must be byte-identical to a
+// from-scratch engine built over the full data.
 func TestAppendCacheConsistencyProperty(t *testing.T) {
 	const (
 		scale    = 60_000
@@ -120,20 +115,14 @@ func TestAppendCacheConsistencyProperty(t *testing.T) {
 	}
 
 	oracle := ingestTestEngine(dataset.AWOnlineScaled(scale))
-	changed, hits := 0, 0
+	changed := 0
 	for i, q := range qs {
 		post, out := cachedFingerprint(t, e, q.Text, opts)
 		if out == CacheHit {
-			hits++
-			if !bytes.Equal(post, pre[i]) {
-				t.Errorf("%q: served as a cache hit but differs from its pre-append answer", q.Text)
-			}
+			t.Errorf("%q: explore served from an answer cached before the appends", q.Text)
 		}
 		if !bytes.Equal(post, pre[i]) {
 			changed++
-			if out == CacheHit {
-				t.Errorf("%q: answer changed across the append yet its key was not evicted", q.Text)
-			}
 		}
 		if want := uncachedFingerprint(t, oracle, q.Text, opts); !bytes.Equal(post, want) {
 			t.Errorf("%q: post-append answer differs from the from-scratch rebuild", q.Text)
@@ -142,19 +131,71 @@ func TestAppendCacheConsistencyProperty(t *testing.T) {
 	if changed == 0 {
 		t.Error("append of 15k facts changed no workload answer; the property test is vacuous")
 	}
-	t.Logf("%d/%d answers changed across the append, %d repeats served as hits", changed, len(qs), hits)
+	t.Logf("%d/%d answers changed across the append", changed, len(qs))
 }
 
-// TestAppendEvictionKeepsSoundAnswers pins the delta-scope decision on
-// single appended rows: whatever the eviction pass decides, the next
-// cached answer must match an engine built from scratch over the grown
-// table. A kept answer in particular (served as a hit) proves the "this
-// row cannot affect that answer" judgement, and the grid must exercise
-// both branches.
-func TestAppendEvictionKeepsSoundAnswers(t *testing.T) {
+// TestAppendRetiresExploreAnswers: an append empties the explore answer
+// store, even for a row that lands outside the cached net's subspace
+// and roll-ups, so the repeat explore is computed again — and matches an
+// engine built fresh over the grown table — while the differentiate
+// answer, which a batch with no new full-text term cannot change, is
+// still served from the cache.
+func TestAppendRetiresExploreAnswers(t *testing.T) {
 	const query = "Columbus LCD"
 	opts := DefaultExploreOptions()
-	var kept, evicted int
+	row := []relation.Value{
+		relation.Int(int64(dataset.EBizFactCount + 1)),
+		relation.Int(1),  // TransKey
+		relation.Int(20), // ProductKey: not an LCD
+		relation.Int(3),
+		relation.Float(9.99),
+	}
+	e := ingestTestEngine(dataset.EBiz())
+	e.SetAnswerCache(64, 0)
+	if _, out := cachedFingerprint(t, e, query, opts); out != CacheMiss {
+		t.Fatalf("cold explore: %v, want miss", out)
+	}
+	if _, err := e.AppendFacts(context.Background(), [][]relation.Value{row}); err != nil {
+		t.Fatal(err)
+	}
+	diff, expl, _ := e.AnswerCacheStats()
+	if expl.Len != 0 || expl.Bytes != 0 {
+		t.Fatalf("after append: %d explore answers (%d bytes) cached, want 0", expl.Len, expl.Bytes)
+	}
+	if diff.Len != 1 {
+		t.Fatalf("after append: %d differentiate answers cached, want the 1 kept", diff.Len)
+	}
+
+	ctx := context.Background()
+	nets, dout, err := e.DifferentiateCachedCtx(ctx, query)
+	if err != nil || dout != CacheHit {
+		t.Fatalf("post-append differentiate: %v, %v; want a hit", dout, err)
+	}
+	f, out, err := e.ExploreCachedCtx(ctx, nets[0], opts)
+	if err != nil || out != CacheMiss {
+		t.Fatalf("post-append explore: %v, %v; want a miss", out, err)
+	}
+	if _, out, _ := e.ExploreCachedCtx(ctx, nets[0], opts); out != CacheHit {
+		t.Fatalf("repeat of the post-append explore: %v, want hit", out)
+	}
+
+	owh := dataset.EBiz()
+	if _, err := owh.DB.Table(owh.Graph.FactTable()).AppendFacts([][]relation.Value{row}); err != nil {
+		t.Fatal(err)
+	}
+	if want := uncachedFingerprint(t, ingestTestEngine(owh), query, opts); !bytes.Equal(f.Fingerprint(), want) {
+		t.Error("post-append explore differs from a fresh engine over the grown table")
+	}
+}
+
+// TestAppendSingleRowMatchesRebuild appends single rows across a grid
+// of products and transactions — inside and outside the net's subspace
+// and roll-ups, on EBiz, the mart with climbing join paths — and checks
+// that the next cached answer is recomputed and matches an engine built
+// from scratch over the grown table.
+func TestAppendSingleRowMatchesRebuild(t *testing.T) {
+	const query = "Columbus LCD"
+	opts := DefaultExploreOptions()
 	for _, productKey := range []int64{1, 10, 20} {
 		for _, transKey := range []int64{1, 500, 999} {
 			row := []relation.Value{
@@ -167,27 +208,14 @@ func TestAppendEvictionKeepsSoundAnswers(t *testing.T) {
 
 			e := ingestTestEngine(dataset.EBiz())
 			e.SetAnswerCache(64, 0)
-			pre, _ := cachedFingerprint(t, e, query, opts)
-			res, err := e.AppendFacts(context.Background(), [][]relation.Value{row})
-			if err != nil {
+			cachedFingerprint(t, e, query, opts)
+			if _, err := e.AppendFacts(context.Background(), [][]relation.Value{row}); err != nil {
 				t.Fatalf("append product=%d trans=%d: %v", productKey, transKey, err)
-			}
-			if res.EvictedExplore+res.KeptExplore != 1 {
-				t.Fatalf("product=%d trans=%d: evicted %d + kept %d, want the 1 cached answer accounted for",
-					productKey, transKey, res.EvictedExplore, res.KeptExplore)
 			}
 
 			post, out := cachedFingerprint(t, e, query, opts)
-			if res.KeptExplore == 1 {
-				kept++
-				if out != CacheHit {
-					t.Errorf("product=%d trans=%d: answer kept but repeat not served as a hit (%v)", productKey, transKey, out)
-				}
-				if !bytes.Equal(post, pre) {
-					t.Errorf("product=%d trans=%d: kept answer changed", productKey, transKey)
-				}
-			} else {
-				evicted++
+			if out != CacheMiss {
+				t.Errorf("product=%d trans=%d: post-append explore %v, want miss", productKey, transKey, out)
 			}
 
 			// Oracle: a fresh warehouse grown by the same row before any
@@ -197,13 +225,10 @@ func TestAppendEvictionKeepsSoundAnswers(t *testing.T) {
 				t.Fatal(err)
 			}
 			if want := uncachedFingerprint(t, ingestTestEngine(owh), query, opts); !bytes.Equal(post, want) {
-				t.Errorf("product=%d trans=%d: post-append answer (kept=%d) differs from from-scratch rebuild",
-					productKey, transKey, res.KeptExplore)
+				t.Errorf("product=%d trans=%d: post-append answer differs from from-scratch rebuild",
+					productKey, transKey)
 			}
 		}
-	}
-	if kept == 0 || evicted == 0 {
-		t.Errorf("grid exercised only one eviction branch: kept=%d evicted=%d", kept, evicted)
 	}
 }
 

@@ -182,14 +182,33 @@ func TestExploreResolvesSubspaceOnce(t *testing.T) {
 
 // Exactly once: sibling nets share a one-level roll-up (every bike
 // subcategory generalizes to Category = Bikes), and sixteen concurrent
-// explores of them run each (space, attribute) group-by and each
-// space's aggregate one time — the kernel-call delta equals the number
-// of distinct distributions the spaces end up holding. Run under -race.
+// explores of them over materialised spaces run each (space, attribute)
+// group-by and each space's aggregate one time — the kernel-call delta
+// equals the number of distributions the spaces gained. (Spaces are
+// materialised first: two first requests for one row set each scan it,
+// and only the space put last is kept.) Run under -race.
 func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
 	e := awOnlineEngine()
 	opts := DefaultExploreOptions()
 	opts.Parallel = true
 	nets := []*StarNet{top1(t, e, "Road Bikes"), top1(t, e, "Mountain Bikes"), top1(t, e, "Touring Bikes")}
+	held := func() (spaces map[*space]bool, shared map[*space]int, gb, agg int64) {
+		spaces, shared = map[*space]bool{}, map[*space]int{}
+		for _, sn := range nets {
+			local, rollups := spacesOf(t, e, sn)
+			spaces[local] = true
+			for _, ru := range rollups {
+				spaces[ru.sp] = true
+				shared[ru.sp]++
+			}
+		}
+		for sp := range spaces {
+			gb += int64(len(distKeys(sp, "gb")))
+			agg += int64(len(distKeys(sp, "agg")))
+		}
+		return spaces, shared, gb, agg
+	}
+	spaces0, _, gb0, agg0 := held()
 	before := e.Executor().Stats()
 
 	const workers = 16
@@ -206,33 +225,24 @@ func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
 	wg.Wait()
 	after := e.Executor().Stats()
 
-	spaces := map[*space]bool{}
-	shared := map[*space]int{}
-	for _, sn := range nets {
-		local, rollups := spacesOf(t, e, sn)
-		spaces[local] = true
-		for _, ru := range rollups {
-			spaces[ru.sp] = true
-			shared[ru.sp]++
+	spaces, shared, gb, agg := held()
+	for sp := range spaces {
+		if !spaces0[sp] {
+			t.Fatal("a materialised space was replaced while the explores ran")
 		}
 	}
 	meet := false
 	for _, n := range shared {
 		meet = meet || n == len(nets)
 	}
-	if !meet {
-		t.Fatal("the sibling nets share no roll-up space; the test lost its premise")
+	if !meet || gb == gb0 {
+		t.Fatal("the sibling nets share no roll-up space, or their explores filled no group-by; the test lost its premise")
 	}
-	var gb, agg int64
-	for sp := range spaces {
-		gb += int64(len(distKeys(sp, "gb")))
-		agg += int64(len(distKeys(sp, "agg")))
+	if got := groupByCalls(after) - groupByCalls(before); got != gb-gb0 {
+		t.Errorf("%d group-by kernels for %d distinct (space, attr) pairs", got, gb-gb0)
 	}
-	if got := groupByCalls(after) - groupByCalls(before); got != gb {
-		t.Errorf("%d group-by kernels for %d distinct (space, attr) pairs", got, gb)
-	}
-	if got := aggregateCalls(after) - aggregateCalls(before); got != agg {
-		t.Errorf("%d aggregate kernels for %d distinct spaces", got, agg)
+	if got := aggregateCalls(after) - aggregateCalls(before); got != agg-agg0 {
+		t.Errorf("%d aggregate kernels for %d distinct spaces", got, agg-agg0)
 	}
 	if e.DistributionStats().Hits == 0 {
 		t.Error("sixteen explores of three sibling nets adopted nothing")

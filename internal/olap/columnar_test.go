@@ -74,12 +74,19 @@ func TestGroupByEvalFallbackMatchesReference(t *testing.T) {
 	}
 }
 
+// forceStriping lowers the striping threshold to n for the rest of the
+// test, so the small EBiz fixtures take the striped path.
+func forceStriping(t *testing.T, n int) {
+	old := parallelRowThreshold
+	parallelRowThreshold = n
+	t.Cleanup(func() { parallelRowThreshold = old })
+}
+
 // Force the chunked parallel kernel and check it against the reference
 // (values agree to merge precision; group sets agree exactly) and
 // against itself (deterministic across runs).
 func TestGroupByParallelKernel(t *testing.T) {
-	SetParallelRowThreshold(64)
-	defer SetParallelRowThreshold(0)
+	forceStriping(t, 64)
 
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
@@ -120,8 +127,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 		}
 	}
 	// Parallel path agrees to merge precision.
-	SetParallelRowThreshold(64)
-	defer SetParallelRowThreshold(0)
+	forceStriping(t, 64)
 	all := ex.FactRows(nil)
 	for _, agg := range []Agg{Sum, Count, Avg, Min, Max} {
 		got := ex.Aggregate(all, m, agg)

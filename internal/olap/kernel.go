@@ -24,8 +24,9 @@ import (
 // whether the stripes run on one goroutine or sixteen. The stripe grid
 // is a function of the row count alone — never of GOMAXPROCS or of how
 // many workers happened to be scheduled — so aggregate bytes are
-// identical across core counts, and threshold calibration (see tune.go)
-// only moves the serial/striped boundary, never how partials merge.
+// identical across core counts. The threshold itself is fixed for the
+// same reason: moving it moves row sets between the serial and
+// striped summation orders, and so changes answer bytes.
 //
 // Every kernel is cancellable: the scan loops are blocked into
 // cancelCheckRows-row strides and consult ctx.Err() between strides,
@@ -41,35 +42,12 @@ import (
 // therefore the output bytes — independent of the machine.
 const kernelStripes = 16
 
-// defaultParallelRowThreshold is the factory row count above which the
-// fused scan+aggregate kernels go striped. Below it the stripe states
-// and goroutine handoff outweigh the scan. Overridable per process by
-// SetParallelRowThreshold (the calibration pass measures the real
-// crossover for the running GOMAXPROCS).
-const defaultParallelRowThreshold = 8192
-
-// parallelThreshold holds the live threshold behind an atomic so a
-// load-time calibration pass may adjust it while tests (or a warm
-// server) run scans concurrently.
-var parallelThreshold atomic.Int64
-
-func init() { parallelThreshold.Store(defaultParallelRowThreshold) }
-
-// ParallelRowThreshold returns the row count at which scans go striped.
-func ParallelRowThreshold() int { return int(parallelThreshold.Load()) }
-
-// SetParallelRowThreshold overrides the striped-scan threshold for the
-// whole process (it is machine tuning, like GOMAXPROCS, not a per-
-// executor property). n <= 0 restores the factory default. Changing the
-// threshold moves row sets between the serial and striped accumulation
-// orders, so results for a given row set are byte-stable only for a
-// fixed threshold — calibrate at startup, before serving queries.
-func SetParallelRowThreshold(n int) {
-	if n <= 0 {
-		n = defaultParallelRowThreshold
-	}
-	parallelThreshold.Store(int64(n))
-}
+// parallelRowThreshold is the row count at and above which the fused
+// scan+aggregate kernels and the row-set producers go striped. Below it
+// the stripe states and goroutine handoff outweigh the scan. It fixes
+// the summation order of every aggregate, so it is not tunable: a
+// variable only so tests can force fan-out on small tables.
+var parallelRowThreshold = 8192
 
 // cancelCheckRows is the stride between ctx.Err() checks inside the
 // scan kernels. At ~10ns/row a stride is a few tens of microseconds of
@@ -193,7 +171,7 @@ func (ex *Executor) groupScan(ctx context.Context, rows []int, cc *codeColumn, m
 }
 
 func groupScanCodes[C code](ctx context.Context, ex *Executor, rows []int, codes []C, ngroups int, m Measure) ([]aggState, []bool, error) {
-	if len(rows) < ParallelRowThreshold() {
+	if len(rows) < parallelRowThreshold {
 		ex.stats.serialScans.Add(1)
 		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
 		return groupScanChunk(ctx, ex, rows, codes, ngroups, m)
@@ -304,7 +282,7 @@ func groupScanChunk[C code](ctx context.Context, ex *Executor, rows []int, codes
 
 // scanAggregate is the fused single-group scan behind Aggregate.
 func (ex *Executor) scanAggregate(ctx context.Context, rows []int, m Measure) (aggState, error) {
-	if len(rows) < ParallelRowThreshold() {
+	if len(rows) < parallelRowThreshold {
 		ex.stats.serialScans.Add(1)
 		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
 		return ex.scanAggregateChunk(ctx, rows, m)

@@ -165,7 +165,7 @@ func forStrides(ctx context.Context, rows []int, spans []span, body func(stride 
 }
 
 // gather runs one exact row-set scan over spans, where rows is the
-// output size that decides the schedule: below ParallelRowThreshold (or
+// output size that decides the schedule: below parallelRowThreshold (or
 // on one core) body runs once over every span; above it the spans split
 // into at most kernelStripes groups scanned concurrently. Either way
 // the output is one buffer: bound gives an upper bound on what body can
@@ -176,7 +176,7 @@ func forStrides(ctx context.Context, rows []int, spans []span, body func(stride 
 func gather[T any](ctx context.Context, ex *Executor, spans []span, rows int, bound func(part []span) int, body func(dst []T, part []span) ([]T, error)) ([]T, error) {
 	groups := [][]span{spans}
 	workers := scanWorkers()
-	if rows >= ParallelRowThreshold() && workers > 1 {
+	if rows >= parallelRowThreshold && workers > 1 {
 		groups = splitSpans(spans)
 		workers = min(workers, len(groups))
 		ex.stats.parallelScans.Add(1)

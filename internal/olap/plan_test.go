@@ -374,8 +374,7 @@ func TestPlannedRowsMatchOracle(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.parallel {
-				SetParallelRowThreshold(64)
-				defer SetParallelRowThreshold(0)
+				forceStriping(t, 64)
 				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 			}
 			m := buildPlanMart(t, tc.n, tc.seg)

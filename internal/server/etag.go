@@ -2,7 +2,7 @@ package server
 
 // HTTP revalidation for cached answers. The engine's pipelines are
 // deterministic: the canonical answer identity (query or explore cache
-// key) plus the dataset version fully determine the result, so an ETag
+// key) plus the ingest sequence fully determine the result, so an ETag
 // derived from those inputs validates a client's cached copy without
 // recomputing — If-None-Match on an unchanged answer is a 304 before
 // the pipeline ever runs. The tags are weak (W/ prefix): /api/query
@@ -17,8 +17,8 @@ import (
 )
 
 // answerETag derives the weak entity tag for a deterministic answer
-// from its identifying parts (endpoint kind, warehouse, data version,
-// canonical key, ...).
+// from its identifying parts (endpoint kind, warehouse, ingest
+// sequence, canonical key, ...).
 func answerETag(parts ...string) string {
 	h := fnv.New64a()
 	for i, p := range parts {

@@ -55,9 +55,10 @@ type IngestResponse struct {
 	IngestSeq uint64 `json:"ingestSeq"`
 	// NewTerms counts full-text terms first seen in this batch.
 	NewTerms int `json:"newTerms,omitempty"`
-	// EvictedAnswers and KeptAnswers report the delta-scoped cache
-	// invalidation: how many cached answers this batch's rows touched,
-	// and how many survived it.
+	// EvictedAnswers and KeptAnswers report the answer-cache
+	// invalidation: how many cached answers this batch retired (every
+	// explore answer, and every differentiate answer when it added new
+	// terms), and how many survived it.
 	EvictedAnswers int                 `json:"evictedAnswers"`
 	KeptAnswers    int                 `json:"keptAnswers"`
 	Trace          *telemetry.SpanJSON `json:"trace,omitempty"`
@@ -130,7 +131,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		IngestSeq:      e.IngestSeq(),
 		NewTerms:       res.NewTerms,
 		EvictedAnswers: res.EvictedExplore + res.EvictedDiff,
-		KeptAnswers:    res.KeptExplore,
+		KeptAnswers:    res.Kept,
 	}
 	if wantTrace(r) {
 		resp.Trace = tr.JSON()

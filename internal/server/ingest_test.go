@@ -156,9 +156,10 @@ func TestIngestRetiresETags(t *testing.T) {
 	}
 }
 
-// TestIngestDeltaScopedEviction: the append's eviction pass accounts for
-// every cached explore answer — evicted + kept adds up — and an explore
-// after the append still answers correctly.
+// TestIngestDeltaScopedEviction: an append is no longer delta-scoped —
+// the one cached explore answer is evicted even though the appended row
+// is not one it aggregates, the differentiate answer (no new full-text
+// term) is kept, and the repeat explore is served miss, then hit.
 func TestIngestDeltaScopedEviction(t *testing.T) {
 	ts := newTestServer(t)
 	var q QueryResponse
@@ -167,8 +168,7 @@ func TestIngestDeltaScopedEviction(t *testing.T) {
 		t.Fatal("no session")
 	}
 	exploreBody := map[string]any{"session": q.Session, "pick": 1}
-	var f1 FacetsDTO
-	if r := post(t, ts, "/api/explore", exploreBody, &f1); r.StatusCode != http.StatusOK {
+	if _, r := postRaw(t, ts, "/api/explore", exploreBody, nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("explore status %d", r.StatusCode)
 	}
 
@@ -178,16 +178,18 @@ func TestIngestDeltaScopedEviction(t *testing.T) {
 	}, &ing); r.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d", r.StatusCode)
 	}
-	if ing.EvictedAnswers+ing.KeptAnswers != 1 {
-		t.Fatalf("evicted %d + kept %d, want the 1 cached explore accounted for",
+	if ing.EvictedAnswers != 1 || ing.KeptAnswers != 1 {
+		t.Fatalf("evicted %d, kept %d; want the explore evicted and the differentiate kept",
 			ing.EvictedAnswers, ing.KeptAnswers)
 	}
 
-	var f2 FacetsDTO
-	if r := post(t, ts, "/api/explore", exploreBody, &f2); r.StatusCode != http.StatusOK {
-		t.Fatalf("post-append explore status %d", r.StatusCode)
-	}
-	if f2.SubspaceSize < f1.SubspaceSize {
-		t.Fatalf("subspace shrank across an append: %d -> %d", f1.SubspaceSize, f2.SubspaceSize)
+	for _, want := range []string{"miss", "hit"} {
+		_, r := postRaw(t, ts, "/api/explore", exploreBody, nil)
+		if r.StatusCode != http.StatusOK {
+			t.Fatalf("post-append explore status %d", r.StatusCode)
+		}
+		if got := r.Header.Get(cacheHeaderName); got != want {
+			t.Fatalf("post-append explore %s = %q, want %q", cacheHeaderName, got, want)
+		}
 	}
 }

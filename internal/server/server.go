@@ -70,12 +70,6 @@ type Options struct {
 	// AnswerCacheTTL expires cached answers this long after insertion;
 	// zero keeps them until evicted or invalidated.
 	AnswerCacheTTL time.Duration
-	// Autotune calibrates the parallel-kernel row threshold at startup
-	// against the largest served fact table (see olap.CalibrateThreshold)
-	// instead of trusting the factory default. The tuning is process-wide
-	// and decided before the first request, so every response the process
-	// ever serves uses one consistent stripe schedule.
-	Autotune bool
 	// SegmentCacheMB bounds each disk-backed warehouse's segment page
 	// cache, in MiB (zero keeps the store's own default). It only
 	// applies to warehouses whose fact table carries a column backing
@@ -178,21 +172,6 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 		s.engines[name] = e
 		s.factRows[name] = fact.Len()
 		s.wireEngineMetrics(name, e)
-	}
-	if opts.Autotune {
-		// The threshold is process-wide, so calibrate once against the
-		// largest served fact table — the one whose scans have the most
-		// to gain (or lose) from striping.
-		var big *kdapcore.Engine
-		bigRows := -1
-		for name, e := range s.engines {
-			if s.factRows[name] > bigRows {
-				big, bigRows = e, s.factRows[name]
-			}
-		}
-		if big != nil {
-			olap.ApplyTuning(olap.CalibrateThreshold(big.Executor(), big.Measure()))
-		}
 	}
 	s.handle("GET /{$}", "/", s.handleUI)
 	s.handle("GET /healthz", "/healthz", s.handleHealth)
@@ -421,18 +400,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if limit <= 0 || limit > maxQueryLimit {
 		limit = 20
 	}
-	// The engine is deterministic, so (warehouse, data version, ingest
-	// sequence, limit, canonical query) fully identify the
-	// interpretation list — enough for a weak ETag checked before the
-	// pipeline runs. The ingest sequence makes client-side revalidation
-	// conservative: any streamed append retires every conditional tag,
-	// while the server-side answer cache stays delta-scoped. Traced and
-	// profiled requests carry per-request payloads and are never
-	// revalidated.
+	// The engine is deterministic, so (warehouse, ingest sequence,
+	// limit, canonical query) fully identify the interpretation list —
+	// enough for a weak ETag checked before the pipeline runs. Any
+	// streamed append retires every conditional tag, as it retires every
+	// cached explore answer. Traced and profiled requests carry
+	// per-request payloads and are never revalidated.
 	var etag string
 	if e.AnswerCacheEnabled() && !wantTrace(r) && !wantProfile(r) {
 		etag = answerETag("query", req.DB,
-			strconv.FormatUint(e.DataVersion(), 10),
 			strconv.FormatUint(e.IngestSeq(), 10),
 			strconv.Itoa(limit), kdapcore.CanonicalQuery(req.Q))
 		if notModified(r, etag) {
@@ -596,16 +572,12 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	}
 	opts.PartialOnDeadline = req.Partial
 	// Same revalidation contract as /api/query: the explore cache key +
-	// data version + ingest sequence determine the facets, so an
-	// unchanged answer is a 304 without running the pipeline (and any
-	// append conservatively retires the tag, even for subspaces the
-	// appended rows never touched — the server-side cache still answers
-	// those with X-KDAP-Cache: hit).
+	// ingest sequence determine the facets, so an unchanged answer is a
+	// 304 without running the pipeline, and any append retires the tag.
 	var etag string
 	if e.AnswerCacheEnabled() && !wantTrace(r) && !wantProfile(r) {
 		if key, cacheable := kdapcore.ExploreCacheKey(sn, opts); cacheable {
 			etag = answerETag("explore", db,
-				strconv.FormatUint(e.DataVersion(), 10),
 				strconv.FormatUint(e.IngestSeq(), 10), key)
 			if notModified(r, etag) {
 				p.SetCacheOutcome("revalidated")

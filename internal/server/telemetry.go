@@ -229,10 +229,10 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		"Full-text terms first seen in an ingest batch, by warehouse.",
 		func() float64 { return float64(ist().NewTerms) }, "db", db)
 	s.reg.CounterFunc("kdap_ingest_answers_evicted_total",
-		"Cached answers retired because an ingest batch's rows intersect their dependency scope, by warehouse.",
+		"Cached answers an ingest batch retired (every explore answer; every differentiate answer when the batch added new terms), by warehouse.",
 		func() float64 { return float64(ist().EvictedAnswers) }, "db", db)
 	s.reg.CounterFunc("kdap_ingest_answers_kept_total",
-		"Cached explore answers that survived an ingest batch under delta-scoped invalidation, by warehouse.",
+		"Cached answers of either phase that survived an ingest batch, by warehouse.",
 		func() float64 { return float64(ist().KeptAnswers) }, "db", db)
 
 	if e.AnswerCacheEnabled() {
