@@ -2,7 +2,8 @@ package kdap
 
 // The benchmark harness: one benchmark per table and figure of the
 // paper's evaluation (§6), plus micro-benchmarks of the substrates each
-// experiment exercises. Run everything with
+// experiment exercises (the columnar kernels' benchmarks against their
+// reference implementations live in internal/olap). Run everything with
 //
 //	go test -bench=. -benchmem
 //
@@ -11,6 +12,7 @@ package kdap
 // experiment on this machine; cmd/kdapbench prints the actual rows.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -28,7 +30,7 @@ func BenchmarkTable1StarNets(b *testing.B) {
 	e := NewEngine(AWOnline())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nets, err := e.Differentiate(experiments.Table1Query)
+		nets, err := e.DifferentiateCtx(context.Background(), experiments.Table1Query)
 		if err != nil || len(nets) == 0 {
 			b.Fatalf("differentiate: %v (%d nets)", err, len(nets))
 		}
@@ -40,7 +42,7 @@ func BenchmarkTable1StarNets(b *testing.B) {
 // instance ranking, numeric merge).
 func BenchmarkTable2Facets(b *testing.B) {
 	e := NewEngine(AWOnline())
-	nets, err := e.Differentiate(experiments.Table1Query)
+	nets, err := e.DifferentiateCtx(context.Background(), experiments.Table1Query)
 	if err != nil || len(nets) == 0 {
 		b.Fatal("no nets")
 	}
@@ -48,7 +50,7 @@ func BenchmarkTable2Facets(b *testing.B) {
 	opts.DisplayIntervals = 3
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := e.Explore(nets[0], opts); err != nil {
+		if _, err := e.ExploreCtx(context.Background(), nets[0], opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -162,7 +164,7 @@ func BenchmarkMergeAblation(b *testing.B) {
 // re-run the semijoin every iteration; warm ones hit the cache).
 func BenchmarkExploreAblation(b *testing.B) {
 	wh := AWOnline()
-	nets, err := NewEngine(wh).Differentiate(experiments.Table1Query)
+	nets, err := NewEngine(wh).DifferentiateCtx(context.Background(), experiments.Table1Query)
 	if err != nil || len(nets) == 0 {
 		b.Fatal("no nets")
 	}
@@ -171,7 +173,7 @@ func BenchmarkExploreAblation(b *testing.B) {
 		e := NewEngine(wh)
 		opts := DefaultExploreOptions()
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Explore(sn, opts); err != nil {
+			if _, err := e.ExploreCtx(context.Background(), sn, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -181,7 +183,7 @@ func BenchmarkExploreAblation(b *testing.B) {
 		opts := DefaultExploreOptions()
 		opts.Parallel = true
 		for i := 0; i < b.N; i++ {
-			if _, err := e.Explore(sn, opts); err != nil {
+			if _, err := e.ExploreCtx(context.Background(), sn, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -190,7 +192,7 @@ func BenchmarkExploreAblation(b *testing.B) {
 		opts := DefaultExploreOptions()
 		for i := 0; i < b.N; i++ {
 			e := NewEngine(wh) // fresh engine: no subspace cache, no path memo
-			if _, err := e.Explore(sn, opts); err != nil {
+			if _, err := e.ExploreCtx(context.Background(), sn, opts); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -198,13 +200,13 @@ func BenchmarkExploreAblation(b *testing.B) {
 }
 
 // BenchmarkDiscover measures the batch surprise scan over the EBiz
-// product-group level (one Explore per group instance).
+// product-group level (one ExploreCtx per group instance).
 func BenchmarkDiscover(b *testing.B) {
 	e := NewEngine(EBiz())
 	level := AttrRef{Table: "PGROUP", Attr: "GroupName"}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := e.Discover(level, "Product", Surprise, 5)
+		out, err := e.Discover(context.Background(), level, "Product", Surprise, 5)
 		if err != nil || len(out) == 0 {
 			b.Fatalf("discover: %v (%d)", err, len(out))
 		}
@@ -241,15 +243,15 @@ func BenchmarkFullTextPhrase(b *testing.B) {
 // >60k-row fact table through snowflake join paths.
 func BenchmarkStarNetExecution(b *testing.B) {
 	e := NewEngine(AWOnline())
-	nets, err := e.Differentiate("California Mountain Bikes")
+	nets, err := e.DifferentiateCtx(context.Background(), "California Mountain Bikes")
 	if err != nil || len(nets) == 0 {
 		b.Fatal("no nets")
 	}
 	sn := nets[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if rows := e.SubspaceRows(sn); len(rows) == 0 {
-			b.Fatal("empty subspace")
+		if rows, err := e.SubspaceRowsCtx(context.Background(), sn); err != nil || len(rows) == 0 {
+			b.Fatalf("empty subspace: %v", err)
 		}
 	}
 }
@@ -263,73 +265,18 @@ func BenchmarkGroupBy(b *testing.B) {
 	if !ok {
 		b.Fatal("no path")
 	}
-	rows := ex.FactRows(nil)
+	ctx := context.Background()
+	rows, err := ex.FactRowsCtx(ctx, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		groups := ex.GroupBy(rows, "SubcategoryName", path, e.Measure(), Sum)
-		if len(groups) == 0 {
-			b.Fatal("no groups")
+		groups, err := ex.GroupByCtx(ctx, rows, "SubcategoryName", path, e.Measure(), Sum)
+		if err != nil || len(groups) == 0 {
+			b.Fatalf("no groups: %v", err)
 		}
 	}
-}
-
-// BenchmarkGroupByDict measures the same full-dataspace two-hop
-// group-by as BenchmarkGroupBy, but is pinned to the columnar kernel's
-// workload: dictionary-encoded attribute codes accumulated into a dense
-// state slice. The /ref variant runs the retained row-at-a-time
-// reference path over the identical inputs.
-func BenchmarkGroupByDict(b *testing.B) {
-	e := NewEngine(AWOnline())
-	ex := e.Executor()
-	path, ok := e.Graph().PathFromFact("DimProductSubcategory", "Product")
-	if !ok {
-		b.Fatal("no path")
-	}
-	rows := ex.FactRows(nil)
-	ex.GroupBy(rows, "SubcategoryName", path, e.Measure(), Sum) // warm the code-vector cache
-	b.Run("dict", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			groups := ex.GroupBy(rows, "SubcategoryName", path, e.Measure(), Sum)
-			if len(groups) == 0 {
-				b.Fatal("no groups")
-			}
-		}
-	})
-	b.Run("ref", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			groups := ex.GroupByRef(rows, "SubcategoryName", path, e.Measure(), Sum)
-			if len(groups) == 0 {
-				b.Fatal("no groups")
-			}
-		}
-	})
-}
-
-// BenchmarkFusedAggregate measures the fused scan+aggregate kernel over
-// the full AW_ONLINE dataspace (parallel above the row threshold)
-// against the row-at-a-time reference.
-func BenchmarkFusedAggregate(b *testing.B) {
-	e := NewEngine(AWOnline())
-	ex := e.Executor()
-	rows := ex.FactRows(nil)
-	want := ex.Aggregate(rows, e.Measure(), Sum) // warm the measure vector
-	if want == 0 {
-		b.Fatal("zero aggregate")
-	}
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ex.Aggregate(rows, e.Measure(), Sum) == 0 {
-				b.Fatal("zero")
-			}
-		}
-	})
-	b.Run("ref", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if ex.AggregateRef(rows, e.Measure(), Sum) == 0 {
-				b.Fatal("zero")
-			}
-		}
-	})
 }
 
 // BenchmarkWarehouseBuild measures constructing the full EBiz warehouse
@@ -350,7 +297,7 @@ func BenchmarkSubspaceScaling(b *testing.B) {
 		wh := dataset.EBizSized(size)
 		e := kdapcore.NewEngine(wh.Graph, wh.Index,
 			RevenueMeasure(wh), Sum)
-		nets, err := e.Differentiate("Columbus LCD")
+		nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 		if err != nil || len(nets) == 0 {
 			b.Fatal("no nets")
 		}
@@ -360,8 +307,8 @@ func BenchmarkSubspaceScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				// Hit the executor directly so the engine's subspace
 				// cache doesn't absorb the work being measured.
-				if rows := e.Executor().FactRows(cs); len(rows) == 0 {
-					b.Fatal("empty subspace")
+				if rows, err := e.Executor().FactRowsCtx(context.Background(), cs); err != nil || len(rows) == 0 {
+					b.Fatalf("empty subspace: %v", err)
 				}
 			}
 		})
@@ -382,7 +329,7 @@ func BenchmarkDifferentiatePerKeywords(b *testing.B) {
 		q := queries[name]
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := e.Differentiate(q); err != nil {
+				if _, err := e.DifferentiateCtx(context.Background(), q); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -29,6 +29,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -354,7 +355,11 @@ func (r *repl) pivot(args []string) {
 		fmt.Println("cannot resolve join paths for the pivot")
 		return
 	}
-	rows := e.SubspaceRows(r.s.Current())
+	rows, err := e.SubspaceRowsCtx(context.Background(), r.s.Current())
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
 	pt := e.Executor().Pivot(rows, ra.Attr.Attr, rp, ca.Attr.Attr, cp, e.Measure(), e.Agg())
 	fmt.Print(pt)
 }

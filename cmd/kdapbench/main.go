@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -161,7 +162,7 @@ func fig6() error {
 func discover() error {
 	fmt.Println("== Discovery: most surprising product subcategories (AW_ONLINE) ==")
 	e := experiments.Engine(dataset.AWOnline())
-	out, err := e.Discover(schemagraph.AttrRef{Table: "DimProductSubcategory", Attr: "SubcategoryName"},
+	out, err := e.Discover(context.Background(), schemagraph.AttrRef{Table: "DimProductSubcategory", Attr: "SubcategoryName"},
 		"Product", kdapcore.Surprise, 8)
 	if err != nil {
 		return err

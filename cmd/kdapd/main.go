@@ -48,24 +48,25 @@ import (
 )
 
 func main() {
+	srvOpts := server.DefaultOptions()
 	addr := flag.String("addr", ":8080", "listen address")
 	dbs := flag.String("db", "ebiz,online,reseller", "comma-separated warehouses to serve")
 	logFormat := flag.String("log", "text", "access log format: text or json")
-	queryTimeout := flag.Duration("query-timeout", 10*time.Second,
+	flag.DurationVar(&srvOpts.QueryTimeout, "query-timeout", srvOpts.QueryTimeout,
 		"per-request pipeline deadline (0 disables); overruns return 504")
-	maxInflight := flag.Int("max-inflight", 0,
+	flag.IntVar(&srvOpts.MaxInflight, "max-inflight", srvOpts.MaxInflight,
 		"max concurrently executing API requests (0 = unlimited); excess is queued briefly then shed with 503")
-	answerCacheSize := flag.Int("answer-cache-size", 512,
+	flag.IntVar(&srvOpts.AnswerCacheSize, "answer-cache-size", srvOpts.AnswerCacheSize,
 		"answer cache entries per warehouse and phase (0 disables caching, ETags, and request coalescing)")
-	answerCacheTTL := flag.Duration("answer-cache-ttl", 5*time.Minute,
+	flag.DurationVar(&srvOpts.AnswerCacheTTL, "answer-cache-ttl", srvOpts.AnswerCacheTTL,
 		"answer cache entry lifetime (0 = no expiry)")
-	sloTarget := flag.Duration("slo-target", 250*time.Millisecond,
+	flag.DurationVar(&srvOpts.SLOTarget, "slo-target", srvOpts.SLOTarget,
 		"per-request latency target for kdap_slo_* classification and the /debug/queries slow ring")
 	mmapDir := flag.String("mmap-dir", "",
 		"serve fact tables disk-backed: write segmented column files under this directory and page them in on demand (empty = resident)")
 	segmentSize := flag.Int("segment-size", 0,
 		"rows per storage segment when -mmap-dir is set (power of two; 0 = 8192)")
-	segmentCacheMB := flag.Int("segment-cache-mb", 64,
+	flag.IntVar(&srvOpts.SegmentCacheMB, "segment-cache-mb", srvOpts.SegmentCacheMB,
 		"segment page-cache budget per disk-backed warehouse, in MiB (0 = store default)")
 	flag.Parse()
 
@@ -113,13 +114,6 @@ func main() {
 		}
 	}
 
-	srvOpts := server.DefaultOptions()
-	srvOpts.QueryTimeout = *queryTimeout
-	srvOpts.MaxInflight = *maxInflight
-	srvOpts.AnswerCacheSize = *answerCacheSize
-	srvOpts.AnswerCacheTTL = *answerCacheTTL
-	srvOpts.SLOTarget = *sloTarget
-	srvOpts.SegmentCacheMB = *segmentCacheMB
 	api := server.NewWithOptions(warehouses, srvOpts)
 	api.SetLogger(logger)
 	srv := &http.Server{

@@ -1,6 +1,7 @@
 package kdap_test
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -11,7 +12,7 @@ import (
 // interpretations, then explore the chosen one.
 func ExampleNewEngine() {
 	engine := kdap.NewEngine(kdap.EBiz())
-	nets, err := engine.Differentiate("San Jose")
+	nets, err := engine.DifferentiateCtx(context.Background(), "San Jose")
 	if err != nil {
 		panic(err)
 	}
@@ -24,9 +25,9 @@ func ExampleNewEngine() {
 }
 
 // Numeric predicates mix with keywords (the §7 measure extension).
-func ExampleEngine_Differentiate_numericPredicate() {
+func ExampleEngine_DifferentiateCtx_numericPredicate() {
 	engine := kdap.NewEngine(kdap.EBiz())
-	nets, err := engine.Differentiate("Projectors UnitPrice>1000")
+	nets, err := engine.DifferentiateCtx(context.Background(), "Projectors UnitPrice>1000")
 	if err != nil {
 		panic(err)
 	}
@@ -35,12 +36,12 @@ func ExampleEngine_Differentiate_numericPredicate() {
 	// UnitPrice>1000
 }
 
-// Explore builds the dynamic facets of a sub-dataspace; promoted hit
+// ExploreCtx builds the dynamic facets of a sub-dataspace; promoted hit
 // attributes come first in their dimension.
-func ExampleEngine_Explore() {
+func ExampleEngine_ExploreCtx() {
 	engine := kdap.NewEngine(kdap.EBiz())
-	nets, _ := engine.Differentiate("Projectors")
-	facets, err := engine.Explore(nets[0], kdap.DefaultExploreOptions())
+	nets, _ := engine.DifferentiateCtx(context.Background(), "Projectors")
+	facets, err := engine.ExploreCtx(context.Background(), nets[0], kdap.DefaultExploreOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -58,7 +59,7 @@ func ExampleEngine_Explore() {
 // SQL renders an interpretation as the query it stands for.
 func ExampleStarNet_SQL() {
 	engine := kdap.NewEngine(kdap.EBiz())
-	nets, _ := engine.Differentiate("Projectors")
+	nets, _ := engine.DifferentiateCtx(context.Background(), "Projectors")
 	sql := nets[0].SQL(engine.Measure(), engine.Agg(), engine.Graph().FactTable())
 	fmt.Println(strings.Split(sql, "\n")[0])
 	// Output:

@@ -15,15 +15,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"kdap"
 )
 
 func main() {
+	ctx := context.Background()
 	engine := kdap.NewEngine(kdap.AWReseller())
 
-	nets, err := engine.Differentiate("Touring Bikes")
+	nets, err := engine.DifferentiateCtx(ctx, "Touring Bikes")
 	if err != nil {
 		panic(err)
 	}
@@ -35,7 +37,7 @@ func main() {
 	opts := kdap.DefaultExploreOptions()
 	opts.Mode = kdap.Bellwether
 	opts.TopKAttrs = 3
-	facets, err := engine.Explore(nets[0], opts)
+	facets, err := engine.ExploreCtx(ctx, nets[0], opts)
 	if err != nil {
 		panic(err)
 	}
@@ -62,7 +64,7 @@ func main() {
 
 	fmt.Println("\nCompare with surprise mode (same subspace, negated correlation):")
 	opts.Mode = kdap.Surprise
-	sf, err := engine.Explore(nets[0], opts)
+	sf, err := engine.ExploreCtx(ctx, nets[0], opts)
 	if err != nil {
 		panic(err)
 	}

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -25,6 +26,7 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	segments := flag.Bool("segments", false, "stream the fact table into disk segments and serve it paged")
 	flag.Parse()
 
@@ -64,13 +66,13 @@ func main() {
 	engine := kdap.NewEngineWithMeasure(wh, revenue, kdap.Sum)
 
 	fmt.Println("\n=== \"Mystery Paris\" ===")
-	nets, err := engine.Differentiate("Mystery Paris")
+	nets, err := engine.DifferentiateCtx(ctx, "Mystery Paris")
 	if err != nil {
 		panic(err)
 	}
 	fmt.Print(kdap.RenderStarNets(nets, 5))
 
-	facets, err := engine.Explore(nets[0], kdap.DefaultExploreOptions())
+	facets, err := engine.ExploreCtx(ctx, nets[0], kdap.DefaultExploreOptions())
 	if err != nil {
 		panic(err)
 	}

@@ -12,12 +12,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"kdap"
 )
 
 func main() {
+	ctx := context.Background()
 	db := kdap.NewDatabase("TicketMart")
 
 	venue := db.MustCreateTable(kdap.MustSchema("Venue", []kdap.Column{
@@ -149,13 +151,13 @@ func main() {
 	engine := kdap.NewEngineWithMeasure(wh, revenue, kdap.Sum)
 
 	fmt.Println("=== \"Paris Summer\" on a custom warehouse ===")
-	nets, err := engine.Differentiate("Paris Summer")
+	nets, err := engine.DifferentiateCtx(ctx, "Paris Summer")
 	if err != nil {
 		panic(err)
 	}
 	fmt.Print(kdap.RenderStarNets(nets, 6))
 
-	facets, err := engine.Explore(nets[0], kdap.DefaultExploreOptions())
+	facets, err := engine.ExploreCtx(ctx, nets[0], kdap.DefaultExploreOptions())
 	if err != nil {
 		panic(err)
 	}

@@ -15,17 +15,19 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 
 	"kdap"
 )
 
 func main() {
+	ctx := context.Background()
 	wh := kdap.EBiz()
 	engine := kdap.NewEngine(wh)
 
 	fmt.Println("=== Most surprising product groups (EBiz) ===")
-	groups, err := engine.Discover(kdap.AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", kdap.Surprise, 5)
+	groups, err := engine.Discover(ctx, kdap.AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", kdap.Surprise, 5)
 	if err != nil {
 		panic(err)
 	}
@@ -35,7 +37,7 @@ func main() {
 	}
 
 	fmt.Println("\n=== Most surprising store cities ===")
-	cities, err := engine.Discover(kdap.AttrRef{Table: "LOC", Attr: "City"}, "Store", kdap.Surprise, 5)
+	cities, err := engine.Discover(ctx, kdap.AttrRef{Table: "LOC", Attr: "City"}, "Store", kdap.Surprise, 5)
 	if err != nil {
 		panic(err)
 	}
@@ -54,7 +56,7 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	again, err := kdap.NewEngine(reloaded).Discover(
+	again, err := kdap.NewEngine(reloaded).Discover(ctx,
 		kdap.AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", kdap.Surprise, 5)
 	if err != nil {
 		panic(err)

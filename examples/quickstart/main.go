@@ -15,6 +15,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -22,11 +23,12 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	wh := kdap.EBiz()
 	engine := kdap.NewEngine(wh)
 
 	fmt.Println("=== Differentiate: interpretations of \"Columbus LCD\" ===")
-	nets, err := engine.Differentiate("Columbus LCD")
+	nets, err := engine.DifferentiateCtx(ctx, "Columbus LCD")
 	if err != nil {
 		panic(err)
 	}
@@ -47,7 +49,7 @@ func main() {
 	}
 	fmt.Printf("\n=== Explore: %s ===\n", chosen.DomainSignature())
 
-	facets, err := engine.Explore(chosen, kdap.DefaultExploreOptions())
+	facets, err := engine.ExploreCtx(ctx, chosen, kdap.DefaultExploreOptions())
 	if err != nil {
 		panic(err)
 	}
@@ -66,7 +68,7 @@ func main() {
 			if err != nil {
 				panic(err)
 			}
-			sub, err := engine.Explore(drilled, kdap.DefaultExploreOptions())
+			sub, err := engine.ExploreCtx(ctx, drilled, kdap.DefaultExploreOptions())
 			if err != nil {
 				fmt.Printf("(drill produced an empty subspace: %v)\n", err)
 				return

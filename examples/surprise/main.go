@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -20,9 +21,10 @@ import (
 )
 
 func main() {
+	ctx := context.Background()
 	engine := kdap.NewEngine(kdap.AWOnline())
 
-	nets, err := engine.Differentiate("California Mountain Bikes")
+	nets, err := engine.DifferentiateCtx(ctx, "California Mountain Bikes")
 	if err != nil {
 		panic(err)
 	}
@@ -32,7 +34,7 @@ func main() {
 	opts := kdap.DefaultExploreOptions()
 	opts.Mode = kdap.Surprise
 	opts.TopKAttrs = 2
-	facets, err := engine.Explore(nets[0], opts)
+	facets, err := engine.ExploreCtx(ctx, nets[0], opts)
 	if err != nil {
 		panic(err)
 	}

@@ -1,6 +1,7 @@
 package kdap
 
 import (
+	"context"
 	"encoding/csv"
 	"strings"
 	"testing"
@@ -11,8 +12,8 @@ func TestWriteFacetsCSV(t *testing.T) {
 	// hit attribute and bucketed numeric attributes, so every CSV row
 	// shape below is exercised.
 	e := NewEngine(EBiz())
-	nets, _ := e.Differentiate("projector")
-	f, err := e.Explore(nets[0], DefaultExploreOptions())
+	nets, _ := e.DifferentiateCtx(context.Background(), "projector")
+	f, err := e.ExploreCtx(context.Background(), nets[0], DefaultExploreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package csvload
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,19 +118,19 @@ func TestLoadDirEndToEnd(t *testing.T) {
 	fact := wh.DB.Table("Sales")
 	e := kdapcore.NewEngine(wh.Graph, wh.Index,
 		olap.ColumnMeasure(fact, "Amount"), olap.Sum)
-	nets, err := e.Differentiate("Bikes")
+	nets, err := e.DifferentiateCtx(context.Background(), "Bikes")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
 	}
-	rows := e.SubspaceRows(nets[0])
-	if len(rows) != 3 {
-		t.Errorf("Bikes subspace = %d rows, want 3", len(rows))
-	}
-	if agg := e.SubspaceAggregate(nets[0]); agg != 1800+500+900 {
-		t.Errorf("Bikes revenue = %g", agg)
-	}
-	if _, err := e.Explore(nets[0], kdapcore.DefaultExploreOptions()); err != nil {
+	f, err := e.ExploreCtx(context.Background(), nets[0], kdapcore.DefaultExploreOptions())
+	if err != nil {
 		t.Fatalf("explore: %v", err)
+	}
+	if f.SubspaceSize != 3 {
+		t.Errorf("Bikes subspace = %d rows, want 3", f.SubspaceSize)
+	}
+	if f.TotalAggregate != 1800+500+900 {
+		t.Errorf("Bikes revenue = %g", f.TotalAggregate)
 	}
 }
 
@@ -166,11 +167,11 @@ func TestLoadSegmentedMatchesResident(t *testing.T) {
 	}
 	er, es := mkEngine(res), mkEngine(seg)
 	for _, q := range []string{"Bikes", "West", "Helmet", "Amount>400"} {
-		rn, err := er.Differentiate(q)
+		rn, err := er.DifferentiateCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%q resident: %v", q, err)
 		}
-		sn, err := es.Differentiate(q)
+		sn, err := es.DifferentiateCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%q segmented: %v", q, err)
 		}
@@ -180,8 +181,8 @@ func TestLoadSegmentedMatchesResident(t *testing.T) {
 		if len(rn) == 0 {
 			continue
 		}
-		fr, errR := er.Explore(rn[0], kdapcore.DefaultExploreOptions())
-		fs, errS := es.Explore(sn[0], kdapcore.DefaultExploreOptions())
+		fr, errR := er.ExploreCtx(context.Background(), rn[0], kdapcore.DefaultExploreOptions())
+		fs, errS := es.ExploreCtx(context.Background(), sn[0], kdapcore.DefaultExploreOptions())
 		if (errR == nil) != (errS == nil) {
 			t.Fatalf("%q: explore errors diverge: %v vs %v", q, errR, errS)
 		}

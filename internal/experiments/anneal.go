@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"kdap/internal/dataset"
@@ -62,7 +63,8 @@ func annealSeries(c AnnealCase, buckets int) (x, y []float64, err error) {
 		wh = dataset.AWReseller()
 	}
 	e := Engine(wh)
-	nets, err := e.Differentiate(c.Query)
+	ctx := context.Background()
+	nets, err := e.DifferentiateCtx(ctx, c.Query)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -71,11 +73,17 @@ func annealSeries(c AnnealCase, buckets int) (x, y []float64, err error) {
 	}
 	sn := nets[0]
 	ex := e.Executor()
-	rows := e.SubspaceRows(sn)
+	rows, err := e.SubspaceRowsCtx(ctx, sn)
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(rows) == 0 {
 		return nil, nil, fmt.Errorf("%s: empty subspace", c.Label)
 	}
-	bgRows := RollupRows(e, sn)
+	bgRows, err := RollupRows(ctx, e, sn)
+	if err != nil {
+		return nil, nil, err
+	}
 	if len(bgRows) == 0 {
 		return nil, nil, fmt.Errorf("%s: empty roll-up space", c.Label)
 	}
@@ -83,8 +91,14 @@ func annealSeries(c AnnealCase, buckets int) (x, y []float64, err error) {
 	if !ok {
 		return nil, nil, fmt.Errorf("%s: no path from %s", c.Label, c.Attr.Table)
 	}
-	local := ex.NumericSeries(rows, c.Attr.Attr, attrPath, e.Measure())
-	bg := ex.NumericSeries(bgRows, c.Attr.Attr, attrPath, e.Measure())
+	local, err := ex.NumericSeriesCtx(ctx, rows, c.Attr.Attr, attrPath, e.Measure())
+	if err != nil {
+		return nil, nil, err
+	}
+	bg, err := ex.NumericSeriesCtx(ctx, bgRows, c.Attr.Attr, attrPath, e.Measure())
+	if err != nil {
+		return nil, nil, err
+	}
 	iv := kdapcore.MakeIntervals(local, buckets)
 	return iv.AggregateSeries(local), iv.AggregateSeries(bg), nil
 }
@@ -115,8 +129,9 @@ func Fig7(c AnnealCase, ks []int, iterations []int) ([]AnnealCurveResult, error)
 // RollupRows computes the union background space of a star net: the fact
 // rows of the sub-dataspace generalized along every hitted dimension
 // (taking the first successful roll-up, which is what the anneal figures
-// need as their single background series).
-func RollupRows(e *kdapcore.Engine, sn *kdapcore.StarNet) []int {
+// need as their single background series). The error is a cancelled
+// scan.
+func RollupRows(ctx context.Context, e *kdapcore.Engine, sn *kdapcore.StarNet) ([]int, error) {
 	// Re-derive the engine's roll-up construction through the public
 	// surface: generalize each hit group via its hierarchy parent.
 	g := e.Graph()
@@ -134,7 +149,10 @@ func RollupRows(e *kdapcore.Engine, sn *kdapcore.StarNet) []int {
 			if len(inner) == 0 {
 				continue
 			}
-			parentVals := ex.DimValues(base[i].Table, hitRows, inner[0], parent.Attr)
+			parentVals, err := ex.DimValues(ctx, hitRows, inner[0], parent.Attr)
+			if err != nil {
+				return nil, err
+			}
 			ppath, pok := g.PathFromFact(parent.Table, base[i].Path.Role)
 			if !pok || len(parentVals) == 0 {
 				continue
@@ -142,9 +160,10 @@ func RollupRows(e *kdapcore.Engine, sn *kdapcore.StarNet) []int {
 			cs = append(cs, olap.Constraint{Table: parent.Table, Attr: parent.Attr, Values: parentVals, Path: ppath})
 		}
 		cs = append(cs, base[i+1:]...)
-		if rows := ex.FactRows(cs); len(rows) > 0 {
-			return rows
+		rows, err := ex.FactRowsCtx(ctx, cs)
+		if err != nil || len(rows) > 0 {
+			return rows, err
 		}
 	}
-	return nil
+	return nil, nil
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"kdap/internal/dataset"
@@ -116,25 +117,41 @@ func collectRollupCases(wh *dataset.Warehouse, e *kdapcore.Engine, c BucketCase)
 
 	hitTable := wh.DB.Table(c.HitLevel.Table)
 	m := e.Measure()
+	ctx := context.Background()
 	var out []rollupCase
 	for _, v := range hitTable.DistinctValues(c.HitLevel.Attr) {
-		rows := ex.FactRows([]olap.Constraint{{
+		rows, err := ex.FactRowsCtx(ctx, []olap.Constraint{{
 			Table: c.HitLevel.Table, Attr: c.HitLevel.Attr,
 			Values: []relation.Value{v}, Path: hitPath,
 		}})
+		if err != nil {
+			return nil, err
+		}
 		if len(rows) == 0 {
 			continue
 		}
 		hitRows := hitTable.Lookup(c.HitLevel.Attr, v)
-		parentVals := ex.DimValues(c.HitLevel.Table, hitRows, innerPaths[0], parent.Attr)
+		parentVals, err := ex.DimValues(ctx, hitRows, innerPaths[0], parent.Attr)
+		if err != nil {
+			return nil, err
+		}
 		if len(parentVals) == 0 {
 			continue
 		}
-		bgRows := ex.FactRows([]olap.Constraint{{
+		bgRows, err := ex.FactRowsCtx(ctx, []olap.Constraint{{
 			Table: parent.Table, Attr: parent.Attr, Values: parentVals, Path: parentPath,
 		}})
-		local := ex.NumericSeries(rows, c.Attr.Attr, attrPath, m)
-		bg := ex.NumericSeries(bgRows, c.Attr.Attr, attrPath, m)
+		if err != nil {
+			return nil, err
+		}
+		local, err := ex.NumericSeriesCtx(ctx, rows, c.Attr.Attr, attrPath, m)
+		if err != nil {
+			return nil, err
+		}
+		bg, err := ex.NumericSeriesCtx(ctx, bgRows, c.Attr.Attr, attrPath, m)
+		if err != nil {
+			return nil, err
+		}
 		if len(local) == 0 || len(bg) == 0 {
 			continue
 		}

@@ -7,6 +7,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"kdap/internal/dataset"
@@ -19,16 +20,7 @@ import (
 // sales revenue = SUM(UnitPrice × OrderQuantity).
 func Engine(wh *dataset.Warehouse) *kdapcore.Engine {
 	fact := wh.DB.Table(wh.Graph.FactTable())
-	var m olap.Measure
-	switch {
-	case fact.Schema().HasColumn("OrderQuantity"):
-		m = olap.ProductMeasure(fact, "SalesRevenue", "UnitPrice", "OrderQuantity")
-	case fact.Schema().HasColumn("Quantity"):
-		m = olap.ProductMeasure(fact, "SalesRevenue", "UnitPrice", "Quantity")
-	default:
-		m = olap.CountMeasure()
-	}
-	return kdapcore.NewEngine(wh.Graph, wh.Index, m, olap.Sum)
+	return kdapcore.NewEngine(wh.Graph, wh.Index, olap.RevenueMeasure(fact), olap.Sum)
 }
 
 // RankCurve is one line of Figure 4: the fraction of workload queries
@@ -55,7 +47,7 @@ func Fig4(e *kdapcore.Engine, queries []workload.Query) ([]RankCurve, error) {
 		c := RankCurve{Method: method, WorstRank: 0}
 		within := [5]int{}
 		for _, q := range queries {
-			nets, err := e.DifferentiateRanked(q.Text, method)
+			nets, err := e.DifferentiateRankedCtx(context.Background(), q.Text, method)
 			if err != nil {
 				return nil, fmt.Errorf("query %d %q: %w", q.ID, q.Text, err)
 			}
@@ -90,7 +82,7 @@ func Fig4(e *kdapcore.Engine, queries []workload.Query) ([]RankCurve, error) {
 // first acceptable net (0 when absent) — used by tests and by the
 // per-query diagnostics of the bench harness.
 func QueryRank(e *kdapcore.Engine, q workload.Query, method kdapcore.RankMethod) (int, error) {
-	nets, err := e.DifferentiateRanked(q.Text, method)
+	nets, err := e.DifferentiateRankedCtx(context.Background(), q.Text, method)
 	if err != nil {
 		return 0, err
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"kdap/internal/dataset"
@@ -19,7 +20,7 @@ func TestFig4AllInterpretationsGenerated(t *testing.T) {
 			t.Fatalf("q%d %q: %v", q.ID, q.Text, err)
 		}
 		if rank == 0 {
-			nets, _ := e.DifferentiateRanked(q.Text, kdapcore.Standard)
+			nets, _ := e.DifferentiateRankedCtx(context.Background(), q.Text, kdapcore.Standard)
 			t.Errorf("q%d %q: relevant net absent (%d nets)", q.ID, q.Text, len(nets))
 			for i, sn := range nets {
 				if i >= 6 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestTable1(t *testing.T) {
 	}
 	// The street-address interpretation must exist somewhere in the full list.
 	e := Engine(dataset.AWOnline())
-	all, _ := e.Differentiate(Table1Query)
+	all, _ := e.DifferentiateCtx(context.Background(), Table1Query)
 	var sawAddr, sawProdCat bool
 	for _, sn := range all {
 		sig := sn.DomainSignature()

@@ -35,7 +35,10 @@ const goldenPath = "testdata/fingerprints.golden"
 
 // goldenEntry digests one star net: its facets and its fact rows.
 func goldenEntry(e *kdapcore.Engine, sn *kdapcore.StarNet) string {
-	rows := e.SubspaceRows(sn)
+	rows, err := e.SubspaceRowsCtx(context.Background(), sn)
+	if err != nil {
+		return "rows error: " + err.Error()
+	}
 	var rb strings.Builder
 	for _, r := range rows {
 		rb.WriteString(strconv.Itoa(r))
@@ -43,7 +46,7 @@ func goldenEntry(e *kdapcore.Engine, sn *kdapcore.StarNet) string {
 	}
 	rsum := sha256.Sum256([]byte(rb.String()))
 	fp := ""
-	f, err := e.Explore(sn, kdapcore.DefaultExploreOptions())
+	f, err := e.ExploreCtx(context.Background(), sn, kdapcore.DefaultExploreOptions())
 	if err != nil {
 		fp = "error: " + err.Error()
 	} else {
@@ -68,7 +71,7 @@ func goldenNets(t *testing.T, label string, e *kdapcore.Engine, n int) []namedNe
 	t.Helper()
 	var out []namedNet
 	top := func(q string) *kdapcore.StarNet {
-		nets, err := e.Differentiate(q)
+		nets, err := e.DifferentiateCtx(context.Background(), q)
 		if err != nil {
 			t.Fatalf("%s: differentiate %q: %v", label, q, err)
 		}

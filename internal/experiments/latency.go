@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sort"
 	"time"
 
@@ -38,11 +39,12 @@ func Latency() (LatencyReport, error) {
 	e := Engine(dataset.AWOnline())
 	opts := kdapcore.DefaultExploreOptions()
 	opts.Parallel = true
+	ctx := context.Background()
 	var diff, expl []time.Duration
 	rep := LatencyReport{}
 	for _, q := range workload.AWOnlineQueries() {
 		start := time.Now()
-		nets, err := e.Differentiate(q.Text)
+		nets, err := e.DifferentiateCtx(ctx, q.Text)
 		if err != nil {
 			return rep, err
 		}
@@ -51,7 +53,7 @@ func Latency() (LatencyReport, error) {
 			continue
 		}
 		start = time.Now()
-		if _, err := e.Explore(nets[0], opts); err == nil {
+		if _, err := e.ExploreCtx(ctx, nets[0], opts); err == nil {
 			expl = append(expl, time.Since(start))
 			rep.ExploredSubspaces++
 		}

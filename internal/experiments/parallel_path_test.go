@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -23,14 +24,14 @@ func TestBenchWorkloadTakesParallelPath(t *testing.T) {
 	e := Engine(dataset.AWOnline())
 	before := e.Executor().Stats()
 	q := workload.AWOnlineQueries()[0]
-	nets, err := e.Differentiate(q.Text)
+	nets, err := e.DifferentiateCtx(context.Background(), q.Text)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nets) == 0 {
 		t.Fatalf("no interpretations for %q", q.Text)
 	}
-	if _, err := e.Explore(nets[0], kdapcore.DefaultExploreOptions()); err != nil {
+	if _, err := e.ExploreCtx(context.Background(), nets[0], kdapcore.DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
 	after := e.Executor().Stats()

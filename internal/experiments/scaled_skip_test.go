@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strconv"
@@ -37,23 +38,23 @@ func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 
 	const query = "Road Bikes SalesKey>90000"
 	seg, res := Engine(bwh), Engine(rwh)
-	segNets, err := seg.Differentiate(query)
+	segNets, err := seg.DifferentiateCtx(context.Background(), query)
 	if err != nil || len(segNets) == 0 {
 		t.Fatalf("differentiate backed: %v (%d nets)", err, len(segNets))
 	}
-	resNets, err := res.Differentiate(query)
+	resNets, err := res.DifferentiateCtx(context.Background(), query)
 	if err != nil || len(resNets) == 0 {
 		t.Fatalf("differentiate resident: %v (%d nets)", err, len(resNets))
 	}
 
 	before, planBefore := store.Stats(), seg.Executor().Stats()
-	rows := seg.SubspaceRows(segNets[0])
+	rows, err := seg.SubspaceRowsCtx(context.Background(), segNets[0])
 	after, planAfter := store.Stats(), seg.Executor().Stats()
-	if len(rows) == 0 {
-		t.Fatal("drill produced no rows")
+	if err != nil || len(rows) == 0 {
+		t.Fatalf("drill produced no rows: %v", err)
 	}
-	if want := res.SubspaceRows(resNets[0]); len(rows) != len(want) {
-		t.Fatalf("backed drill %d rows, resident oracle %d", len(rows), len(want))
+	if want, err := res.SubspaceRowsCtx(context.Background(), resNets[0]); err != nil || len(rows) != len(want) {
+		t.Fatalf("backed drill %d rows, resident oracle %d (%v)", len(rows), len(want), err)
 	}
 
 	nseg := relation.NumSegments(store.NumRows(), store.SegmentSize())
@@ -108,7 +109,7 @@ func BenchmarkBackedColdDrill(b *testing.B) {
 				st.SetCacheBudget(64 << 20)
 				query := fmt.Sprintf("Road Bikes SalesKey>%d", n/10*9)
 				eng := Engine(wh)
-				nets, err := eng.Differentiate(query)
+				nets, err := eng.DifferentiateCtx(context.Background(), query)
 				if err != nil || len(nets) == 0 {
 					sb.Fatalf("differentiate %q: %v (%d nets)", query, err, len(nets))
 				}
@@ -122,8 +123,11 @@ func BenchmarkBackedColdDrill(b *testing.B) {
 				store.DropCache()
 				e.InvalidateSubspaceRows()
 				before, planBefore := store.Stats(), e.Executor().Stats()
-				rows := e.SubspaceRows(sn)
+				rows, err := e.SubspaceRowsCtx(context.Background(), sn)
 				after, planAfter := store.Stats(), e.Executor().Stats()
+				if err != nil {
+					sb.Fatal(err)
+				}
 				if want < 0 {
 					want = len(rows)
 				}

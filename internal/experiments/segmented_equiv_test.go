@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"kdap/internal/dataset"
@@ -33,11 +34,11 @@ func TestSegmentedFacetsByteIdentical(t *testing.T) {
 
 	explored := 0
 	for _, q := range workload.AWOnlineQueries() {
-		nets, err := mono.Differentiate(q.Text)
+		nets, err := mono.DifferentiateCtx(context.Background(), q.Text)
 		if err != nil {
 			t.Fatalf("query %d %q: %v", q.ID, q.Text, err)
 		}
-		segNets, err := seg.Differentiate(q.Text)
+		segNets, err := seg.DifferentiateCtx(context.Background(), q.Text)
 		if err != nil {
 			t.Fatalf("query %d %q (backed): %v", q.ID, q.Text, err)
 		}
@@ -47,8 +48,8 @@ func TestSegmentedFacetsByteIdentical(t *testing.T) {
 		if len(nets) == 0 {
 			continue
 		}
-		want, wantErr := mono.Explore(nets[0], opts)
-		got, gotErr := seg.Explore(segNets[0], opts)
+		want, wantErr := mono.ExploreCtx(context.Background(), nets[0], opts)
+		got, gotErr := seg.ExploreCtx(context.Background(), segNets[0], opts)
 		if wantErr != nil || gotErr != nil {
 			if wantErr == nil || gotErr == nil || wantErr.Error() != gotErr.Error() {
 				t.Fatalf("query %d: explore errors diverge: resident=%v backed=%v", q.ID, wantErr, gotErr)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestSQLWellFormedAcrossWorkload(t *testing.T) {
 	e := Engine(dataset.AWOnline())
 	fact := e.Graph().FactTable()
 	for _, q := range workload.AWOnlineQueries() {
-		nets, err := e.Differentiate(q.Text)
+		nets, err := e.DifferentiateCtx(context.Background(), q.Text)
 		if err != nil {
 			t.Fatalf("%q: %v", q.Text, err)
 		}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -16,7 +17,7 @@ const Table1Query = "California Mountain Bikes"
 // with hit groups and the ranking score.
 func Table1(topK int) ([]string, []*kdapcore.StarNet, error) {
 	e := Engine(dataset.AWOnline())
-	nets, err := e.Differentiate(Table1Query)
+	nets, err := e.DifferentiateCtx(context.Background(), Table1Query)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -37,7 +38,7 @@ func Table1(topK int) ([]string, []*kdapcore.StarNet, error) {
 // numeric ranges, ModelName, Color as categories).
 func Table2() (*kdapcore.Facets, []string, error) {
 	e := Engine(dataset.AWOnline())
-	nets, err := e.Differentiate(Table1Query)
+	nets, err := e.DifferentiateCtx(context.Background(), Table1Query)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -48,7 +49,7 @@ func Table2() (*kdapcore.Facets, []string, error) {
 	opts.TopKAttrs = 3
 	opts.TopKInstances = 4
 	opts.DisplayIntervals = 3 // Table 2 shows three DealerPrice ranges
-	f, err := e.Explore(nets[0], opts)
+	f, err := e.ExploreCtx(context.Background(), nets[0], opts)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,10 +1,10 @@
 package kdapcore
 
-// Engine-level answer caching: finished Differentiate and Explore
+// Engine-level answer caching: finished differentiate and explore
 // results are kept in two versioned, TTL-aware, size-bounded stores
 // (cache.Answers) keyed by a canonicalized identity — normalized
-// keywords + rank method for Differentiate, subspace signature + every
-// result-shaping option for Explore. Lookups and fills go through
+// keywords + rank method for differentiate, subspace signature + every
+// result-shaping option for explore. Lookups and fills go through
 // singleflight, so a storm of identical concurrent requests performs
 // the computation once; the rest wait and share it. Three rules keep
 // cached answers honest:
@@ -30,44 +30,27 @@ import (
 
 	"kdap/internal/cache"
 	"kdap/internal/telemetry"
+	"kdap/internal/telemetry/profile"
 )
 
-// answerCacheTTLResolution is documentation-only: TTLs are exact, see
-// cache.Answers.
-
-// CacheOutcome classifies how an answer-cached call was served.
-type CacheOutcome int
-
+// Answer-cache outcomes, as the request's wide event records them
+// (profile's cache field; the server echoes it as X-KDAP-Cache).
 const (
-	// CacheBypass: no answer cache is configured, or the call is not
-	// cacheable (an Explore with a CustomScore func has no canonical
+	// cacheBypass: no answer cache is configured, or the call is not
+	// cacheable (an explore with a CustomScore func has no canonical
 	// key).
-	CacheBypass CacheOutcome = iota
-	// CacheMiss: this call performed the computation (and cached it).
-	CacheMiss
-	// CacheHit: served from the store without computing.
-	CacheHit
-	// CacheCoalesced: an identical call was already in flight; this one
+	cacheBypass = "bypass"
+	// cacheMiss: this call performed the computation (and cached it).
+	cacheMiss = "miss"
+	// cacheHit: served from the store without computing.
+	cacheHit = "hit"
+	// cacheCoalesced: an identical call was already in flight; this one
 	// waited and shared its result.
-	CacheCoalesced
+	cacheCoalesced = "coalesced"
 )
-
-// String renders the outcome as its marker-header token.
-func (o CacheOutcome) String() string {
-	switch o {
-	case CacheMiss:
-		return "miss"
-	case CacheHit:
-		return "hit"
-	case CacheCoalesced:
-		return "coalesced"
-	default:
-		return "bypass"
-	}
-}
 
 // SetAnswerCache enables the engine's answer cache: up to entries
-// finished results per phase (Differentiate and Explore each), expiring
+// finished results per phase (differentiate and explore each), expiring
 // ttl after insertion (0 = no expiry). entries <= 0 disables caching.
 // Configure at startup — not safe to call concurrently with queries.
 func (e *Engine) SetAnswerCache(entries int, ttl time.Duration) {
@@ -78,9 +61,6 @@ func (e *Engine) SetAnswerCache(entries int, ttl time.Duration) {
 	e.diffAnswers = cache.NewAnswers[[]*StarNet](entries, ttl, netsFootprint)
 	e.explAnswers = cache.NewAnswers[*Facets](entries, ttl, facetsFootprint)
 }
-
-// AnswerCacheEnabled reports whether SetAnswerCache has been configured.
-func (e *Engine) AnswerCacheEnabled() bool { return e.diffAnswers != nil }
 
 // AnswerCacheStats snapshots both answer stores' counters; ok is false
 // when the cache is disabled.
@@ -103,7 +83,7 @@ func diffAnswerKey(query string, method RankMethod) string {
 	return strconv.Itoa(int(method)) + "\x1f" + CanonicalQuery(query)
 }
 
-// ExploreCacheKey renders the canonical cache identity of an Explore
+// ExploreCacheKey renders the canonical cache identity of an ExploreCtx
 // call: the net's subspace signature plus every option that shapes the
 // result. ok is false when the call is uncacheable (a CustomScore func
 // cannot be canonicalized). Parallel and PartialOnDeadline are
@@ -143,94 +123,29 @@ func ExploreCacheKey(sn *StarNet, o ExploreOptions) (key string, ok bool) {
 	return b.String(), true
 }
 
-// DifferentiateCachedCtx is DifferentiateCtx through the answer cache,
-// reporting how the answer was served. Identical concurrent queries
-// collapse into one pipeline run; repeats within the TTL are served
-// from the store. The returned nets are shared — treat as immutable.
-func (e *Engine) DifferentiateCachedCtx(ctx context.Context, query string) ([]*StarNet, CacheOutcome, error) {
-	return e.differentiateCached(ctx, query, Standard)
-}
-
-func (e *Engine) differentiateCached(ctx context.Context, query string, method RankMethod) ([]*StarNet, CacheOutcome, error) {
-	if e.diffAnswers == nil {
-		nets, err := e.differentiateRanked(ctx, query, method)
-		return nets, CacheBypass, err
-	}
-	key := diffAnswerKey(query, method)
-	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
-	nets, ok := e.diffAnswers.Get(key)
-	sp.End()
-	if ok {
-		return nets, CacheHit, nil
-	}
-	t0 := time.Now()
-	nets, outcome, err := e.diffAnswers.Compute(ctx, key, func(ctx context.Context) ([]*StarNet, bool, error) {
-		nets, err := e.differentiateRanked(ctx, query, method)
-		return nets, err == nil, err
-	})
-	oc := fromAnswerOutcome(outcome)
-	noteShared(ctx, oc, t0)
-	return nets, oc, err
-}
-
-// ExploreCachedCtx is ExploreCtx through the answer cache, reporting
-// how the answer was served. The returned facets are a shallow copy
-// bound to the caller's own net; their inner structure is shared and
-// must be treated as immutable.
-func (e *Engine) ExploreCachedCtx(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, CacheOutcome, error) {
-	if e.explAnswers == nil {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		return f, CacheBypass, err
-	}
-	key, cacheable := ExploreCacheKey(sn, opts)
-	if !cacheable {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		return f, CacheBypass, err
-	}
-	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
-	f, ok := e.explAnswers.Get(key)
-	sp.End()
-	if ok {
-		return rebindFacets(f, sn), CacheHit, nil
-	}
-	t0 := time.Now()
-	f, outcome, err := e.explAnswers.Compute(ctx, key, func(ctx context.Context) (*Facets, bool, error) {
-		f, err := e.exploreUncached(ctx, sn, opts)
-		if err != nil {
-			return nil, false, err
-		}
-		// A deadline-degraded result answers this caller but must not
-		// shadow the complete answer for everyone after it.
-		return f, !f.Partial, nil
-	})
-	oc := fromAnswerOutcome(outcome)
-	noteShared(ctx, oc, t0)
-	if err != nil {
-		return nil, oc, err
-	}
-	return rebindFacets(f, sn), oc, nil
-}
-
-// noteShared is the one emission site of "adopted a peer's in-flight
-// answer": a coalesced caller's work ran in the leader's goroutine, so
-// its own span tree would hold only cache_lookup. The wait since t0 is
-// recorded as an answer_shared stage; the wide event's cache field
-// ("coalesced") marks the request as the follower.
-func noteShared(ctx context.Context, oc CacheOutcome, t0 time.Time) {
-	if oc == CacheCoalesced {
+// noteCache is the one emission site of an answer's cache outcome: it
+// records the outcome on the request's wide event, where the server's
+// X-KDAP-Cache header and the REPL's profile both read it. A coalesced
+// caller's work ran in the leader's goroutine, so its own span tree
+// would hold only cache_lookup: its wait since t0 is recorded as an
+// answer_shared stage, and the cache field ("coalesced") marks the
+// request as the follower.
+func noteCache(ctx context.Context, outcome string, t0 time.Time) {
+	profile.FromContext(ctx).SetCacheOutcome(outcome)
+	if outcome == cacheCoalesced {
 		telemetry.SpanFromContext(ctx).AddTimed("answer_shared", time.Since(t0))
 	}
 }
 
-// fromAnswerOutcome maps the store's outcome onto the engine's.
-func fromAnswerOutcome(o cache.Outcome) CacheOutcome {
+// fromAnswerOutcome maps the store's outcome onto the wide event's.
+func fromAnswerOutcome(o cache.Outcome) string {
 	switch o {
 	case cache.OutcomeHit:
-		return CacheHit
+		return cacheHit
 	case cache.OutcomeCoalesced:
-		return CacheCoalesced
+		return cacheCoalesced
 	default:
-		return CacheMiss
+		return cacheMiss
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 
 	"kdap/internal/dataset"
 	"kdap/internal/relation"
+	"kdap/internal/telemetry/profile"
 )
 
 // cachedEbizEngine is ebizEngine with the answer cache on.
@@ -19,9 +20,24 @@ func cachedEbizEngine() *Engine {
 	return e
 }
 
+// differentiateOutcome runs DifferentiateCtx under a fresh wide event
+// and returns the cache outcome the engine recorded on it.
+func differentiateOutcome(ctx context.Context, e *Engine, query string) ([]*StarNet, string, error) {
+	p := profile.New("query", "")
+	nets, err := e.DifferentiateCtx(profile.NewContext(ctx, p), query)
+	return nets, p.CacheOutcome(), err
+}
+
+// exploreOutcome is differentiateOutcome for ExploreCtx.
+func exploreOutcome(ctx context.Context, e *Engine, sn *StarNet, opts ExploreOptions) (*Facets, string, error) {
+	p := profile.New("explore", "")
+	f, err := e.ExploreCtx(profile.NewContext(ctx, p), sn, opts)
+	return f, p.CacheOutcome(), err
+}
+
 // TestAnswerCacheDifferentiateStorm is the engine-level coalescing
-// proof: N concurrent identical Differentiate calls perform the
-// pipeline exactly once — one CacheMiss, everyone else served by the
+// proof: N concurrent identical differentiate calls perform the
+// pipeline exactly once — one miss, everyone else served by the
 // store or the in-flight computation, all with the same answer.
 func TestAnswerCacheDifferentiateStorm(t *testing.T) {
 	const n = 16
@@ -36,16 +52,16 @@ func TestAnswerCacheDifferentiateStorm(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			nets, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD")
+			nets, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD")
 			if err != nil || len(nets) == 0 {
 				t.Errorf("goroutine %d: nets=%d err=%v", i, len(nets), err)
 				return
 			}
 			results[i] = nets
 			switch outcome {
-			case CacheMiss:
+			case cacheMiss:
 				misses.Add(1)
-			case CacheHit, CacheCoalesced:
+			case cacheHit, cacheCoalesced:
 				served.Add(1)
 			default:
 				t.Errorf("goroutine %d: unexpected outcome %v", i, outcome)
@@ -73,12 +89,12 @@ func TestAnswerCacheDifferentiateStorm(t *testing.T) {
 // same query share one cache entry.
 func TestAnswerCacheCanonicalization(t *testing.T) {
 	e := cachedEbizEngine()
-	nets1, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD")
-	if err != nil || outcome != CacheMiss {
+	nets1, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD")
+	if err != nil || outcome != cacheMiss {
 		t.Fatalf("cold: outcome=%v err=%v", outcome, err)
 	}
-	nets2, outcome, err := e.DifferentiateCachedCtx(context.Background(), "  Columbus \t LCD ")
-	if err != nil || outcome != CacheHit {
+	nets2, outcome, err := differentiateOutcome(context.Background(), e, "  Columbus \t LCD ")
+	if err != nil || outcome != cacheHit {
 		t.Fatalf("whitespace variant: outcome=%v err=%v, want hit", outcome, err)
 	}
 	if &nets1[0] != &nets2[0] {
@@ -98,12 +114,12 @@ func TestAnswerCacheInvalidation(t *testing.T) {
 	e := ingestTestEngine(dataset.EBiz())
 	e.SetAnswerCache(64, 0)
 	ctx := context.Background()
-	nets, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD")
-	if err != nil || outcome != CacheMiss || len(nets) < 2 {
+	nets, outcome, err := differentiateOutcome(ctx, e, "Columbus LCD")
+	if err != nil || outcome != cacheMiss || len(nets) < 2 {
 		t.Fatalf("cold: outcome=%v nets=%d err=%v", outcome, len(nets), err)
 	}
 	for _, sn := range nets[:2] {
-		if _, outcome, err := e.ExploreCachedCtx(ctx, sn, DefaultExploreOptions()); err != nil || outcome != CacheMiss {
+		if _, outcome, err := exploreOutcome(ctx, e, sn, DefaultExploreOptions()); err != nil || outcome != cacheMiss {
 			t.Fatalf("cold explore: outcome=%v err=%v", outcome, err)
 		}
 	}
@@ -128,29 +144,29 @@ func TestAnswerCacheInvalidation(t *testing.T) {
 	if diff.Len != 1 || diff.Evictions != 0 {
 		t.Fatalf("differentiate store after append: len=%d evictions=%d, want 1/0", diff.Len, diff.Evictions)
 	}
-	if _, outcome, _ := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); outcome != CacheHit {
+	if _, outcome, _ := differentiateOutcome(ctx, e, "Columbus LCD"); outcome != cacheHit {
 		t.Fatalf("post-append differentiate: outcome=%v, want hit", outcome)
 	}
 }
 
-// TestAnswerCacheExploreHit: a repeated explore is a CacheHit whose
+// TestAnswerCacheExploreHit: a repeated explore is a cacheHit whose
 // facets match the fresh computation exactly, rebound to the caller's
 // own net.
 func TestAnswerCacheExploreHit(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx := context.Background()
-	nets, _, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD")
+	nets, _, err := differentiateOutcome(ctx, e, "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
 	opts := DefaultExploreOptions()
 
-	cold, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts)
-	if err != nil || outcome != CacheMiss {
+	cold, outcome, err := exploreOutcome(ctx, e, nets[0], opts)
+	if err != nil || outcome != cacheMiss {
 		t.Fatalf("cold explore: outcome=%v err=%v", outcome, err)
 	}
-	warm, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts)
-	if err != nil || outcome != CacheHit {
+	warm, outcome, err := exploreOutcome(ctx, e, nets[0], opts)
+	if err != nil || outcome != cacheHit {
 		t.Fatalf("warm explore: outcome=%v err=%v", outcome, err)
 	}
 	if warm.Net != nets[0] {
@@ -167,7 +183,7 @@ func TestAnswerCacheExploreHit(t *testing.T) {
 	// Option changes that shape the result are distinct cache entries.
 	opts2 := opts
 	opts2.Mode = Bellwether
-	if _, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts2); err != nil || outcome != CacheMiss {
+	if _, outcome, err := exploreOutcome(ctx, e, nets[0], opts2); err != nil || outcome != cacheMiss {
 		t.Fatalf("mode change: outcome=%v err=%v, want miss", outcome, err)
 	}
 }
@@ -178,7 +194,7 @@ func TestAnswerCacheExploreHit(t *testing.T) {
 func TestAnswerCacheCustomScoreBypass(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx := context.Background()
-	nets, _, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD")
+	nets, _, err := differentiateOutcome(ctx, e, "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
@@ -188,7 +204,7 @@ func TestAnswerCacheCustomScoreBypass(t *testing.T) {
 		t.Fatal("CustomScore options produced a cache key")
 	}
 	for i := 0; i < 2; i++ {
-		if _, outcome, err := e.ExploreCachedCtx(ctx, nets[0], opts); err != nil || outcome != CacheBypass {
+		if _, outcome, err := exploreOutcome(ctx, e, nets[0], opts); err != nil || outcome != cacheBypass {
 			t.Fatalf("custom-score explore %d: outcome=%v err=%v, want bypass", i, outcome, err)
 		}
 	}
@@ -201,13 +217,10 @@ func TestAnswerCacheCustomScoreBypass(t *testing.T) {
 // bypass and stats report not-ok.
 func TestAnswerCacheDisabled(t *testing.T) {
 	e := ebizEngine()
-	if e.AnswerCacheEnabled() {
-		t.Fatal("cache enabled before SetAnswerCache")
-	}
 	if _, _, ok := e.AnswerCacheStats(); ok {
 		t.Fatal("stats ok without a cache")
 	}
-	if _, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD"); err != nil || outcome != CacheBypass {
+	if _, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD"); err != nil || outcome != cacheBypass {
 		t.Fatalf("uncached differentiate: outcome=%v err=%v", outcome, err)
 	}
 }
@@ -218,7 +231,7 @@ func TestAnswerCacheCancelledNotCached(t *testing.T) {
 	e := cachedEbizEngine()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err == nil {
+	if _, _, err := differentiateOutcome(ctx, e, "Columbus LCD"); err == nil {
 		t.Fatal("cancelled differentiate succeeded")
 	}
 	diff, _, ok := e.AnswerCacheStats()
@@ -226,7 +239,7 @@ func TestAnswerCacheCancelledNotCached(t *testing.T) {
 		t.Fatalf("cancelled computation left %d cached entries", diff.Len)
 	}
 	// And the next caller computes fresh, successfully.
-	if nets, outcome, err := e.DifferentiateCachedCtx(context.Background(), "Columbus LCD"); err != nil || outcome != CacheMiss || len(nets) == 0 {
+	if nets, outcome, err := differentiateOutcome(context.Background(), e, "Columbus LCD"); err != nil || outcome != cacheMiss || len(nets) == 0 {
 		t.Fatalf("retry after cancel: nets=%d outcome=%v err=%v", len(nets), outcome, err)
 	}
 }
@@ -236,10 +249,10 @@ func TestAnswerCacheTTL(t *testing.T) {
 	e := ebizEngine()
 	e.SetAnswerCache(16, time.Hour)
 	ctx := context.Background()
-	if _, outcome, err := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); err != nil || outcome != CacheMiss {
+	if _, outcome, err := differentiateOutcome(ctx, e, "Columbus LCD"); err != nil || outcome != cacheMiss {
 		t.Fatalf("cold: outcome=%v err=%v", outcome, err)
 	}
-	if _, outcome, _ := e.DifferentiateCachedCtx(ctx, "Columbus LCD"); outcome != CacheHit {
+	if _, outcome, _ := differentiateOutcome(ctx, e, "Columbus LCD"); outcome != cacheHit {
 		t.Fatalf("within TTL: outcome=%v, want hit", outcome)
 	}
 }

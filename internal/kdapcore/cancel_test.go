@@ -9,6 +9,7 @@ import (
 
 	"kdap/internal/dataset"
 	"kdap/internal/olap"
+	"kdap/internal/schemagraph"
 )
 
 // awOnlineEngine builds the engine the paper's §6 experiments run on:
@@ -29,7 +30,7 @@ func awOnlineEngine() *Engine {
 // orders of magnitude sooner.
 func TestCancelMidExplore(t *testing.T) {
 	e := awOnlineEngine()
-	nets, err := e.Differentiate("California Mountain Bikes")
+	nets, err := e.DifferentiateCtx(context.Background(), "California Mountain Bikes")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
@@ -76,7 +77,7 @@ func TestCancelMidDifferentiate(t *testing.T) {
 // caches or the parallel scoring fan-out.
 func TestConcurrentExploreCancel(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
@@ -109,8 +110,21 @@ func TestConcurrentExploreCancel(t *testing.T) {
 
 	// The engine must still work after the cancellation storm: no
 	// partially-cancelled state may have been cached.
-	if _, err := e.Explore(nets[0], opts); err != nil {
+	if _, err := e.ExploreCtx(context.Background(), nets[0], opts); err != nil {
 		t.Fatalf("explore after cancel storm: %v", err)
+	}
+}
+
+// TestDiscoverCancel: the batch scan explores one subspace per level
+// instance; a cancelled context must end it with the context's error
+// rather than skip every instance and report an empty result.
+func TestDiscoverCancel(t *testing.T) {
+	e := ebizEngine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	out, err := e.Discover(ctx, schemagraph.AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", Surprise, 5)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("discover on cancelled ctx: %d results, err=%v", len(out), err)
 	}
 }
 
@@ -121,14 +135,14 @@ func TestConcurrentExploreCancel(t *testing.T) {
 // and without the opt-in the same run fails.
 func TestPartialFacetsOnDeadline(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
 	sn := nets[0]
 	// Warm the subspace and rollup inputs so the deadline cannot fire
 	// before scoring starts.
-	if _, err := e.Explore(sn, DefaultExploreOptions()); err != nil {
+	if _, err := e.ExploreCtx(context.Background(), sn, DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
 

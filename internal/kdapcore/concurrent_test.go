@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -14,7 +15,7 @@ import (
 // cache, and the clock caches. Run under go test -race.
 func TestConcurrentExplore(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil || len(nets) < 2 {
 		t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
 	}
@@ -24,7 +25,7 @@ func TestConcurrentExplore(t *testing.T) {
 	popts := opts
 	popts.Parallel = true // fan out inside Explore too
 
-	want, err := e.Explore(nets[0], opts)
+	want, err := e.ExploreCtx(context.Background(), nets[0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestConcurrentExplore(t *testing.T) {
 			if g%2 == 1 {
 				o = popts
 			}
-			f, err := e.Explore(sn, o)
+			f, err := e.ExploreCtx(context.Background(), sn, o)
 			if err != nil {
 				errs <- err
 				return
@@ -110,7 +111,7 @@ func TestConcurrentSetTextSimilarity(t *testing.T) {
 		go func() {
 			defer readers.Done()
 			for i := 0; i < 25; i++ {
-				nets, err := e.Differentiate("Columbus LCD")
+				nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 				if err != nil {
 					t.Errorf("differentiate: %v", err)
 					return
@@ -127,17 +128,17 @@ func TestConcurrentSetTextSimilarity(t *testing.T) {
 	<-writerDone
 }
 
-// Concurrent SubspaceRows on distinct nets churns the clock-evicting
+// Concurrent SubspaceRowsCtx on distinct nets churns the clock-evicting
 // subspace cache; results must stay correct throughout.
 func TestConcurrentSubspaceRows(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil || len(nets) == 0 {
 		t.Fatal("no nets")
 	}
 	want := make([][]int, len(nets))
 	for i, sn := range nets {
-		want[i] = e.SubspaceRows(sn)
+		want[i] = subspaceRows(t, e, sn)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -146,9 +147,9 @@ func TestConcurrentSubspaceRows(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
 				ni := (g + i) % len(nets)
-				rows := e.SubspaceRows(nets[ni])
-				if len(rows) != len(want[ni]) {
-					t.Errorf("net %d: %d rows, want %d", ni, len(rows), len(want[ni]))
+				rows, err := e.SubspaceRowsCtx(context.Background(), nets[ni])
+				if err != nil || len(rows) != len(want[ni]) {
+					t.Errorf("net %d: %d rows (%v), want %d", ni, len(rows), err, len(want[ni]))
 					return
 				}
 			}

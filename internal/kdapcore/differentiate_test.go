@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -16,9 +17,20 @@ func ebizEngine() *Engine {
 	return NewEngine(ebiz.Graph, ebiz.Index, m, olap.Sum)
 }
 
+// subspaceRows is SubspaceRowsCtx under a live context, failing the
+// test on an error.
+func subspaceRows(t testing.TB, e *Engine, sn *StarNet) []int {
+	t.Helper()
+	rows, err := e.SubspaceRowsCtx(context.Background(), sn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
 func TestDifferentiateColumbusLCD(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +79,7 @@ func TestDifferentiateColumbusLCD(t *testing.T) {
 
 func TestDifferentiatePhraseSanJose(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("San Jose")
+	nets, err := e.DifferentiateCtx(context.Background(), "San Jose")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +115,7 @@ func TestDifferentiatePhraseSanJose(t *testing.T) {
 
 func TestDifferentiateSeattlePortlandAliases(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Seattle Portland")
+	nets, err := e.DifferentiateCtx(context.Background(), "Seattle Portland")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,10 +150,10 @@ func TestDifferentiateSeattlePortlandAliases(t *testing.T) {
 
 func TestDifferentiateEmptyAndNoMatch(t *testing.T) {
 	e := ebizEngine()
-	if _, err := e.Differentiate("   "); err == nil {
+	if _, err := e.DifferentiateCtx(context.Background(), "   "); err == nil {
 		t.Error("blank query accepted")
 	}
-	nets, err := e.Differentiate("qqqq zzzz")
+	nets, err := e.DifferentiateCtx(context.Background(), "qqqq zzzz")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,19 +164,19 @@ func TestDifferentiateEmptyAndNoMatch(t *testing.T) {
 
 func TestDifferentiateSingleKeywordSubspace(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Projectors")
+	nets, err := e.DifferentiateCtx(context.Background(), "Projectors")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nets) == 0 {
 		t.Fatal("no nets")
 	}
-	rows := e.SubspaceRows(nets[0])
+	rows := subspaceRows(t, e, nets[0])
 	if len(rows) == 0 {
 		t.Fatal("empty subspace for top interpretation")
 	}
-	if agg := e.SubspaceAggregate(nets[0]); agg <= 0 {
-		t.Errorf("aggregate = %g", agg)
+	if agg, err := e.exec.AggregateCtx(context.Background(), rows, e.measure, e.agg); err != nil || agg <= 0 {
+		t.Errorf("aggregate = %g, %v", agg, err)
 	}
 	if len(rows) >= e.Executor().FactLen() {
 		t.Error("subspace did not slice anything")
@@ -173,8 +185,8 @@ func TestDifferentiateSingleKeywordSubspace(t *testing.T) {
 
 func TestStandardRankingPrefersPhrase(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.DifferentiateRanked("San Jose", Standard)
-	baseNets, _ := e.DifferentiateRanked("San Jose", Baseline)
+	nets, _ := e.DifferentiateRankedCtx(context.Background(), "San Jose", Standard)
+	baseNets, _ := e.DifferentiateRankedCtx(context.Background(), "San Jose", Baseline)
 	if len(nets) == 0 || len(baseNets) == 0 {
 		t.Fatal("no nets")
 	}
@@ -247,7 +259,7 @@ func TestScoreStarNetFormulas(t *testing.T) {
 
 func TestStarNetAccessors(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Columbus LCD")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	sn := nets[0]
 	if sn.Query != "Columbus LCD" {
 		t.Error("query not recorded")
@@ -270,7 +282,7 @@ func TestStarNetAccessors(t *testing.T) {
 // any of the three subcategories.
 func TestSameDomainGroupsUnion(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Speakers Headsets")
+	nets, err := e.DifferentiateCtx(context.Background(), "Speakers Headsets")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,14 +303,14 @@ func TestSameDomainGroupsUnion(t *testing.T) {
 	if len(cs[0].Values) != 2 {
 		t.Fatalf("union values = %v", cs[0].Values)
 	}
-	rows := e.SubspaceRows(sliceNet)
+	rows := subspaceRows(t, e, sliceNet)
 	// The union equals the sum of the two individual slices (a fact
 	// cannot be in both groups).
 	single := func(group string) int {
-		ns, _ := e.Differentiate(group)
+		ns, _ := e.DifferentiateCtx(context.Background(), group)
 		for _, n := range ns {
 			if n.DomainSignature() == "PGROUP.GroupName[Product]" {
-				return len(e.SubspaceRows(n))
+				return len(subspaceRows(t, e, n))
 			}
 		}
 		return -1
@@ -308,7 +320,7 @@ func TestSameDomainGroupsUnion(t *testing.T) {
 		t.Errorf("union %d != %d + %d", len(rows), a, b)
 	}
 	// Exploring the sliced subspace works and promotes the shared domain.
-	f, err := e.Explore(sliceNet, DefaultExploreOptions())
+	f, err := e.ExploreCtx(context.Background(), sliceNet, DefaultExploreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,7 +332,7 @@ func TestSameDomainGroupsUnion(t *testing.T) {
 // Cross-domain groups still intersect.
 func TestCrossDomainGroupsIntersect(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Columbus Televisions")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Columbus Televisions")
 	var sn *StarNet
 	for _, n := range nets {
 		if strings.Contains(n.DomainSignature(), "LOC.City[Store]") &&
@@ -335,11 +347,11 @@ func TestCrossDomainGroupsIntersect(t *testing.T) {
 	if len(sn.Constraints()) != 2 {
 		t.Fatalf("constraints = %d", len(sn.Constraints()))
 	}
-	rows := e.SubspaceRows(sn)
-	cityOnly, _ := e.Differentiate("Columbus")
+	rows := subspaceRows(t, e, sn)
+	cityOnly, _ := e.DifferentiateCtx(context.Background(), "Columbus")
 	for _, n := range cityOnly {
 		if n.DomainSignature() == "LOC.City[Store]" {
-			if len(rows) >= len(e.SubspaceRows(n)) {
+			if len(rows) >= len(subspaceRows(t, e, n)) {
 				t.Error("intersection did not narrow")
 			}
 		}

@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -39,7 +40,10 @@ type Discovery struct {
 // subspace; Discover inverts that and surfaces the subspaces an analyst
 // should look at. (The paper leaves automatic candidate discovery as
 // future work.)
-func (e *Engine) Discover(level schemagraph.AttrRef, role string, mode InterestMode, topK int) ([]Discovery, error) {
+//
+// A cancelled ctx stops the scan and returns ctx.Err(); an instance
+// whose subspace is empty or cannot be explored is skipped.
+func (e *Engine) Discover(ctx context.Context, level schemagraph.AttrRef, role string, mode InterestMode, topK int) ([]Discovery, error) {
 	if topK <= 0 {
 		return nil, fmt.Errorf("kdap: non-positive topK")
 	}
@@ -67,16 +71,15 @@ func (e *Engine) Discover(level schemagraph.AttrRef, role string, mode InterestM
 			Query:  fmt.Sprintf("discover:%s=%s", level, v.Text()),
 			Groups: []BoundGroup{{Group: hg, Path: path}},
 		}
-		rows := e.SubspaceRows(sn)
-		if len(rows) == 0 {
-			continue
-		}
-		facets, err := e.Explore(sn, opts)
+		facets, err := e.ExploreCtx(ctx, sn, opts)
 		if err != nil {
+			if ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
 			continue
 		}
 		best := Discovery{
-			Value: v, Rows: len(rows), Aggregate: facets.TotalAggregate,
+			Value: v, Rows: facets.SubspaceSize, Aggregate: facets.TotalAggregate,
 			Score: math.Inf(-1),
 		}
 		for _, d := range facets.Dimensions {

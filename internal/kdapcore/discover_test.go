@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"testing"
 
 	"kdap/internal/schemagraph"
@@ -9,7 +10,7 @@ import (
 func TestDiscoverRanksSubspaces(t *testing.T) {
 	e := ebizEngine()
 	level := schemagraph.AttrRef{Table: "PGROUP", Attr: "GroupName"}
-	out, err := e.Discover(level, "Product", Surprise, 5)
+	out, err := e.Discover(context.Background(), level, "Product", Surprise, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestDiscoverRanksSubspaces(t *testing.T) {
 func TestDiscoverCityLevel(t *testing.T) {
 	e := ebizEngine()
 	level := schemagraph.AttrRef{Table: "LOC", Attr: "City"}
-	out, err := e.Discover(level, "Store", Surprise, 3)
+	out, err := e.Discover(context.Background(), level, "Store", Surprise, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func TestDiscoverCityLevel(t *testing.T) {
 func TestDiscoverErrors(t *testing.T) {
 	e := ebizEngine()
 	level := schemagraph.AttrRef{Table: "PGROUP", Attr: "GroupName"}
-	if _, err := e.Discover(level, "Product", Surprise, 0); err == nil {
+	if _, err := e.Discover(context.Background(), level, "Product", Surprise, 0); err == nil {
 		t.Error("topK=0 accepted")
 	}
-	if _, err := e.Discover(schemagraph.AttrRef{Table: "GHOST", Attr: "X"}, "Product", Surprise, 3); err == nil {
+	if _, err := e.Discover(context.Background(), schemagraph.AttrRef{Table: "GHOST", Attr: "X"}, "Product", Surprise, 3); err == nil {
 		t.Error("missing table accepted")
 	}
 }
@@ -73,7 +74,7 @@ func TestDiscoverErrors(t *testing.T) {
 func TestDiscoverBellwether(t *testing.T) {
 	e := ebizEngine()
 	level := schemagraph.AttrRef{Table: "LOC", Attr: "State"}
-	out, err := e.Discover(level, "Store", Bellwether, 3)
+	out, err := e.Discover(context.Background(), level, "Store", Bellwether, 3)
 	if err != nil {
 		t.Fatal(err)
 	}

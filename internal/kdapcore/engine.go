@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"kdap/internal/cache"
 	"kdap/internal/fulltext"
@@ -30,7 +31,7 @@ type Engine struct {
 	netLim netLimits
 	// sim holds the text-relevance model behind an atomic pointer: the
 	// Engine is documented safe for concurrent use, and SetTextSimilarity
-	// may race with in-flight Differentiate calls (a nil pointer means
+	// may race with in-flight differentiate calls (a nil pointer means
 	// the default TF-IDF model).
 	sim atomic.Pointer[fulltext.Similarity]
 
@@ -47,7 +48,7 @@ type Engine struct {
 	// rows at next fetch, never rebuilt.
 	rowsCache *cache.Clock[string, *space]
 
-	// Answer caches: finished Differentiate and Explore results, enabled
+	// Answer caches: finished differentiate and explore results, enabled
 	// by SetAnswerCache (nil = disabled). See answers.go.
 	diffAnswers *cache.Answers[[]*StarNet]
 	explAnswers *cache.Answers[*Facets]
@@ -90,7 +91,7 @@ func NewEngine(g *schemagraph.Graph, ix *fulltext.Index, m olap.Measure, agg ola
 // SetTextSimilarity switches the text-relevance model used when probing
 // the full-text index (default: the classic TF-IDF the paper's prototype
 // used). The Figure 4 ablation compares ranking quality across models.
-// Safe to call while queries are in flight: an in-flight Differentiate
+// Safe to call while queries are in flight: an in-flight differentiate
 // sees either the old or the new model, never a torn write.
 func (e *Engine) SetTextSimilarity(s fulltext.Similarity) { e.sim.Store(&s) }
 
@@ -115,13 +116,8 @@ func (e *Engine) Measure() olap.Measure { return e.measure }
 // Agg returns the engine's aggregation function.
 func (e *Engine) Agg() olap.Agg { return e.agg }
 
-// Differentiate runs the first KDAP phase with the paper's standard
-// ranking: keyword query in, ranked candidate star nets out.
-func (e *Engine) Differentiate(query string) ([]*StarNet, error) {
-	return e.DifferentiateRankedCtx(context.Background(), query, Standard)
-}
-
-// DifferentiateCtx is Differentiate under a context; when a
+// DifferentiateCtx runs the first KDAP phase with the paper's standard
+// ranking: keyword query in, ranked candidate star nets out. When a
 // telemetry.Trace is attached, each pipeline stage is recorded as a
 // span (filter_extract → hit_probe → phrase_merge → seed_enum →
 // starnet_gen → rank).
@@ -129,16 +125,32 @@ func (e *Engine) DifferentiateCtx(ctx context.Context, query string) ([]*StarNet
 	return e.DifferentiateRankedCtx(ctx, query, Standard)
 }
 
-// DifferentiateRanked is Differentiate with an explicit ranking method
-// (the Figure 4 evaluation sweeps all four).
-func (e *Engine) DifferentiateRanked(query string, method RankMethod) ([]*StarNet, error) {
-	return e.DifferentiateRankedCtx(context.Background(), query, method)
-}
-
-// DifferentiateRankedCtx is the traced differentiate pipeline, served
-// through the answer cache when one is configured (SetAnswerCache).
+// DifferentiateRankedCtx is DifferentiateCtx with an explicit ranking
+// method (the Figure 4 evaluation sweeps all four), served through the
+// answer cache when one is configured (SetAnswerCache): identical
+// concurrent queries collapse into one pipeline run, and repeats within
+// the TTL are served from the store. How the answer was served is
+// recorded on the request's wide event (profile.FromContext). The
+// returned nets are shared — treat as immutable.
 func (e *Engine) DifferentiateRankedCtx(ctx context.Context, query string, method RankMethod) ([]*StarNet, error) {
-	nets, _, err := e.differentiateCached(ctx, query, method)
+	if e.diffAnswers == nil {
+		noteCache(ctx, cacheBypass, time.Time{})
+		return e.differentiateRanked(ctx, query, method)
+	}
+	key := diffAnswerKey(query, method)
+	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
+	nets, ok := e.diffAnswers.Get(key)
+	sp.End()
+	if ok {
+		noteCache(ctx, cacheHit, time.Time{})
+		return nets, nil
+	}
+	t0 := time.Now()
+	nets, outcome, err := e.diffAnswers.Compute(ctx, key, func(ctx context.Context) ([]*StarNet, bool, error) {
+		nets, err := e.differentiateRanked(ctx, query, method)
+		return nets, err == nil, err
+	})
+	noteCache(ctx, fromAnswerOutcome(outcome), t0)
 	return nets, err
 }
 
@@ -234,15 +246,15 @@ func (e *Engine) SuggestKeywords(query string, max int) map[string][]string {
 	return out
 }
 
-// SubspaceRows materializes the fact rows of the net's sub-dataspace
+// SubspaceRowsCtx materializes the fact rows of the net's sub-dataspace
 // DS', cached under its constraint set. The returned slice is shared
 // and must not be modified.
-func (e *Engine) SubspaceRows(sn *StarNet) []int {
-	sp, err := e.subspaceRowsCtx(context.Background(), sn)
+func (e *Engine) SubspaceRowsCtx(ctx context.Context, sn *StarNet) ([]int, error) {
+	sp, err := e.subspaceRowsCtx(ctx, sn)
 	if err != nil {
-		return nil
+		return nil, err
 	}
-	return sp.rows
+	return sp.rows, nil
 }
 
 // subspaceRowsCtx resolves the net's sub-dataspace DS' as a space,
@@ -254,7 +266,7 @@ func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) (*space, erro
 	return e.factRowsKeyed(ctx, sn.Constraints(), sn.Filters)
 }
 
-// FactRowsRange returns the fact rows in [lo, hi) that satisfy the
+// factRowsRange returns the fact rows in [lo, hi) that satisfy the
 // constraints and the numeric filters — exactly the slice of the full
 // materialization that falls in the range. It is the one materialization
 // body: the whole sub-dataspace is the range [0, FactLen), and a cached
@@ -265,7 +277,7 @@ func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) (*space, erro
 // skipped before any bitset is intersected. The filters still run on
 // the survivors, so the rows are exactly the unbounded semijoin's after
 // filtering.
-func (e *Engine) FactRowsRange(ctx context.Context, cs []olap.Constraint, filters []NumericFilter, lo, hi int) ([]int, error) {
+func (e *Engine) factRowsRange(ctx context.Context, cs []olap.Constraint, filters []NumericFilter, lo, hi int) ([]int, error) {
 	var bounds []olap.Bound
 	for _, nf := range filters {
 		if nf.OnFact {
@@ -296,7 +308,7 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n i
 
 	_, span := telemetry.StartSpan(ctx, "subspace_extend")
 	defer span.End()
-	tail, err := e.FactRowsRange(ctx, cs, filters, sp.upTo, n)
+	tail, err := e.factRowsRange(ctx, cs, filters, sp.upTo, n)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +361,7 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 		}
 		return e.extendRowsEntry(ctx, key, sp, n, cs, filters)
 	}
-	rows, err := e.FactRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
+	rows, err := e.factRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
 	if err != nil {
 		return nil, err
 	}
@@ -361,15 +373,10 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 // RowsCacheStats snapshots the materialized-subspace cache counters.
 func (e *Engine) RowsCacheStats() cache.Stats { return e.rowsCache.Stats() }
 
-// InvalidateSubspaceRows drops every materialized subspace so the next
-// SubspaceRows recomputes the semijoin. Benchmarks use it to time the
-// cold drill path.
+// InvalidateSubspaceRows drops every materialized space so the next
+// SubspaceRowsCtx or ExploreCtx recomputes the semijoin. Benchmarks use
+// it to time the cold drill path.
 func (e *Engine) InvalidateSubspaceRows() { e.rowsCache.Purge() }
 
 // Index returns the engine's full-text index (telemetry wiring).
 func (e *Engine) Index() *fulltext.Index { return e.index }
-
-// SubspaceAggregate computes the engine's measure aggregate over DS'.
-func (e *Engine) SubspaceAggregate(sn *StarNet) float64 {
-	return e.exec.Aggregate(e.SubspaceRows(sn), e.measure, e.agg)
-}

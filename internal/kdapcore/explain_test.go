@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -11,7 +12,7 @@ import (
 func TestExplainMatchesScore(t *testing.T) {
 	e := ebizEngine()
 	for _, q := range []string{"Columbus LCD", "San Jose", "Projectors"} {
-		nets, err := e.Differentiate(q)
+		nets, err := e.DifferentiateCtx(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -39,7 +40,7 @@ func TestExplainMatchesScore(t *testing.T) {
 
 func TestExplainPhraseAndRendering(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("San Jose")
+	nets, _ := e.DifferentiateCtx(context.Background(), "San Jose")
 	ex := nets[0].Explain()
 	if len(ex.Groups) != 1 || ex.Groups[0].Phrase != "San Jose" {
 		t.Fatalf("explanation = %+v", ex)

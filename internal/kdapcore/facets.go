@@ -9,6 +9,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"time"
 
 	"kdap/internal/olap"
 	"kdap/internal/relation"
@@ -175,23 +176,53 @@ type rollup struct {
 	agg float64
 }
 
-// Explore runs the second KDAP phase: build the dynamic facets of the
-// star net's sub-dataspace.
-func (e *Engine) Explore(sn *StarNet, opts ExploreOptions) (*Facets, error) {
-	return e.ExploreCtx(context.Background(), sn, opts)
-}
-
-// ExploreCtx is Explore under a context; when a telemetry.Trace is
-// attached, the stages of §5's facet construction are recorded as spans
+// ExploreCtx runs the second KDAP phase: build the dynamic facets of the
+// star net's sub-dataspace. When a telemetry.Trace is attached, the
+// stages of §5's facet construction are recorded as spans
 // (subspace_semijoin → rollup_build → facet_score with per-attribute
 // children → groupby_kernel / numeric_series / interval_anneal leaves).
 // Stages attach directly under the caller's current span — traced
 // callers name their trace root "explore", so no wrapper span is added
-// here. When an answer cache is configured (SetAnswerCache), repeated
-// and concurrent identical explores are served through it.
+// here.
+//
+// When an answer cache is configured (SetAnswerCache), repeated and
+// concurrent identical explores are served through it, and how the
+// answer was served is recorded on the request's wide event
+// (profile.FromContext). A cached answer is a shallow copy bound to the
+// caller's own net; its inner structure is shared and must be treated
+// as immutable.
 func (e *Engine) ExploreCtx(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, error) {
-	f, _, err := e.ExploreCachedCtx(ctx, sn, opts)
-	return f, err
+	var key string
+	cacheable := false
+	if e.explAnswers != nil {
+		key, cacheable = ExploreCacheKey(sn, opts)
+	}
+	if !cacheable {
+		noteCache(ctx, cacheBypass, time.Time{})
+		return e.exploreUncached(ctx, sn, opts)
+	}
+	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
+	f, ok := e.explAnswers.Get(key)
+	sp.End()
+	if ok {
+		noteCache(ctx, cacheHit, time.Time{})
+		return rebindFacets(f, sn), nil
+	}
+	t0 := time.Now()
+	f, outcome, err := e.explAnswers.Compute(ctx, key, func(ctx context.Context) (*Facets, bool, error) {
+		f, err := e.exploreUncached(ctx, sn, opts)
+		if err != nil {
+			return nil, false, err
+		}
+		// A deadline-degraded result answers this caller but must not
+		// shadow the complete answer for everyone after it.
+		return f, !f.Partial, nil
+	})
+	noteCache(ctx, fromAnswerOutcome(outcome), t0)
+	if err != nil {
+		return nil, err
+	}
+	return rebindFacets(f, sn), nil
 }
 
 // exploreUncached is the facet-construction pipeline itself.
@@ -359,28 +390,29 @@ func (e *Engine) exploreUncached(ctx context.Context, sn *StarNet, opts ExploreO
 
 // generalizeConstraint lifts one hit group's constraint up its hierarchy
 // by one level; ok is false when there is no parent level (the caller
-// then drops the constraint, rolling up to "all").
-func (e *Engine) generalizeConstraint(c olap.Constraint, role string) (olap.Constraint, bool) {
+// then drops the constraint, rolling up to "all"). The error is a
+// cancelled walk to the parent level.
+func (e *Engine) generalizeConstraint(ctx context.Context, c olap.Constraint, role string) (olap.Constraint, bool, error) {
 	attr := schemagraph.AttrRef{Table: c.Table, Attr: c.Attr}
 	parent, dim, ok := e.graph.HierarchyParent(attr)
 	if !ok {
-		return olap.Constraint{}, false
+		return olap.Constraint{}, false, nil
 	}
 	hitTable := e.graph.DB().Table(c.Table)
 	hitRows := hitTable.LookupIn(c.Attr, c.Values)
 	paths := e.graph.InnerPathsWithin(c.Table, parent.Table, dim)
 	if len(paths) == 0 {
-		return olap.Constraint{}, false
+		return olap.Constraint{}, false, nil
 	}
-	parentVals := e.exec.DimValues(c.Table, hitRows, paths[0], parent.Attr)
-	if len(parentVals) == 0 {
-		return olap.Constraint{}, false
+	parentVals, err := e.exec.DimValues(ctx, hitRows, paths[0], parent.Attr)
+	if err != nil || len(parentVals) == 0 {
+		return olap.Constraint{}, false, err
 	}
 	ppath, ok := e.graph.PathFromFact(parent.Table, role)
 	if !ok {
-		return olap.Constraint{}, false
+		return olap.Constraint{}, false, nil
 	}
-	return olap.Constraint{Table: parent.Table, Attr: parent.Attr, Values: parentVals, Path: ppath}, true
+	return olap.Constraint{Table: parent.Table, Attr: parent.Attr, Values: parentVals, Path: ppath}, true, nil
 }
 
 // buildRollupsCtx produces one background space per hitted group by
@@ -406,14 +438,16 @@ func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet, local *space)
 		role := cur.Path.Role
 		var sp *space
 		for {
-			gen, ok := e.generalizeConstraint(cur, role)
+			gen, ok, err := e.generalizeConstraint(ctx, cur, role)
+			if err != nil {
+				return nil, err
+			}
 			var cs []olap.Constraint
 			if ok {
 				cs = append(append([]olap.Constraint(nil), others...), gen)
 			} else {
 				cs = others // top of the hierarchy: roll up to "all"
 			}
-			var err error
 			sp, err = e.factRowsKeyed(ctx, cs, sn.Filters)
 			if err != nil {
 				return nil, err

@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -13,11 +14,11 @@ func TestExploreParallelEquivalence(t *testing.T) {
 	seq := DefaultExploreOptions()
 	par := DefaultExploreOptions()
 	par.Parallel = true
-	fs, err := e.Explore(sn, seq)
+	fs, err := e.ExploreCtx(context.Background(), sn, seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fp, err := e.Explore(sn, par)
+	fp, err := e.ExploreCtx(context.Background(), sn, par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +49,7 @@ func TestExplorePinnedAttributes(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
 	base := DefaultExploreOptions()
 	base.TopKAttrs = 1
-	f1, err := e.Explore(sn, base)
+	f1, err := e.ExploreCtx(context.Background(), sn, base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestExplorePinnedAttributes(t *testing.T) {
 	}
 	pinnedOpts := base
 	pinnedOpts.Pinned = []schemagraph.AttrRef{hidden}
-	f2, err := e.Explore(sn, pinnedOpts)
+	f2, err := e.ExploreCtx(context.Background(), sn, pinnedOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,10 +94,10 @@ func TestExplorePinnedAttributes(t *testing.T) {
 // exploration.
 func TestSubspaceRowsCached(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Columbus LCD")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	sn := nets[0]
-	a := e.SubspaceRows(sn)
-	b := e.SubspaceRows(sn)
+	a := subspaceRows(t, e, sn)
+	b := subspaceRows(t, e, sn)
 	if len(a) != len(b) {
 		t.Fatal("cached rows differ in length")
 	}
@@ -108,12 +109,12 @@ func TestSubspaceRowsCached(t *testing.T) {
 	// Many distinct nets must not grow the cache unboundedly (eviction
 	// path exercised; behavior stays correct).
 	for _, q := range []string{"Projectors", "Columbus", "LCD", "Seattle", "Portland"} {
-		ns, _ := e.Differentiate(q)
+		ns, _ := e.DifferentiateCtx(context.Background(), q)
 		for _, n := range ns {
-			_ = e.SubspaceRows(n)
+			_ = subspaceRows(t, e, n)
 		}
 	}
-	c := e.SubspaceRows(sn)
+	c := subspaceRows(t, e, sn)
 	if len(c) != len(a) {
 		t.Fatal("rows changed after eviction churn")
 	}
@@ -121,13 +122,13 @@ func TestSubspaceRowsCached(t *testing.T) {
 
 func TestExploreConcurrentSessions(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Columbus LCD")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	done := make(chan error, 8)
 	for g := 0; g < 8; g++ {
 		go func(i int) {
 			opts := DefaultExploreOptions()
 			opts.Parallel = i%2 == 0
-			_, err := e.Explore(nets[i%len(nets)], opts)
+			_, err := e.ExploreCtx(context.Background(), nets[i%len(nets)], opts)
 			done <- err
 		}(g)
 	}
@@ -174,8 +175,8 @@ func TestDrillRangeNarrowsNumeric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(e.SubspaceRows(sn))
-	after := len(e.SubspaceRows(drilled))
+	before := len(subspaceRows(t, e, sn))
+	after := len(subspaceRows(t, e, drilled))
 	if after == 0 || after >= before {
 		t.Errorf("range drill: %d -> %d rows", before, after)
 	}
@@ -184,35 +185,38 @@ func TestDrillRangeNarrowsNumeric(t *testing.T) {
 	}
 	// The drilled subspace's values all lie within the range.
 	path, _ := e.Graph().PathFromFact(attr.Table, role)
-	vals := e.Executor().NumericSeries(e.SubspaceRows(drilled), attr.Attr, path, e.Measure())
+	vals, err := e.Executor().NumericSeriesCtx(context.Background(), subspaceRows(t, e, drilled), attr.Attr, path, e.Measure())
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, vm := range vals {
 		if vm.Value < lo || vm.Value > hi {
 			t.Fatalf("value %g outside [%g, %g]", vm.Value, lo, hi)
 		}
 	}
 	// Exploring after a range drill works.
-	if _, err := e.Explore(drilled, DefaultExploreOptions()); err != nil {
+	if _, err := e.ExploreCtx(context.Background(), drilled, DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDrillRangeOnFactMeasure(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Projectors")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Projectors")
 	sn := nets[0]
 	drilled, err := e.DrillRange(sn, schemagraph.AttrRef{Table: "TRANSITEM", Attr: "UnitPrice"}, "", 1000, 2000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := e.SubspaceRows(drilled)
-	if len(rows) == 0 || len(rows) >= len(e.SubspaceRows(sn)) {
+	rows := subspaceRows(t, e, drilled)
+	if len(rows) == 0 || len(rows) >= len(subspaceRows(t, e, sn)) {
 		t.Errorf("fact-measure range drill: %d rows", len(rows))
 	}
 }
 
 func TestDrillRangeErrors(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Projectors")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Projectors")
 	if _, err := e.DrillRange(nets[0], schemagraph.AttrRef{Table: "CUSTOMER", Attr: "Income"}, "Buyer", 10, 5); err == nil {
 		t.Error("inverted range accepted")
 	}
@@ -227,7 +231,7 @@ func TestCustomInterestingness(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
 	opts := DefaultExploreOptions()
 	opts.CustomScore = func(corr float64) float64 { return math.Abs(corr) }
-	f, err := e.Explore(sn, opts)
+	f, err := e.ExploreCtx(context.Background(), sn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,12 +252,12 @@ func TestRankCorrelationOption(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
 	opts := DefaultExploreOptions()
 	opts.RankCorrelation = true
-	f, err := e.Explore(sn, opts)
+	f, err := e.ExploreCtx(context.Background(), sn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	differs := false
-	base, _ := e.Explore(sn, DefaultExploreOptions())
+	base, _ := e.ExploreCtx(context.Background(), sn, DefaultExploreOptions())
 	baseScores := map[string]float64{}
 	for _, d := range base.Dimensions {
 		for _, a := range d.Attributes {

@@ -15,7 +15,7 @@ import (
 func exploreColumbusLCD(t *testing.T, mode InterestMode) (*Engine, *StarNet, *Facets) {
 	t.Helper()
 	e := ebizEngine()
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func exploreColumbusLCD(t *testing.T, mode InterestMode) (*Engine, *StarNet, *Fa
 	}
 	opts := DefaultExploreOptions()
 	opts.Mode = mode
-	f, err := e.Explore(sn, opts)
+	f, err := e.ExploreCtx(context.Background(), sn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestExploreRespectsTopK(t *testing.T) {
 	opts := DefaultExploreOptions()
 	opts.TopKAttrs = 1
 	opts.TopKInstances = 2
-	f, err := e.Explore(sn, opts)
+	f, err := e.ExploreCtx(context.Background(), sn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,11 +249,11 @@ func TestExploreBellwetherMode(t *testing.T) {
 
 func TestExploreErrors(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Columbus LCD")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	sn := nets[0]
 	bad := DefaultExploreOptions()
 	bad.TopKAttrs = 0
-	if _, err := e.Explore(sn, bad); err == nil {
+	if _, err := e.ExploreCtx(context.Background(), sn, bad); err == nil {
 		t.Error("zero TopKAttrs accepted")
 	}
 	// An impossible intersection produces an empty subspace error.
@@ -262,7 +262,7 @@ func TestExploreErrors(t *testing.T) {
 			Hits: []Hit{{Table: "LOC", Attr: "City", Value: relation.String("Atlantis"), Score: 1}}},
 		Path: mustPath(t, e, "LOC", "Store"),
 	}}}
-	if _, err := e.Explore(empty, DefaultExploreOptions()); err == nil {
+	if _, err := e.ExploreCtx(context.Background(), empty, DefaultExploreOptions()); err == nil {
 		t.Error("empty subspace accepted")
 	}
 }
@@ -299,8 +299,8 @@ func TestDrillNarrowsSubspace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := len(e.SubspaceRows(sn))
-	after := len(e.SubspaceRows(drilled))
+	before := len(subspaceRows(t, e, sn))
+	after := len(subspaceRows(t, e, drilled))
 	if after == 0 || after > before {
 		t.Errorf("drill produced %d rows from %d", after, before)
 	}
@@ -308,14 +308,14 @@ func TestDrillNarrowsSubspace(t *testing.T) {
 		t.Error("drill did not add a constraint")
 	}
 	// Drilling must not mutate the original net.
-	if got := len(e.SubspaceRows(sn)); got != before {
+	if got := len(subspaceRows(t, e, sn)); got != before {
 		t.Error("original net changed by drill")
 	}
 }
 
 func TestDrillUnreachableAttr(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Projectors")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Projectors")
 	_, err := e.Drill(nets[0], schemagraph.AttrRef{Table: "GHOST", Attr: "X"}, "Store", relation.String("v"))
 	if err == nil {
 		t.Error("unreachable attribute accepted")
@@ -349,7 +349,7 @@ func rollupsOf(t *testing.T, e *Engine, sn *StarNet) []rollup {
 // Roll-up correctness: the background space must be a superset of DS'.
 func TestRollupSuperset(t *testing.T) {
 	e, sn, _ := exploreColumbusLCD(t, Surprise)
-	rows := e.SubspaceRows(sn)
+	rows := subspaceRows(t, e, sn)
 	inRows := map[int]bool{}
 	for _, r := range rows {
 		inRows[r] = true

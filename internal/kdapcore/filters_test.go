@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"testing"
 )
 
@@ -61,11 +62,11 @@ func TestFilterOpMatches(t *testing.T) {
 
 func TestQueryWithFactColumnFilter(t *testing.T) {
 	e := ebizEngine()
-	plain, err := e.Differentiate("Projectors")
+	plain, err := e.DifferentiateCtx(context.Background(), "Projectors")
 	if err != nil {
 		t.Fatal(err)
 	}
-	filtered, err := e.Differentiate("Projectors UnitPrice>1000")
+	filtered, err := e.DifferentiateCtx(context.Background(), "Projectors UnitPrice>1000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +76,8 @@ func TestQueryWithFactColumnFilter(t *testing.T) {
 	if len(filtered[0].Filters) != 1 || !filtered[0].Filters[0].OnFact {
 		t.Fatalf("filters = %+v", filtered[0].Filters)
 	}
-	rp := e.SubspaceRows(plain[0])
-	rf := e.SubspaceRows(filtered[0])
+	rp := subspaceRows(t, e, plain[0])
+	rf := subspaceRows(t, e, filtered[0])
 	if len(rf) == 0 || len(rf) >= len(rp) {
 		t.Errorf("filter did not narrow: %d vs %d", len(rf), len(rp))
 	}
@@ -95,7 +96,7 @@ func TestQueryWithFactColumnFilter(t *testing.T) {
 
 func TestQueryWithDimensionAttrFilter(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Projectors Income>100000")
+	nets, err := e.DifferentiateCtx(context.Background(), "Projectors Income>100000")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,26 +107,26 @@ func TestQueryWithDimensionAttrFilter(t *testing.T) {
 	if nf.OnFact || nf.Attr.Table != "CUSTOMER" || nf.Role != "Customer" {
 		t.Errorf("resolved filter = %+v", nf)
 	}
-	rows := e.SubspaceRows(nets[0])
+	rows := subspaceRows(t, e, nets[0])
 	if len(rows) == 0 {
 		t.Fatal("filter emptied the subspace entirely")
 	}
 	// Exploring a filtered net still works (rollups share the filter).
-	if _, err := e.Explore(nets[0], DefaultExploreOptions()); err != nil {
+	if _, err := e.ExploreCtx(context.Background(), nets[0], DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPurePredicateQuery(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("UnitPrice>1500")
+	nets, err := e.DifferentiateCtx(context.Background(), "UnitPrice>1500")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nets) != 1 || len(nets[0].Groups) != 0 {
 		t.Fatalf("pure predicate nets = %+v", nets)
 	}
-	rows := e.SubspaceRows(nets[0])
+	rows := subspaceRows(t, e, nets[0])
 	if len(rows) == 0 || len(rows) >= e.Executor().FactLen() {
 		t.Errorf("pure predicate slice = %d rows", len(rows))
 	}
@@ -133,18 +134,18 @@ func TestPurePredicateQuery(t *testing.T) {
 
 func TestUnknownFilterAttributeErrors(t *testing.T) {
 	e := ebizEngine()
-	if _, err := e.Differentiate("Projectors Bogus>10"); err == nil {
+	if _, err := e.DifferentiateCtx(context.Background(), "Projectors Bogus>10"); err == nil {
 		t.Error("unresolvable predicate accepted")
 	}
-	if _, err := e.Differentiate("Projectors ProductName>10"); err == nil {
+	if _, err := e.DifferentiateCtx(context.Background(), "Projectors ProductName>10"); err == nil {
 		t.Error("non-numeric fact filter should error or miss") // ProductName is not on the fact table: resolves nowhere
 	}
 }
 
 func TestFilterSurvivesDrill(t *testing.T) {
 	e := ebizEngine()
-	nets, _ := e.Differentiate("Projectors UnitPrice>500")
-	f, err := e.Explore(nets[0], DefaultExploreOptions())
+	nets, _ := e.DifferentiateCtx(context.Background(), "Projectors UnitPrice>500")
+	f, err := e.ExploreCtx(context.Background(), nets[0], DefaultExploreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

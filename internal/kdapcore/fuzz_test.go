@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -21,7 +22,7 @@ func FuzzDifferentiate(f *testing.F) {
 		if len(q) > 200 {
 			return // keep the phase cheap under fuzzing
 		}
-		nets, err := e.Differentiate(q)
+		nets, err := e.DifferentiateCtx(context.Background(), q)
 		if err != nil {
 			return // rejected queries are fine; panics are not
 		}

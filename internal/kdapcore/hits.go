@@ -75,9 +75,9 @@ func (g *HitGroup) SumScore() float64 {
 	return s
 }
 
-// HitSet is the hit set H_i of one keyword: its hits organized into hit
+// hitSet is the hit set H_i of one keyword: its hits organized into hit
 // groups by attribute domain.
-type HitSet struct {
+type hitSet struct {
 	Keyword string
 	Index   int // zero-based position of the keyword in the query
 	Groups  []*HitGroup
@@ -102,8 +102,8 @@ func defaultHitLimits() hitLimits {
 // between the single keyword and the textual attribute instance" — phrase
 // merging later re-scores merged groups against the whole phrase). Hits
 // within a hit set are grouped by attribute domain.
-func buildHitSets(ctx context.Context, ix *fulltext.Index, keywords []string, lim hitLimits, sim fulltext.Similarity) ([]*HitSet, error) {
-	sets := make([]*HitSet, 0, len(keywords))
+func buildHitSets(ctx context.Context, ix *fulltext.Index, keywords []string, lim hitLimits, sim fulltext.Similarity) ([]*hitSet, error) {
+	sets := make([]*hitSet, 0, len(keywords))
 	for i, kw := range keywords {
 		hits, err := ix.SearchCtx(ctx, kw, fulltext.Options{Prefix: true, Limit: lim.maxHitsPerKeyword, Similarity: sim})
 		if err != nil {
@@ -125,7 +125,7 @@ func buildHitSets(ctx context.Context, ix *fulltext.Index, keywords []string, li
 					Value: fh.Doc.Value, Score: score, RawScore: score})
 			}
 		}
-		hs := &HitSet{Keyword: kw, Index: i}
+		hs := &hitSet{Keyword: kw, Index: i}
 		for _, key := range order {
 			hs.Groups = append(hs.Groups, groups[key])
 		}
@@ -156,7 +156,7 @@ func buildHitSets(ctx context.Context, ix *fulltext.Index, keywords []string, li
 // Merged groups are appended as additional candidates; the originals stay
 // so that non-phrase interpretations remain available (the paper keeps
 // "San Antonio" as a candidate, just ranked lower).
-func mergePhrases(ctx context.Context, ix *fulltext.Index, sets []*HitSet, keywords []string, sim fulltext.Similarity) ([]*HitGroup, error) {
+func mergePhrases(ctx context.Context, ix *fulltext.Index, sets []*hitSet, keywords []string, sim fulltext.Similarity) ([]*HitGroup, error) {
 	var merged []*HitGroup
 
 	// Start from each group, try to extend with groups of later keywords.

@@ -187,7 +187,7 @@ func TestEnumerateSeedsExactCover(t *testing.T) {
 		return &HitGroup{Table: dom, Attr: "A", Keywords: kws,
 			Hits: []Hit{{Value: relation.String(dom), Score: 1}}}
 	}
-	sets := []*HitSet{
+	sets := []*hitSet{
 		{Keyword: "a", Index: 0, Groups: []*HitGroup{mk("A1", 0), mk("A2", 0)}},
 		{Keyword: "b", Index: 1, Groups: []*HitGroup{mk("B1", 1)}},
 		{Keyword: "c", Index: 2, Groups: []*HitGroup{mk("C1", 2)}},
@@ -217,7 +217,7 @@ func TestEnumerateSeedsSkipsEmptyHitSets(t *testing.T) {
 	mk := func(dom string, kws ...int) *HitGroup {
 		return &HitGroup{Table: dom, Attr: "A", Keywords: kws}
 	}
-	sets := []*HitSet{
+	sets := []*hitSet{
 		{Keyword: "hit", Index: 0, Groups: []*HitGroup{mk("A", 0)}},
 		{Keyword: "miss", Index: 1}, // no groups
 		{Keyword: "hit2", Index: 2, Groups: []*HitGroup{mk("B", 2)}},
@@ -229,7 +229,7 @@ func TestEnumerateSeedsSkipsEmptyHitSets(t *testing.T) {
 }
 
 func TestEnumerateSeedsAllEmpty(t *testing.T) {
-	sets := []*HitSet{{Keyword: "x", Index: 0}, {Keyword: "y", Index: 1}}
+	sets := []*hitSet{{Keyword: "x", Index: 0}, {Keyword: "y", Index: 1}}
 	if seeds := enumerateSeeds(sets, nil, 100); len(seeds) != 0 {
 		t.Errorf("empty hit sets produced seeds: %v", seeds)
 	}
@@ -239,9 +239,9 @@ func TestEnumerateSeedsCap(t *testing.T) {
 	mk := func(i, k int) *HitGroup {
 		return &HitGroup{Table: "T", Attr: string(rune('A' + i)), Keywords: []int{k}}
 	}
-	var sets []*HitSet
+	var sets []*hitSet
 	for k := 0; k < 4; k++ {
-		hs := &HitSet{Keyword: "k", Index: k}
+		hs := &hitSet{Keyword: "k", Index: k}
 		for i := 0; i < 6; i++ {
 			hs.Groups = append(hs.Groups, mk(i, k))
 		}

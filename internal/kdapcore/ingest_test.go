@@ -40,17 +40,17 @@ func emptySubspaceErr(err error) bool {
 
 // cachedFingerprint resolves a query to its top net's facet fingerprint
 // through the answer cache, reporting how the explore was served.
-func cachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions) ([]byte, CacheOutcome) {
+func cachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions) ([]byte, string) {
 	t.Helper()
 	ctx := context.Background()
-	nets, _, err := e.DifferentiateCachedCtx(ctx, q)
+	nets, _, err := differentiateOutcome(ctx, e, q)
 	if err != nil {
 		t.Fatalf("differentiate %q: %v", q, err)
 	}
 	if len(nets) == 0 {
 		t.Fatalf("differentiate %q: no interpretations", q)
 	}
-	f, out, err := e.ExploreCachedCtx(ctx, nets[0], opts)
+	f, out, err := exploreOutcome(ctx, e, nets[0], opts)
 	if emptySubspaceErr(err) {
 		return []byte("empty sub-dataspace"), out
 	}
@@ -64,14 +64,14 @@ func cachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions) (
 // answer cache (the from-scratch oracle).
 func uncachedFingerprint(t *testing.T, e *Engine, q string, opts ExploreOptions) []byte {
 	t.Helper()
-	nets, err := e.Differentiate(q)
+	nets, err := e.DifferentiateCtx(context.Background(), q)
 	if err != nil {
 		t.Fatalf("oracle differentiate %q: %v", q, err)
 	}
 	if len(nets) == 0 {
 		t.Fatalf("oracle differentiate %q: no interpretations", q)
 	}
-	f, err := e.Explore(nets[0], opts)
+	f, err := e.ExploreCtx(context.Background(), nets[0], opts)
 	if emptySubspaceErr(err) {
 		return []byte("empty sub-dataspace")
 	}
@@ -118,7 +118,7 @@ func TestAppendCacheConsistencyProperty(t *testing.T) {
 	changed := 0
 	for i, q := range qs {
 		post, out := cachedFingerprint(t, e, q.Text, opts)
-		if out == CacheHit {
+		if out == cacheHit {
 			t.Errorf("%q: explore served from an answer cached before the appends", q.Text)
 		}
 		if !bytes.Equal(post, pre[i]) {
@@ -152,7 +152,7 @@ func TestAppendRetiresExploreAnswers(t *testing.T) {
 	}
 	e := ingestTestEngine(dataset.EBiz())
 	e.SetAnswerCache(64, 0)
-	if _, out := cachedFingerprint(t, e, query, opts); out != CacheMiss {
+	if _, out := cachedFingerprint(t, e, query, opts); out != cacheMiss {
 		t.Fatalf("cold explore: %v, want miss", out)
 	}
 	if _, err := e.AppendFacts(context.Background(), [][]relation.Value{row}); err != nil {
@@ -167,15 +167,15 @@ func TestAppendRetiresExploreAnswers(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	nets, dout, err := e.DifferentiateCachedCtx(ctx, query)
-	if err != nil || dout != CacheHit {
+	nets, dout, err := differentiateOutcome(ctx, e, query)
+	if err != nil || dout != cacheHit {
 		t.Fatalf("post-append differentiate: %v, %v; want a hit", dout, err)
 	}
-	f, out, err := e.ExploreCachedCtx(ctx, nets[0], opts)
-	if err != nil || out != CacheMiss {
+	f, out, err := exploreOutcome(ctx, e, nets[0], opts)
+	if err != nil || out != cacheMiss {
 		t.Fatalf("post-append explore: %v, %v; want a miss", out, err)
 	}
-	if _, out, _ := e.ExploreCachedCtx(ctx, nets[0], opts); out != CacheHit {
+	if _, out, _ := exploreOutcome(ctx, e, nets[0], opts); out != cacheHit {
 		t.Fatalf("repeat of the post-append explore: %v, want hit", out)
 	}
 
@@ -214,7 +214,7 @@ func TestAppendSingleRowMatchesRebuild(t *testing.T) {
 			}
 
 			post, out := cachedFingerprint(t, e, query, opts)
-			if out != CacheMiss {
+			if out != cacheMiss {
 				t.Errorf("product=%d trans=%d: post-append explore %v, want miss", productKey, transKey, out)
 			}
 
@@ -244,11 +244,11 @@ func TestSubspaceRowsExtendAcrossAppend(t *testing.T) {
 	)
 	wh, tail := dataset.AWOnlineScaledPartial(scale, resident)
 	e := ingestTestEngine(wh)
-	nets, err := e.Differentiate("Road Bikes")
+	nets, err := e.DifferentiateCtx(context.Background(), "Road Bikes")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
 	}
-	before := e.SubspaceRows(nets[0])
+	before := subspaceRows(t, e, nets[0])
 	if len(before) == 0 {
 		t.Fatal("empty pre-append subspace")
 	}
@@ -256,14 +256,14 @@ func TestSubspaceRowsExtendAcrossAppend(t *testing.T) {
 	if _, err := e.AppendFacts(context.Background(), tail); err != nil {
 		t.Fatal(err)
 	}
-	after := e.SubspaceRows(nets[0])
+	after := subspaceRows(t, e, nets[0])
 
 	cold := ingestTestEngine(dataset.AWOnlineScaled(scale))
-	coldNets, err := cold.Differentiate("Road Bikes")
+	coldNets, err := cold.DifferentiateCtx(context.Background(), "Road Bikes")
 	if err != nil || len(coldNets) == 0 {
 		t.Fatalf("cold differentiate: %v (%d nets)", err, len(coldNets))
 	}
-	want := cold.SubspaceRows(coldNets[0])
+	want := subspaceRows(t, cold, coldNets[0])
 	if len(after) != len(want) {
 		t.Fatalf("extended row set has %d rows, cold engine %d", len(after), len(want))
 	}
@@ -388,7 +388,7 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 				default:
 				}
 				q := queries[(w+i)%len(queries)]
-				nets, _, err := e.DifferentiateCachedCtx(ctx, q)
+				nets, err := e.DifferentiateCtx(ctx, q)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d differentiate %q: %w", w, q, err)
 					return
@@ -396,11 +396,14 @@ func TestIngestConcurrentWithQueries(t *testing.T) {
 				if len(nets) == 0 {
 					continue
 				}
-				if _, _, err := e.ExploreCachedCtx(ctx, nets[0], opts); err != nil && !emptySubspaceErr(err) {
+				if _, err := e.ExploreCtx(ctx, nets[0], opts); err != nil && !emptySubspaceErr(err) {
 					errs <- fmt.Errorf("worker %d explore %q: %w", w, q, err)
 					return
 				}
-				e.SubspaceRows(nets[0])
+				if _, err := e.SubspaceRowsCtx(ctx, nets[0]); err != nil {
+					errs <- fmt.Errorf("worker %d subspace %q: %w", w, q, err)
+					return
+				}
 			}
 		}(w)
 	}

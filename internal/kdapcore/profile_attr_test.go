@@ -34,7 +34,7 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 		name    string
 		lead    func(release <-chan struct{}, started chan<- struct{})
 		waiting func() int
-		follow  func(ctx context.Context) (CacheOutcome, error)
+		follow  func(ctx context.Context) (string, error)
 	}{
 		{
 			name: "explore",
@@ -46,8 +46,8 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 				})
 			},
 			waiting: func() int { return e.explAnswers.Waiting(exploreKey) },
-			follow: func(ctx context.Context) (CacheOutcome, error) {
-				_, oc, err := e.ExploreCachedCtx(ctx, nets[0], opts)
+			follow: func(ctx context.Context) (string, error) {
+				_, oc, err := exploreOutcome(ctx, e, nets[0], opts)
 				return oc, err
 			},
 		},
@@ -61,8 +61,8 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 				})
 			},
 			waiting: func() int { return e.diffAnswers.Waiting(diffAnswerKey(query, Standard)) },
-			follow: func(ctx context.Context) (CacheOutcome, error) {
-				_, oc, err := e.DifferentiateCachedCtx(ctx, query)
+			follow: func(ctx context.Context) (string, error) {
+				_, oc, err := differentiateOutcome(ctx, e, query)
 				return oc, err
 			},
 		},
@@ -76,7 +76,7 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 			<-started
 
 			type result struct {
-				oc     CacheOutcome
+				oc     string
 				stages map[string]time.Duration
 				err    error
 			}
@@ -100,7 +100,7 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 			if r.err != nil {
 				t.Fatal(r.err)
 			}
-			if r.oc != CacheCoalesced {
+			if r.oc != cacheCoalesced {
 				t.Fatalf("follower outcome = %v, want coalesced", r.oc)
 			}
 			if _, ok := r.stages["answer_shared"]; !ok {
@@ -121,24 +121,24 @@ func TestUnbatchedProfileHasNoBatchFields(t *testing.T) {
 	const query = "Columbus LCD"
 	for _, tc := range []struct {
 		name   string
-		follow func(ctx context.Context) (CacheOutcome, error)
+		follow func(ctx context.Context) error
 	}{
 		{
 			name: "differentiate",
-			follow: func(ctx context.Context) (CacheOutcome, error) {
-				_, oc, err := e.DifferentiateCachedCtx(ctx, query)
-				return oc, err
+			follow: func(ctx context.Context) error {
+				_, err := e.DifferentiateCtx(ctx, query)
+				return err
 			},
 		},
 		{
 			name: "explore",
-			follow: func(ctx context.Context) (CacheOutcome, error) {
-				nets, err := e.Differentiate(query)
+			follow: func(ctx context.Context) error {
+				nets, err := e.DifferentiateCtx(context.Background(), query)
 				if err != nil || len(nets) == 0 {
 					t.Fatalf("differentiate: %v (%d nets)", err, len(nets))
 				}
-				_, oc, err := e.ExploreCachedCtx(ctx, nets[0], DefaultExploreOptions())
-				return oc, err
+				_, err = e.ExploreCtx(ctx, nets[0], DefaultExploreOptions())
+				return err
 			},
 		},
 	} {
@@ -146,23 +146,22 @@ func TestUnbatchedProfileHasNoBatchFields(t *testing.T) {
 			p := profile.New(tc.name, "")
 			tr := telemetry.NewTrace(tc.name)
 			ctx := profile.NewContext(tr.Context(context.Background()), p)
-			oc, err := tc.follow(ctx)
+			err := tc.follow(ctx)
 			tr.Finish()
 			if err != nil {
 				t.Fatal(err)
 			}
 			p.SetStages(tr.Stages())
 			p.Finish(0, profile.DispositionOK, nil)
-			if oc != CacheMiss {
-				t.Fatalf("solo outcome = %v, want miss", oc)
+			ev := p.Snapshot()
+			if ev.Cache != cacheMiss {
+				t.Fatalf("solo outcome = %q, want miss", ev.Cache)
 			}
 			if _, ok := tr.Stages()["answer_shared"]; ok {
 				t.Errorf("solo request carries an answer_shared stage: %v", tr.Stages())
 			}
-			if tc.name == "explore" {
-				if ev := p.Snapshot(); ev.SerialScans+ev.ParallelScans == 0 {
-					t.Errorf("solo explore recorded no kernel scans: %+v", ev)
-				}
+			if tc.name == "explore" && ev.SerialScans+ev.ParallelScans == 0 {
+				t.Errorf("solo explore recorded no kernel scans: %+v", ev)
 			}
 		})
 	}

@@ -16,7 +16,7 @@ import (
 // contention. Run under go test -race.
 func TestConcurrentPrunedExplore(t *testing.T) {
 	e := awOnlineEngine()
-	nets, err := e.Differentiate("Road Bikes UnitPrice>1000")
+	nets, err := e.DifferentiateCtx(context.Background(), "Road Bikes UnitPrice>1000")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
@@ -43,7 +43,7 @@ func TestConcurrentPrunedExplore(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	want, err := e.Explore(sn, opts)
+	want, err := e.ExploreCtx(context.Background(), sn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,14 +68,14 @@ func TestConcurrentPrunedExplore(t *testing.T) {
 func TestDrillSkipsSegments(t *testing.T) {
 	e := awOnlineEngine()
 	const query = "Road Bikes SalesKey>54000"
-	nets, err := e.Differentiate(query)
+	nets, err := e.DifferentiateCtx(context.Background(), query)
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: nets=%d err=%v", len(nets), err)
 	}
 	sn := nets[0]
 
 	before := e.Executor().Stats()
-	rows := e.SubspaceRows(sn)
+	rows := subspaceRows(t, e, sn)
 	after := e.Executor().Stats()
 
 	// The oracle: Road Bikes is one product subcategory; walk every fact

@@ -114,7 +114,10 @@ func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			g, fact, path := seriesMart(t, n, tc.segSize)
 			e := NewEngine(g, nil, tc.measure(fact), olap.Sum)
-			all := e.exec.FactRows(nil)
+			all, err := e.exec.FactRowsCtx(ctx, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
 			var third []int
 			for i := 5; i < n; i += 3 {
 				third = append(third, i)
@@ -162,7 +165,10 @@ func TestNullMeasureDoesNotPoisonBucket(t *testing.T) {
 	g, fact, path := seriesMart(t, n, 0)
 	e := NewEngine(g, nil, olap.ColumnMeasure(fact, "Amt"), olap.Sum)
 	ctx := context.Background()
-	rows := e.exec.FactRows(nil)
+	rows, err := e.exec.FactRowsCtx(ctx, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	vals, err := e.exec.NumericSeriesCtx(ctx, rows, "Score", path, e.measure)
 	if err != nil {
 		t.Fatal(err)

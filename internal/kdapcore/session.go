@@ -74,9 +74,6 @@ func (s *Session) LastProfile() *profile.Event {
 // default) means no deadline.
 func (s *Session) SetTimeout(d time.Duration) { s.timeout = d }
 
-// Timeout returns the per-operation deadline (zero = none).
-func (s *Session) Timeout() time.Duration { return s.timeout }
-
 // traceCtx returns the context every session operation runs under —
 // always carrying a fresh wide event (LastProfile), plus a trace when
 // tracing is on, bounded by the session timeout when one is set. The

@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"strings"
 	"testing"
 
 	"kdap/internal/relation"
@@ -145,5 +146,40 @@ func TestSessionTracing(t *testing.T) {
 	}
 	if st := et.Stages(); st["subspace_semijoin"] == 0 || st["facet_score"] == 0 {
 		t.Errorf("explore stages missing: %v", et.StageNames())
+	}
+}
+
+// The REPL's `profile` command renders LastProfile; the cache outcome
+// the engine records must reach it, for the differentiate and the
+// explore a session runs, whether the engine caches answers or not.
+func TestSessionProfileCarriesCacheOutcome(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		cache       int
+		query, pick string
+	}{
+		{"uncached", 0, cacheBypass, cacheBypass},
+		{"cached", 16, cacheMiss, cacheMiss},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := ebizEngine()
+			e.SetAnswerCache(tc.cache, 0)
+			s := NewSession(e, DefaultExploreOptions())
+			if _, err := s.Query("Columbus LCD"); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.LastProfile().Cache; got != tc.query {
+				t.Errorf("query profile cache = %q, want %q", got, tc.query)
+			}
+			if _, err := s.Pick(1); err != nil {
+				t.Fatal(err)
+			}
+			if got := s.LastProfile().Cache; got != tc.pick {
+				t.Errorf("pick profile cache = %q, want %q", got, tc.pick)
+			}
+			if !strings.Contains(s.LastProfile().Render(), "cache="+tc.pick) {
+				t.Errorf("rendered profile lacks the outcome:\n%s", s.LastProfile().Render())
+			}
+		})
 	}
 }

@@ -162,7 +162,7 @@ func (e *Engine) spaceGroupBy(ctx context.Context, sp *space, attr string, path 
 }
 
 // spaceSeries returns the space's numeric series over attr bucketised
-// into iv — iv.AggregateSeries(NumericSeries(S, attr)). Equal-width
+// into iv — iv.AggregateSeries(NumericSeriesCtx(S, attr)). Equal-width
 // intervals are a function of their two outer edges and their count, so
 // those identify the entry; what is kept is the bucket series (40
 // floats by default), and the raw per-row series of a million-row

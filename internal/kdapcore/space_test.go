@@ -19,7 +19,7 @@ import (
 // top1 resolves a query to its best-ranked interpretation.
 func top1(t *testing.T, e *Engine, q string) *StarNet {
 	t.Helper()
-	nets, err := e.Differentiate(q)
+	nets, err := e.DifferentiateCtx(context.Background(), q)
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate %q: %v (%d nets)", q, err, len(nets))
 	}

@@ -1,6 +1,7 @@
 package kdapcore
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -9,7 +10,7 @@ import (
 
 func findNet(t *testing.T, e *Engine, query string, want ...string) *StarNet {
 	t.Helper()
-	nets, err := e.Differentiate(query)
+	nets, err := e.DifferentiateCtx(context.Background(), query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestSQLSimpleNet(t *testing.T) {
 // join but need distinct LOC aliases.
 func TestSQLAliasing(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Seattle Portland")
+	nets, err := e.DifferentiateCtx(context.Background(), "Seattle Portland")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestSQLAliasing(t *testing.T) {
 
 func TestSQLWithFilters(t *testing.T) {
 	e := ebizEngine()
-	nets, err := e.Differentiate("Projectors UnitPrice>1000 Income<=90000")
+	nets, err := e.DifferentiateCtx(context.Background(), "Projectors UnitPrice>1000 Income<=90000")
 	if err != nil {
 		t.Fatal(err)
 	}

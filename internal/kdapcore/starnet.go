@@ -170,7 +170,7 @@ type starSeed []*HitGroup
 // (including merged phrase groups). Keywords whose hit set is empty are
 // skipped — they constrain nothing, which mirrors how a search engine
 // ignores unmatched terms rather than returning nothing.
-func enumerateSeeds(sets []*HitSet, merged []*HitGroup, maxSeeds int) []starSeed {
+func enumerateSeeds(sets []*hitSet, merged []*HitGroup, maxSeeds int) []starSeed {
 	n := len(sets)
 	// Groups by their first covered keyword.
 	byFirst := make([][]*HitGroup, n)

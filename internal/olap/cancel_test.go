@@ -1,8 +1,7 @@
 package olap
 
-// Cancellation coverage for the executor's ctx-first variants: a
-// cancelled context surfaces context.Canceled from every kernel entry
-// point, and the Background-context wrappers keep their old contract.
+// Cancellation coverage for the executor's entry points: a cancelled
+// context surfaces context.Canceled from every one that scans or walks.
 
 import (
 	"context"
@@ -10,20 +9,12 @@ import (
 	"testing"
 )
 
-func allFactRows(t *testing.T, ex *Executor) []int {
-	t.Helper()
-	rows, err := ex.FactRowsCtx(context.Background(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rows
-}
-
 func TestCtxVariantsCancel(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
 	path := pathTo(t, "PGROUP", "")
-	rows := allFactRows(t, ex)
+	rows := mustFactRows(t, ex, nil)
+	inner := ebiz.Graph.InnerPathsWithin("PGROUP", "PLINE", ebiz.Graph.Dimension("Product"))[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
@@ -44,45 +35,23 @@ func TestCtxVariantsCancel(t *testing.T) {
 			_, err := ex.NumericSeriesCtx(ctx, rows, "UnitPrice", pathTo(t, "TRANSITEM", ""), m)
 			return err
 		},
-		"FilterRowsNumericCtx": func() error {
-			_, err := ex.FilterRowsNumericCtx(ctx, rows, "UnitPrice", pathTo(t, "TRANSITEM", ""),
-				func(v float64) bool { return v > 0 })
+		"FilterRowsNumericBoundCtx": func() error {
+			_, err := ex.FilterRowsNumericBoundCtx(ctx, rows, "UnitPrice", pathTo(t, "TRANSITEM", ""),
+				0, posInf, func(v float64) bool { return v > 0 })
 			return err
 		},
 		"MapRowsCtx": func() error {
 			_, err := ex.MapRowsCtx(ctx, rows, path)
 			return err
 		},
+		"DimValues": func() error {
+			_, err := ex.DimValues(ctx, []int{0, 1}, inner, "LineName")
+			return err
+		},
 	}
 	for name, call := range calls {
 		if err := call(); !errors.Is(err, context.Canceled) {
 			t.Errorf("%s on cancelled ctx: err = %v, want context.Canceled", name, err)
-		}
-	}
-}
-
-// TestWrappersMatchCtxVariants checks the Background wrappers return
-// the same results as their ctx-first counterparts on a live context.
-func TestWrappersMatchCtxVariants(t *testing.T) {
-	ex := NewExecutor(ebiz.Graph)
-	m := revenue(t)
-	path := pathTo(t, "PGROUP", "")
-	rows := allFactRows(t, ex)
-
-	want := ex.Aggregate(rows, m, Sum)
-	got, err := ex.AggregateCtx(context.Background(), rows, m, Sum)
-	if err != nil || got != want {
-		t.Errorf("AggregateCtx = %v, %v; wrapper = %v", got, err, want)
-	}
-
-	wantG := ex.GroupBy(rows, "GroupName", path, m, Sum)
-	gotG, err := ex.GroupByCtx(context.Background(), rows, "GroupName", path, m, Sum)
-	if err != nil || len(gotG) != len(wantG) {
-		t.Fatalf("GroupByCtx: %d groups, err %v; wrapper %d", len(gotG), err, len(wantG))
-	}
-	for k, v := range wantG {
-		if gotG[k] != v {
-			t.Errorf("group %v: ctx %v, wrapper %v", k, gotG[k], v)
 		}
 	}
 }

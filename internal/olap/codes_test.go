@@ -121,7 +121,7 @@ func sameGroups(got, want map[relation.Value]float64) error {
 // byte — cell by cell.
 func (m *codeMart) check(t *testing.T, rng *rand.Rand, pivot bool) {
 	t.Helper()
-	all := m.ex.FactRows(nil)
+	all := mustFactRows(t, m.ex, nil)
 	n := len(all)
 	sets := [][]int{all}
 	var sample []int
@@ -138,12 +138,12 @@ func (m *codeMart) check(t *testing.T, rng *rand.Rand, pivot bool) {
 			m    Measure
 			agg  Agg
 		}{{"Name", v, Sum}, {"Name", v, Max}, {"Name", CountMeasure(), Count}, {"Band", v, Min}} {
-			got := m.ex.GroupBy(rows, tc.attr, m.path, tc.m, tc.agg)
-			if err := sameGroups(got, m.ex.GroupByRef(rows, tc.attr, m.path, tc.m, tc.agg)); err != nil {
+			got := mustGroupBy(t, m.ex, rows, tc.attr, m.path, tc.m, tc.agg)
+			if err := sameGroups(got, groupByRef(m.ex, rows, tc.attr, m.path, tc.m, tc.agg)); err != nil {
 				t.Fatalf("nd %d, %d facts, %s/%v over %d rows: %v", m.nd, n, tc.attr, tc.agg, len(rows), err)
 			}
 		}
-		if err := sameGroups(m.ex.GroupBy(rows, "Tag", m.zero, v, Sum), m.ex.GroupByRef(rows, "Tag", m.zero, v, Sum)); err != nil {
+		if err := sameGroups(mustGroupBy(t, m.ex, rows, "Tag", m.zero, v, Sum), groupByRef(m.ex, rows, "Tag", m.zero, v, Sum)); err != nil {
 			t.Fatalf("nd %d, %d facts, Tag over %d rows: %v", m.nd, n, len(rows), err)
 		}
 	}
@@ -278,7 +278,7 @@ func TestReadersRacingCodeWidening(t *testing.T) {
 					stop = true // one last pass over the final table
 				default:
 				}
-				rows := m.ex.FactRows(nil)
+				rows := mustFactRows(t, m.ex, nil)
 				n := len(rows)
 				got, err := m.ex.GroupByCtx(context.Background(), rows, "Tag", m.zero, CountMeasure(), Count)
 				if err != nil {
@@ -331,12 +331,12 @@ func TestCodeVectorBytesPerFact(t *testing.T) {
 	const facts, budget = 200_000, 1.5
 	g := dataset.AWOnlineScaled(facts).Graph
 	ex := NewExecutor(g)
-	rows := ex.FactRows(nil)
+	rows := mustFactRows(t, ex, nil)
 	for _, d := range g.Dimensions() {
 		for _, attr := range d.GroupBy {
 			for _, p := range g.JoinPaths(attr.Table) {
 				if p.Dim == d.Name {
-					ex.GroupBy(rows, attr.Attr, p, CountMeasure(), Count)
+					mustGroupBy(t, ex, rows, attr.Attr, p, CountMeasure(), Count)
 				}
 			}
 		}

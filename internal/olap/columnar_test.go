@@ -13,8 +13,8 @@ import (
 
 // sampleRowSets returns row subsets of assorted sizes, including the
 // full dataspace and an empty set.
-func sampleRowSets(ex *Executor) [][]int {
-	all := ex.FactRows(nil)
+func sampleRowSets(t *testing.T, ex *Executor) [][]int {
+	all := mustFactRows(t, ex, nil)
 	var every3 []int
 	for i := 0; i < len(all); i += 3 {
 		every3 = append(every3, all[i])
@@ -32,10 +32,10 @@ func TestGroupByMatchesReference(t *testing.T) {
 		{"Income", "CUSTOMER", "Buyer"},
 	} {
 		path := pathTo(t, tc.table, tc.role)
-		for _, rows := range sampleRowSets(ex) {
+		for _, rows := range sampleRowSets(t, ex) {
 			for _, agg := range aggs {
-				got := ex.GroupBy(rows, tc.attr, path, m, agg)
-				want := ex.GroupByRef(rows, tc.attr, path, m, agg)
+				got := mustGroupBy(t, ex, rows, tc.attr, path, m, agg)
+				want := groupByRef(ex, rows, tc.attr, path, m, agg)
 				if len(got) != len(want) {
 					t.Fatalf("%s/%v: %d groups, want %d", tc.attr, agg, len(got), len(want))
 				}
@@ -61,9 +61,9 @@ func TestGroupByMatchesReference(t *testing.T) {
 func TestGroupByEvalFallbackMatchesReference(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	path := pathTo(t, "PGROUP", "Product")
-	all := ex.FactRows(nil)
-	got := ex.GroupBy(all, "GroupName", path, CountMeasure(), Count)
-	want := ex.GroupByRef(all, "GroupName", path, CountMeasure(), Count)
+	all := mustFactRows(t, ex, nil)
+	got := mustGroupBy(t, ex, all, "GroupName", path, CountMeasure(), Count)
+	want := groupByRef(ex, all, "GroupName", path, CountMeasure(), Count)
 	if len(got) != len(want) {
 		t.Fatalf("%d groups, want %d", len(got), len(want))
 	}
@@ -90,12 +90,12 @@ func TestGroupByParallelKernel(t *testing.T) {
 
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	path := pathTo(t, "PGROUP", "Product")
 	for _, agg := range []Agg{Sum, Count, Avg, Min, Max} {
-		got := ex.GroupBy(all, "GroupName", path, m, agg)
-		again := ex.GroupBy(all, "GroupName", path, m, agg)
-		want := ex.GroupByRef(all, "GroupName", path, m, agg)
+		got := mustGroupBy(t, ex, all, "GroupName", path, m, agg)
+		again := mustGroupBy(t, ex, all, "GroupName", path, m, agg)
+		want := groupByRef(ex, all, "GroupName", path, m, agg)
 		if len(got) != len(want) {
 			t.Fatalf("%v: %d groups, want %d", agg, len(got), len(want))
 		}
@@ -117,10 +117,10 @@ func TestGroupByParallelKernel(t *testing.T) {
 func TestAggregateMatchesReference(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	for _, rows := range sampleRowSets(ex) {
+	for _, rows := range sampleRowSets(t, ex) {
 		for _, agg := range []Agg{Sum, Count, Avg, Min, Max} {
-			got := ex.Aggregate(rows, m, agg)
-			want := ex.AggregateRef(rows, m, agg)
+			got := mustAggregate(t, ex, rows, m, agg)
+			want := aggregateRef(ex, rows, m, agg)
 			if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
 				t.Fatalf("agg %v over %d rows: %v, want %v", agg, len(rows), got, want)
 			}
@@ -128,18 +128,18 @@ func TestAggregateMatchesReference(t *testing.T) {
 	}
 	// Parallel path agrees to merge precision.
 	forceStriping(t, 64)
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	for _, agg := range []Agg{Sum, Count, Avg, Min, Max} {
-		got := ex.Aggregate(all, m, agg)
-		want := ex.AggregateRef(all, m, agg)
+		got := mustAggregate(t, ex, all, m, agg)
+		want := aggregateRef(ex, all, m, agg)
 		if math.Abs(got-want) > 1e-9*(math.Abs(want)+1) {
 			t.Fatalf("parallel agg %v: %v, want %v", agg, got, want)
 		}
 	}
 }
 
-// NumericSeries and FilterRowsNumeric through the fact-aligned float
-// column must match the boxed row walk.
+// NumericSeriesCtx and FilterRowsNumericBoundCtx through the
+// fact-aligned float column must match the boxed row walk.
 func TestNumericColumnsMatchRowWalk(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
@@ -147,8 +147,8 @@ func TestNumericColumnsMatchRowWalk(t *testing.T) {
 	dimTable := ebiz.DB.Table("CUSTOMER")
 	ai := dimTable.Schema().ColumnIndex("Income")
 	f2d := ex.factToDim(path)
-	for _, rows := range sampleRowSets(ex) {
-		series := ex.NumericSeries(rows, "Income", path, m)
+	for _, rows := range sampleRowSets(t, ex) {
+		series := mustSeries(t, ex, rows, "Income", path, m)
 		var want []ValueMeasure
 		for _, r := range rows {
 			d := f2d[r]
@@ -170,7 +170,7 @@ func TestNumericColumnsMatchRowWalk(t *testing.T) {
 			}
 		}
 		pred := func(x float64) bool { return x > 80000 }
-		got := ex.FilterRowsNumeric(rows, "Income", path, pred)
+		got := mustFilter(t, ex, rows, "Income", path, pred)
 		var wantRows []int
 		for _, r := range rows {
 			d := f2d[r]
@@ -199,15 +199,15 @@ func TestNumericColumnsMatchRowWalk(t *testing.T) {
 func TestDirtyDataColumnarMatchesReference(t *testing.T) {
 	g, ex := dirtyWarehouse(t)
 	m := ColumnMeasure(g.DB().Table("Fact"), "Amount")
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	for _, tbl := range []string{"Prod", "Grp"} {
 		path, ok := g.PathFromFact(tbl, "Product")
 		if !ok {
 			t.Fatalf("no path from %s", tbl)
 		}
 		attr := map[string]string{"Prod": "Name", "Grp": "GrpName"}[tbl]
-		got := ex.GroupBy(all, attr, path, m, Sum)
-		want := ex.GroupByRef(all, attr, path, m, Sum)
+		got := mustGroupBy(t, ex, all, attr, path, m, Sum)
+		want := groupByRef(ex, all, attr, path, m, Sum)
 		if len(got) != len(want) {
 			t.Fatalf("%s: %v, want %v", tbl, got, want)
 		}
@@ -232,9 +232,9 @@ func TestGroupByKeepsAllNaNMeasureGroups(t *testing.T) {
 		return row[2].AsFloat()
 	}}
 	path, _ := g.PathFromFact("Prod", "Product")
-	all := ex.FactRows(nil)
-	got := ex.GroupBy(all, "Name", path, m, Sum)
-	want := ex.GroupByRef(all, "Name", path, m, Sum)
+	all := mustFactRows(t, ex, nil)
+	got := mustGroupBy(t, ex, all, "Name", path, m, Sum)
+	want := groupByRef(ex, all, "Name", path, m, Sum)
 	if len(got) != len(want) || len(got) != 2 {
 		t.Fatalf("got %v, want %v (both groups must appear)", got, want)
 	}

@@ -67,7 +67,7 @@ func TestDirtyDataSemijoin(t *testing.T) {
 	if !ok {
 		t.Fatal("no path")
 	}
-	rows := ex.FactRows([]Constraint{{
+	rows := mustFactRows(t, ex, []Constraint{{
 		Table: "Prod", Attr: "Name",
 		Values: []relation.Value{relation.String("Widget A"), relation.String("Widget B")},
 		Path:   path,
@@ -91,7 +91,7 @@ func TestDirtyDataDuplicateKeyCreditsFirstRow(t *testing.T) {
 		for _, n := range names {
 			c.Values = append(c.Values, relation.String(n))
 		}
-		return ex.FactRows([]Constraint{c})
+		return mustFactRows(t, ex, []Constraint{c})
 	}
 	if rows := factRows("Widget A"); len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("first holder of ProdKey 1: rows = %v, want [0]", rows)
@@ -102,7 +102,7 @@ func TestDirtyDataDuplicateKeyCreditsFirstRow(t *testing.T) {
 	if rows := factRows("Widget A", "Widget A bis"); len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("both holders together: rows = %v, want [0]", rows)
 	}
-	counts := ex.GroupBy(ex.FactRows(nil), "Name", path, CountMeasure(), Count)
+	counts := mustGroupBy(t, ex, mustFactRows(t, ex, nil), "Name", path, CountMeasure(), Count)
 	for _, name := range []string{"Widget A", "Widget A bis", "Widget B"} {
 		if got, want := float64(len(factRows(name))), counts[relation.String(name)]; got != want {
 			t.Errorf("%s: subspace holds %v facts, group-by credits %v", name, got, want)
@@ -111,7 +111,7 @@ func TestDirtyDataDuplicateKeyCreditsFirstRow(t *testing.T) {
 	// Two hops: the duplicate shares its group, so the group's subspace
 	// still holds fact 0 once.
 	grpPath, _ := g.PathFromFact("Grp", "Product")
-	rows := ex.FactRows([]Constraint{{Table: "Grp", Attr: "GrpName", Values: []relation.Value{relation.String("Widgets")}, Path: grpPath}})
+	rows := mustFactRows(t, ex, []Constraint{{Table: "Grp", Attr: "GrpName", Values: []relation.Value{relation.String("Widgets")}, Path: grpPath}})
 	if len(rows) != 1 || rows[0] != 0 {
 		t.Errorf("group subspace = %v, want [0]", rows)
 	}
@@ -120,12 +120,12 @@ func TestDirtyDataDuplicateKeyCreditsFirstRow(t *testing.T) {
 func TestDirtyDataGroupByDropsUnlinked(t *testing.T) {
 	g, ex := dirtyWarehouse(t)
 	m := ColumnMeasure(g.DB().Table("Fact"), "Amount")
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	if len(all) != 5 {
 		t.Fatalf("all = %d", len(all))
 	}
 	prodPath, _ := g.PathFromFact("Prod", "Product")
-	byName := ex.GroupBy(all, "Name", prodPath, m, Sum)
+	byName := mustGroupBy(t, ex, all, "Name", prodPath, m, Sum)
 	if len(byName) != 2 {
 		t.Fatalf("groups = %v", byName)
 	}
@@ -135,7 +135,7 @@ func TestDirtyDataGroupByDropsUnlinked(t *testing.T) {
 	// Two hops with a dangling middle: group by GrpName drops Widget B's
 	// facts too.
 	grpPath, _ := g.PathFromFact("Grp", "Product")
-	byGrp := ex.GroupBy(all, "GrpName", grpPath, m, Sum)
+	byGrp := mustGroupBy(t, ex, all, "GrpName", grpPath, m, Sum)
 	if len(byGrp) != 1 || byGrp[relation.String("Widgets")] != 10 {
 		t.Errorf("group-level groups = %v", byGrp)
 	}
@@ -144,11 +144,11 @@ func TestDirtyDataGroupByDropsUnlinked(t *testing.T) {
 func TestDirtyDataNumericSeries(t *testing.T) {
 	g, ex := dirtyWarehouse(t)
 	m := ColumnMeasure(g.DB().Table("Fact"), "Amount")
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	prodPath, _ := g.PathFromFact("Prod", "Product")
 	// ProdKey as a "numeric attribute" on the product table: only linked
 	// facts appear.
-	series := ex.NumericSeries(all, "ProdKey", prodPath, m)
+	series := mustSeries(t, ex, all, "ProdKey", prodPath, m)
 	if len(series) != 3 {
 		t.Errorf("series = %v", series)
 	}
@@ -162,14 +162,14 @@ func TestDirtyDataNumericSeries(t *testing.T) {
 func TestDirtyDataNullMeasure(t *testing.T) {
 	g, ex := dirtyWarehouse(t)
 	m := ColumnMeasure(g.DB().Table("Fact"), "Amount")
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	prodPath, _ := g.PathFromFact("Prod", "Product")
 	for agg, want := range map[Agg]float64{Sum: 20, Count: 1, Avg: 20, Min: 20, Max: 20} {
-		if got := ex.GroupBy(all, "Name", prodPath, m, agg)[relation.String("Widget B")]; got != want {
+		if got := mustGroupBy(t, ex, all, "Name", prodPath, m, agg)[relation.String("Widget B")]; got != want {
 			t.Errorf("Widget B %v = %v, want %v: the NULL-measure fact must not count", agg, got, want)
 		}
 	}
-	if got := ex.Aggregate(all, m, Sum); got != 150 {
+	if got := mustAggregate(t, ex, all, m, Sum); got != 150 {
 		t.Errorf("total = %v, want 150", got)
 	}
 	var streamed []ValueMeasure
@@ -179,7 +179,7 @@ func TestDirtyDataNullMeasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	series := ex.NumericSeries(all, "ProdKey", prodPath, m)
+	series := mustSeries(t, ex, all, "ProdKey", prodPath, m)
 	if len(series) != 3 || series[2].Value != 2 || !math.IsNaN(series[2].Measure) {
 		t.Fatalf("series = %v, want the NULL-measure fact as (2, NaN)", series)
 	}

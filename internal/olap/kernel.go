@@ -16,8 +16,9 @@ import (
 // vectors (one, two or four bytes per row — see codeColumn) and
 // []float64 measure columns, with a striped parallel variant engaged for
 // large row sets. They are pure execution strategy — every kernel
-// produces results identical to the row-at-a-time reference path (see
-// GroupByRef), modulo the float summation order of the stripe merge,
+// produces results identical to the row-at-a-time reference path (the
+// package tests' groupByRef), modulo the float summation order of the
+// stripe merge,
 // which is canonical: a row set at or above
 // the parallel threshold is always split into exactly kernelStripes
 // contiguous stripes whose partials merge in stripe-index order,

@@ -4,20 +4,19 @@
 // functions over fact rows, and group-by along arbitrary dimension
 // attributes reached through join paths.
 //
-// Two execution paths produce identical results. The reference path
-// (GroupByRef, AggregateRef) walks boxed relation.Value rows and exists
-// for the equivalence tests; the default path runs columnar kernels
-// (kernel.go) over dense []float64 measure vectors and dictionary-coded
-// attribute columns one to four bytes wide, memoized fact-aligned per
-// join path, and fans out across cores above a row threshold with a
-// deterministic chunk-order merge. Per-constraint semijoin bitsets are
+// Execution is columnar: kernels (kernel.go) run over dense []float64
+// measure vectors and dictionary-coded attribute columns one to four
+// bytes wide, memoized fact-aligned per join path, and fan out across
+// cores above a row threshold with a deterministic chunk-order merge.
+// The row-at-a-time reference implementations they are checked against
+// live in the package's tests. Per-constraint semijoin bitsets are
 // cached in a CLOCK-evicted store so star nets sharing hit groups share
 // the semijoin work.
 //
 // An Executor is safe for concurrent use, exposes kernel-path and
 // cache counters as snapshots (Stats, ConstraintCacheStats — the
 // server polls them onto the telemetry registry), and observes context
-// cancellation at chunk granularity on every Ctx-suffixed entry point.
+// cancellation at chunk granularity on every entry point that scans.
 package olap
 
 import (
@@ -147,6 +146,21 @@ func CountMeasure() Measure {
 	return Measure{Name: "count", Eval: func([]relation.Value) float64 { return 1 }, constOne: true}
 }
 
+// RevenueMeasure is the paper's measure over a fact table: sales revenue
+// = UnitPrice × OrderQuantity (or × Quantity), falling back to a row
+// count when the table lacks UnitPrice or a quantity column.
+func RevenueMeasure(fact *relation.Table) Measure {
+	sc := fact.Schema()
+	if sc.HasColumn("UnitPrice") {
+		for _, qty := range []string{"OrderQuantity", "Quantity"} {
+			if sc.HasColumn(qty) {
+				return ProductMeasure(fact, "SalesRevenue", "UnitPrice", qty)
+			}
+		}
+	}
+	return CountMeasure()
+}
+
 // Agg selects the aggregation function applied to measure values.
 type Agg int
 
@@ -268,17 +282,14 @@ type Executor struct {
 
 // execCounters are the executor's lifetime kernel counters: which
 // execution path each call took (columnar vector vs row-at-a-time
-// measure eval vs the retained reference implementations) and how the
-// parallel kernels fanned out. All lock-free; one atomic add per call,
-// never per row, so the hot kernels stay within the telemetry overhead
-// budget.
+// measure eval) and how the parallel kernels fanned out. All lock-free;
+// one atomic add per call, never per row, so the hot kernels stay
+// within the telemetry overhead budget.
 type execCounters struct {
 	groupByVec     atomic.Int64
 	groupByEval    atomic.Int64
-	groupByRef     atomic.Int64
 	aggregateVec   atomic.Int64
 	aggregateEval  atomic.Int64
-	aggregateRef   atomic.Int64
 	parallelScans  atomic.Int64
 	serialScans    atomic.Int64
 	kernelChunks   atomic.Int64
@@ -293,12 +304,12 @@ type execCounters struct {
 // ExecStats is a point-in-time snapshot of the executor's kernel
 // counters, exported at /metrics.
 type ExecStats struct {
-	// GroupBy calls by path: the columnar kernel over a measure vector,
-	// the columnar kernel falling back to per-row measure eval, and the
-	// row-at-a-time reference implementation.
-	GroupByVec, GroupByEval, GroupByRef int64
-	// Aggregate calls by the same three paths.
-	AggregateVec, AggregateEval, AggregateRef int64
+	// GroupByCtx calls by path: the columnar kernel over a measure
+	// vector, and the columnar kernel falling back to per-row measure
+	// eval.
+	GroupByVec, GroupByEval int64
+	// AggregateCtx calls by the same two paths.
+	AggregateVec, AggregateEval int64
 	// ParallelScans fan out over KernelChunks worker stripes in total;
 	// SerialScans stayed under the parallel row threshold (or ran their
 	// stripes inline at GOMAXPROCS=1).
@@ -318,10 +329,8 @@ func (ex *Executor) Stats() ExecStats {
 	return ExecStats{
 		GroupByVec:     ex.stats.groupByVec.Load(),
 		GroupByEval:    ex.stats.groupByEval.Load(),
-		GroupByRef:     ex.stats.groupByRef.Load(),
 		AggregateVec:   ex.stats.aggregateVec.Load(),
 		AggregateEval:  ex.stats.aggregateEval.Load(),
-		AggregateRef:   ex.stats.aggregateRef.Load(),
 		ParallelScans:  ex.stats.parallelScans.Load(),
 		SerialScans:    ex.stats.serialScans.Load(),
 		KernelChunks:   ex.stats.kernelChunks.Load(),
@@ -400,18 +409,12 @@ func (ex *Executor) FactLen() int { return ex.fact.Len() }
 // cache budget) or read its skip counters.
 func (ex *Executor) FactBacking() relation.ColumnBacking { return ex.fact.Backing() }
 
-// MapRows maps row IDs of path.Source to row IDs of path.Target by
+// MapRowsCtx maps row IDs of path.Source to row IDs of path.Target by
 // walking the path's hops; the result is sorted and deduplicated. This is
-// the semijoin primitive: dimension rows in, fact rows out.
-func (ex *Executor) MapRows(rows []int, path schemagraph.JoinPath) []int {
-	out, _ := ex.MapRowsCtx(context.Background(), rows, path)
-	return out
-}
-
-// MapRowsCtx is MapRows under a context, returning ctx.Err() on
-// cancellation. A path that ends at the fact table is resolved by the
-// one semijoin into facts (see semijoin); a path between dimension
-// tables is walked hop by hop.
+// the semijoin primitive: dimension rows in, fact rows out. It returns
+// ctx.Err() on cancellation. A path that ends at the fact table is
+// resolved by the one semijoin into facts (see semijoin); a path between
+// dimension tables is walked hop by hop.
 func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph.JoinPath) ([]int, error) {
 	if len(path.Hops) == 0 || path.Target() != ex.fact.Name() {
 		return ex.walkHops(ctx, rows, path.Source, path.Hops)
@@ -597,35 +600,24 @@ func unionValueSegments(ts relation.TermSegmenter, attr string, vals []relation.
 	return out, true
 }
 
-// FactRows returns the fact rows of the sub-dataspace defined by the
+// FactRowsCtx returns the fact rows of the sub-dataspace defined by the
 // constraints: the intersection over all constraints of the fact rows
 // reachable from matching dimension rows. With no constraints it returns
 // every fact row (the full dataspace). Per-constraint results are cached
 // as bitsets, so nets sharing hit groups share semijoin work.
-func (ex *Executor) FactRows(constraints []Constraint) []int {
-	rows, _ := ex.FactRowsCtx(context.Background(), constraints)
-	return rows
-}
-
-// FactRowsCtx is FactRows under a context: cancellation is checked
-// between constraints, inside each constraint's semijoin and between
-// segment runs, returning ctx.Err() instead of completing the
-// intersection.
+// Cancellation is checked between constraints, inside each constraint's
+// semijoin and between segment runs, returning ctx.Err() instead of
+// completing the intersection.
 func (ex *Executor) FactRowsCtx(ctx context.Context, constraints []Constraint) ([]int, error) {
 	return ex.FactRowsInRange(ctx, constraints, nil, 0, ex.fact.Len())
 }
 
-// Aggregate applies the measure and aggregation function over fact
+// AggregateCtx applies the measure and aggregation function over fact
 // rows. The scan is fused — measure column read and accumulation in one
-// loop — and fans out across GOMAXPROCS workers for large row sets.
-func (ex *Executor) Aggregate(rows []int, m Measure, agg Agg) float64 {
-	v, _ := ex.AggregateCtx(context.Background(), rows, m, agg)
-	return v
-}
-
-// AggregateCtx is Aggregate under a context: the fused scan (and every
-// parallel worker chunk) checks for cancellation at cancelCheckRows
-// granularity and returns ctx.Err() instead of finishing the scan.
+// loop — and fans out across GOMAXPROCS workers for large row sets; it
+// (and every parallel worker chunk) checks for cancellation at
+// cancelCheckRows granularity and returns ctx.Err() instead of finishing
+// the scan.
 func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg Agg) (float64, error) {
 	if measureVec(m) != nil {
 		ex.stats.aggregateVec.Add(1)
@@ -639,23 +631,18 @@ func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg
 	return st.final(agg), nil
 }
 
-// AggregateRef is the row-at-a-time reference implementation of
-// Aggregate, retained for correctness tests and as the /ref baseline of
-// the kernel micro-benchmarks in bench_test.go.
-func (ex *Executor) AggregateRef(rows []int, m Measure, agg Agg) float64 {
-	ex.stats.aggregateRef.Add(1)
-	st := newAggState()
-	var row []relation.Value
-	for _, r := range rows {
-		row = ex.fact.RowInto(row, r)
-		st.add(m.Eval(row))
-	}
-	return st.final(agg)
-}
-
-// GroupByCtx is GroupBy under a context: the columnar scan (and every
-// parallel worker chunk) checks for cancellation at cancelCheckRows
-// granularity and returns ctx.Err() instead of finishing the scan.
+// GroupByCtx partitions the given fact rows by the attribute at the far
+// end of path (a path from the attribute's table to the fact table) and
+// aggregates the measure within each group. The result maps each
+// attribute value to its aggregate; fact rows with no linked dimension
+// row are dropped.
+//
+// Execution is columnar: the attribute is read through a memoized
+// fact-aligned dictionary code vector and accumulated into a dense
+// per-code state slice — no map insert, no boxed Value per row — with
+// the chunked parallel kernel engaged for large row sets. The scan (and
+// every parallel worker chunk) checks for cancellation at
+// cancelCheckRows granularity and returns ctx.Err() instead of finishing.
 func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure, agg Agg) (map[relation.Value]float64, error) {
 	dimTable := ex.g.DB().Table(path.Source)
 	if dimTable.Schema().ColumnIndex(attr) < 0 {
@@ -810,56 +797,6 @@ func factToDimHop(curTable, next *relation.Table, fromCol, toCol string, rows []
 	}
 }
 
-// GroupBy partitions the given fact rows by the attribute at the far end
-// of path (a path from the attribute's table to the fact table) and
-// aggregates the measure within each group. The result maps each
-// attribute value to its aggregate; fact rows with no linked dimension
-// row are dropped.
-//
-// Execution is columnar: the attribute is read through a memoized
-// fact-aligned dictionary code vector and accumulated into a dense
-// per-code state slice — no map insert, no boxed Value per row — with
-// the chunked parallel kernel engaged for large row sets. The result is
-// identical to GroupByRef.
-func (ex *Executor) GroupBy(rows []int, attr string, path schemagraph.JoinPath, m Measure, agg Agg) map[relation.Value]float64 {
-	out, _ := ex.GroupByCtx(context.Background(), rows, attr, path, m, agg)
-	return out
-}
-
-// GroupByRef is the row-at-a-time, map-accumulating reference
-// implementation of GroupBy, retained for correctness tests and as the
-// /ref baseline of the kernel micro-benchmarks in bench_test.go.
-func (ex *Executor) GroupByRef(rows []int, attr string, path schemagraph.JoinPath, m Measure, agg Agg) map[relation.Value]float64 {
-	ex.stats.groupByRef.Add(1)
-	dimTable := ex.g.DB().Table(path.Source)
-	f2d := ex.factToDim(path)
-	states := make(map[relation.Value]*aggState)
-	var row []relation.Value
-	for _, r := range rows {
-		d := f2d[r]
-		if d < 0 {
-			continue
-		}
-		v := dimTable.Value(int(d), attr)
-		if v.IsNull() {
-			continue
-		}
-		st := states[v]
-		if st == nil {
-			s := newAggState()
-			st = &s
-			states[v] = st
-		}
-		row = ex.fact.RowInto(row, r)
-		st.add(m.Eval(row))
-	}
-	out := make(map[relation.Value]float64, len(states))
-	for v, st := range states {
-		out[v] = st.final(agg)
-	}
-	return out
-}
-
 // ValueMeasure pairs one fact row's numeric attribute value with its
 // measure value; the bucketizer consumes slices of these.
 type ValueMeasure struct {
@@ -867,19 +804,13 @@ type ValueMeasure struct {
 	Measure float64
 }
 
-// NumericSeries extracts, for each fact row, the numeric value of the
+// NumericSeriesCtx extracts, for each fact row, the numeric value of the
 // attribute reached via path together with the row's measure value.
 // Rows with NULL, non-numeric, or unlinked attributes are dropped. Both
 // sides read pre-extracted float columns: the memoized fact-aligned
 // attribute column (NaN marks absent) and the measure's vector.
-func (ex *Executor) NumericSeries(rows []int, attr string, path schemagraph.JoinPath, m Measure) []ValueMeasure {
-	out, _ := ex.NumericSeriesCtx(context.Background(), rows, attr, path, m)
-	return out
-}
-
-// NumericSeriesCtx is NumericSeries under a context, checking for
-// cancellation every cancelCheckRows rows. Segments in which the
-// attribute is NULL or unlinked on every row are skipped on zone
+// Cancellation is checked every cancelCheckRows rows. Segments in which
+// the attribute is NULL or unlinked on every row are skipped on zone
 // evidence, and a large row set is extracted over concurrent row-ordered
 // spans whose outputs concatenate to exactly the serial series.
 func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure) ([]ValueMeasure, error) {
@@ -995,31 +926,17 @@ func (sc *seriesScan) appendPairs(out []ValueMeasure, rows []int) []ValueMeasure
 	return out
 }
 
-// FilterRowsNumeric keeps the fact rows whose numeric attribute at the
-// far end of path satisfies pred; rows with NULL or unlinked attributes
-// are dropped. The KDAP engine uses it for the numeric-predicate query
-// extension.
-func (ex *Executor) FilterRowsNumeric(rows []int, attr string, path schemagraph.JoinPath, pred func(float64) bool) []int {
-	out, _ := ex.FilterRowsNumericCtx(context.Background(), rows, attr, path, pred)
-	return out
-}
-
-// FilterRowsNumericCtx is FilterRowsNumeric under a context, checking
-// for cancellation every cancelCheckRows rows. With an opaque predicate
-// the bound interval defaults to the whole line, so only all-NULL
-// segments are skipped; callers that know the predicate's shape should
-// use FilterRowsNumericBoundCtx.
-func (ex *Executor) FilterRowsNumericCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, pred func(float64) bool) ([]int, error) {
-	return ex.FilterRowsNumericBoundCtx(ctx, rows, attr, path, negInf, posInf, pred)
-}
-
 // DimValues projects the distinct values of attr over the dimension rows
-// reached from the given rows of fromTable via an inner (fact-avoiding)
-// path; the roll-up executor uses it to generalize hit values to their
-// hierarchy parents.
-func (ex *Executor) DimValues(fromTable string, rows []int, path schemagraph.JoinPath, attr string) []relation.Value {
+// reached from the given rows of path.Source via an inner
+// (fact-avoiding) path; the roll-up executor uses it to generalize hit
+// values to their hierarchy parents. It returns ctx.Err() when the hop
+// walk is cancelled.
+func (ex *Executor) DimValues(ctx context.Context, rows []int, path schemagraph.JoinPath, attr string) ([]relation.Value, error) {
 	target := ex.g.DB().Table(path.Target())
-	mapped := ex.MapRows(rows, path)
+	mapped, err := ex.MapRowsCtx(ctx, rows, path)
+	if err != nil {
+		return nil, err
+	}
 	seen := make(map[relation.Value]struct{})
 	var out []relation.Value
 	for _, r := range mapped {
@@ -1034,7 +951,7 @@ func (ex *Executor) DimValues(fromTable string, rows []int, path schemagraph.Joi
 		out = append(out, v)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
-	return out
+	return out, nil
 }
 
 // intersectSorted intersects two sorted, deduplicated int slices.

@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"context"
 	"math"
 	"testing"
 	"testing/quick"
@@ -71,7 +72,7 @@ func TestMeasureConstructors(t *testing.T) {
 
 func TestFactRowsNoConstraints(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
-	rows := ex.FactRows(nil)
+	rows := mustFactRows(t, ex, nil)
 	if len(rows) != ex.FactLen() {
 		t.Errorf("full dataspace = %d rows, want %d", len(rows), ex.FactLen())
 	}
@@ -85,7 +86,7 @@ func TestFactRowsSingleConstraintMatchesBruteForce(t *testing.T) {
 		t.Fatal("PGROUP path count")
 	}
 	val := relation.String("LCD Projectors")
-	rows := ex.FactRows([]Constraint{{
+	rows := mustFactRows(t, ex, []Constraint{{
 		Table: "PGROUP", Attr: "GroupName", Values: []relation.Value{val}, Path: paths[0],
 	}})
 
@@ -129,9 +130,9 @@ func TestFactRowsRoleMatters(t *testing.T) {
 		}
 	}
 	val := []relation.Value{relation.String("Columbus")}
-	rb := ex.FactRows([]Constraint{{Table: "LOC", Attr: "City", Values: val, Path: buyer}})
-	rs := ex.FactRows([]Constraint{{Table: "LOC", Attr: "City", Values: val, Path: seller}})
-	rst := ex.FactRows([]Constraint{{Table: "LOC", Attr: "City", Values: val, Path: store}})
+	rb := mustFactRows(t, ex, []Constraint{{Table: "LOC", Attr: "City", Values: val, Path: buyer}})
+	rs := mustFactRows(t, ex, []Constraint{{Table: "LOC", Attr: "City", Values: val, Path: seller}})
+	rst := mustFactRows(t, ex, []Constraint{{Table: "LOC", Attr: "City", Values: val, Path: store}})
 	if len(rb) == 0 || len(rs) == 0 || len(rst) == 0 {
 		t.Fatalf("empty slices: buyer %d seller %d store %d", len(rb), len(rs), len(rst))
 	}
@@ -161,9 +162,9 @@ func TestFactRowsIntersection(t *testing.T) {
 	cGroup := Constraint{Table: "PGROUP", Attr: "GroupName",
 		Values: []relation.Value{relation.String("LCD TVs")}, Path: pgPath}
 
-	both := ex.FactRows([]Constraint{cCity, cGroup})
-	city := ex.FactRows([]Constraint{cCity})
-	group := ex.FactRows([]Constraint{cGroup})
+	both := mustFactRows(t, ex, []Constraint{cCity, cGroup})
+	city := mustFactRows(t, ex, []Constraint{cCity})
+	group := mustFactRows(t, ex, []Constraint{cGroup})
 	if len(both) == 0 {
 		t.Fatal("intersection empty — Columbus stores should sell LCD TVs")
 	}
@@ -197,7 +198,7 @@ func TestFactRowsIntersection(t *testing.T) {
 func TestFactRowsEmptyIntersectionShortCircuits(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	locPath := pathTo(t, "LOC", "Store")
-	rows := ex.FactRows([]Constraint{
+	rows := mustFactRows(t, ex, []Constraint{
 		{Table: "LOC", Attr: "City", Values: []relation.Value{relation.String("Nowhereville")}, Path: locPath},
 		{Table: "PGROUP", Attr: "GroupName", Values: []relation.Value{relation.String("LCD TVs")}, Path: pathTo(t, "PGROUP", "Product")},
 	})
@@ -226,26 +227,26 @@ func TestAggregateFunctions(t *testing.T) {
 			max = w
 		}
 	}
-	if got := ex.Aggregate(rows, m, Sum); math.Abs(got-sum) > 1e-9 {
+	if got := mustAggregate(t, ex, rows, m, Sum); math.Abs(got-sum) > 1e-9 {
 		t.Errorf("Sum = %g, want %g", got, sum)
 	}
-	if got := ex.Aggregate(rows, m, Count); got != 5 {
+	if got := mustAggregate(t, ex, rows, m, Count); got != 5 {
 		t.Errorf("Count = %g", got)
 	}
-	if got := ex.Aggregate(rows, m, Avg); math.Abs(got-sum/5) > 1e-9 {
+	if got := mustAggregate(t, ex, rows, m, Avg); math.Abs(got-sum/5) > 1e-9 {
 		t.Errorf("Avg = %g", got)
 	}
-	if got := ex.Aggregate(rows, m, Min); got != min {
+	if got := mustAggregate(t, ex, rows, m, Min); got != min {
 		t.Errorf("Min = %g, want %g", got, min)
 	}
-	if got := ex.Aggregate(rows, m, Max); got != max {
+	if got := mustAggregate(t, ex, rows, m, Max); got != max {
 		t.Errorf("Max = %g, want %g", got, max)
 	}
 	// Empty row sets.
-	if got := ex.Aggregate(nil, m, Sum); got != 0 {
+	if got := mustAggregate(t, ex, nil, m, Sum); got != 0 {
 		t.Errorf("empty Sum = %g", got)
 	}
-	if got := ex.Aggregate(nil, m, Avg); !math.IsNaN(got) {
+	if got := mustAggregate(t, ex, nil, m, Avg); !math.IsNaN(got) {
 		t.Errorf("empty Avg = %g, want NaN", got)
 	}
 }
@@ -256,9 +257,9 @@ func TestAggregateFunctions(t *testing.T) {
 func TestGroupByPartitionsTotal(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	all := ex.FactRows(nil)
-	total := ex.Aggregate(all, m, Sum)
-	groups := ex.GroupBy(all, "GroupName", pathTo(t, "PGROUP", "Product"), m, Sum)
+	all := mustFactRows(t, ex, nil)
+	total := mustAggregate(t, ex, all, m, Sum)
+	groups := mustGroupBy(t, ex, all, "GroupName", pathTo(t, "PGROUP", "Product"), m, Sum)
 	if len(groups) == 0 {
 		t.Fatal("no groups")
 	}
@@ -287,9 +288,9 @@ func TestGroupByPartitionProperty(t *testing.T) {
 				rows = append(rows, i)
 			}
 		}
-		total := ex.Aggregate(rows, m, Sum)
+		total := mustAggregate(t, ex, rows, m, Sum)
 		var sum float64
-		for _, v := range ex.GroupBy(rows, "GroupName", path, m, Sum) {
+		for _, v := range mustGroupBy(t, ex, rows, "GroupName", path, m, Sum) {
 			sum += v
 		}
 		return math.Abs(sum-total) <= 1e-6*(math.Abs(total)+1)
@@ -302,9 +303,9 @@ func TestGroupByPartitionProperty(t *testing.T) {
 func TestGroupByAlongSnowflakePath(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	// Group by State (two hops: LOC ← STORE ← TRANS ← TRANSITEM).
-	groups := ex.GroupBy(all, "State", pathTo(t, "LOC", "Store"), m, Sum)
+	groups := mustGroupBy(t, ex, all, "State", pathTo(t, "LOC", "Store"), m, Sum)
 	if len(groups) < 5 {
 		t.Errorf("state groups = %d", len(groups))
 	}
@@ -316,8 +317,8 @@ func TestGroupByAlongSnowflakePath(t *testing.T) {
 func TestNumericSeries(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	all := ex.FactRows(nil)
-	series := ex.NumericSeries(all, "Income", pathTo(t, "CUSTOMER", "Buyer"), m)
+	all := mustFactRows(t, ex, nil)
+	series := mustSeries(t, ex, all, "Income", pathTo(t, "CUSTOMER", "Buyer"), m)
 	if len(series) != len(all) {
 		t.Errorf("series %d entries, want %d (every fact has a buyer)", len(series), len(all))
 	}
@@ -330,7 +331,7 @@ func TestNumericSeries(t *testing.T) {
 		}
 	}
 	// Non-numeric attribute yields empty series rather than junk.
-	empty := ex.NumericSeries(all[:50], "City", pathTo(t, "LOC", "Store"), m)
+	empty := mustSeries(t, ex, all[:50], "City", pathTo(t, "LOC", "Store"), m)
 	if len(empty) != 0 {
 		t.Errorf("string attribute produced %d numeric entries", len(empty))
 	}
@@ -346,7 +347,10 @@ func TestDimValuesRollup(t *testing.T) {
 	if len(paths) != 1 {
 		t.Fatalf("inner paths = %d", len(paths))
 	}
-	vals := ex.DimValues("PGROUP", hitRows, paths[0], "LineName")
+	vals, err := ex.DimValues(context.Background(), hitRows, paths[0], "LineName")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(vals) != 2 {
 		t.Fatalf("parent lines = %#v, want [Electronics Monitor]", vals)
 	}
@@ -358,9 +362,9 @@ func TestDimValuesRollup(t *testing.T) {
 func TestMapRowsZeroHopPath(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	rows := []int{3, 1, 2}
-	got := ex.MapRows(rows, schemagraph.JoinPath{Source: "PGROUP"})
-	if len(got) != 3 {
-		t.Errorf("zero-hop MapRows = %v", got)
+	got, err := ex.MapRowsCtx(context.Background(), rows, schemagraph.JoinPath{Source: "PGROUP"})
+	if err != nil || len(got) != 3 {
+		t.Errorf("zero-hop MapRowsCtx = %v, %v", got, err)
 	}
 }
 
@@ -388,14 +392,14 @@ func TestIntersectSorted(t *testing.T) {
 func TestExecutorConcurrentGroupBy(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	path := pathTo(t, "PGROUP", "Product")
-	want := ex.GroupBy(all, "GroupName", path, m, Sum)
+	want := mustGroupBy(t, ex, all, "GroupName", path, m, Sum)
 	done := make(chan bool)
 	for g := 0; g < 8; g++ {
 		go func() {
-			got := ex.GroupBy(all, "GroupName", path, m, Sum)
-			ok := len(got) == len(want)
+			got, err := ex.GroupByCtx(context.Background(), all, "GroupName", path, m, Sum)
+			ok := err == nil && len(got) == len(want)
 			for k, v := range want {
 				if math.Abs(got[k]-v) > 1e-9 {
 					ok = false
@@ -411,7 +415,7 @@ func TestExecutorConcurrentGroupBy(t *testing.T) {
 	}
 }
 
-// Repeated and interleaved FactRows calls must return identical results
+// Repeated and interleaved FactRowsCtx calls must return identical results
 // through the per-constraint cache, including after cache churn.
 func TestFactRowsConstraintCache(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
@@ -422,12 +426,12 @@ func TestFactRowsConstraintCache(t *testing.T) {
 	c2 := Constraint{Table: "PGROUP", Attr: "GroupName",
 		Values: []relation.Value{relation.String("LCD TVs")}, Path: pgPath}
 
-	want := ex.FactRows([]Constraint{c1, c2})
+	want := mustFactRows(t, ex, []Constraint{c1, c2})
 	for i := 0; i < 5; i++ {
 		// Interleave other constraints to churn the cache.
-		_ = ex.FactRows([]Constraint{{Table: "LOC", Attr: "State",
+		_ = mustFactRows(t, ex, []Constraint{{Table: "LOC", Attr: "State",
 			Values: []relation.Value{relation.String("California")}, Path: locPath}})
-		got := ex.FactRows([]Constraint{c1, c2})
+		got := mustFactRows(t, ex, []Constraint{c1, c2})
 		if len(got) != len(want) {
 			t.Fatalf("iteration %d: %d rows, want %d", i, len(got), len(want))
 		}
@@ -438,7 +442,7 @@ func TestFactRowsConstraintCache(t *testing.T) {
 		}
 	}
 	// Order of constraints must not matter.
-	rev := ex.FactRows([]Constraint{c2, c1})
+	rev := mustFactRows(t, ex, []Constraint{c2, c1})
 	if len(rev) != len(want) {
 		t.Fatalf("constraint order changed the result: %d vs %d", len(rev), len(want))
 	}
@@ -476,14 +480,14 @@ func TestConstraintSigDistinguishes(t *testing.T) {
 func TestFilterRowsNumeric(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	all := ex.FactRows(nil)
+	all := mustFactRows(t, ex, nil)
 	path := pathTo(t, "CUSTOMER", "Buyer")
-	rich := ex.FilterRowsNumeric(all, "Income", path, func(x float64) bool { return x > 100000 })
+	rich := mustFilter(t, ex, all, "Income", path, func(x float64) bool { return x > 100000 })
 	if len(rich) == 0 || len(rich) >= len(all) {
 		t.Fatalf("filtered = %d of %d", len(rich), len(all))
 	}
 	// Every surviving row's buyer income really exceeds the bound.
-	series := ex.NumericSeries(rich, "Income", path, m)
+	series := mustSeries(t, ex, rich, "Income", path, m)
 	for _, vm := range series {
 		if vm.Value <= 100000 {
 			t.Fatalf("income %g leaked through", vm.Value)
@@ -495,7 +499,7 @@ func TestFilterRowsNumeric(t *testing.T) {
 			t.Error("unknown attr should panic")
 		}
 	}()
-	ex.FilterRowsNumeric(all, "Nope", path, func(float64) bool { return true })
+	mustFilter(t, ex, all, "Nope", path, func(float64) bool { return true })
 }
 
 func TestExecutorAccessors(t *testing.T) {

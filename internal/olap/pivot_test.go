@@ -11,14 +11,14 @@ import (
 func TestPivotTotalsConsistency(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	rows := ex.FactRows(nil)
+	rows := mustFactRows(t, ex, nil)
 	pt := ex.Pivot(rows, "GroupName", pathTo(t, "PGROUP", "Product"),
 		"State", pathTo(t, "LOC", "Store"), m, Sum)
 
 	if len(pt.RowKeys) == 0 || len(pt.ColKeys) == 0 {
 		t.Fatal("empty pivot")
 	}
-	total := ex.Aggregate(rows, m, Sum)
+	total := mustAggregate(t, ex, rows, m, Sum)
 	if math.Abs(pt.Grand-total) > 1e-6*total {
 		t.Errorf("grand %g != total %g", pt.Grand, total)
 	}
@@ -35,11 +35,11 @@ func TestPivotTotalsConsistency(t *testing.T) {
 	// Each cell equals the direct aggregate of the two-constraint slice.
 	rv, cv := pt.RowKeys[0], pt.ColKeys[0]
 	ri, ci := 0, 0
-	slice := ex.FactRows([]Constraint{
+	slice := mustFactRows(t, ex, []Constraint{
 		{Table: "PGROUP", Attr: "GroupName", Values: []relation.Value{rv}, Path: pathTo(t, "PGROUP", "Product")},
 		{Table: "LOC", Attr: "State", Values: []relation.Value{cv}, Path: pathTo(t, "LOC", "Store")},
 	})
-	want := ex.Aggregate(slice, m, Sum)
+	want := mustAggregate(t, ex, slice, m, Sum)
 	if pt.Present[ri][ci] != (len(slice) > 0) {
 		t.Errorf("presence mismatch")
 	}
@@ -51,7 +51,7 @@ func TestPivotTotalsConsistency(t *testing.T) {
 func TestPivotRendering(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
-	rows := ex.FactRows(nil)[:500]
+	rows := mustFactRows(t, ex, nil)[:500]
 	pt := ex.Pivot(rows, "LineName", pathTo(t, "PLINE", "Product"),
 		"Country", pathTo(t, "LOC", "Store"), m, Sum)
 	out := pt.String()
@@ -66,7 +66,7 @@ func TestPivotRendering(t *testing.T) {
 
 func TestPivotCountAgg(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
-	rows := ex.FactRows(nil)
+	rows := mustFactRows(t, ex, nil)
 	pt := ex.Pivot(rows, "GroupName", pathTo(t, "PGROUP", "Product"),
 		"Country", pathTo(t, "LOC", "Store"), CountMeasure(), Count)
 	if int(pt.Grand) != len(rows) {

@@ -291,11 +291,14 @@ func (ex *Executor) FilterFactNumericCtx(ctx context.Context, rows []int, col st
 	return ex.filterNumeric(ctx, rows, ex.fact.FloatReader(col), ex.factZone(Bound{Col: col, Lo: lo, Hi: hi}), pred)
 }
 
-// FilterRowsNumericBoundCtx is FilterRowsNumericCtx with a declared
-// bound interval: pred only accepts values in [lo, hi], which licenses
+// FilterRowsNumericBoundCtx keeps the fact rows whose numeric attribute
+// at the far end of path satisfies pred; rows with NULL or unlinked
+// attributes are dropped. pred only accepts values in the declared
+// interval [lo, hi] (±Inf for an opaque predicate), which licenses
 // skipping segments whose zone over the fact-aligned attribute column
 // misses the interval. Those zones are derived lazily per (path, attr)
-// and memoized alongside the column itself.
+// and memoized alongside the column itself. Cancellation is checked
+// every cancelCheckRows rows.
 func (ex *Executor) FilterRowsNumericBoundCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, lo, hi float64, pred func(float64) bool) ([]int, error) {
 	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
 		panic("olap: " + path.Source + " has no column " + attr)

@@ -93,7 +93,7 @@ func TestColdConstraintMatchesForwardSemijoin(t *testing.T) {
 					c.Values = append(c.Values, domain[rng.Intn(len(domain))])
 				}
 				ex := NewExecutor(g) // cold: no cached set, no mapping
-				got := ex.FactRows([]Constraint{c})
+				got := mustFactRows(t, ex, []Constraint{c})
 				if want := forwardSemijoin(db, c); !reflect.DeepEqual(got, want) && (len(got) > 0 || len(want) > 0) {
 					t.Errorf("%s: %s.%s in %#v along %s: scan %d rows, forward walk %d",
 						db.Name(), tn, col.Name, c.Values, path, len(got), len(want))
@@ -107,7 +107,7 @@ func TestColdConstraintMatchesForwardSemijoin(t *testing.T) {
 					continue
 				}
 				credited := 0.0
-				counts := ex.GroupBy(ex.FactRows(nil), col.Name, path, CountMeasure(), Count)
+				counts := mustGroupBy(t, ex, mustFactRows(t, ex, nil), col.Name, path, CountMeasure(), Count)
 				seen := map[relation.Value]bool{}
 				for _, v := range c.Values {
 					if !seen[v] {

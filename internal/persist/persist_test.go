@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -82,8 +83,8 @@ func TestRoundTripQueryEquivalence(t *testing.T) {
 	}
 	eo, eg := mk(orig), mk(got)
 	for _, q := range []string{"Columbus LCD", "San Jose", "Projectors UnitPrice>1000"} {
-		no, err1 := eo.Differentiate(q)
-		ng, err2 := eg.Differentiate(q)
+		no, err1 := eo.DifferentiateCtx(context.Background(), q)
+		ng, err2 := eg.DifferentiateCtx(context.Background(), q)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%q: %v / %v", q, err1, err2)
 		}
@@ -96,9 +97,10 @@ func TestRoundTripQueryEquivalence(t *testing.T) {
 			}
 		}
 		if len(no) > 0 {
-			ro, rg := eo.SubspaceRows(no[0]), eg.SubspaceRows(ng[0])
-			if len(ro) != len(rg) {
-				t.Fatalf("%q: subspaces differ: %d vs %d", q, len(ro), len(rg))
+			ro, err1 := eo.SubspaceRowsCtx(context.Background(), no[0])
+			rg, err2 := eg.SubspaceRowsCtx(context.Background(), ng[0])
+			if err1 != nil || err2 != nil || len(ro) != len(rg) {
+				t.Fatalf("%q: subspaces differ: %d vs %d (%v / %v)", q, len(ro), len(rg), err1, err2)
 			}
 		}
 	}

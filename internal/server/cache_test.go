@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"kdap/internal/dataset"
+	"kdap/internal/telemetry/profile"
 )
 
 // postRaw posts a JSON body and returns the raw response bytes plus the
@@ -229,5 +230,87 @@ func TestAnswerCacheMetricsExported(t *testing.T) {
 	if !strings.Contains(text, `kdap_answer_cache_hits_total{db="ebiz",phase="differentiate"} 1`) &&
 		!strings.Contains(text, `kdap_answer_cache_hits_total{phase="differentiate",db="ebiz"} 1`) {
 		t.Error("differentiate hit not counted after warm query")
+	}
+}
+
+// TestCacheHeaderMatchesWideEvent: X-KDAP-Cache is read back from the
+// request's wide event, so on both pipeline routes the header equals
+// the event's cache field for every outcome — miss, hit, bypass (cache
+// off) and revalidated. A ?profile=1 request carries its event inline;
+// it is never revalidated, so a 304's event is read from the flight
+// recorder, which holds the same event.
+func TestCacheHeaderMatchesWideEvent(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		cacheSize int
+		outcomes  []string // first request, repeat
+	}{
+		{"cached", 64, []string{"miss", "hit"}},
+		{"uncached", 0, []string{"bypass", "bypass"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := DefaultOptions()
+			opts.AnswerCacheSize = tc.cacheSize
+			ts, srv := newLifecycleServer(t, opts)
+
+			// inline posts with ?profile=1 and checks the header against
+			// the inline event; it returns the decoded body.
+			inline := func(route string, body map[string]any, want string) []byte {
+				t.Helper()
+				raw, resp := postRaw(t, ts, route+"?profile=1", body, nil)
+				var ev struct {
+					Profile *profile.Event `json:"profile"`
+				}
+				if err := json.Unmarshal(raw, &ev); err != nil || ev.Profile == nil {
+					t.Fatalf("%s: no inline profile (%v): %s", route, err, raw)
+				}
+				if got := resp.Header.Get(cacheHeaderName); got != want || ev.Profile.Cache != got {
+					t.Errorf("%s: %s = %q, wide event cache = %q; want both %q",
+						route, cacheHeaderName, got, ev.Profile.Cache, want)
+				}
+				return raw
+			}
+			var q QueryResponse
+			queryBody := map[string]any{"db": "ebiz", "q": "Columbus LCD"}
+			for _, want := range tc.outcomes {
+				if err := json.Unmarshal(inline("/api/query", queryBody, want), &q); err != nil {
+					t.Fatal(err)
+				}
+			}
+			exploreBody := map[string]any{"session": q.Session, "pick": 1}
+			for _, want := range tc.outcomes {
+				inline("/api/explore", exploreBody, want)
+			}
+			if tc.cacheSize == 0 {
+				return
+			}
+
+			// recorded finds the flight recorder's copy of a request's event.
+			recorded := func(id string) *profile.Event {
+				t.Helper()
+				for _, ev := range srv.rec.Recent() {
+					if ev.ID == id {
+						return ev
+					}
+				}
+				t.Fatalf("request %s not in the flight recorder", id)
+				return nil
+			}
+			for _, c := range []struct {
+				route string
+				body  map[string]any
+			}{{"/api/query", queryBody}, {"/api/explore", exploreBody}} {
+				_, r1 := postRaw(t, ts, c.route, c.body, nil)
+				_, r2 := postRaw(t, ts, c.route, c.body, http.Header{"If-None-Match": {r1.Header.Get("ETag")}})
+				if r2.StatusCode != http.StatusNotModified {
+					t.Fatalf("%s: revalidation status %d, want 304", c.route, r2.StatusCode)
+				}
+				got, ev := r2.Header.Get(cacheHeaderName), recorded(r2.Header.Get("X-Request-ID"))
+				if got != "revalidated" || ev.Cache != got {
+					t.Errorf("%s: %s = %q, wide event cache = %q; want both revalidated",
+						c.route, cacheHeaderName, got, ev.Cache)
+				}
+			}
+		})
 	}
 }

@@ -14,6 +14,8 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+
+	"kdap/internal/telemetry/profile"
 )
 
 // answerETag derives the weak entity tag for a deterministic answer
@@ -55,14 +57,17 @@ func opaqueTag(tag string) string {
 	return strings.TrimPrefix(strings.TrimPrefix(tag, "W/"), "w/")
 }
 
-// cacheHeaderName carries the answer-cache disposition of a response:
-// miss, hit, coalesced, bypass, or revalidated (a 304).
+// cacheHeaderName carries the answer-cache disposition of a response,
+// echoed from the request's wide event: miss, hit, coalesced or bypass
+// as the engine recorded it, or revalidated (a 304).
 const cacheHeaderName = "X-KDAP-Cache"
 
 // writeNotModified answers a revalidation hit: 304 with the matching
-// tag and no body.
-func writeNotModified(w http.ResponseWriter, etag string) {
+// tag and no body. The engine never runs, so this is where the wide
+// event gets its "revalidated" outcome.
+func writeNotModified(w http.ResponseWriter, p *profile.P, etag string) {
+	p.SetCacheOutcome("revalidated")
 	w.Header().Set("ETag", etag)
-	w.Header().Set(cacheHeaderName, "revalidated")
+	w.Header().Set(cacheHeaderName, p.CacheOutcome())
 	w.WriteHeader(http.StatusNotModified)
 }

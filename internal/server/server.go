@@ -83,14 +83,19 @@ type Options struct {
 	SLOTarget time.Duration
 }
 
-// DefaultOptions returns the defaults New uses: no deadline, no
-// admission cap, 1024 sessions, a 512-entry answer cache with a
-// five-minute TTL.
+// DefaultOptions returns the defaults New uses and kdapd's flags start
+// from: a 10s per-request deadline (a request parked behind a stuck
+// answer-cache fill or distribution leader gives up rather than waiting
+// forever), no admission cap, 1024 sessions, a 512-entry answer cache
+// with a five-minute TTL, and a 64 MiB segment cache for disk-backed
+// warehouses.
 func DefaultOptions() Options {
 	return Options{
+		QueryTimeout:    10 * time.Second,
 		SessionCap:      1024,
 		AnswerCacheSize: 512,
 		AnswerCacheTTL:  5 * time.Minute,
+		SegmentCacheMB:  64,
 		SLOTarget:       250 * time.Millisecond,
 	}
 }
@@ -103,10 +108,9 @@ type Server struct {
 	adm     *admission
 	rec     *profile.Recorder
 
-	reg      *telemetry.Registry
-	logger   *slog.Logger
-	start    time.Time
-	factRows map[string]int
+	reg    *telemetry.Registry
+	logger *slog.Logger
+	start  time.Time
 
 	// sessions is the CLOCK-evicted session store: under the cap, hot
 	// sessions (anything resolved or created within one sweep of the
@@ -144,22 +148,12 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 		reg:      telemetry.NewRegistry(),
 		logger:   slog.Default(),
 		start:    time.Now(),
-		factRows: make(map[string]int),
 		sessions: cache.NewClock[string, *session](opts.SessionCap),
 	}
 	s.rec = profile.NewRecorder(flightRecentN, flightSlowN, flightErrN, opts.SLOTarget, s.observeSLO)
 	for name, wh := range warehouses {
 		fact := wh.DB.Table(wh.Graph.FactTable())
-		var m olap.Measure
-		switch {
-		case fact.Schema().HasColumn("OrderQuantity"):
-			m = olap.ProductMeasure(fact, "SalesRevenue", "UnitPrice", "OrderQuantity")
-		case fact.Schema().HasColumn("Quantity"):
-			m = olap.ProductMeasure(fact, "SalesRevenue", "UnitPrice", "Quantity")
-		default:
-			m = olap.CountMeasure()
-		}
-		e := kdapcore.NewEngine(wh.Graph, wh.Index, m, olap.Sum)
+		e := kdapcore.NewEngine(wh.Graph, wh.Index, olap.RevenueMeasure(fact), olap.Sum)
 		e.SetAnswerCache(opts.AnswerCacheSize, opts.AnswerCacheTTL)
 		if b := fact.Backing(); b != nil {
 			if opts.SegmentCacheMB > 0 {
@@ -170,7 +164,6 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 			s.wireSegmentMetrics(name, b)
 		}
 		s.engines[name] = e
-		s.factRows[name] = fact.Len()
 		s.wireEngineMetrics(name, e)
 	}
 	s.handle("GET /{$}", "/", s.handleUI)
@@ -407,20 +400,19 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// cached explore answer. Traced and profiled requests carry
 	// per-request payloads and are never revalidated.
 	var etag string
-	if e.AnswerCacheEnabled() && !wantTrace(r) && !wantProfile(r) {
+	if s.opts.AnswerCacheSize > 0 && !wantTrace(r) && !wantProfile(r) {
 		etag = answerETag("query", req.DB,
 			strconv.FormatUint(e.IngestSeq(), 10),
 			strconv.Itoa(limit), kdapcore.CanonicalQuery(req.Q))
 		if notModified(r, etag) {
-			p.SetCacheOutcome("revalidated")
-			writeNotModified(w, etag)
+			writeNotModified(w, p, etag)
 			return
 		}
 	}
 	// Every query is traced so /metrics carries per-stage latency; the
 	// tree is serialized into the response only behind ?trace=1.
 	tr, ctx := traceRequest(r, "query")
-	nets, outcome, err := e.DifferentiateCachedCtx(ctx, req.Q)
+	nets, err := e.DifferentiateCtx(ctx, req.Q)
 	tr.Finish()
 	s.observeStages(tr)
 	p.SetStages(tr.Stages())
@@ -428,14 +420,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.writePipelineError(w, r, "/api/query", err, http.StatusBadRequest)
 		return
 	}
-	p.SetCacheOutcome(outcome.String())
 	if len(nets) > limit {
 		nets = nets[:limit]
 	}
 	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
-	w.Header().Set(cacheHeaderName, outcome.String())
+	w.Header().Set(cacheHeaderName, p.CacheOutcome())
 	id := s.putSession(&session{db: req.DB, nets: nets})
 	resp := QueryResponse{Session: id, Query: req.Q}
 	if wantTrace(r) {
@@ -575,19 +566,18 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	// ingest sequence determine the facets, so an unchanged answer is a
 	// 304 without running the pipeline, and any append retires the tag.
 	var etag string
-	if e.AnswerCacheEnabled() && !wantTrace(r) && !wantProfile(r) {
+	if s.opts.AnswerCacheSize > 0 && !wantTrace(r) && !wantProfile(r) {
 		if key, cacheable := kdapcore.ExploreCacheKey(sn, opts); cacheable {
 			etag = answerETag("explore", db,
 				strconv.FormatUint(e.IngestSeq(), 10), key)
 			if notModified(r, etag) {
-				p.SetCacheOutcome("revalidated")
-				writeNotModified(w, etag)
+				writeNotModified(w, p, etag)
 				return
 			}
 		}
 	}
 	tr, ctx := traceRequest(r, "explore")
-	f, outcome, err := e.ExploreCachedCtx(ctx, sn, opts)
+	f, err := e.ExploreCtx(ctx, sn, opts)
 	tr.Finish()
 	s.observeStages(tr)
 	p.SetStages(tr.Stages())
@@ -595,13 +585,12 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 		s.writePipelineError(w, r, "/api/explore", err, http.StatusUnprocessableEntity)
 		return
 	}
-	p.SetCacheOutcome(outcome.String())
 	// A deadline-degraded body must never be revalidated into
 	// permanence: no ETag on partial responses.
 	if etag != "" && !f.Partial {
 		w.Header().Set("ETag", etag)
 	}
-	w.Header().Set(cacheHeaderName, outcome.String())
+	w.Header().Set(cacheHeaderName, p.CacheOutcome())
 	dto := facetsDTO(f)
 	if wantTrace(r) {
 		dto.Trace = tr.JSON()

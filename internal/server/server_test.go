@@ -11,6 +11,9 @@ import (
 	"testing"
 
 	"kdap/internal/dataset"
+	"kdap/internal/fulltext"
+	"kdap/internal/relation"
+	"kdap/internal/schemagraph"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -374,5 +377,74 @@ func TestDrillRejectsBadAttributes(t *testing.T) {
 	var f FacetsDTO
 	if resp := post(t, ts, "/api/explore", map[string]any{"session": q.Session, "pick": 1}, &f); resp.StatusCode != http.StatusOK || f.SubspaceSize == 0 {
 		t.Fatalf("explore after refused drills: %d, %d rows", resp.StatusCode, f.SubspaceSize)
+	}
+}
+
+// quantityOnlyMart is a one-dimension warehouse whose fact table has a
+// Quantity column but no UnitPrice: revenue is undefined there, and the
+// paper's measure falls back to a row count.
+func quantityOnlyMart(t *testing.T) *dataset.Warehouse {
+	t.Helper()
+	db := relation.NewDatabase("qty")
+	shop := db.MustCreateTable(relation.MustSchema("Shop", []relation.Column{
+		{Name: "ShopKey", Kind: relation.KindInt},
+		{Name: "City", Kind: relation.KindString, FullText: true},
+	}, "ShopKey", nil))
+	shop.MustAppend(relation.Int(1), relation.String("Lisbon"))
+	shop.MustAppend(relation.Int(2), relation.String("Porto"))
+	sales := db.MustCreateTable(relation.MustSchema("Sales", []relation.Column{
+		{Name: "ShopKey", Kind: relation.KindInt},
+		{Name: "Quantity", Kind: relation.KindInt},
+	}, "", []relation.ForeignKey{{Column: "ShopKey", RefTable: "Shop", RefColumn: "ShopKey"}}))
+	for i := 0; i < 6; i++ {
+		sales.MustAppend(relation.Int(int64(i%2+1)), relation.Int(int64(i+1)))
+	}
+	g := schemagraph.New(db, "Sales")
+	if err := g.AddDimension(&schemagraph.Dimension{
+		Name: "Shop", Tables: []string{"Shop"},
+		GroupBy: []schemagraph.AttrRef{{Table: "Shop", Attr: "City"}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Build(); err != nil {
+		t.Fatal(err)
+	}
+	db.Freeze()
+	ix := fulltext.NewIndex()
+	ix.IndexDatabase(db)
+	ix.Freeze()
+	return &dataset.Warehouse{DB: db, Graph: g, Index: ix}
+}
+
+// A fact table with a quantity column but no unit price is served under
+// the row-count measure, as kdap.NewEngine serves it, instead of
+// panicking at startup inside the product measure.
+func TestServeQuantityWithoutUnitPrice(t *testing.T) {
+	srv := NewWithOptions(map[string]*dataset.Warehouse{"qty": quantityOnlyMart(t)}, DefaultOptions())
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	var q QueryResponse
+	if resp := post(t, ts, "/api/query", map[string]any{"db": "qty", "q": "Lisbon"}, &q); resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d", resp.StatusCode)
+	}
+	if len(q.Interpretations) == 0 {
+		t.Fatal("no interpretations for Lisbon")
+	}
+	var f FacetsDTO
+	if resp := post(t, ts, "/api/explore", map[string]any{"session": q.Session, "pick": 1}, &f); resp.StatusCode != http.StatusOK {
+		t.Fatalf("explore status %d", resp.StatusCode)
+	}
+	if f.SubspaceSize != 3 || f.TotalAggregate != 3 {
+		t.Errorf("Lisbon: %d facts, aggregate %g; want 3 facts counted", f.SubspaceSize, f.TotalAggregate)
+	}
+}
+
+// Out of the box every request runs under a deadline: a request parked
+// behind a stuck answer-cache fill or distribution leader must give up.
+func TestDefaultOptionsHaveDeadline(t *testing.T) {
+	if d := DefaultOptions().QueryTimeout; d <= 0 {
+		t.Fatalf("DefaultOptions().QueryTimeout = %v, want a positive deadline", d)
 	}
 }

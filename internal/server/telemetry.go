@@ -149,13 +149,11 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	}{
 		{"groupby", "vector", func() float64 { return float64(st().GroupByVec) }},
 		{"groupby", "eval", func() float64 { return float64(st().GroupByEval) }},
-		{"groupby", "reference", func() float64 { return float64(st().GroupByRef) }},
 		{"aggregate", "vector", func() float64 { return float64(st().AggregateVec) }},
 		{"aggregate", "eval", func() float64 { return float64(st().AggregateEval) }},
-		{"aggregate", "reference", func() float64 { return float64(st().AggregateRef) }},
 	} {
 		s.reg.CounterFunc("kdap_olap_"+k.op+"_total",
-			"OLAP "+k.op+" calls by execution path (columnar vector, per-row eval, row-at-a-time reference).",
+			"OLAP "+k.op+" calls by execution path (columnar vector, per-row eval).",
 			k.fn, "path", k.path, "db", db)
 	}
 	s.reg.CounterFunc("kdap_olap_scans_total",
@@ -235,7 +233,7 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		"Cached answers of either phase that survived an ingest batch, by warehouse.",
 		func() float64 { return float64(ist().KeptAnswers) }, "db", db)
 
-	if e.AnswerCacheEnabled() {
+	if s.opts.AnswerCacheSize > 0 {
 		for _, p := range []struct {
 			phase string
 			fn    func() cache.AnswerStats
@@ -375,8 +373,8 @@ type HealthResponse struct {
 }
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	// Row counts are read live from each engine — streaming ingest grows
-	// them past the startup snapshot in s.factRows.
+	// Row counts are read live from each engine: streaming ingest grows
+	// them.
 	rows := make(map[string]int, len(s.engines))
 	resident := make(map[string]int64, len(s.engines))
 	derived := make(map[string]olap.ResidentBytes, len(s.engines))

@@ -20,8 +20,9 @@
 //
 //	wh := kdap.EBiz() // or kdap.AWOnline(), or build your own warehouse
 //	engine := kdap.NewEngine(wh)
-//	nets, _ := engine.Differentiate("Columbus LCD")
-//	facets, _ := engine.Explore(nets[0], kdap.DefaultExploreOptions())
+//	ctx := context.Background()
+//	nets, _ := engine.DifferentiateCtx(ctx, "Columbus LCD")
+//	facets, _ := engine.ExploreCtx(ctx, nets[0], kdap.DefaultExploreOptions())
 //	fmt.Print(kdap.RenderFacets(facets))
 package kdap
 
@@ -88,21 +89,9 @@ type RankMethod = kdapcore.RankMethod
 // AnnealConfig parameterizes the numeric interval merge (Algorithm 2).
 type AnnealConfig = kdapcore.AnnealConfig
 
-// CacheOutcome reports how an answer-cached engine call was served
-// (bypass, miss, hit, or coalesced) — see Engine.SetAnswerCache.
-type CacheOutcome = kdapcore.CacheOutcome
-
 // AnswerCacheStats snapshots one answer cache's counters
 // (Engine.AnswerCacheStats).
 type AnswerCacheStats = cache.AnswerStats
-
-// Answer-cache outcomes.
-const (
-	CacheBypass    = kdapcore.CacheBypass
-	CacheMiss      = kdapcore.CacheMiss
-	CacheHit       = kdapcore.CacheHit
-	CacheCoalesced = kdapcore.CacheCoalesced
-)
 
 // MergeResult is the outcome of a numeric interval merge.
 type MergeResult = kdapcore.MergeResult
@@ -216,15 +205,7 @@ func NewEngineWithMeasure(wh *Warehouse, m Measure, agg Agg) *Engine {
 // product of its unit-price and quantity fact columns, falling back to a
 // row count when the fact table has no such columns.
 func RevenueMeasure(wh *Warehouse) Measure {
-	fact := wh.DB.Table(wh.Graph.FactTable())
-	switch {
-	case fact.Schema().HasColumn("UnitPrice") && fact.Schema().HasColumn("OrderQuantity"):
-		return olap.ProductMeasure(fact, "SalesRevenue", "UnitPrice", "OrderQuantity")
-	case fact.Schema().HasColumn("UnitPrice") && fact.Schema().HasColumn("Quantity"):
-		return olap.ProductMeasure(fact, "SalesRevenue", "UnitPrice", "Quantity")
-	default:
-		return olap.CountMeasure()
-	}
+	return olap.RevenueMeasure(wh.DB.Table(wh.Graph.FactTable()))
 }
 
 // DefaultExploreOptions returns the paper's default explore parameters

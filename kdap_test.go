@@ -1,6 +1,7 @@
 package kdap
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -8,14 +9,14 @@ import (
 func TestPublicQuickstartFlow(t *testing.T) {
 	wh := EBiz()
 	e := NewEngine(wh)
-	nets, err := e.Differentiate("Columbus LCD")
+	nets, err := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(nets) == 0 {
 		t.Fatal("no interpretations")
 	}
-	f, err := e.Explore(nets[0], DefaultExploreOptions())
+	f, err := e.ExploreCtx(context.Background(), nets[0], DefaultExploreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +35,7 @@ func TestPublicQuickstartFlow(t *testing.T) {
 
 func TestRenderStarNetsTruncation(t *testing.T) {
 	e := NewEngine(EBiz())
-	nets, _ := e.Differentiate("Columbus LCD")
+	nets, _ := e.DifferentiateCtx(context.Background(), "Columbus LCD")
 	if len(nets) < 3 {
 		t.Skip("not enough nets")
 	}
@@ -73,12 +74,16 @@ func TestNewEngineWithMeasure(t *testing.T) {
 	if e.Agg() != Avg {
 		t.Error("aggregation not wired")
 	}
-	nets, err := e.Differentiate("Projectors")
+	nets, err := e.DifferentiateCtx(context.Background(), "Projectors")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: %v, %d nets", err, len(nets))
 	}
-	if agg := e.SubspaceAggregate(nets[0]); agg <= 0 {
-		t.Errorf("average revenue = %g", agg)
+	f, err := e.ExploreCtx(context.Background(), nets[0], DefaultExploreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.TotalAggregate <= 0 {
+		t.Errorf("average revenue = %g", f.TotalAggregate)
 	}
 }
 
@@ -102,13 +107,13 @@ func TestMergeIntervalsPublic(t *testing.T) {
 
 func TestBellwetherModePublic(t *testing.T) {
 	e := NewEngine(AWOnline())
-	nets, err := e.Differentiate("France Clothing")
+	nets, err := e.DifferentiateCtx(context.Background(), "France Clothing")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: %v", err)
 	}
 	opts := DefaultExploreOptions()
 	opts.Mode = Bellwether
-	f, err := e.Explore(nets[0], opts)
+	f, err := e.ExploreCtx(context.Background(), nets[0], opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +126,7 @@ func TestRenderStarNetsValueTruncation(t *testing.T) {
 	e := NewEngine(AWOnline())
 	// "Mountain" alone matches many product names: the rendering must
 	// truncate long hit lists with a "…+N" marker.
-	nets, err := e.Differentiate("Mountain")
+	nets, err := e.DifferentiateCtx(context.Background(), "Mountain")
 	if err != nil || len(nets) == 0 {
 		t.Fatalf("differentiate: %v", err)
 	}
@@ -147,7 +152,7 @@ func TestPublicSessionFlow(t *testing.T) {
 
 func TestPublicDiscover(t *testing.T) {
 	e := NewEngine(EBiz())
-	out, err := e.Discover(AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", Surprise, 3)
+	out, err := e.Discover(context.Background(), AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", Surprise, 3)
 	if err != nil || len(out) == 0 {
 		t.Fatalf("discover: %v", err)
 	}
