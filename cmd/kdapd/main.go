@@ -6,9 +6,9 @@
 //	      [-query-timeout 10s] [-max-inflight 0]
 //	      [-answer-cache-size 512] [-answer-cache-ttl 5m]
 //	      [-slo-target 250ms]
-//	      [-mmap-dir DIR] [-segment-size 8192] [-segment-cache-mb 64]
+//	      [-mmap-dir DIR] [-segment-cache-mb 64]
 //
-// With -mmap-dir, each served warehouse's fact table is rewritten into
+// With -mmap-dir, each served warehouse's fact table is appended to
 // segmented column files under DIR/<warehouse> at startup and served
 // disk-backed: scans page 8K-row segments in through an LRU cache
 // bounded by -segment-cache-mb, and per-segment zone maps and Bloom
@@ -64,8 +64,6 @@ func main() {
 		"per-request latency target for kdap_slo_* classification and the /debug/queries slow ring")
 	mmapDir := flag.String("mmap-dir", "",
 		"serve fact tables disk-backed: write segmented column files under this directory and page them in on demand (empty = resident)")
-	segmentSize := flag.Int("segment-size", 0,
-		"rows per storage segment when -mmap-dir is set (power of two; 0 = 8192)")
 	flag.IntVar(&srvOpts.SegmentCacheMB, "segment-cache-mb", srvOpts.SegmentCacheMB,
 		"segment page-cache budget per disk-backed warehouse, in MiB (0 = store default)")
 	flag.Parse()
@@ -103,8 +101,7 @@ func main() {
 	if *mmapDir != "" {
 		for name, wh := range warehouses {
 			dir := filepath.Join(*mmapDir, name)
-			backed, store, err := persist.BackedWarehouseOpts(dir, wh,
-				persist.SegmentWriterOptions{SegmentSize: *segmentSize})
+			backed, store, err := persist.BackedWarehouse(dir, wh, 0)
 			if err != nil {
 				log.Fatalf("segmenting %s into %s: %v", name, dir, err)
 			}

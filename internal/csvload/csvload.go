@@ -52,11 +52,10 @@ import (
 
 // LoadOptions tune warehouse assembly beyond the manifest.
 type LoadOptions struct {
-	// SegmentDir, when non-empty, streams the fact table's CSV rows
-	// through a segment writer into column files under this directory
-	// and opens the fact table disk-backed: rows never materialize in
-	// memory, and scans page segments in under the store's cache
-	// budget. Dimension tables stay resident.
+	// SegmentDir, when non-empty, creates the fact table disk-backed
+	// under this directory and appends its CSV rows there: rows never
+	// materialize in memory, and scans page segments in under the
+	// store's cache budget. Dimension tables stay resident.
 	SegmentDir string
 	// SegmentSize is the rows-per-segment for SegmentDir (power of two,
 	// >= 64); zero selects relation.DefaultSegmentSize.
@@ -205,16 +204,34 @@ func LoadWithOptions(baseDir string, m *Manifest, opts LoadOptions) (*dataset.Wa
 	}
 	db := relation.NewDatabase(m.Name)
 	var store *persist.Store
+	ok := false
+	defer func() {
+		if !ok && store != nil {
+			store.Close()
+		}
+	}()
 	for _, ts := range m.Tables {
+		schema, err := tableSchema(ts)
+		if err != nil {
+			return nil, nil, err
+		}
+		var t *relation.Table
 		if opts.SegmentDir != "" && ts.Name == m.Fact {
-			st, err := loadTableSegmented(db, baseDir, ts, opts)
-			if err != nil {
+			if t, store, err = persist.CreateBackedTable(opts.SegmentDir, schema, opts.SegmentSize); err != nil {
 				return nil, nil, err
 			}
-			store = st
-			continue
+		} else {
+			t = relation.NewTable(schema)
 		}
-		if err := loadTable(db, baseDir, ts); err != nil {
+		if err := loadRows(baseDir, ts, t); err != nil {
+			return nil, nil, err
+		}
+		if err := db.AddTable(t); err != nil {
+			return nil, nil, err
+		}
+	}
+	if store != nil {
+		if err := store.Flush(); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -251,6 +268,7 @@ func LoadWithOptions(baseDir string, m *Manifest, opts LoadOptions) (*dataset.Wa
 	ix := fulltext.NewIndex()
 	ix.IndexDatabase(db)
 	ix.Freeze()
+	ok = true
 	return &dataset.Warehouse{DB: db, Graph: g, Index: ix}, store, nil
 }
 
@@ -281,11 +299,11 @@ func tableSchema(ts TableSpec) (*relation.Schema, error) {
 	return relation.NewSchema(ts.Name, cols, ts.Key, fks)
 }
 
-// streamCSV parses the table's CSV file row by row into emit, in file
-// order. The sink decides where rows land — a resident table or a
-// segment writer — so arbitrarily large files load in constant memory.
-func streamCSV(baseDir string, ts TableSpec, schema *relation.Schema, emit func(row []relation.Value) error) error {
-	cols := schema.Columns
+// loadRows appends the table's CSV rows to t in file order, one
+// segment-sized batch at a time, so arbitrarily large files load
+// holding one batch. A resident and a disk-backed table load alike.
+func loadRows(baseDir string, ts TableSpec, t *relation.Table) error {
+	cols := t.Schema().Columns
 	f, err := os.Open(filepath.Join(baseDir, ts.File))
 	if err != nil {
 		return fmt.Errorf("table %s: %w", ts.Name, err)
@@ -311,6 +329,7 @@ func streamCSV(baseDir string, ts TableSpec, schema *relation.Schema, emit func(
 			return fmt.Errorf("table %s: CSV %s lacks column %q", ts.Name, ts.File, c.Name)
 		}
 	}
+	ba := relation.NewBatchAppender(t)
 	line := 1
 	for {
 		rec, err := r.Read()
@@ -329,54 +348,12 @@ func streamCSV(baseDir string, ts TableSpec, schema *relation.Schema, emit func(
 			}
 			row[i] = v
 		}
-		if err := emit(row); err != nil {
-			return fmt.Errorf("table %s line %d: %w", ts.Name, line, err)
+		if err := ba.Append(row); err != nil {
+			return fmt.Errorf("table %s, batch ending line %d: %w", ts.Name, line, err)
 		}
 	}
+	if err := ba.Flush(); err != nil {
+		return fmt.Errorf("table %s, batch ending line %d: %w", ts.Name, line, err)
+	}
 	return nil
-}
-
-func loadTable(db *relation.Database, baseDir string, ts TableSpec) error {
-	schema, err := tableSchema(ts)
-	if err != nil {
-		return err
-	}
-	t := relation.NewTable(schema)
-	err = streamCSV(baseDir, ts, schema, func(row []relation.Value) error {
-		_, err := t.Append(row)
-		return err
-	})
-	if err != nil {
-		return err
-	}
-	return db.AddTable(t)
-}
-
-// loadTableSegmented streams the table's CSV rows through a segment
-// writer into opts.SegmentDir and registers the disk-backed table.
-func loadTableSegmented(db *relation.Database, baseDir string, ts TableSpec, opts LoadOptions) (*persist.Store, error) {
-	schema, err := tableSchema(ts)
-	if err != nil {
-		return nil, err
-	}
-	w, err := persist.NewSegmentWriter(opts.SegmentDir, schema, persist.SegmentWriterOptions{SegmentSize: opts.SegmentSize})
-	if err != nil {
-		return nil, err
-	}
-	if err := streamCSV(baseDir, ts, schema, w.Append); err != nil {
-		w.Close()
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	t, store, err := persist.OpenBackedTable(opts.SegmentDir, schema)
-	if err != nil {
-		return nil, err
-	}
-	if err := db.AddTable(t); err != nil {
-		store.Close()
-		return nil, err
-	}
-	return store, nil
 }

@@ -486,9 +486,14 @@ func buildAWOnline() *Warehouse {
 	custGeo := buildAWOnlineCustomers(db, rng, sh, nCustomers)
 
 	fact := db.MustCreateTable(awOnlineFactSchema())
-	emit, flush := batchAppender(fact)
-	_ = genAWOnlineFacts(rng, sh, custGeo, nCustomers, AWOnlineFactCount, false, emit)
-	flush()
+	ba := relation.NewBatchAppender(fact)
+	err := genAWOnlineFacts(rng, sh, custGeo, nCustomers, AWOnlineFactCount, false, ba.Append)
+	if err == nil {
+		err = ba.Flush()
+	}
+	if err != nil {
+		panic(err)
+	}
 
 	g := awOnlineGraph(db)
 	db.Freeze()

@@ -110,36 +110,20 @@ func (b *ScaledBuild) finish(fact *relation.Table) (*Warehouse, error) {
 	return &Warehouse{DB: b.db, Graph: g, Index: ix}, nil
 }
 
-// batchAppender returns an emit function that appends generated rows to
-// fact a segment at a time — one column scatter and one published
-// snapshot per batch instead of per row — and the flush that lands the
-// last, short batch. Generated rows are valid by construction.
-func batchAppender(fact *relation.Table) (emit func(vals []relation.Value) error, flush func()) {
-	batch := make([][]relation.Value, 0, relation.DefaultSegmentSize)
-	flush = func() {
-		if _, err := fact.AppendFacts(batch); err != nil {
-			panic(err)
-		}
-		batch = batch[:0]
-	}
-	emit = func(vals []relation.Value) error {
-		if batch = append(batch, vals); len(batch) == cap(batch) {
-			flush()
-		}
-		return nil
-	}
-	return emit, flush
-}
-
 // AWOnlineScaled builds the AW_ONLINE warehouse with n fact rows fully
 // resident. Unlike AWOnline, builds are not cached: callers at the 10M
 // scale should hold at most one.
 func AWOnlineScaled(n int) *Warehouse {
 	b := NewAWOnlineScaledBuild(n)
 	fact := relation.NewTable(b.FactSchema())
-	emit, flush := batchAppender(fact)
-	_ = b.GenerateFacts(emit)
-	flush()
+	ba := relation.NewBatchAppender(fact)
+	err := b.GenerateFacts(ba.Append)
+	if err == nil {
+		err = ba.Flush()
+	}
+	if err != nil {
+		panic(err)
+	}
 	wh, err := b.Finish(fact)
 	if err != nil {
 		panic(err)
@@ -160,16 +144,21 @@ func AWOnlineScaledPartial(n, resident int) (*Warehouse, [][]relation.Value) {
 	b := NewAWOnlineScaledBuild(n)
 	fact := relation.NewTable(b.FactSchema())
 	tail := make([][]relation.Value, 0, n-resident)
-	emit, flush := batchAppender(fact)
+	ba := relation.NewBatchAppender(fact)
 	i := 0
-	_ = b.GenerateFacts(func(vals []relation.Value) error {
+	err := b.GenerateFacts(func(vals []relation.Value) error {
 		if i++; i > resident {
 			tail = append(tail, vals)
 			return nil
 		}
-		return emit(vals)
+		return ba.Append(vals)
 	})
-	flush()
+	if err == nil {
+		err = ba.Flush()
+	}
+	if err != nil {
+		panic(err)
+	}
 	wh, err := b.FinishPartial(fact)
 	if err != nil {
 		panic(err)

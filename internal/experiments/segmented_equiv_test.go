@@ -21,7 +21,7 @@ import (
 // here.
 func TestSegmentedFacetsByteIdentical(t *testing.T) {
 	wh := dataset.AWOnline()
-	bwh, store, err := persist.BackedWarehouse(t.TempDir(), wh)
+	bwh, store, err := persist.BackedWarehouse(t.TempDir(), wh, 0)
 	if err != nil {
 		t.Fatalf("backed warehouse: %v", err)
 	}

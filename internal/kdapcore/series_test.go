@@ -33,10 +33,20 @@ func seriesMart(t *testing.T, n, segSize int) (g *schemagraph.Graph, fact *relat
 		}
 		a.MustAppend(relation.Int(k), score)
 	}
-	fact = relation.NewTable(relation.MustSchema("F", []relation.Column{
+	schema := relation.MustSchema("F", []relation.Column{
 		{Name: "KA", Kind: relation.KindInt},
 		{Name: "Amt", Kind: relation.KindFloat},
-	}, "", []relation.ForeignKey{{Column: "KA", RefTable: "A", RefColumn: "AKey"}}))
+	}, "", []relation.ForeignKey{{Column: "KA", RefTable: "A", RefColumn: "AKey"}})
+	fact = relation.NewTable(schema)
+	if segSize > 0 {
+		backed, store, err := persist.CreateBackedTable(t.TempDir(), schema, segSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { store.Close() })
+		fact = backed
+	}
+	ba := relation.NewBatchAppender(fact)
 	for i := 0; i < n; i++ {
 		h := uint64(i)*0x9E3779B97F4A7C15 + 0xD1B54A32D192ED03
 		h ^= h >> 29
@@ -53,19 +63,12 @@ func seriesMart(t *testing.T, n, segSize int) (g *schemagraph.Graph, fact *relat
 		if i%7 == 3 {
 			amt = relation.Null()
 		}
-		fact.MustAppend(ka, amt)
+		if err := ba.Append([]relation.Value{ka, amt}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if segSize > 0 {
-		dir := t.TempDir()
-		if err := persist.WriteTableSegments(dir, fact, persist.SegmentWriterOptions{SegmentSize: segSize}); err != nil {
-			t.Fatal(err)
-		}
-		backed, store, err := persist.OpenBackedTable(dir, fact.Schema())
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { store.Close() })
-		fact = backed
+	if err := ba.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.AddTable(fact); err != nil {
 		t.Fatal(err)

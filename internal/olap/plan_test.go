@@ -114,20 +114,22 @@ func buildPlanMart(t *testing.T, n, segSize int) *planMart {
 		m.bLabel[k] = label
 	}
 	fact := relation.NewTable(planFactSchema())
-	for i := 0; i < n; i++ {
-		fact.MustAppend(rowAt(i)...)
-	}
 	if segSize > 0 {
-		dir := t.TempDir()
-		if err := persist.WriteTableSegments(dir, fact, persist.SegmentWriterOptions{SegmentSize: segSize}); err != nil {
-			t.Fatal(err)
-		}
-		backed, store, err := persist.OpenBackedTable(dir, fact.Schema())
+		backed, store, err := persist.CreateBackedTable(t.TempDir(), planFactSchema(), segSize)
 		if err != nil {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { store.Close() })
 		fact = backed
+	}
+	ba := relation.NewBatchAppender(fact)
+	for i := 0; i < n; i++ {
+		if err := ba.Append(rowAt(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ba.Flush(); err != nil {
+		t.Fatal(err)
 	}
 	if err := db.AddTable(fact); err != nil {
 		t.Fatal(err)

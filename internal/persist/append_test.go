@@ -1,9 +1,7 @@
 package persist
 
 import (
-	"bytes"
-	"os"
-	"path/filepath"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -29,86 +27,50 @@ func segTestRows(rows int) [][]relation.Value {
 	return out
 }
 
-// assertDirsIdentical requires every file of a to exist byte-identical
-// in b and vice versa.
-func assertDirsIdentical(t *testing.T, a, b string) {
-	t.Helper()
-	ents, err := os.ReadDir(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		wa, err := os.ReadFile(filepath.Join(a, e.Name()))
-		if err != nil {
-			t.Fatal(err)
-		}
-		wb, err := os.ReadFile(filepath.Join(b, e.Name()))
-		if err != nil {
-			t.Fatalf("append dir missing %s: %v", e.Name(), err)
-		}
-		if !bytes.Equal(wa, wb) {
-			t.Fatalf("%s differs between full write and append path (%d vs %d bytes)", e.Name(), len(wa), len(wb))
-		}
-	}
-	back, err := os.ReadDir(b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(back) != len(ents) {
-		t.Fatalf("append dir has %d files, full write %d", len(back), len(ents))
-	}
-}
-
-// TestAppendConvergesOnWriterBytes seeds a store with a prefix of the
-// rows (ending mid-segment), streams the rest through AppendRows in
-// uneven batches, flushes, and requires every artifact — column files,
-// manifest with zone maps, Bloom filters, dictionaries, term segment
-// lists — byte-identical to writing all rows through a SegmentWriter in
-// one pass. This is the "no full rebuild anywhere" contract: the
-// incremental maintenance must land on exactly the state a rebuild
-// would.
+// TestAppendConvergesOnWriterBytes appends a prefix of the rows to an
+// empty store (nothing, mid-segment, a segment boundary, one row
+// short), closes and reopens the directory, streams the rest through
+// Table.AppendFacts in uneven batches, and requires every artifact —
+// column files, manifest with zone maps, Bloom filters, dictionaries,
+// term segment lists — to match the bytes the golden pins. This is the
+// "no full rebuild anywhere" contract: however the rows are split, and
+// across a reopen mid-segment, incremental maintenance lands on exactly
+// one state.
 func TestAppendConvergesOnWriterBytes(t *testing.T) {
-	const total, segSize = 1000, 128
+	const total = 1000
 	rows := segTestRows(total)
-	for _, seed := range []int{0, 300, 384, total - 1} { // empty, mid-segment, boundary, one short
-		tab := segTestTable(t, total)
-		fullDir := t.TempDir()
-		if err := WriteTableSegments(fullDir, tab, SegmentWriterOptions{SegmentSize: segSize}); err != nil {
-			t.Fatal(err)
-		}
-
-		appDir := t.TempDir()
-		w, err := NewSegmentWriter(appDir, tab.Schema(), SegmentWriterOptions{SegmentSize: segSize})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, row := range rows[:seed] {
-			if err := w.Append(row); err != nil {
+	schema := segTestTable(t, 0).Schema()
+	for _, segSize := range []int{64, 128} {
+		for _, seed := range []int{0, 300, 384, total - 1} {
+			dir := t.TempDir()
+			bt, st, err := CreateBackedTable(dir, schema, segSize)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-
-		st, err := OpenStore(appDir, tab.Schema())
-		if err != nil {
-			t.Fatalf("seed %d: reopen: %v", seed, err)
-		}
-		for i := seed; i < total; {
-			n := min(1+i%171, total-i) // uneven batches, some crossing segment boundaries
-			if err := st.AppendRows(rows[i : i+n]); err != nil {
-				t.Fatalf("seed %d: append at %d: %v", seed, i, err)
+			if _, err := bt.AppendFacts(rows[:seed]); err != nil {
+				t.Fatalf("seg %d seed %d: %v", segSize, seed, err)
 			}
-			i += n
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if bt, st, err = OpenBackedTable(dir, schema); err != nil {
+				t.Fatalf("seg %d seed %d: reopen: %v", segSize, seed, err)
+			}
+			for i := seed; i < total; {
+				n := min(1+i%171, total-i) // uneven batches, some crossing segment boundaries
+				if _, err := bt.AppendFacts(rows[i : i+n]); err != nil {
+					t.Fatalf("seg %d seed %d: append at %d: %v", segSize, seed, i, err)
+				}
+				i += n
+			}
+			if bt.Len() != total {
+				t.Fatalf("seg %d seed %d: %d rows after append", segSize, seed, bt.Len())
+			}
+			if err := st.Close(); err != nil { // Close flushes the dirty tail
+				t.Fatalf("seg %d seed %d: close: %v", segSize, seed, err)
+			}
+			assertGolden(t, dir, total, segSize)
 		}
-		if st.NumRows() != total {
-			t.Fatalf("seed %d: %d rows after append", seed, st.NumRows())
-		}
-		if err := st.Close(); err != nil { // Close flushes the dirty tail
-			t.Fatalf("seed %d: close: %v", seed, err)
-		}
-		assertDirsIdentical(t, fullDir, appDir)
 	}
 }
 
@@ -119,16 +81,14 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	rows := segTestRows(total)
 	tab := segTestTable(t, total)
 	dir := t.TempDir()
-	w, err := NewSegmentWriter(dir, tab.Schema(), SegmentWriterOptions{SegmentSize: segSize})
+	bt0, st0, err := CreateBackedTable(dir, tab.Schema(), segSize)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range rows[:200] {
-		if err := w.Append(row); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := bt0.AppendFacts(rows[:200]); err != nil {
+		t.Fatal(err)
 	}
-	if err := w.Close(); err != nil {
+	if err := st0.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -179,59 +139,72 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 // TestAppendConcurrentReaders hammers a backed table with scans and
 // lookups while a writer streams rows in, checking prefix consistency:
 // every reader sees a row count it can fully resolve, and values below
-// that count match the oracle. Run under -race this doubles as the
-// persist-side data-race gate for streaming ingest.
+// that count match the oracle. Open-segment headers are served without
+// a copy, so each reader also keeps the last segment it read across the
+// next passes — past the seal and into the next segment's appends — and
+// re-checks it; the writer does the same with every open-segment header
+// it takes. Run under -race this doubles as the persist-side data-race
+// gate for streaming ingest.
 func TestAppendConcurrentReaders(t *testing.T) {
 	const total, segSize = 2048, 128
 	rows := segTestRows(total)
 	tab := segTestTable(t, total)
-	dir := t.TempDir()
-	w, err := NewSegmentWriter(dir, tab.Schema(), SegmentWriterOptions{SegmentSize: segSize})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, row := range rows[:256] {
-		if err := w.Append(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	bt, st, err := OpenBackedTable(dir, tab.Schema())
+	bt, st, err := CreateBackedTable(t.TempDir(), tab.Schema(), segSize)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	if _, err := bt.AppendFacts(rows[:256]); err != nil {
+		t.Fatal(err)
+	}
 	st.SetCacheBudget(4 * segSize * 8) // keep the page cache churning
 
 	oracleV := tab.FloatColumn("V")
+	oracleC, oracleDict := tab.DictColumn("Term")
+	// checkSeg reports the first value of a float and a code segment
+	// header starting at row base that disagrees with the oracle.
+	checkSeg := func(base int, vals []float64, codes []int32) error {
+		dict := bt.DictReader("Term").Dict()
+		for i, f := range vals {
+			if want := oracleV[base+i]; f != want && !(f != f && want != want) {
+				return fmt.Errorf("row %d: V=%v want %v", base+i, f, want)
+			}
+		}
+		for i, c := range codes {
+			if got, want := dict[c], oracleDict[oracleC[base+i]]; got != want {
+				return fmt.Errorf("row %d: Term=%v want %v", base+i, got, want)
+			}
+		}
+		return nil
+	}
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var (
+				heldBase int
+				heldV    []float64
+				heldC    []int32
+			)
 			for {
 				select {
 				case <-stop:
 					return
 				default:
 				}
-				rd := bt.FloatReader("V")
+				if err := checkSeg(heldBase, heldV, heldC); err != nil {
+					t.Errorf("held header: %v", err)
+					return
+				}
+				rd, cd := bt.FloatReader("V"), bt.DictReader("Term")
 				n := rd.Len()
 				for si := 0; si < relation.NumSegments(n, segSize); si++ {
-					seg := rd.FloatSegment(si)
-					for i, f := range seg {
-						r := si*segSize + i
-						if r >= n {
-							break
-						}
-						want := oracleV[r]
-						if f != want && !(f != f && want != want) {
-							t.Errorf("row %d: %v want %v", r, f, want)
-							return
-						}
+					heldBase, heldV, heldC = si*segSize, rd.FloatSegment(si), cd.CodeSegment(si)
+					if err := checkSeg(heldBase, heldV, heldC); err != nil {
+						t.Error(err)
+						return
 					}
 				}
 				if got := bt.Lookup("Term", relation.String("alpha")); len(got) == 0 {
@@ -241,34 +214,68 @@ func TestAppendConcurrentReaders(t *testing.T) {
 			}
 		}()
 	}
-	for i := 256; i < total; i += 64 {
-		if _, err := bt.AppendFacts(rows[i : i+64]); err != nil {
-			t.Fatalf("append at %d: %v", i, err)
-		}
+	type held struct {
+		base  int
+		vals  []float64
+		codes []int32
 	}
+	var headers []held
+	writeErr := func() error {
+		for i := 256; i < total; i += 64 {
+			if _, err := bt.AppendFacts(rows[i : i+64]); err != nil {
+				return fmt.Errorf("append at %d: %v", i, err)
+			}
+			si := (i + 63) / segSize
+			headers = append(headers, held{si * segSize, bt.FloatReader("V").FloatSegment(si), bt.DictReader("Term").CodeSegment(si)})
+			for _, h := range headers {
+				if err := checkSeg(h.base, h.vals, h.codes); err != nil {
+					return fmt.Errorf("after append at %d, header taken at row %d: %v", i, h.base, err)
+				}
+			}
+		}
+		return nil
+	}()
+	// The readers stop before the deferred Close releases the files.
 	close(stop)
 	wg.Wait()
+	if writeErr != nil {
+		t.Fatal(writeErr)
+	}
 	if bt.Len() != total {
 		t.Fatalf("len %d, want %d", bt.Len(), total)
 	}
 }
 
+var (
+	sinkFloats []float64
+	sinkCodes  []int32
+)
+
+// TestOpenSegmentServedWithoutCopy: a reader fetching the open
+// segment gets the tail buffer itself, capped at its published length —
+// no allocation per fetch, which Row, Value and Scan pay once per cell.
+func TestOpenSegmentServedWithoutCopy(t *testing.T) {
+	_, bt, _ := writeSegs(t, segTestTable(t, 300), 128)
+	const open = 300 / 128
+	frd, drd := bt.FloatReader("V"), bt.DictReader("Term")
+	if n := testing.AllocsPerRun(100, func() { sinkFloats = frd.FloatSegment(open) }); n != 0 {
+		t.Errorf("FloatSegment(open) allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { sinkCodes = drd.CodeSegment(open) }); n != 0 {
+		t.Errorf("CodeSegment(open) allocates %v times per call", n)
+	}
+	if f, c := frd.FloatSegment(open), drd.CodeSegment(open); len(f) != 300-open*128 || cap(f) != len(f) || cap(c) != len(c) {
+		t.Errorf("open segment headers len/cap %d/%d and %d/%d, want %d rows capped", len(f), cap(f), len(c), cap(c), 300-open*128)
+	}
+}
+
 // TestBackedAppendRejectsInexactInt: an integer beyond ±2^53 cannot
 // round-trip a float64 column file. A backed table refuses it at
-// AppendFacts — the whole batch, before any row lands — and the segment
-// writer refuses it on the streaming build path, both naming table,
+// AppendFacts — the whole batch, before any row lands — naming table,
 // column and value.
 func TestBackedAppendRejectsInexactInt(t *testing.T) {
-	tab := segTestTable(t, 100)
-	dir := t.TempDir()
-	if err := WriteTableSegments(dir, tab, SegmentWriterOptions{SegmentSize: 64}); err != nil {
-		t.Fatal(err)
-	}
-	bt, st, err := OpenBackedTable(dir, tab.Schema())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
+	_, bt, _ := writeSegs(t, segTestTable(t, 100), 64)
+	var err error
 	const big = int64(1)<<53 + 1
 	wantInexact := func(err error, col string) {
 		t.Helper()
@@ -300,11 +307,4 @@ func TestBackedAppendRejectsInexactInt(t *testing.T) {
 	if got := bt.Value(100, "K"); got != relation.Int(big-1) {
 		t.Errorf("2^53 read back as %#v", got)
 	}
-
-	w, err := NewSegmentWriter(t.TempDir(), tab.Schema(), SegmentWriterOptions{SegmentSize: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	wantInexact(w.Append([]relation.Value{relation.Int(big), relation.String("alpha"), relation.Float(1), relation.Int(1)}), "K")
 }

@@ -15,7 +15,7 @@ import (
 // positive rate (~1% at 10 bits/key, 7 hashes — the classic LevelDB
 // operating point). Probes use double hashing over one 64-bit FNV-1a
 // digest of the value's canonical encoding, so a filter built by the
-// segment writer and a probe issued by a scan agree on bit positions by
+// appender and a probe issued by a scan agree on bit positions by
 // construction.
 
 const (

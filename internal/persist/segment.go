@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -19,11 +18,12 @@ import (
 // otherwise) plus a binary manifest carrying the dictionaries and the
 // per-segment skip evidence — zone maps over numeric columns, Bloom
 // filters over foreign-key and full-text columns, and per-term segment
-// lists for full-text columns. The SegmentWriter streams rows in (never
-// holding more than one segment's accumulators), and the Store pages
-// individual segments back out through a byte-budgeted LRU cache, so a
-// warehouse orders of magnitude beyond RAM answers drills in bounded
-// residency.
+// lists for full-text columns. A directory starts empty
+// (CreateBackedTable) and grows only by appends to its open tail
+// segment (Store.AppendRows, never holding more than that segment), and
+// the Store pages sealed segments back out through a byte-budgeted LRU
+// cache, so a warehouse orders of magnitude beyond RAM answers drills in
+// bounded residency.
 
 // Manifest magic: format name + version in eight bytes.
 const segMagic = "KDAPSEG1"
@@ -414,264 +414,6 @@ func decodeManifest(data []byte) (*manifest, error) {
 }
 
 // ---------------------------------------------------------------------
-// SegmentWriter: streaming columnar ingest.
-
-// SegmentWriterOptions configure a SegmentWriter.
-type SegmentWriterOptions struct {
-	// SegmentSize is the rows-per-segment (a power of two, min 64).
-	// 0 means relation.DefaultSegmentSize.
-	SegmentSize int
-	// BloomColumns names the columns to carry per-segment Bloom
-	// filters. nil means the schema's foreign-key columns plus every
-	// full-text column; an explicit empty slice disables filters.
-	BloomColumns []string
-}
-
-// SegmentWriter streams rows of one table into segment files under a
-// directory. Rows are validated against the schema exactly like
-// Table.Append (ints widen into float columns); per-segment zone maps,
-// Bloom filters, and term→segment lists accumulate as rows arrive, so
-// nothing larger than one segment's bookkeeping is ever resident.
-// Close finalizes the last partial segment and writes the manifest.
-type SegmentWriter struct {
-	dir     string
-	schema  *relation.Schema
-	segSize int
-	rows    int
-	cols    []*writerCol
-	closed  bool
-}
-
-// writerCol is one column's streaming state.
-type writerCol struct {
-	col     relation.Column
-	numeric bool
-	f       *os.File
-	bw      *bufio.Writer
-
-	// dictionary state (non-numeric columns)
-	codeOf map[relation.Value]int32
-	dict   []relation.Value
-
-	// per-segment accumulators, flushed at each segment boundary
-	zone     relation.Zone
-	zones    []relation.Zone
-	bloomOn  bool
-	segHash  map[uint64]struct{}
-	blooms   []bloomFilter
-	termsOn  bool
-	termSegs [][]int32 // per dict code: segments containing the term
-}
-
-// NewSegmentWriter creates segment files for the schema under dir
-// (created if absent).
-func NewSegmentWriter(dir string, schema *relation.Schema, opts SegmentWriterOptions) (*SegmentWriter, error) {
-	segSize := opts.SegmentSize
-	if segSize == 0 {
-		segSize = relation.DefaultSegmentSize
-	}
-	if !relation.ValidSegmentSize(segSize) {
-		return nil, fmt.Errorf("persist: invalid segment size %d (want a power of two >= 64)", segSize)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	bloomOn := make(map[string]bool)
-	if opts.BloomColumns == nil {
-		for _, fk := range schema.ForeignKeys {
-			bloomOn[fk.Column] = true
-		}
-		for _, name := range schema.FullTextColumns() {
-			bloomOn[name] = true
-		}
-	} else {
-		for _, name := range opts.BloomColumns {
-			if !schema.HasColumn(name) {
-				return nil, fmt.Errorf("persist: bloom column %q not in schema %s", name, schema.Name)
-			}
-			bloomOn[name] = true
-		}
-	}
-	w := &SegmentWriter{dir: dir, schema: schema, segSize: segSize}
-	for ci, c := range schema.Columns {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)))
-		if err != nil {
-			w.closeFiles()
-			return nil, err
-		}
-		wc := &writerCol{
-			col:     c,
-			numeric: c.Kind == relation.KindInt || c.Kind == relation.KindFloat,
-			f:       f,
-			bw:      bufio.NewWriterSize(f, 1<<16),
-			zone:    relation.EmptyZone(),
-			bloomOn: bloomOn[c.Name],
-		}
-		if !wc.numeric {
-			wc.codeOf = make(map[relation.Value]int32)
-			wc.termsOn = c.FullText
-		}
-		if wc.bloomOn {
-			wc.segHash = make(map[uint64]struct{})
-		}
-		w.cols = append(w.cols, wc)
-	}
-	return w, nil
-}
-
-func (w *SegmentWriter) closeFiles() {
-	for _, wc := range w.cols {
-		if wc.f != nil {
-			wc.f.Close()
-		}
-	}
-}
-
-// SegmentSize returns the writer's rows-per-segment.
-func (w *SegmentWriter) SegmentSize() int { return w.segSize }
-
-// NumRows returns the rows appended so far.
-func (w *SegmentWriter) NumRows() int { return w.rows }
-
-// flushSegment finalizes the per-segment accumulators of every column.
-func (w *SegmentWriter) flushSegment() {
-	for _, wc := range w.cols {
-		if wc.numeric {
-			wc.zones = append(wc.zones, wc.zone)
-			wc.zone = relation.EmptyZone()
-		}
-		if wc.bloomOn {
-			hashes := make([]uint64, 0, len(wc.segHash))
-			for h := range wc.segHash {
-				hashes = append(hashes, h)
-			}
-			wc.blooms = append(wc.blooms, newBloom(hashes))
-			clear(wc.segHash)
-		}
-	}
-}
-
-// Append validates and writes one row.
-func (w *SegmentWriter) Append(row []relation.Value) error {
-	if w.closed {
-		return fmt.Errorf("persist: append after Close")
-	}
-	if len(row) != len(w.schema.Columns) {
-		return fmt.Errorf("persist: %s: row arity %d, want %d", w.schema.Name, len(row), len(w.schema.Columns))
-	}
-	if w.rows > 0 && w.rows%w.segSize == 0 {
-		w.flushSegment()
-	}
-	si := w.rows / w.segSize
-	var buf [8]byte
-	for i, v := range row {
-		wc := w.cols[i]
-		c := wc.col
-		// Validate and widen exactly like Table.AppendFacts.
-		if err := c.Coerce(w.schema.Name, v); err != nil {
-			return err
-		}
-		stored := v
-		if c.Kind == relation.KindFloat && v.Kind() == relation.KindInt {
-			stored = relation.Float(float64(v.IntVal()))
-		}
-		if wc.numeric {
-			f := stored.FloatOrNaN()
-			wc.zone.Observe(f)
-			binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
-			if _, err := wc.bw.Write(buf[:8]); err != nil {
-				return err
-			}
-		} else {
-			code := int32(-1)
-			if !stored.IsNull() {
-				var ok bool
-				code, ok = wc.codeOf[stored]
-				if !ok {
-					code = int32(len(wc.dict))
-					wc.codeOf[stored] = code
-					wc.dict = append(wc.dict, stored)
-					if wc.termsOn {
-						wc.termSegs = append(wc.termSegs, nil)
-					}
-				}
-				if wc.termsOn {
-					segs := wc.termSegs[code]
-					if len(segs) == 0 || segs[len(segs)-1] != int32(si) {
-						wc.termSegs[code] = append(segs, int32(si))
-					}
-				}
-			}
-			binary.LittleEndian.PutUint32(buf[:4], uint32(code))
-			if _, err := wc.bw.Write(buf[:4]); err != nil {
-				return err
-			}
-		}
-		if wc.bloomOn && !stored.IsNull() {
-			wc.segHash[hashValue(stored)] = struct{}{}
-		}
-	}
-	w.rows++
-	return nil
-}
-
-// Close flushes the final partial segment, writes the manifest, and
-// closes the column files.
-func (w *SegmentWriter) Close() error {
-	if w.closed {
-		return nil
-	}
-	w.closed = true
-	if w.rows > 0 {
-		w.flushSegment()
-	}
-	m := &manifest{segSize: w.segSize, numRows: w.rows}
-	for _, wc := range w.cols {
-		mc := manifestCol{name: wc.col.Name, kind: wc.col.Kind, isDict: !wc.numeric}
-		if wc.numeric {
-			mc.zones = wc.zones
-		} else {
-			mc.dict = wc.dict
-			if wc.termsOn {
-				mc.termSegs = wc.termSegs
-			}
-		}
-		if wc.bloomOn {
-			mc.blooms = wc.blooms
-		}
-		m.cols = append(m.cols, mc)
-		if err := wc.bw.Flush(); err != nil {
-			w.closeFiles()
-			return err
-		}
-		if err := wc.f.Close(); err != nil {
-			return err
-		}
-		wc.f = nil
-	}
-	return os.WriteFile(filepath.Join(w.dir, manifestName), encodeManifest(m), 0o644)
-}
-
-// WriteTableSegments streams every row of a resident table into segment
-// files under dir — the migration path from an in-memory warehouse.
-func WriteTableSegments(dir string, t *relation.Table, opts SegmentWriterOptions) error {
-	w, err := NewSegmentWriter(dir, t.Schema(), opts)
-	if err != nil {
-		return err
-	}
-	var appendErr error
-	t.Scan(func(id int, row []relation.Value) bool {
-		appendErr = w.Append(row)
-		return appendErr == nil
-	})
-	if appendErr != nil {
-		w.closeFiles()
-		return appendErr
-	}
-	return w.Close()
-}
-
-// ---------------------------------------------------------------------
 // Store: the pageable read side.
 
 // SegStats is a snapshot of a Store's paging and skip counters, exported
@@ -715,8 +457,12 @@ type storeCol struct {
 
 	// Append-side state (nil/zero until ensureAppendable). tailF/tailC
 	// hold the open — not yet sealed — segment's values, served to
-	// readers in place of a file read; wf is the write handle used to
-	// seal full segments and flush partial tails.
+	// readers in place of a file read. They follow the resident table's
+	// publication rule: a buffer has capacity segSize, the writer only
+	// appends past the length readers were handed, and sealing replaces
+	// the buffer rather than reusing it, so a header a reader holds stays
+	// valid forever. wf is the write handle used to seal full segments
+	// and flush partial tails.
 	wf       *os.File
 	tailF    []float64
 	tailC    []int32
@@ -1178,15 +924,17 @@ func (r storeDictReader) CodeSegment(si int) []int32 {
 }
 
 // tailFloatSegment serves the open segment's values from the tail
-// buffer. ok is false when si is a sealed (file-resident) segment.
+// buffer, capped at their published length so nothing the writer
+// appends later is visible through it. ok is false when si is a sealed
+// (file-resident) segment.
 func (st *Store) tailFloatSegment(ci, si int) ([]float64, bool) {
 	st.metaMu.RLock()
 	defer st.metaMu.RUnlock()
 	if si != st.openSeg {
 		return nil, false
 	}
-	// Copy: the writer keeps appending to the buffer in place.
-	return append([]float64(nil), st.cols[ci].tailF...), true
+	tail := st.cols[ci].tailF
+	return tail[:len(tail):len(tail)], true
 }
 
 // tailCodeSegment is tailFloatSegment for dictionary columns.
@@ -1196,7 +944,8 @@ func (st *Store) tailCodeSegment(ci, si int) ([]int32, bool) {
 	if si != st.openSeg {
 		return nil, false
 	}
-	return append([]int32(nil), st.cols[ci].tailC...), true
+	tail := st.cols[ci].tailC
+	return tail[:len(tail):len(tail)], true
 }
 
 // ---------------------------------------------------------------------
@@ -1207,10 +956,10 @@ func (st *Store) tailCodeSegment(ci, si int) ([]int32, bool) {
 // the buffers instead of the file. When the open segment fills it is
 // sealed — written to the column files at its final offset, its zone
 // map, Bloom filter, and term segment entries frozen — and a new open
-// segment starts. The bytes a sealed segment carries are identical to
-// what a SegmentWriter streaming the same rows would have produced, so
-// appending and rewriting from scratch converge on the same store.
-// Flush persists the partial tail and rewrites the manifest, making the
+// segment starts. This is the only encoder of the format: however the
+// rows are split into batches, and across a reopen, the directory ends
+// up byte-identical (testdata/segments.golden pins those bytes). Flush
+// persists the partial tail and rewrites the manifest, making the
 // directory reopenable mid-segment.
 
 // ensureAppendableLocked lifts the open partial segment (if any) from
@@ -1237,15 +986,15 @@ func (st *Store) ensureAppendableLocked() error {
 	st.metaMu.Lock()
 	defer st.metaMu.Unlock()
 	for _, c := range st.cols {
-		// An empty store carries no evidence yet; enable the same
-		// families NewSegmentWriter would: zones on numeric columns,
+		// An empty store carries no evidence yet. This is where every
+		// store's evidence families are chosen: zones on numeric columns,
 		// Blooms on foreign keys and full-text columns, term segment
 		// lists on full-text dictionary columns.
 		if empty {
 			if c.numeric && c.zones == nil {
 				c.zones = []relation.Zone{}
 			}
-			if c.blooms == nil && st.defaultBloomCol(c.col) {
+			if c.blooms == nil && st.bloomCol(c.col) {
 				c.blooms = []bloomFilter{}
 			}
 		}
@@ -1262,6 +1011,7 @@ func (st *Store) ensureAppendableLocked() error {
 		if !c.numeric {
 			st.extendCodeOfLocked(c)
 		}
+		c.newTail(st.segSize, openLen)
 		if openLen == 0 {
 			continue
 		}
@@ -1273,7 +1023,6 @@ func (st *Store) ensureAppendableLocked() error {
 			if _, err := c.f.ReadAt(buf, off*floatRowBytes); err != nil {
 				return err
 			}
-			c.tailF = make([]float64, openLen)
 			for i := range c.tailF {
 				f := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
 				c.tailF[i] = f
@@ -1289,7 +1038,6 @@ func (st *Store) ensureAppendableLocked() error {
 			if _, err := c.f.ReadAt(buf, off*codeRowBytes); err != nil {
 				return err
 			}
-			c.tailC = make([]int32, openLen)
 			for i := range c.tailC {
 				code := int32(binary.LittleEndian.Uint32(buf[i*4:]))
 				c.tailC[i] = code
@@ -1316,9 +1064,19 @@ func (st *Store) ensureAppendableLocked() error {
 	return nil
 }
 
-// defaultBloomCol reports NewSegmentWriter's default Bloom policy for a
-// column: foreign keys and full-text columns carry filters.
-func (st *Store) defaultBloomCol(c relation.Column) bool {
+// newTail gives the column a fresh open-segment buffer of length n and
+// capacity segSize.
+func (c *storeCol) newTail(segSize, n int) {
+	if c.numeric {
+		c.tailF = make([]float64, n, segSize)
+	} else {
+		c.tailC = make([]int32, n, segSize)
+	}
+}
+
+// bloomCol reports whether a column carries Bloom filters:
+// foreign keys and full-text columns do.
+func (st *Store) bloomCol(c relation.Column) bool {
 	if c.FullText {
 		return true
 	}
@@ -1339,27 +1097,16 @@ func numericValue(kind relation.Kind, f float64) relation.Value {
 	return relation.Float(f)
 }
 
-// AppendRows implements relation.AppendableBacking: validates the whole
-// batch before any row lands, then widens and appends the rows at the
-// tail of every column, maintaining zone
-// maps, Bloom filters, dictionaries, and term segment lists
-// incrementally. Safe to call concurrently with readers; appenders are
-// serialized.
+// AppendRows implements relation.AppendableBacking: it widens and
+// appends rows that relation.Table.AppendFacts has already validated at
+// the tail of every column, maintaining zone maps, Bloom filters,
+// dictionaries, and term segment lists incrementally. Safe to call
+// concurrently with readers; appenders are serialized.
 func (st *Store) AppendRows(rows [][]relation.Value) error {
 	st.amu.Lock()
 	defer st.amu.Unlock()
 	if err := st.ensureAppendableLocked(); err != nil {
 		return err
-	}
-	for _, row := range rows {
-		if len(row) != len(st.cols) {
-			return fmt.Errorf("persist: row arity %d, want %d", len(row), len(st.cols))
-		}
-		for ci, v := range row {
-			if err := st.cols[ci].col.Coerce(st.schema.Name, v); err != nil {
-				return err
-			}
-		}
 	}
 	for i := 0; i < len(rows); {
 		st.metaMu.Lock()
@@ -1452,15 +1199,15 @@ func (st *Store) AppendRows(rows [][]relation.Value) error {
 // sealOpenLocked writes the full open segment to the column files and
 // retires the tail buffers. Caller holds amu; the file writes happen
 // outside metaMu so readers keep resolving the segment from the tail
-// until the sealed bytes are in place.
+// until the sealed bytes are in place. The retired buffers are left to
+// the readers still holding them; the next segment gets new ones.
 func (st *Store) sealOpenLocked() error {
 	if err := st.writeTailsLocked(); err != nil {
 		return err
 	}
 	st.metaMu.Lock()
 	for _, c := range st.cols {
-		c.tailF = c.tailF[:0]
-		c.tailC = c.tailC[:0]
+		c.newTail(st.segSize, 0)
 		c.zoneAcc = relation.EmptyZone()
 		if c.openHash != nil {
 			clear(c.openHash)
@@ -1518,8 +1265,8 @@ func (st *Store) Flush() error {
 		mc := manifestCol{name: c.col.Name, kind: c.col.Kind, isDict: !c.numeric}
 		if !c.numeric {
 			mc.dict = append([]relation.Value(nil), c.dict...)
-			// len 0 encodes as absent, matching SegmentWriter's lazy
-			// creation — a value-less column carries no lists yet.
+			// len 0 encodes as absent: a value-less column carries no
+			// lists yet.
 			if len(c.termSeg) > 0 {
 				mc.termSegs = make([][]int32, len(c.termSeg))
 				for i, segs := range c.termSeg {
@@ -1557,4 +1304,35 @@ func OpenBackedTable(dir string, schema *relation.Schema) (*relation.Table, *Sto
 		return nil, nil, err
 	}
 	return t, st, nil
+}
+
+// CreateBackedTable writes an empty segment directory for schema under
+// dir (created if absent, its segment files replaced) — zero-row column
+// files and a manifest carrying no evidence yet — and opens it as a
+// backed table. The table fills like a resident one, through
+// Table.AppendFacts (relation.BatchAppender for a stream); Store.Flush
+// or Close makes the appended rows durable. segSize is the rows per
+// segment, a power of two of at least 64; 0 selects
+// relation.DefaultSegmentSize.
+func CreateBackedTable(dir string, schema *relation.Schema, segSize int) (*relation.Table, *Store, error) {
+	if segSize == 0 {
+		segSize = relation.DefaultSegmentSize
+	}
+	if !relation.ValidSegmentSize(segSize) {
+		return nil, nil, fmt.Errorf("persist: invalid segment size %d (want a power of two >= 64)", segSize)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	m := &manifest{segSize: segSize}
+	for ci, c := range schema.Columns {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)), nil, 0o644); err != nil {
+			return nil, nil, err
+		}
+		m.cols = append(m.cols, manifestCol{name: c.Name, kind: c.Kind, isDict: c.Kind != relation.KindInt && c.Kind != relation.KindFloat})
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeManifest(m), 0o644); err != nil {
+		return nil, nil, err
+	}
+	return OpenBackedTable(dir, schema)
 }

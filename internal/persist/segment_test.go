@@ -1,9 +1,11 @@
 package persist
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"kdap/internal/relation"
@@ -38,19 +40,71 @@ func segTestTable(t *testing.T, rows int) *relation.Table {
 	return tab
 }
 
+// writeSegs builds a flushed backed copy of tab the one way a backed
+// table is built: its rows appended to an empty store in segment-sized
+// batches.
 func writeSegs(t *testing.T, tab *relation.Table, segSize int) (string, *relation.Table, *Store) {
 	t.Helper()
 	dir := t.TempDir()
-	err := WriteTableSegments(dir, tab, SegmentWriterOptions{SegmentSize: segSize})
+	bt, store, err := CreateBackedTable(dir, tab.Schema(), segSize)
 	if err != nil {
-		t.Fatalf("write segments: %v", err)
-	}
-	bt, store, err := OpenBackedTable(dir, tab.Schema())
-	if err != nil {
-		t.Fatalf("open backed: %v", err)
+		t.Fatalf("create backed: %v", err)
 	}
 	t.Cleanup(func() { store.Close() })
+	ba := relation.NewBatchAppender(bt)
+	for id := 0; id < tab.Len(); id++ {
+		if err := ba.Append(tab.Row(id)); err != nil {
+			t.Fatalf("append row %d: %v", id, err)
+		}
+	}
+	if err := ba.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Flush(); err != nil {
+		t.Fatal(err)
+	}
 	return dir, bt, store
+}
+
+// assertGolden requires dir to hold exactly the files
+// testdata/segments.golden lists for segTestRows(rows) at segSize, each
+// with its pinned SHA-256. The golden was taken from the streaming
+// segment writer the append path replaced, and is never regenerated:
+// it is what keeps the format stable now that its only encoder is the
+// append path itself.
+func assertGolden(t *testing.T, dir string, rows, segSize int) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", "segments.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := fmt.Sprintf("rows=%d seg=%d ", rows, segSize)
+	want := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if rest, ok := strings.CutPrefix(line, prefix); ok {
+			name, sum, _ := strings.Cut(rest, " ")
+			want[name] = sum
+		}
+	}
+	if len(want) == 0 {
+		t.Fatalf("segments.golden has no entry for %q", prefix)
+	}
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != len(want) {
+		t.Fatalf("%s: %d files, golden lists %d", prefix, len(ents), len(want))
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want[e.Name()] {
+			t.Errorf("%s%s: sha256 %s, golden %q", prefix, e.Name(), got, want[e.Name()])
+		}
+	}
 }
 
 // TestSegmentRoundTripRows verifies every row survives the disk
@@ -83,43 +137,43 @@ func TestSegmentRoundTripRows(t *testing.T) {
 	}
 }
 
-// TestSegmentRederivedIdentical rewrites the opened backed table's rows
-// through a second writer and requires bit-identical artifacts: the
-// manifest (zone maps, Bloom filters, dictionaries, term segment lists
-// re-derived from the decoded rows) and every column file.
+// TestSegmentRederivedIdentical builds a backed table from the rows,
+// rebuilds a second one from the first one's decoded rows, and requires
+// both directories — manifest (zone maps, Bloom filters, dictionaries,
+// term segment lists) and every column file — to match the golden.
 func TestSegmentRederivedIdentical(t *testing.T) {
-	tab := segTestTable(t, 1000)
-	dir1, bt, _ := writeSegs(t, tab, 128)
-	dir2 := t.TempDir()
-	w, err := NewSegmentWriter(dir2, tab.Schema(), SegmentWriterOptions{SegmentSize: 128})
-	if err != nil {
-		t.Fatal(err)
+	for _, segSize := range []int{64, 128} {
+		dir1, bt, _ := writeSegs(t, segTestTable(t, 1000), segSize)
+		assertGolden(t, dir1, 1000, segSize)
+		dir2, _, _ := writeSegs(t, bt, segSize)
+		assertGolden(t, dir2, 1000, segSize)
 	}
-	bt.Scan(func(id int, row []relation.Value) bool {
-		if err := w.Append(row); err != nil {
-			t.Fatalf("row %d: %v", id, err)
+}
+
+// TestCreateBackedTableEmpty: a created, never appended directory is
+// the format's zero-row directory, flushed or not, and reopens empty.
+func TestCreateBackedTableEmpty(t *testing.T) {
+	for _, segSize := range []int{64, 128} {
+		dir, bt, store := writeSegs(t, segTestTable(t, 0), segSize)
+		if bt.Len() != 0 {
+			t.Fatalf("created table holds %d rows", bt.Len())
 		}
-		return true
-	})
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range ents {
-		a, err := os.ReadFile(filepath.Join(dir1, e.Name()))
-		if err != nil {
+		assertGolden(t, dir, 0, segSize)
+		if err := store.Close(); err != nil {
 			t.Fatal(err)
 		}
-		b, err := os.ReadFile(filepath.Join(dir2, e.Name()))
+		assertGolden(t, dir, 0, segSize)
+		st, err := OpenStore(dir, bt.Schema())
 		if err != nil {
-			t.Fatalf("rewrite missing %s: %v", e.Name(), err)
+			t.Fatalf("reopen: %v", err)
 		}
-		if !bytes.Equal(a, b) {
-			t.Fatalf("%s differs after re-derivation (%d vs %d bytes)", e.Name(), len(a), len(b))
+		if st.NumRows() != 0 {
+			t.Fatalf("reopened with %d rows", st.NumRows())
 		}
+		st.Close()
+	}
+	if _, _, err := CreateBackedTable(t.TempDir(), segTestTable(t, 0).Schema(), 100); err == nil {
+		t.Fatal("segment size 100 accepted")
 	}
 }
 
@@ -246,10 +300,7 @@ func TestValueSegmentsTermLists(t *testing.T) {
 // reading garbage.
 func TestOpenStoreRejectsCorruptSizes(t *testing.T) {
 	tab := segTestTable(t, 300)
-	dir := t.TempDir()
-	if err := WriteTableSegments(dir, tab, SegmentWriterOptions{SegmentSize: 128}); err != nil {
-		t.Fatal(err)
-	}
+	dir, _, _ := writeSegs(t, tab, 128)
 	// Truncate one column file.
 	path := filepath.Join(dir, "col_2.dat")
 	data, err := os.ReadFile(path)

@@ -322,6 +322,41 @@ func (t *Table) AppendFacts(rows [][]Value) (int, error) {
 	return s.n, nil
 }
 
+// BatchAppender fills a table one segment-sized AppendFacts batch at a
+// time — one validation pass, column scatter and publication per batch
+// instead of per row — so loaders stream any number of rows while
+// holding at most one batch of them.
+type BatchAppender struct {
+	t     *Table
+	batch [][]Value
+}
+
+// NewBatchAppender returns a BatchAppender over t whose batches are
+// t.SegmentSize() rows.
+func NewBatchAppender(t *Table) *BatchAppender {
+	return &BatchAppender{t: t, batch: make([][]Value, 0, t.SegmentSize())}
+}
+
+// Append queues row, which is kept rather than copied, and appends the
+// batch once it is full. An error is AppendFacts' refusal of the whole
+// batch.
+func (b *BatchAppender) Append(row []Value) error {
+	if b.batch = append(b.batch, row); len(b.batch) < cap(b.batch) {
+		return nil
+	}
+	return b.Flush()
+}
+
+// Flush appends the queued rows.
+func (b *BatchAppender) Flush() error {
+	if len(b.batch) == 0 {
+		return nil
+	}
+	_, err := b.t.AppendFacts(b.batch)
+	b.batch = b.batch[:0]
+	return err
+}
+
 // MustAppend is Append that panics on error; for statically known rows.
 func (t *Table) MustAppend(row ...Value) int {
 	id, err := t.Append(row)

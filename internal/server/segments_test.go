@@ -19,8 +19,7 @@ import (
 // count beside the planner's three.
 func TestServeSegmentedWarehouse(t *testing.T) {
 	resident := dataset.EBiz()
-	backed, store, err := persist.BackedWarehouseOpts(t.TempDir(), dataset.EBiz(),
-		persist.SegmentWriterOptions{SegmentSize: 256})
+	backed, store, err := persist.BackedWarehouse(t.TempDir(), dataset.EBiz(), 256)
 	if err != nil {
 		t.Fatal(err)
 	}

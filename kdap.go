@@ -243,11 +243,10 @@ func LoadCSVWarehouse(dir string) (*Warehouse, error) { return csvload.LoadDir(d
 type SegmentStore = persist.Store
 
 // LoadCSVWarehouseSegmented is LoadCSVWarehouse with the fact table
-// disk-backed: fact CSV rows stream through a segment writer into
-// column files under segDir (with per-segment zone maps, Bloom
-// filters, and term segment lists) and scans page segments in on
-// demand, so fact data larger than memory loads and serves in bounded
-// RSS. Facet output is byte-identical to the resident load.
+// disk-backed: fact CSV rows are appended to column files under segDir
+// (with per-segment zone maps, Bloom filters, and term segment lists)
+// and scans page segments in on demand, so fact data larger than memory
+// loads and serves in bounded RSS. Facet output is byte-identical to the resident load.
 func LoadCSVWarehouseSegmented(dir, segDir string) (*Warehouse, *SegmentStore, error) {
 	m, err := csvload.LoadManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {

@@ -18,7 +18,7 @@ TMP="$(mktemp -d)"
 go build -o "$TMP/kdapd" ./cmd/kdapd
 "$TMP/kdapd" -addr "$ADDR" -db ebiz -log json \
   -max-inflight 8 -slo-target 250ms \
-  -mmap-dir "$TMP/segments" -segment-size 1024 -segment-cache-mb 16 \
+  -mmap-dir "$TMP/segments" -segment-cache-mb 16 \
   2>"$TMP/kdapd.log" &
 KDAPD_PID=$!
 cleanup() {
