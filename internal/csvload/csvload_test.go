@@ -155,10 +155,10 @@ func TestLoadSegmentedMatchesResident(t *testing.T) {
 		t.Fatal("segmented load returned no store")
 	}
 	defer store.Close()
-	if seg.DB.Table("Sales").Backing() == nil {
+	if seg.DB.Table("Sales").Pager() == nil {
 		t.Fatal("fact table is not backed")
 	}
-	if seg.DB.Table("Product").Backing() != nil {
+	if seg.DB.Table("Product").Pager() != nil {
 		t.Fatal("dimension table was backed")
 	}
 	mkEngine := func(wh *dataset.Warehouse) *kdapcore.Engine {

@@ -57,7 +57,8 @@ func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 		t.Fatalf("backed drill %d rows, resident oracle %d (%v)", len(rows), len(want), err)
 	}
 
-	nseg := relation.NumSegments(store.NumRows(), store.SegmentSize())
+	bfact := bwh.DB.Table(bwh.Graph.FactTable())
+	nseg := relation.NumSegments(bfact.Len(), bfact.SegmentSize())
 	// The planner's zone verdicts plus whatever the store's own lookup
 	// scans skipped on Bloom or zone evidence.
 	planned := planAfter.SegmentsSkippedZone - planBefore.SegmentsSkippedZone
@@ -96,6 +97,7 @@ func BenchmarkBackedColdDrill(b *testing.B) {
 	for _, n := range []int{1_000_000, 10_000_000} {
 		var (
 			store *persist.Store
+			fact  *relation.Table
 			e     *kdapcore.Engine
 			sn    *kdapcore.StarNet
 		)
@@ -113,9 +115,9 @@ func BenchmarkBackedColdDrill(b *testing.B) {
 				if err != nil || len(nets) == 0 {
 					sb.Fatalf("differentiate %q: %v (%d nets)", query, err, len(nets))
 				}
-				store, e, sn = st, eng, nets[0]
+				store, fact, e, sn = st, wh.DB.Table(wh.Graph.FactTable()), eng, nets[0]
 			}
-			nseg := relation.NumSegments(store.NumRows(), store.SegmentSize())
+			nseg := relation.NumSegments(fact.Len(), fact.SegmentSize())
 			want := -1
 			var skipped, pagedIn int64
 			sb.ResetTimer()

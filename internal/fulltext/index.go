@@ -50,7 +50,7 @@ type termInfo struct {
 // Index is a positional inverted index over attribute instances. Build it
 // with Add or IndexDatabase, then query with Search / SearchPhrase.
 // An Index is safe for concurrent use: searches take a read lock for
-// their whole scoring pass, Add and AddDocSegments take the write lock,
+// their whole scoring pass, Add takes the write lock,
 // so streaming ingest can extend postings while probes run — each probe
 // sees either the pre-append or post-append postings, never a torn
 // state.
@@ -67,15 +67,6 @@ type Index struct {
 	// pointer rather than a lazily mutated field so concurrent searches
 	// never write shared state.
 	sortedTerms atomic.Pointer[[]string]
-
-	// segHints maps a doc to the ascending list of storage segments of
-	// its source column known to contain its value — the skip lists a
-	// disk-backed table records per term (relation.TermSegmenter).
-	// Consumers resolving a hit back to matching rows scan only the
-	// hinted segments instead of the whole column. An absent entry means
-	// no evidence: scan everything. A present empty list proves the
-	// value occurs nowhere (possible after deletes or stale hints).
-	segHints map[Doc][]int32
 
 	// probeHist records Search/SearchPhrase wall time in seconds; the
 	// differentiate phase is probe-bound, so this is the latency window
@@ -148,44 +139,14 @@ func (ix *Index) Add(table, attr string, value relation.Value) {
 	}
 }
 
-// AddDocSegments records the segment skip list for one doc: the
-// ascending storage segments of the doc's source column that contain
-// its value. Overwrites any prior hint for the doc.
-func (ix *Index) AddDocSegments(d Doc, segs []int32) {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if ix.segHints == nil {
-		ix.segHints = make(map[Doc][]int32)
-	}
-	ix.segHints[d] = segs
-}
-
-// DocSegments returns the segment skip list recorded for a doc. ok is
-// false when no hint exists and the caller must scan every segment.
-func (ix *Index) DocSegments(d Doc) ([]int32, bool) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	segs, ok := ix.segHints[d]
-	return segs, ok
-}
-
 // IndexDatabase indexes every distinct value of every FullText column of
-// every table in db. Tables whose backing records per-term segment
-// lists (relation.TermSegmenter) additionally contribute segment skip
-// hints, so resolving a hit on a disk-backed table pages in only the
-// segments that contain the matched value.
+// every table in db.
 func (ix *Index) IndexDatabase(db *relation.Database) {
 	for _, name := range db.TableNames() {
 		t := db.Table(name)
-		segmenter, _ := t.Backing().(relation.TermSegmenter)
 		for _, col := range t.Schema().FullTextColumns() {
 			for _, v := range t.DistinctValues(col) {
 				ix.Add(name, col, v)
-				if segmenter != nil {
-					if segs, ok := segmenter.ValueSegments(col, v); ok {
-						ix.AddDocSegments(Doc{Table: name, Attr: col, Value: v}, segs)
-					}
-				}
 			}
 		}
 	}

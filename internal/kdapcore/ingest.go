@@ -40,7 +40,6 @@ package kdapcore
 import (
 	"context"
 
-	"kdap/internal/fulltext"
 	"kdap/internal/relation"
 	"kdap/internal/telemetry"
 )
@@ -135,17 +134,14 @@ func (e *Engine) AppendFacts(ctx context.Context, rows [][]relation.Value) (Appe
 }
 
 // indexAppendedValues feeds the batch's full-text values into the
-// index (Add is a dedup no-op for known values) and refreshes segment
-// skip hints for every value the batch touched — a known value landing
-// in a fresh tail segment needs its hint to cover that segment too.
-// Returns the number of new terms. Engines over facts without
-// full-text columns (the AW warehouses) skip all of it.
+// index (Add is a dedup no-op for known values) and returns the number
+// of new terms. Engines over facts without full-text columns (the AW
+// warehouses) skip all of it.
 func (e *Engine) indexAppendedValues(fact *relation.Table, rows [][]relation.Value) int {
 	ftCols := fact.Schema().FullTextColumns()
 	if len(ftCols) == 0 || e.index == nil {
 		return 0
 	}
-	segmenter, _ := fact.Backing().(relation.TermSegmenter)
 	before := e.index.TermCount()
 	for _, col := range ftCols {
 		ci := fact.Schema().ColumnIndex(col)
@@ -157,11 +153,6 @@ func (e *Engine) indexAppendedValues(fact *relation.Table, rows [][]relation.Val
 			}
 			seen[v] = true
 			e.index.Add(fact.Name(), col, v)
-			if segmenter != nil {
-				if segs, ok := segmenter.ValueSegments(col, v); ok {
-					e.index.AddDocSegments(fulltext.Doc{Table: fact.Name(), Attr: col, Value: v}, segs)
-				}
-			}
 		}
 	}
 	return e.index.TermCount() - before

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -107,7 +108,7 @@ func (s *aggState) mergeInto(src *aggState) {
 
 // measureVec resolves the measure's fact-aligned column, or nil when
 // the measure only supports row-at-a-time evaluation (hand-built
-// Measure literals) or reads a backed table (Seg path).
+// Measure literals) or its table holds no dense column (Seg path).
 func measureVec(m Measure) []float64 {
 	if m.Vec == nil {
 		return nil
@@ -423,10 +424,10 @@ func (cc *codeColumn) at(r int) int32 {
 // grown returns a column of n rows at the width dict needs whose first
 // cc.rows() codes are cc's — copied when the width is unchanged, widened
 // (NULL to NULL) when dict outgrew it — and whose remaining codes come
-// from composing f2d with dimCodes. cc is left intact for the readers
-// holding it. Only cc's live vector is non-nil, so of the copy and widen
-// calls below exactly the one that reads it does any work.
-func (cc *codeColumn) grown(n int, f2d, dimCodes []int32, dict []relation.Value) *codeColumn {
+// from composing f2d with src (sourceCodes). cc is left intact for the
+// readers holding it. Only cc's live vector is non-nil, so of the copy
+// and widen calls below exactly the one that reads it does any work.
+func (cc *codeColumn) grown(n int, f2d []int32, src sourceRange, dict []relation.Value) *codeColumn {
 	lo := cc.rows()
 	out := &codeColumn{width: codeWidth(len(dict)), dict: dict}
 	switch out.width {
@@ -435,14 +436,14 @@ func (cc *codeColumn) grown(n int, f2d, dimCodes []int32, dict []relation.Value)
 		if cc != nil {
 			copy(out.u8, cc.u8)
 		}
-		encodeCodes(out.u8[lo:], f2d[lo:n], dimCodes)
+		encodeCodes(out.u8[lo:], f2d[lo:n], src)
 	case 2:
 		out.u16 = make([]uint16, n)
 		if cc != nil {
 			copy(out.u16, cc.u16)
 			widenCodes(out.u16, cc.u8)
 		}
-		encodeCodes(out.u16[lo:], f2d[lo:n], dimCodes)
+		encodeCodes(out.u16[lo:], f2d[lo:n], src)
 	default:
 		out.u32 = make([]uint32, n)
 		if cc != nil {
@@ -450,17 +451,17 @@ func (cc *codeColumn) grown(n int, f2d, dimCodes []int32, dict []relation.Value)
 			widenCodes(out.u32, cc.u16)
 			widenCodes(out.u32, cc.u8)
 		}
-		encodeCodes(out.u32[lo:], f2d[lo:n], dimCodes)
+		encodeCodes(out.u32[lo:], f2d[lo:n], src)
 	}
 	return out
 }
 
-// encodeCodes fills dst[i] with the code of the dimension row f2d[i].
-func encodeCodes[C code](dst []C, f2d, dimCodes []int32) {
+// encodeCodes fills dst[i] with the code of the source row f2d[i].
+func encodeCodes[C code](dst []C, f2d []int32, src sourceRange) {
 	for i, d := range f2d {
 		dst[i] = ^C(0)
 		if d >= 0 {
-			if c := dimCodes[d]; c >= 0 {
+			if c := src.codes[int(d)-src.from]; c >= 0 {
 				dst[i] = C(c)
 			}
 		}
@@ -480,14 +481,14 @@ func widenCodes[D, C code](dst []D, src []C) {
 
 // attrCodes returns, memoized, the fact-aligned code column for the
 // attribute at the far end of path: the composition of factToDim with
-// the dimension table's dictionary-encoded column. This is what turns
-// GroupBy into a scan over small integer codes. The column always covers
-// the fact row count observed at call time: a memo left short by a
-// streaming append is extended over just the appended rows
-// (copy-on-grow, at the column's width), so kernels never index past a
-// code vector with a row set derived from a newer snapshot. Only a
-// fact-table attribute's dictionary can grow with an append; when it
-// outgrows the width the extension widens the whole vector.
+// the attribute's codes (sourceCodes). This is what turns GroupBy into a
+// scan over small integer codes. The column always covers the fact row
+// count observed at call time: a memo left short by a streaming append
+// is extended over just the appended rows (copy-on-grow, at the
+// column's width), so kernels never index past a code vector with a row
+// set derived from a newer snapshot. Only a fact-table attribute's
+// dictionary can grow with an append; when it outgrows the width the
+// extension widens the whole vector.
 func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) *codeColumn {
 	key := attrColKey{path.Signature(), attr}
 	for {
@@ -499,9 +500,13 @@ func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) *codeColum
 			return cc
 		}
 		ex.stats.codeVecBuilds.Add(1)
-		dimCodes, dict := ex.g.DB().Table(path.Source).DictColumn(attr)
+		var dict []relation.Value
+		if cc != nil {
+			dict = cc.dict
+		}
 		f2d := ex.factToDim(path) // covers ≥ n
-		next := cc.grown(n, f2d, dimCodes, dict)
+		src, dict := sourceCodes(ex.table(path.Source), attr, f2d[cc.rows():n], dict)
+		next := cc.grown(n, f2d, src, dict)
 		ex.mu.Lock()
 		if ex.attrCode[key] != cc {
 			ex.mu.Unlock()
@@ -511,6 +516,79 @@ func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) *codeColum
 		ex.mu.Unlock()
 		return next
 	}
+}
+
+// sourceRange holds codes for the rows [from, from+len(codes)) of a
+// source table.
+type sourceRange struct {
+	codes []int32
+	from  int
+}
+
+// sourceCodes reads attr of src over the span of rows f2d names as
+// codes into a dictionary that extends prior, the one the codes already
+// handed out index. A dictionary column brings its own; a numeric
+// column's is built in the same scan, its values in first-seen order.
+func sourceCodes(src *relation.Table, attr string, f2d []int32, prior []relation.Value) (sourceRange, []relation.Value) {
+	from, to := rowSpan(f2d)
+	c, _ := src.Schema().Column(attr)
+	if c.Kind != relation.KindInt && c.Kind != relation.KindFloat {
+		rd := src.DictReader(attr)
+		return sourceRange{readRange(rd.CodeSegment, rd.SegmentSize(), from, to), from}, rd.Dict()
+	}
+	rd := src.FloatReader(attr)
+	floats := readRange(rd.FloatSegment, rd.SegmentSize(), from, to)
+	// The copy keeps concurrent builders from appending into one array.
+	dict := slices.Clip(prior)
+	codeOf := make(map[float64]int32, len(dict))
+	for code, v := range dict {
+		codeOf[v.AsFloat()] = int32(code)
+	}
+	codes := make([]int32, len(floats))
+	for i, f := range floats {
+		if math.IsNaN(f) {
+			codes[i] = -1
+			continue
+		}
+		code, ok := codeOf[f]
+		if !ok {
+			code = int32(len(dict))
+			codeOf[f] = code
+			v := relation.Float(f)
+			if c.Kind == relation.KindInt {
+				v = relation.Int(int64(f))
+			}
+			dict = append(dict, v)
+		}
+		codes[i] = code
+	}
+	return sourceRange{codes, from}, dict
+}
+
+// rowSpan returns the smallest row range [from, to) holding every row
+// f2d names.
+func rowSpan(f2d []int32) (from, to int) {
+	lo, hi := int32(math.MaxInt32), int32(-1)
+	for _, d := range f2d {
+		if d >= 0 {
+			lo, hi = min(lo, d), max(hi, d)
+		}
+	}
+	if hi < 0 {
+		return 0, 0
+	}
+	return int(lo), int(hi) + 1
+}
+
+// readRange reads rows [from, to) of a segmented column, one segment
+// fetch at a time.
+func readRange[T any](segment func(si int) []T, segSize, from, to int) []T {
+	out := make([]T, 0, to-from)
+	for si := from / segSize; si*segSize < to; si++ {
+		seg := segment(si)
+		out = append(out, seg[max(from-si*segSize, 0):min(to-si*segSize, len(seg))]...)
+	}
+	return out
 }
 
 // attrFloats returns, memoized, the fact-aligned numeric column for the
@@ -528,16 +606,21 @@ func (ex *Executor) attrFloats(attr string, path schemagraph.JoinPath) []float64
 			return fc
 		}
 		ex.stats.floatColBuilds.Add(1)
-		dimTable := ex.g.DB().Table(path.Source)
-		dimFloats := dimTable.FloatColumn(attr)
 		f2d := ex.factToDim(path) // covers ≥ n
 		lo := len(fc)
+		src := ex.table(path.Source)
+		var vals []float64
+		from, to := rowSpan(f2d[lo:n])
+		if c, _ := src.Schema().Column(attr); c.Kind == relation.KindInt || c.Kind == relation.KindFloat {
+			rd := src.FloatReader(attr)
+			vals = readRange(rd.FloatSegment, rd.SegmentSize(), from, to)
+		}
 		tail := make([]float64, n-lo)
 		for i := range tail {
-			if d := f2d[lo+i]; d < 0 {
+			if d := int(f2d[lo+i]); d < 0 || vals == nil {
 				tail[i] = math.NaN()
 			} else {
-				tail[i] = dimFloats[d]
+				tail[i] = vals[d-from]
 			}
 		}
 		ex.mu.Lock()

@@ -44,12 +44,12 @@ type Measure struct {
 	Name string
 	Eval func(row []relation.Value) float64
 	// Vec, when non-nil, returns the measure evaluated over every fact
-	// row as a dense fact-aligned column (NaN where undefined). The
-	// columnar kernels use it to skip per-row boxed evaluation; the
-	// constructors in this package populate it, hand-built Measure
-	// literals may leave it nil and fall back to Eval. Against a backed
-	// fact table the constructors leave Vec nil — materializing a dense
-	// column would defeat the paging budget — and populate Seg instead.
+	// row as a dense fact-aligned column (NaN where undefined), or nil
+	// when the fact table holds no dense form of its columns (a paged
+	// table that has sealed segments: materializing one would defeat
+	// the paging budget). The columnar kernels use it to skip per-row
+	// boxed evaluation, falling back to Seg; hand-built Measure literals
+	// may leave both nil and fall back to Eval.
 	Vec func() []float64
 	// Seg, when non-nil, returns a fresh segmented reader over the
 	// measure (the kernels wrap one cursor per worker stripe). The
@@ -70,13 +70,8 @@ func ColumnMeasure(t *relation.Table, col string) Measure {
 	return Measure{
 		Name: col,
 		Eval: func(row []relation.Value) float64 { return row[ci].AsFloat() },
-		Vec: func() []float64 {
-			if t.Backing() != nil {
-				return nil
-			}
-			return t.FloatColumn(col)
-		},
-		Seg: func() relation.FloatReader { return t.FloatReader(col) },
+		Vec:  func() []float64 { return t.FloatColumn(col) },
+		Seg:  func() relation.FloatReader { return t.FloatReader(col) },
 	}
 }
 
@@ -96,16 +91,16 @@ func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 			return row[a].AsFloat() * row[b].AsFloat()
 		},
 		Vec: func() []float64 {
-			if t.Backing() != nil {
-				return nil
-			}
 			// Extend (copy-on-grow) past appended rows: callers hold the
 			// slice they were handed, so the shared prefix is never
 			// rewritten in place.
 			mu.Lock()
 			defer mu.Unlock()
-			if n := t.Len(); len(vec) < n {
-				ca, cb := t.FloatColumn(colA), t.FloatColumn(colB)
+			ca, cb := t.FloatColumn(colA), t.FloatColumn(colB)
+			if ca == nil || cb == nil {
+				return nil
+			}
+			if n := min(len(ca), len(cb)); len(vec) < n {
 				grown := make([]float64, n)
 				copy(grown, vec)
 				for i := len(vec); i < n; i++ {
@@ -404,11 +399,6 @@ func (ex *Executor) Graph() *schemagraph.Graph { return ex.g }
 // FactLen returns the number of fact rows (the full dataspace size).
 func (ex *Executor) FactLen() int { return ex.fact.Len() }
 
-// FactBacking returns the fact table's segment backing, or nil when the
-// fact table is resident. Callers use it to tune the backing (segment
-// cache budget) or read its skip counters.
-func (ex *Executor) FactBacking() relation.ColumnBacking { return ex.fact.Backing() }
-
 // MapRowsCtx maps row IDs of path.Source to row IDs of path.Target by
 // walking the path's hops; the result is sorted and deduplicated. This is
 // the semijoin primitive: dimension rows in, fact rows out. It returns
@@ -427,9 +417,9 @@ func (ex *Executor) MapRowsCtx(ctx context.Context, rows []int, path schemagraph
 }
 
 // walkHops maps rows of table from across hops between dimension
-// tables: each hop resolves the distinct values of its source column in
-// the next table's hash index (a Bloom/zone-pruned scan when that table
-// is backed). The result is ascending and deduplicated.
+// tables: each hop resolves the distinct values of its source column
+// through the next table's LookupIn. The result is ascending and
+// deduplicated.
 func (ex *Executor) walkHops(ctx context.Context, rows []int, from string, hops []schemagraph.Hop) ([]int, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -513,7 +503,7 @@ func (ex *Executor) constraintSet(ctx context.Context, c Constraint) (*bitset.Se
 		return s, nil
 	}
 	t := ex.table(c.Table)
-	ext, err := ex.semijoin(ctx, lookupHitRows(t, c.Attr, c.Values), c.Path, s, n)
+	ext, err := ex.semijoin(ctx, t.LookupIn(c.Attr, c.Values), c.Path, s, n)
 	if err != nil {
 		return nil, err
 	}
@@ -562,42 +552,6 @@ func (ex *Executor) semijoin(ctx context.Context, rows []int, path schemagraph.J
 		out.AddMapped(lo, f2d[lo:min(lo+cancelCheckRows, n)], hit)
 	}
 	return out, nil
-}
-
-// lookupHitRows resolves a hit group's value set to rows of its table.
-// On a backed table whose storage records per-term segment lists (the
-// full-text skip lists in the segment manifest), the scan is restricted
-// to the union of the values' segments; otherwise it is a plain
-// LookupIn — which on a backed table still gets Bloom/zone pruning.
-func lookupHitRows(t *relation.Table, attr string, vals []relation.Value) []int {
-	if ts, ok := t.Backing().(relation.TermSegmenter); ok {
-		if segs, ok := unionValueSegments(ts, attr, vals); ok {
-			return t.LookupInSegments(attr, vals, segs)
-		}
-	}
-	return t.LookupIn(attr, vals)
-}
-
-// unionValueSegments unions the per-value segment lists, ascending and
-// deduplicated. ok is false when any value has no list (the scan must
-// then consider every segment).
-func unionValueSegments(ts relation.TermSegmenter, attr string, vals []relation.Value) ([]int32, bool) {
-	seen := make(map[int32]struct{})
-	for _, v := range vals {
-		segs, ok := ts.ValueSegments(attr, v)
-		if !ok {
-			return nil, false
-		}
-		for _, s := range segs {
-			seen[s] = struct{}{}
-		}
-	}
-	out := make([]int32, 0, len(seen))
-	for s := range seen {
-		out = append(out, s)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, true
 }
 
 // FactRowsCtx returns the fact rows of the sub-dataspace defined by the

@@ -3,10 +3,12 @@ package olap
 import (
 	"context"
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"kdap/internal/dataset"
+	"kdap/internal/persist"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 )
@@ -518,5 +520,55 @@ func TestPivotTruncate(t *testing.T) {
 	}
 	if got := truncate("averylongcategoryname", 8); len(got) > 10 || got[:7] != "averylo" {
 		t.Errorf("truncate = %q", got)
+	}
+}
+
+// TestFactAttributesOnPagedFact: a group-by, a numeric series and a
+// numeric filter over the fact table's own columns read them through the
+// segment readers, so a fact table paged to disk answers exactly as the
+// resident one does.
+func TestFactAttributesOnPagedFact(t *testing.T) {
+	wh := dataset.AWOnline()
+	bwh, store, err := persist.BackedWarehouse(t.TempDir(), wh, 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	type answers struct {
+		groups   map[relation.Value]float64
+		series   []ValueMeasure
+		filtered []int
+	}
+	run := func(wh *dataset.Warehouse) answers {
+		ctx := context.Background()
+		ex := NewExecutor(wh.Graph)
+		fact := wh.DB.Table(wh.Graph.FactTable())
+		zero := schemagraph.JoinPath{Source: fact.Name()}
+		m := RevenueMeasure(fact)
+		rows := mustFactRows(t, ex, nil)
+		var a answers
+		if a.groups, err = ex.GroupByCtx(ctx, rows, "OrderQuantity", zero, m, Sum); err != nil {
+			t.Fatal(err)
+		}
+		if a.series, err = ex.NumericSeriesCtx(ctx, rows, "UnitPrice", zero, m); err != nil {
+			t.Fatal(err)
+		}
+		if a.filtered, err = ex.FilterRowsNumericBoundCtx(ctx, rows, "UnitPrice", zero, 100, math.Inf(1), func(f float64) bool { return f >= 100 }); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	resident, paged := run(wh), run(bwh)
+	if len(resident.groups) == 0 || len(resident.series) == 0 || len(resident.filtered) == 0 {
+		t.Fatalf("empty resident answers: %d groups, %d pairs, %d rows", len(resident.groups), len(resident.series), len(resident.filtered))
+	}
+	if err := sameGroups(paged.groups, resident.groups); err != nil {
+		t.Errorf("GroupBy(OrderQuantity): %v", err)
+	}
+	if !reflect.DeepEqual(paged.series, resident.series) {
+		t.Errorf("NumericSeries(UnitPrice): %d pairs paged, %d resident, or values differ", len(paged.series), len(resident.series))
+	}
+	if !reflect.DeepEqual(paged.filtered, resident.filtered) {
+		t.Errorf("FilterRowsNumericBound(UnitPrice >= 100): %d rows paged, %d resident", len(paged.filtered), len(resident.filtered))
 	}
 }

@@ -92,17 +92,17 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st, err := OpenStore(dir, tab.Schema())
+	bt1, st1, err := OpenBackedTable(dir, tab.Schema())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := st.AppendRows(rows[200:450]); err != nil {
+	if _, err := bt1.AppendFacts(rows[200:450]); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Flush(); err != nil {
+	if err := st1.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Close(); err != nil {
+	if err := st1.Close(); err != nil {
 		t.Fatal(err)
 	}
 
@@ -130,9 +130,12 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	segs, ok := st2.ValueSegments("Term", relation.String("delta"))
-	if !ok || len(segs) == 0 {
-		t.Fatalf("term lists lost across append: segs=%v ok=%v", segs, ok)
+	// delta lives in the last quarter only: its term list must still let
+	// the lookup skip every earlier segment.
+	before := st2.Stats().SkippedBloom
+	bt.Lookup("Term", relation.String("delta"))
+	if st2.Stats().SkippedBloom == before {
+		t.Fatal("term lists lost across reopen and append: the delta lookup skipped nothing")
 	}
 }
 
@@ -160,7 +163,6 @@ func TestAppendConcurrentReaders(t *testing.T) {
 	st.SetCacheBudget(4 * segSize * 8) // keep the page cache churning
 
 	oracleV := tab.FloatColumn("V")
-	oracleC, oracleDict := tab.DictColumn("Term")
 	// checkSeg reports the first value of a float and a code segment
 	// header starting at row base that disagrees with the oracle.
 	checkSeg := func(base int, vals []float64, codes []int32) error {
@@ -171,7 +173,7 @@ func TestAppendConcurrentReaders(t *testing.T) {
 			}
 		}
 		for i, c := range codes {
-			if got, want := dict[c], oracleDict[oracleC[base+i]]; got != want {
+			if got, want := dict[c], tab.Value(base+i, "Term"); got != want {
 				return fmt.Errorf("row %d: Term=%v want %v", base+i, got, want)
 			}
 		}

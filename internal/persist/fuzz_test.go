@@ -12,13 +12,14 @@ import (
 // dict with term lists, plain dict, empty table).
 func fuzzManifests() [][]byte {
 	mkZone := func(lo, hi float64) relation.Zone { return relation.Zone{Min: lo, Max: hi} }
+	mkBloom := func(bits ...byte) relation.Bloom { return relation.Bloom{Bits: bits, K: 7} }
 	full := &manifest{
 		segSize: 64, numRows: 130,
 		cols: []manifestCol{
 			{
 				name: "K", kind: relation.KindInt,
 				zones:  []relation.Zone{mkZone(1, 64), mkZone(65, 128), mkZone(129, 130)},
-				blooms: []bloomFilter{newBloom([]uint64{1, 2}), newBloom([]uint64{3}), newBloom(nil)},
+				blooms: []relation.Bloom{mkBloom(0x12, 0, 0x80, 0, 0, 0x04, 0, 0x40), mkBloom(0, 0x21, 0, 0, 0x08, 0, 0, 0), mkBloom(0, 0, 0, 0, 0, 0, 0, 0)},
 			},
 			{
 				name: "Term", kind: relation.KindString, isDict: true,

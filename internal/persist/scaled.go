@@ -12,9 +12,8 @@ import (
 // relation.DefaultSegmentSize) and returns a warehouse identical to wh
 // except that fact-column reads page segments in from disk. Dimension
 // tables are shared with wh (they are immutable once frozen); the
-// schema graph and full-text index are rebuilt around the backed fact,
-// so term segment lists flow into the new index's skip hints. The
-// source warehouse is untouched — keeping both alive gives tests a
+// schema graph and full-text index are rebuilt around the backed fact.
+// The source warehouse is untouched — keeping both alive gives tests a
 // resident oracle next to the disk-backed subject.
 func BackedWarehouse(dir string, wh *dataset.Warehouse, segSize int) (*dataset.Warehouse, *Store, error) {
 	factName := wh.Graph.FactTable()

@@ -12,18 +12,18 @@ import (
 	"kdap/internal/relation"
 )
 
-// Disk-backed segmented column storage: the on-disk implementation of
-// relation.ColumnBacking. A table is laid out as one raw data file per
-// column (float64 rows for numeric columns, int32 dictionary codes
-// otherwise) plus a binary manifest carrying the dictionaries and the
-// per-segment skip evidence — zone maps over numeric columns, Bloom
-// filters over foreign-key and full-text columns, and per-term segment
-// lists for full-text columns. A directory starts empty
-// (CreateBackedTable) and grows only by appends to its open tail
-// segment (Store.AppendRows, never holding more than that segment), and
-// the Store pages sealed segments back out through a byte-budgeted LRU
-// cache, so a warehouse orders of magnitude beyond RAM answers drills in
-// bounded residency.
+// Disk-backed segment storage: the relation.Pager of a paged table. A
+// table is laid out as one raw data file per column (float64 rows for
+// numeric columns, int32 dictionary codes otherwise) plus a binary
+// manifest carrying the dictionaries and the per-segment skip evidence —
+// zone maps over numeric columns, Bloom filters over foreign-key and
+// full-text columns, and per-term segment lists for full-text columns.
+// The table owns the tail, the dictionaries and the evidence; the Store
+// writes each segment the table seals to the column files, pages sealed
+// segments back in through a byte-budgeted LRU cache, and on Flush
+// writes the open tail and encodes the table's evidence into the
+// manifest, which it preloads on open. So a warehouse orders of
+// magnitude beyond RAM answers drills in bounded residency.
 
 // Manifest magic: format name + version in eight bytes.
 const segMagic = "KDAPSEG1"
@@ -58,9 +58,9 @@ type manifestCol struct {
 	name     string
 	kind     relation.Kind
 	dict     []relation.Value
-	zones    []relation.Zone // per segment, numeric columns only
-	blooms   []bloomFilter   // per segment, bloom columns only
-	termSegs [][]int32       // per dict code, full-text dict columns only
+	zones    []relation.Zone  // per segment, numeric columns only
+	blooms   []relation.Bloom // per segment, bloom columns only
+	termSegs [][]int32        // per dict code, full-text dict columns only
 	isDict   bool
 }
 
@@ -141,9 +141,9 @@ func encodeManifest(m *manifest) []byte {
 		if c.blooms != nil {
 			for si := 0; si < nseg; si++ {
 				f := c.blooms[si]
-				e.u32(f.k)
-				e.u32(uint32(len(f.bits)))
-				e.b = append(e.b, f.bits...)
+				e.u32(f.K)
+				e.u32(uint32(len(f.Bits)))
+				e.b = append(e.b, f.Bits...)
 			}
 		}
 		if c.termSegs != nil {
@@ -351,7 +351,7 @@ func decodeManifest(data []byte) (*manifest, error) {
 			}
 		}
 		if flags&flagBloom != 0 {
-			c.blooms = make([]bloomFilter, nseg)
+			c.blooms = make([]relation.Bloom, nseg)
 			for si := 0; si < nseg; si++ {
 				k, err := d.u32()
 				if err != nil {
@@ -368,7 +368,7 @@ func decodeManifest(data []byte) (*manifest, error) {
 				if err != nil {
 					return nil, err
 				}
-				c.blooms[si] = bloomFilter{bits: append([]byte(nil), bits...), k: k}
+				c.blooms[si] = relation.Bloom{Bits: append([]byte(nil), bits...), K: k}
 			}
 		}
 		if flags&flagTermSegs != 0 {
@@ -414,7 +414,7 @@ func decodeManifest(data []byte) (*manifest, error) {
 }
 
 // ---------------------------------------------------------------------
-// Store: the pageable read side.
+// Store: the pager.
 
 // SegStats is a snapshot of a Store's paging and skip counters, exported
 // as kdap_segments_*_total.
@@ -423,8 +423,10 @@ type SegStats struct {
 	// PagedIn counts reads that went to disk; Evicted counts segments
 	// dropped to stay inside the cache budget.
 	Resident, PagedIn, Evicted int64
-	// SkippedBloom / SkippedZone count segments a scan skipped on
-	// Bloom-filter or zone-map evidence without touching their pages.
+	// SkippedBloom / SkippedZone count segments a value lookup skipped
+	// without touching their pages: on membership evidence (a Bloom
+	// filter or a full-text term's segment list ruled every value out)
+	// or on a zone map.
 	SkippedBloom, SkippedZone int64
 }
 
@@ -434,69 +436,23 @@ type segKey struct{ ci, si int }
 // cacheEnt is one cached segment with LRU links (intrusive list).
 type cacheEnt struct {
 	key        segKey
-	f64        []float64
-	i32        []int32
-	size       int64
+	seg        relation.Segment
 	prev, next *cacheEnt
 }
 
-// storeCol is one column's open state. The skip-evidence fields (dict,
-// zones, blooms, termSeg, codeOf) and the open-tail buffers are guarded
-// by the Store's metaMu once the store has been made appendable; before
-// that they are immutable.
-type storeCol struct {
-	col     relation.Column
-	numeric bool
-	f       *os.File
-	dict    []relation.Value
-	zones   []relation.Zone
-	blooms  []bloomFilter
-	termSeg [][]int32
-
-	codeOf map[relation.Value]int32
-
-	// Append-side state (nil/zero until ensureAppendable). tailF/tailC
-	// hold the open — not yet sealed — segment's values, served to
-	// readers in place of a file read. They follow the resident table's
-	// publication rule: a buffer has capacity segSize, the writer only
-	// appends past the length readers were handed, and sealing replaces
-	// the buffer rather than reusing it, so a header a reader holds stays
-	// valid forever. wf is the write handle used to seal full segments
-	// and flush partial tails.
-	wf       *os.File
-	tailF    []float64
-	tailC    []int32
-	zoneAcc  relation.Zone
-	openHash map[uint64]struct{}
-}
-
-// Store opens a segment directory for reading and implements
-// relation.ColumnBacking over it: column readers page 8 KiB–64 KiB
-// segments in on demand through a byte-budgeted LRU, and the manifest's
-// zone maps and Bloom filters answer skip queries without I/O. Safe for
-// concurrent use, including concurrently with AppendRows: the row count
-// is published atomically after the rows' values and skip evidence, so
-// a reader that observed NumRows() == n can resolve everything below n.
+// Store is the pager of one paged table over a segment directory: it
+// writes sealed segments to the column files and pages them back in on
+// demand through a byte-budgeted LRU. Safe for concurrent use; the
+// table serializes Seal and Flush under its append lock.
 type Store struct {
 	dir     string
 	segSize int
-	numRows atomic.Int64
-	schema  *relation.Schema
-	cols    []*storeCol
-	byName  map[string]int
-
-	// metaMu guards the per-column skip evidence and tail buffers
-	// against AppendRows. Read paths hold it briefly; the writer holds
-	// it only while publishing a staged chunk, never during file I/O.
-	metaMu sync.RWMutex
-	// amu serializes appenders; appendable marks that the open tail has
-	// been lifted into the tail buffers and write handles are open.
-	amu        sync.Mutex
-	appendable bool
-	dirty      bool
-	// openSeg is the index of the open (unsealed) segment; -1 when the
-	// store is not appendable. Guarded by metaMu.
-	openSeg int
+	numeric []bool
+	files   []*os.File
+	t       *relation.Table
+	// flushed is the row count the manifest on disk describes; guarded
+	// by the table's append lock (Persist).
+	flushed int
 
 	mu     sync.Mutex
 	cache  map[segKey]*cacheEnt
@@ -512,96 +468,161 @@ type Store struct {
 	skippedZone  atomic.Int64
 }
 
-// OpenStore opens the segment directory and validates it against the
-// schema: every schema column must be present with the matching kind,
-// and every data file must hold exactly the manifest's row count.
-func OpenStore(dir string, schema *relation.Schema) (*Store, error) {
+// width returns the bytes per row of column ci's file.
+func (st *Store) width(ci int) int {
+	if st.numeric[ci] {
+		return floatRowBytes
+	}
+	return codeRowBytes
+}
+
+// OpenBackedTable opens dir as the storage of a paged relation.Table:
+// the manifest must echo the schema, every data file must hold exactly
+// the manifest's row count, and the table starts preloaded with the
+// manifest's dictionaries and evidence and the open segment's rows. The
+// returned Store is the table's pager; callers keep it to set the cache
+// budget, poll paging stats, Flush and Close.
+func OpenBackedTable(dir string, schema *relation.Schema) (*relation.Table, *Store, error) {
 	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m, err := decodeManifest(raw)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	if len(m.cols) != len(schema.Columns) {
+		return nil, nil, fmt.Errorf("persist: %s: manifest has %d columns, schema %d", schema.Name, len(m.cols), len(schema.Columns))
 	}
 	st := &Store{
 		dir:     dir,
 		segSize: m.segSize,
-		schema:  schema,
-		openSeg: -1,
+		flushed: m.numRows,
 		cache:   make(map[segKey]*cacheEnt),
 		budget:  DefaultSegmentCacheBytes,
-		byName:  make(map[string]int, len(m.cols)),
 	}
-	st.numRows.Store(int64(m.numRows))
-	if len(m.cols) != len(schema.Columns) {
-		return nil, fmt.Errorf("persist: %s: manifest has %d columns, schema %d", schema.Name, len(m.cols), len(schema.Columns))
-	}
+	state := relation.StoreState{N: m.numRows, Base: m.numRows - m.numRows%m.segSize}
 	ok := false
 	defer func() {
 		if !ok {
-			st.Close()
+			st.closeFiles()
 		}
 	}()
 	for ci, mc := range m.cols {
 		sc := schema.Columns[ci]
 		if mc.name != sc.Name || mc.kind != sc.Kind {
-			return nil, fmt.Errorf("persist: %s: column %d is %s:%s on disk, %s:%s in schema",
+			return nil, nil, fmt.Errorf("persist: %s: column %d is %s:%s on disk, %s:%s in schema",
 				schema.Name, ci, mc.name, mc.kind, sc.Name, sc.Kind)
 		}
-		f, err := os.Open(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)))
+		f, err := os.OpenFile(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)), os.O_RDWR, 0)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		col := &storeCol{
-			col:     sc,
-			numeric: !mc.isDict,
-			f:       f,
-			dict:    mc.dict,
-			zones:   mc.zones,
-			blooms:  mc.blooms,
-			termSeg: mc.termSegs,
-		}
-		width := int64(codeRowBytes)
-		if col.numeric {
-			width = floatRowBytes
-		}
+		st.files = append(st.files, f)
+		st.numeric = append(st.numeric, !mc.isDict)
 		fi, err := f.Stat()
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if fi.Size() != int64(m.numRows)*width {
-			return nil, fmt.Errorf("persist: %s.%s: data file holds %d bytes, want %d",
-				schema.Name, sc.Name, fi.Size(), int64(m.numRows)*width)
+		if want := int64(m.numRows) * int64(st.width(ci)); fi.Size() != want {
+			return nil, nil, fmt.Errorf("persist: %s.%s: data file holds %d bytes, want %d",
+				schema.Name, sc.Name, fi.Size(), want)
 		}
-		st.cols = append(st.cols, col)
-		st.byName[sc.Name] = ci
+		tail, err := st.readRows(ci, state.Base, state.N-state.Base)
+		if err != nil {
+			return nil, nil, err
+		}
+		state.Cols = append(state.Cols, relation.StoreColumn{
+			Tail: tail, Dict: mc.dict, Zones: mc.zones, Blooms: mc.blooms, Terms: mc.termSegs,
+		})
 	}
+	t, err := relation.NewPagedTable(schema, m.segSize, st, state)
+	if err != nil {
+		return nil, nil, err
+	}
+	st.t = t
 	ok = true
-	return st, nil
+	return t, st, nil
 }
 
-// Close flushes any unflushed appended tail and releases the column
-// file handles.
+// CreateBackedTable writes an empty segment directory for schema under
+// dir (created if absent, its segment files replaced) — zero-row column
+// files and a manifest carrying no evidence yet — and opens it as a
+// paged table. The table fills like any other, through Table.AppendFacts
+// (relation.BatchAppender for a stream); Store.Flush or Close makes the
+// appended rows durable. segSize is the rows per segment, a power of two
+// of at least 64; 0 selects relation.DefaultSegmentSize.
+func CreateBackedTable(dir string, schema *relation.Schema, segSize int) (*relation.Table, *Store, error) {
+	if segSize == 0 {
+		segSize = relation.DefaultSegmentSize
+	}
+	if !relation.ValidSegmentSize(segSize) {
+		return nil, nil, fmt.Errorf("persist: invalid segment size %d (want a power of two >= 64)", segSize)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return nil, nil, err
+	}
+	m := &manifest{segSize: segSize}
+	for ci, c := range schema.Columns {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)), nil, 0o644); err != nil {
+			return nil, nil, err
+		}
+		m.cols = append(m.cols, manifestCol{name: c.Name, kind: c.Kind, isDict: c.Kind != relation.KindInt && c.Kind != relation.KindFloat})
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeManifest(m), 0o644); err != nil {
+		return nil, nil, err
+	}
+	return OpenBackedTable(dir, schema)
+}
+
+// Flush writes the table's open segment to the column files and its
+// dictionaries and evidence to the manifest, so the directory reopens
+// with every appended row intact. It is a no-op when nothing was
+// appended since the last Flush.
+func (st *Store) Flush() error {
+	return st.t.Persist(func(s *relation.StoreState) error {
+		if s.N == st.flushed {
+			return nil
+		}
+		m := &manifest{segSize: st.segSize, numRows: s.N}
+		tails := make([]relation.Segment, len(s.Cols))
+		for ci, c := range s.Cols {
+			tails[ci] = c.Tail
+			col := st.t.Schema().Columns[ci]
+			mc := manifestCol{name: col.Name, kind: col.Kind, isDict: !st.numeric[ci], dict: c.Dict, zones: c.Zones, blooms: c.Blooms}
+			if len(c.Terms) > 0 { // a column with no values yet carries no lists
+				mc.termSegs = c.Terms
+			}
+			m.cols = append(m.cols, mc)
+		}
+		if err := st.Seal(s.Base/st.segSize, tails); err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(st.dir, manifestName), encodeManifest(m), 0o644); err != nil {
+			return err
+		}
+		st.flushed = s.N
+		return nil
+	})
+}
+
+// Close flushes the table and releases the column files.
 func (st *Store) Close() error {
+	err := st.Flush()
+	if cerr := st.closeFiles(); err == nil {
+		err = cerr
+	}
+	return err
+}
+
+func (st *Store) closeFiles() error {
 	var first error
-	if st.dirty {
-		first = st.Flush()
-	}
-	for _, c := range st.cols {
-		if c.f != nil {
-			if err := c.f.Close(); err != nil && first == nil {
-				first = err
-			}
-			c.f = nil
-		}
-		if c.wf != nil {
-			if err := c.wf.Close(); err != nil && first == nil {
-				first = err
-			}
-			c.wf = nil
+	for _, f := range st.files {
+		if err := f.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
+	st.files = nil
 	return first
 }
 
@@ -637,132 +658,103 @@ func (st *Store) Stats() SegStats {
 	}
 }
 
-// NumRows implements relation.ColumnBacking. The count is published
-// atomically after its rows' data and skip evidence.
-func (st *Store) NumRows() int { return int(st.numRows.Load()) }
-
-// SegmentSize implements relation.ColumnBacking.
-func (st *Store) SegmentSize() int { return st.segSize }
-
-// colIndex resolves a column name, or -1.
-func (st *Store) colIndex(name string) int {
-	if i, ok := st.byName[name]; ok {
-		return i
-	}
-	return -1
-}
-
-// FloatReader implements relation.ColumnBacking.
-func (st *Store) FloatReader(col string) relation.FloatReader {
-	ci := st.colIndex(col)
-	if ci < 0 || !st.cols[ci].numeric {
-		return nil
-	}
-	return storeFloatReader{st: st, ci: ci}
-}
-
-// DictReader implements relation.ColumnBacking.
-func (st *Store) DictReader(col string) relation.DictReader {
-	ci := st.colIndex(col)
-	if ci < 0 || st.cols[ci].numeric {
-		return nil
-	}
-	return storeDictReader{st: st, ci: ci}
-}
-
-// SegmentMayContain implements relation.ColumnBacking: Bloom evidence.
-func (st *Store) SegmentMayContain(col string, si int, v relation.Value) (maybe, hasBloom bool) {
-	ci := st.colIndex(col)
-	if ci < 0 {
-		return true, false
-	}
-	st.metaMu.RLock()
-	defer st.metaMu.RUnlock()
-	if st.cols[ci].blooms == nil || si >= len(st.cols[ci].blooms) {
-		return true, false
-	}
-	return st.cols[ci].blooms[si].mayContain(hashValue(v)), true
-}
-
-// SegmentZoneOverlaps implements relation.ColumnBacking: zone evidence.
-func (st *Store) SegmentZoneOverlaps(col string, si int, lo, hi float64) (overlaps, hasZone bool) {
-	ci := st.colIndex(col)
-	if ci < 0 {
-		return true, false
-	}
-	st.metaMu.RLock()
-	defer st.metaMu.RUnlock()
-	if st.cols[ci].zones == nil || si >= len(st.cols[ci].zones) {
-		return true, false
-	}
-	return st.cols[ci].zones[si].Overlaps(lo, hi), true
-}
-
-// NoteSkips implements relation.ColumnBacking.
+// NoteSkips implements relation.Pager.
 func (st *Store) NoteSkips(bloom, zone int) {
-	if bloom > 0 {
-		st.skippedBloom.Add(int64(bloom))
-	}
-	if zone > 0 {
-		st.skippedZone.Add(int64(zone))
-	}
+	st.skippedBloom.Add(int64(bloom))
+	st.skippedZone.Add(int64(zone))
 }
 
-// ValueSegments implements relation.TermSegmenter: the ascending list
-// of segments in which a full-text column holds v. ok is false when the
-// column carries no term lists or v is outside its dictionary (an
-// absent value occupies no segment — callers get an empty scan).
-func (st *Store) ValueSegments(col string, v relation.Value) ([]int32, bool) {
-	ci := st.colIndex(col)
-	if ci < 0 {
-		return nil, false
-	}
-	c := st.cols[ci]
-	st.metaMu.RLock()
-	if c.termSeg == nil {
-		st.metaMu.RUnlock()
-		return nil, false
-	}
-	if len(c.codeOf) >= len(c.dict) {
-		code, ok := c.codeOf[v]
-		segs := []int32(nil)
-		if ok {
-			segs = c.termSeg[code]
+// Seal implements relation.Pager: it writes segment si of every column
+// at its final offset. Flush uses it for the open segment too.
+func (st *Store) Seal(si int, cols []relation.Segment) error {
+	for ci, seg := range cols {
+		var buf []byte
+		if st.numeric[ci] {
+			buf = make([]byte, 0, len(seg.Floats)*floatRowBytes)
+			for _, f := range seg.Floats {
+				buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(f))
+			}
+		} else {
+			buf = make([]byte, 0, len(seg.Codes)*codeRowBytes)
+			for _, code := range seg.Codes {
+				buf = binary.LittleEndian.AppendUint32(buf, uint32(code))
+			}
 		}
-		st.metaMu.RUnlock()
-		return segs, true // a value outside the dictionary is definitively nowhere
+		if _, err := st.files[ci].WriteAt(buf, int64(si)*int64(st.segSize)*int64(st.width(ci))); err != nil {
+			return err
+		}
 	}
-	st.metaMu.RUnlock()
-
-	st.metaMu.Lock()
-	defer st.metaMu.Unlock()
-	st.extendCodeOfLocked(c)
-	code, ok := c.codeOf[v]
-	if !ok {
-		return nil, true
-	}
-	return c.termSeg[code], true
+	return nil
 }
 
-// extendCodeOfLocked brings a column's value→code map up to its
-// dictionary. Caller holds metaMu.
-func (st *Store) extendCodeOfLocked(c *storeCol) {
-	if c.codeOf == nil {
-		c.codeOf = make(map[relation.Value]int32, len(c.dict))
+// readRows reads rows [lo, lo+n) of column ci from its file.
+func (st *Store) readRows(ci, lo, n int) (relation.Segment, error) {
+	buf := make([]byte, n*st.width(ci))
+	if _, err := st.files[ci].ReadAt(buf, int64(lo)*int64(st.width(ci))); err != nil && n > 0 {
+		return relation.Segment{}, err
 	}
-	for code := len(c.codeOf); code < len(c.dict); code++ {
-		c.codeOf[c.dict[code]] = int32(code)
+	if st.numeric[ci] {
+		vals := make([]float64, n)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*floatRowBytes:]))
+		}
+		return relation.Segment{Floats: vals}, nil
 	}
+	codes := make([]int32, n)
+	for i := range codes {
+		codes[i] = int32(binary.LittleEndian.Uint32(buf[i*codeRowBytes:]))
+	}
+	return relation.Segment{Codes: codes}, nil
 }
 
-// rowsInSeg returns the row count of segment si.
-func (st *Store) rowsInSeg(si int) int {
-	lo := si * st.segSize
-	return min(st.segSize, st.NumRows()-lo)
+// ReadSegment implements relation.Pager: the cached or freshly paged
+// sealed segment (ci, si).
+func (st *Store) ReadSegment(ci, si int) relation.Segment {
+	key := segKey{ci, si}
+	st.mu.Lock()
+	if e, ok := st.cache[key]; ok {
+		st.touchLocked(e)
+		st.mu.Unlock()
+		st.resident.Add(1)
+		return e.seg
+	}
+	st.mu.Unlock()
+
+	// Page in outside the lock: concurrent misses on the same segment
+	// may both read, but only one result is kept.
+	seg, err := st.readRows(ci, si*st.segSize, st.segSize)
+	if err != nil {
+		panic(fmt.Sprintf("persist: %s segment %d: %v", st.t.Schema().Columns[ci].Name, si, err))
+	}
+	st.pagedIn.Add(1)
+	e := &cacheEnt{key: key, seg: seg}
+	st.mu.Lock()
+	if prior, ok := st.cache[key]; ok {
+		e = prior // lost the page-in race; keep the published segment
+		st.touchLocked(e)
+	} else {
+		st.cache[key] = e
+		st.lruPushFront(e)
+		st.usage += st.segBytes(ci)
+		st.evictLocked(e)
+	}
+	st.mu.Unlock()
+	return e.seg
 }
+
+// segBytes is the page-cache footprint of one segment of column ci.
+func (st *Store) segBytes(ci int) int64 { return int64(st.segSize * st.width(ci)) }
 
 // ---------------------------------------------------------------------
 // Page cache.
+
+// touchLocked makes e the most recent entry.
+func (st *Store) touchLocked(e *cacheEnt) {
+	if st.head != e {
+		st.lruUnlink(e)
+		st.lruPushFront(e)
+	}
+}
 
 // lruUnlink removes e from the LRU list.
 func (st *Store) lruUnlink(e *cacheEnt) {
@@ -804,535 +796,7 @@ func (st *Store) evictLocked(keep *cacheEnt) {
 		}
 		st.lruUnlink(victim)
 		delete(st.cache, victim.key)
-		st.usage -= victim.size
+		st.usage -= st.segBytes(victim.key.ci)
 		st.evicted.Add(1)
 	}
-}
-
-// loadSegment returns the cached or freshly paged segment (ci, si),
-// covering at least the store's current row count. A cached entry paged
-// in before appends grew the segment is shorter than the segment is
-// now; such entries are discarded and reloaded rather than served.
-func (st *Store) loadSegment(ci, si int) *cacheEnt {
-	key := segKey{ci, si}
-	want := st.rowsInSeg(si)
-	st.mu.Lock()
-	if e, ok := st.cache[key]; ok {
-		if len(e.f64)+len(e.i32) >= want {
-			if st.head != e {
-				st.lruUnlink(e)
-				st.lruPushFront(e)
-			}
-			st.mu.Unlock()
-			st.resident.Add(1)
-			return e
-		}
-		st.lruUnlink(e)
-		delete(st.cache, key)
-		st.usage -= e.size
-	}
-	st.mu.Unlock()
-
-	// Page in outside the lock: concurrent misses on the same segment
-	// may both read, but only one result is kept.
-	c := st.cols[ci]
-	n := st.rowsInSeg(si)
-	if n < 0 {
-		panic(fmt.Sprintf("persist: segment %d out of range for %d rows", si, st.NumRows()))
-	}
-	e := &cacheEnt{key: key}
-	if c.numeric {
-		buf := make([]byte, n*floatRowBytes)
-		if _, err := c.f.ReadAt(buf, int64(si)*int64(st.segSize)*floatRowBytes); err != nil {
-			panic(fmt.Sprintf("persist: %s segment %d: %v", c.col.Name, si, err))
-		}
-		vals := make([]float64, n)
-		for i := range vals {
-			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-		}
-		e.f64, e.size = vals, int64(n*floatRowBytes)
-	} else {
-		buf := make([]byte, n*codeRowBytes)
-		if _, err := c.f.ReadAt(buf, int64(si)*int64(st.segSize)*codeRowBytes); err != nil {
-			panic(fmt.Sprintf("persist: %s segment %d: %v", c.col.Name, si, err))
-		}
-		codes := make([]int32, n)
-		for i := range codes {
-			codes[i] = int32(binary.LittleEndian.Uint32(buf[i*4:]))
-		}
-		e.i32, e.size = codes, int64(n*codeRowBytes)
-	}
-	st.pagedIn.Add(1)
-
-	st.mu.Lock()
-	if prior, ok := st.cache[key]; ok && len(prior.f64)+len(prior.i32) >= n {
-		e = prior // lost the page-in race; keep the published segment
-		if st.head != e {
-			st.lruUnlink(e)
-			st.lruPushFront(e)
-		}
-	} else {
-		if ok {
-			prior := st.cache[key]
-			st.lruUnlink(prior)
-			delete(st.cache, key)
-			st.usage -= prior.size
-		}
-		st.cache[key] = e
-		st.lruPushFront(e)
-		st.usage += e.size
-		st.evictLocked(e)
-	}
-	st.mu.Unlock()
-	return e
-}
-
-// storeFloatReader implements relation.FloatReader over one column.
-type storeFloatReader struct {
-	st *Store
-	ci int
-}
-
-func (r storeFloatReader) Len() int         { return r.st.NumRows() }
-func (r storeFloatReader) SegmentSize() int { return r.st.segSize }
-func (r storeFloatReader) FloatSegment(si int) []float64 {
-	if vals, ok := r.st.tailFloatSegment(r.ci, si); ok {
-		return vals
-	}
-	return r.st.loadSegment(r.ci, si).f64
-}
-
-// storeDictReader implements relation.DictReader over one column.
-type storeDictReader struct {
-	st *Store
-	ci int
-}
-
-func (r storeDictReader) Len() int         { return r.st.NumRows() }
-func (r storeDictReader) SegmentSize() int { return r.st.segSize }
-func (r storeDictReader) Dict() []relation.Value {
-	r.st.metaMu.RLock()
-	d := r.st.cols[r.ci].dict
-	r.st.metaMu.RUnlock()
-	return d
-}
-func (r storeDictReader) CodeSegment(si int) []int32 {
-	if codes, ok := r.st.tailCodeSegment(r.ci, si); ok {
-		return codes
-	}
-	return r.st.loadSegment(r.ci, si).i32
-}
-
-// tailFloatSegment serves the open segment's values from the tail
-// buffer, capped at their published length so nothing the writer
-// appends later is visible through it. ok is false when si is a sealed
-// (file-resident) segment.
-func (st *Store) tailFloatSegment(ci, si int) ([]float64, bool) {
-	st.metaMu.RLock()
-	defer st.metaMu.RUnlock()
-	if si != st.openSeg {
-		return nil, false
-	}
-	tail := st.cols[ci].tailF
-	return tail[:len(tail):len(tail)], true
-}
-
-// tailCodeSegment is tailFloatSegment for dictionary columns.
-func (st *Store) tailCodeSegment(ci, si int) ([]int32, bool) {
-	st.metaMu.RLock()
-	defer st.metaMu.RUnlock()
-	if si != st.openSeg {
-		return nil, false
-	}
-	tail := st.cols[ci].tailC
-	return tail[:len(tail):len(tail)], true
-}
-
-// ---------------------------------------------------------------------
-// Appendable tail: streaming ingest into an open store.
-//
-// Appended rows accumulate in per-column tail buffers that stand in for
-// the open (last, partial) segment; readers resolve that segment from
-// the buffers instead of the file. When the open segment fills it is
-// sealed — written to the column files at its final offset, its zone
-// map, Bloom filter, and term segment entries frozen — and a new open
-// segment starts. This is the only encoder of the format: however the
-// rows are split into batches, and across a reopen, the directory ends
-// up byte-identical (testdata/segments.golden pins those bytes). Flush
-// persists the partial tail and rewrites the manifest, making the
-// directory reopenable mid-segment.
-
-// ensureAppendableLocked lifts the open partial segment (if any) from
-// the files into the tail buffers and opens write handles. Caller holds
-// amu.
-func (st *Store) ensureAppendableLocked() error {
-	if st.appendable {
-		return nil
-	}
-	n := st.NumRows()
-	openLen := n % st.segSize
-	openSi := -1
-	if openLen > 0 {
-		openSi = n / st.segSize
-	}
-	empty := n == 0
-	for ci, c := range st.cols {
-		wf, err := os.OpenFile(filepath.Join(st.dir, fmt.Sprintf(colFilePat, ci)), os.O_WRONLY, 0)
-		if err != nil {
-			return err
-		}
-		c.wf = wf
-	}
-	st.metaMu.Lock()
-	defer st.metaMu.Unlock()
-	for _, c := range st.cols {
-		// An empty store carries no evidence yet. This is where every
-		// store's evidence families are chosen: zones on numeric columns,
-		// Blooms on foreign keys and full-text columns, term segment
-		// lists on full-text dictionary columns.
-		if empty {
-			if c.numeric && c.zones == nil {
-				c.zones = []relation.Zone{}
-			}
-			if c.blooms == nil && st.bloomCol(c.col) {
-				c.blooms = []bloomFilter{}
-			}
-		}
-		// Term segment lists are created lazily at the first non-NULL
-		// value, so a FullText column whose dictionary is still empty may
-		// legitimately carry none yet.
-		if !c.numeric && c.col.FullText && c.termSeg == nil && len(c.dict) == 0 {
-			c.termSeg = [][]int32{}
-		}
-		c.zoneAcc = relation.EmptyZone()
-		if c.blooms != nil {
-			c.openHash = make(map[uint64]struct{})
-		}
-		if !c.numeric {
-			st.extendCodeOfLocked(c)
-		}
-		c.newTail(st.segSize, openLen)
-		if openLen == 0 {
-			continue
-		}
-		// Lift the partial segment into the tail buffers and rebuild its
-		// accumulators from its values.
-		off := int64(openSi) * int64(st.segSize)
-		if c.numeric {
-			buf := make([]byte, openLen*floatRowBytes)
-			if _, err := c.f.ReadAt(buf, off*floatRowBytes); err != nil {
-				return err
-			}
-			for i := range c.tailF {
-				f := math.Float64frombits(binary.LittleEndian.Uint64(buf[i*8:]))
-				c.tailF[i] = f
-				c.zoneAcc.Observe(f)
-				if !math.IsNaN(f) {
-					if c.openHash != nil {
-						c.openHash[hashValue(numericValue(c.col.Kind, f))] = struct{}{}
-					}
-				}
-			}
-		} else {
-			buf := make([]byte, openLen*codeRowBytes)
-			if _, err := c.f.ReadAt(buf, off*codeRowBytes); err != nil {
-				return err
-			}
-			for i := range c.tailC {
-				code := int32(binary.LittleEndian.Uint32(buf[i*4:]))
-				c.tailC[i] = code
-				if code >= 0 && c.openHash != nil {
-					c.openHash[hashValue(c.dict[code])] = struct{}{}
-				}
-			}
-		}
-	}
-	// Drop any cached pages of the now tail-served open segment.
-	if openSi >= 0 {
-		st.mu.Lock()
-		for ci := range st.cols {
-			if e, ok := st.cache[segKey{ci, openSi}]; ok {
-				st.lruUnlink(e)
-				delete(st.cache, e.key)
-				st.usage -= e.size
-			}
-		}
-		st.mu.Unlock()
-	}
-	st.openSeg = openSi
-	st.appendable = true
-	return nil
-}
-
-// newTail gives the column a fresh open-segment buffer of length n and
-// capacity segSize.
-func (c *storeCol) newTail(segSize, n int) {
-	if c.numeric {
-		c.tailF = make([]float64, n, segSize)
-	} else {
-		c.tailC = make([]int32, n, segSize)
-	}
-}
-
-// bloomCol reports whether a column carries Bloom filters:
-// foreign keys and full-text columns do.
-func (st *Store) bloomCol(c relation.Column) bool {
-	if c.FullText {
-		return true
-	}
-	for _, fk := range st.schema.ForeignKeys {
-		if fk.Column == c.Name {
-			return true
-		}
-	}
-	return false
-}
-
-// numericValue reconstructs the stored Value of a numeric cell, matching
-// the kind-exact encoding hashValue expects.
-func numericValue(kind relation.Kind, f float64) relation.Value {
-	if kind == relation.KindInt {
-		return relation.Int(int64(f))
-	}
-	return relation.Float(f)
-}
-
-// AppendRows implements relation.AppendableBacking: it widens and
-// appends rows that relation.Table.AppendFacts has already validated at
-// the tail of every column, maintaining zone maps, Bloom filters,
-// dictionaries, and term segment lists incrementally. Safe to call
-// concurrently with readers; appenders are serialized.
-func (st *Store) AppendRows(rows [][]relation.Value) error {
-	st.amu.Lock()
-	defer st.amu.Unlock()
-	if err := st.ensureAppendableLocked(); err != nil {
-		return err
-	}
-	for i := 0; i < len(rows); {
-		st.metaMu.Lock()
-		n := st.NumRows()
-		openLen := n % st.segSize
-		if st.openSeg < 0 {
-			// Start a fresh open segment: give every evidence family its
-			// (to be overwritten below) open entry.
-			st.openSeg = n / st.segSize
-			for _, c := range st.cols {
-				if c.zones != nil {
-					c.zones = append(c.zones, relation.EmptyZone())
-				}
-				if c.blooms != nil {
-					c.blooms = append(c.blooms, bloomFilter{})
-				}
-				c.zoneAcc = relation.EmptyZone()
-				if c.openHash != nil {
-					clear(c.openHash)
-				}
-			}
-		}
-		take := min(st.segSize-openLen, len(rows)-i)
-		for _, row := range rows[i : i+take] {
-			for ci, c := range st.cols {
-				v := row[ci]
-				stored := v
-				if c.col.Kind == relation.KindFloat && v.Kind() == relation.KindInt {
-					stored = relation.Float(float64(v.IntVal()))
-				}
-				if c.numeric {
-					f := stored.FloatOrNaN()
-					c.tailF = append(c.tailF, f)
-					c.zoneAcc.Observe(f)
-				} else {
-					code := int32(-1)
-					if !stored.IsNull() {
-						var ok bool
-						code, ok = c.codeOf[stored]
-						if !ok {
-							code = int32(len(c.dict))
-							c.codeOf[stored] = code
-							c.dict = append(c.dict, stored)
-							if c.termSeg != nil {
-								c.termSeg = append(c.termSeg, nil)
-							}
-						}
-						if c.termSeg != nil {
-							segs := c.termSeg[code]
-							if len(segs) == 0 || segs[len(segs)-1] != int32(st.openSeg) {
-								c.termSeg[code] = append(segs, int32(st.openSeg))
-							}
-						}
-					}
-					c.tailC = append(c.tailC, code)
-				}
-				if c.openHash != nil && !stored.IsNull() {
-					c.openHash[hashValue(stored)] = struct{}{}
-				}
-			}
-		}
-		// Publish the open segment's refreshed evidence, then the rows.
-		openSi := st.openSeg
-		for _, c := range st.cols {
-			if c.zones != nil {
-				c.zones[openSi] = c.zoneAcc
-			}
-			if c.blooms != nil {
-				hashes := make([]uint64, 0, len(c.openHash))
-				for h := range c.openHash {
-					hashes = append(hashes, h)
-				}
-				c.blooms[openSi] = newBloom(hashes)
-			}
-		}
-		sealed := openLen+take == st.segSize
-		st.metaMu.Unlock()
-		st.numRows.Store(int64(n + take))
-		st.dirty = true
-		i += take
-		if sealed {
-			if err := st.sealOpenLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// sealOpenLocked writes the full open segment to the column files and
-// retires the tail buffers. Caller holds amu; the file writes happen
-// outside metaMu so readers keep resolving the segment from the tail
-// until the sealed bytes are in place. The retired buffers are left to
-// the readers still holding them; the next segment gets new ones.
-func (st *Store) sealOpenLocked() error {
-	if err := st.writeTailsLocked(); err != nil {
-		return err
-	}
-	st.metaMu.Lock()
-	for _, c := range st.cols {
-		c.newTail(st.segSize, 0)
-		c.zoneAcc = relation.EmptyZone()
-		if c.openHash != nil {
-			clear(c.openHash)
-		}
-	}
-	st.openSeg = -1
-	st.metaMu.Unlock()
-	return nil
-}
-
-// writeTailsLocked writes every column's tail buffer to its file at the
-// open segment's offset. Caller holds amu.
-func (st *Store) writeTailsLocked() error {
-	if st.openSeg < 0 {
-		return nil
-	}
-	off := int64(st.openSeg) * int64(st.segSize)
-	for _, c := range st.cols {
-		if c.numeric {
-			buf := make([]byte, len(c.tailF)*floatRowBytes)
-			for i, f := range c.tailF {
-				binary.LittleEndian.PutUint64(buf[i*8:], math.Float64bits(f))
-			}
-			if _, err := c.wf.WriteAt(buf, off*floatRowBytes); err != nil {
-				return err
-			}
-		} else {
-			buf := make([]byte, len(c.tailC)*codeRowBytes)
-			for i, code := range c.tailC {
-				binary.LittleEndian.PutUint32(buf[i*4:], uint32(code))
-			}
-			if _, err := c.wf.WriteAt(buf, off*codeRowBytes); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Flush persists the partial open segment and rewrites the manifest so
-// the directory can be reopened with every appended row intact. The
-// store remains appendable afterwards.
-func (st *Store) Flush() error {
-	st.amu.Lock()
-	defer st.amu.Unlock()
-	if !st.dirty {
-		return nil
-	}
-	if err := st.writeTailsLocked(); err != nil {
-		return err
-	}
-	st.metaMu.RLock()
-	m := &manifest{segSize: st.segSize, numRows: st.NumRows()}
-	for _, c := range st.cols {
-		mc := manifestCol{name: c.col.Name, kind: c.col.Kind, isDict: !c.numeric}
-		if !c.numeric {
-			mc.dict = append([]relation.Value(nil), c.dict...)
-			// len 0 encodes as absent: a value-less column carries no
-			// lists yet.
-			if len(c.termSeg) > 0 {
-				mc.termSegs = make([][]int32, len(c.termSeg))
-				for i, segs := range c.termSeg {
-					mc.termSegs[i] = append([]int32(nil), segs...)
-				}
-			}
-		}
-		if c.zones != nil {
-			mc.zones = append([]relation.Zone(nil), c.zones...)
-		}
-		if c.blooms != nil {
-			mc.blooms = append([]bloomFilter(nil), c.blooms...)
-		}
-		m.cols = append(m.cols, mc)
-	}
-	st.metaMu.RUnlock()
-	if err := os.WriteFile(filepath.Join(st.dir, manifestName), encodeManifest(m), 0o644); err != nil {
-		return err
-	}
-	st.dirty = false
-	return nil
-}
-
-// OpenBackedTable opens dir as the storage of a backed relation.Table.
-// The returned Store is also the table's Backing(); callers keep it to
-// set the cache budget and poll paging stats.
-func OpenBackedTable(dir string, schema *relation.Schema) (*relation.Table, *Store, error) {
-	st, err := OpenStore(dir, schema)
-	if err != nil {
-		return nil, nil, err
-	}
-	t, err := relation.NewBackedTable(schema, st)
-	if err != nil {
-		st.Close()
-		return nil, nil, err
-	}
-	return t, st, nil
-}
-
-// CreateBackedTable writes an empty segment directory for schema under
-// dir (created if absent, its segment files replaced) — zero-row column
-// files and a manifest carrying no evidence yet — and opens it as a
-// backed table. The table fills like a resident one, through
-// Table.AppendFacts (relation.BatchAppender for a stream); Store.Flush
-// or Close makes the appended rows durable. segSize is the rows per
-// segment, a power of two of at least 64; 0 selects
-// relation.DefaultSegmentSize.
-func CreateBackedTable(dir string, schema *relation.Schema, segSize int) (*relation.Table, *Store, error) {
-	if segSize == 0 {
-		segSize = relation.DefaultSegmentSize
-	}
-	if !relation.ValidSegmentSize(segSize) {
-		return nil, nil, fmt.Errorf("persist: invalid segment size %d (want a power of two >= 64)", segSize)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, err
-	}
-	m := &manifest{segSize: segSize}
-	for ci, c := range schema.Columns {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)), nil, 0o644); err != nil {
-			return nil, nil, err
-		}
-		m.cols = append(m.cols, manifestCol{name: c.Name, kind: c.Kind, isDict: c.Kind != relation.KindInt && c.Kind != relation.KindFloat})
-	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeManifest(m), 0o644); err != nil {
-		return nil, nil, err
-	}
-	return OpenBackedTable(dir, schema)
 }

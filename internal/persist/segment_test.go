@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -163,12 +164,12 @@ func TestCreateBackedTableEmpty(t *testing.T) {
 			t.Fatal(err)
 		}
 		assertGolden(t, dir, 0, segSize)
-		st, err := OpenStore(dir, bt.Schema())
+		reopened, st, err := OpenBackedTable(dir, bt.Schema())
 		if err != nil {
 			t.Fatalf("reopen: %v", err)
 		}
-		if st.NumRows() != 0 {
-			t.Fatalf("reopened with %d rows", st.NumRows())
+		if reopened.Len() != 0 {
+			t.Fatalf("reopened with %d rows", reopened.Len())
 		}
 		st.Close()
 	}
@@ -263,35 +264,44 @@ func TestStoreSkipEvidence(t *testing.T) {
 }
 
 // TestValueSegmentsTermLists checks the manifest's per-term segment
-// lists: present terms yield exactly the segments holding them, absent
-// terms yield an empty definitive list.
+// lists — present terms list exactly the segments holding them, absent
+// terms are in no list — and that a lookup scans exactly the listed
+// segments, counting the rest as skipped on membership evidence.
 func TestValueSegmentsTermLists(t *testing.T) {
 	tab := segTestTable(t, 1024)
-	_, bt, store := writeSegs(t, tab, 128)
-	segs, ok := store.ValueSegments("Term", relation.String("alpha"))
-	if !ok {
-		t.Fatal("Term column carries no segment lists")
+	dir, bt, store := writeSegs(t, tab, 128)
+	raw, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
 	}
-	wantSegs := map[int32]bool{}
-	for _, r := range tab.Lookup("Term", relation.String("alpha")) {
-		wantSegs[int32(r/128)] = true
+	m, err := decodeManifest(raw)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(segs) != len(wantSegs) {
-		t.Fatalf("ValueSegments(alpha) = %v, want %d segments", segs, len(wantSegs))
+	term := m.cols[1]
+	code := slices.Index(term.dict, relation.String("alpha"))
+	if term.termSegs == nil || code < 0 {
+		t.Fatalf("Term column carries no segment list for alpha: dict %v", term.dict)
 	}
-	for _, s := range segs {
-		if !wantSegs[s] {
-			t.Fatalf("ValueSegments(alpha) includes segment %d without the term", s)
+	want := tab.Lookup("Term", relation.String("alpha"))
+	var wantSegs []int32
+	for _, r := range want {
+		if si := int32(r / 128); len(wantSegs) == 0 || wantSegs[len(wantSegs)-1] != si {
+			wantSegs = append(wantSegs, si)
 		}
 	}
-	absent, ok := store.ValueSegments("Term", relation.String("nope"))
-	if !ok || len(absent) != 0 {
-		t.Fatalf("absent term: segs=%v ok=%v, want empty definitive list", absent, ok)
+	if segs := term.termSegs[code]; !slices.Equal(segs, wantSegs) {
+		t.Fatalf("alpha's segment list = %v, want %v", segs, wantSegs)
 	}
-	// LookupInSegments honors the restriction.
-	rows := bt.LookupInSegments("Term", []relation.Value{relation.String("alpha")}, segs)
-	if len(rows) != len(tab.Lookup("Term", relation.String("alpha"))) {
-		t.Fatalf("LookupInSegments returned %d rows", len(rows))
+	if slices.Contains(term.dict, relation.String("nope")) {
+		t.Fatal("absent term in the dictionary")
+	}
+	before := store.Stats().SkippedBloom
+	if rows := bt.Lookup("Term", relation.String("alpha")); !slices.Equal(rows, want) {
+		t.Fatalf("Lookup(alpha) returned %d rows, want %d", len(rows), len(want))
+	}
+	if skipped, want := store.Stats().SkippedBloom-before, int64(relation.NumSegments(1024, 128)-len(wantSegs)); skipped != want {
+		t.Fatalf("Lookup(alpha) skipped %d segments on membership evidence, want %d", skipped, want)
 	}
 }
 
@@ -310,7 +320,7 @@ func TestOpenStoreRejectsCorruptSizes(t *testing.T) {
 	if err := os.WriteFile(path, data[:len(data)-8], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := OpenStore(dir, tab.Schema()); err == nil {
-		t.Fatal("OpenStore accepted a truncated column file")
+	if _, _, err := OpenBackedTable(dir, tab.Schema()); err == nil {
+		t.Fatal("OpenBackedTable accepted a truncated column file")
 	}
 }

@@ -1,110 +1,192 @@
-package relation
+package relation_test
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
-	"runtime"
-	"sort"
-	"strings"
 	"sync"
 	"testing"
+
+	"kdap/internal/persist"
+	"kdap/internal/relation"
 )
 
-// Columns are a resident table's only storage; every boxed accessor
-// materialises from them. The oracle below is the boxed [][]Value the
-// table used to hold — it lives only here.
+// Columns are a table's only storage; every boxed accessor materialises
+// from them. The oracle below is the boxed [][]Value the table used to
+// hold — it lives only here. The same schedules run against a table that
+// never pages and against tables paged to disk through internal/persist
+// (hence this external test package), whose page cache is smaller than
+// one column and which are flushed and reopened mid-segment.
+
+type (
+	value  = relation.Value
+	column = relation.Column
+)
+
+func isNumeric(k relation.Kind) bool { return k == relation.KindInt || k == relation.KindFloat }
 
 // storedForm is the value a column gives back for an appended v: an Int
 // bound for a Float column comes back widened.
-func storedForm(c Column, v Value) Value {
-	if c.Kind == KindFloat && v.Kind() == KindInt {
-		return Float(float64(v.IntVal()))
+func storedForm(c column, v value) value {
+	if c.Kind == relation.KindFloat && v.Kind() == relation.KindInt {
+		return relation.Float(float64(v.IntVal()))
 	}
 	return v
 }
 
-// randomSchema draws 1–6 columns over all four kinds.
-func randomSchema(rng *rand.Rand) *Schema {
-	kinds := []Kind{KindString, KindInt, KindFloat, KindBool}
-	cols := make([]Column, 1+rng.Intn(6))
+// randomSchema draws 1–6 columns over all four kinds. Some string
+// columns are full-text and some int columns foreign keys, so a paged
+// store keeps Bloom filters and term lists on them.
+func randomSchema(rng *rand.Rand) *relation.Schema {
+	kinds := []relation.Kind{relation.KindString, relation.KindInt, relation.KindFloat, relation.KindBool}
+	cols := make([]column, 1+rng.Intn(6))
+	var fks []relation.ForeignKey
 	for i := range cols {
-		cols[i] = Column{Name: fmt.Sprintf("C%d", i), Kind: kinds[rng.Intn(len(kinds))]}
+		cols[i] = column{Name: fmt.Sprintf("C%d", i), Kind: kinds[rng.Intn(len(kinds))]}
+		switch {
+		case cols[i].Kind == relation.KindString && rng.Intn(2) == 0:
+			cols[i].FullText = true
+		case cols[i].Kind == relation.KindInt && rng.Intn(2) == 0:
+			fks = append(fks, relation.ForeignKey{Column: cols[i].Name, RefTable: "X", RefColumn: "Y"})
+		}
 	}
-	return MustSchema("R", cols, "", nil)
+	return relation.MustSchema("R", cols, "", fks)
 }
 
 // randomCell draws a NULL-able value for c from a small domain, so
 // lookups hit, dictionaries repeat and zones stay narrow. Int cells land
 // in Float columns too, to exercise widening.
-func randomCell(rng *rand.Rand, c Column, row int) Value {
+func randomCell(rng *rand.Rand, c column, row int) value {
 	if rng.Intn(7) == 0 {
-		return Null()
+		return relation.Null()
 	}
 	switch c.Kind {
-	case KindString:
-		return String(fmt.Sprintf("s%d", rng.Intn(12)))
-	case KindInt:
-		return Int(int64(row/1000*10 + rng.Intn(10) - 3))
-	case KindFloat:
+	case relation.KindString:
+		return relation.String(fmt.Sprintf("s%d", rng.Intn(12)))
+	case relation.KindInt:
+		return relation.Int(int64(row/1000*10 + rng.Intn(10) - 3))
+	case relation.KindFloat:
 		if rng.Intn(3) == 0 {
-			return Int(int64(rng.Intn(5)))
+			return relation.Int(int64(rng.Intn(5)))
 		}
-		return Float(float64(row/1000) + float64(rng.Intn(8))*0.25)
+		return relation.Float(float64(row/1000) + float64(rng.Intn(8))*0.25)
 	default:
-		return Bool(rng.Intn(2) == 0)
+		return relation.Bool(rng.Intn(2) == 0)
 	}
 }
+
+// store is the table under test: one that never pages (segSize 0) or
+// one paged to a segment directory under a page budget of one code
+// segment, smaller than any column, so every column evicts.
+type store struct {
+	t       *testing.T
+	schema  *relation.Schema
+	segSize int
+	dir     string
+	tab     *relation.Table
+	pager   *persist.Store
+}
+
+func newStore(t *testing.T, schema *relation.Schema, segSize int) *store {
+	s := &store{t: t, schema: schema, segSize: segSize}
+	if segSize == 0 {
+		s.tab = relation.NewTable(schema)
+		return s
+	}
+	s.dir = t.TempDir()
+	tab, pager, err := persist.CreateBackedTable(s.dir, schema, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.adopt(tab, pager)
+	return s
+}
+
+func (s *store) adopt(tab *relation.Table, pager *persist.Store) {
+	s.tab, s.pager = tab, pager
+	pager.SetCacheBudget(int64(s.segSize * 4))
+	s.t.Cleanup(func() { pager.Close() })
+}
+
+// reopen flushes a paged table, closes it and opens its directory again.
+func (s *store) reopen() {
+	if err := s.pager.Flush(); err != nil {
+		s.t.Fatal(err)
+	}
+	if err := s.pager.Close(); err != nil {
+		s.t.Fatal(err)
+	}
+	tab, pager, err := persist.OpenBackedTable(s.dir, s.schema)
+	if err != nil {
+		s.t.Fatalf("reopen: %v", err)
+	}
+	s.adopt(tab, pager)
+}
+
+// storeModes are the table kinds every schedule runs against.
+var storeModes = []struct {
+	name    string
+	segSize int
+}{{"resident", 0}, {"paged64", 64}, {"paged128", 128}}
 
 func TestColumnsMatchBoxedOracle(t *testing.T) {
-	for seed := int64(1); seed <= 24; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		schema := randomSchema(rng)
-		tab := NewTable(schema)
-		// Most tables stay small; every fourth crosses segment boundaries
-		// so zones and multi-segment reads are exercised.
-		target := 1 + rng.Intn(300)
-		if seed%4 == 0 {
-			target = DefaultSegmentSize*2 + rng.Intn(DefaultSegmentSize)
-		}
-		var oracle [][]Value
-		check := func() { checkAgainstOracle(t, seed, rng, tab, oracle) }
-		for len(oracle) < target {
-			// A random append schedule: single rows and batches, with
-			// reads (which build and later tail-extend the lazy indexes
-			// and zones) interleaved at random points.
-			batch := make([][]Value, 1+rng.Intn(1+target/3))
-			for i := range batch {
-				row := make([]Value, len(schema.Columns))
-				for ci, c := range schema.Columns {
-					row[ci] = randomCell(rng, c, len(oracle)+i)
+	for _, mode := range storeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 24; seed++ {
+				rng := rand.New(rand.NewSource(seed))
+				schema := randomSchema(rng)
+				st := newStore(t, schema, mode.segSize)
+				// Most tables stay small; every fourth crosses segment
+				// boundaries so zones and multi-segment reads are exercised.
+				target := 1 + rng.Intn(300)
+				if seed%4 == 0 {
+					target = 2*st.tab.SegmentSize() + rng.Intn(st.tab.SegmentSize())
 				}
-				batch[i] = row
-			}
-			start, err := tab.AppendFacts(batch)
-			if err != nil || start != len(oracle) {
-				t.Fatalf("seed %d: AppendFacts = %d, %v; want start %d", seed, start, err, len(oracle))
-			}
-			for _, row := range batch {
-				stored := make([]Value, len(row))
-				for ci, v := range row {
-					stored[ci] = storedForm(schema.Columns[ci], v)
+				var oracle [][]value
+				check := func() { checkAgainstOracle(t, seed, rng, st.tab, oracle) }
+				reopened := mode.segSize == 0
+				for len(oracle) < target {
+					// A random append schedule: single rows and batches, with
+					// reads (which build and later tail-extend the lazy
+					// indexes) interleaved at random points.
+					batch := make([][]value, 1+rng.Intn(1+target/3))
+					for i := range batch {
+						row := make([]value, len(schema.Columns))
+						for ci, c := range schema.Columns {
+							row[ci] = randomCell(rng, c, len(oracle)+i)
+						}
+						batch[i] = row
+					}
+					start, err := st.tab.AppendFacts(batch)
+					if err != nil || start != len(oracle) {
+						t.Fatalf("seed %d: AppendFacts = %d, %v; want start %d", seed, start, err, len(oracle))
+					}
+					for _, row := range batch {
+						stored := make([]value, len(row))
+						for ci, v := range row {
+							stored[ci] = storedForm(schema.Columns[ci], v)
+						}
+						oracle = append(oracle, stored)
+					}
+					if !reopened && len(oracle) > mode.segSize && len(oracle)%mode.segSize != 0 {
+						st.reopen()
+						reopened = true
+					}
+					if rng.Intn(3) == 0 {
+						check()
+					}
 				}
-				oracle = append(oracle, stored)
-			}
-			if rng.Intn(3) == 0 {
 				check()
+				if t.Failed() {
+					t.Fatalf("seed %d: schema %s", seed, schema)
+				}
 			}
-		}
-		check()
-		if t.Failed() {
-			t.Fatalf("seed %d: schema %s", seed, schema)
-		}
+		})
 	}
 }
 
-func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, oracle [][]Value) {
+func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *relation.Table, oracle [][]value) {
 	t.Helper()
 	schema := tab.Schema()
 	if tab.Len() != len(oracle) {
@@ -122,7 +204,7 @@ func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, or
 		}
 	}
 	next := 0
-	tab.Scan(func(id int, row []Value) bool {
+	tab.Scan(func(id int, row []value) bool {
 		if id != next || !reflect.DeepEqual(row, oracle[id]) {
 			t.Errorf("seed %d: Scan row %d (expected id %d) = %#v, want %#v", seed, id, next, row, oracle[id])
 			return false
@@ -134,6 +216,8 @@ func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, or
 		t.Errorf("seed %d: Scan visited %d rows of %d", seed, next, len(oracle))
 	}
 
+	ss := tab.SegmentSize()
+	nseg := relation.NumSegments(len(oracle), ss)
 	for ci, c := range schema.Columns {
 		// Filter on "equals the first row's cell".
 		probe := oracle[0][ci]
@@ -143,34 +227,59 @@ func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, or
 				want = append(want, id)
 			}
 		}
-		got := tab.Filter(func(row []Value) bool { return row[ci] == probe })
+		got := tab.Filter(func(row []value) bool { return row[ci] == probe })
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: Filter(%s == %#v) = %d rows, want %d", seed, c.Name, probe, len(got), len(want))
 		}
 
-		// The two dense forms decode to the oracle for every kind: a
-		// numeric column's dictionary is derived, any other column's
-		// float form is all-NaN.
-		codes, dict := tab.DictColumn(c.Name)
-		floats := tab.FloatColumn(c.Name)
+		// The segment readers decode to the oracle, segment by segment;
+		// so does the dense float form where the table holds one.
+		decoded := make([]value, 0, len(oracle))
+		if isNumeric(c.Kind) {
+			rd := tab.FloatReader(c.Name)
+			for si := 0; si < nseg; si++ {
+				for _, f := range rd.FloatSegment(si) {
+					v := relation.Null()
+					if !math.IsNaN(f) {
+						v = relation.Float(f)
+						if c.Kind == relation.KindInt {
+							v = relation.Int(int64(f))
+						}
+					}
+					decoded = append(decoded, v)
+				}
+			}
+			if dense := tab.FloatColumn(c.Name); dense != nil {
+				for id, row := range oracle {
+					if f, w := dense[id], row[ci].FloatOrNaN(); f != w && !(math.IsNaN(f) && math.IsNaN(w)) {
+						t.Errorf("seed %d: FloatColumn(%s)[%d] = %g, want %#v", seed, c.Name, id, f, row[ci])
+						break
+					}
+				}
+			}
+		} else {
+			rd := tab.DictReader(c.Name)
+			dict := rd.Dict()
+			for si := 0; si < nseg; si++ {
+				for _, code := range rd.CodeSegment(si) {
+					v := relation.Null()
+					if code >= 0 {
+						v = dict[code]
+					}
+					decoded = append(decoded, v)
+				}
+			}
+		}
 		for id, row := range oracle {
-			v := Null()
-			if codes[id] >= 0 {
-				v = dict[codes[id]]
-			}
-			f, wantF := floats[id], math.NaN()
-			if numeric(c.Kind) {
-				wantF = row[ci].FloatOrNaN()
-			}
-			if v != row[ci] || f != wantF && !(math.IsNaN(f) && math.IsNaN(wantF)) {
-				t.Errorf("seed %d: row %d of %s decodes to %#v / %g, want %#v", seed, id, c.Name, v, f, row[ci])
+			if id >= len(decoded) || decoded[id] != row[ci] {
+				t.Errorf("seed %d: segments of %s decode to %d rows, row %d wrong, want %#v", seed, c.Name, len(decoded), id, row[ci])
 				break
 			}
 		}
 
 		// DistinctValues: non-NULL, first-seen order.
-		seen := map[Value]bool{}
-		var distinct []Value
+		seen := map[value]bool{}
+		var distinct []value
 		for _, row := range oracle {
 			if v := row[ci]; !v.IsNull() && !seen[v] {
 				seen[v] = true
@@ -183,18 +292,18 @@ func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, or
 
 		// Lookup / LookupIn, kind-exact: the same magnitude under the
 		// other numeric kind matches nothing; NULL matches NULL cells.
-		probes := append([]Value{Null(), String("absent")}, distinct...)
+		probes := append([]value{relation.Null(), relation.String("absent")}, distinct...)
 		for _, v := range distinct {
 			switch v.Kind() {
-			case KindInt:
-				probes = append(probes, Float(float64(v.IntVal())))
-			case KindFloat:
+			case relation.KindInt:
+				probes = append(probes, relation.Float(float64(v.IntVal())))
+			case relation.KindFloat:
 				if f := v.FloatVal(); f == math.Trunc(f) {
-					probes = append(probes, Int(int64(f)))
+					probes = append(probes, relation.Int(int64(f)))
 				}
 			}
 		}
-		rowsOf := func(vals ...Value) []int {
+		rowsOf := func(vals ...value) []int {
 			var out []int
 			for id, row := range oracle {
 				for _, v := range vals {
@@ -212,25 +321,24 @@ func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, or
 				t.Errorf("seed %d: Lookup(%s, %#v) = %v, want %v", seed, c.Name, v, got, want)
 			}
 		}
-		set := []Value{probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))]}
+		set := []value{probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))], probes[rng.Intn(len(probes))]}
 		if got, want := tab.LookupIn(c.Name, set), rowsOf(set...); !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d: LookupIn(%s, %#v) = %v, want %v", seed, c.Name, set, got, want)
 		}
 
 		// SegmentZoneOverlaps: evidence exactly where a numeric column has
 		// rows, and never a false "cannot overlap".
-		nseg := NumSegments(len(oracle), tab.SegmentSize())
 		for si := 0; si <= nseg; si++ {
 			lo, hi := float64(rng.Intn(6))-1, float64(rng.Intn(6))+1
 			overlaps, has := tab.SegmentZoneOverlaps(c.Name, si, lo, hi)
-			if has != (numeric(c.Kind) && si < nseg) {
+			if has != (isNumeric(c.Kind) && si < nseg) {
 				t.Errorf("seed %d: SegmentZoneOverlaps(%s, seg %d) hasZone = %v", seed, c.Name, si, has)
 			}
 			if !has {
 				continue
 			}
 			zmin, zmax := math.Inf(1), math.Inf(-1)
-			for _, row := range oracle[si*tab.SegmentSize() : min((si+1)*tab.SegmentSize(), len(oracle))] {
+			for _, row := range oracle[si*ss : min((si+1)*ss, len(oracle))] {
 				if f := row[ci].FloatOrNaN(); !math.IsNaN(f) {
 					zmin, zmax = math.Min(zmin, f), math.Max(zmax, f)
 				}
@@ -243,180 +351,79 @@ func checkAgainstOracle(t *testing.T, seed int64, rng *rand.Rand, tab *Table, or
 	}
 }
 
-// TestAppendRejectsInexactInt: ±2^53 is the last integer every float64
-// column holds exactly; one past it is refused — in an Int column and
-// when widening into a Float column — with table, column and value in
-// the error, and nothing of the batch lands.
-func TestAppendRejectsInexactInt(t *testing.T) {
-	tab := NewTable(citySchema(t))
-	const edge = int64(1) << 53
-	for _, ok := range []int64{edge, -edge} {
-		if _, err := tab.Append([]Value{Int(ok), String("x"), Int(ok)}); err != nil {
-			t.Fatalf("%d rejected: %v", ok, err)
-		}
-	}
-	if got := tab.Row(1); got[0] != Int(-edge) || got[2] != Float(float64(-edge)) {
-		t.Errorf("-2^53 read back as %#v", got)
-	}
-	for col, bad := range map[string][]Value{
-		"CityKey":    {Int(edge + 1), String("x"), Float(1)},
-		"Population": {Int(1), String("x"), Int(-edge - 1)},
-	} {
-		_, err := tab.AppendFacts([][]Value{{Int(7), String("fine"), Float(7)}, bad})
-		if err == nil {
-			t.Fatalf("%s: integer beyond 2^53 accepted", col)
-		}
-		for _, part := range []string{"City." + col, "9007199254740993", "2^53"} {
-			if !strings.Contains(err.Error(), part) {
-				t.Errorf("%s: error %q does not name %q", col, err, part)
-			}
-		}
-	}
-	if tab.Len() != 2 {
-		t.Errorf("rejected batches landed rows: len %d", tab.Len())
-	}
-}
-
 // TestReadersRacingAppendsSeeWholeRows: under -race, readers concurrent
-// with AppendFacts never observe columns of different lengths — within
-// one snapshot by construction, and across calls because every column
-// view covers at least the Len observed before it was taken — and never
-// a torn row.
+// with AppendFacts never observe columns of different lengths — every
+// column reader taken after Len covers at least that many rows — and
+// never a torn row, whether the rows they read sit in the open tail or,
+// on a paged table, in sealed segments paged back in under a budget too
+// small to keep them.
 func TestReadersRacingAppendsSeeWholeRows(t *testing.T) {
-	schema := MustSchema("F", []Column{
-		{Name: "K", Kind: KindInt}, {Name: "S", Kind: KindString}, {Name: "V", Kind: KindFloat}, {Name: "B", Kind: KindBool},
+	schema := relation.MustSchema("F", []column{
+		{Name: "K", Kind: relation.KindInt}, {Name: "S", Kind: relation.KindString}, {Name: "V", Kind: relation.KindFloat}, {Name: "B", Kind: relation.KindBool},
 	}, "K", nil)
-	tab := NewTable(schema)
-	rowOf := func(i int) []Value {
-		return []Value{Int(int64(i)), String(fmt.Sprintf("s%d", i%50)), Float(float64(i)), Bool(i%2 == 0)}
+	rowOf := func(i int) []value {
+		return []value{relation.Int(int64(i)), relation.String(fmt.Sprintf("s%d", i%50)), relation.Float(float64(i)), relation.Bool(i%2 == 0)}
 	}
-	const total, batchRows = 40000, 250
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s := tab.cur.Load()
-				for ci, c := range s.cols {
-					if n := len(c.floats) + len(c.codes); n != s.n {
-						t.Errorf("snapshot of %d rows holds %d in column %d", s.n, n, ci)
-						return
+	for _, mode := range storeModes {
+		t.Run(mode.name, func(t *testing.T) {
+			tab := newStore(t, schema, mode.segSize).tab
+			ss := tab.SegmentSize()
+			const total, batchRows = 40000, 250
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			for g := 0; g < 4; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						n := tab.Len()
+						if n == 0 {
+							continue
+						}
+						k, v, s := tab.FloatReader("K"), tab.FloatReader("V"), tab.DictReader("S")
+						if k.Len() < n || v.Len() < n || s.Len() < n {
+							t.Errorf("columns shorter than Len %d: K %d V %d S %d", n, k.Len(), v.Len(), s.Len())
+							return
+						}
+						id := (n - 1) - g%min(n, 7)
+						if got, want := tab.Row(id), rowOf(id); !reflect.DeepEqual(got, want) {
+							t.Errorf("Row(%d) = %#v, want %#v", id, got, want)
+							return
+						}
+						if got := s.Dict()[s.CodeSegment(id / ss)[id%ss]]; got != rowOf(id)[1] {
+							t.Errorf("dict code of row %d decodes to %#v", id, got)
+							return
+						}
+						if got := tab.Lookup("K", relation.Int(int64(id))); len(got) != 1 || got[0] != id {
+							t.Errorf("Lookup(K, %d) = %v", id, got)
+							return
+						}
+						if ov, has := tab.SegmentZoneOverlaps("V", id/ss, float64(id), float64(id)); has && !ov {
+							t.Errorf("zone of row %d's segment excludes its value", id)
+							return
+						}
 					}
+				}(g)
+			}
+			for i := 0; i < total; i += batchRows {
+				batch := make([][]value, batchRows)
+				for j := range batch {
+					batch[j] = rowOf(i + j)
 				}
-				n := tab.Len()
-				if n == 0 {
-					continue
-				}
-				codes, dict := tab.DictColumn("S")
-				if k, v := tab.FloatColumn("K"), tab.FloatColumn("V"); len(k) < n || len(v) < n || len(codes) < n {
-					t.Errorf("columns shorter than Len %d: K %d V %d S %d", n, len(k), len(v), len(codes))
-					return
-				}
-				id := (n - 1) - g%min(n, 7)
-				if got, want := tab.Row(id), rowOf(id); !reflect.DeepEqual(got, want) {
-					t.Errorf("Row(%d) = %#v, want %#v", id, got, want)
-					return
-				}
-				if dict[codes[id]] != rowOf(id)[1] {
-					t.Errorf("dict code of row %d decodes to %#v", id, dict[codes[id]])
-					return
-				}
-				if got := tab.Lookup("K", Int(int64(id))); len(got) != 1 || got[0] != id {
-					t.Errorf("Lookup(K, %d) = %v", id, got)
-					return
-				}
-				if ov, has := tab.SegmentZoneOverlaps("V", id/DefaultSegmentSize, float64(id), float64(id)); has && !ov {
-					t.Errorf("zone of row %d's segment excludes its value", id)
-					return
+				if _, err := tab.AppendFacts(batch); err != nil {
+					t.Fatal(err)
 				}
 			}
-		}(g)
-	}
-	for i := 0; i < total; i += batchRows {
-		batch := make([][]Value, batchRows)
-		for j := range batch {
-			batch[j] = rowOf(i + j)
-		}
-		if _, err := tab.AppendFacts(batch); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	if tab.Len() != total {
-		t.Fatalf("Len %d, want %d", tab.Len(), total)
-	}
-}
-
-// TestResidentBytesPerFact is the storage budget, held in CI: a frozen
-// fact-sized table of eight numeric columns retains about 8 bytes per
-// cell — no boxed rows, no hash index (Freeze indexes dimension-sized
-// tables only). The boxed row store plus six Value-keyed indexes this
-// replaced measured ~690 B/fact.
-func TestResidentBytesPerFact(t *testing.T) {
-	const facts, budget = 200_000, 100
-	names := []string{"SalesKey", "ProductKey", "CustomerKey", "DateKey", "PromoKey", "CurrencyKey", "Quantity", "UnitPrice"}
-	cols := make([]Column, len(names))
-	var fks []ForeignKey
-	for i, n := range names {
-		cols[i] = Column{Name: n, Kind: KindInt}
-		if i >= 1 && i <= 5 {
-			fks = append(fks, ForeignKey{Column: n, RefTable: "Dim" + n, RefColumn: n})
-		}
-	}
-	cols[7].Kind = KindFloat
-	schema := MustSchema("Fact", cols, "SalesKey", fks)
-
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	tab := NewTable(schema)
-	batch := make([][]Value, 0, DefaultSegmentSize)
-	for i := 0; i < facts; i++ {
-		batch = append(batch, []Value{
-			Int(int64(i + 1)), Int(int64(i % 400)), Int(int64(i % 18000)), Int(int64(i / 200)),
-			Int(int64(i % 16)), Int(int64(i % 6)), Int(int64(1 + i%4)), Float(float64(i%977) * 1.25),
+			close(stop)
+			wg.Wait()
+			if tab.Len() != total {
+				t.Fatalf("Len %d, want %d", tab.Len(), total)
+			}
 		})
-		if len(batch) == cap(batch) || i == facts-1 {
-			if _, err := tab.AppendFacts(batch); err != nil {
-				t.Fatal(err)
-			}
-			batch = batch[:0]
-		}
-	}
-	batch = nil
-	tab.Freeze()
-	runtime.GC()
-	runtime.ReadMemStats(&after)
-
-	if got := tab.IndexedColumns(); len(got) != 0 {
-		t.Errorf("frozen fact-sized table carries hash indexes on %v", got)
-	}
-	if got, want := tab.ResidentBytes(), int64(facts*len(cols)*8); got != want {
-		t.Errorf("ResidentBytes = %d, want %d (8 B per numeric cell)", got, want)
-	}
-	perFact := float64(after.HeapAlloc-before.HeapAlloc) / facts
-	t.Logf("retained heap: %.1f B/fact (columns alone: %d)", perFact, len(cols)*8)
-	if perFact > budget {
-		t.Errorf("retained heap %.1f B/fact, budget %d", perFact, budget)
-	}
-	runtime.KeepAlive(tab)
-
-	// A dimension-sized table keeps its key indexes.
-	dim := NewTable(MustSchema("Dim", []Column{{Name: "K", Kind: KindInt}, {Name: "P", Kind: KindInt}}, "K",
-		[]ForeignKey{{Column: "P", RefTable: "Parent", RefColumn: "K"}}))
-	for i := 0; i < 1000; i++ {
-		dim.MustAppend(Int(int64(i)), Int(int64(i%10)))
-	}
-	dim.Freeze()
-	if got := dim.IndexedColumns(); !sort.StringsAreSorted(got) || !reflect.DeepEqual(got, []string{"K", "P"}) {
-		t.Errorf("frozen dimension table indexes %v, want [K P]", got)
 	}
 }

@@ -6,14 +6,12 @@ import (
 )
 
 // Segmented column access. A column is exposed as a sequence of
-// fixed-size segments (DefaultSegmentSize rows, the last one short), so
-// execution kernels can iterate storage-aligned spans instead of whole
-// dense slices. Two families of readers implement the interfaces: the
-// resident ones below, which subslice the Table's columns at zero
-// cost, and the disk-backed ones in internal/persist, which page
-// segments in from column files under a byte budget. Everything the
-// kernels compute is a pure function of the values a reader yields, so
-// swapping one family for the other never changes output bytes.
+// fixed-size segments (the table's SegmentSize rows, the last one
+// short), so execution kernels can iterate storage-aligned spans
+// instead of whole dense slices. A table's readers subslice its open
+// tail at zero cost and fetch sealed segments from its pager; everything
+// the kernels compute is a pure function of the values a reader yields,
+// so where a segment lives never changes output bytes.
 
 // DefaultSegmentSize is the number of rows per column segment. Segment
 // sizes must be powers of two so row→segment mapping is a shift.
@@ -36,11 +34,11 @@ func NumSegments(n, segSize int) int {
 }
 
 // Zone is the min/max summary of a numeric column over one segment,
-// ignoring NULL (NaN). It is the only zone-map type in the system: the
-// segment stores persist it, resident tables derive it lazily from
-// their float columns, and the executor keeps it over fact-aligned
-// dimension-attribute columns. A zone with no numeric rows has
-// Min > Max (the empty interval) and overlaps nothing.
+// ignoring NULL (NaN). It is the only zone-map type in the system: every
+// table keeps one per segment of each numeric column as it appends (a
+// paged store's manifest persists them), and the executor keeps them
+// over fact-aligned dimension-attribute columns. A zone with no numeric
+// rows has Min > Max (the empty interval) and overlaps nothing.
 type Zone struct{ Min, Max float64 }
 
 // EmptyZone is the identity for zone accumulation.
@@ -112,58 +110,31 @@ type DictReader interface {
 	Dict() []Value
 }
 
-// ColumnBacking is the storage provider behind a Table whose rows are
-// not resident: per-column segmented readers plus the per-segment skip
-// evidence (zone maps over numeric columns, Bloom filters over key-like
-// and term columns) that lets scans prove a segment irrelevant without
-// reading it. internal/persist implements it over mmap-able column
-// files; the interface lives here so relation does not import persist.
-type ColumnBacking interface {
-	// NumRows returns the backed table's row count.
-	NumRows() int
-	// SegmentSize returns the backing's fixed segment size.
-	SegmentSize() int
-	// FloatReader returns the segmented float view of a numeric column,
-	// or nil when the column is not numeric-backed.
-	FloatReader(col string) FloatReader
-	// DictReader returns the segmented dictionary view of a non-numeric
-	// column, or nil.
-	DictReader(col string) DictReader
-	// SegmentMayContain reports Bloom evidence for one segment of col:
-	// (false, true) proves the segment does not contain v; (true, true)
-	// means it may. hasBloom false means no filter exists for the column
-	// and the segment must be scanned.
-	SegmentMayContain(col string, si int, v Value) (maybe, hasBloom bool)
-	// SegmentZoneOverlaps reports zone-map evidence: whether any value
-	// in segment si of col can fall in the closed interval [lo, hi].
-	// hasZone false means the column carries no zone maps.
-	SegmentZoneOverlaps(col string, si int, lo, hi float64) (overlaps, hasZone bool)
-	// NoteSkips folds a scan's planning verdict into the backing's
-	// skip counters (kdap_segments_skipped_{bloom,zone}_total).
+// Segment is one column's rows of one segment: Floats for an Int or
+// Float column (NaN for NULL), Codes for any other (-1 for NULL).
+type Segment struct {
+	Floats []float64
+	Codes  []int32
+}
+
+// Pager is what makes a store paged: it takes each full segment off the
+// store's hands and serves it back on demand, so the store holds one
+// open segment in memory however long the table grows.
+// internal/persist implements it over column files and a byte-budgeted
+// page cache; the interface lives here so relation does not import
+// persist.
+type Pager interface {
+	// Seal keeps full segment si: cols[ci] holds column ci's rows of
+	// it. The store serves those rows from memory until Seal returns,
+	// and only afterwards from ReadSegment.
+	Seal(si int, cols []Segment) error
+	// ReadSegment returns column ci's rows of sealed segment si. The
+	// slices are shared and must not be modified.
+	ReadSegment(ci, si int) Segment
+	// NoteSkips folds a lookup scan's skipped segments into the pager's
+	// skip counters: those ruled out by membership evidence (Bloom
+	// filters and term lists) and those ruled out by zones.
 	NoteSkips(bloom, zone int)
-}
-
-// AppendableBacking is the optional mutation extension of a
-// ColumnBacking: a backing that can accept new rows at the tail while
-// concurrent readers keep scanning. Rows arrive validated against the
-// table schema (Column.Coerce); an Int bound for a Float column is
-// widened by the backing. Implementations must keep every
-// published segment, zone map, Bloom filter, and term segment list
-// consistent with the row count they report — a reader that observed
-// NumRows() == n must be able to read all n rows' evidence.
-type AppendableBacking interface {
-	// AppendRows appends the rows at the tail of every column.
-	AppendRows(rows [][]Value) error
-}
-
-// TermSegmenter is the optional skip-list extension of a ColumnBacking:
-// for full-text columns the disk format records, per distinct value,
-// the ascending list of segments containing it. ok is false when the
-// column carries no lists; an empty list with ok true proves the value
-// absent everywhere. The fulltext index and the semijoin use the lists
-// to turn a term lookup into a scan of just the segments that matter.
-type TermSegmenter interface {
-	ValueSegments(col string, v Value) ([]int32, bool)
 }
 
 // residentFloats adapts a dense float column to FloatReader.
@@ -179,24 +150,6 @@ func (r residentFloats) FloatSegment(si int) []float64 {
 // ResidentFloats wraps a dense float column in a FloatReader with the
 // default segment size. The slice is shared, not copied.
 func ResidentFloats(vals []float64) FloatReader { return residentFloats{vals} }
-
-// residentCodes adapts a dense code column to DictReader.
-type residentCodes struct {
-	codes []int32
-	dict  []Value
-}
-
-func (r residentCodes) Len() int         { return len(r.codes) }
-func (r residentCodes) SegmentSize() int { return DefaultSegmentSize }
-func (r residentCodes) Dict() []Value    { return r.dict }
-func (r residentCodes) CodeSegment(si int) []int32 {
-	lo := si * DefaultSegmentSize
-	return r.codes[lo:min(lo+DefaultSegmentSize, len(r.codes))]
-}
-
-// ResidentCodes wraps a dense dictionary-coded column in a DictReader
-// with the default segment size. The slices are shared, not copied.
-func ResidentCodes(codes []int32, dict []Value) DictReader { return residentCodes{codes, dict} }
 
 // FloatCursor is a sequential random-access view over a FloatReader:
 // At(row) fetches the row's segment on first touch and serves

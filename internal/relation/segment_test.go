@@ -34,16 +34,22 @@ func TestResidentReadersAndCursors(t *testing.T) {
 	n := 2*DefaultSegmentSize + 37 // three segments, short tail
 	vals := make([]float64, n)
 	codes := make([]int32, n)
+	tab := NewTable(MustSchema("T", []Column{{Name: "S", Kind: KindString}}, "", nil))
+	rows := make([][]Value, n)
 	for i := range vals {
 		vals[i] = float64(i) * 0.5
 		codes[i] = int32(i % 7)
+		rows[i] = []Value{String(string(rune('a' + i%7)))}
 	}
 	vals[5] = math.NaN()
 	codes[6] = -1
-	dict := []Value{String("a"), String("b"), String("c"), String("d"), String("e"), String("f"), String("g")}
+	rows[6][0] = Null()
+	if _, err := tab.AppendFacts(rows); err != nil {
+		t.Fatal(err)
+	}
 
 	fr := ResidentFloats(vals)
-	dr := ResidentCodes(codes, dict)
+	dr := tab.DictReader("S")
 	if fr.Len() != n || dr.Len() != n {
 		t.Fatalf("reader lengths %d/%d, want %d", fr.Len(), dr.Len(), n)
 	}
@@ -79,22 +85,6 @@ type badSizeReader struct{}
 func (badSizeReader) Len() int                   { return 10 }
 func (badSizeReader) SegmentSize() int           { return 100 }
 func (badSizeReader) FloatSegment(int) []float64 { return nil }
-
-// TestResidentLookupInSegments checks the segment-restricted lookup on
-// a resident table scans everything (resident tables keep hash-exact
-// semantics; the restriction is only meaningful for backed storage).
-func TestResidentLookupInSegments(t *testing.T) {
-	schema := MustSchema("T", []Column{{Name: "A", Kind: KindInt}}, "", nil)
-	tab := NewTable(schema)
-	for i := 0; i < 100; i++ {
-		tab.MustAppend(Int(int64(i % 10)))
-	}
-	want := tab.Lookup("A", Int(3))
-	got := tab.LookupInSegments("A", []Value{Int(3)}, []int32{0})
-	if len(want) != len(got) {
-		t.Fatalf("LookupInSegments on resident table returned %d rows, want %d", len(got), len(want))
-	}
-}
 
 func TestZoneOverlaps(t *testing.T) {
 	z := Zone{Min: 10, Max: 20}
@@ -166,8 +156,9 @@ func TestExtendZones(t *testing.T) {
 	}
 }
 
-// A resident table answers segment evidence lazily from its float view
-// and widens it past appended rows; columns without zones give none.
+// A table keeps one zone per segment of each numeric column and widens
+// the open segment's past appended rows; columns without zones give
+// none.
 func TestTableSegmentZoneOverlaps(t *testing.T) {
 	tab := NewTable(MustSchema("F", []Column{
 		{Name: "Seq", Kind: KindInt},

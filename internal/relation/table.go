@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -13,94 +14,77 @@ import (
 // row IDs (their insertion position), which the rest of the system uses
 // as compact fact/dimension handles.
 //
-// Typed columns are the storage. A resident table holds one []float64
-// per Int/Float column (NaN marks NULL) and a []int32 code vector plus a
-// first-seen dictionary per column of any other kind — the same
-// representation internal/persist pages from disk, with memory as the
-// backing. There is no boxed row store underneath: Row, Scan and Filter
-// materialise []Value rows from the columns for exports, integrity
-// checks and test oracles.
+// A table is a column store, and there is one kind of it. Per column it
+// holds a tail covering rows [Base, N) — a []float64 for an Int or Float
+// column (NaN marks NULL), a []int32 code vector for any other kind —
+// one first-seen dictionary with one value→code map, and per-segment
+// skip evidence. A store without a pager never seals, so Base stays 0
+// and the tail is the whole dense column. A paged store hands each full
+// segment to its Pager and starts a fresh tail, so it holds one segment
+// in memory however long it grows. There is no boxed row store: Row,
+// Scan and Filter materialise []Value rows from the columns for exports,
+// integrity checks and test oracles.
 //
-// An append writes the column tails and publishes one immutable
-// snapshot (row count + column headers) through an atomic pointer, so a
-// reader sees every column at the length current when its access
-// started — a consistent prefix, never a torn row — and appends are safe
-// concurrently with readers. Appends themselves are serialized by a
-// writer mutex. Hash indexes (Lookup) and zones (SegmentZoneOverlaps)
-// are derived lazily under their own locks and tail-extended on demand.
+// An append writes past the published length of the tails (or replaces
+// a slice, never rewriting a published element) and publishes one
+// immutable StoreState through an atomic pointer, so a reader sees every
+// column at the length current when its access started — a consistent
+// prefix, never a torn row — and appends are safe concurrently with
+// readers. Appends themselves are serialized by a writer mutex.
 type Table struct {
-	schema *Schema
+	schema  *Schema
+	segSize int
+	// pager, when non-nil, makes this a paged store (see Pager).
+	pager Pager
+	cur   atomic.Pointer[StoreState]
 
-	// cur is a resident table's published snapshot; nil when backed.
-	cur atomic.Pointer[snapshot]
-	// appendMu serializes writers and guards codeOf.
+	// appendMu serializes writers; openHash is theirs alone.
 	appendMu sync.Mutex
-	// codeOf is the writer's value→code map per dictionary-coded column
-	// (nil entries for numeric columns).
+	// openHash holds, per column that keeps Bloom filters (nil entries
+	// elsewhere), the value hashes of the open segment.
+	openHash []map[uint64]struct{}
+	// codeOf is the value→code map of each dictionary column (nil
+	// entries for numeric columns). The writer inserts under dictMu's
+	// write lock; a paged lookup translates values under its read lock.
+	dictMu sync.RWMutex
 	codeOf []map[Value]int32
 
 	idxMu   sync.RWMutex
 	indexes map[string]*colIndex
-
-	// colMu guards the derived views below, each built on first use and
-	// extended in place (or copy-on-grow) past appended rows.
-	colMu sync.RWMutex
-	// numDicts holds dictionary views of resident numeric columns, for
-	// group-bys over numeric attributes.
-	numDicts map[int]*numDict
-	// zoneCols holds a resident table's per-segment zone maps.
-	zoneCols map[int]colZones
-	// dictIdx caches, per backed dict column, the value→code map used
-	// to translate lookup values into codes.
-	dictIdx map[int]map[Value]int32
-
-	// backing, when non-nil, makes this a backed table: every access
-	// goes through the segmented column readers (see segment.go). Backed
-	// tables carry no hash indexes (lookups are Bloom/zone-pruned segment
-	// scans), never materialize whole dense columns, and accept appends
-	// only when the backing implements AppendableBacking.
-	backing ColumnBacking
 }
 
-// column is one resident column: floats for Int/Float kinds, codes and
-// dict for every other kind. Appends write past the published len of
-// the slices and never rewrite a published element, so headers handed
-// to readers stay valid forever.
-type column struct {
-	floats []float64
-	codes  []int32
-	dict   []Value
+// StoreState is one published state of a store: N rows, of which those
+// below Base (a multiple of the segment size, 0 on a store that never
+// pages) are sealed and held by the pager. It is also what a pager
+// persists and preloads (NewPagedTable, Table.Persist).
+type StoreState struct {
+	N, Base int
+	Cols    []StoreColumn
 }
 
-// snapshot is one published state of a resident table: every column
-// holds exactly n rows.
-type snapshot struct {
-	n    int
-	cols []column
+// StoreColumn is one column of a StoreState.
+type StoreColumn struct {
+	// Tail holds rows [Base, N).
+	Tail Segment
+	// Dict holds a non-numeric column's distinct non-NULL values in
+	// first-seen order; codes index it.
+	Dict []Value
+	// Zones holds one zone per segment of a numeric column.
+	Zones []Zone
+	// Blooms holds one filter per segment of a foreign-key or full-text
+	// column of a paged store.
+	Blooms []Bloom
+	// Terms holds, per dictionary code of a full-text column of a paged
+	// store, the ascending segments holding the value.
+	Terms [][]int32
 }
 
 // colIndex is one column's hash index together with the number of rows
-// it covers, so an index built from an older snapshot is extended — not
+// it covers, so an index built from an older state is extended — not
 // rebuilt — the next time it is consulted.
 type colIndex struct {
 	buckets map[Value][]int
 	n       int // rows covered
-}
-
-// numDict is the dictionary view of a resident numeric column:
-// codes[row] indexes dict (distinct values in first-seen row order), -1
-// where the cell is NULL. code is the reverse map kept so the view can
-// be extended without rescanning.
-type numDict struct {
-	codes []int32
-	dict  []Value
-	code  map[float64]int32
-}
-
-// colZones is one column's per-segment zones plus the rows they cover.
-type colZones struct {
-	zones []Zone
-	upTo  int
 }
 
 // hashIndexMaxRows is the largest table Freeze pre-builds key indexes
@@ -151,87 +135,116 @@ func (c Column) Coerce(table string, v Value) error {
 		table, c.Name, v.Kind(), v, c.Kind)
 }
 
-// NewTable creates an empty resident table with the given schema.
+// NewTable creates an empty table that never pages.
 func NewTable(schema *Schema) *Table {
-	t := &Table{
-		schema:  schema,
-		indexes: make(map[string]*colIndex),
-		codeOf:  make([]map[Value]int32, len(schema.Columns)),
+	t, err := newStore(schema, DefaultSegmentSize, nil, StoreState{})
+	if err != nil {
+		panic(err) // an empty state is always valid
 	}
-	for ci, c := range schema.Columns {
-		if !numeric(c.Kind) {
-			t.codeOf[ci] = make(map[Value]int32)
-		}
-	}
-	t.cur.Store(&snapshot{cols: make([]column, len(schema.Columns))})
 	return t
 }
 
-// NewBackedTable creates a table whose column storage lives behind the
-// given backing (typically persist's segment store). The backing must
-// provide a reader for every schema column: FloatReader for numeric
-// columns, DictReader otherwise.
-func NewBackedTable(schema *Schema, backing ColumnBacking) (*Table, error) {
-	for _, c := range schema.Columns {
-		if numeric(c.Kind) {
-			if backing.FloatReader(c.Name) == nil {
-				return nil, fmt.Errorf("relation: %s: backing has no float reader for column %q", schema.Name, c.Name)
-			}
-		} else if backing.DictReader(c.Name) == nil {
-			return nil, fmt.Errorf("relation: %s: backing has no dict reader for column %q", schema.Name, c.Name)
-		}
+// NewPagedTable opens a store that hands each full segment of segSize
+// rows (a power of two of at least 64) to pager, preloaded with state:
+// the zero StoreState for an empty store, or what the pager persisted
+// (Persist), whose Base must be the last segment boundary at or below N.
+func NewPagedTable(schema *Schema, segSize int, pager Pager, state StoreState) (*Table, error) {
+	if !ValidSegmentSize(segSize) {
+		return nil, fmt.Errorf("relation: %s: invalid segment size %d (want a power of two >= 64)", schema.Name, segSize)
 	}
-	return &Table{schema: schema, backing: backing, dictIdx: make(map[int]map[Value]int32)}, nil
+	return newStore(schema, segSize, pager, state)
 }
 
-// Backing returns the table's column backing, or nil for a resident
-// table. Execution layers use it to reach the paging counters and the
-// cache budget; segment skip evidence is asked of the Table itself.
-func (t *Table) Backing() ColumnBacking { return t.backing }
+// newStore builds a store over a preloaded state, validating it against
+// the evidence families the store keeps. The families are chosen here,
+// once: zones on every numeric column; Bloom filters on foreign-key and
+// full-text columns and term lists on full-text dictionary columns of a
+// paged store only, because they pay only where reading a segment costs
+// I/O.
+func newStore(schema *Schema, segSize int, pager Pager, st StoreState) (*Table, error) {
+	ncols := len(schema.Columns)
+	t := &Table{
+		schema:   schema,
+		segSize:  segSize,
+		pager:    pager,
+		openHash: make([]map[uint64]struct{}, ncols),
+		codeOf:   make([]map[Value]int32, ncols),
+		indexes:  make(map[string]*colIndex),
+	}
+	if st.Cols == nil {
+		st.Cols = make([]StoreColumn, ncols)
+	}
+	open := st.N - st.Base
+	if len(st.Cols) != ncols || st.Base%segSize != 0 || open < 0 || open >= segSize {
+		return nil, fmt.Errorf("relation: %s: preloaded state of %d columns, rows [%d, %d), does not fit %d columns at segment size %d",
+			schema.Name, len(st.Cols), st.Base, st.N, ncols, segSize)
+	}
+	nseg := NumSegments(st.N, segSize)
+	paged := pager != nil
+	for ci, col := range schema.Columns {
+		c := &st.Cols[ci]
+		bloom := paged && (col.FullText || slices.ContainsFunc(schema.ForeignKeys, func(fk ForeignKey) bool { return fk.Column == col.Name }))
+		tail, zones, blooms, terms := len(c.Tail.Codes), 0, 0, 0
+		if numeric(col.Kind) {
+			tail, zones = len(c.Tail.Floats), nseg
+		}
+		if bloom {
+			t.openHash[ci] = make(map[uint64]struct{})
+			blooms = nseg
+			if col.FullText && !numeric(col.Kind) {
+				terms = len(c.Dict)
+			}
+		}
+		if tail != open || len(c.Zones) != zones || len(c.Blooms) != blooms || len(c.Terms) != terms {
+			return nil, fmt.Errorf("relation: %s.%s: preloaded column does not match the store's evidence families", schema.Name, col.Name)
+		}
+		if numeric(col.Kind) {
+			for _, f := range c.Tail.Floats {
+				if bloom && !math.IsNaN(f) {
+					t.openHash[ci][hashValue(numericValue(col.Kind, f))] = struct{}{}
+				}
+			}
+			continue
+		}
+		t.codeOf[ci] = make(map[Value]int32, len(c.Dict))
+		for code, v := range c.Dict {
+			t.codeOf[ci][v] = int32(code)
+		}
+		for _, code := range c.Tail.Codes {
+			if code < -1 || int(code) >= len(c.Dict) {
+				return nil, fmt.Errorf("relation: %s.%s: code %d outside a dictionary of %d", schema.Name, col.Name, code, len(c.Dict))
+			}
+			if bloom && code >= 0 {
+				t.openHash[ci][hashValue(c.Dict[code])] = struct{}{}
+			}
+		}
+	}
+	t.cur.Store(&st)
+	return t, nil
+}
+
+// Pager returns the table's pager, or nil for a table that never pages.
+// Callers use it to reach the paging counters and the cache budget.
+func (t *Table) Pager() Pager { return t.pager }
 
 // SegmentSize returns the row count of the table's physical unit: the
-// backing's segment size, or DefaultSegmentSize for a resident table.
-func (t *Table) SegmentSize() int {
-	if t.backing != nil {
-		return t.backing.SegmentSize()
-	}
-	return DefaultSegmentSize
-}
+// unit of its skip evidence, and of paging on a paged store.
+func (t *Table) SegmentSize() int { return t.segSize }
 
-// SegmentZoneOverlaps reports zone-map evidence for any table: whether
-// a value in segment si of col can fall in the closed interval
-// [lo, hi]. hasZone false (non-numeric or unknown column, segment past
-// the covered rows) means no evidence — the segment must be scanned. A
-// backed table answers from its store's manifest; a resident table from
-// zones derived lazily off the column, covering at least the rows
-// published when the call started.
+// SegmentZoneOverlaps reports zone-map evidence: whether a value in
+// segment si of col can fall in the closed interval [lo, hi]. hasZone
+// false (non-numeric or unknown column, segment past the rows) means no
+// evidence — the segment must be scanned.
 func (t *Table) SegmentZoneOverlaps(col string, si int, lo, hi float64) (overlaps, hasZone bool) {
-	if t.backing != nil {
-		return t.backing.SegmentZoneOverlaps(col, si, lo, hi)
-	}
 	ci := t.schema.ColumnIndex(col)
-	if ci < 0 || !numeric(t.schema.Columns[ci].Kind) {
+	if ci < 0 {
 		return true, false
 	}
-	vals := t.cur.Load().cols[ci].floats
-	t.colMu.RLock()
-	z := t.zoneCols[ci]
-	t.colMu.RUnlock()
-	if z.upTo < len(vals) {
-		t.colMu.Lock()
-		if z = t.zoneCols[ci]; z.upTo < len(vals) {
-			z = colZones{zones: ExtendZones(z.zones, z.upTo, vals, DefaultSegmentSize), upTo: len(vals)}
-			if t.zoneCols == nil {
-				t.zoneCols = make(map[int]colZones)
-			}
-			t.zoneCols[ci] = z
-		}
-		t.colMu.Unlock()
-	}
-	if si < 0 || si >= len(z.zones) {
+	zones := t.cur.Load().Cols[ci].Zones
+	if si < 0 || si >= len(zones) {
 		return true, false
 	}
-	return z.zones[si].Overlaps(lo, hi), true
+	return zones[si].Overlaps(lo, hi), true
 }
 
 // Schema returns the table's schema.
@@ -241,12 +254,7 @@ func (t *Table) Schema() *Schema { return t.schema }
 func (t *Table) Name() string { return t.schema.Name }
 
 // Len returns the number of rows.
-func (t *Table) Len() int {
-	if t.backing != nil {
-		return t.backing.NumRows()
-	}
-	return t.cur.Load().n
-}
+func (t *Table) Len() int { return t.cur.Load().N }
 
 // Append validates the row against the schema and appends it, returning
 // the new row ID.
@@ -259,10 +267,9 @@ func (t *Table) Append(row []Value) (int, error) {
 // row lands, on the first value Column.Coerce refuses. It is the
 // streaming-ingest entry point: safe to call concurrently with readers,
 // which keep seeing a consistent prefix of the table. The rows are
-// scattered into the column tails on the writer's side and published as
-// one snapshot; hash indexes and zones catch up lazily on the read side.
-// On a backed table the rows are handed to the backing, which must
-// implement AppendableBacking.
+// scattered into the column tails and segment evidence on the writer's
+// side and published as one state. On a paged store an error sealing a
+// full segment stops the batch there, with the rows before it appended.
 func (t *Table) AppendFacts(rows [][]Value) (int, error) {
 	cols := t.schema.Columns
 	for _, row := range rows {
@@ -278,48 +285,145 @@ func (t *Table) AppendFacts(rows [][]Value) (int, error) {
 
 	t.appendMu.Lock()
 	defer t.appendMu.Unlock()
-
-	if t.backing != nil {
-		ab, ok := t.backing.(AppendableBacking)
-		if !ok {
-			return 0, fmt.Errorf("relation: %s: backing does not support appends", t.Name())
-		}
-		start := t.backing.NumRows()
-		if err := ab.AppendRows(rows); err != nil {
-			return 0, err
-		}
-		return start, nil
-	}
-
-	// When append grows a column in place the new elements land beyond
-	// every published snapshot's len, so concurrent readers are
-	// unaffected; when it reallocates, older snapshots keep their own
-	// array.
 	s := t.cur.Load()
-	grown := make([]column, len(cols))
-	for ci, c := range s.cols {
-		if codeOf := t.codeOf[ci]; codeOf == nil {
-			for _, row := range rows {
-				c.floats = append(c.floats, row[ci].FloatOrNaN())
+	w := &StoreState{N: s.N, Base: s.Base, Cols: slices.Clone(s.Cols)}
+	for ci := range w.Cols {
+		// A value's list gains the open segment in place, so the lists a
+		// reader holds are copied before any is touched.
+		if c := &w.Cols[ci]; c.Terms != nil {
+			c.Terms = slices.Clone(c.Terms)
+		}
+	}
+	for lo := 0; lo < len(rows); {
+		if t.pager != nil && w.N-w.Base == t.segSize {
+			if err := t.seal(w); err != nil {
+				t.cur.Store(w)
+				return s.N, fmt.Errorf("relation: %s: sealing segment %d: %w", t.Name(), w.Base/t.segSize, err)
 			}
+		}
+		take := min(t.segSize-w.N%t.segSize, len(rows)-lo)
+		t.scatter(w, rows[lo:lo+take])
+		w.N += take
+		lo += take
+	}
+	t.cur.Store(w)
+	return s.N, nil
+}
+
+// scatter appends rows, which all fall in segment si = w.N/segSize, to
+// w's tails and folds them into that segment's evidence.
+func (t *Table) scatter(w *StoreState, rows [][]Value) {
+	si, fresh := w.N/t.segSize, w.N%t.segSize == 0
+	for ci, col := range t.schema.Columns {
+		c, hashes := &w.Cols[ci], t.openHash[ci]
+		if fresh && hashes != nil {
+			clear(hashes)
+		}
+		if !numeric(col.Kind) {
+			t.encode(ci, c, rows, si, hashes)
 		} else {
+			from := len(c.Tail.Floats)
+			z := EmptyZone()
+			if !fresh {
+				z = c.Zones[si]
+			}
 			for _, row := range rows {
-				v, code := row[ci], int32(-1)
-				if !v.IsNull() {
-					var ok bool
-					if code, ok = codeOf[v]; !ok {
-						code = int32(len(c.dict))
-						codeOf[v] = code
-						c.dict = append(c.dict, v)
+				f := row[ci].FloatOrNaN()
+				c.Tail.Floats = append(c.Tail.Floats, f)
+				z.Observe(f)
+			}
+			c.Zones = setSegment(c.Zones, si, z)
+			if hashes != nil {
+				for _, f := range c.Tail.Floats[from:] {
+					if !math.IsNaN(f) {
+						hashes[hashValue(numericValue(col.Kind, f))] = struct{}{}
 					}
 				}
-				c.codes = append(c.codes, code)
 			}
 		}
-		grown[ci] = c
+		if hashes != nil {
+			c.Blooms = setSegment(c.Blooms, si, newBloom(hashes))
+		}
 	}
-	t.cur.Store(&snapshot{n: s.n + len(rows), cols: grown})
-	return s.n, nil
+}
+
+// encode is scatter for dictionary column ci: it codes each value,
+// growing the dictionary (and the term lists) with values first seen.
+func (t *Table) encode(ci int, c *StoreColumn, rows [][]Value, si int, hashes map[uint64]struct{}) {
+	codeOf, terms := t.codeOf[ci], hashes != nil && t.schema.Columns[ci].FullText
+	locked := false
+	for _, row := range rows {
+		v, code := row[ci], int32(-1)
+		if !v.IsNull() {
+			var ok bool
+			if code, ok = codeOf[v]; !ok {
+				if !locked {
+					t.dictMu.Lock()
+					locked = true
+				}
+				code = int32(len(c.Dict))
+				codeOf[v] = code
+				c.Dict = append(c.Dict, v)
+				if terms {
+					c.Terms = append(c.Terms, nil)
+				}
+			}
+			if terms {
+				if segs := c.Terms[code]; len(segs) == 0 || segs[len(segs)-1] != int32(si) {
+					c.Terms[code] = append(segs, int32(si))
+				}
+			}
+			if hashes != nil {
+				hashes[hashValue(v)] = struct{}{}
+			}
+		}
+		c.Tail.Codes = append(c.Tail.Codes, code)
+	}
+	if locked {
+		t.dictMu.Unlock()
+	}
+}
+
+// setSegment returns evs with segment si's entry set to e: appended when
+// si is new, otherwise in a copy, since a reader may hold entry si.
+func setSegment[E any](evs []E, si int, e E) []E {
+	if si == len(evs) {
+		return append(evs, e)
+	}
+	evs = slices.Clone(evs)
+	evs[si] = e
+	return evs
+}
+
+// seal hands w's full tails to the pager as segment Base/segSize and
+// starts fresh ones. Readers of earlier states keep the old tails, which
+// are never written again.
+func (t *Table) seal(w *StoreState) error {
+	segs := make([]Segment, len(w.Cols))
+	for ci := range w.Cols {
+		segs[ci] = w.Cols[ci].Tail
+	}
+	if err := t.pager.Seal(w.Base/t.segSize, segs); err != nil {
+		return err
+	}
+	for ci, col := range t.schema.Columns {
+		if numeric(col.Kind) {
+			w.Cols[ci].Tail.Floats = make([]float64, 0, t.segSize)
+		} else {
+			w.Cols[ci].Tail.Codes = make([]int32, 0, t.segSize)
+		}
+	}
+	w.Base += t.segSize
+	return nil
+}
+
+// Persist calls fn with the published state, holding appends off until
+// fn returns, so a pager can write the state out whole. The state is
+// shared and must not be modified.
+func (t *Table) Persist(fn func(*StoreState) error) error {
+	t.appendMu.Lock()
+	defer t.appendMu.Unlock()
+	return fn(t.cur.Load())
 }
 
 // BatchAppender fills a table one segment-sized AppendFacts batch at a
@@ -366,28 +470,54 @@ func (t *Table) MustAppend(row ...Value) int {
 	return id
 }
 
-// cell boxes one cell. s is the resident snapshot the caller loaded
-// (one snapshot per row keeps the row consistent), nil on a backed
-// table.
-func (t *Table) cell(s *snapshot, id, ci int) Value {
-	c := t.schema.Columns[ci]
-	if s != nil {
-		if numeric(c.Kind) {
-			return numericValue(c.Kind, s.cols[ci].floats[id])
-		}
-		if code := s.cols[ci].codes[id]; code >= 0 {
-			return s.cols[ci].dict[code]
-		}
-		return Null()
+// colReader reads one column of one published state, segment by
+// segment: the open tail from memory, sealed segments from the pager.
+// It is both the FloatReader of a numeric column and the DictReader of
+// any other.
+type colReader struct {
+	t  *Table
+	s  *StoreState
+	ci int
+}
+
+func (r colReader) Len() int         { return r.s.N }
+func (r colReader) SegmentSize() int { return r.t.segSize }
+func (r colReader) Dict() []Value    { return r.s.Cols[r.ci].Dict }
+
+// tailSpan returns segment si's span of the tail, ok false when the
+// segment is sealed.
+func (r colReader) tailSpan(si int) (lo, hi int, ok bool) {
+	first := si * r.t.segSize
+	return first - r.s.Base, min(first+r.t.segSize, r.s.N) - r.s.Base, first >= r.s.Base
+}
+
+// FloatSegment returns segment si of a numeric column; an open segment
+// is the tail itself, capped at its published length.
+func (r colReader) FloatSegment(si int) []float64 {
+	if lo, hi, ok := r.tailSpan(si); ok {
+		return r.s.Cols[r.ci].Tail.Floats[lo:hi:hi]
 	}
-	ss := t.backing.SegmentSize()
-	si, off := id/ss, id%ss
-	if numeric(c.Kind) {
-		return numericValue(c.Kind, t.backing.FloatReader(c.Name).FloatSegment(si)[off])
+	return r.t.pager.ReadSegment(r.ci, si).Floats
+}
+
+// CodeSegment is FloatSegment for a dictionary column.
+func (r colReader) CodeSegment(si int) []int32 {
+	if lo, hi, ok := r.tailSpan(si); ok {
+		return r.s.Cols[r.ci].Tail.Codes[lo:hi:hi]
 	}
-	rd := t.backing.DictReader(c.Name)
-	if code := rd.CodeSegment(si)[off]; code >= 0 {
-		return rd.Dict()[code]
+	return r.t.pager.ReadSegment(r.ci, si).Codes
+}
+
+// cell boxes one cell of state s (one state per row keeps the row
+// consistent).
+func (t *Table) cell(s *StoreState, id, ci int) Value {
+	r, kind := colReader{t, s, ci}, t.schema.Columns[ci].Kind
+	si, off := id/t.segSize, id%t.segSize
+	if numeric(kind) {
+		return numericValue(kind, r.FloatSegment(si)[off])
+	}
+	if code := r.CodeSegment(si)[off]; code >= 0 {
+		return s.Cols[ci].Dict[code]
 	}
 	return Null()
 }
@@ -403,7 +533,7 @@ func (t *Table) RowInto(dst []Value, id int) []Value {
 	return t.rowInto(t.cur.Load(), dst, id)
 }
 
-func (t *Table) rowInto(s *snapshot, dst []Value, id int) []Value {
+func (t *Table) rowInto(s *StoreState, dst []Value, id int) []Value {
 	n := len(t.schema.Columns)
 	if cap(dst) < n {
 		dst = make([]Value, n)
@@ -430,58 +560,21 @@ func (t *Table) Value(id int, col string) Value {
 	return t.cell(t.cur.Load(), id, t.mustColumn(col))
 }
 
-// indexLookup resolves rows whose col equals any of vals through the
-// hash index, building or tail-extending it first so it covers at least
-// the rows published when the call started. Keys are the boxed cell
-// values, so matching is kind-exact: an Int never matches a Float
-// column and vice versa. The map is only touched under the lock —
-// extension mutates bucket headers in place — but the returned buckets
-// are safe to use after release: an extension only ever writes past
-// their published len.
-func (t *Table) indexLookup(col string, vals []Value) [][]int {
-	if t.backing != nil {
-		panic(fmt.Sprintf("relation: %s is backed; lookups are segment scans, not hash indexes", t.Name()))
-	}
-	ci := t.mustColumn(col)
-	s := t.cur.Load()
-	t.idxMu.RLock()
-	idx := t.indexes[col]
-	if idx == nil || idx.n < s.n {
-		t.idxMu.RUnlock()
-		t.idxMu.Lock()
-		if idx = t.indexes[col]; idx == nil {
-			idx = &colIndex{buckets: make(map[Value][]int)}
-			t.indexes[col] = idx
-		}
-		for ; idx.n < s.n; idx.n++ {
-			v := t.cell(s, idx.n, ci)
-			idx.buckets[v] = append(idx.buckets[v], idx.n)
-		}
-		t.idxMu.Unlock()
-		t.idxMu.RLock()
-	}
-	out := make([][]int, len(vals))
-	for i, v := range vals {
-		out[i] = idx.buckets[v]
-	}
-	t.idxMu.RUnlock()
-	return out
-}
-
 // Freeze pre-builds the hash indexes on the primary key and every
-// foreign-key column of a dimension-sized resident table (see
-// hashIndexMaxRows), so the common lookups never take the build path.
-// Larger tables are left unindexed; a Lookup into one still works and
-// builds its index on first use.
+// foreign-key column of a dimension-sized table (see hashIndexMaxRows),
+// so the common lookups never take the build path. Larger tables are
+// left unindexed; a Lookup into one still works and builds its index on
+// first use. A paged store keeps no hash index (see LookupIn), so there
+// this does nothing.
 func (t *Table) Freeze() {
-	if t.backing != nil || t.Len() > hashIndexMaxRows {
+	if t.Len() > hashIndexMaxRows {
 		return
 	}
 	if t.schema.Key != "" {
-		t.indexLookup(t.schema.Key, nil)
+		t.LookupIn(t.schema.Key, nil)
 	}
 	for _, fk := range t.schema.ForeignKeys {
-		t.indexLookup(fk.Column, nil)
+		t.LookupIn(fk.Column, nil)
 	}
 }
 
@@ -498,20 +591,17 @@ func (t *Table) IndexedColumns() []string {
 	return out
 }
 
-// ResidentBytes returns the bytes a resident table's columns occupy,
-// computed from their lengths (dictionary entries at the size of a
-// Value plus their string bytes); 0 for a backed table. Derived
-// structures — hash indexes, zones — are not counted.
+// ResidentBytes returns the bytes the table's in-memory columns occupy —
+// the tails, which on a table that never pages are the whole columns,
+// and the dictionaries (entries at the size of a Value plus their string
+// bytes) — computed from their lengths. Derived structures — hash
+// indexes, evidence — are not counted.
 func (t *Table) ResidentBytes() int64 {
-	s := t.cur.Load()
-	if s == nil {
-		return 0
-	}
 	valueSize := int64(unsafe.Sizeof(Value{}))
 	var b int64
-	for _, c := range s.cols {
-		b += int64(len(c.floats))*8 + int64(len(c.codes))*4 + int64(len(c.dict))*valueSize
-		for _, v := range c.dict {
+	for _, c := range t.cur.Load().Cols {
+		b += int64(len(c.Tail.Floats))*8 + int64(len(c.Tail.Codes))*4 + int64(len(c.Dict))*valueSize
+		for _, v := range c.Dict {
 			if v.Kind() == KindString {
 				b += int64(len(v.Str()))
 			}
@@ -520,320 +610,188 @@ func (t *Table) ResidentBytes() int64 {
 	return b
 }
 
-// FloatColumn returns the dense float64 form of col: one entry per row,
-// NaN where the cell is NULL. For a numeric column this is the column's
-// storage, shared and never to be modified; any other column yields
-// all-NaN (callers probe attribute columns whose kind they do not know).
+// FloatColumn returns the dense float64 form of a numeric column — one
+// entry per row, NaN where the cell is NULL — when the store holds it
+// whole, which a store that has sealed nothing does. It is the column's
+// storage, shared and never to be modified. Any other column, or a store
+// that has sealed segments, yields nil: read it through FloatReader.
 func (t *Table) FloatColumn(col string) []float64 {
 	ci := t.mustColumn(col)
-	if t.backing != nil {
-		// Materializing a whole backed column would defeat the paging
-		// budget; every caller on the backed path must go through
-		// FloatReader. Panicking here turns a missed call site into a
-		// loud test failure instead of a silent RSS blowup.
-		panic(fmt.Sprintf("relation: %s is backed; use FloatReader(%q) instead of FloatColumn", t.Name(), col))
+	if s := t.cur.Load(); s.Base == 0 {
+		return s.Cols[ci].Tail.Floats
 	}
-	s := t.cur.Load()
-	if numeric(t.schema.Columns[ci].Kind) {
-		return s.cols[ci].floats
-	}
-	nan := make([]float64, s.n)
-	for i := range nan {
-		nan[i] = math.NaN()
-	}
-	return nan
+	return nil
 }
 
-// DictColumn returns the dictionary-encoded form of col: codes[row]
-// indexes dict (distinct non-NULL values in first-seen order), or is -1
-// where the value is NULL. For a non-numeric column this is the
-// column's storage; a numeric column's dictionary view is derived on
-// first use and extended past appended rows. The returned slices are
-// shared and must not be modified.
-func (t *Table) DictColumn(col string) (codes []int32, dict []Value) {
+// FloatReader returns the segmented float view of a numeric column over
+// the rows published when it is called. It panics on any other column.
+func (t *Table) FloatReader(col string) FloatReader {
+	return t.reader(col, true)
+}
+
+// DictReader returns the segmented dictionary view of a non-numeric
+// column over the rows published when it is called. It panics on a
+// numeric column.
+func (t *Table) DictReader(col string) DictReader {
+	return t.reader(col, false)
+}
+
+func (t *Table) reader(col string, floats bool) colReader {
 	ci := t.mustColumn(col)
-	if t.backing != nil {
-		panic(fmt.Sprintf("relation: %s is backed; use DictReader(%q) instead of DictColumn", t.Name(), col))
+	if numeric(t.schema.Columns[ci].Kind) != floats {
+		panic(fmt.Sprintf("relation: %s.%s is a %s column", t.Name(), col, t.schema.Columns[ci].Kind))
 	}
-	s := t.cur.Load()
-	kind := t.schema.Columns[ci].Kind
-	if !numeric(kind) {
-		return s.cols[ci].codes, s.cols[ci].dict
-	}
-	t.colMu.RLock()
-	nd := t.numDicts[ci]
-	if nd != nil && len(nd.codes) >= s.n {
-		codes, dict = nd.codes, nd.dict
-		t.colMu.RUnlock()
-		return codes, dict
-	}
-	t.colMu.RUnlock()
-	t.colMu.Lock()
-	defer t.colMu.Unlock()
-	if nd = t.numDicts[ci]; nd == nil {
-		nd = &numDict{code: make(map[float64]int32)}
-		if t.numDicts == nil {
-			t.numDicts = make(map[int]*numDict)
-		}
-		t.numDicts[ci] = nd
-	}
-	// In-place growth is safe: new entries land beyond the len of every
-	// slice header already handed out.
-	for _, f := range s.cols[ci].floats[min(len(nd.codes), s.n):] {
-		code := int32(-1)
-		if !math.IsNaN(f) {
-			var ok bool
-			if code, ok = nd.code[f]; !ok {
-				code = int32(len(nd.dict))
-				nd.code[f] = code
-				nd.dict = append(nd.dict, numericValue(kind, f))
-			}
-		}
-		nd.codes = append(nd.codes, code)
-	}
-	return nd.codes, nd.dict
+	return colReader{t, t.cur.Load(), ci}
 }
 
-// Lookup returns the IDs of rows whose col equals v, using (and caching) a
-// hash index. On a backed table it is a Bloom/zone-pruned segment scan.
-// The returned slice is shared and must not be modified.
+// Lookup returns the IDs of rows whose col equals v, ascending. The
+// returned slice is shared and must not be modified.
 func (t *Table) Lookup(col string, v Value) []int {
-	if t.backing != nil {
-		return t.lookupScan(col, []Value{v}, nil)
-	}
-	return t.indexLookup(col, []Value{v})[0]
+	return t.LookupIn(col, []Value{v})
 }
 
 // LookupIn returns the IDs of rows whose col equals any of vals, in
-// ascending row order without duplicates.
+// ascending row order without duplicates. Matching is kind-exact: an Int
+// never matches a Float column and vice versa; NULL matches NULL cells.
+// A store that never pages answers from a hash index, built (or
+// tail-extended) on first use; a paged one keeps none and scans the
+// segments its evidence cannot rule out. The returned slice may be
+// shared and must not be modified.
 func (t *Table) LookupIn(col string, vals []Value) []int {
-	return t.LookupInSegments(col, vals, nil)
-}
-
-// LookupInSegments is LookupIn restricted, on a backed table, to the
-// given segments (ascending, deduplicated segment indices; nil for all)
-// — the hook for posting-level skip lists, where an upstream index
-// already knows which segments can contain a value. A backed table
-// resolves the whole value set in one segment scan, skipping segments
-// that the column's Bloom filters or zone maps prove cannot contain any
-// of the values; a resident table answers from its hash index and
-// ignores segs.
-func (t *Table) LookupInSegments(col string, vals []Value, segs []int32) []int {
-	if t.backing != nil {
-		return t.lookupScan(col, vals, segs)
+	ci := t.mustColumn(col)
+	if t.pager != nil {
+		return t.scanLookup(ci, vals)
+	}
+	buckets := t.indexLookup(ci, vals)
+	if len(buckets) == 1 {
+		return buckets[0]
 	}
 	var out []int
-	for _, bucket := range t.indexLookup(col, vals) {
+	for _, bucket := range buckets {
 		out = append(out, bucket...)
 	}
 	sort.Ints(out)
 	return dedupSorted(out)
 }
 
-// FloatReader returns the segmented float view of a numeric column:
-// the backing's pageable reader for a backed table, a zero-copy wrapper
-// over the column otherwise.
-func (t *Table) FloatReader(col string) FloatReader {
-	if t.backing != nil {
-		rd := t.backing.FloatReader(col)
-		if rd == nil {
-			panic(fmt.Sprintf("relation: %s: no float backing for column %q", t.Name(), col))
+// indexLookup resolves rows whose column ci equals each of vals through
+// the hash index, building or tail-extending it first so it covers at
+// least the rows published when the call started. Keys are the boxed
+// cell values. The map is only touched under the lock — extension
+// mutates bucket headers in place — but the returned buckets are safe to
+// use after release: an extension only ever writes past their published
+// len.
+func (t *Table) indexLookup(ci int, vals []Value) [][]int {
+	col := t.schema.Columns[ci].Name
+	s := t.cur.Load()
+	t.idxMu.RLock()
+	idx := t.indexes[col]
+	if idx == nil || idx.n < s.N {
+		t.idxMu.RUnlock()
+		t.idxMu.Lock()
+		if idx = t.indexes[col]; idx == nil {
+			idx = &colIndex{buckets: make(map[Value][]int)}
+			t.indexes[col] = idx
 		}
-		return rd
+		for ; idx.n < s.N; idx.n++ {
+			v := t.cell(s, idx.n, ci)
+			idx.buckets[v] = append(idx.buckets[v], idx.n)
+		}
+		t.idxMu.Unlock()
+		t.idxMu.RLock()
 	}
-	return ResidentFloats(t.FloatColumn(col))
-}
-
-// DictReader returns the segmented dictionary view of a column.
-func (t *Table) DictReader(col string) DictReader {
-	if t.backing != nil {
-		rd := t.backing.DictReader(col)
-		if rd == nil {
-			panic(fmt.Sprintf("relation: %s: no dict backing for column %q", t.Name(), col))
-		}
-		return rd
+	out := make([][]int, len(vals))
+	for i, v := range vals {
+		out[i] = idx.buckets[v]
 	}
-	codes, dict := t.DictColumn(col)
-	return ResidentCodes(codes, dict)
-}
-
-// dictCodeMap returns (building and caching on first use) the value→code
-// map of a backed dict column, used to translate lookup values into
-// codes. Values outside the dictionary match nothing. An append can grow
-// a backed dictionary, so a cached map shorter than the current
-// dictionary is rebuilt from the longer one.
-func (t *Table) dictCodeMap(ci int, rd DictReader) map[Value]int32 {
-	dict := rd.Dict()
-	t.colMu.RLock()
-	m := t.dictIdx[ci]
-	t.colMu.RUnlock()
-	if len(m) >= len(dict) {
-		return m
-	}
-	m = make(map[Value]int32, len(dict))
-	for c, v := range dict {
-		m[v] = int32(c)
-	}
-	t.colMu.Lock()
-	if prior, ok := t.dictIdx[ci]; ok && len(prior) >= len(m) {
-		m = prior
-	} else {
-		t.dictIdx[ci] = m
-	}
-	t.colMu.Unlock()
-	return m
-}
-
-// lookupScan resolves a value-set lookup against a backed column by
-// scanning its segments in row order, consulting per-segment Bloom
-// filters (and, for numeric columns, zone maps over the values' span)
-// to skip segments that provably contain none of the wanted values.
-// segs, when non-nil, restricts the scan to those segments. Matching is
-// kind-exact, mirroring the resident hash index: an Int value never
-// matches a Float column and vice versa.
-func (t *Table) lookupScan(col string, vals []Value, segs []int32) []int {
-	ci := t.mustColumn(col)
-	c := t.schema.Columns[ci]
-	ss := t.backing.SegmentSize()
-	nseg := NumSegments(t.Len(), ss)
-	iter := func(body func(si int)) {
-		if segs != nil {
-			for _, si := range segs {
-				if int(si) < nseg {
-					body(int(si))
-				}
-			}
-			return
-		}
-		for si := 0; si < nseg; si++ {
-			body(si)
-		}
-	}
-
-	var out []int
-	skippedBloom, skippedZone := 0, 0
-	defer func() { t.backing.NoteSkips(skippedBloom, skippedZone) }()
-
-	if numeric(c.Kind) {
-		// Numeric column: wanted values become exact float targets.
-		// Kind-mismatched values are dropped; NULL matches NaN cells.
-		wantNull := false
-		targets := make([]float64, 0, len(vals))
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, v := range vals {
-			if v.IsNull() {
-				wantNull = true
-				continue
-			}
-			if v.Kind() != c.Kind {
-				continue
-			}
-			f := v.AsFloat()
-			targets = append(targets, f)
-			if f < lo {
-				lo = f
-			}
-			if f > hi {
-				hi = f
-			}
-		}
-		if len(targets) == 0 && !wantNull {
-			return nil
-		}
-		rd := t.backing.FloatReader(col)
-		iter(func(si int) {
-			if !wantNull {
-				if ov, has := t.backing.SegmentZoneOverlaps(col, si, lo, hi); has && !ov {
-					skippedZone++
-					return
-				}
-				if ok, has := t.segMayContainAny(col, si, vals, c.Kind); has && !ok {
-					skippedBloom++
-					return
-				}
-			}
-			seg := rd.FloatSegment(si)
-			base := si * ss
-			for i, f := range seg {
-				if math.IsNaN(f) {
-					if wantNull {
-						out = append(out, base+i)
-					}
-					continue
-				}
-				for _, tg := range targets {
-					if f == tg {
-						out = append(out, base+i)
-						break
-					}
-				}
-			}
-		})
-		return out
-	}
-
-	// Dictionary column: translate values to codes once, then scan codes.
-	rd := t.backing.DictReader(col)
-	codeOf := t.dictCodeMap(ci, rd)
-	wantNull := false
-	want := make(map[int32]struct{}, len(vals))
-	for _, v := range vals {
-		if v.IsNull() {
-			wantNull = true
-			continue
-		}
-		if code, ok := codeOf[v]; ok {
-			want[code] = struct{}{}
-		}
-	}
-	if len(want) == 0 && !wantNull {
-		return nil
-	}
-	iter(func(si int) {
-		if !wantNull {
-			if ok, has := t.segMayContainAny(col, si, vals, c.Kind); has && !ok {
-				skippedBloom++
-				return
-			}
-		}
-		seg := rd.CodeSegment(si)
-		base := si * ss
-		for i, code := range seg {
-			if code < 0 {
-				if wantNull {
-					out = append(out, base+i)
-				}
-				continue
-			}
-			if _, hit := want[code]; hit {
-				out = append(out, base+i)
-			}
-		}
-	})
+	t.idxMu.RUnlock()
 	return out
 }
 
-// segMayContainAny folds Bloom evidence over a value set: the segment
-// may be skipped only when the filter proves every wanted value absent.
-// Kind-mismatched and out-of-dictionary values are still probed — the
-// Bloom filter is keyed on canonical value encodings, so they simply
-// miss.
-func (t *Table) segMayContainAny(col string, si int, vals []Value, kind Kind) (maybe, has bool) {
-	has = false
-	for _, v := range vals {
-		if v.IsNull() || (numeric(kind) && v.Kind() != kind) {
-			continue
+// scanLookup resolves vals against column ci of a paged store by
+// scanning its segments in row order, skipping those its evidence rules
+// out: a full-text column's term lists name exactly the segments holding
+// each value; elsewhere a Bloom filter that rules out every value, or on
+// a numeric column a zone that misses their span, proves a segment
+// irrelevant. A lookup for NULL scans everything.
+func (t *Table) scanLookup(ci int, vals []Value) []int {
+	s := t.cur.Load()
+	col, c := t.schema.Columns[ci], &s.Cols[ci]
+	wantNull := false
+	var (
+		probes  []Value        // the non-NULL values a row may hold
+		targets []float64      // numeric column: those values
+		want    map[int32]bool // dictionary column: their codes
+		lo, hi  = math.Inf(1), math.Inf(-1)
+	)
+	if numeric(col.Kind) {
+		for _, v := range vals {
+			if v.IsNull() {
+				wantNull = true
+			} else if v.Kind() == col.Kind {
+				f := v.AsFloat()
+				probes, targets = append(probes, v), append(targets, f)
+				lo, hi = min(lo, f), max(hi, f)
+			}
 		}
-		m, ok := t.backing.SegmentMayContain(col, si, v)
-		if !ok {
-			return true, false
+	} else {
+		want = make(map[int32]bool, len(vals))
+		t.dictMu.RLock()
+		for _, v := range vals {
+			if v.IsNull() {
+				wantNull = true
+			} else if code, ok := t.codeOf[ci][v]; ok && int(code) < len(c.Dict) {
+				probes, want[code] = append(probes, v), true
+			}
 		}
-		has = true
-		if m {
-			return true, true
+		t.dictMu.RUnlock()
+	}
+	if len(probes) == 0 && !wantNull {
+		return nil
+	}
+	nseg := NumSegments(s.N, t.segSize)
+	var listed []bool
+	if c.Terms != nil && !wantNull {
+		listed = make([]bool, nseg)
+		for code := range want {
+			for _, si := range c.Terms[code] {
+				listed[si] = true
+			}
 		}
 	}
-	return false, has
+
+	r := colReader{t, s, ci}
+	var out []int
+	skippedBloom, skippedZone := 0, 0
+	for si := 0; si < nseg; si++ {
+		if !wantNull {
+			switch {
+			case si < len(c.Zones) && !c.Zones[si].Overlaps(lo, hi):
+				skippedZone++
+				continue
+			case listed != nil && !listed[si],
+				listed == nil && si < len(c.Blooms) && !c.Blooms[si].mayContainAny(probes):
+				skippedBloom++
+				continue
+			}
+		}
+		base := si * t.segSize
+		if numeric(col.Kind) {
+			for i, f := range r.FloatSegment(si) {
+				if math.IsNaN(f) && wantNull || slices.Contains(targets, f) {
+					out = append(out, base+i)
+				}
+			}
+			continue
+		}
+		for i, code := range r.CodeSegment(si) {
+			if code < 0 && wantNull || want[code] {
+				out = append(out, base+i)
+			}
+		}
+	}
+	t.pager.NoteSkips(skippedBloom, skippedZone)
+	return out
 }
 
 // Scan calls fn for every row ID in insertion order, stopping early if fn
@@ -842,12 +800,8 @@ func (t *Table) segMayContainAny(col string, si int, vals []Value, kind Kind) (m
 // it keeps. Use the column readers directly for anything hot.
 func (t *Table) Scan(fn func(id int, row []Value) bool) {
 	s := t.cur.Load()
-	n := t.Len()
-	if s != nil {
-		n = s.n
-	}
 	var row []Value
-	for id := 0; id < n; id++ {
+	for id := 0; id < s.N; id++ {
 		row = t.rowInto(s, row, id)
 		if !fn(id, row) {
 			return

@@ -4,6 +4,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -328,13 +331,9 @@ func TestFloatColumn(t *testing.T) {
 	if !math.IsNaN(pop[1]) {
 		t.Errorf("NULL should read as NaN, got %g", pop[1])
 	}
-	// String columns yield all-NaN rather than panicking: the columnar
-	// kernels probe attribute columns whose kind they don't know.
-	name := tbl.FloatColumn("Name")
-	for i, v := range name {
-		if !math.IsNaN(v) {
-			t.Errorf("string column row %d = %g", i, v)
-		}
+	// A string column has no float form.
+	if name := tbl.FloatColumn("Name"); name != nil {
+		t.Errorf("string column has a float form: %v", name)
 	}
 	// The column is shared, not copied...
 	if &pop[0] != &tbl.FloatColumn("Population")[0] {
@@ -356,7 +355,8 @@ func TestFloatColumn(t *testing.T) {
 
 func TestDictColumn(t *testing.T) {
 	tbl := columnarTable(t)
-	codes, dict := tbl.DictColumn("Name")
+	rd := tbl.DictReader("Name")
+	codes, dict := rd.CodeSegment(0), rd.Dict()
 	if len(codes) != 4 {
 		t.Fatalf("codes = %v", codes)
 	}
@@ -383,16 +383,26 @@ func TestDictColumn(t *testing.T) {
 			t.Errorf("row %d decodes to %v, want %v", i, dict[codes[i]], v)
 		}
 	}
-	// Shared, not copied; a later call sees appended rows.
-	c2, _ := tbl.DictColumn("Name")
-	if &codes[0] != &c2[0] {
-		t.Error("DictColumn copied the column")
+	// Shared, not copied; a later reader sees appended rows, an earlier
+	// one keeps its length.
+	if c2 := tbl.DictReader("Name").CodeSegment(0); &codes[0] != &c2[0] {
+		t.Error("DictReader copied the column")
 	}
 	tbl.MustAppend(Int(5), String("Austin"), Float(7))
-	c3, d3 := tbl.DictColumn("Name")
-	if len(c3) != 5 || c3[4] != 2 || len(d3) != 3 {
+	rd3 := tbl.DictReader("Name")
+	if c3, d3 := rd3.CodeSegment(0), rd3.Dict(); len(c3) != 5 || c3[4] != 2 || len(d3) != 3 {
 		t.Errorf("post-append codes = %v dict = %v", c3, d3)
 	}
+	if rd.Len() != 4 || len(rd.CodeSegment(0)) != 4 || len(rd.Dict()) != 2 {
+		t.Errorf("an earlier reader grew: %d rows, dict %v", rd.Len(), rd.Dict())
+	}
+	// A numeric column has no dictionary form.
+	defer func() {
+		if recover() == nil {
+			t.Error("DictReader on a numeric column should panic")
+		}
+	}()
+	tbl.DictReader("Population")
 }
 
 // Columns are storage, not views built at Freeze: concurrent readers of a
@@ -409,11 +419,110 @@ func TestFreezeBuildsFloatColumns(t *testing.T) {
 			if pop[0] != 900000 {
 				t.Error("bad column read")
 			}
-			codes, _ := tbl.DictColumn("Name")
-			if codes[0] != 0 {
+			if codes := tbl.DictReader("Name").CodeSegment(0); codes[0] != 0 {
 				t.Error("bad dict read")
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestAppendRejectsInexactInt: ±2^53 is the last integer every float64
+// column holds exactly; one past it is refused — in an Int column and
+// when widening into a Float column — with table, column and value in
+// the error, and nothing of the batch lands.
+func TestAppendRejectsInexactInt(t *testing.T) {
+	tab := NewTable(citySchema(t))
+	const edge = int64(1) << 53
+	for _, ok := range []int64{edge, -edge} {
+		if _, err := tab.Append([]Value{Int(ok), String("x"), Int(ok)}); err != nil {
+			t.Fatalf("%d rejected: %v", ok, err)
+		}
+	}
+	if got := tab.Row(1); got[0] != Int(-edge) || got[2] != Float(float64(-edge)) {
+		t.Errorf("-2^53 read back as %#v", got)
+	}
+	for col, bad := range map[string][]Value{
+		"CityKey":    {Int(edge + 1), String("x"), Float(1)},
+		"Population": {Int(1), String("x"), Int(-edge - 1)},
+	} {
+		_, err := tab.AppendFacts([][]Value{{Int(7), String("fine"), Float(7)}, bad})
+		if err == nil {
+			t.Fatalf("%s: integer beyond 2^53 accepted", col)
+		}
+		for _, part := range []string{"City." + col, "9007199254740993", "2^53"} {
+			if !strings.Contains(err.Error(), part) {
+				t.Errorf("%s: error %q does not name %q", col, err, part)
+			}
+		}
+	}
+	if tab.Len() != 2 {
+		t.Errorf("rejected batches landed rows: len %d", tab.Len())
+	}
+}
+
+// TestResidentBytesPerFact is the storage budget, held in CI: a frozen
+// fact-sized table of eight numeric columns retains about 8 bytes per
+// cell — no boxed rows, no hash index (Freeze indexes dimension-sized
+// tables only). The boxed row store plus six Value-keyed indexes this
+// replaced measured ~690 B/fact.
+func TestResidentBytesPerFact(t *testing.T) {
+	const facts, budget = 200_000, 100
+	names := []string{"SalesKey", "ProductKey", "CustomerKey", "DateKey", "PromoKey", "CurrencyKey", "Quantity", "UnitPrice"}
+	cols := make([]Column, len(names))
+	var fks []ForeignKey
+	for i, n := range names {
+		cols[i] = Column{Name: n, Kind: KindInt}
+		if i >= 1 && i <= 5 {
+			fks = append(fks, ForeignKey{Column: n, RefTable: "Dim" + n, RefColumn: n})
+		}
+	}
+	cols[7].Kind = KindFloat
+	schema := MustSchema("Fact", cols, "SalesKey", fks)
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	tab := NewTable(schema)
+	batch := make([][]Value, 0, DefaultSegmentSize)
+	for i := 0; i < facts; i++ {
+		batch = append(batch, []Value{
+			Int(int64(i + 1)), Int(int64(i % 400)), Int(int64(i % 18000)), Int(int64(i / 200)),
+			Int(int64(i % 16)), Int(int64(i % 6)), Int(int64(1 + i%4)), Float(float64(i%977) * 1.25),
+		})
+		if len(batch) == cap(batch) || i == facts-1 {
+			if _, err := tab.AppendFacts(batch); err != nil {
+				t.Fatal(err)
+			}
+			batch = batch[:0]
+		}
+	}
+	batch = nil
+	tab.Freeze()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	if got := tab.IndexedColumns(); len(got) != 0 {
+		t.Errorf("frozen fact-sized table carries hash indexes on %v", got)
+	}
+	if got, want := tab.ResidentBytes(), int64(facts*len(cols)*8); got != want {
+		t.Errorf("ResidentBytes = %d, want %d (8 B per numeric cell)", got, want)
+	}
+	perFact := float64(after.HeapAlloc-before.HeapAlloc) / facts
+	t.Logf("retained heap: %.1f B/fact (columns alone: %d)", perFact, len(cols)*8)
+	if perFact > budget {
+		t.Errorf("retained heap %.1f B/fact, budget %d", perFact, budget)
+	}
+	runtime.KeepAlive(tab)
+
+	// A dimension-sized table keeps its key indexes.
+	dim := NewTable(MustSchema("Dim", []Column{{Name: "K", Kind: KindInt}, {Name: "P", Kind: KindInt}}, "K",
+		[]ForeignKey{{Column: "P", RefTable: "Parent", RefColumn: "K"}}))
+	for i := 0; i < 1000; i++ {
+		dim.MustAppend(Int(int64(i)), Int(int64(i%10)))
+	}
+	dim.Freeze()
+	if got := dim.IndexedColumns(); !sort.StringsAreSorted(got) || !reflect.DeepEqual(got, []string{"K", "P"}) {
+		t.Errorf("frozen dimension table indexes %v, want [K P]", got)
+	}
 }

@@ -72,8 +72,8 @@ type Options struct {
 	AnswerCacheTTL time.Duration
 	// SegmentCacheMB bounds each disk-backed warehouse's segment page
 	// cache, in MiB (zero keeps the store's own default). It only
-	// applies to warehouses whose fact table carries a column backing
-	// with a cache budget — resident warehouses ignore it.
+	// applies to warehouses whose fact table has a pager with a cache
+	// budget — resident warehouses ignore it.
 	SegmentCacheMB int
 	// SLOTarget is the per-request latency target (default 250ms). It
 	// drives the kdap_slo_good_total / kdap_slo_bad_total classification
@@ -155,13 +155,13 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 		fact := wh.DB.Table(wh.Graph.FactTable())
 		e := kdapcore.NewEngine(wh.Graph, wh.Index, olap.RevenueMeasure(fact), olap.Sum)
 		e.SetAnswerCache(opts.AnswerCacheSize, opts.AnswerCacheTTL)
-		if b := fact.Backing(); b != nil {
+		if p := fact.Pager(); p != nil {
 			if opts.SegmentCacheMB > 0 {
-				if bud, ok := b.(interface{ SetCacheBudget(bytes int64) }); ok {
+				if bud, ok := p.(interface{ SetCacheBudget(bytes int64) }); ok {
 					bud.SetCacheBudget(int64(opts.SegmentCacheMB) << 20)
 				}
 			}
-			s.wireSegmentMetrics(name, b)
+			s.wireSegmentMetrics(name, p)
 		}
 		s.engines[name] = e
 		s.wireEngineMetrics(name, e)

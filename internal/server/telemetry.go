@@ -177,7 +177,8 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	// the same zone evidence outside the planner; the store counts those
 	// and they fold into the same family.
 	lookupZoneSkips := func() int64 { return 0 }
-	if sst, ok := e.Executor().FactBacking().(interface{ Stats() persist.SegStats }); ok {
+	fact := e.Graph().DB().Table(e.Graph().FactTable())
+	if sst, ok := fact.Pager().(interface{ Stats() persist.SegStats }); ok {
 		lookupZoneSkips = func() int64 { return sst.Stats().SkippedZone }
 	}
 	s.reg.CounterFunc("kdap_segments_scanned_total",
@@ -197,7 +198,7 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	for _, tn := range e.Graph().DB().TableNames() {
 		t := e.Graph().DB().Table(tn)
 		s.reg.GaugeFunc("kdap_table_resident_bytes",
-			"Bytes of resident column storage per table, computed from column lengths (0 for a disk-backed table; hash indexes and derived caches not counted).",
+			"Bytes of in-memory column storage per table (a disk-backed table's open segment and dictionaries), computed from column lengths; hash indexes and derived caches not counted.",
 			func() float64 { return float64(t.ResidentBytes()) }, "db", db, "table", tn)
 	}
 	for _, k := range []struct {
@@ -264,12 +265,12 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	}
 }
 
-// wireSegmentMetrics bridges a disk-backed fact table's segment store
-// counters into the registry, labeled by warehouse. The backing is
-// matched structurally so the server stays agnostic of the concrete
-// store type; backings without stats register nothing.
-func (s *Server) wireSegmentMetrics(db string, b relation.ColumnBacking) {
-	st, ok := b.(interface{ Stats() persist.SegStats })
+// wireSegmentMetrics bridges a paged fact table's pager counters into
+// the registry, labeled by warehouse. The pager is matched structurally
+// so the server stays agnostic of the concrete store type; pagers
+// without stats register nothing.
+func (s *Server) wireSegmentMetrics(db string, p relation.Pager) {
+	st, ok := p.(interface{ Stats() persist.SegStats })
 	if !ok {
 		return
 	}
@@ -283,7 +284,7 @@ func (s *Server) wireSegmentMetrics(db string, b relation.ColumnBacking) {
 		"Segment pages evicted to stay under the cache budget, by warehouse.",
 		func() float64 { return float64(st.Stats().Evicted) }, "db", db)
 	s.reg.CounterFunc("kdap_segments_skipped_bloom_total",
-		"Segments skipped because a per-segment Bloom filter ruled the probed value out, by warehouse.",
+		"Segments a value lookup skipped on membership evidence (a per-segment Bloom filter or a full-text value's segment list ruled every probed value out), by warehouse.",
 		func() float64 { return float64(st.Stats().SkippedBloom) }, "db", db)
 }
 

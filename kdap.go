@@ -237,9 +237,9 @@ type NumericFilter = kdapcore.NumericFilter
 // bring-your-own-data entry point.
 func LoadCSVWarehouse(dir string) (*Warehouse, error) { return csvload.LoadDir(dir) }
 
-// SegmentStore is the paged column store behind a disk-backed fact
-// table: skip/paging counters (Stats) and the cache-budget knob
-// (SetCacheBudget).
+// SegmentStore is the pager behind a disk-backed fact table: its column
+// files and page cache, with skip/paging counters (Stats) and the
+// cache-budget knob (SetCacheBudget).
 type SegmentStore = persist.Store
 
 // LoadCSVWarehouseSegmented is LoadCSVWarehouse with the fact table
