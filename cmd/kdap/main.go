@@ -1,10 +1,11 @@
-// Command kdap is an interactive KDAP session over one of the built-in
-// warehouses: type a keyword query, pick an interpretation, explore the
+// Command kdap is an interactive KDAP session over one warehouse — a
+// built-in one, a warehouse directory written by kdapgen -out, or a CSV
+// mart: type a keyword query, pick an interpretation, explore the
 // dynamic facets, and drill down — the paper's Figure 1 loop as a REPL.
 //
 // Usage:
 //
-//	kdap [-db ebiz|online|reseller] [-snapshot file] [-csv dir] [-mode surprise|bellwether] [-trace] [-timeout 0]
+//	kdap [-db ebiz|online|reseller|DIR] [-csv dir] [-mode surprise|bellwether] [-trace] [-timeout 0]
 //	     [-answer-cache-size 128] [-answer-cache-ttl 0]
 //
 // With -trace, every query / pick / drill prints an indented per-stage
@@ -45,8 +46,7 @@ type repl struct {
 }
 
 func main() {
-	db := flag.String("db", "ebiz", "warehouse: ebiz, online, reseller")
-	snapshot := flag.String("snapshot", "", "load a warehouse snapshot written by kdapgen instead of -db")
+	db := flag.String("db", "ebiz", "warehouse: ebiz, online, reseller, or a warehouse directory written by kdapgen -out")
 	csvDir := flag.String("csv", "", "load a CSV directory with manifest.json instead of -db")
 	mode := flag.String("mode", "surprise", "interestingness: surprise, bellwether")
 	trace := flag.Bool("trace", false, "print a per-stage timing tree after each query/pick/drill")
@@ -59,26 +59,10 @@ func main() {
 	flag.Parse()
 
 	var wh *kdap.Warehouse
+	var err error
 	switch {
-	case *snapshot != "":
-		f, err := os.Open(*snapshot)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		wh, err = kdap.LoadWarehouse(f)
-		f.Close()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	case *csvDir != "":
-		var err error
 		wh, err = kdap.LoadCSVWarehouse(*csvDir)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 	case *db == "ebiz":
 		wh = kdap.EBiz()
 	case *db == "online":
@@ -86,7 +70,13 @@ func main() {
 	case *db == "reseller":
 		wh = kdap.AWReseller()
 	default:
-		fmt.Fprintf(os.Stderr, "unknown db %q\n", *db)
+		var store *kdap.SegmentStore
+		if wh, store, err = kdap.OpenWarehouse(*db); err == nil {
+			defer store.Close() // the REPL only reads
+		}
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 

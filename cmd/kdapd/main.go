@@ -2,18 +2,19 @@
 //
 // Usage:
 //
-//	kdapd [-addr :8080] [-db ebiz,online,reseller] [-log text|json]
+//	kdapd [-addr :8080] [-db ebiz,online,reseller,DIR] [-log text|json]
 //	      [-query-timeout 10s] [-max-inflight 0]
 //	      [-answer-cache-size 512] [-answer-cache-ttl 5m]
-//	      [-slo-target 250ms]
-//	      [-mmap-dir DIR] [-segment-cache-mb 64]
+//	      [-slo-target 250ms] [-segment-cache-mb 64]
 //
-// With -mmap-dir, each served warehouse's fact table is appended to
-// segmented column files under DIR/<warehouse> at startup and served
-// disk-backed: scans page 8K-row segments in through an LRU cache
-// bounded by -segment-cache-mb, and per-segment zone maps and Bloom
-// filters let matching scans skip segments without touching disk.
-// Answers are byte-identical to resident serving.
+// Each -db entry is a built-in warehouse, generated in memory, or a
+// warehouse directory written by kdapgen -out, served under its base
+// name. A directory's fact table is served disk-backed: scans page
+// 8K-row segments in through an LRU cache bounded by -segment-cache-mb,
+// and per-segment zone maps and Bloom filters let matching scans skip
+// segments without touching disk. Rows ingested into it are in its
+// files once the server shuts down. Answers are byte-identical to
+// resident serving.
 //
 // A minimal web UI is served at /; the JSON endpoints live under /api.
 // Prometheus metrics are exposed at /metrics, pprof profiles under
@@ -50,7 +51,8 @@ import (
 func main() {
 	srvOpts := server.DefaultOptions()
 	addr := flag.String("addr", ":8080", "listen address")
-	dbs := flag.String("db", "ebiz,online,reseller", "comma-separated warehouses to serve")
+	dbs := flag.String("db", "ebiz,online,reseller",
+		"comma-separated warehouses to serve: ebiz, online, reseller, or a warehouse directory (served under its base name)")
 	logFormat := flag.String("log", "text", "access log format: text or json")
 	flag.DurationVar(&srvOpts.QueryTimeout, "query-timeout", srvOpts.QueryTimeout,
 		"per-request pipeline deadline (0 disables); overruns return 504")
@@ -62,10 +64,8 @@ func main() {
 		"answer cache entry lifetime (0 = no expiry)")
 	flag.DurationVar(&srvOpts.SLOTarget, "slo-target", srvOpts.SLOTarget,
 		"per-request latency target for kdap_slo_* classification and the /debug/queries slow ring")
-	mmapDir := flag.String("mmap-dir", "",
-		"serve fact tables disk-backed: write segmented column files under this directory and page them in on demand (empty = resident)")
 	flag.IntVar(&srvOpts.SegmentCacheMB, "segment-cache-mb", srvOpts.SegmentCacheMB,
-		"segment page-cache budget per disk-backed warehouse, in MiB (0 = store default)")
+		"segment page-cache budget per warehouse directory, in MiB (0 = store default)")
 	flag.Parse()
 
 	var handler slog.Handler
@@ -80,8 +80,9 @@ func main() {
 	logger := slog.New(handler)
 
 	warehouses := make(map[string]*dataset.Warehouse)
+	var stores []*persist.Store
 	for _, name := range strings.Split(*dbs, ",") {
-		switch strings.TrimSpace(name) {
+		switch name = strings.TrimSpace(name); name {
 		case "ebiz":
 			warehouses["ebiz"] = dataset.EBiz()
 		case "online":
@@ -90,25 +91,17 @@ func main() {
 			warehouses["reseller"] = dataset.AWReseller()
 		case "":
 		default:
-			log.Fatalf("unknown warehouse %q", name)
+			wh, store, err := persist.Open(name)
+			if err != nil {
+				log.Fatal(err)
+			}
+			warehouses[filepath.Base(name)] = wh
+			stores = append(stores, store)
+			fmt.Printf("warehouse %s: fact table disk-backed under %s\n", filepath.Base(name), name)
 		}
 	}
 	if len(warehouses) == 0 {
 		log.Fatal("no warehouses selected")
-	}
-
-	var stores []*persist.Store
-	if *mmapDir != "" {
-		for name, wh := range warehouses {
-			dir := filepath.Join(*mmapDir, name)
-			backed, store, err := persist.BackedWarehouse(dir, wh, 0)
-			if err != nil {
-				log.Fatalf("segmenting %s into %s: %v", name, dir, err)
-			}
-			warehouses[name] = backed
-			stores = append(stores, store)
-			fmt.Printf("warehouse %s: fact table disk-backed under %s\n", name, dir)
-		}
 	}
 
 	api := server.NewWithOptions(warehouses, srvOpts)

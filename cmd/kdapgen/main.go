@@ -1,15 +1,18 @@
-// Command kdapgen builds warehouse snapshots — from the built-in
+// Command kdapgen writes warehouse directories — from the built-in
 // synthetic generators, or from a directory of CSV files plus a
-// manifest.json (see internal/csvload for the format) — and drives
-// streaming ingest against a running kdapd. Snapshots are reopened by
-// cmd/kdap via -snapshot, or programmatically with kdap.LoadWarehouse.
+// manifest.json (see internal/dataset for the format) — and drives
+// streaming ingest against a running kdapd. A warehouse directory holds
+// manifest.json beside one segment directory per table; kdapd and kdap
+// serve it with -db DIR, and kdap.OpenWarehouse opens it from Go. CSV
+// rows stream into the directory without the fact table ever being
+// held in memory.
 //
 // Usage:
 //
-//	kdapgen -out ebiz.kdap -db ebiz                # snapshot a builtin
-//	kdapgen -out mart.kdap -csv ./mydata           # CSVs → snapshot
-//	kdapgen -info mart.kdap                        # inspect a snapshot
-//	kdapgen -dot mart.kdap > schema.dot            # schema diagram
+//	kdapgen -out ebiz -db ebiz                     # write a builtin
+//	kdapgen -out mart -csv ./mydata                # CSVs → directory
+//	kdapgen -info mart                             # inspect a directory
+//	kdapgen -dot mart > schema.dot                 # schema diagram
 //	kdapgen -emit -rows 100000 -skip 90000         # fact rows → JSON lines
 //	kdapgen -stream URL -db online < rows.jsonl    # JSON lines → /api/ingest
 //
@@ -31,19 +34,22 @@ import (
 	"log"
 	"net/http"
 	"os"
+	"path/filepath"
 	"time"
 
 	"kdap"
+	"kdap/internal/csvload"
 	"kdap/internal/dataset"
+	"kdap/internal/persist"
 	"kdap/internal/relation"
 )
 
 func main() {
-	out := flag.String("out", "", "snapshot file to write")
-	db := flag.String("db", "", "builtin warehouse to snapshot: ebiz, online, reseller (also the -stream target warehouse)")
-	csvDir := flag.String("csv", "", "directory with manifest.json + CSV files to load")
-	info := flag.String("info", "", "snapshot file to summarize")
-	dot := flag.String("dot", "", "snapshot file to render as Graphviz DOT")
+	out := flag.String("out", "", "warehouse directory to write")
+	db := flag.String("db", "", "builtin warehouse to write: ebiz, online, reseller (also the -stream target warehouse)")
+	csvDir := flag.String("csv", "", "directory with manifest.json + CSV files to write as a warehouse directory")
+	info := flag.String("info", "", "warehouse directory to summarize")
+	dot := flag.String("dot", "", "warehouse directory to render as Graphviz DOT")
 	emit := flag.Bool("emit", false, "emit AW_ONLINE scaled fact rows as JSON lines on stdout")
 	rows := flag.Int("rows", 100000, "with -emit: total fact rows the scaled build generates")
 	skip := flag.Int("skip", 0, "with -emit: drop this many generated rows before emitting (the warehouse's resident prefix)")
@@ -88,35 +94,26 @@ func main() {
 	case *dot != "":
 		fmt.Print(kdap.SchemaDOT(mustLoad(*dot)))
 	case *out != "":
-		var wh *kdap.Warehouse
 		var err error
 		switch {
 		case *csvDir != "":
-			wh, err = kdap.LoadCSVWarehouse(*csvDir)
+			var m *dataset.Manifest
+			if m, err = dataset.ReadManifest(filepath.Join(*csvDir, "manifest.json")); err == nil {
+				err = persist.Write(*out, m, 0, csvload.Rows(*csvDir, m))
+			}
 		case *db == "ebiz":
-			wh = kdap.EBiz()
+			err = kdap.SaveWarehouse(*out, kdap.EBiz())
 		case *db == "online":
-			wh = kdap.AWOnline()
+			err = kdap.SaveWarehouse(*out, kdap.AWOnline())
 		case *db == "reseller":
-			wh = kdap.AWReseller()
+			err = kdap.SaveWarehouse(*out, kdap.AWReseller())
 		default:
 			log.Fatal("need -db or -csv with -out")
 		}
 		if err != nil {
 			log.Fatal(err)
 		}
-		f, err := os.Create(*out)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := kdap.SaveWarehouse(f, wh); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fi, _ := os.Stat(*out)
-		fmt.Printf("wrote %s (%d KiB)\n", *out, fi.Size()/1024)
+		fmt.Printf("wrote %s\n", *out)
 	default:
 		flag.Usage()
 		os.Exit(2)
@@ -234,13 +231,8 @@ func streamRows(base, db string, batchSize int, src io.Reader) error {
 	return nil
 }
 
-func mustLoad(path string) *kdap.Warehouse {
-	f, err := os.Open(path)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer f.Close()
-	wh, err := kdap.LoadWarehouse(f)
+func mustLoad(dir string) *kdap.Warehouse {
+	wh, _, err := kdap.OpenWarehouse(dir)
 	if err != nil {
 		log.Fatal(err)
 	}

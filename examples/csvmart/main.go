@@ -1,8 +1,8 @@
 // CSV mart: KDAP over data files on disk — no Go code for the schema.
 //
 // The data/ directory holds three CSV files and a manifest.json declaring
-// tables, keys, dimensions, and hierarchies (see internal/csvload for the
-// format). This example loads the directory, runs a keyword query with a
+// tables, keys, dimensions, and hierarchies (see dataset.Manifest in
+// internal/dataset for the format). This example loads the directory, runs a keyword query with a
 // genuinely ambiguous keyword ("Mystery" is a genre; "Paris" a city), and
 // explores the chosen interpretation.
 //
@@ -10,9 +10,9 @@
 //
 //	go run ./examples/csvmart
 //
-// With -segments the fact CSV streams into disk segment files instead
-// of loading resident — same answers, bounded memory — and the run
-// reports the store's paging counters at the end.
+// With -segments the loaded mart is written to a warehouse directory
+// and served from it, fact table paged from disk — same answers — and
+// the run reports the store's paging counters at the end.
 package main
 
 import (
@@ -27,7 +27,7 @@ import (
 
 func main() {
 	ctx := context.Background()
-	segments := flag.Bool("segments", false, "stream the fact table into disk segments and serve it paged")
+	segments := flag.Bool("segments", false, "write the mart to a warehouse directory and serve its fact table paged")
 	flag.Parse()
 
 	// Resolve data/ relative to this example's source directory when run
@@ -37,23 +37,24 @@ func main() {
 	if _, err := os.Stat(dir); err != nil {
 		dir = "data"
 	}
-	var (
-		wh    *kdap.Warehouse
-		store *kdap.SegmentStore
-		err   error
-	)
-	if *segments {
-		segDir, terr := os.MkdirTemp("", "csvmart-segments-")
-		if terr != nil {
-			panic(terr)
-		}
-		defer os.RemoveAll(segDir)
-		wh, store, err = kdap.LoadCSVWarehouseSegmented(dir, segDir)
-	} else {
-		wh, err = kdap.LoadCSVWarehouse(dir)
-	}
+	wh, err := kdap.LoadCSVWarehouse(dir)
 	if err != nil {
 		panic(err)
+	}
+	var store *kdap.SegmentStore
+	if *segments {
+		whDir, err := os.MkdirTemp("", "csvmart-warehouse-")
+		if err != nil {
+			panic(err)
+		}
+		defer os.RemoveAll(whDir)
+		if err := kdap.SaveWarehouse(whDir, wh); err != nil {
+			panic(err)
+		}
+		if wh, store, err = kdap.OpenWarehouse(whDir); err != nil {
+			panic(err)
+		}
+		defer store.Close()
 	}
 	fmt.Printf("loaded %s: %d tables, %d rows\n", wh.DB.Name(), wh.DB.Stats().Tables, wh.DB.Stats().Rows)
 

@@ -5,8 +5,8 @@
 // spirit of Sarawagi et al., which the paper builds its interestingness
 // notion on): scan every instance of a hierarchy level, score each
 // induced subspace by its most surprising group-by partition, and report
-// where in the warehouse the anomalies live — then snapshot the warehouse
-// to disk and prove the reloaded copy answers identically.
+// where in the warehouse the anomalies live — then write the warehouse
+// to a directory and prove the reopened copy answers identically.
 //
 // Run with:
 //
@@ -14,9 +14,9 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"fmt"
+	"os"
 
 	"kdap"
 )
@@ -46,16 +46,21 @@ func main() {
 			i+1, d.Value.Text(), d.Rows, d.Aggregate, d.BestAttr, d.Score)
 	}
 
-	// Snapshot the warehouse and verify the reloaded copy agrees.
-	var buf bytes.Buffer
-	if err := kdap.SaveWarehouse(&buf, wh); err != nil {
-		panic(err)
-	}
-	fmt.Printf("\nSnapshot size: %d KiB\n", buf.Len()/1024)
-	reloaded, err := kdap.LoadWarehouse(&buf)
+	// Write the warehouse to a directory and verify the reopened copy
+	// agrees.
+	dir, err := os.MkdirTemp("", "discovery-warehouse-")
 	if err != nil {
 		panic(err)
 	}
+	defer os.RemoveAll(dir)
+	if err := kdap.SaveWarehouse(dir, wh); err != nil {
+		panic(err)
+	}
+	reloaded, store, err := kdap.OpenWarehouse(dir)
+	if err != nil {
+		panic(err)
+	}
+	defer store.Close()
 	again, err := kdap.NewEngine(reloaded).Discover(ctx,
 		kdap.AttrRef{Table: "PGROUP", Attr: "GroupName"}, "Product", kdap.Surprise, 5)
 	if err != nil {
@@ -67,5 +72,5 @@ func main() {
 			same = false
 		}
 	}
-	fmt.Printf("Reloaded warehouse reproduces the discovery ranking: %v\n", same)
+	fmt.Printf("\nReopened warehouse reproduces the discovery ranking: %v\n", same)
 }

@@ -11,6 +11,7 @@ import (
 	"kdap/internal/dataset"
 	"kdap/internal/kdapcore"
 	"kdap/internal/olap"
+	"kdap/internal/persist"
 	"kdap/internal/relation"
 )
 
@@ -134,25 +135,27 @@ func TestLoadDirEndToEnd(t *testing.T) {
 	}
 }
 
-// TestLoadSegmentedMatchesResident loads the fixture twice — resident
-// and with the fact table streamed into disk segments — and requires
-// identical facet bytes for the same interpretation.
+// TestLoadSegmentedMatchesResident loads the fixture twice — resident,
+// and streamed into a warehouse directory that is then opened with its
+// fact table paged — and requires identical facet bytes for the same
+// interpretation.
 func TestLoadSegmentedMatchesResident(t *testing.T) {
 	dir := writeFixture(t)
 	res, err := LoadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := LoadManifest(filepath.Join(dir, "manifest.json"))
+	m, err := dataset.ReadManifest(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	seg, store, err := LoadWithOptions(dir, m, LoadOptions{SegmentDir: t.TempDir(), SegmentSize: 64})
-	if err != nil {
+	whDir := t.TempDir()
+	if err := persist.Write(whDir, m, 64, Rows(dir, m)); err != nil {
 		t.Fatal(err)
 	}
-	if store == nil {
-		t.Fatal("segmented load returned no store")
+	seg, store, err := persist.Open(whDir)
+	if err != nil {
+		t.Fatal(err)
 	}
 	defer store.Close()
 	if seg.DB.Table("Sales").Pager() == nil {
@@ -237,7 +240,8 @@ func TestLoadErrors(t *testing.T) {
 	}
 
 	// An integer a float64 column cannot hold exactly is refused, naming
-	// table, column and value — resident and segmented loads alike.
+	// table, column and value — resident loads and warehouse directories
+	// alike.
 	sub = corrupt("sales.csv", "SaleKey,ProductKey,StoreKey,Qty,Amount\n1,9007199254740993,1,1,1\n")
 	wantInexact := func(err error) {
 		t.Helper()
@@ -252,12 +256,11 @@ func TestLoadErrors(t *testing.T) {
 	}
 	_, err := LoadDir(sub)
 	wantInexact(err)
-	m, err := LoadManifest(filepath.Join(sub, "manifest.json"))
+	m, err := dataset.ReadManifest(filepath.Join(sub, "manifest.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, err = LoadWithOptions(sub, m, LoadOptions{SegmentDir: t.TempDir(), SegmentSize: 64})
-	wantInexact(err)
+	wantInexact(persist.Write(t.TempDir(), m, 64, Rows(sub, m)))
 
 	// Dangling foreign key caught by strict validation.
 	sub = corrupt("sales.csv", "SaleKey,ProductKey,StoreKey,Qty,Amount\n1,999,1,1,1\n")

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"sync"
 
-	"kdap/internal/fulltext"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/stats"
@@ -496,11 +495,7 @@ func buildAWOnline() *Warehouse {
 	}
 
 	g := awOnlineGraph(db)
-	db.Freeze()
-	ix := fulltext.NewIndex()
-	ix.IndexDatabase(db)
-	ix.Freeze()
-	return &Warehouse{DB: db, Graph: g, Index: ix}
+	return NewWarehouse(db, g)
 }
 
 // awIncome draws a yearly income from an occupation/education base with a

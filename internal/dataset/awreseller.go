@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"kdap/internal/fulltext"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/stats"
@@ -301,10 +300,5 @@ func buildAWReseller() *Warehouse {
 	// The employee's territory assignment is part of the Employee
 	// interpretation.
 	g.LabelEdge("DimEmployee", "TerritoryKey", "EmployeeTerritory", "Employee")
-
-	db.Freeze()
-	ix := fulltext.NewIndex()
-	ix.IndexDatabase(db)
-	ix.Freeze()
-	return &Warehouse{DB: db, Graph: g, Index: ix}
+	return NewWarehouse(db, g)
 }

@@ -3,22 +3,20 @@ package dataset
 import (
 	"fmt"
 
-	"kdap/internal/fulltext"
 	"kdap/internal/relation"
 	"kdap/internal/stats"
 )
 
 // Scaled AW_ONLINE builds. The paper's warehouse stops at ~60k facts;
 // the segment-storage experiments need the same star schema at 1M-10M
-// facts, resident (AWOnlineScaled) or streamed straight into disk
-// segments so the fact table never materializes in memory
+// facts, resident (AWOnlineScaled) or streamed straight into a
+// warehouse directory so the fact table never materializes in memory
 // (persist.AWOnlineScaledBacked). Both builds of the same scale
 // generate byte-identical fact rows, which is what makes the resident
 // build usable as the oracle for the disk-backed one. Fact storage is
-// the caller's choice — persist imports dataset for warehouse
-// snapshots, so the disk-backed wiring lives there — and ScaledBuild is
-// the seam: dimensions first, then facts streamed wherever, then
-// Finish.
+// the caller's choice — persist imports dataset, so the disk-backed
+// wiring lives there — and ScaledBuild is the seam: dimensions first,
+// then facts streamed wherever, then Finish.
 
 // awScaledSeed keeps scaled builds deterministic and distinct from the
 // paper-sized seed build.
@@ -70,9 +68,9 @@ func (b *ScaledBuild) FactSchema() *relation.Schema { return awOnlineFactSchema(
 func (b *ScaledBuild) FactCount() int { return b.n }
 
 // GenerateFacts streams the build's n fact rows, in SalesKey order with
-// ingest-clustered order dates, into emit. Call exactly once, between
-// NewAWOnlineScaledBuild and Finish — the generator consumes the
-// build's random stream.
+// ingest-clustered order dates, into emit. Call exactly once — the
+// generator consumes the build's random stream. Finishing first, over
+// an empty fact table, does not change the rows.
 func (b *ScaledBuild) GenerateFacts(emit func(vals []relation.Value) error) error {
 	return genAWOnlineFacts(b.rng, b.sh, b.custGeo, b.nCustomers, b.n, true, emit)
 }
@@ -103,11 +101,7 @@ func (b *ScaledBuild) finish(fact *relation.Table) (*Warehouse, error) {
 		return nil, err
 	}
 	g := awOnlineGraph(b.db)
-	b.db.Freeze()
-	ix := fulltext.NewIndex()
-	ix.IndexDatabase(b.db)
-	ix.Freeze()
-	return &Warehouse{DB: b.db, Graph: g, Index: ix}, nil
+	return NewWarehouse(b.db, g), nil
 }
 
 // AWOnlineScaled builds the AW_ONLINE warehouse with n fact rows fully

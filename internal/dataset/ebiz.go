@@ -3,7 +3,9 @@
 // example, including its deliberate ambiguities) and a synthetic
 // AdventureWorks-shaped pair (AW_ONLINE / AW_RESELLER) substituting for
 // the SQL Server 2005 sample database used in §6. All generation is
-// deterministic from a fixed seed.
+// deterministic from a fixed seed. It also holds the warehouse
+// manifest (Manifest) and Assemble, which build every other warehouse:
+// CSV marts and warehouse directories.
 package dataset
 
 import (
@@ -448,11 +450,5 @@ func EBizSized(factCount int) *Warehouse {
 	}
 	g.LabelEdge("TRANS", "BuyerKey", "Buyer", "Customer")
 	g.LabelEdge("TRANS", "SellerKey", "Seller", "Customer")
-
-	db.Freeze()
-	ix := fulltext.NewIndex()
-	ix.IndexDatabase(db)
-	ix.Freeze()
-
-	return &Warehouse{DB: db, Graph: g, Index: ix}
+	return NewWarehouse(db, g)
 }

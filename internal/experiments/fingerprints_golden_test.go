@@ -141,6 +141,35 @@ func appendBatches(t *testing.T, e *kdapcore.Engine, batches [][][]relation.Valu
 	}
 }
 
+// reopen opens the warehouse directory dir and checks that the golden
+// set digests over it exactly as want, the pass of the warehouse that
+// was written there, labelled label.
+func reopen(t *testing.T, dir, label string, want []string, n int) {
+	t.Helper()
+	wh, store, err := persist.Open(dir)
+	if err != nil {
+		t.Fatalf("%s: open: %v", label, err)
+	}
+	defer store.Close()
+	// Opening reads the manifests and the open segment only.
+	if paged := store.Stats().PagedIn; paged != 0 {
+		t.Errorf("%s: opening paged in %d sealed fact segments", label, paged)
+	}
+	if got := relabel(goldenPass(t, label+"/reopened", Engine(wh), n), label+"/reopened", label); !equalLines(got, want) {
+		t.Errorf("%s: reopened warehouse diverges from the one written:\n%s", label, diffLines(want, got))
+	}
+}
+
+// save writes wh to a fresh warehouse directory.
+func save(t *testing.T, wh *dataset.Warehouse) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := persist.Save(dir, wh, 0); err != nil {
+		t.Fatalf("save %s: %v", wh.DB.Name(), err)
+	}
+	return dir
+}
+
 // relabel rewrites each line's label prefix, so a from-scratch engine's
 // pass can be compared with the incrementally maintained one's.
 func relabel(lines []string, from, to string) []string {
@@ -154,8 +183,11 @@ func relabel(lines []string, from, to string) []string {
 func TestFingerprintsGolden(t *testing.T) {
 	var lines []string
 
-	// 1. The paper-scale warehouse, read-only (it is shared process-wide).
-	lines = append(lines, goldenPass(t, "aw_online", Engine(dataset.AWOnline()), dataset.AWOnlineFactCount)...)
+	// 1. The paper-scale warehouse, read-only (it is shared process-wide),
+	// then written to a warehouse directory and reopened.
+	aw := goldenPass(t, "aw_online", Engine(dataset.AWOnline()), dataset.AWOnlineFactCount)
+	lines = append(lines, aw...)
+	reopen(t, save(t, dataset.AWOnline()), "aw_online", aw, dataset.AWOnlineFactCount)
 
 	// 2. A private resident warehouse, before and after a fixed 3-batch
 	// append of its generator's next rows; the batches straddle a segment
@@ -172,16 +204,17 @@ func TestFingerprintsGolden(t *testing.T) {
 	if fresh := relabel(goldenPass(t, "resident/fresh", Engine(wh), scaled), "resident/fresh", "resident/post"); !equalLines(fresh, post) {
 		t.Errorf("resident: appended engine diverges from a fresh engine over the same rows:\n%s", diffLines(fresh, post))
 	}
+	reopen(t, save(t, wh), "resident/post", post, scaled)
 
 	// 3. A small disk-backed warehouse (1024-row segments, short tail
 	// segment), before and after appending copies of three of its own row
 	// ranges — out-of-cluster SalesKey values landing in the tail.
 	const backedN = 24_000
-	bwh, store, err := persist.AWOnlineScaledBacked(t.TempDir(), backedN, 1024)
+	backedDir := t.TempDir()
+	bwh, store, err := persist.AWOnlineScaledBacked(backedDir, backedN, 1024)
 	if err != nil {
 		t.Fatalf("backed warehouse: %v", err)
 	}
-	defer store.Close()
 	be := Engine(bwh)
 	lines = append(lines, goldenPass(t, "backed/pre", be, backedN)...)
 	bfact := bwh.DB.Table(bwh.Graph.FactTable())
@@ -198,6 +231,11 @@ func TestFingerprintsGolden(t *testing.T) {
 	if fresh := relabel(goldenPass(t, "backed/fresh", Engine(bwh), backedN), "backed/fresh", "backed/post"); !equalLines(fresh, bpost) {
 		t.Errorf("backed: appended engine diverges from a fresh engine over the same rows:\n%s", diffLines(fresh, bpost))
 	}
+	// Closing makes the appended rows durable in the directory.
+	if err := store.Close(); err != nil {
+		t.Fatalf("backed: close: %v", err)
+	}
+	reopen(t, backedDir, "backed/post", bpost, backedN)
 
 	got := []byte(strings.Join(lines, "\n") + "\n")
 	if *updateGolden {

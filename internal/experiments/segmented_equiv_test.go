@@ -21,7 +21,11 @@ import (
 // here.
 func TestSegmentedFacetsByteIdentical(t *testing.T) {
 	wh := dataset.AWOnline()
-	bwh, store, err := persist.BackedWarehouse(t.TempDir(), wh, 0)
+	dir := t.TempDir()
+	if err := persist.Save(dir, wh, 0); err != nil {
+		t.Fatalf("backed warehouse: %v", err)
+	}
+	bwh, store, err := persist.Open(dir)
 	if err != nil {
 		t.Fatalf("backed warehouse: %v", err)
 	}

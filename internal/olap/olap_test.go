@@ -529,7 +529,11 @@ func TestPivotTruncate(t *testing.T) {
 // resident one does.
 func TestFactAttributesOnPagedFact(t *testing.T) {
 	wh := dataset.AWOnline()
-	bwh, store, err := persist.BackedWarehouse(t.TempDir(), wh, 1024)
+	dir := t.TempDir()
+	if err := persist.Save(dir, wh, 1024); err != nil {
+		t.Fatal(err)
+	}
+	bwh, store, err := persist.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

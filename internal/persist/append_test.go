@@ -139,6 +139,58 @@ func TestAppendReopenRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReopenAfterSealPastFlush: segments sealed after the last Flush
+// leave the column files longer than the manifest's row count. The
+// manifest is the commit point, so reopening without Close — as after a
+// crash — truncates them back and holds exactly the flushed rows, and
+// appending the rest from there lands on the writer's bytes.
+func TestReopenAfterSealPastFlush(t *testing.T) {
+	const flushed, crashed, total, segSize = 100, 300, 1000, 64
+	rows := segTestRows(total)
+	schema := segTestTable(t, 0).Schema()
+	dir := t.TempDir()
+	bt, st, err := CreateBackedTable(dir, schema, segSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.closeFiles() // never Close: the process "died" unflushed
+	if _, err := bt.AppendFacts(rows[:flushed]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bt.AppendFacts(rows[flushed:crashed]); err != nil { // seals segments 1-3
+		t.Fatal(err)
+	}
+
+	got, st2, err := OpenBackedTable(dir, schema)
+	if err != nil {
+		t.Fatalf("reopen after a seal past the last flush: %v", err)
+	}
+	want := relation.NewTable(schema)
+	if _, err := want.AppendFacts(rows[:flushed]); err != nil {
+		t.Fatal(err)
+	}
+	if got.Len() != want.Len() {
+		t.Fatalf("reopened with %d rows, want the %d flushed", got.Len(), want.Len())
+	}
+	for id := 0; id < want.Len(); id++ {
+		for ci, v := range want.Row(id) {
+			if g := got.Row(id)[ci]; !g.Equal(v) || g.Kind() != v.Kind() {
+				t.Fatalf("row %d column %d: %#v, want %#v", id, ci, g, v)
+			}
+		}
+	}
+	if _, err := got.AppendFacts(rows[flushed:]); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	assertGolden(t, dir, total, segSize)
+}
+
 // TestAppendConcurrentReaders hammers a backed table with scans and
 // lookups while a writer streams rows in, checking prefix consistency:
 // every reader sees a row count it can fully resolve, and values below

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bytes"
 	"testing"
 
 	"kdap/internal/dataset"
@@ -11,23 +10,23 @@ func BenchmarkSave(b *testing.B) {
 	wh := dataset.EBiz()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var buf bytes.Buffer
-		if err := Save(&buf, wh); err != nil {
+		if err := Save(b.TempDir(), wh, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-func BenchmarkLoad(b *testing.B) {
-	var buf bytes.Buffer
-	if err := Save(&buf, dataset.EBiz()); err != nil {
+func BenchmarkOpen(b *testing.B) {
+	dir := b.TempDir()
+	if err := Save(dir, dataset.EBiz(), 0); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Load(bytes.NewReader(data)); err != nil {
+		_, store, err := Open(dir)
+		if err != nil {
 			b.Fatal(err)
 		}
+		store.Close()
 	}
 }

@@ -1,27 +1,28 @@
 package persist
 
 import (
-	"bytes"
 	"context"
-	"strings"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"kdap/internal/dataset"
 	"kdap/internal/kdapcore"
 	"kdap/internal/olap"
-	"kdap/internal/relation"
 )
 
+// roundTrip writes wh to a warehouse directory and opens it.
 func roundTrip(t *testing.T, wh *dataset.Warehouse) *dataset.Warehouse {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := Save(&buf, wh); err != nil {
+	dir := t.TempDir()
+	if err := Save(dir, wh, 0); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := Load(&buf)
+	got, store, err := Open(dir)
 	if err != nil {
-		t.Fatalf("load: %v", err)
+		t.Fatalf("open: %v", err)
 	}
+	t.Cleanup(func() { store.Close() })
 	return got
 }
 
@@ -106,44 +107,19 @@ func TestRoundTripQueryEquivalence(t *testing.T) {
 	}
 }
 
+// TestLoadRejectsGarbage: Open refuses a directory whose manifest.json
+// is not a warehouse manifest, and one that has none.
 func TestLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(strings.NewReader("not a gob stream")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if _, err := Load(bytes.NewReader(nil)); err == nil {
-		t.Error("empty stream accepted")
-	}
-}
-
-func TestVersionCheck(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Save(&buf, dataset.EBiz()); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the version by re-encoding with a bumped version is
-	// awkward with gob; instead assert the happy path stores the current
-	// version and relies on decode structure for compatibility.
-	wh, err := Load(&buf)
-	if err != nil || wh == nil {
-		t.Fatalf("load: %v", err)
-	}
-}
-
-func TestValueCodecAllKinds(t *testing.T) {
-	vals := []relation.Value{
-		relation.Null(), relation.String("x"), relation.Int(-9),
-		relation.Float(2.5), relation.Bool(true), relation.Bool(false),
-	}
-	for _, v := range vals {
-		got, err := decodeValue(encodeValue(v))
-		if err != nil {
-			t.Fatalf("%#v: %v", v, err)
+	for _, manifest := range []string{"not a manifest", "", `{"name":"x","fact":"F","bogus":1}`} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte(manifest), 0o644); err != nil {
+			t.Fatal(err)
 		}
-		if !got.Equal(v) || got.Kind() != v.Kind() {
-			t.Errorf("round trip: %#v -> %#v", v, got)
+		if _, _, err := Open(dir); err == nil {
+			t.Errorf("manifest %q accepted", manifest)
 		}
 	}
-	if _, err := decodeValue(valueData{Kind: 99}); err == nil {
-		t.Error("unknown kind accepted")
+	if _, _, err := Open(t.TempDir()); err == nil {
+		t.Error("directory without a manifest accepted")
 	}
 }

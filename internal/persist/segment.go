@@ -477,8 +477,9 @@ func (st *Store) width(ci int) int {
 }
 
 // OpenBackedTable opens dir as the storage of a paged relation.Table:
-// the manifest must echo the schema, every data file must hold exactly
-// the manifest's row count, and the table starts preloaded with the
+// the manifest must echo the schema, every data file must hold at least
+// the manifest's row count (rows past it, sealed after the last Flush,
+// are truncated away), and the table starts preloaded with the
 // manifest's dictionaries and evidence and the open segment's rows. The
 // returned Store is the table's pager; callers keep it to set the cache
 // budget, poll paging stats, Flush and Close.
@@ -524,9 +525,17 @@ func OpenBackedTable(dir string, schema *relation.Schema) (*relation.Table, *Sto
 		if err != nil {
 			return nil, nil, err
 		}
-		if want := int64(m.numRows) * int64(st.width(ci)); fi.Size() != want {
+		// The manifest is the commit point: bytes past its row count are
+		// a segment sealed after the last Flush, and are dropped.
+		want := int64(m.numRows) * int64(st.width(ci))
+		if fi.Size() < want {
 			return nil, nil, fmt.Errorf("persist: %s.%s: data file holds %d bytes, want %d",
 				schema.Name, sc.Name, fi.Size(), want)
+		}
+		if fi.Size() > want {
+			if err := f.Truncate(want); err != nil {
+				return nil, nil, err
+			}
 		}
 		tail, err := st.readRows(ci, state.Base, state.N-state.Base)
 		if err != nil {
@@ -569,7 +578,7 @@ func CreateBackedTable(dir string, schema *relation.Schema, segSize int) (*relat
 		}
 		m.cols = append(m.cols, manifestCol{name: c.Name, kind: c.Kind, isDict: c.Kind != relation.KindInt && c.Kind != relation.KindFloat})
 	}
-	if err := os.WriteFile(filepath.Join(dir, manifestName), encodeManifest(m), 0o644); err != nil {
+	if err := writeAtomic(dir, manifestName, encodeManifest(m)); err != nil {
 		return nil, nil, err
 	}
 	return OpenBackedTable(dir, schema)
@@ -577,8 +586,10 @@ func CreateBackedTable(dir string, schema *relation.Schema, segSize int) (*relat
 
 // Flush writes the table's open segment to the column files and its
 // dictionaries and evidence to the manifest, so the directory reopens
-// with every appended row intact. It is a no-op when nothing was
-// appended since the last Flush.
+// with every appended row intact. The column files are synced before
+// the new manifest is renamed over the old one: the manifest is the
+// commit point. It is a no-op when nothing was appended since the last
+// Flush.
 func (st *Store) Flush() error {
 	return st.t.Persist(func(s *relation.StoreState) error {
 		if s.N == st.flushed {
@@ -598,7 +609,12 @@ func (st *Store) Flush() error {
 		if err := st.Seal(s.Base/st.segSize, tails); err != nil {
 			return err
 		}
-		if err := os.WriteFile(filepath.Join(st.dir, manifestName), encodeManifest(m), 0o644); err != nil {
+		for _, f := range st.files {
+			if err := f.Sync(); err != nil {
+				return err
+			}
+		}
+		if err := writeAtomic(st.dir, manifestName, encodeManifest(m)); err != nil {
 			return err
 		}
 		st.flushed = s.N

@@ -8,21 +8,21 @@ import (
 // Column describes one attribute of a table.
 type Column struct {
 	// Name is the attribute name, unique within its table.
-	Name string
+	Name string `json:"name"`
 	// Kind is the declared type; inserted values must match it or be NULL
 	// (ints are accepted into float columns and widened).
-	Kind Kind
+	Kind Kind `json:"kind"`
 	// FullText marks the column as searchable: the full-text indexer
 	// treats each distinct value of the column as a virtual document.
-	FullText bool
+	FullText bool `json:"fullText"`
 }
 
 // ForeignKey declares that Column of the owning table references
 // RefColumn of RefTable. KDAP schemas use single-column keys.
 type ForeignKey struct {
-	Column    string
-	RefTable  string
-	RefColumn string
+	Column    string `json:"column"`
+	RefTable  string `json:"refTable"`
+	RefColumn string `json:"refColumn"`
 }
 
 // Schema is the declared structure of a table.

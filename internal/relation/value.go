@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 )
 
 // Kind identifies the dynamic type of a Value.
@@ -44,6 +45,30 @@ func (k Kind) String() string {
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
+}
+
+// MarshalText spells the kind as a warehouse manifest does: its String.
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a manifest's column kind, in any case: string
+// (or text), int (integer), float (number, real), bool (boolean) or
+// null, which no schema accepts.
+func (k *Kind) UnmarshalText(b []byte) error {
+	switch strings.ToLower(string(b)) {
+	case "null":
+		*k = KindNull
+	case "string", "text":
+		*k = KindString
+	case "int", "integer":
+		*k = KindInt
+	case "float", "number", "real":
+		*k = KindFloat
+	case "bool", "boolean":
+		*k = KindBool
+	default:
+		return fmt.Errorf("relation: unknown column kind %q", b)
+	}
+	return nil
 }
 
 // Value is a dynamically typed relational value. Value is comparable (it

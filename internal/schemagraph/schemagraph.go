@@ -23,8 +23,8 @@ import (
 
 // AttrRef names an attribute as (table, column).
 type AttrRef struct {
-	Table string
-	Attr  string
+	Table string `json:"table"`
+	Attr  string `json:"attr"`
 }
 
 // String renders the reference as "Table.Attr".
@@ -34,8 +34,8 @@ func (a AttrRef) String() string { return a.Table + "." + a.Attr }
 // (index 0, e.g. Year) to the most detailed (e.g. Date). Roll-up
 // partitioning (§5.2.1) generalizes a hit attribute to the previous level.
 type Hierarchy struct {
-	Name   string
-	Levels []AttrRef
+	Name   string    `json:"name"`
+	Levels []AttrRef `json:"levels"`
 }
 
 // ParentOf returns the hierarchy level directly above attr, if attr is a
@@ -54,14 +54,14 @@ func (h Hierarchy) ParentOf(attr AttrRef) (AttrRef, bool) {
 // group-by attributes are manually specified (automatic discovery is the
 // paper's future work), so they are schema metadata here.
 type Dimension struct {
-	Name string
+	Name string `json:"name"`
 	// Tables owned by this dimension. A table may belong to several
 	// dimensions (the paper's Location example).
-	Tables []string
+	Tables []string `json:"tables"`
 	// Hierarchies within this dimension, most general level first.
-	Hierarchies []Hierarchy
+	Hierarchies []Hierarchy `json:"hierarchies"`
 	// GroupBy lists the attributes eligible as facet group-by candidates.
-	GroupBy []AttrRef
+	GroupBy []AttrRef `json:"groupBy"`
 }
 
 func (d *Dimension) ownsTable(name string) bool {
@@ -304,12 +304,12 @@ func (g *Graph) FactExtensions() []string {
 }
 
 // EdgeLabel is one role annotation on a foreign-key edge, as set by
-// LabelEdge; persistence uses it to reconstruct a graph.
+// LabelEdge; a warehouse manifest lists them to reconstruct a graph.
 type EdgeLabel struct {
-	Table     string
-	Column    string
-	Role      string
-	Dimension string
+	Table     string `json:"table"`
+	Column    string `json:"column"`
+	Role      string `json:"role"`
+	Dimension string `json:"dimension"`
 }
 
 // EdgeLabels returns every labeled edge, ordered by (table, column).

@@ -19,7 +19,11 @@ import (
 // count beside the planner's three.
 func TestServeSegmentedWarehouse(t *testing.T) {
 	resident := dataset.EBiz()
-	backed, store, err := persist.BackedWarehouse(t.TempDir(), dataset.EBiz(), 256)
+	dir := t.TempDir()
+	if err := persist.Save(dir, dataset.EBiz(), 256); err != nil {
+		t.Fatal(err)
+	}
+	backed, store, err := persist.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,6 @@
 package kdap
 
 import (
-	"io"
-	"path/filepath"
-
 	"kdap/internal/cache"
 	"kdap/internal/csvload"
 	"kdap/internal/dataset"
@@ -233,35 +230,28 @@ type NumericFilter = kdapcore.NumericFilter
 
 // LoadCSVWarehouse builds a warehouse from a directory containing CSV
 // files and a manifest.json describing tables, keys, dimensions, and
-// hierarchies — see internal/csvload for the manifest format. This is the
-// bring-your-own-data entry point.
+// hierarchies — see dataset.Manifest in internal/dataset for the format.
+// This is the bring-your-own-data entry point.
 func LoadCSVWarehouse(dir string) (*Warehouse, error) { return csvload.LoadDir(dir) }
 
-// SegmentStore is the pager behind a disk-backed fact table: its column
-// files and page cache, with skip/paging counters (Stats) and the
-// cache-budget knob (SetCacheBudget).
+// SegmentStore is the pager behind a warehouse directory's fact table:
+// its column files and page cache, with skip/paging counters (Stats),
+// the cache-budget knob (SetCacheBudget) and Close, which makes
+// appended rows durable.
 type SegmentStore = persist.Store
 
-// LoadCSVWarehouseSegmented is LoadCSVWarehouse with the fact table
-// disk-backed: fact CSV rows are appended to column files under segDir
-// (with per-segment zone maps, Bloom filters, and term segment lists)
-// and scans page segments in on demand, so fact data larger than memory
-// loads and serves in bounded RSS. Facet output is byte-identical to the resident load.
-func LoadCSVWarehouseSegmented(dir, segDir string) (*Warehouse, *SegmentStore, error) {
-	m, err := csvload.LoadManifest(filepath.Join(dir, "manifest.json"))
-	if err != nil {
-		return nil, nil, err
-	}
-	return csvload.LoadWithOptions(dir, m, csvload.LoadOptions{SegmentDir: segDir})
-}
+// SaveWarehouse writes wh as a warehouse directory at dir: manifest.json
+// (tables, keys, dimensions, hierarchies, edge labels) beside one
+// segment directory per table. Reopen it with OpenWarehouse.
+func SaveWarehouse(dir string, wh *Warehouse) error { return persist.Save(dir, wh, 0) }
 
-// SaveWarehouse snapshots a complete warehouse (data, schema, dimension
-// metadata) to w; reopen it with LoadWarehouse.
-func SaveWarehouse(w io.Writer, wh *Warehouse) error { return persist.Save(w, wh) }
-
-// LoadWarehouse reads a warehouse snapshot written by SaveWarehouse,
-// rebuilding the schema graph and full-text index.
-func LoadWarehouse(r io.Reader) (*Warehouse, error) { return persist.Load(r) }
+// OpenWarehouse opens a warehouse directory written by SaveWarehouse or
+// kdapgen -out. The fact table pages its segments in on demand through
+// the returned store, so fact data larger than memory serves in bounded
+// RSS; the other tables are read into memory, and the schema graph and
+// full-text index are rebuilt. Answers are byte-identical to the
+// warehouse that was saved.
+func OpenWarehouse(dir string) (*Warehouse, *SegmentStore, error) { return persist.Open(dir) }
 
 // --- building custom warehouses ---
 
@@ -314,10 +304,4 @@ func NewIndex() *Index { return fulltext.NewIndex() }
 // BuildWarehouse assembles a Warehouse from its parts, freezing the
 // database and index for concurrent reads. The graph must already be
 // Built.
-func BuildWarehouse(db *Database, g *Graph) *Warehouse {
-	db.Freeze()
-	ix := fulltext.NewIndex()
-	ix.IndexDatabase(db)
-	ix.Freeze()
-	return &Warehouse{DB: db, Graph: g, Index: ix}
-}
+func BuildWarehouse(db *Database, g *Graph) *Warehouse { return dataset.NewWarehouse(db, g) }

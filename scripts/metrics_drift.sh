@@ -6,8 +6,9 @@
 # means the docs promise telemetry the server no longer serves (or a
 # subsystem stopped registering at startup). The daemon runs with every
 # optional subsystem enabled — admission control, the answer cache and
-# disk-backed segmented storage — so conditionally-registered families
-# (kdap_answer_cache_*, kdap_segments_*) are all on.
+# a warehouse directory, whose fact table is served disk-backed — so
+# conditionally-registered families (kdap_answer_cache_*,
+# kdap_segments_*) are all on.
 # Run from the repository root.
 set -euo pipefail
 
@@ -16,9 +17,10 @@ DOC="docs/OPERATIONS.md"
 TMP="$(mktemp -d)"
 
 go build -o "$TMP/kdapd" ./cmd/kdapd
-"$TMP/kdapd" -addr "$ADDR" -db ebiz -log json \
-  -max-inflight 8 -slo-target 250ms \
-  -mmap-dir "$TMP/segments" -segment-cache-mb 16 \
+go build -o "$TMP/kdapgen" ./cmd/kdapgen
+"$TMP/kdapgen" -db ebiz -out "$TMP/ebiz" >/dev/null
+"$TMP/kdapd" -addr "$ADDR" -db "$TMP/ebiz" -log json \
+  -max-inflight 8 -slo-target 250ms -segment-cache-mb 16 \
   2>"$TMP/kdapd.log" &
 KDAPD_PID=$!
 cleanup() {
