@@ -42,7 +42,8 @@ import (
 
 // repl wraps a kdap.Session with terminal rendering.
 type repl struct {
-	s *kdap.Session
+	s     *kdap.Session
+	trace bool // print each operation's span tree
 }
 
 func main() {
@@ -83,8 +84,7 @@ func main() {
 	opts := kdap.DefaultExploreOptions()
 	engine := kdap.NewEngine(wh)
 	engine.SetAnswerCache(*answerCacheSize, *answerCacheTTL)
-	r := &repl{s: kdap.NewSession(engine, opts)}
-	r.s.SetTracing(*trace)
+	r := &repl{s: kdap.NewSession(engine, opts), trace: *trace}
 	if *timeout > 0 {
 		r.s.SetTimeout(*timeout)
 	}
@@ -125,7 +125,7 @@ func (r *repl) handle(line string) {
 	r.dispatch(line)
 	// A fresh trace means the command ran a traced engine operation;
 	// print its stage breakdown under the command's own output.
-	if tr := r.s.LastTrace(); r.s.Tracing() && tr != nil && tr != before {
+	if tr := r.s.LastTrace(); r.trace && tr != nil && tr != before {
 		fmt.Print(tr.Tree())
 	}
 }
@@ -167,7 +167,7 @@ func (r *repl) dispatch(line string) {
 	case "stats":
 		r.stats()
 	case "profile":
-		// Profiling is always on (see Session.LastProfile), so this
+		// A session always records (see Session.LastTrace), so this
 		// works retroactively on whatever just ran — no flag needed.
 		fmt.Print(r.s.LastProfile().Render())
 	case "mode":

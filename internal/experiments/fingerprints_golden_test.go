@@ -34,8 +34,8 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/fingerpri
 const goldenPath = "testdata/fingerprints.golden"
 
 // goldenEntry digests one star net: its facets and its fact rows.
-func goldenEntry(e *kdapcore.Engine, sn *kdapcore.StarNet) string {
-	rows, err := e.SubspaceRowsCtx(context.Background(), sn)
+func goldenEntry(ctx context.Context, e *kdapcore.Engine, sn *kdapcore.StarNet) string {
+	rows, err := e.SubspaceRowsCtx(ctx, sn)
 	if err != nil {
 		return "rows error: " + err.Error()
 	}
@@ -46,7 +46,7 @@ func goldenEntry(e *kdapcore.Engine, sn *kdapcore.StarNet) string {
 	}
 	rsum := sha256.Sum256([]byte(rb.String()))
 	fp := ""
-	f, err := e.ExploreCtx(context.Background(), sn, kdapcore.DefaultExploreOptions())
+	f, err := e.ExploreCtx(ctx, sn, kdapcore.DefaultExploreOptions())
 	if err != nil {
 		fp = "error: " + err.Error()
 	} else {
@@ -113,11 +113,11 @@ func goldenNets(t *testing.T, label string, e *kdapcore.Engine, n int) []namedNe
 }
 
 // goldenLine digests one net of the golden set over e.
-func goldenLine(label string, e *kdapcore.Engine, nn namedNet) string {
+func goldenLine(ctx context.Context, label string, e *kdapcore.Engine, nn namedNet) string {
 	if nn.sn == nil {
 		return label + "/" + nn.name + "\tno interpretation"
 	}
-	return label + "/" + nn.name + "\t" + goldenEntry(e, nn.sn)
+	return label + "/" + nn.name + "\t" + goldenEntry(ctx, e, nn.sn)
 }
 
 // goldenPass digests the golden set over one engine, each line prefixed
@@ -126,7 +126,7 @@ func goldenPass(t *testing.T, label string, e *kdapcore.Engine, n int) []string 
 	t.Helper()
 	var out []string
 	for _, nn := range goldenNets(t, label, e, n) {
-		out = append(out, goldenLine(label, e, nn))
+		out = append(out, goldenLine(context.Background(), label, e, nn))
 	}
 	return out
 }

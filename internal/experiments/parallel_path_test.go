@@ -7,6 +7,7 @@ import (
 
 	"kdap/internal/dataset"
 	"kdap/internal/kdapcore"
+	"kdap/internal/telemetry"
 	"kdap/internal/workload"
 )
 
@@ -22,7 +23,7 @@ func TestBenchWorkloadTakesParallelPath(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 
 	e := Engine(dataset.AWOnline())
-	before := e.Executor().Stats()
+	tr := telemetry.NewTrace("explore")
 	q := workload.AWOnlineQueries()[0]
 	nets, err := e.DifferentiateCtx(context.Background(), q.Text)
 	if err != nil {
@@ -31,12 +32,11 @@ func TestBenchWorkloadTakesParallelPath(t *testing.T) {
 	if len(nets) == 0 {
 		t.Fatalf("no interpretations for %q", q.Text)
 	}
-	if _, err := e.ExploreCtx(context.Background(), nets[0], kdapcore.DefaultExploreOptions()); err != nil {
+	if _, err := e.ExploreCtx(tr.Context(context.Background()), nets[0], kdapcore.DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
-	after := e.Executor().Stats()
-	if after.ParallelScans <= before.ParallelScans {
-		t.Fatalf("explore of %q at GOMAXPROCS=4 ran no parallel scans (serial %d->%d)",
-			q.Text, before.SerialScans, after.SerialScans)
+	if tr.Count(telemetry.ParallelScans) == 0 {
+		t.Fatalf("explore of %q at GOMAXPROCS=4 ran no parallel scans (serial %d)",
+			q.Text, tr.Count(telemetry.SerialScans))
 	}
 }

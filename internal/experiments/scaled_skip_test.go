@@ -11,6 +11,7 @@ import (
 	"kdap/internal/kdapcore"
 	"kdap/internal/persist"
 	"kdap/internal/relation"
+	"kdap/internal/telemetry"
 )
 
 // A selective drill over the scaled warehouse's ingest-clustered
@@ -47,9 +48,9 @@ func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 		t.Fatalf("differentiate resident: %v (%d nets)", err, len(resNets))
 	}
 
-	before, planBefore := store.Stats(), seg.Executor().Stats()
-	rows, err := seg.SubspaceRowsCtx(context.Background(), segNets[0])
-	after, planAfter := store.Stats(), seg.Executor().Stats()
+	before, tr := store.Stats(), telemetry.NewTrace("drill")
+	rows, err := seg.SubspaceRowsCtx(tr.Context(context.Background()), segNets[0])
+	after := store.Stats()
 	if err != nil || len(rows) == 0 {
 		t.Fatalf("drill produced no rows: %v", err)
 	}
@@ -61,7 +62,7 @@ func TestScaledDrillSkipsMajorityOfSegments(t *testing.T) {
 	nseg := relation.NumSegments(bfact.Len(), bfact.SegmentSize())
 	// The planner's zone verdicts plus whatever the store's own lookup
 	// scans skipped on Bloom or zone evidence.
-	planned := planAfter.SegmentsSkippedZone - planBefore.SegmentsSkippedZone
+	planned := tr.Count(telemetry.SegmentsSkippedZone)
 	skipped := planned + (after.SkippedBloom - before.SkippedBloom) + (after.SkippedZone - before.SkippedZone)
 	t.Logf("drill skipped %d of %d segments (%d planned on zones, %d bloom, %d lookup zone), paged in %d",
 		skipped, nseg, planned,
@@ -124,9 +125,9 @@ func BenchmarkBackedColdDrill(b *testing.B) {
 			for i := 0; i < sb.N; i++ {
 				store.DropCache()
 				e.InvalidateSubspaceRows()
-				before, planBefore := store.Stats(), e.Executor().Stats()
-				rows, err := e.SubspaceRowsCtx(context.Background(), sn)
-				after, planAfter := store.Stats(), e.Executor().Stats()
+				before, tr := store.Stats(), telemetry.NewTrace("drill")
+				rows, err := e.SubspaceRowsCtx(tr.Context(context.Background()), sn)
+				after := store.Stats()
 				if err != nil {
 					sb.Fatal(err)
 				}
@@ -138,7 +139,7 @@ func BenchmarkBackedColdDrill(b *testing.B) {
 				}
 				// Zone skips are the planner's verdicts plus the store's own
 				// lookup scans; Bloom skips only ever come from the latter.
-				skipped = planAfter.SegmentsSkippedZone - planBefore.SegmentsSkippedZone +
+				skipped = tr.Count(telemetry.SegmentsSkippedZone) +
 					after.SkippedZone - before.SkippedZone + after.SkippedBloom - before.SkippedBloom
 				pagedIn += after.PagedIn - before.PagedIn
 			}

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"kdap/internal/dataset"
 	"kdap/internal/kdapcore"
 	"kdap/internal/relation"
+	"kdap/internal/telemetry"
 )
 
 // Identity under sharing. An engine's spaces carry their distributions
@@ -21,14 +23,14 @@ func TestWarmSpacesByteIdentical(t *testing.T) {
 	check := func(t *testing.T, label string, wh *dataset.Warehouse, warm *kdapcore.Engine, n int) {
 		t.Helper()
 		nets := goldenNets(t, label, warm, n)
-		before := warm.DistributionStats()
+		tr := telemetry.NewTrace("warm")
 		for _, nn := range nets {
-			got := goldenLine(label, warm, nn)
-			if want := goldenLine(label, Engine(wh), nn); got != want {
+			got := goldenLine(tr.Context(context.Background()), label, warm, nn)
+			if want := goldenLine(context.Background(), label, Engine(wh), nn); got != want {
 				t.Errorf("%s: warm engine diverges from a fresh one:\n  want %s\n  got  %s", label, want, got)
 			}
 		}
-		if warm.DistributionStats().Hits == before.Hits {
+		if tr.Count(telemetry.SharedScans) == 0 {
 			t.Errorf("%s: the warm pass adopted no distribution; nothing was shared", label)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 
 	"kdap/internal/relation"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // Doc identifies one virtual document: a distinct attribute instance. This
@@ -320,7 +319,7 @@ func (ix *Index) searchTerms(ctx context.Context, qterms []string, opts Options)
 	}
 	accs := make(map[int]*acc)
 	var queryNormSq float64
-	touched := 0 // postings scored, for the request's wide event
+	touched := 0 // postings scored, counted on the request's trace
 
 	for _, qt := range qterms {
 		if done != nil {
@@ -414,7 +413,9 @@ func (ix *Index) searchTerms(ctx context.Context, qterms []string, opts Options)
 		}
 		queryNormSq += bestIDF * bestIDF
 	}
-	profile.FromContext(ctx).AddFulltextProbe(touched)
+	tr := telemetry.FromContext(ctx)
+	tr.Add(telemetry.FulltextProbes, 1)
+	tr.Add(telemetry.FulltextPostings, touched)
 	if len(accs) == 0 {
 		return nil, nil
 	}
@@ -457,7 +458,7 @@ func (ix *Index) phraseDocs(ctx context.Context, qterms []string) (map[int]struc
 	done := ctx.Done()
 	out := make(map[int]struct{})
 	postings := infos[rarest].postings
-	profile.FromContext(ctx).AddFulltextPostings(len(postings))
+	telemetry.Count(ctx, telemetry.FulltextPostings, len(postings))
 	for base := 0; base < len(postings); base += cancelCheckPostings {
 		if done != nil {
 			if err := ctx.Err(); err != nil {

@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"kdap/internal/stats"
-	"kdap/internal/telemetry/profile"
+	"kdap/internal/telemetry"
 )
 
 // AnnealConfig parameterizes the Algorithm 2 interval merge.
@@ -204,7 +204,9 @@ func MergeIntervalsCtx(ctx context.Context, x, y []float64, cfg AnnealConfig) (M
 		}
 		record()
 	}
-	profile.FromContext(ctx).AddAnneal(cfg.N)
+	tr := telemetry.FromContext(ctx)
+	tr.Add(telemetry.AnnealRuns, 1)
+	tr.Add(telemetry.AnnealIters, cfg.N)
 	final := bestScore
 	return MergeResult{
 		Splits:     best,

@@ -30,11 +30,10 @@ import (
 
 	"kdap/internal/cache"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
-// Answer-cache outcomes, as the request's wide event records them
-// (profile's cache field; the server echoes it as X-KDAP-Cache).
+// Answer-cache outcomes, as the request's trace records them (the
+// wide event's cache field; the server echoes it as X-KDAP-Cache).
 const (
 	// cacheBypass: no answer cache is configured, or the call is not
 	// cacheable (an explore with a CustomScore func has no canonical
@@ -124,14 +123,14 @@ func ExploreCacheKey(sn *StarNet, o ExploreOptions) (key string, ok bool) {
 }
 
 // noteCache is the one emission site of an answer's cache outcome: it
-// records the outcome on the request's wide event, where the server's
+// records the outcome on the request's trace, where the server's
 // X-KDAP-Cache header and the REPL's profile both read it. A coalesced
 // caller's work ran in the leader's goroutine, so its own span tree
 // would hold only cache_lookup: its wait since t0 is recorded as an
 // answer_shared stage, and the cache field ("coalesced") marks the
 // request as the follower.
 func noteCache(ctx context.Context, outcome string, t0 time.Time) {
-	profile.FromContext(ctx).SetCacheOutcome(outcome)
+	telemetry.FromContext(ctx).SetCache(outcome)
 	if outcome == cacheCoalesced {
 		telemetry.SpanFromContext(ctx).AddTimed("answer_shared", time.Since(t0))
 	}

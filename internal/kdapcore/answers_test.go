@@ -10,7 +10,7 @@ import (
 
 	"kdap/internal/dataset"
 	"kdap/internal/relation"
-	"kdap/internal/telemetry/profile"
+	"kdap/internal/telemetry"
 )
 
 // cachedEbizEngine is ebizEngine with the answer cache on.
@@ -20,19 +20,28 @@ func cachedEbizEngine() *Engine {
 	return e
 }
 
-// differentiateOutcome runs DifferentiateCtx under a fresh wide event
-// and returns the cache outcome the engine recorded on it.
+// traced returns ctx's trace, attaching a fresh one when it has none.
+func traced(ctx context.Context, name string) (context.Context, *telemetry.Trace) {
+	if tr := telemetry.FromContext(ctx); tr != nil {
+		return ctx, tr
+	}
+	tr := telemetry.NewTrace(name)
+	return tr.Context(ctx), tr
+}
+
+// differentiateOutcome runs DifferentiateCtx under a trace and returns
+// the cache outcome the engine recorded on it.
 func differentiateOutcome(ctx context.Context, e *Engine, query string) ([]*StarNet, string, error) {
-	p := profile.New("query", "")
-	nets, err := e.DifferentiateCtx(profile.NewContext(ctx, p), query)
-	return nets, p.CacheOutcome(), err
+	ctx, tr := traced(ctx, "query")
+	nets, err := e.DifferentiateCtx(ctx, query)
+	return nets, tr.Cache(), err
 }
 
 // exploreOutcome is differentiateOutcome for ExploreCtx.
 func exploreOutcome(ctx context.Context, e *Engine, sn *StarNet, opts ExploreOptions) (*Facets, string, error) {
-	p := profile.New("explore", "")
-	f, err := e.ExploreCtx(profile.NewContext(ctx, p), sn, opts)
-	return f, p.CacheOutcome(), err
+	ctx, tr := traced(ctx, "explore")
+	f, err := e.ExploreCtx(ctx, sn, opts)
+	return f, tr.Cache(), err
 }
 
 // TestAnswerCacheDifferentiateStorm is the engine-level coalescing

@@ -13,7 +13,6 @@ import (
 	"kdap/internal/olap"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // Engine is a KDAP session over one warehouse: it answers keyword queries
@@ -52,11 +51,6 @@ type Engine struct {
 	// by SetAnswerCache (nil = disabled). See answers.go.
 	diffAnswers *cache.Answers[[]*StarNet]
 	explAnswers *cache.Answers[*Facets]
-
-	// The space memo's hit and miss counts (space.go), reported by
-	// DistributionStats.
-	scanShared atomic.Int64
-	distFills  atomic.Int64
 
 	// Streaming-ingest state (see ingest.go): the single-writer append
 	// gate, the per-append sequence that feeds HTTP revalidation tags,
@@ -130,7 +124,7 @@ func (e *Engine) DifferentiateCtx(ctx context.Context, query string) ([]*StarNet
 // answer cache when one is configured (SetAnswerCache): identical
 // concurrent queries collapse into one pipeline run, and repeats within
 // the TTL are served from the store. How the answer was served is
-// recorded on the request's wide event (profile.FromContext). The
+// recorded on the request's trace (telemetry.FromContext). The
 // returned nets are shared — treat as immutable.
 func (e *Engine) DifferentiateRankedCtx(ctx context.Context, query string, method RankMethod) ([]*StarNet, error) {
 	if e.diffAnswers == nil {
@@ -209,7 +203,7 @@ func (e *Engine) differentiateRanked(ctx context.Context, query string, method R
 		sn.Filters = filters
 	}
 	sp.End()
-	profile.FromContext(ctx).AddCandidates(len(nets))
+	telemetry.Count(ctx, telemetry.Candidates, len(nets))
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -187,8 +187,8 @@ type rollup struct {
 //
 // When an answer cache is configured (SetAnswerCache), repeated and
 // concurrent identical explores are served through it, and how the
-// answer was served is recorded on the request's wide event
-// (profile.FromContext). A cached answer is a shallow copy bound to the
+// answer was served is recorded on the request's trace
+// (telemetry.FromContext). A cached answer is a shallow copy bound to the
 // caller's own net; its inner structure is shared and must be treated
 // as immutable.
 func (e *Engine) ExploreCtx(ctx context.Context, sn *StarNet, opts ExploreOptions) (*Facets, error) {

@@ -12,6 +12,7 @@ import (
 	"kdap/internal/dataset"
 	"kdap/internal/olap"
 	"kdap/internal/relation"
+	"kdap/internal/telemetry"
 	"kdap/internal/workload"
 )
 
@@ -335,13 +336,12 @@ func TestDistributionsCarriedAcrossAppend(t *testing.T) {
 	// The explore after the appends scans only what changed — "all" —
 	// and lands on the bytes an engine that first sees the table at its
 	// final length computes.
-	before := e.Executor().Stats()
-	f, err := e.ExploreCtx(ctx, sn, opts)
+	tr := telemetry.NewTrace("explore")
+	f, err := e.ExploreCtx(tr.Context(ctx), sn, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := e.Executor().Stats()
-	if got, want := groupByCalls(after)-groupByCalls(before), int64(len(distKeys(all2, "gb"))); got != want {
+	if got, want := groupByCalls(tr), int64(len(distKeys(all2, "gb"))); got != want {
 		t.Errorf("post-append explore ran %d group-by kernels, want %d (the touched space's only)", got, want)
 	}
 	fresh, err := ingestTestEngine(wh).ExploreCtx(ctx, sn, opts)

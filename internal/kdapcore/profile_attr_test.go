@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // Requests that share one computation are batched by the answer cache:
@@ -84,7 +83,7 @@ func TestBatchedFollowerAttribution(t *testing.T) {
 			go func() {
 				tr := telemetry.NewTrace(tc.name)
 				oc, err := tc.follow(tr.Context(context.Background()))
-				tr.Finish()
+				tr.Finish(0, telemetry.DispositionOK, nil)
 				done <- result{oc, tr.Stages(), err}
 			}()
 			deadline := time.Now().Add(5 * time.Second)
@@ -143,17 +142,13 @@ func TestUnbatchedProfileHasNoBatchFields(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := profile.New(tc.name, "")
 			tr := telemetry.NewTrace(tc.name)
-			ctx := profile.NewContext(tr.Context(context.Background()), p)
-			err := tc.follow(ctx)
-			tr.Finish()
+			err := tc.follow(tr.Context(context.Background()))
+			tr.Finish(0, telemetry.DispositionOK, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p.SetStages(tr.Stages())
-			p.Finish(0, profile.DispositionOK, nil)
-			ev := p.Snapshot()
+			ev := tr.Event()
 			if ev.Cache != cacheMiss {
 				t.Fatalf("solo outcome = %q, want miss", ev.Cache)
 			}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"kdap/internal/relation"
+	"kdap/internal/telemetry"
 )
 
 // Concurrent planned scans: many goroutines exploring the same engine
@@ -25,6 +26,7 @@ func TestConcurrentPrunedExplore(t *testing.T) {
 	opts.Parallel = true
 
 	const workers = 8
+	tr := telemetry.NewTrace("explores")
 	var wg sync.WaitGroup
 	errs := make([]error, workers)
 	outs := make([][]byte, workers)
@@ -34,7 +36,7 @@ func TestConcurrentPrunedExplore(t *testing.T) {
 			defer wg.Done()
 			// Every zone and column is cold: the first explores race to
 			// derive them.
-			f, err := e.ExploreCtx(context.Background(), sn, opts)
+			f, err := e.ExploreCtx(tr.Context(context.Background()), sn, opts)
 			if err != nil {
 				errs[i] = err
 				return
@@ -55,7 +57,7 @@ func TestConcurrentPrunedExplore(t *testing.T) {
 			t.Fatalf("worker %d produced different facets", i)
 		}
 	}
-	if e.Executor().Stats().SegmentsScanned == 0 {
+	if tr.Count(telemetry.SegmentsScanned) == 0 {
 		t.Fatal("no scan consulted the planner")
 	}
 }
@@ -74,9 +76,11 @@ func TestDrillSkipsSegments(t *testing.T) {
 	}
 	sn := nets[0]
 
-	before := e.Executor().Stats()
-	rows := subspaceRows(t, e, sn)
-	after := e.Executor().Stats()
+	tr := telemetry.NewTrace("drill")
+	rows, err := e.SubspaceRowsCtx(tr.Context(context.Background()), sn)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	// The oracle: Road Bikes is one product subcategory; walk every fact
 	// row, box it, follow ProductKey by hand.
@@ -112,10 +116,10 @@ func TestDrillSkipsSegments(t *testing.T) {
 	if segments != 8 {
 		t.Fatalf("AW_ONLINE has %d segments, fixture assumes 8", segments)
 	}
-	if skipped := after.SegmentsSkippedZone - before.SegmentsSkippedZone; 2*skipped < segments {
+	if skipped := tr.Count(telemetry.SegmentsSkippedZone); 2*skipped < segments {
 		t.Fatalf("SalesKey>54000 zone-skipped %d of %d segments — zone maps are not skipping", skipped, segments)
 	}
-	if after.SegmentsScanned == before.SegmentsScanned {
+	if tr.Count(telemetry.SegmentsScanned) == 0 {
 		t.Fatal("no segment was scanned")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"kdap/internal/persist"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
+	"kdap/internal/telemetry"
 )
 
 // seriesMart is a one-dimension star for the numeric-series path: fact F
@@ -134,8 +135,8 @@ func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 				// sub-dataspace (values outside the domain are dropped).
 				for _, iv := range []Intervals{MakeIntervals(vals, 40), MakeIntervals(vals[:len(vals)/9], 7)} {
 					want := iv.AggregateSeries(vals)
-					skipped := e.exec.Stats().SegmentsSkippedZone
-					got, err := e.spaceSeries(ctx, newSpace(rows, n), "Score", path, iv, nil)
+					tr := telemetry.NewTrace("series")
+					got, err := e.spaceSeries(tr.Context(ctx), newSpace(rows, n), "Score", path, iv, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -150,7 +151,7 @@ func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 							t.Fatalf("%d rows: bucket %d is NaN: a NULL measure leaked in", len(rows), b)
 						}
 					}
-					if len(rows) == n && e.exec.Stats().SegmentsSkippedZone == skipped {
+					if len(rows) == n && tr.Count(telemetry.SegmentsSkippedZone) == 0 {
 						t.Fatal("the Score-less stretch was not skipped on zone evidence")
 					}
 				}

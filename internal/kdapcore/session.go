@@ -8,7 +8,6 @@ import (
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // Session is the interactive state machine of the paper's Figure 1 loop:
@@ -27,10 +26,8 @@ type Session struct {
 	stack  []*StarNet // drill history; top = current subspace
 	facets *Facets
 
-	tracing     bool
-	lastTrace   *telemetry.Trace
-	lastProfile *profile.P
-	timeout     time.Duration
+	lastTrace *telemetry.Trace
+	timeout   time.Duration
 }
 
 // NewSession creates a session over an engine with the given explore
@@ -45,27 +42,20 @@ func (s *Session) Engine() *Engine { return s.engine }
 // Options returns the current explore options.
 func (s *Session) Options() ExploreOptions { return s.opts }
 
-// SetTracing toggles per-operation span recording. While enabled, every
-// Query/Pick/Drill/Back records a span tree retrievable via LastTrace.
-func (s *Session) SetTracing(on bool) { s.tracing = on }
-
-// Tracing reports whether span recording is enabled.
-func (s *Session) Tracing() bool { return s.tracing }
-
-// LastTrace returns the span tree of the most recent traced operation,
-// or nil when tracing is off or nothing has run yet.
+// LastTrace returns the record of the most recent Query/Pick/Drill/Back
+// — its span tree, cache outcome and counts — or nil before the first.
+// A session always records: the per-operation cost is a few spans and
+// atomic adds, far below interactive noise.
 func (s *Session) LastTrace() *telemetry.Trace { return s.lastTrace }
 
-// LastProfile returns the wide event of the most recent operation, or
-// nil before the first one. Profiling is always on for a session — the
-// per-operation cost is a few dozen atomic adds, far below interactive
-// noise — so the REPL's `profile` command works retroactively on
-// whatever just ran.
-func (s *Session) LastProfile() *profile.Event {
-	if s.lastProfile == nil {
+// LastProfile returns the wide event of the most recent operation (a
+// fold of LastTrace), or nil before the first one, so the REPL's
+// `profile` command works retroactively on whatever just ran.
+func (s *Session) LastProfile() *telemetry.Event {
+	if s.lastTrace == nil {
 		return nil
 	}
-	return s.lastProfile.Snapshot()
+	return s.lastTrace.Event()
 }
 
 // SetTimeout sets a per-operation deadline: every subsequent
@@ -75,27 +65,14 @@ func (s *Session) LastProfile() *profile.Event {
 func (s *Session) SetTimeout(d time.Duration) { s.timeout = d }
 
 // traceCtx returns the context every session operation runs under —
-// always carrying a fresh wide event (LastProfile), plus a trace when
-// tracing is on, bounded by the session timeout when one is set. The
-// returned finish func finalizes the root span and profile, publishes
-// them to LastTrace/LastProfile, and releases the deadline timer.
+// carrying a fresh trace, published as LastTrace, and bounded by the
+// session timeout when one is set. The returned finish func seals the
+// trace and releases the deadline timer.
 func (s *Session) traceCtx(op string) (context.Context, func()) {
-	ctx := context.Background()
-	p := profile.New(op, "")
-	s.lastProfile = p
-	ctx = profile.NewContext(ctx, p)
-	var tr *telemetry.Trace
-	finish := func() { p.Finish(0, profile.DispositionOK, nil) }
-	if s.tracing {
-		tr = telemetry.NewTrace(op)
-		s.lastTrace = tr
-		ctx = tr.Context(ctx)
-		finish = func() {
-			tr.Finish()
-			p.SetStages(tr.Stages())
-			p.Finish(0, profile.DispositionOK, nil)
-		}
-	}
+	tr := telemetry.NewTrace(op)
+	s.lastTrace = tr
+	ctx := tr.Context(context.Background())
+	finish := func() { tr.Finish(0, telemetry.DispositionOK, nil) }
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -118,7 +95,7 @@ func (s *Session) SetMode(mode InterestMode) error {
 // Query runs the differentiate phase and resets the navigation state.
 func (s *Session) Query(query string) ([]*StarNet, error) {
 	ctx, finish := s.traceCtx("query")
-	s.lastProfile.SetQuery(query)
+	s.lastTrace.Describe("", query)
 	nets, err := s.engine.DifferentiateCtx(ctx, query)
 	finish()
 	if err != nil {

@@ -110,22 +110,13 @@ func TestSessionErrors(t *testing.T) {
 	}
 }
 
-// With tracing on, every query and explore-refreshing navigation step
-// publishes a span tree through LastTrace; with it off (the default),
-// nothing is recorded.
+// Every query and explore-refreshing navigation step publishes a span
+// tree through LastTrace: a session always records.
 func TestSessionTracing(t *testing.T) {
 	s := newSession(t)
-	if s.Tracing() || s.LastTrace() != nil {
-		t.Fatal("tracing on by default")
-	}
-	if _, err := s.Query("Columbus LCD"); err != nil {
-		t.Fatal(err)
-	}
 	if s.LastTrace() != nil {
-		t.Error("untraced query recorded a trace")
+		t.Fatal("a trace before any operation")
 	}
-
-	s.SetTracing(true)
 	if _, err := s.Query("Columbus LCD"); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +125,7 @@ func TestSessionTracing(t *testing.T) {
 		t.Fatalf("query trace: %+v", qt)
 	}
 	if st := qt.Stages(); st["differentiate"] == 0 || st["hit_probe"] == 0 {
-		t.Errorf("query stages missing: %v", qt.StageNames())
+		t.Errorf("query stages missing: %v", st)
 	}
 
 	if _, err := s.Pick(1); err != nil {
@@ -145,7 +136,32 @@ func TestSessionTracing(t *testing.T) {
 		t.Fatalf("pick did not publish an explore trace")
 	}
 	if st := et.Stages(); st["subspace_semijoin"] == 0 || st["facet_score"] == 0 {
-		t.Errorf("explore stages missing: %v", et.StageNames())
+		t.Errorf("explore stages missing: %v", st)
+	}
+}
+
+// The REPL's `profile` covers stages as well as counts, with no tracing
+// switch to turn on first.
+func TestSessionProfileHasStages(t *testing.T) {
+	s := newSession(t)
+	if _, err := s.Query("Columbus LCD"); err != nil {
+		t.Fatal(err)
+	}
+	ev := s.LastProfile()
+	if ev.Candidates == 0 || ev.FulltextProbes == 0 {
+		t.Fatalf("query profile lost its counts: %+v", ev)
+	}
+	names := map[string]bool{}
+	for _, st := range ev.Stages {
+		names[st.Name] = true
+	}
+	for _, want := range []string{"query", "differentiate", "hit_probe", "rank"} {
+		if !names[want] {
+			t.Errorf("query profile has no %s stage: %+v", want, ev.Stages)
+		}
+	}
+	if !strings.Contains(ev.Render(), "hit_probe") {
+		t.Errorf("rendered profile lacks its stages:\n%s", ev.Render())
 	}
 }
 

@@ -28,7 +28,6 @@ import (
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // space is one materialised fact-row set plus the fact length it was
@@ -127,17 +126,16 @@ func isContextErr(err error) bool {
 }
 
 // distribution is the one lookup site of a space's memo, and the one
-// emission site of "adopted, not scanned": a hit is counted on the
-// engine (DistributionStats, kdap_cache_hits_total{cache=
-// "distributions"}) and on the request's wide event.
-func distribution[T any](ctx context.Context, e *Engine, sp *space, key string, fill func(context.Context) (T, error)) (T, error) {
+// emission site of "adopted, not scanned": the request counts a hit as
+// a shared scan and a miss as a fill (the server folds both into
+// kdap_cache_{hits,misses}_total{cache="distributions"}).
+func distribution[T any](ctx context.Context, sp *space, key string, fill func(context.Context) (T, error)) (T, error) {
 	v, adopted, err := sp.dist.do(ctx, key, func(ctx context.Context) (any, error) { return fill(ctx) })
+	f := telemetry.DistFills
 	if adopted {
-		e.scanShared.Add(1)
-		profile.FromContext(ctx).AddSharedScan()
-	} else {
-		e.distFills.Add(1)
+		f = telemetry.SharedScans
 	}
+	telemetry.Count(ctx, f, 1)
 	if err != nil {
 		var zero T
 		return zero, err
@@ -147,7 +145,7 @@ func distribution[T any](ctx context.Context, e *Engine, sp *space, key string, 
 
 // spaceAggregate returns G(S).
 func (e *Engine) spaceAggregate(ctx context.Context, sp *space) (float64, error) {
-	return distribution(ctx, e, sp, "agg", func(ctx context.Context) (float64, error) {
+	return distribution(ctx, sp, "agg", func(ctx context.Context) (float64, error) {
 		return e.exec.AggregateCtx(ctx, sp.rows, e.measure, e.agg)
 	})
 }
@@ -156,7 +154,7 @@ func (e *Engine) spaceAggregate(ctx context.Context, sp *space) (float64, error)
 // path.
 func (e *Engine) spaceGroupBy(ctx context.Context, sp *space, attr string, path schemagraph.JoinPath) (map[relation.Value]float64, error) {
 	key := "gb\x1f" + path.Signature() + "\x1f" + attr
-	return distribution(ctx, e, sp, key, func(ctx context.Context) (map[relation.Value]float64, error) {
+	return distribution(ctx, sp, key, func(ctx context.Context) (map[relation.Value]float64, error) {
 		return e.exec.GroupByCtx(ctx, sp.rows, attr, path, e.measure, e.agg)
 	})
 }
@@ -180,7 +178,7 @@ func (e *Engine) spaceSeries(ctx context.Context, sp *space, attr string, path s
 		"\x1f" + strconv.FormatFloat(iv.Edges[0], 'x', -1, 64) +
 		"\x1f" + strconv.FormatFloat(iv.Edges[n], 'x', -1, 64) +
 		"\x1f" + strconv.Itoa(n)
-	return distribution(ctx, e, sp, key, func(ctx context.Context) ([]float64, error) {
+	return distribution(ctx, sp, key, func(ctx context.Context) ([]float64, error) {
 		if vals != nil {
 			return iv.AggregateSeries(vals), nil
 		}
@@ -193,11 +191,4 @@ func (e *Engine) spaceSeries(ctx context.Context, sp *space, attr string, path s
 		}
 		return series, nil
 	})
-}
-
-// DistributionStats snapshots the space memo's lookup counters in the
-// shape the Clock caches report theirs: a hit adopted a distribution
-// already computed (or in flight) over the space, a miss scanned.
-func (e *Engine) DistributionStats() cache.Stats {
-	return cache.Stats{Hits: e.scanShared.Load(), Misses: e.distFills.Load()}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"kdap/internal/cache"
-	"kdap/internal/olap"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
@@ -27,9 +26,13 @@ func top1(t *testing.T, e *Engine, q string) *StarNet {
 }
 
 // groupByCalls and aggregateCalls are how many GroupByCtx and
-// AggregateCtx kernel calls the executor has served.
-func groupByCalls(st olap.ExecStats) int64   { return st.GroupByVec + st.GroupByEval }
-func aggregateCalls(st olap.ExecStats) int64 { return st.AggregateVec + st.AggregateEval }
+// AggregateCtx kernel calls a trace counted.
+func groupByCalls(tr *telemetry.Trace) int64 {
+	return tr.Count(telemetry.GroupByVector) + tr.Count(telemetry.GroupByEval)
+}
+func aggregateCalls(tr *telemetry.Trace) int64 {
+	return tr.Count(telemetry.AggregateVector) + tr.Count(telemetry.AggregateEval)
+}
 
 // distKeys lists the distributions a space holds whose key starts with
 // prefix.
@@ -89,12 +92,12 @@ func TestDrillReusesParentSpace(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsBefore, execBefore, distBefore := e.RowsCacheStats(), e.Executor().Stats(), e.DistributionStats()
-	f, err := e.ExploreCtx(ctx, drilled, opts)
+	rowsBefore, tr := e.RowsCacheStats(), telemetry.NewTrace("explore")
+	f, err := e.ExploreCtx(tr.Context(ctx), drilled, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rowsAfter, execAfter, distAfter := e.RowsCacheStats(), e.Executor().Stats(), e.DistributionStats()
+	rowsAfter := e.RowsCacheStats()
 
 	// The roll-up along the drilled attribute has no hierarchy parent, so
 	// it drops the Color constraint: the background is the parent's DS'.
@@ -133,13 +136,13 @@ func TestDrillReusesParentSpace(t *testing.T) {
 			newAgg += len(distKeys(sp, "agg"))
 		}
 	}
-	if got := groupByCalls(execAfter) - groupByCalls(execBefore); got != int64(newGB) {
+	if got := groupByCalls(tr); got != int64(newGB) {
 		t.Errorf("drilled explore ran %d group-by kernels, want %d (one per new (space, attr) pair)", got, newGB)
 	}
-	if got := aggregateCalls(execAfter) - aggregateCalls(execBefore); got != int64(newAgg) {
+	if got := aggregateCalls(tr); got != int64(newAgg) {
 		t.Errorf("drilled explore ran %d aggregate kernels, want %d (one per new space)", got, newAgg)
 	}
-	if distAfter.Hits == distBefore.Hits {
+	if tr.Count(telemetry.SharedScans) == 0 {
 		t.Error("drilled explore adopted no distribution")
 	}
 
@@ -174,7 +177,7 @@ func TestExploreResolvesSubspaceOnce(t *testing.T) {
 	if _, err := e.exploreUncached(tr.Context(context.Background()), sn, DefaultExploreOptions()); err != nil {
 		t.Fatal(err)
 	}
-	tr.Finish()
+	tr.Finish(0, telemetry.DispositionOK, nil)
 	if n := countSpans(tr.JSON(), "subspace_semijoin"); n != 1 {
 		t.Errorf("%d subspace_semijoin spans in one explore, want 1:\n%s", n, tr.Tree())
 	}
@@ -209,7 +212,9 @@ func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
 		return spaces, shared, gb, agg
 	}
 	spaces0, _, gb0, agg0 := held()
-	before := e.Executor().Stats()
+	// One trace records all sixteen explores.
+	tr := telemetry.NewTrace("explores")
+	ctx := tr.Context(context.Background())
 
 	const workers = 16
 	var wg sync.WaitGroup
@@ -217,13 +222,12 @@ func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if _, err := e.ExploreCtx(context.Background(), nets[w%len(nets)], opts); err != nil {
+			if _, err := e.ExploreCtx(ctx, nets[w%len(nets)], opts); err != nil {
 				t.Errorf("worker %d: %v", w, err)
 			}
 		}(w)
 	}
 	wg.Wait()
-	after := e.Executor().Stats()
 
 	spaces, shared, gb, agg := held()
 	for sp := range spaces {
@@ -238,13 +242,13 @@ func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
 	if !meet || gb == gb0 {
 		t.Fatal("the sibling nets share no roll-up space, or their explores filled no group-by; the test lost its premise")
 	}
-	if got := groupByCalls(after) - groupByCalls(before); got != gb-gb0 {
+	if got := groupByCalls(tr); got != gb-gb0 {
 		t.Errorf("%d group-by kernels for %d distinct (space, attr) pairs", got, gb-gb0)
 	}
-	if got := aggregateCalls(after) - aggregateCalls(before); got != agg-agg0 {
+	if got := aggregateCalls(tr); got != agg-agg0 {
 		t.Errorf("%d aggregate kernels for %d distinct spaces", got, agg-agg0)
 	}
-	if e.DistributionStats().Hits == 0 {
+	if tr.Count(telemetry.SharedScans) == 0 {
 		t.Error("sixteen explores of three sibling nets adopted nothing")
 	}
 }

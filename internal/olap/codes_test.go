@@ -147,8 +147,8 @@ func (m *codeMart) check(t *testing.T, rng *rand.Rand, pivot bool) {
 			t.Fatalf("nd %d, %d facts, Tag over %d rows: %v", m.nd, n, len(rows), err)
 		}
 	}
-	if got, want := m.ex.attrCodes("Name", m.path).width, codeWidth(m.nd); got != want {
-		t.Fatalf("nd %d: Name codes are %d bytes wide, want %d", m.nd, got, want)
+	if cc, _ := m.ex.attrCodes("Name", m.path); cc.width != codeWidth(m.nd) {
+		t.Fatalf("nd %d: Name codes are %d bytes wide, want %d", m.nd, cc.width, codeWidth(m.nd))
 	}
 	if !pivot {
 		return
@@ -214,15 +214,14 @@ func TestCodeVectorWidensAcrossAppends(t *testing.T) {
 	m := buildCodeMart(t, 3)
 	read := func(wantWidth int) *codeColumn {
 		t.Helper()
-		before := m.ex.Stats().CodeVecBuilds
-		cc := m.ex.attrCodes("Tag", m.zero)
+		cc, builds := m.ex.attrCodes("Tag", m.zero)
 		if cc.width != wantWidth || cc.rows() != m.fact.Len() {
 			t.Fatalf("%d facts (%d tags): width %d over %d rows, want width %d", m.fact.Len(), len(cc.dict), cc.width, cc.rows(), wantWidth)
 		}
-		if got := m.ex.Stats().CodeVecBuilds - before; got != 1 {
-			t.Fatalf("%d facts: %d code vector builds for one extension, want 1", m.fact.Len(), got)
+		if builds != 1 {
+			t.Fatalf("%d facts: %d code vector builds for one extension, want 1", m.fact.Len(), builds)
 		}
-		if again := m.ex.attrCodes("Tag", m.zero); again != cc {
+		if again, builds := m.ex.attrCodes("Tag", m.zero); again != cc || builds != 0 {
 			t.Fatalf("%d facts: a covered column was rebuilt", m.fact.Len())
 		}
 		for r := 0; r < cc.rows(); r++ {
@@ -313,7 +312,7 @@ func TestReadersRacingCodeWidening(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
-	if cc := m.ex.attrCodes("Tag", m.zero); cc.width != codeWidth((total+1)/2) {
+	if cc, _ := m.ex.attrCodes("Tag", m.zero); cc.width != codeWidth((total+1)/2) {
 		t.Fatalf("final width %d for %d tags", cc.width, (total+1)/2)
 	}
 }

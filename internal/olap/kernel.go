@@ -10,7 +10,7 @@ import (
 
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
-	"kdap/internal/telemetry/profile"
+	"kdap/internal/telemetry"
 )
 
 // The columnar execution kernels: tight loops over pre-extracted code
@@ -90,6 +90,20 @@ func scanWorkers() int {
 		w = 1
 	}
 	return w
+}
+
+// noteScan is the one emission site of a kernel pass on the request in
+// ctx: its schedule — parallel over stripes, or serial — and the rows it
+// visits.
+func noteScan(ctx context.Context, parallel bool, stripes, rows int) {
+	tr := telemetry.FromContext(ctx)
+	if parallel {
+		tr.Add(telemetry.ParallelScans, 1)
+		tr.Add(telemetry.KernelStripes, stripes)
+	} else {
+		tr.Add(telemetry.SerialScans, 1)
+	}
+	tr.Add(telemetry.RowsScanned, rows)
 }
 
 // mergeInto folds src into dst. All five aggregation functions merge
@@ -174,20 +188,12 @@ func (ex *Executor) groupScan(ctx context.Context, rows []int, cc *codeColumn, m
 
 func groupScanCodes[C code](ctx context.Context, ex *Executor, rows []int, codes []C, ngroups int, m Measure) ([]aggState, []bool, error) {
 	if len(rows) < parallelRowThreshold {
-		ex.stats.serialScans.Add(1)
-		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
+		noteScan(ctx, false, 0, len(rows))
 		return groupScanChunk(ctx, ex, rows, codes, ngroups, m)
 	}
 	spans := stripeSpans(len(rows))
 	workers := scanWorkers()
-	if workers == 1 {
-		ex.stats.serialScans.Add(1)
-		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
-	} else {
-		ex.stats.parallelScans.Add(1)
-		ex.stats.kernelChunks.Add(int64(len(spans)))
-		profile.FromContext(ctx).AddKernelScan(true, len(spans), len(rows))
-	}
+	noteScan(ctx, workers > 1, len(spans), len(rows))
 	states := make([][]aggState, len(spans))
 	touched := make([][]bool, len(spans))
 	errs := make([]error, len(spans))
@@ -285,20 +291,12 @@ func groupScanChunk[C code](ctx context.Context, ex *Executor, rows []int, codes
 // scanAggregate is the fused single-group scan behind Aggregate.
 func (ex *Executor) scanAggregate(ctx context.Context, rows []int, m Measure) (aggState, error) {
 	if len(rows) < parallelRowThreshold {
-		ex.stats.serialScans.Add(1)
-		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
+		noteScan(ctx, false, 0, len(rows))
 		return ex.scanAggregateChunk(ctx, rows, m)
 	}
 	spans := stripeSpans(len(rows))
 	workers := scanWorkers()
-	if workers == 1 {
-		ex.stats.serialScans.Add(1)
-		profile.FromContext(ctx).AddKernelScan(false, 0, len(rows))
-	} else {
-		ex.stats.parallelScans.Add(1)
-		ex.stats.kernelChunks.Add(int64(len(spans)))
-		profile.FromContext(ctx).AddKernelScan(true, len(spans), len(rows))
-	}
+	noteScan(ctx, workers > 1, len(spans), len(rows))
 	partial := make([]aggState, len(spans))
 	errs := make([]error, len(spans))
 	runStripes(len(spans), workers, func(i int) {
@@ -488,18 +486,18 @@ func widenCodes[D, C code](dst []D, src []C) {
 // column's width), so kernels never index past a code vector with a row
 // set derived from a newer snapshot. Only a fact-table attribute's
 // dictionary can grow with an append; when it outgrows the width the
-// extension widens the whole vector.
-func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) *codeColumn {
+// extension widens the whole vector. builds is how many times this call
+// materialized the column, for a caller with a request to count.
+func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) (_ *codeColumn, builds int) {
 	key := attrColKey{path.Signature(), attr}
-	for {
+	for ; ; builds++ {
 		n := ex.fact.Len()
 		ex.mu.RLock()
 		cc := ex.attrCode[key]
 		ex.mu.RUnlock()
 		if cc != nil && cc.rows() >= n {
-			return cc
+			return cc, builds
 		}
-		ex.stats.codeVecBuilds.Add(1)
 		var dict []relation.Value
 		if cc != nil {
 			dict = cc.dict
@@ -514,7 +512,7 @@ func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) *codeColum
 		}
 		ex.attrCode[key] = next
 		ex.mu.Unlock()
-		return next
+		return next, builds + 1
 	}
 }
 
@@ -594,18 +592,18 @@ func readRange[T any](segment func(si int) []T, segSize, from, to int) []T {
 // attrFloats returns, memoized, the fact-aligned numeric column for the
 // attribute at the far end of path: NaN where the fact row is unlinked
 // or the attribute value is NULL or non-numeric. Coverage-complete like
-// attrCodes: always at least the fact row count observed at call time.
-func (ex *Executor) attrFloats(attr string, path schemagraph.JoinPath) []float64 {
+// attrCodes: always at least the fact row count observed at call time,
+// with builds counted the same way.
+func (ex *Executor) attrFloats(attr string, path schemagraph.JoinPath) (_ []float64, builds int) {
 	key := attrColKey{path.Signature(), attr}
-	for {
+	for ; ; builds++ {
 		n := ex.fact.Len()
 		ex.mu.RLock()
 		fc := ex.attrFloat[key]
 		ex.mu.RUnlock()
 		if fc != nil && len(fc) >= n {
-			return fc
+			return fc, builds
 		}
-		ex.stats.floatColBuilds.Add(1)
 		f2d := ex.factToDim(path) // covers ≥ n
 		lo := len(fc)
 		src := ex.table(path.Source)
@@ -632,6 +630,6 @@ func (ex *Executor) attrFloats(attr string, path schemagraph.JoinPath) []float64
 		merged := append(prev[:lo:lo], tail...)
 		ex.attrFloat[key] = merged
 		ex.mu.Unlock()
-		return merged
+		return merged, builds + 1
 	}
 }

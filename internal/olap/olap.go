@@ -27,14 +27,12 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"kdap/internal/bitset"
 	"kdap/internal/cache"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // Measure evaluates a numeric measure on one fact row. The paper's
@@ -271,71 +269,6 @@ type Executor struct {
 	// star nets combine a small vocabulary of hit groups, so hit rates
 	// are high during differentiation-heavy workloads.
 	constraintBits *cache.Clock[string, *bitset.Set]
-
-	stats execCounters
-}
-
-// execCounters are the executor's lifetime kernel counters: which
-// execution path each call took (columnar vector vs row-at-a-time
-// measure eval) and how the parallel kernels fanned out. All lock-free;
-// one atomic add per call, never per row, so the hot kernels stay
-// within the telemetry overhead budget.
-type execCounters struct {
-	groupByVec     atomic.Int64
-	groupByEval    atomic.Int64
-	aggregateVec   atomic.Int64
-	aggregateEval  atomic.Int64
-	parallelScans  atomic.Int64
-	serialScans    atomic.Int64
-	kernelChunks   atomic.Int64
-	codeVecBuilds  atomic.Int64
-	floatColBuilds atomic.Int64
-
-	segmentsScanned     atomic.Int64
-	segmentsSkippedZone atomic.Int64
-	segmentsSkippedBits atomic.Int64
-}
-
-// ExecStats is a point-in-time snapshot of the executor's kernel
-// counters, exported at /metrics.
-type ExecStats struct {
-	// GroupByCtx calls by path: the columnar kernel over a measure
-	// vector, and the columnar kernel falling back to per-row measure
-	// eval.
-	GroupByVec, GroupByEval int64
-	// AggregateCtx calls by the same two paths.
-	AggregateVec, AggregateEval int64
-	// ParallelScans fan out over KernelChunks worker stripes in total;
-	// SerialScans stayed under the parallel row threshold (or ran their
-	// stripes inline at GOMAXPROCS=1).
-	ParallelScans, SerialScans, KernelChunks int64
-	// CodeVecBuilds / FloatColBuilds count cold fact-aligned column
-	// materializations (cache misses in the executor's memos).
-	CodeVecBuilds, FloatColBuilds int64
-	// SegmentsScanned counts segments the planner let through to a scan;
-	// SegmentsSkippedZone / SegmentsSkippedBits count segments it
-	// skipped, by evidence (a zone missing a declared bound vs a
-	// constraint bitset with no member in the segment's rows).
-	SegmentsScanned, SegmentsSkippedZone, SegmentsSkippedBits int64
-}
-
-// Stats snapshots the executor's kernel counters.
-func (ex *Executor) Stats() ExecStats {
-	return ExecStats{
-		GroupByVec:     ex.stats.groupByVec.Load(),
-		GroupByEval:    ex.stats.groupByEval.Load(),
-		AggregateVec:   ex.stats.aggregateVec.Load(),
-		AggregateEval:  ex.stats.aggregateEval.Load(),
-		ParallelScans:  ex.stats.parallelScans.Load(),
-		SerialScans:    ex.stats.serialScans.Load(),
-		KernelChunks:   ex.stats.kernelChunks.Load(),
-		CodeVecBuilds:  ex.stats.codeVecBuilds.Load(),
-		FloatColBuilds: ex.stats.floatColBuilds.Load(),
-
-		SegmentsScanned:     ex.stats.segmentsScanned.Load(),
-		SegmentsSkippedZone: ex.stats.segmentsSkippedZone.Load(),
-		SegmentsSkippedBits: ex.stats.segmentsSkippedBits.Load(),
-	}
 }
 
 // ResidentBytes is the size of the fact-aligned columns an executor has
@@ -573,11 +506,11 @@ func (ex *Executor) FactRowsCtx(ctx context.Context, constraints []Constraint) (
 // cancelCheckRows granularity and returns ctx.Err() instead of finishing
 // the scan.
 func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg Agg) (float64, error) {
+	f := telemetry.AggregateEval
 	if measureVec(m) != nil {
-		ex.stats.aggregateVec.Add(1)
-	} else {
-		ex.stats.aggregateEval.Add(1)
+		f = telemetry.AggregateVector
 	}
+	telemetry.Count(ctx, f, 1)
 	st, err := ex.scanAggregate(ctx, rows, m)
 	if err != nil {
 		return 0, err
@@ -602,12 +535,14 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 	if dimTable.Schema().ColumnIndex(attr) < 0 {
 		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
 	}
+	tr := telemetry.FromContext(ctx)
 	if measureVec(m) != nil {
-		ex.stats.groupByVec.Add(1)
+		tr.Add(telemetry.GroupByVector, 1)
 	} else {
-		ex.stats.groupByEval.Add(1)
+		tr.Add(telemetry.GroupByEval, 1)
 	}
-	cc := ex.attrCodes(attr, path)
+	cc, builds := ex.attrCodes(attr, path)
+	tr.Add(telemetry.CodeColumnBuilds, builds)
 	states, touched, err := ex.groupScan(ctx, rows, cc, m)
 	if err != nil {
 		return nil, err
@@ -795,8 +730,7 @@ func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr s
 	}
 	_, sp := telemetry.StartSpan(ctx, "segment_scan")
 	defer sp.End()
-	ex.stats.serialScans.Add(1)
-	profile.FromContext(ctx).AddKernelScan(false, 0, total)
+	noteScan(ctx, false, 0, total)
 	sc := newSeriesScan(vals, m, ex.fact)
 	buf := make([]ValueMeasure, 0, min(total, cancelCheckRows))
 	return forStrides(ctx, rows, spans, func(stride []int) { fold(sc.appendPairs(buf, stride)) })
@@ -812,7 +746,8 @@ func (ex *Executor) seriesSpans(ctx context.Context, rows []int, attr string, pa
 	if len(rows) == 0 {
 		return nil, 0, nil
 	}
-	vals = ex.attrFloats(attr, path)
+	vals, builds := ex.attrFloats(attr, path)
+	telemetry.Count(ctx, telemetry.FloatColumnBuilds, builds)
 	zone := ex.attrZone(attr, path, vals, negInf, posInf)
 	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
 	spans, total = rowSpans(rows, runs)

@@ -41,8 +41,8 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 	// Columnar scan: both axes read fact-aligned dictionary codes, so
 	// the cell key is a pair of int32s instead of two boxed Values. The
 	// axes may differ in code width; at reads either.
-	rCol := ex.attrCodes(rowAttr, rowPath)
-	cCol := ex.attrCodes(colAttr, colPath)
+	rCol, _ := ex.attrCodes(rowAttr, rowPath)
+	cCol, _ := ex.attrCodes(colAttr, colPath)
 	rDict, cDict := rCol.dict, cCol.dict
 	vec := measureVec(m)
 

@@ -9,7 +9,6 @@ import (
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 // The row-space planner. The fact table's segment (relation.Table
@@ -64,8 +63,8 @@ func (ex *Executor) factZone(b Bound) zoneCheck {
 // zone check (a few float compares) and then every constraint bitset
 // (a word-parallel probe of the segment's rows), and returns the
 // surviving segments as row runs — adjacent survivors coalesced, the
-// first and last clipped to the range. The verdict is emitted here and
-// nowhere else: executor counters and the request's wide event.
+// first and last clipped to the range. The verdict is counted here and
+// nowhere else, on the request's trace.
 func (ex *Executor) planRuns(ctx context.Context, lo, hi int, zones []zoneCheck, bits []*bitset.Set) []span {
 	ss := ex.fact.SegmentSize()
 	var runs []span
@@ -92,10 +91,10 @@ segments:
 			runs = append(runs, span{sLo, sHi})
 		}
 	}
-	ex.stats.segmentsScanned.Add(int64(scanned))
-	ex.stats.segmentsSkippedZone.Add(int64(skippedZone))
-	ex.stats.segmentsSkippedBits.Add(int64(skippedBits))
-	profile.FromContext(ctx).AddSegments(scanned, skippedZone, skippedBits)
+	tr := telemetry.FromContext(ctx)
+	tr.Add(telemetry.SegmentsScanned, scanned)
+	tr.Add(telemetry.SegmentsSkippedZone, skippedZone)
+	tr.Add(telemetry.SegmentsSkippedBits, skippedBits)
 	return runs
 }
 
@@ -176,17 +175,14 @@ func forStrides(ctx context.Context, rows []int, spans []span, body func(stride 
 func gather[T any](ctx context.Context, ex *Executor, spans []span, rows int, bound func(part []span) int, body func(dst []T, part []span) ([]T, error)) ([]T, error) {
 	groups := [][]span{spans}
 	workers := scanWorkers()
-	if rows >= parallelRowThreshold && workers > 1 {
+	parallel := rows >= parallelRowThreshold && workers > 1
+	if parallel {
 		groups = splitSpans(spans)
 		workers = min(workers, len(groups))
-		ex.stats.parallelScans.Add(1)
-		ex.stats.kernelChunks.Add(int64(len(groups)))
-		profile.FromContext(ctx).AddKernelScan(true, len(groups), rows)
 	} else {
 		workers = 1
-		ex.stats.serialScans.Add(1)
-		profile.FromContext(ctx).AddKernelScan(false, 0, rows)
 	}
+	noteScan(ctx, parallel, len(groups), rows)
 	offs := make([]int, len(groups)+1)
 	for g, part := range groups {
 		offs[g+1] = offs[g] + bound(part)
@@ -303,7 +299,8 @@ func (ex *Executor) FilterRowsNumericBoundCtx(ctx context.Context, rows []int, a
 	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
 		panic("olap: " + path.Source + " has no column " + attr)
 	}
-	vals := ex.attrFloats(attr, path)
+	vals, builds := ex.attrFloats(attr, path)
+	telemetry.Count(ctx, telemetry.FloatColumnBuilds, builds)
 	return ex.filterNumeric(ctx, rows, relation.ResidentFloats(vals), ex.attrZone(attr, path, vals, lo, hi), pred)
 }
 

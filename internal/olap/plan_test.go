@@ -12,6 +12,7 @@ import (
 	"kdap/internal/persist"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
+	"kdap/internal/telemetry"
 )
 
 // planMart is a small two-dimension star whose fact table is built to
@@ -279,9 +280,8 @@ func sameRows(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || refl
 
 // checkPlanned runs one random scan description through all four
 // producers and compares each with the oracle.
-func (m *planMart) checkPlanned(t *testing.T, rng *rand.Rand) {
+func (m *planMart) checkPlanned(ctx context.Context, t *testing.T, rng *rand.Rand) {
 	t.Helper()
-	ctx := context.Background()
 	n := m.fact.Len()
 	lo, hi := rng.Intn(n+200)-100, rng.Intn(n+200)-100
 	if rng.Intn(4) == 0 {
@@ -382,9 +382,11 @@ func TestPlannedRowsMatchOracle(t *testing.T) {
 			m := buildPlanMart(t, tc.n, tc.seg)
 			rng := rand.New(rand.NewSource(int64(tc.n) + 7))
 			next := tc.n
+			tr := telemetry.NewTrace("plan")
+			ctx := tr.Context(context.Background())
 			for round := 0; round < 6; round++ {
 				for trial := 0; trial < 12; trial++ {
-					m.checkPlanned(t, rng)
+					m.checkPlanned(ctx, t, rng)
 				}
 				// Append a batch: sometimes a few rows, sometimes enough to
 				// seal the tail segment and open new ones.
@@ -401,25 +403,22 @@ func TestPlannedRowsMatchOracle(t *testing.T) {
 				}
 				next += grow
 			}
-			st := m.ex.Stats()
-			if tc.n > 0 && (st.SegmentsScanned == 0 || st.SegmentsSkippedZone == 0 || st.SegmentsSkippedBits == 0) {
-				t.Errorf("planner verdicts never exercised: %+v", st)
+			if tc.n > 0 && (tr.Count(telemetry.SegmentsScanned) == 0 || tr.Count(telemetry.SegmentsSkippedZone) == 0 || tr.Count(telemetry.SegmentsSkippedBits) == 0) {
+				t.Errorf("planner verdicts never exercised: %+v", tr.Event())
 			}
-			if tc.parallel && st.ParallelScans == 0 {
+			if tc.parallel && tr.Count(telemetry.ParallelScans) == 0 {
 				t.Error("no scan fanned out")
 			}
 		})
 	}
 }
 
-// planCounts runs fn and returns the planner counters it moved.
-func planCounts(ex *Executor, fn func()) (scanned, zone, bits int64) {
-	before := ex.Stats()
-	fn()
-	after := ex.Stats()
-	return after.SegmentsScanned - before.SegmentsScanned,
-		after.SegmentsSkippedZone - before.SegmentsSkippedZone,
-		after.SegmentsSkippedBits - before.SegmentsSkippedBits
+// planCounts runs fn under a fresh trace and returns the planner
+// verdicts it counted.
+func planCounts(fn func(ctx context.Context)) (scanned, zone, bits int64) {
+	tr := telemetry.NewTrace("plan")
+	fn(tr.Context(context.Background()))
+	return tr.Count(telemetry.SegmentsScanned), tr.Count(telemetry.SegmentsSkippedZone), tr.Count(telemetry.SegmentsSkippedBits)
 }
 
 // Zone evidence on the clustered column leaves exactly the segments the
@@ -429,7 +428,7 @@ func TestPlanZoneEvidence(t *testing.T) {
 	m := buildPlanMart(t, 1000, 128) // segments 0..7, the last 104 rows
 	ctx := context.Background()
 	var runs []span
-	scanned, zone, bits := planCounts(m.ex, func() {
+	scanned, zone, bits := planCounts(func(ctx context.Context) {
 		runs = m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 730, Hi: posInf})}, nil)
 	})
 	if !reflect.DeepEqual(runs, []span{{640, 1000}}) || scanned != 3 || zone != 5 || bits != 0 {
@@ -440,12 +439,12 @@ func TestPlanZoneEvidence(t *testing.T) {
 	if !reflect.DeepEqual(runs, []span{{700, 896}}) {
 		t.Fatalf("clipped range runs = %v", runs)
 	}
-	if _, zone, _ = planCounts(m.ex, func() {
+	if _, zone, _ = planCounts(func(ctx context.Context) {
 		m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Noise", Lo: 40, Hi: 60})}, nil)
 	}); zone != 0 {
 		t.Fatalf("uncorrelated column skipped %d segments", zone)
 	}
-	if _, zone, _ = planCounts(m.ex, func() {
+	if _, zone, _ = planCounts(func(ctx context.Context) {
 		m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Nope", Lo: 0, Hi: 1})}, nil)
 	}); zone != 0 {
 		t.Fatalf("a column without zones skipped %d segments", zone)
@@ -465,11 +464,11 @@ func TestPlanBitEvidence(t *testing.T) {
 	// Label of key 2 is unique among keys 1..3 → rows [700,1400) →
 	// segments 5 (640..767) through 10 (1280..1407).
 	var runs []span
-	scanned, zone, bits := planCounts(m.ex, func() { runs = m.ex.planRuns(ctx, 0, 2100, nil, []*bitset.Set{s}) })
+	scanned, zone, bits := planCounts(func(ctx context.Context) { runs = m.ex.planRuns(ctx, 0, 2100, nil, []*bitset.Set{s}) })
 	if !reflect.DeepEqual(runs, []span{{640, 1408}}) || scanned != 6 || bits != 11 || zone != 0 {
 		t.Fatalf("band constraint: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
 	}
-	scanned, zone, bits = planCounts(m.ex, func() {
+	scanned, zone, bits = planCounts(func(ctx context.Context) {
 		runs = m.ex.planRuns(ctx, 0, 2100, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 1300, Hi: posInf})}, []*bitset.Set{s})
 	})
 	if !reflect.DeepEqual(runs, []span{{1280, 1408}}) || scanned != 1 || zone != 10 || bits != 6 {

@@ -11,7 +11,7 @@ import (
 	"testing"
 
 	"kdap/internal/dataset"
-	"kdap/internal/telemetry/profile"
+	"kdap/internal/telemetry"
 )
 
 // postRaw posts a JSON body and returns the raw response bytes plus the
@@ -259,7 +259,7 @@ func TestCacheHeaderMatchesWideEvent(t *testing.T) {
 				t.Helper()
 				raw, resp := postRaw(t, ts, route+"?profile=1", body, nil)
 				var ev struct {
-					Profile *profile.Event `json:"profile"`
+					Profile *telemetry.Event `json:"profile"`
 				}
 				if err := json.Unmarshal(raw, &ev); err != nil || ev.Profile == nil {
 					t.Fatalf("%s: no inline profile (%v): %s", route, err, raw)
@@ -286,7 +286,7 @@ func TestCacheHeaderMatchesWideEvent(t *testing.T) {
 			}
 
 			// recorded finds the flight recorder's copy of a request's event.
-			recorded := func(id string) *profile.Event {
+			recorded := func(id string) *telemetry.Event {
 				t.Helper()
 				for _, ev := range srv.rec.Recent() {
 					if ev.ID == id {

@@ -15,7 +15,7 @@ import (
 	"strconv"
 	"strings"
 
-	"kdap/internal/telemetry/profile"
+	"kdap/internal/telemetry"
 )
 
 // answerETag derives the weak entity tag for a deterministic answer
@@ -58,16 +58,16 @@ func opaqueTag(tag string) string {
 }
 
 // cacheHeaderName carries the answer-cache disposition of a response,
-// echoed from the request's wide event: miss, hit, coalesced or bypass
+// echoed from the request's trace: miss, hit, coalesced or bypass
 // as the engine recorded it, or revalidated (a 304).
 const cacheHeaderName = "X-KDAP-Cache"
 
 // writeNotModified answers a revalidation hit: 304 with the matching
-// tag and no body. The engine never runs, so this is where the wide
-// event gets its "revalidated" outcome.
-func writeNotModified(w http.ResponseWriter, p *profile.P, etag string) {
-	p.SetCacheOutcome("revalidated")
+// tag and no body. The engine never runs, so this is where the trace
+// gets its "revalidated" outcome.
+func writeNotModified(w http.ResponseWriter, tr *telemetry.Trace, etag string) {
+	tr.SetCache("revalidated")
 	w.Header().Set("ETag", etag)
-	w.Header().Set(cacheHeaderName, p.CacheOutcome())
+	w.Header().Set(cacheHeaderName, tr.Cache())
 	w.WriteHeader(http.StatusNotModified)
 }

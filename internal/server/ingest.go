@@ -3,8 +3,8 @@ package server
 // Streaming ingest over HTTP: POST /api/ingest appends a batch of fact
 // rows to one warehouse through the engine's incremental append path
 // (kdapcore.AppendFacts). The route shares the query endpoints'
-// lifecycle layer — admission control, per-request deadline, wide
-// event — so a query storm and an ingest storm shed against the same
+// lifecycle layer — admission control, per-request deadline, trace —
+// so a query storm and an ingest storm shed against the same
 // budget, and adds its own guards: a larger body limit than the query
 // routes (batches are bulky) and a per-batch row cap so one request
 // cannot monopolize the single writer. See docs/INGEST.md.
@@ -18,7 +18,6 @@ import (
 
 	"kdap/internal/relation"
 	"kdap/internal/telemetry"
-	"kdap/internal/telemetry/profile"
 )
 
 const (
@@ -101,9 +100,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch has %d rows (max %d); split the batch", len(req.Rows), maxIngestRows))
 		return
 	}
-	p := profile.FromContext(r.Context())
-	p.SetDB(req.DB)
-	p.SetQuery(fmt.Sprintf("ingest %d rows", len(req.Rows)))
+	tr := telemetry.FromContext(r.Context())
+	tr.Describe(req.DB, fmt.Sprintf("ingest %d rows", len(req.Rows)))
 
 	fact := e.Graph().DB().Table(e.Graph().FactTable())
 	rows, err := decodeFactRows(fact.Schema(), req.Rows)
@@ -112,11 +110,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	tr, ctx := traceRequest(r, "ingest")
-	res, err := e.AppendFacts(ctx, rows)
-	tr.Finish()
-	s.observeStages(tr)
-	p.SetStages(tr.Stages())
+	res, err := e.AppendFacts(r.Context(), rows)
 	if err != nil {
 		// AppendFacts validates the whole batch before any row lands, so
 		// a rejection here leaves the warehouse untouched.

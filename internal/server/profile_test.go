@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"kdap/internal/telemetry/profile"
+	"kdap/internal/telemetry"
 )
 
 // postJSON posts a JSON body to path (which may carry query
@@ -48,7 +48,7 @@ func TestProfileInline(t *testing.T) {
 	if p.ID == "" || p.ID != resp.Header.Get("X-Request-ID") {
 		t.Errorf("profile id %q != response header %q", p.ID, resp.Header.Get("X-Request-ID"))
 	}
-	if p.InFlight || p.Disposition != profile.DispositionOK || p.Status != http.StatusOK {
+	if p.InFlight || p.Disposition != telemetry.DispositionOK || p.Status != http.StatusOK {
 		t.Errorf("inline profile not sealed ok: %+v", p)
 	}
 	if p.Cache == "" {
@@ -150,10 +150,10 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 		t.Fatalf("recent has %d events, want >= 2", len(dq.Recent))
 	}
 	// Newest first: the failed query leads.
-	if dq.Recent[0].Disposition != profile.DispositionError || dq.Recent[0].Status != http.StatusNotFound {
+	if dq.Recent[0].Disposition != telemetry.DispositionError || dq.Recent[0].Status != http.StatusNotFound {
 		t.Errorf("newest recent event: %+v", dq.Recent[0])
 	}
-	if len(dq.Errored) == 0 || dq.Errored[0].Disposition != profile.DispositionError {
+	if len(dq.Errored) == 0 || dq.Errored[0].Disposition != telemetry.DispositionError {
 		t.Errorf("errored view: %+v", dq.Errored)
 	}
 	if len(dq.InFlight) != 0 {

@@ -1,10 +1,10 @@
 package server
 
-// The HTTP face of the flight recorder: request-ID plumbing, the
-// status→disposition mapping that completes each request's wide event,
-// GET /debug/queries, and the SLO classification derived from completed
-// events. The recorder itself (rings, in-flight table) lives in
-// internal/telemetry/profile; this file is only the server glue.
+// The HTTP face of a request's record: request-ID plumbing, the one
+// fold that completes each request's trace into its wide event, stage
+// histograms and per-request counters, GET /debug/queries, and the SLO
+// classification derived from completed events. The recorder itself
+// (rings, in-flight table) lives in internal/telemetry/profile.
 
 import (
 	"errors"
@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"time"
 
+	"kdap/internal/telemetry"
 	"kdap/internal/telemetry/profile"
 )
 
@@ -33,7 +34,7 @@ const requestIDHeader = "X-Request-ID"
 // cannot bloat the flight recorder.
 const maxRequestIDLen = 64
 
-// errShed is the error recorded on profiles of shed requests.
+// errShed is the error recorded on the traces of shed requests.
 var errShed = errors.New("shed by admission control: in-flight cap reached and queue full or wait expired")
 
 // requestID extracts the client-supplied request ID, truncated to
@@ -46,25 +47,66 @@ func requestID(r *http.Request) string {
 	return id
 }
 
-// completeProfile seals a request's wide event with the status the
-// response actually carried and moves it into the flight recorder.
-// When a handler already sealed the event (pipeline errors, ?profile=1
-// responses), Finish inside Complete is a no-op and the earlier
-// disposition wins; this call still performs the ring classification
-// and fires the SLO hook.
-func (s *Server) completeProfile(p *profile.P, status int) {
-	disp := profile.DispositionOK
+// recordWriter completes an API request's record when its status is
+// written, before any of the body reaches the client: a client that has
+// read a response finds it in /debug/queries and its counts on
+// /metrics. A handler that writes nothing completes with 200 when it
+// returns.
+type recordWriter struct {
+	http.ResponseWriter
+	s    *Server
+	tr   *telemetry.Trace
+	done bool
+}
+
+func (w *recordWriter) WriteHeader(code int) {
+	w.complete(code)
+	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *recordWriter) Write(b []byte) (int, error) {
+	w.complete(http.StatusOK)
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *recordWriter) complete(status int) {
+	if !w.done {
+		w.done = true
+		w.s.complete(w.tr, status)
+	}
+}
+
+// complete is the one fold of a finished request: it seals the trace
+// with the status the response carries, moves its wide event into the
+// flight recorder (which fires the SLO hook), observes each stage in
+// kdap_stage_seconds and adds the trace's counts to its warehouse's
+// counters. When the trace was already sealed (shed requests, pipeline
+// errors, ?profile=1 responses), the earlier disposition wins.
+func (s *Server) complete(tr *telemetry.Trace, status int) {
+	disp := telemetry.DispositionOK
 	switch {
 	case status == 499:
-		disp = profile.DispositionCancelled
+		disp = telemetry.DispositionCancelled
 	case status == http.StatusGatewayTimeout:
-		disp = profile.DispositionDeadline
+		disp = telemetry.DispositionDeadline
 	case status == http.StatusServiceUnavailable:
-		disp = profile.DispositionShed
+		disp = telemetry.DispositionShed
 	case status >= 400:
-		disp = profile.DispositionError
+		disp = telemetry.DispositionError
 	}
-	s.rec.Complete(p, status, disp, nil)
+	ev := s.rec.Complete(tr, status, disp, nil)
+	for _, st := range ev.Stages {
+		s.reg.Histogram("kdap_stage_seconds",
+			"KDAP pipeline stage latency (differentiate and explore sub-stages).",
+			nil, "stage", st.Name).Observe(st.Duration.Seconds())
+	}
+	if fc := s.facts[ev.DB]; fc != nil {
+		for f, c := range fc {
+			if c != nil {
+				c.Add(tr.Count(telemetry.Fact(f)))
+			}
+		}
+	}
 }
 
 // FlightRecorder exposes the server's always-on recorder, for front
@@ -75,11 +117,11 @@ func (s *Server) FlightRecorder() *profile.Recorder { return s.rec }
 // table plus the recent / slow / errored rings, newest first (in-flight
 // oldest first, so the longest-running request leads).
 type DebugQueriesResponse struct {
-	SlowThresholdMS float64          `json:"slowThresholdMs"`
-	InFlight        []*profile.Event `json:"inflight"`
-	Recent          []*profile.Event `json:"recent"`
-	Slow            []*profile.Event `json:"slow"`
-	Errored         []*profile.Event `json:"errored"`
+	SlowThresholdMS float64            `json:"slowThresholdMs"`
+	InFlight        []*telemetry.Event `json:"inflight"`
+	Recent          []*telemetry.Event `json:"recent"`
+	Slow            []*telemetry.Event `json:"slow"`
+	Errored         []*telemetry.Event `json:"errored"`
 }
 
 // handleDebugQueries serves the flight recorder. Optional filters:
@@ -97,7 +139,7 @@ func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 		}
 		minDur = time.Duration(ms * float64(time.Millisecond))
 	}
-	filt := func(evs []*profile.Event) []*profile.Event {
+	filt := func(evs []*telemetry.Event) []*telemetry.Event {
 		return profile.Filter(evs, route, db, minDur)
 	}
 	writeJSON(w, http.StatusOK, DebugQueriesResponse{
@@ -125,12 +167,12 @@ const (
 // both sides — the client gave up, the server neither met nor missed
 // the objective. 4xx client errors count good unless slow: a prompt
 // rejection is correct service.
-func (s *Server) observeSLO(ev *profile.Event) {
-	if ev.Disposition == profile.DispositionCancelled {
+func (s *Server) observeSLO(ev *telemetry.Event) {
+	if ev.Disposition == telemetry.DispositionCancelled {
 		return
 	}
 	bad := ev.Status >= 500 ||
-		ev.Disposition == profile.DispositionShed ||
+		ev.Disposition == telemetry.DispositionShed ||
 		time.Duration(ev.DurationUS)*time.Microsecond > s.opts.SLOTarget
 	name, help := "kdap_slo_good_total", sloGoodHelp
 	if bad {

@@ -31,6 +31,7 @@ import (
 	"math"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -107,6 +108,9 @@ type Server struct {
 	opts    Options
 	adm     *admission
 	rec     *profile.Recorder
+	// facts holds each warehouse's per-request counters, resolved once
+	// at wiring time; complete adds a finished trace's counts to them.
+	facts map[string]*factCounters
 
 	reg    *telemetry.Registry
 	logger *slog.Logger
@@ -143,6 +147,7 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 	s := &Server{
 		mux:      http.NewServeMux(),
 		engines:  make(map[string]*kdapcore.Engine),
+		facts:    make(map[string]*factCounters),
 		opts:     opts,
 		adm:      newAdmission(opts.MaxInflight, opts.MaxQueue, opts.QueueWait),
 		reg:      telemetry.NewRegistry(),
@@ -183,88 +188,66 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 	return s
 }
 
-// queueWaitKey carries the admission queue wait through the request
-// context so handlers can attach it to their trace as a queue_wait
-// span.
-type queueWaitKey struct{}
-
-// queueWaitOf returns the admission wait recorded for this request.
-func queueWaitOf(ctx context.Context) time.Duration {
-	d, _ := ctx.Value(queueWaitKey{}).(time.Duration)
-	return d
-}
-
 // api wraps a query-executing handler in the request lifecycle layer:
-// the per-request wide event (started here, completed here with the
-// response's true status and duration), admission control (shed with
-// 503 + Retry-After when saturated), the per-request deadline, and the
-// queue-wait annotation. The request ID — the client's X-Request-ID or
-// a generated one — is echoed on the response and stamped on the
-// profile so a slow request in /debug/queries can be matched to the
-// client's own logs.
+// the request's trace (started and attached here, its root span named
+// for the route's operation, "/api/query" → "query"; folded when the
+// response's status is written — see recordWriter), admission control
+// (shed with 503 + Retry-After when saturated), the per-request
+// deadline, and the queue_wait span. The request ID — the client's
+// X-Request-ID or a generated one — is echoed on the response and
+// stamped on the trace so a slow request in /debug/queries can be
+// matched to the client's own logs.
 func (s *Server) api(route string, h http.HandlerFunc) http.HandlerFunc {
+	op := strings.TrimPrefix(route, "/api/")
 	return func(w http.ResponseWriter, r *http.Request) {
-		p := s.rec.Start(route, requestID(r))
-		w.Header().Set(requestIDHeader, p.ID())
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
+		tr := s.rec.Start(route, op, requestID(r))
+		w.Header().Set(requestIDHeader, tr.ID())
+		rw := &recordWriter{ResponseWriter: w, s: s, tr: tr}
+		defer rw.complete(http.StatusOK)
 		release, wait, admitted := s.adm.acquire(r.Context())
+		if wait > 0 {
+			tr.Root().AddTimed("queue_wait", wait)
+		}
 		if !admitted {
 			s.reg.Counter("kdap_requests_shed_total",
 				"API requests shed by admission control (in-flight cap and queue full or wait expired).",
 				"route", route).Inc()
-			sr.Header().Set("Retry-After", "1")
-			writeError(sr, http.StatusServiceUnavailable, "server at capacity, retry later")
-			p.SetQueueWait(wait)
-			s.rec.Complete(p, http.StatusServiceUnavailable, profile.DispositionShed, errShed)
+			tr.Finish(http.StatusServiceUnavailable, telemetry.DispositionShed, errShed)
+			rw.Header().Set("Retry-After", "1")
+			writeError(rw, http.StatusServiceUnavailable, "server at capacity, retry later")
 			return
 		}
 		defer release()
-		ctx := r.Context()
+		ctx := tr.Context(r.Context())
 		if s.opts.QueryTimeout > 0 {
 			var cancel context.CancelFunc
 			ctx, cancel = context.WithTimeout(ctx, s.opts.QueryTimeout)
 			defer cancel()
 		}
-		if wait > 0 {
-			ctx = context.WithValue(ctx, queueWaitKey{}, wait)
-			p.SetQueueWait(wait)
-		}
-		ctx = profile.NewContext(ctx, p)
-		h(sr, r.WithContext(ctx))
-		s.completeProfile(p, sr.status)
+		h(rw, r.WithContext(ctx))
 	}
-}
-
-// traceRequest starts the per-request trace every query-executing
-// handler records, pre-seeding it with the admission queue wait.
-func traceRequest(r *http.Request, op string) (*telemetry.Trace, context.Context) {
-	tr := telemetry.NewTrace(op)
-	if wait := queueWaitOf(r.Context()); wait > 0 {
-		tr.Root().AddTimed("queue_wait", wait)
-	}
-	return tr, tr.Context(r.Context())
 }
 
 // writePipelineError maps a pipeline error to its HTTP response: a
 // cancelled client context becomes 499 (the de-facto "client closed
 // request" code), an expired deadline 504, anything else the fallback
 // status. Context-ended requests also bump the per-route cancellation
-// counter. The request's wide event is sealed here with the error and
-// its disposition (Finish is first-call-wins, so the api wrapper's
-// Complete keeps what this records).
+// counter. The request's trace is sealed here with the error and its
+// disposition (Finish is first-call-wins, so the api wrapper's fold
+// keeps what this records).
 func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, route string, err error, fallback int) {
-	p := profile.FromContext(r.Context())
+	tr := telemetry.FromContext(r.Context())
 	var status int
 	var reason string
 	switch {
 	case errors.Is(err, context.Canceled):
 		status, reason = 499, "cancelled"
-		p.Finish(status, profile.DispositionCancelled, err)
+		tr.Finish(status, telemetry.DispositionCancelled, err)
 	case errors.Is(err, context.DeadlineExceeded):
 		status, reason = http.StatusGatewayTimeout, "deadline"
-		p.Finish(status, profile.DispositionDeadline, err)
+		tr.Finish(status, telemetry.DispositionDeadline, err)
 	default:
-		p.Finish(fallback, profile.DispositionError, err)
+		tr.Finish(fallback, telemetry.DispositionError, err)
 		writeError(w, fallback, err.Error())
 		return
 	}
@@ -314,7 +297,7 @@ type QueryResponse struct {
 	Query           string              `json:"query"`
 	Interpretations []InterpretationDTO `json:"interpretations"`
 	Trace           *telemetry.SpanJSON `json:"trace,omitempty"`
-	Profile         *profile.Event      `json:"profile,omitempty"`
+	Profile         *telemetry.Event    `json:"profile,omitempty"`
 }
 
 // FacetsDTO answers /api/explore. Trace is present only when the
@@ -327,7 +310,7 @@ type FacetsDTO struct {
 	// exploreRequest.Partial).
 	Partial bool                `json:"partial,omitempty"`
 	Trace   *telemetry.SpanJSON `json:"trace,omitempty"`
-	Profile *profile.Event      `json:"profile,omitempty"`
+	Profile *telemetry.Event    `json:"profile,omitempty"`
 }
 
 // DimensionFacetsDTO is one dimension's facets.
@@ -381,9 +364,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	p := profile.FromContext(r.Context())
-	p.SetDB(req.DB)
-	p.SetQuery(req.Q)
+	tr := telemetry.FromContext(r.Context())
+	tr.Describe(req.DB, req.Q)
 	e, ok := s.engines[req.DB]
 	if !ok {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown warehouse %q", req.DB))
@@ -405,17 +387,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 			strconv.FormatUint(e.IngestSeq(), 10),
 			strconv.Itoa(limit), kdapcore.CanonicalQuery(req.Q))
 		if notModified(r, etag) {
-			writeNotModified(w, p, etag)
+			writeNotModified(w, tr, etag)
 			return
 		}
 	}
-	// Every query is traced so /metrics carries per-stage latency; the
-	// tree is serialized into the response only behind ?trace=1.
-	tr, ctx := traceRequest(r, "query")
-	nets, err := e.DifferentiateCtx(ctx, req.Q)
-	tr.Finish()
-	s.observeStages(tr)
-	p.SetStages(tr.Stages())
+	nets, err := e.DifferentiateCtx(r.Context(), req.Q)
 	if err != nil {
 		s.writePipelineError(w, r, "/api/query", err, http.StatusBadRequest)
 		return
@@ -426,19 +402,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if etag != "" {
 		w.Header().Set("ETag", etag)
 	}
-	w.Header().Set(cacheHeaderName, p.CacheOutcome())
+	w.Header().Set(cacheHeaderName, tr.Cache())
 	id := s.putSession(&session{db: req.DB, nets: nets})
 	resp := QueryResponse{Session: id, Query: req.Q}
-	if wantTrace(r) {
-		resp.Trace = tr.JSON()
-	}
-	if wantProfile(r) {
-		// Seal the event now so the inline copy shows the final
-		// disposition; its duration therefore excludes response
-		// serialization (the flight-recorder copy is the same event).
-		p.Finish(http.StatusOK, profile.DispositionOK, nil)
-		resp.Profile = p.Snapshot()
-	}
+	resp.Trace, resp.Profile = inlineRecord(r, tr)
 	for i, sn := range nets {
 		dto := InterpretationDTO{Rank: i + 1, Score: sn.Score, Signature: sn.DomainSignature()}
 		for _, bg := range sn.Groups {
@@ -468,9 +435,7 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown warehouse %q", req.DB))
 		return
 	}
-	p := profile.FromContext(r.Context())
-	p.SetDB(req.DB)
-	p.SetQuery(req.Q)
+	telemetry.FromContext(r.Context()).Describe(req.DB, req.Q)
 	writeJSON(w, http.StatusOK, map[string]any{
 		"suggestions": e.SuggestKeywords(req.Q, 3),
 	})
@@ -536,9 +501,8 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	p := profile.FromContext(r.Context())
-	p.SetDB(db)
-	p.SetQuery(sn.DomainSignature())
+	tr := telemetry.FromContext(r.Context())
+	tr.Describe(db, sn.DomainSignature())
 	opts := kdapcore.DefaultExploreOptions()
 	opts.Parallel = true
 	switch req.Mode {
@@ -571,16 +535,12 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 			etag = answerETag("explore", db,
 				strconv.FormatUint(e.IngestSeq(), 10), key)
 			if notModified(r, etag) {
-				writeNotModified(w, p, etag)
+				writeNotModified(w, tr, etag)
 				return
 			}
 		}
 	}
-	tr, ctx := traceRequest(r, "explore")
-	f, err := e.ExploreCtx(ctx, sn, opts)
-	tr.Finish()
-	s.observeStages(tr)
-	p.SetStages(tr.Stages())
+	f, err := e.ExploreCtx(r.Context(), sn, opts)
 	if err != nil {
 		s.writePipelineError(w, r, "/api/explore", err, http.StatusUnprocessableEntity)
 		return
@@ -590,17 +550,26 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	if etag != "" && !f.Partial {
 		w.Header().Set("ETag", etag)
 	}
-	w.Header().Set(cacheHeaderName, p.CacheOutcome())
+	w.Header().Set(cacheHeaderName, tr.Cache())
 	dto := facetsDTO(f)
-	if wantTrace(r) {
-		dto.Trace = tr.JSON()
-	}
-	if wantProfile(r) {
-		// See handleQuery: sealed before serialization on purpose.
-		p.Finish(http.StatusOK, profile.DispositionOK, nil)
-		dto.Profile = p.Snapshot()
-	}
+	dto.Trace, dto.Profile = inlineRecord(r, tr)
 	writeJSON(w, http.StatusOK, dto)
+}
+
+// inlineRecord returns what a successful request asked to carry of its
+// own record: the span tree behind ?trace=1, the wide event behind
+// ?profile=1. An inline event seals the trace first, so it shows the
+// final disposition (the flight-recorder copy is the same fold).
+func inlineRecord(r *http.Request, tr *telemetry.Trace) (*telemetry.SpanJSON, *telemetry.Event) {
+	var ev *telemetry.Event
+	if wantProfile(r) {
+		tr.Finish(http.StatusOK, telemetry.DispositionOK, nil)
+		ev = tr.Event()
+	}
+	if wantTrace(r) {
+		return tr.JSON(), ev
+	}
+	return nil, ev
 }
 
 // wantTrace reports whether the request asked for its span tree
@@ -659,7 +628,7 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	profile.FromContext(r.Context()).SetDB(db)
+	telemetry.FromContext(r.Context()).Describe(db, "")
 	attr := schemagraph.AttrRef{Table: req.Table, Attr: req.Attr}
 	var drilled *kdapcore.StarNet
 	var err error

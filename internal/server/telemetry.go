@@ -2,11 +2,10 @@ package server
 
 // HTTP observability: the request middleware (counters, latency
 // histograms, structured access logs), the /metrics · /debug/pprof ·
-// /debug/vars endpoints, and the wiring that bridges engine-side
-// counters (caches, kernels, full-text probes) into the per-server
-// metrics registry. Everything reads from instruments the hot paths
-// already maintain; exposition cost is paid only when /metrics is
-// scraped.
+// /debug/vars endpoints, and the wiring of each warehouse's series into
+// the per-server metrics registry: func-backed series over what an
+// engine's caches, tables and pager keep themselves, and the counters a
+// finished request's trace is folded into (complete, profilehttp.go).
 
 import (
 	"expvar"
@@ -77,17 +76,6 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 	})
 }
 
-// observeStages folds a finished trace's per-stage durations into the
-// kdap_stage_seconds histograms, so /metrics carries pipeline-stage
-// latency whether or not the client asked for the span tree.
-func (s *Server) observeStages(tr *telemetry.Trace) {
-	for stage, d := range tr.Stages() {
-		s.reg.Histogram("kdap_stage_seconds",
-			"KDAP pipeline stage latency (differentiate and explore sub-stages).",
-			nil, "stage", stage).Observe(d.Seconds())
-	}
-}
-
 // wireAdmissionMetrics registers the request-lifecycle series: the
 // session store's CLOCK counters (kdap_session_*, deliberately a
 // separate family from kdap_cache_* whose series carry a db label) and
@@ -114,19 +102,64 @@ func (s *Server) wireAdmissionMetrics() {
 		func() float64 { return float64(s.adm.queued()) })
 }
 
-// wireEngineMetrics bridges one warehouse engine's self-maintained
-// counters into the registry as func-backed series labeled by db.
-func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
+// factCounters are one warehouse's counters indexed by the trace fact
+// each one totals; nil where a fact has no series.
+type factCounters [telemetry.NumFacts]*telemetry.Counter
+
+// wireFactCounters resolves, once, the counters every finished request
+// of warehouse db adds its trace's counts to.
+func (s *Server) wireFactCounters(db string, e *kdapcore.Engine) {
+	fc := new(factCounters)
 	for _, c := range []struct {
-		name  string
-		fn    func() cache.Stats
-		evict bool
+		fact       telemetry.Fact
+		name, help string
+		labels     []string
 	}{
-		{"subspace_rows", e.RowsCacheStats, true},
-		{"constraint", e.Executor().ConstraintCacheStats, true},
+		{telemetry.GroupByVector, "kdap_olap_groupby_total", "OLAP groupby calls by execution path (columnar vector, per-row eval).", []string{"path", "vector"}},
+		{telemetry.GroupByEval, "kdap_olap_groupby_total", "OLAP groupby calls by execution path (columnar vector, per-row eval).", []string{"path", "eval"}},
+		{telemetry.AggregateVector, "kdap_olap_aggregate_total", "OLAP aggregate calls by execution path (columnar vector, per-row eval).", []string{"path", "vector"}},
+		{telemetry.AggregateEval, "kdap_olap_aggregate_total", "OLAP aggregate calls by execution path (columnar vector, per-row eval).", []string{"path", "eval"}},
+		{telemetry.ParallelScans, "kdap_olap_scans_total", "Fused scan+aggregate kernel invocations by mode.", []string{"mode", "parallel"}},
+		{telemetry.SerialScans, "kdap_olap_scans_total", "Fused scan+aggregate kernel invocations by mode.", []string{"mode", "serial"}},
+		{telemetry.KernelStripes, "kdap_olap_kernel_chunks_total", "Worker chunks fanned out by parallel kernels.", nil},
+		{telemetry.CodeColumnBuilds, "kdap_olap_column_builds_total", "Cold fact-aligned column materializations by kind.", []string{"kind", "code"}},
+		{telemetry.FloatColumnBuilds, "kdap_olap_column_builds_total", "Cold fact-aligned column materializations by kind.", []string{"kind", "float"}},
+		// The planner's verdict, in segments, for resident and backed
+		// fact tables alike.
+		{telemetry.SegmentsScanned, "kdap_segments_scanned_total", "Fact-table segments the row-space planner let through to a scan, by warehouse.", nil},
+		{telemetry.SegmentsSkippedBits, "kdap_segments_skipped_bits_total", "Segments skipped because a constraint bitset has no member in the segment's rows, by warehouse.", nil},
 		// A space's distributions live and die with its subspace_rows
 		// entry: lookups only. A hit is a scan adopted, not run.
-		{"distributions", e.DistributionStats, false},
+		{telemetry.SharedScans, "kdap_cache_hits_total", "Clock cache hits by cache and warehouse.", []string{"cache", "distributions"}},
+		{telemetry.DistFills, "kdap_cache_misses_total", "Clock cache misses by cache and warehouse.", []string{"cache", "distributions"}},
+	} {
+		fc[c.fact] = s.reg.Counter(c.name, c.help, append(c.labels, "db", db)...)
+	}
+	// A backed table's value-lookup scans skip segments on the same zone
+	// evidence outside the planner; the store counts those and they fold
+	// into the planner's family.
+	zone := new(telemetry.Counter)
+	fc[telemetry.SegmentsSkippedZone] = zone
+	lookupZoneSkips := func() int64 { return 0 }
+	fact := e.Graph().DB().Table(e.Graph().FactTable())
+	if sst, ok := fact.Pager().(interface{ Stats() persist.SegStats }); ok {
+		lookupZoneSkips = func() int64 { return sst.Stats().SkippedZone }
+	}
+	s.reg.CounterFunc("kdap_segments_skipped_zone_total",
+		"Segments skipped because the per-segment zone map missed the predicate's bound interval, by warehouse.",
+		func() float64 { return float64(zone.Value() + lookupZoneSkips()) }, "db", db)
+	s.facts[db] = fc
+}
+
+// wireEngineMetrics bridges one warehouse engine's self-maintained
+// state into the registry as func-backed series labeled by db.
+func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
+	for _, c := range []struct {
+		name string
+		fn   func() cache.Stats
+	}{
+		{"subspace_rows", e.RowsCacheStats},
+		{"constraint", e.Executor().ConstraintCacheStats},
 	} {
 		fn := c.fn
 		s.reg.CounterFunc("kdap_cache_hits_total",
@@ -135,61 +168,11 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 		s.reg.CounterFunc("kdap_cache_misses_total",
 			"Clock cache misses by cache and warehouse.",
 			func() float64 { return float64(fn().Misses) }, "cache", c.name, "db", db)
-		if c.evict {
-			s.reg.CounterFunc("kdap_cache_evictions_total",
-				"Clock cache evictions by cache and warehouse.",
-				func() float64 { return float64(fn().Evictions) }, "cache", c.name, "db", db)
-		}
+		s.reg.CounterFunc("kdap_cache_evictions_total",
+			"Clock cache evictions by cache and warehouse.",
+			func() float64 { return float64(fn().Evictions) }, "cache", c.name, "db", db)
 	}
-
-	st := e.Executor().Stats
-	for _, k := range []struct {
-		op, path string
-		fn       func() float64
-	}{
-		{"groupby", "vector", func() float64 { return float64(st().GroupByVec) }},
-		{"groupby", "eval", func() float64 { return float64(st().GroupByEval) }},
-		{"aggregate", "vector", func() float64 { return float64(st().AggregateVec) }},
-		{"aggregate", "eval", func() float64 { return float64(st().AggregateEval) }},
-	} {
-		s.reg.CounterFunc("kdap_olap_"+k.op+"_total",
-			"OLAP "+k.op+" calls by execution path (columnar vector, per-row eval).",
-			k.fn, "path", k.path, "db", db)
-	}
-	s.reg.CounterFunc("kdap_olap_scans_total",
-		"Fused scan+aggregate kernel invocations by mode.",
-		func() float64 { return float64(st().ParallelScans) }, "mode", "parallel", "db", db)
-	s.reg.CounterFunc("kdap_olap_scans_total",
-		"Fused scan+aggregate kernel invocations by mode.",
-		func() float64 { return float64(st().SerialScans) }, "mode", "serial", "db", db)
-	s.reg.CounterFunc("kdap_olap_kernel_chunks_total",
-		"Worker chunks fanned out by parallel kernels.",
-		func() float64 { return float64(st().KernelChunks) }, "db", db)
-	s.reg.CounterFunc("kdap_olap_column_builds_total",
-		"Cold fact-aligned column materializations by kind.",
-		func() float64 { return float64(st().CodeVecBuilds) }, "kind", "code", "db", db)
-	s.reg.CounterFunc("kdap_olap_column_builds_total",
-		"Cold fact-aligned column materializations by kind.",
-		func() float64 { return float64(st().FloatColBuilds) }, "kind", "float", "db", db)
-
-	// The planner's verdict, in segments, for resident and backed fact
-	// tables alike. A backed table's value-lookup scans skip segments on
-	// the same zone evidence outside the planner; the store counts those
-	// and they fold into the same family.
-	lookupZoneSkips := func() int64 { return 0 }
-	fact := e.Graph().DB().Table(e.Graph().FactTable())
-	if sst, ok := fact.Pager().(interface{ Stats() persist.SegStats }); ok {
-		lookupZoneSkips = func() int64 { return sst.Stats().SkippedZone }
-	}
-	s.reg.CounterFunc("kdap_segments_scanned_total",
-		"Fact-table segments the row-space planner let through to a scan, by warehouse.",
-		func() float64 { return float64(st().SegmentsScanned) }, "db", db)
-	s.reg.CounterFunc("kdap_segments_skipped_zone_total",
-		"Segments skipped because the per-segment zone map missed the predicate's bound interval, by warehouse.",
-		func() float64 { return float64(st().SegmentsSkippedZone + lookupZoneSkips()) }, "db", db)
-	s.reg.CounterFunc("kdap_segments_skipped_bits_total",
-		"Segments skipped because a constraint bitset has no member in the segment's rows, by warehouse.",
-		func() float64 { return float64(st().SegmentsSkippedBits) }, "db", db)
+	s.wireFactCounters(db, e)
 
 	s.reg.RegisterHistogram("kdap_fulltext_probe_seconds",
 		"Full-text index probe latency (Search and SearchPhrase).",

@@ -266,3 +266,134 @@ func TestPruningOnByDefault(t *testing.T) {
 		t.Errorf("span tree has no segment_scan: %v", names)
 	}
 }
+
+// stageLabels is the closed set of kdap_stage_seconds labels, the list
+// docs/OPERATIONS.md documents: the five API operations' root spans and
+// the pipeline stages below them.
+var stageLabels = map[string]bool{
+	"query": true, "suggest": true, "explore": true, "drill": true, "ingest": true,
+	"queue_wait": true, "cache_lookup": true, "answer_shared": true,
+	"differentiate": true, "filter_extract": true, "hit_probe": true, "phrase_merge": true,
+	"seed_enum": true, "starnet_gen": true, "rank": true,
+	"subspace_semijoin": true, "subspace_extend": true, "segment_scan": true,
+	"rollup_build": true, "facet_score": true, "score": true, "groupby_kernel": true,
+	"numeric_series": true, "rollup_correlate": true, "interval_anneal": true,
+	"distribution_wait": true,
+	"ingest_append":     true, "append_rows": true, "index_terms": true, "evict_answers": true,
+}
+
+// The stage label set stays closed whatever the schema: after a query
+// and an explore on two warehouses, every exposed stage is in the list
+// and none names a scored attribute — while ?trace=1 still shows which
+// attribute each scoring span scored.
+func TestStageLabelsClosed(t *testing.T) {
+	srv := NewWithOptions(map[string]*dataset.Warehouse{
+		"ebiz": dataset.EBiz(), "online": dataset.AWOnline(),
+	}, DefaultOptions())
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+
+	var scored []string
+	for db, q := range map[string]string{"ebiz": "Columbus LCD", "online": "Road Bikes"} {
+		var qr QueryResponse
+		post(t, ts, "/api/query", map[string]any{"db": db, "q": q}, &qr)
+		var f FacetsDTO
+		if resp := post(t, ts, "/api/explore?trace=1", map[string]any{"session": qr.Session, "pick": 1}, &f); resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s explore status %d", db, resp.StatusCode)
+		}
+		spans := map[string]bool{}
+		spanNames(f.Trace, spans)
+		n := len(scored)
+		for name := range spans {
+			if ref, ok := strings.CutPrefix(name, "score "); ok {
+				_, attr, _ := strings.Cut(ref, ".")
+				scored = append(scored, attr)
+			}
+		}
+		if len(scored) == n {
+			t.Fatalf("%s: no span names the attribute it scored: %v", db, spans)
+		}
+	}
+
+	const prefix = `kdap_stage_seconds_count{stage="`
+	n := 0
+	for _, line := range strings.Split(scrape(t, ts.URL), "\n") {
+		rest, ok := strings.CutPrefix(line, prefix)
+		if !ok {
+			continue
+		}
+		stage, _, _ := strings.Cut(rest, `"`)
+		n++
+		if !stageLabels[stage] {
+			t.Errorf("stage %q is not in the documented list", stage)
+		}
+		for _, attr := range scored {
+			if strings.Contains(stage, attr) {
+				t.Errorf("stage %q names the attribute %q", stage, attr)
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("no kdap_stage_seconds series exposed")
+	}
+}
+
+// A request's wide event and its /metrics deltas agree because both are
+// one fold of the same trace: for a query, an explore and an ingest run
+// serially on a fresh server, each counter moves by exactly what the
+// request's event reports.
+func TestEventAndMetricsAreOneFold(t *testing.T) {
+	ts, srv := newTestServerAndHandler(t)
+	series := []struct {
+		name  string
+		field func(*telemetry.Event) int64
+	}{
+		{`kdap_olap_scans_total{db="ebiz",mode="serial"}`, func(ev *telemetry.Event) int64 { return ev.SerialScans }},
+		{`kdap_olap_scans_total{db="ebiz",mode="parallel"}`, func(ev *telemetry.Event) int64 { return ev.ParallelScans }},
+		{`kdap_olap_kernel_chunks_total{db="ebiz"}`, func(ev *telemetry.Event) int64 { return ev.KernelStripes }},
+		{`kdap_segments_scanned_total{db="ebiz"}`, func(ev *telemetry.Event) int64 { return ev.SegmentsScanned }},
+		{`kdap_segments_skipped_zone_total{db="ebiz"}`, func(ev *telemetry.Event) int64 { return ev.SegmentsSkippedZone }},
+		{`kdap_segments_skipped_bits_total{db="ebiz"}`, func(ev *telemetry.Event) int64 { return ev.SegmentsSkippedBits }},
+		{`kdap_cache_hits_total{cache="distributions",db="ebiz"}`, func(ev *telemetry.Event) int64 { return ev.SharedScans }},
+	}
+	read := func() []float64 {
+		body := scrape(t, ts.URL)
+		out := make([]float64, len(series))
+		for i, s := range series {
+			out[i] = metricValue(t, body, s.name)
+		}
+		return out
+	}
+	check := func(what string, before []float64, ev *telemetry.Event) {
+		t.Helper()
+		after := read()
+		for i, s := range series {
+			if got, want := after[i]-before[i], float64(s.field(ev)); got != want {
+				t.Errorf("%s: %s moved by %g, its event reports %g", what, s.name, got, want)
+			}
+		}
+	}
+
+	before := read()
+	var q QueryResponse
+	post(t, ts, "/api/query?profile=1", map[string]any{"db": "ebiz", "q": "Columbus LCD"}, &q)
+	check("query", before, q.Profile)
+
+	before = read()
+	var f FacetsDTO
+	post(t, ts, "/api/explore?profile=1", map[string]any{"session": q.Session, "pick": 1}, &f)
+	if f.Profile == nil || f.Profile.SerialScans+f.Profile.ParallelScans == 0 || f.Profile.SegmentsScanned == 0 {
+		t.Fatalf("the explore counted no scans; the test lost its premise: %+v", f.Profile)
+	}
+	check("explore", before, f.Profile)
+
+	before = read()
+	var ing IngestResponse
+	post(t, ts, "/api/ingest", map[string]any{"db": "ebiz", "rows": [][]any{ebizFactRow(dataset.EBizFactCount + 1)}}, &ing)
+	recent := srv.FlightRecorder().Recent()
+	if len(recent) == 0 || recent[0].Route != "/api/ingest" {
+		t.Fatalf("the ingest is not the newest recorded request: %+v", recent)
+	}
+	check("ingest", before, recent[0])
+}

@@ -8,22 +8,23 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"kdap/internal/telemetry"
 )
 
-// The disabled path — no profile in the context — must not allocate:
-// the instrumentation sites run on every kernel call of every request.
+// With no trace attached, the recording sites the wide event is folded
+// from — Count on every fact, the trace lookup, the cache outcome and
+// Finish — must not allocate: they run on every kernel call.
 func TestDisabledPathAllocationFree(t *testing.T) {
 	ctx := context.Background()
 	allocs := testing.AllocsPerRun(1000, func() {
-		p := FromContext(ctx)
-		p.AddKernelScan(true, 16, 1024)
-		p.AddSegments(2, 6, 0)
-		p.AddFulltextProbe(128)
-		p.AddSharedScan()
-		p.AddAnneal(500)
-		p.AddCandidates(12)
-		p.SetCacheOutcome("miss")
-		p.Finish(200, DispositionOK, nil)
+		for f := telemetry.Fact(0); f < telemetry.NumFacts; f++ {
+			telemetry.Count(ctx, f, 1)
+		}
+		tr := telemetry.FromContext(ctx)
+		tr.Add(telemetry.SegmentsScanned, 2)
+		tr.SetCache("miss")
+		tr.Finish(200, telemetry.DispositionOK, nil)
 	})
 	if allocs != 0 {
 		t.Errorf("disabled path allocates: %.1f allocs/op", allocs)
@@ -31,43 +32,48 @@ func TestDisabledPathAllocationFree(t *testing.T) {
 }
 
 func TestNilSafety(t *testing.T) {
-	var p *P
-	p.SetDB("x")
-	p.SetQuery("x")
-	p.SetQueueWait(time.Second)
-	p.SetStages(map[string]time.Duration{"rank": time.Millisecond})
-	if p.Snapshot() != nil {
-		t.Error("nil profile snapshot should be nil")
-	}
-	if p.ID() != "" {
-		t.Error("nil profile ID should be empty")
-	}
-	var ev *Event
+	var tr *telemetry.Trace
+	tr.Add(telemetry.SharedScans, 1)
+	tr.SetCache("miss")
+	telemetry.Count(context.Background(), telemetry.Candidates, 3)
+	var ev *telemetry.Event
 	if !strings.Contains(ev.Render(), "no profile") {
 		t.Error("nil event render")
 	}
+	if got := Filter(nil, "", "", 0); len(got) != 0 {
+		t.Errorf("filter of nothing: %v", got)
+	}
 }
 
-// Concurrent adds (the facet scorer fans out under one request) must be
-// race-free and lossless.
+// Concurrent counts (the facet scorer fans out under one request) must
+// be race-free and lossless, and the recorder's in-flight view folds
+// them from the live trace.
 func TestConcurrentAdds(t *testing.T) {
-	p := New("explore", "r1")
-	ctx := NewContext(context.Background(), p)
+	rec := NewRecorder(4, 2, 2, time.Second, nil)
+	tr := rec.Start("/api/explore", "explore", "r1")
+	ctx := tr.Context(context.Background())
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			q := FromContext(ctx)
+			sctx, sp := telemetry.StartSpan(ctx, "score_attr")
+			defer sp.End()
 			for i := 0; i < 100; i++ {
-				q.AddKernelScan(true, 16, 10)
-				q.AddSegments(1, 1, 1)
-				q.AddSharedScan()
+				telemetry.Count(sctx, telemetry.ParallelScans, 1)
+				telemetry.Count(sctx, telemetry.KernelStripes, 16)
+				telemetry.Count(sctx, telemetry.RowsScanned, 10)
+				telemetry.Count(sctx, telemetry.SegmentsScanned, 1)
+				telemetry.Count(sctx, telemetry.SharedScans, 1)
 			}
 		}()
 	}
 	wg.Wait()
-	ev := p.Snapshot()
+	inf := rec.InFlight()
+	if len(inf) != 1 {
+		t.Fatalf("in-flight = %d events, want 1", len(inf))
+	}
+	ev := inf[0]
 	if ev.ParallelScans != 800 || ev.KernelStripes != 800*16 || ev.RowsScanned != 8000 {
 		t.Errorf("lost kernel adds: %+v", ev)
 	}
@@ -75,33 +81,33 @@ func TestConcurrentAdds(t *testing.T) {
 		t.Errorf("lost segment/shared adds: %+v", ev)
 	}
 	if !ev.InFlight {
-		t.Error("unfinished profile should snapshot as in-flight")
+		t.Error("unfinished trace should fold as in-flight")
 	}
 }
 
 func TestRecorderRingsAndViews(t *testing.T) {
-	var completed []*Event
-	rec := NewRecorder(4, 2, 2, 10*time.Millisecond, func(ev *Event) {
+	var completed []*telemetry.Event
+	rec := NewRecorder(4, 2, 2, 10*time.Millisecond, func(ev *telemetry.Event) {
 		completed = append(completed, ev)
 	})
 
 	// A fast ok request: recent only.
-	p := rec.Start("/api/query", "")
-	if p.ID() == "" {
+	tr := rec.Start("/api/query", "query", "")
+	if tr.ID() == "" {
 		t.Error("empty request id not generated")
 	}
-	p.SetDB("ebiz")
-	rec.Complete(p, 200, DispositionOK, nil)
+	tr.Describe("ebiz", "")
+	rec.Complete(tr, 200, telemetry.DispositionOK, nil)
 
-	// A slow one (backdated start): recent + slow.
-	p = rec.Start("/api/explore", "client-7")
-	p.start = p.start.Add(-50 * time.Millisecond)
-	p.SetDB("online")
-	rec.Complete(p, 200, DispositionOK, nil)
+	// A slow one: recent + slow.
+	tr = rec.Start("/api/explore", "explore", "client-7")
+	tr.Describe("online", "")
+	time.Sleep(15 * time.Millisecond)
+	rec.Complete(tr, 200, telemetry.DispositionOK, nil)
 
 	// An errored one: recent + errored.
-	p = rec.Start("/api/query", "")
-	rec.Complete(p, 504, DispositionDeadline, errors.New("deadline exceeded"))
+	tr = rec.Start("/api/query", "query", "")
+	rec.Complete(tr, 504, telemetry.DispositionDeadline, errors.New("deadline exceeded"))
 
 	if got := len(rec.Recent()); got != 3 {
 		t.Errorf("recent = %d, want 3", got)
@@ -111,7 +117,7 @@ func TestRecorderRingsAndViews(t *testing.T) {
 		t.Errorf("slow view wrong: %+v", slow)
 	}
 	errv := rec.Errored()
-	if len(errv) != 1 || errv[0].Disposition != DispositionDeadline || errv[0].Error == "" {
+	if len(errv) != 1 || errv[0].Disposition != telemetry.DispositionDeadline || errv[0].Error == "" {
 		t.Errorf("errored view wrong: %+v", errv)
 	}
 	if len(rec.InFlight()) != 0 {
@@ -123,7 +129,7 @@ func TestRecorderRingsAndViews(t *testing.T) {
 
 	// Newest first, ring wraps at capacity 4.
 	for i := 0; i < 4; i++ {
-		rec.Complete(rec.Start("/api/query", ""), 200, DispositionOK, nil)
+		rec.Complete(rec.Start("/api/query", "query", ""), 200, telemetry.DispositionOK, nil)
 	}
 	recent := rec.Recent()
 	if len(recent) != 4 {
@@ -138,25 +144,25 @@ func TestRecorderRingsAndViews(t *testing.T) {
 
 func TestRecorderInFlight(t *testing.T) {
 	rec := NewRecorder(4, 2, 2, time.Second, nil)
-	p1 := rec.Start("/api/query", "a")
-	p1.start = p1.start.Add(-time.Minute)
-	p2 := rec.Start("/api/explore", "b")
+	t1 := rec.Start("/api/query", "query", "a")
+	time.Sleep(2 * time.Millisecond)
+	t2 := rec.Start("/api/explore", "explore", "b")
 	inf := rec.InFlight()
 	if len(inf) != 2 || inf[0].ID != "a" {
 		t.Fatalf("in-flight should list oldest first: %+v", inf)
 	}
-	if !inf[0].InFlight || inf[0].DurationUS < time.Minute.Microseconds() {
+	if !inf[0].InFlight || inf[0].DurationUS < 2000 {
 		t.Errorf("live event should carry elapsed duration: %+v", inf[0])
 	}
-	rec.Complete(p1, 200, DispositionOK, nil)
-	rec.Complete(p2, 200, DispositionOK, nil)
+	rec.Complete(t1, 200, telemetry.DispositionOK, nil)
+	rec.Complete(t2, 200, telemetry.DispositionOK, nil)
 	if len(rec.InFlight()) != 0 {
 		t.Error("in-flight not empty after completion")
 	}
 }
 
 func TestFilter(t *testing.T) {
-	evs := []*Event{
+	evs := []*telemetry.Event{
 		{Route: "/api/query", DB: "ebiz", DurationUS: 100},
 		{Route: "/api/explore", DB: "ebiz", DurationUS: 5000},
 		{Route: "/api/query", DB: "online", DurationUS: 20000},
@@ -175,29 +181,29 @@ func TestFilter(t *testing.T) {
 	}
 }
 
+// A completed request's event is its trace folded: identity copied,
+// counts read, stages summed and sorted by duration.
 func TestSnapshotAndRender(t *testing.T) {
-	p := New("query", "req-9")
-	p.SetDB("ebiz")
-	p.SetQuery("nut bmx 2003")
-	p.SetCacheOutcome("miss")
-	p.SetQueueWait(250 * time.Microsecond)
-	p.AddSharedScan()
-	p.AddSegments(8, 56, 0)
-	p.AddKernelScan(true, 16, 60000)
-	p.AddKernelScan(false, 0, 100)
-	p.AddFulltextProbe(1840)
-	p.AddAnneal(500)
-	p.AddCandidates(12)
-	p.SetStages(map[string]time.Duration{
-		"rank":      1200 * time.Microsecond,
-		"hit_probe": 3 * time.Millisecond,
-	})
-	p.Finish(200, DispositionOK, nil)
-	p.Finish(500, DispositionError, errors.New("late")) // idempotent: ignored
+	rec := NewRecorder(4, 2, 2, time.Second, nil)
+	tr := rec.Start("/api/query", "query", "req-9")
+	tr.Describe("ebiz", "nut bmx 2003")
+	tr.SetCache("miss")
+	tr.Root().AddTimed("queue_wait", 250*time.Microsecond)
+	tr.Root().AddTimed("rank", 1200*time.Microsecond)
+	tr.Root().AddTimed("hit_probe", 3*time.Millisecond)
+	for f, n := range map[telemetry.Fact]int{
+		telemetry.SharedScans: 1, telemetry.SegmentsScanned: 8, telemetry.SegmentsSkippedZone: 56,
+		telemetry.ParallelScans: 1, telemetry.SerialScans: 1, telemetry.KernelStripes: 16,
+		telemetry.RowsScanned: 60100, telemetry.FulltextProbes: 1, telemetry.FulltextPostings: 1840,
+		telemetry.AnnealRuns: 1, telemetry.AnnealIters: 500, telemetry.Candidates: 12,
+	} {
+		tr.Add(f, n)
+	}
+	tr.Finish(200, telemetry.DispositionOK, nil)
+	ev := rec.Complete(tr, 500, telemetry.DispositionError, errors.New("late")) // first Finish wins
 
-	ev := p.Snapshot()
-	if ev.Status != 200 || ev.Disposition != DispositionOK || ev.Error != "" {
-		t.Errorf("Finish not idempotent: %+v", ev)
+	if ev.Status != 200 || ev.Disposition != telemetry.DispositionOK || ev.Error != "" || ev.InFlight {
+		t.Errorf("Finish not first-call-wins: %+v", ev)
 	}
 	if ev.Stages[0].Name != "hit_probe" {
 		t.Errorf("stages not sorted by duration: %+v", ev.Stages)
@@ -208,7 +214,7 @@ func TestSnapshotAndRender(t *testing.T) {
 
 	out := ev.Render()
 	for _, want := range []string{
-		"query [req-9] db=ebiz",
+		"/api/query [req-9] db=ebiz",
 		"cache=miss",
 		`query: "nut bmx 2003"`,
 		"queue_wait: 250µs",

@@ -1,3 +1,7 @@
+// Package profile is the always-on flight recorder over requests' wide
+// events (telemetry.Event): a live in-flight table of running traces
+// plus ring buffers of recent / slow / errored completed events, behind
+// GET /debug/queries.
 package profile
 
 import (
@@ -6,6 +10,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"kdap/internal/telemetry"
 )
 
 // ring is a fixed-size ring buffer of completed events. Each ring has
@@ -13,7 +19,7 @@ import (
 // push is one lock, one store, one increment.
 type ring struct {
 	mu   sync.Mutex
-	buf  []*Event
+	buf  []*telemetry.Event
 	next int
 	n    int
 }
@@ -22,10 +28,10 @@ func newRing(n int) *ring {
 	if n < 1 {
 		n = 1
 	}
-	return &ring{buf: make([]*Event, n)}
+	return &ring{buf: make([]*telemetry.Event, n)}
 }
 
-func (r *ring) push(ev *Event) {
+func (r *ring) push(ev *telemetry.Event) {
 	r.mu.Lock()
 	r.buf[r.next] = ev
 	r.next = (r.next + 1) % len(r.buf)
@@ -34,31 +40,31 @@ func (r *ring) push(ev *Event) {
 }
 
 // snapshot returns the buffered events newest-first.
-func (r *ring) snapshot() []*Event {
+func (r *ring) snapshot() []*telemetry.Event {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	k := r.n
 	if k > len(r.buf) {
 		k = len(r.buf)
 	}
-	out := make([]*Event, 0, k)
+	out := make([]*telemetry.Event, 0, k)
 	for i := 1; i <= k; i++ {
 		out = append(out, r.buf[(r.next-i+len(r.buf))%len(r.buf)])
 	}
 	return out
 }
 
-// Recorder is the always-on flight recorder: a live in-flight table
-// plus recent / slow / errored ring buffers of completed wide events.
-// Completed events are immutable, so snapshots hand out shared
+// Recorder is the always-on flight recorder: a live in-flight table of
+// traces plus recent / slow / errored ring buffers of completed wide
+// events. Completed events are immutable, so snapshots hand out shared
 // pointers without copying.
 type Recorder struct {
 	slowAfter  time.Duration
 	seq        atomic.Uint64
-	onComplete func(*Event)
+	onComplete func(*telemetry.Event)
 
 	mu       sync.Mutex
-	inflight map[*P]struct{}
+	inflight map[*telemetry.Trace]struct{}
 
 	recent, slow, errored *ring
 }
@@ -67,11 +73,11 @@ type Recorder struct {
 // events, plus slowN events slower than slowAfter and errN non-ok
 // events. onComplete (optional) runs for every completed event — the
 // server derives SLO good/bad counters there.
-func NewRecorder(recentN, slowN, errN int, slowAfter time.Duration, onComplete func(*Event)) *Recorder {
+func NewRecorder(recentN, slowN, errN int, slowAfter time.Duration, onComplete func(*telemetry.Event)) *Recorder {
 	return &Recorder{
 		slowAfter:  slowAfter,
 		onComplete: onComplete,
-		inflight:   make(map[*P]struct{}),
+		inflight:   make(map[*telemetry.Trace]struct{}),
 		recent:     newRing(recentN),
 		slow:       newRing(slowN),
 		errored:    newRing(errN),
@@ -82,38 +88,36 @@ func NewRecorder(recentN, slowN, errN int, slowAfter time.Duration, onComplete f
 // lands in the slow ring.
 func (r *Recorder) SlowThreshold() time.Duration { return r.slowAfter }
 
-// Start opens a wide event for a request and registers it in the
-// in-flight table. An empty id gets a generated one (clients that send
-// X-Request-ID keep theirs).
-func (r *Recorder) Start(route, id string) *P {
+// Start opens a request's trace, its root span named name, and
+// registers it in the in-flight table. An empty id gets a generated one
+// (clients that send X-Request-ID keep theirs).
+func (r *Recorder) Start(route, name, id string) *telemetry.Trace {
 	if id == "" {
 		id = "kdap-" + strconv.FormatUint(r.seq.Add(1), 36)
 	}
-	p := New(route, id)
+	t := telemetry.NewTrace(name)
+	t.Identify(id, route)
 	r.mu.Lock()
-	r.inflight[p] = struct{}{}
+	r.inflight[t] = struct{}{}
 	r.mu.Unlock()
-	return p
+	return t
 }
 
-// Complete seals the profile, moves it from the in-flight table into
-// the rings, and fires the completion hook. The recent ring gets every
-// event; the slow ring those over the threshold; the errored ring every
-// non-ok disposition.
-func (r *Recorder) Complete(p *P, status int, disposition string, err error) *Event {
-	if p == nil {
-		return nil
-	}
-	p.Finish(status, disposition, err)
+// Complete seals the trace, folds it into its wide event, moves it from
+// the in-flight table into the rings, and fires the completion hook.
+// The recent ring gets every event; the slow ring those over the
+// threshold; the errored ring every non-ok disposition.
+func (r *Recorder) Complete(t *telemetry.Trace, status int, disposition string, err error) *telemetry.Event {
+	t.Finish(status, disposition, err)
 	r.mu.Lock()
-	delete(r.inflight, p)
+	delete(r.inflight, t)
 	r.mu.Unlock()
-	ev := p.Snapshot()
+	ev := t.Event()
 	r.recent.push(ev)
 	if time.Duration(ev.DurationUS)*time.Microsecond >= r.slowAfter {
 		r.slow.push(ev)
 	}
-	if ev.Disposition != DispositionOK {
+	if ev.Disposition != telemetry.DispositionOK {
 		r.errored.push(ev)
 	}
 	if r.onComplete != nil {
@@ -123,26 +127,26 @@ func (r *Recorder) Complete(p *P, status int, disposition string, err error) *Ev
 }
 
 // Recent returns the most recently completed events, newest first.
-func (r *Recorder) Recent() []*Event { return r.recent.snapshot() }
+func (r *Recorder) Recent() []*telemetry.Event { return r.recent.snapshot() }
 
 // Slow returns recent events over the slow threshold, newest first.
-func (r *Recorder) Slow() []*Event { return r.slow.snapshot() }
+func (r *Recorder) Slow() []*telemetry.Event { return r.slow.snapshot() }
 
 // Errored returns recent non-ok events, newest first.
-func (r *Recorder) Errored() []*Event { return r.errored.snapshot() }
+func (r *Recorder) Errored() []*telemetry.Event { return r.errored.snapshot() }
 
 // InFlight snapshots the live table, oldest first (the longest-running
 // request — usually the interesting one — leads).
-func (r *Recorder) InFlight() []*Event {
+func (r *Recorder) InFlight() []*telemetry.Event {
 	r.mu.Lock()
-	ps := make([]*P, 0, len(r.inflight))
-	for p := range r.inflight {
-		ps = append(ps, p)
+	ts := make([]*telemetry.Trace, 0, len(r.inflight))
+	for t := range r.inflight {
+		ts = append(ts, t)
 	}
 	r.mu.Unlock()
-	out := make([]*Event, 0, len(ps))
-	for _, p := range ps {
-		out = append(out, p.Snapshot())
+	out := make([]*telemetry.Event, 0, len(ts))
+	for _, t := range ts {
+		out = append(out, t.Event())
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if !out[i].Start.Equal(out[j].Start) {
@@ -155,7 +159,7 @@ func (r *Recorder) InFlight() []*Event {
 
 // Filter narrows a snapshot to events matching route and db (empty
 // matches all) with duration >= minDur.
-func Filter(evs []*Event, route, db string, minDur time.Duration) []*Event {
+func Filter(evs []*telemetry.Event, route, db string, minDur time.Duration) []*telemetry.Event {
 	out := evs[:0:0]
 	minUS := minDur.Microseconds()
 	for _, ev := range evs {

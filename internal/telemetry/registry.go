@@ -29,6 +29,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -263,10 +264,10 @@ func (r *Registry) getOrCreate(name, help string, kind metricKind, labels string
 	s = build()
 	s.labels = labels
 	f.samples[labels] = s
+	// A new slice, not an insert in place: WritePrometheus reads the
+	// slice it snapshotted after releasing the lock.
 	i := sort.Search(len(f.ordered), func(i int) bool { return f.ordered[i].labels >= labels })
-	f.ordered = append(f.ordered, nil)
-	copy(f.ordered[i+1:], f.ordered[i:])
-	f.ordered[i] = s
+	f.ordered = slices.Insert(slices.Clip(f.ordered), i, s)
 	return s
 }
 

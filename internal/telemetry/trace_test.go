@@ -19,7 +19,7 @@ func TestSpanTreeShape(t *testing.T) {
 	_, rank := StartSpan(dctx, "rank")
 	rank.End()
 	d.End()
-	tr.Finish()
+	tr.Finish(0, DispositionOK, nil)
 
 	j := tr.JSON()
 	if j.Name != "query" || len(j.Children) != 1 {
@@ -45,14 +45,15 @@ func TestSpanTreeShape(t *testing.T) {
 	}
 }
 
-// With no trace attached, StartSpan must not allocate and must return a
-// usable nil span — this is the disabled-by-default hot path the
-// benchmarks run through.
+// With no trace attached — a library caller, a benchmark's engine —
+// StartSpan must return a usable nil span and must not allocate: spans
+// open on every stage of every request.
 func TestStartSpanDisabledPathAllocationFree(t *testing.T) {
 	ctx := context.Background()
-	allocs := testing.AllocsPerRun(100, func() {
+	allocs := testing.AllocsPerRun(1000, func() {
 		c, sp := StartSpan(ctx, "stage")
 		sp.End()
+		sp.AddTimed("queue_wait", time.Millisecond)
 		_ = c
 	})
 	if allocs != 0 {
@@ -60,6 +61,24 @@ func TestStartSpanDisabledPathAllocationFree(t *testing.T) {
 	}
 	if d := (*Span)(nil).Duration(); d != 0 {
 		t.Errorf("nil span duration = %v", d)
+	}
+}
+
+// A name's text after the first space shows in the tree but sums into
+// the stage before it, so the stage set stays closed.
+func TestStageNameStopsAtSpace(t *testing.T) {
+	tr := NewTrace("explore")
+	ctx := tr.Context(context.Background())
+	for _, attr := range []string{"DimStore.City", "DimProduct.Yearly Income"} {
+		_, sp := StartSpan(ctx, "score "+attr)
+		sp.End()
+	}
+	tr.Finish(0, DispositionOK, nil)
+	if st := tr.Stages(); len(st) != 2 || st["score"] == 0 {
+		t.Errorf("stages = %v, want explore and one score", st)
+	}
+	if j := tr.JSON(); len(j.Children) != 2 || j.Children[1].Name != "score DimProduct.Yearly Income" {
+		t.Errorf("the tree lost the scored attribute: %+v", j.Children)
 	}
 }
 
@@ -80,7 +99,7 @@ func TestConcurrentChildSpans(t *testing.T) {
 	}
 	wg.Wait()
 	score.End()
-	tr.Finish()
+	tr.Finish(0, DispositionOK, nil)
 	if n := len(tr.JSON().Children[0].Children); n != 16 {
 		t.Errorf("recorded %d child spans, want 16", n)
 	}

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Metrics/docs drift gate: the kdap_* family set exposed by a live
 # kdapd must match the families documented in docs/OPERATIONS.md in
-# BOTH directions. An exposed-but-undocumented family means the
+# BOTH directions, and every exposed kdap_stage_seconds stage must be
+# in the guide's closed stage list. An exposed-but-undocumented family means the
 # operator's guide quietly rotted; a documented-but-unexposed family
 # means the docs promise telemetry the server no longer serves (or a
 # subsystem stopped registering at startup). The daemon runs with every
@@ -93,6 +94,23 @@ if ! comm -13 "$TMP/exposed" "$TMP/documented" >"$TMP/unexposed" || [ -s "$TMP/u
   sed 's/^/  /' "$TMP/unexposed" >&2
   FAIL=1
 fi
+
+# The kdap_stage_seconds label set is closed: every exposed stage must
+# be in the list the guide's kdap_stage_seconds row gives after "one of:".
+curl -sf "http://$ADDR/metrics" |
+  grep -o '^kdap_stage_seconds_count{stage="[^"]*"' |
+  cut -d'"' -f2 | sort -u >"$TMP/stages"
+grep '^| `kdap_stage_seconds` |' "$DOC" |
+  sed -E 's/.*one of: //; s/`\. .*/`/' |
+  grep -oE '`[a-z_]+`' | tr -d '`' | sort -u >"$TMP/stages_documented"
+if [ ! -s "$TMP/stages" ] || [ ! -s "$TMP/stages_documented" ]; then
+  echo "== no kdap_stage_seconds stages exposed, or none documented in $DOC" >&2
+  FAIL=1
+elif ! comm -23 "$TMP/stages" "$TMP/stages_documented" >"$TMP/stages_undocumented" || [ -s "$TMP/stages_undocumented" ]; then
+  echo "== kdap_stage_seconds stages exposed but missing from the closed list in $DOC:" >&2
+  sed 's/^/  /' "$TMP/stages_undocumented" >&2
+  FAIL=1
+fi
 [ "$FAIL" = 0 ]
 
-echo "metrics drift OK ($(wc -l <"$TMP/exposed") families, both directions)"
+echo "metrics drift OK ($(wc -l <"$TMP/exposed") families, both directions; $(wc -l <"$TMP/stages") stages, all documented)"
