@@ -30,7 +30,6 @@ package main
 
 import (
 	"bufio"
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -337,19 +336,10 @@ func (r *repl) pivot(args []string) {
 		fmt.Println("pivot works on categorical attributes; pick non-numeric facets")
 		return
 	}
-	e := r.s.Engine()
-	g := e.Graph()
-	rp, ok1 := g.PathFromFact(ra.Attr.Table, ra.Role)
-	cp, ok2 := g.PathFromFact(ca.Attr.Table, ca.Role)
-	if !ok1 || !ok2 {
-		fmt.Println("cannot resolve join paths for the pivot")
-		return
-	}
-	rows, err := e.SubspaceRowsCtx(context.Background(), r.s.Current())
+	pt, err := r.s.Pivot(ra, ca)
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	pt := e.Executor().Pivot(rows, ra.Attr.Attr, rp, ca.Attr.Attr, cp, e.Measure(), e.Agg())
 	fmt.Print(pt)
 }

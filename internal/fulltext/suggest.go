@@ -71,10 +71,12 @@ func (ix *Index) surfaceForm(term string) string {
 	return term
 }
 
-// boundedEditDistance computes the Levenshtein distance between a and b,
-// returning bound+1 as soon as the distance provably exceeds bound.
+// boundedEditDistance computes the Levenshtein distance between a and b
+// over their runes, capped at bound+1: once the distance provably
+// exceeds bound, bound+1 is returned.
 func boundedEditDistance(a, b string, bound int) int {
-	la, lb := len(a), len(b)
+	ra, rb := []rune(a), []rune(b)
+	la, lb := len(ra), len(rb)
 	if la-lb > bound || lb-la > bound {
 		return bound + 1
 	}
@@ -88,7 +90,7 @@ func boundedEditDistance(a, b string, bound int) int {
 		rowMin := cur[0]
 		for j := 1; j <= lb; j++ {
 			cost := 1
-			if a[i-1] == b[j-1] {
+			if ra[i-1] == rb[j-1] {
 				cost = 0
 			}
 			m := prev[j-1] + cost
@@ -108,5 +110,5 @@ func boundedEditDistance(a, b string, bound int) int {
 		}
 		prev, cur = cur, prev
 	}
-	return prev[lb]
+	return min(prev[lb], bound+1)
 }

@@ -79,14 +79,15 @@ func TestBoundedEditDistance(t *testing.T) {
 		{"abc", "acb", 2, 2},
 		{"kitten", "sitting", 2, 3}, // exceeds bound → bound+1
 		{"abcdefg", "xbcdefg", 2, 1},
+		// One rune each, of different UTF-8 lengths: one substitution.
+		{"ὀ", "\U001000b2", 2, 1},
+		{"\U001000b2", "ὀ", 2, 1},
+		// Found past the bound only on the last row: capped all the same.
+		{"ab", "cdef", 2, 3},
 	}
 	for _, c := range cases {
 		got := boundedEditDistance(c.a, c.b, c.bound)
-		if c.want > c.bound {
-			if got <= c.bound {
-				t.Errorf("dist(%q,%q) = %d, want > %d", c.a, c.b, got, c.bound)
-			}
-		} else if got != c.want {
+		if got != c.want {
 			t.Errorf("dist(%q,%q) = %d, want %d", c.a, c.b, got, c.want)
 		}
 	}

@@ -341,7 +341,7 @@ func TestDistributionsCarriedAcrossAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := groupByCalls(tr), int64(len(distKeys(all2, "gb"))); got != want {
+	if got, want := tr.Count(telemetry.GroupBys), int64(len(distKeys(all2, "gb"))); got != want {
 		t.Errorf("post-append explore ran %d group-by kernels, want %d (the touched space's only)", got, want)
 	}
 	fresh, err := ingestTestEngine(wh).ExploreCtx(ctx, sn, opts)

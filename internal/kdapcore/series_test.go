@@ -90,13 +90,14 @@ func seriesMart(t *testing.T, n, segSize int) (g *schemagraph.Graph, fact *relat
 	return g, fact, path
 }
 
-// The streaming fill is pure execution strategy: for every form a
-// measure takes in the scan — dense vector, constant one, segment cursor
-// over a backed table, row-at-a-time Eval — and with a stretch of
-// segments skipped on zone evidence, the bucket series it folds stride
-// by stride is bit for bit the one AggregateSeries makes of the
-// materialised series (which a multi-core run extracts over concurrent
-// spans).
+// The streaming fill is pure execution strategy: for every measure
+// constructor — a column, a product, the count and a hand-built Eval
+// literal — on resident storage and on 128-row pages, and with a
+// stretch of segments skipped on zone evidence, the bucket series it
+// folds segment by segment is bit for bit the one AggregateSeries makes
+// of the materialised series (which a multi-core run extracts over
+// concurrent spans). olap's TestMeasureFormsMatchReference runs the same
+// matrix through the group-by, aggregate and pivot kernels.
 func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 	const n = 3*8192 + 700
 	ctx := context.Background()
@@ -114,6 +115,9 @@ func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 		{"eval-backed", 128, func(*relation.Table) olap.Measure {
 			return olap.Measure{Name: "half", Eval: func(row []relation.Value) float64 { return row[1].AsFloat() / 2 }}
 		}},
+		{"product", 0, func(f *relation.Table) olap.Measure { return olap.ProductMeasure(f, "AmtByKA", "Amt", "KA") }},
+		{"product-backed", 128, func(f *relation.Table) olap.Measure { return olap.ProductMeasure(f, "AmtByKA", "Amt", "KA") }},
+		{"count-backed", 128, func(*relation.Table) olap.Measure { return olap.CountMeasure() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			g, fact, path := seriesMart(t, n, tc.segSize)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"kdap/internal/olap"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
@@ -204,6 +205,25 @@ func (s *Session) refresh() error {
 	}
 	s.facets = f
 	return nil
+}
+
+// Pivot cross-tabulates the current interpretation's sub-dataspace by
+// two categorical facet attributes, under the session's trace and
+// timeout like every other operation.
+func (s *Session) Pivot(row, col *AttrFacet) (*olap.PivotTable, error) {
+	ctx, finish := s.traceCtx("pivot")
+	defer finish()
+	g := s.engine.Graph()
+	rp, ok1 := g.PathFromFact(row.Attr.Table, row.Role)
+	cp, ok2 := g.PathFromFact(col.Attr.Table, col.Role)
+	if !ok1 || !ok2 {
+		return nil, fmt.Errorf("cannot resolve join paths for the pivot")
+	}
+	rows, err := s.engine.SubspaceRowsCtx(ctx, s.Current())
+	if err != nil {
+		return nil, err
+	}
+	return s.engine.exec.Pivot(ctx, rows, row.Attr.Attr, rp, col.Attr.Attr, cp, s.engine.measure, s.engine.agg)
 }
 
 // FlatAttrs flattens the current facets' attributes in display order, the

@@ -25,15 +25,6 @@ func top1(t *testing.T, e *Engine, q string) *StarNet {
 	return nets[0]
 }
 
-// groupByCalls and aggregateCalls are how many GroupByCtx and
-// AggregateCtx kernel calls a trace counted.
-func groupByCalls(tr *telemetry.Trace) int64 {
-	return tr.Count(telemetry.GroupByVector) + tr.Count(telemetry.GroupByEval)
-}
-func aggregateCalls(tr *telemetry.Trace) int64 {
-	return tr.Count(telemetry.AggregateVector) + tr.Count(telemetry.AggregateEval)
-}
-
 // distKeys lists the distributions a space holds whose key starts with
 // prefix.
 func distKeys(sp *space, prefix string) []string {
@@ -136,10 +127,10 @@ func TestDrillReusesParentSpace(t *testing.T) {
 			newAgg += len(distKeys(sp, "agg"))
 		}
 	}
-	if got := groupByCalls(tr); got != int64(newGB) {
+	if got := tr.Count(telemetry.GroupBys); got != int64(newGB) {
 		t.Errorf("drilled explore ran %d group-by kernels, want %d (one per new (space, attr) pair)", got, newGB)
 	}
-	if got := aggregateCalls(tr); got != int64(newAgg) {
+	if got := tr.Count(telemetry.Aggregates); got != int64(newAgg) {
 		t.Errorf("drilled explore ran %d aggregate kernels, want %d (one per new space)", got, newAgg)
 	}
 	if tr.Count(telemetry.SharedScans) == 0 {
@@ -242,10 +233,10 @@ func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
 	if !meet || gb == gb0 {
 		t.Fatal("the sibling nets share no roll-up space, or their explores filled no group-by; the test lost its premise")
 	}
-	if got := groupByCalls(tr); got != gb-gb0 {
+	if got := tr.Count(telemetry.GroupBys); got != gb-gb0 {
 		t.Errorf("%d group-by kernels for %d distinct (space, attr) pairs", got, gb-gb0)
 	}
-	if got := aggregateCalls(tr); got != agg-agg0 {
+	if got := tr.Count(telemetry.Aggregates); got != agg-agg0 {
 		t.Errorf("%d aggregate kernels for %d distinct spaces", got, agg-agg0)
 	}
 	if tr.Count(telemetry.SharedScans) == 0 {

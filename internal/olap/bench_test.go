@@ -14,7 +14,7 @@ func BenchmarkPivot(b *testing.B) {
 	cp, _ := ebiz.Graph.PathFromFact("LOC", "Store")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pt := ex.Pivot(rows, "GroupName", rp, "State", cp, m, Sum)
+		pt := mustPivot(b, ex, rows, "GroupName", rp, "State", cp, m, Sum)
 		if pt.Grand == 0 {
 			b.Fatal("empty pivot")
 		}

@@ -40,6 +40,10 @@ func TestCtxVariantsCancel(t *testing.T) {
 				0, posInf, func(v float64) bool { return v > 0 })
 			return err
 		},
+		"Pivot": func() error {
+			_, err := ex.Pivot(ctx, rows, "GroupName", path, "State", pathTo(t, "LOC", "Store"), m, Sum)
+			return err
+		},
 		"MapRowsCtx": func() error {
 			_, err := ex.MapRowsCtx(ctx, rows, path)
 			return err

@@ -164,7 +164,7 @@ func (m *codeMart) check(t *testing.T, rng *rand.Rand, pivot bool) {
 		k := int(f[0].IntVal())
 		want[cell{relation.String(fmt.Sprintf("n%05d", k)), relation.String(fmt.Sprintf("b%d", k%5))}] += f[1].AsFloat()
 	}
-	pt := m.ex.Pivot(sample, "Name", m.path, "Band", m.path, v, Sum)
+	pt := mustPivot(t, m.ex, sample, "Name", m.path, "Band", m.path, v, Sum)
 	cells := 0
 	for i, rk := range pt.RowKeys {
 		for j, ck := range pt.ColKeys {

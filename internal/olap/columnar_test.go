@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -56,8 +57,8 @@ func TestGroupByMatchesReference(t *testing.T) {
 	}
 }
 
-// CountMeasure has no vector; the dense-code kernel must still work
-// through the Eval fallback.
+// CountMeasure reads a column of ones; the dense-code kernel must count
+// exactly what the reference's Eval counts.
 func TestGroupByEvalFallbackMatchesReference(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	path := pathTo(t, "PGROUP", "Product")
@@ -70,6 +71,71 @@ func TestGroupByEvalFallbackMatchesReference(t *testing.T) {
 	for k, w := range want {
 		if got[k] != w {
 			t.Fatalf("group %v: %v want %v", k, got[k], w)
+		}
+	}
+}
+
+// Every measure form — a column, a product, the count and a hand-built
+// Eval literal — on resident storage and on 128-row pages, through each
+// kernel that reads a measure, against the row-at-a-time oracle: bit
+// for bit on the serial path, to merge precision on the striped one.
+func TestMeasureFormsMatchReference(t *testing.T) {
+	const n = 3*8192 + 700
+	for _, segSize := range []int{0, 128} {
+		pm := buildPlanMart(t, n, segSize)
+		all := mustFactRows(t, pm.ex, nil)
+		var third []int
+		for i := 5; i < n; i += 3 {
+			third = append(third, i)
+		}
+		for _, m := range []Measure{
+			ColumnMeasure(pm.fact, "Noise"),
+			ProductMeasure(pm.fact, "NoiseBySeq", "Noise", "Seq"),
+			CountMeasure(),
+			{Name: "half", Eval: func(row []relation.Value) float64 { return row[1].AsFloat() / 2 }},
+		} {
+			for _, rows := range [][]int{all, third, all[8000:8400], nil} {
+				exact := len(rows) < parallelRowThreshold
+				same := func(got, want float64) bool {
+					if math.IsNaN(got) || math.IsNaN(want) {
+						return math.IsNaN(got) && math.IsNaN(want)
+					}
+					return got == want || !exact && math.Abs(got-want) <= 1e-9*(math.Abs(want)+1)
+				}
+				where := fmt.Sprintf("segSize %d, %s over %d rows", segSize, m.Name, len(rows))
+				for _, agg := range []Agg{Sum, Count, Max} {
+					if got, want := mustAggregate(t, pm.ex, rows, m, agg), aggregateRef(pm.ex, rows, m, agg); !same(got, want) {
+						t.Fatalf("%s: aggregate %v = %v, want %v", where, agg, got, want)
+					}
+				}
+				got, want := mustGroupBy(t, pm.ex, rows, "Name", pm.pathA, m, Sum), groupByRef(pm.ex, rows, "Name", pm.pathA, m, Sum)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %d groups, want %d", where, len(got), len(want))
+				}
+				for k, w := range want {
+					if g, ok := got[k]; !ok || !same(g, w) {
+						t.Fatalf("%s: group %v = %v (present %v), want %v", where, k, g, ok, w)
+					}
+				}
+				pt := mustPivot(t, pm.ex, rows, "Name", pm.pathA, "Label", pm.pathB, m, Sum)
+				cells := pivotRef(pm.ex, rows, "Name", pm.pathA, "Label", pm.pathB, m, Sum)
+				present := 0
+				for i, rk := range pt.RowKeys {
+					for j, ck := range pt.ColKeys {
+						w, ok := cells[[2]relation.Value{rk, ck}]
+						if pt.Present[i][j] != ok || ok && pt.Cells[i][j] != w {
+							t.Fatalf("%s: pivot cell (%v, %v) = %v (present %v), want %v (present %v)",
+								where, rk, ck, pt.Cells[i][j], pt.Present[i][j], w, ok)
+						}
+						if ok {
+							present++
+						}
+					}
+				}
+				if present != len(cells) {
+					t.Fatalf("%s: pivot holds %d of %d cells", where, present, len(cells))
+				}
+			}
 		}
 	}
 }

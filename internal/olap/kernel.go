@@ -30,13 +30,12 @@ import (
 // same reason: moving it moves row sets between the serial and
 // striped summation orders, and so changes answer bytes.
 //
-// Every kernel is cancellable: the scan loops are blocked into
-// cancelCheckRows-row strides and consult ctx.Err() between strides,
-// so a cancelled context stops a scan within one stride rather than
-// after the full dataspace. When the context carries no cancellation
-// (ctx.Done() == nil, e.g. context.Background()) the check short-
-// circuits on a nil channel compare and the inner loops are the same
-// tight code as before.
+// Every kernel is cancellable: it walks its rows one segment of the
+// measure at a time (forStrides) and consults ctx.Err() before each
+// segment fetch, so a cancelled context stops a scan within one segment
+// rather than after the full dataspace. When the context carries no
+// cancellation (ctx.Done() == nil, e.g. context.Background()) the check
+// short-circuits on a nil channel compare.
 
 // kernelStripes is the fixed fan-out of a striped scan. It doubles as
 // the worker-count cap: past a point extra workers only shred the
@@ -51,10 +50,11 @@ const kernelStripes = 16
 // variable only so tests can force fan-out on small tables.
 var parallelRowThreshold = 8192
 
-// cancelCheckRows is the stride between ctx.Err() checks inside the
-// scan kernels. At ~10ns/row a stride is a few tens of microseconds of
-// work, so cancellation latency stays far below any request deadline
-// while the check amortizes to well under the benchmark noise floor.
+// cancelCheckRows is the stride between ctx.Err() checks in the walks
+// that read no measure (the hop walk and the semijoin). At ~10ns/row a
+// stride is a few tens of microseconds of work, so cancellation latency
+// stays far below any request deadline while the check amortizes to
+// well under the benchmark noise floor.
 const cancelCheckRows = 8192
 
 // span is one stripe's half-open index range into a row set.
@@ -120,26 +120,6 @@ func (s *aggState) mergeInto(src *aggState) {
 	}
 }
 
-// measureVec resolves the measure's fact-aligned column, or nil when
-// the measure only supports row-at-a-time evaluation (hand-built
-// Measure literals) or its table holds no dense column (Seg path).
-func measureVec(m Measure) []float64 {
-	if m.Vec == nil {
-		return nil
-	}
-	return m.Vec()
-}
-
-// measureCursor returns a fresh segment cursor for a measure without a
-// dense vector, or nil when the measure has no segmented form. Cursors
-// are not safe for concurrent use — the kernels take one per chunk.
-func measureCursor(m Measure) *relation.FloatCursor {
-	if m.Seg == nil {
-		return nil
-	}
-	return relation.NewFloatCursor(m.Seg())
-}
-
 // runStripes executes one body per stripe index, inline when workers is
 // 1 and over a worker pool pulling stripes from an atomic counter
 // otherwise. The body for stripe i must be independent of every other
@@ -175,21 +155,21 @@ func runStripes(nstripes, workers int, body func(i int)) {
 // measure value was NaN — matching the reference path, which creates a
 // group state before evaluating the measure). It dispatches on the
 // column's width to the one kernel, instantiated per code type.
-func (ex *Executor) groupScan(ctx context.Context, rows []int, cc *codeColumn, m Measure) ([]aggState, []bool, error) {
+func groupScan(ctx context.Context, rows []int, cc *codeColumn, rd relation.FloatReader) ([]aggState, []bool, error) {
 	switch cc.width {
 	case 1:
-		return groupScanCodes(ctx, ex, rows, cc.u8, len(cc.dict), m)
+		return groupScanCodes(ctx, rows, cc.u8, len(cc.dict), rd)
 	case 2:
-		return groupScanCodes(ctx, ex, rows, cc.u16, len(cc.dict), m)
+		return groupScanCodes(ctx, rows, cc.u16, len(cc.dict), rd)
 	default:
-		return groupScanCodes(ctx, ex, rows, cc.u32, len(cc.dict), m)
+		return groupScanCodes(ctx, rows, cc.u32, len(cc.dict), rd)
 	}
 }
 
-func groupScanCodes[C code](ctx context.Context, ex *Executor, rows []int, codes []C, ngroups int, m Measure) ([]aggState, []bool, error) {
+func groupScanCodes[C code](ctx context.Context, rows []int, codes []C, ngroups int, rd relation.FloatReader) ([]aggState, []bool, error) {
 	if len(rows) < parallelRowThreshold {
 		noteScan(ctx, false, 0, len(rows))
-		return groupScanChunk(ctx, ex, rows, codes, ngroups, m)
+		return groupScanChunk(ctx, rows, codes, ngroups, rd)
 	}
 	spans := stripeSpans(len(rows))
 	workers := scanWorkers()
@@ -199,7 +179,7 @@ func groupScanCodes[C code](ctx context.Context, ex *Executor, rows []int, codes
 	errs := make([]error, len(spans))
 	runStripes(len(spans), workers, func(i int) {
 		sp := spans[i]
-		states[i], touched[i], errs[i] = groupScanChunk(ctx, ex, rows[sp.lo:sp.hi], codes, ngroups, m)
+		states[i], touched[i], errs[i] = groupScanChunk(ctx, rows[sp.lo:sp.hi], codes, ngroups, rd)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -221,78 +201,37 @@ func groupScanCodes[C code](ctx context.Context, ex *Executor, rows []int, codes
 }
 
 // groupScanChunk is the sequential fused scan+aggregate kernel over one
-// stripe of rows, checking for cancellation every cancelCheckRows rows.
-// Per row it streams one code (1, 2 or 4 bytes) and, for a vector
-// measure, one float64; the all-ones code marks a row with no group.
-func groupScanChunk[C code](ctx context.Context, ex *Executor, rows []int, codes []C, ngroups int, m Measure) ([]aggState, []bool, error) {
+// stripe of rows. Per row it streams one code (1, 2 or 4 bytes) and one
+// float64 of the measure segment; the all-ones code marks a row with no
+// group.
+func groupScanChunk[C code](ctx context.Context, rows []int, codes []C, ngroups int, rd relation.FloatReader) ([]aggState, []bool, error) {
 	null := ^C(0)
 	states := make([]aggState, ngroups)
 	for g := range states {
 		states[g] = newAggState()
 	}
 	touched := make([]bool, ngroups)
-	done := ctx.Done()
-	vec := measureVec(m)
-	var cur *relation.FloatCursor
-	if vec == nil && !m.constOne {
-		cur = measureCursor(m)
-	}
-	var row []relation.Value // scratch for row-at-a-time measures
-	for base := 0; base < len(rows); base += cancelCheckRows {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, nil, err
+	err := forStrides(ctx, rd, rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
+		for _, r := range stride {
+			c := codes[r]
+			if c == null {
+				continue
 			}
+			touched[c] = true
+			states[c].add(seg[r-base])
 		}
-		end := min(base+cancelCheckRows, len(rows))
-		switch {
-		case vec != nil:
-			for _, r := range rows[base:end] {
-				c := codes[r]
-				if c == null {
-					continue
-				}
-				touched[c] = true
-				states[c].add(vec[r])
-			}
-		case m.constOne:
-			for _, r := range rows[base:end] {
-				c := codes[r]
-				if c == null {
-					continue
-				}
-				touched[c] = true
-				states[c].add(1)
-			}
-		case cur != nil:
-			for _, r := range rows[base:end] {
-				c := codes[r]
-				if c == null {
-					continue
-				}
-				touched[c] = true
-				states[c].add(cur.At(r))
-			}
-		default:
-			for _, r := range rows[base:end] {
-				c := codes[r]
-				if c == null {
-					continue
-				}
-				touched[c] = true
-				row = ex.fact.RowInto(row, r)
-				states[c].add(m.Eval(row))
-			}
-		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	return states, touched, nil
 }
 
 // scanAggregate is the fused single-group scan behind Aggregate.
-func (ex *Executor) scanAggregate(ctx context.Context, rows []int, m Measure) (aggState, error) {
+func scanAggregate(ctx context.Context, rows []int, rd relation.FloatReader) (aggState, error) {
 	if len(rows) < parallelRowThreshold {
 		noteScan(ctx, false, 0, len(rows))
-		return ex.scanAggregateChunk(ctx, rows, m)
+		return scanAggregateChunk(ctx, rows, rd)
 	}
 	spans := stripeSpans(len(rows))
 	workers := scanWorkers()
@@ -301,7 +240,7 @@ func (ex *Executor) scanAggregate(ctx context.Context, rows []int, m Measure) (a
 	errs := make([]error, len(spans))
 	runStripes(len(spans), workers, func(i int) {
 		sp := spans[i]
-		partial[i], errs[i] = ex.scanAggregateChunk(ctx, rows[sp.lo:sp.hi], m)
+		partial[i], errs[i] = scanAggregateChunk(ctx, rows[sp.lo:sp.hi], rd)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -315,43 +254,16 @@ func (ex *Executor) scanAggregate(ctx context.Context, rows []int, m Measure) (a
 	return st, nil
 }
 
-func (ex *Executor) scanAggregateChunk(ctx context.Context, rows []int, m Measure) (aggState, error) {
+func scanAggregateChunk(ctx context.Context, rows []int, rd relation.FloatReader) (aggState, error) {
 	st := newAggState()
-	done := ctx.Done()
-	vec := measureVec(m)
-	var cur *relation.FloatCursor
-	if vec == nil && !m.constOne {
-		cur = measureCursor(m)
-	}
-	var row []relation.Value // scratch for row-at-a-time measures
-	for base := 0; base < len(rows); base += cancelCheckRows {
-		if done != nil {
-			if err := ctx.Err(); err != nil {
-				return aggState{}, err
-			}
+	err := forStrides(ctx, rd, rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
+		s := st // a local the loop can keep in registers
+		for _, r := range stride {
+			s.add(seg[r-base])
 		}
-		end := min(base+cancelCheckRows, len(rows))
-		switch {
-		case vec != nil:
-			for _, r := range rows[base:end] {
-				st.add(vec[r])
-			}
-		case m.constOne:
-			for range rows[base:end] {
-				st.add(1)
-			}
-		case cur != nil:
-			for _, r := range rows[base:end] {
-				st.add(cur.At(r))
-			}
-		default:
-			for _, r := range rows[base:end] {
-				row = ex.fact.RowInto(row, r)
-				st.add(m.Eval(row))
-			}
-		}
-	}
-	return st, nil
+		st = s
+	})
+	return st, err
 }
 
 // attrColKey identifies a fact-aligned attribute column in the

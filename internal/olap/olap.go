@@ -4,19 +4,18 @@
 // functions over fact rows, and group-by along arbitrary dimension
 // attributes reached through join paths.
 //
-// Execution is columnar: kernels (kernel.go) run over dense []float64
-// measure vectors and dictionary-coded attribute columns one to four
-// bytes wide, memoized fact-aligned per join path, and fan out across
-// cores above a row threshold with a deterministic chunk-order merge.
-// The row-at-a-time reference implementations they are checked against
-// live in the package's tests. Per-constraint semijoin bitsets are
-// cached in a CLOCK-evicted store so star nets sharing hit groups share
-// the semijoin work.
+// Execution is columnar: kernels (kernel.go) read the measure as one
+// segmented float column, a segment at a time, beside dictionary-coded
+// attribute columns one to four bytes wide, memoized fact-aligned per
+// join path, and fan out across cores above a row threshold with a
+// deterministic stripe-order merge. The row-at-a-time reference
+// implementations they are checked against live in the package's tests.
+// Per-constraint semijoin bitsets are cached in a CLOCK-evicted store so
+// star nets sharing hit groups share the semijoin work.
 //
-// An Executor is safe for concurrent use, exposes kernel-path and
-// cache counters as snapshots (Stats, ConstraintCacheStats — the
-// server polls them onto the telemetry registry), and observes context
-// cancellation at chunk granularity on every entry point that scans.
+// An Executor is safe for concurrent use, counts its scans, column
+// builds and segment verdicts on the request's telemetry.Trace in ctx,
+// and observes context cancellation on every entry point that scans.
 package olap
 
 import (
@@ -35,46 +34,75 @@ import (
 	"kdap/internal/telemetry"
 )
 
-// Measure evaluates a numeric measure on one fact row. The paper's
+// Measure is a numeric measure over the fact rows. The paper's
 // experiments use sales revenue = UnitPrice × Quantity; arbitrary
-// user-defined measures are supported per §5's extension note.
+// user-defined measures are supported per §5's extension note. The
+// executor reads every measure as one segmented float column over the
+// fact table (NaN where the value is undefined): the constructors below
+// supply that column directly, and a hand-built Measure{Name, Eval}
+// literal has it derived from Eval, a segment at a time.
 type Measure struct {
 	Name string
+	// Eval evaluates the measure on one boxed fact row.
 	Eval func(row []relation.Value) float64
-	// Vec, when non-nil, returns the measure evaluated over every fact
-	// row as a dense fact-aligned column (NaN where undefined), or nil
-	// when the fact table holds no dense form of its columns (a paged
-	// table that has sealed segments: materializing one would defeat
-	// the paging budget). The columnar kernels use it to skip per-row
-	// boxed evaluation, falling back to Seg; hand-built Measure literals
-	// may leave both nil and fall back to Eval.
-	Vec func() []float64
-	// Seg, when non-nil, returns a fresh segmented reader over the
-	// measure (the kernels wrap one cursor per worker stripe). The
-	// values a Seg reader yields are bit-identical to Vec's, so the two
-	// paths produce the same output bytes.
-	Seg func() relation.FloatReader
-	// constOne marks a measure whose value is 1 for every row
-	// (CountMeasure); the kernels then never touch fact storage at all.
-	constOne bool
+	// column returns the measure over fact's published rows; nil for a
+	// hand-built literal.
+	column func(fact *relation.Table) relation.FloatReader
 }
 
-// ColumnMeasure returns a measure that reads a single numeric fact column.
+// reader returns the measure over fact's published rows as one
+// segmented float column. It is the one place a measure's form is
+// resolved: the kernels read whatever it returns a segment at a time.
+func (m Measure) reader(fact *relation.Table) relation.FloatReader {
+	if m.column != nil {
+		return m.column(fact)
+	}
+	return evalReader{fact: fact, n: fact.Len(), eval: m.Eval}
+}
+
+// evalReader is the segmented form of a hand-built measure: each
+// segment is Eval over the segment's rows, computed on fetch through one
+// scratch row.
+type evalReader struct {
+	fact *relation.Table
+	n    int
+	eval func(row []relation.Value) float64
+}
+
+func (r evalReader) Len() int         { return r.n }
+func (r evalReader) SegmentSize() int { return r.fact.SegmentSize() }
+func (r evalReader) FloatSegment(si int) []float64 {
+	lo := si * r.fact.SegmentSize()
+	out := make([]float64, min(r.fact.SegmentSize(), r.n-lo))
+	var row []relation.Value
+	for i := range out {
+		row = r.fact.RowInto(row, lo+i)
+		out[i] = r.eval(row)
+	}
+	return out
+}
+
+// ColumnMeasure returns a measure that reads a single numeric fact
+// column. On a table that never pages its reader is the column itself.
 func ColumnMeasure(t *relation.Table, col string) Measure {
 	ci := t.Schema().ColumnIndex(col)
 	if ci < 0 {
 		panic(fmt.Sprintf("olap: fact table %s has no column %q", t.Name(), col))
 	}
 	return Measure{
-		Name: col,
-		Eval: func(row []relation.Value) float64 { return row[ci].AsFloat() },
-		Vec:  func() []float64 { return t.FloatColumn(col) },
-		Seg:  func() relation.FloatReader { return t.FloatReader(col) },
+		Name:   col,
+		Eval:   func(row []relation.Value) float64 { return row[ci].AsFloat() },
+		column: func(*relation.Table) relation.FloatReader { return t.FloatReader(col) },
 	}
 }
 
 // ProductMeasure returns a measure multiplying two numeric fact columns,
-// e.g. revenue = UnitPrice × Quantity.
+// e.g. revenue = UnitPrice × Quantity. While the table holds both
+// columns whole (it has sealed no segment) the product is kept as one
+// dense column, built on first use and extended copy-on-grow past
+// appended rows: readers hold the slice they were handed, so the shared
+// prefix is never rewritten in place. Past the first sealed segment it
+// is computed per segment on fetch (productReader).
 func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 	a := t.Schema().ColumnIndex(colA)
 	b := t.Schema().ColumnIndex(colB)
@@ -82,21 +110,18 @@ func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 		panic(fmt.Sprintf("olap: fact table %s lacks %q or %q", t.Name(), colA, colB))
 	}
 	var mu sync.Mutex
-	var vec []float64 // the product column, built on first vectorized use
+	var vec []float64 // the dense product
 	return Measure{
 		Name: name,
 		Eval: func(row []relation.Value) float64 {
 			return row[a].AsFloat() * row[b].AsFloat()
 		},
-		Vec: func() []float64 {
-			// Extend (copy-on-grow) past appended rows: callers hold the
-			// slice they were handed, so the shared prefix is never
-			// rewritten in place.
+		column: func(*relation.Table) relation.FloatReader {
 			mu.Lock()
 			defer mu.Unlock()
 			ca, cb := t.FloatColumn(colA), t.FloatColumn(colB)
 			if ca == nil || cb == nil {
-				return nil
+				return productReader{a: t.FloatReader(colA), b: t.FloatReader(colB)}
 			}
 			if n := min(len(ca), len(cb)); len(vec) < n {
 				grown := make([]float64, n)
@@ -106,19 +131,16 @@ func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 				}
 				vec = grown
 			}
-			return vec
-		},
-		Seg: func() relation.FloatReader {
-			return productReader{a: t.FloatReader(colA), b: t.FloatReader(colB)}
+			return relation.ResidentFloats(vec)
 		},
 	}
 }
 
-// productReader is the segmented form of a product measure: each
-// segment is computed on fetch from the two factor segments. A cursor
-// fetches each segment once per contiguous pass, so the recompute cost
-// is one multiply per row — the same work the dense build does, paid
-// per scan instead of up front and resident.
+// productReader is the segmented form of a product measure on a paged
+// table: each segment is computed on fetch from the two factor
+// segments. The kernels fetch each segment once per contiguous pass, so
+// the recompute cost is one multiply per row — the same work the dense
+// build does, paid per scan instead of up front and resident.
 type productReader struct {
 	a, b relation.FloatReader
 }
@@ -134,9 +156,32 @@ func (r productReader) FloatSegment(si int) []float64 {
 	return out
 }
 
+// ones is the one segment every count reader serves (sliced short for a
+// last, partial segment).
+var ones = func() []float64 {
+	s := make([]float64, relation.DefaultSegmentSize)
+	for i := range s {
+		s[i] = 1
+	}
+	return s
+}()
+
+// onesReader is the count measure over n rows.
+type onesReader struct{ n int }
+
+func (r onesReader) Len() int         { return r.n }
+func (r onesReader) SegmentSize() int { return len(ones) }
+func (r onesReader) FloatSegment(si int) []float64 {
+	return ones[:min(len(ones), r.n-si*len(ones))]
+}
+
 // CountMeasure counts fact rows.
 func CountMeasure() Measure {
-	return Measure{Name: "count", Eval: func([]relation.Value) float64 { return 1 }, constOne: true}
+	return Measure{
+		Name:   "count",
+		Eval:   func([]relation.Value) float64 { return 1 },
+		column: func(fact *relation.Table) relation.FloatReader { return onesReader{fact.Len()} },
+	}
 }
 
 // RevenueMeasure is the paper's measure over a fact table: sales revenue
@@ -500,18 +545,14 @@ func (ex *Executor) FactRowsCtx(ctx context.Context, constraints []Constraint) (
 }
 
 // AggregateCtx applies the measure and aggregation function over fact
-// rows. The scan is fused — measure column read and accumulation in one
-// loop — and fans out across GOMAXPROCS workers for large row sets; it
-// (and every parallel worker chunk) checks for cancellation at
-// cancelCheckRows granularity and returns ctx.Err() instead of finishing
-// the scan.
+// rows. The scan is fused — measure segment read and accumulation in
+// one loop — and fans out across GOMAXPROCS workers for large row sets;
+// it (and every parallel worker chunk) checks for cancellation before
+// every measure segment and returns ctx.Err() instead of finishing the
+// scan.
 func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg Agg) (float64, error) {
-	f := telemetry.AggregateEval
-	if measureVec(m) != nil {
-		f = telemetry.AggregateVector
-	}
-	telemetry.Count(ctx, f, 1)
-	st, err := ex.scanAggregate(ctx, rows, m)
+	telemetry.Count(ctx, telemetry.Aggregates, 1)
+	st, err := scanAggregate(ctx, rows, m.reader(ex.fact))
 	if err != nil {
 		return 0, err
 	}
@@ -528,22 +569,18 @@ func (ex *Executor) AggregateCtx(ctx context.Context, rows []int, m Measure, agg
 // fact-aligned dictionary code vector and accumulated into a dense
 // per-code state slice — no map insert, no boxed Value per row — with
 // the chunked parallel kernel engaged for large row sets. The scan (and
-// every parallel worker chunk) checks for cancellation at
-// cancelCheckRows granularity and returns ctx.Err() instead of finishing.
+// every parallel worker chunk) checks for cancellation before every
+// measure segment and returns ctx.Err() instead of finishing.
 func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure, agg Agg) (map[relation.Value]float64, error) {
 	dimTable := ex.g.DB().Table(path.Source)
 	if dimTable.Schema().ColumnIndex(attr) < 0 {
 		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
 	}
 	tr := telemetry.FromContext(ctx)
-	if measureVec(m) != nil {
-		tr.Add(telemetry.GroupByVector, 1)
-	} else {
-		tr.Add(telemetry.GroupByEval, 1)
-	}
+	tr.Add(telemetry.GroupBys, 1)
 	cc, builds := ex.attrCodes(attr, path)
 	tr.Add(telemetry.CodeColumnBuilds, builds)
-	states, touched, err := ex.groupScan(ctx, rows, cc, m)
+	states, touched, err := groupScan(ctx, rows, cc, m.reader(ex.fact))
 	if err != nil {
 		return nil, err
 	}
@@ -695,13 +732,13 @@ type ValueMeasure struct {
 
 // NumericSeriesCtx extracts, for each fact row, the numeric value of the
 // attribute reached via path together with the row's measure value.
-// Rows with NULL, non-numeric, or unlinked attributes are dropped. Both
-// sides read pre-extracted float columns: the memoized fact-aligned
-// attribute column (NaN marks absent) and the measure's vector.
-// Cancellation is checked every cancelCheckRows rows. Segments in which
-// the attribute is NULL or unlinked on every row are skipped on zone
-// evidence, and a large row set is extracted over concurrent row-ordered
-// spans whose outputs concatenate to exactly the serial series.
+// Rows with NULL, non-numeric, or unlinked attributes are dropped. The
+// attribute is read from its memoized fact-aligned float column (NaN
+// marks absent), the measure a segment at a time, and cancellation is
+// checked before every segment. Segments in which the attribute is NULL
+// or unlinked on every row are skipped on zone evidence, and a large row
+// set is extracted over concurrent row-ordered spans whose outputs
+// concatenate to exactly the serial series.
 func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure) ([]ValueMeasure, error) {
 	spans, total, vals := ex.seriesSpans(ctx, rows, attr, path)
 	if total == 0 {
@@ -709,20 +746,23 @@ func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr strin
 	}
 	_, sp := telemetry.StartSpan(ctx, "segment_scan")
 	defer sp.End()
+	rd := m.reader(ex.fact)
 	return gather(ctx, ex, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
-		sc := newSeriesScan(vals, m, ex.fact) // one per group: cursors are not shareable
-		err := forStrides(ctx, rows, part, func(stride []int) { out = sc.appendPairs(out, stride) })
+		err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
+			out = appendPairs(out, vals, stride, seg, base)
+		})
 		return out, err
 	})
 }
 
 // FoldNumericSeriesCtx streams the series NumericSeriesCtx would return
 // through fold without materialising it: fold sees the pairs in row
-// order, at most cancelCheckRows at a time, in a buffer that is reused
-// between calls and must not be retained. A consumer that adds into
-// per-bucket sums in the order it is handed pairs gets the bytes it
-// would get from the materialised series, while the scan's working set
-// is one stride instead of 16 bytes per row of a roll-up space.
+// order, at most one measure segment's worth at a time, in a buffer
+// that is reused between calls and must not be retained. A consumer
+// that adds into per-bucket sums in the order it is handed pairs gets
+// the bytes it would get from the materialised series, while the scan's
+// working set is one segment instead of 16 bytes per row of a roll-up
+// space.
 func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure, fold func([]ValueMeasure)) error {
 	spans, total, vals := ex.seriesSpans(ctx, rows, attr, path)
 	if total == 0 {
@@ -731,9 +771,11 @@ func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr s
 	_, sp := telemetry.StartSpan(ctx, "segment_scan")
 	defer sp.End()
 	noteScan(ctx, false, 0, total)
-	sc := newSeriesScan(vals, m, ex.fact)
-	buf := make([]ValueMeasure, 0, min(total, cancelCheckRows))
-	return forStrides(ctx, rows, spans, func(stride []int) { fold(sc.appendPairs(buf, stride)) })
+	rd := m.reader(ex.fact)
+	buf := make([]ValueMeasure, 0, min(total, rd.SegmentSize()))
+	return forStrides(ctx, rd, rows, spans, func(stride []int, seg []float64, base int) {
+		fold(appendPairs(buf, vals, stride, seg, base))
+	})
 }
 
 // seriesSpans resolves what a numeric-series scan reads: the fact-aligned
@@ -754,63 +796,16 @@ func (ex *Executor) seriesSpans(ctx context.Context, rows []int, attr string, pa
 	return spans, total, vals
 }
 
-// seriesScan reads (attribute value, measure) pairs for fact rows from
-// pre-extracted columns. Not safe for concurrent use: it owns a segment
-// cursor and a row scratch.
-type seriesScan struct {
-	vals, vec []float64
-	m         Measure
-	cur       *relation.FloatCursor
-	fact      *relation.Table
-	row       []relation.Value // scratch for row-at-a-time measures
-}
-
-func newSeriesScan(vals []float64, m Measure, fact *relation.Table) *seriesScan {
-	sc := &seriesScan{vals: vals, vec: measureVec(m), m: m, fact: fact}
-	if sc.vec == nil && !m.constOne {
-		sc.cur = measureCursor(m)
-	}
-	return sc
-}
-
-// appendPairs appends the pairs of rows to out, dropping rows whose
-// attribute is absent (NaN).
-func (sc *seriesScan) appendPairs(out []ValueMeasure, rows []int) []ValueMeasure {
-	vals := sc.vals
-	switch {
-	case sc.vec != nil:
-		for _, r := range rows {
-			v := vals[r]
-			if math.IsNaN(v) {
-				continue
-			}
-			out = append(out, ValueMeasure{Value: v, Measure: sc.vec[r]})
+// appendPairs appends to out the (attribute value, measure) pairs of
+// rows, one stride of a measure segment starting at row base, dropping
+// rows whose attribute is absent (NaN).
+func appendPairs(out []ValueMeasure, vals []float64, rows []int, seg []float64, base int) []ValueMeasure {
+	for _, r := range rows {
+		v := vals[r]
+		if math.IsNaN(v) {
+			continue
 		}
-	case sc.m.constOne:
-		for _, r := range rows {
-			v := vals[r]
-			if math.IsNaN(v) {
-				continue
-			}
-			out = append(out, ValueMeasure{Value: v, Measure: 1})
-		}
-	case sc.cur != nil:
-		for _, r := range rows {
-			v := vals[r]
-			if math.IsNaN(v) {
-				continue
-			}
-			out = append(out, ValueMeasure{Value: v, Measure: sc.cur.At(r)})
-		}
-	default:
-		for _, r := range rows {
-			v := vals[r]
-			if math.IsNaN(v) {
-				continue
-			}
-			sc.row = sc.fact.RowInto(sc.row, r)
-			out = append(out, ValueMeasure{Value: v, Measure: sc.m.Eval(sc.row)})
-		}
+		out = append(out, ValueMeasure{Value: v, Measure: seg[r-base]})
 	}
 	return out
 }

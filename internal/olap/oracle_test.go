@@ -57,6 +57,37 @@ func aggregateRef(ex *Executor, rows []int, m Measure, agg Agg) float64 {
 	return st.final(agg)
 }
 
+// pivotRef is the reference pivot: each (row value, column value) cell
+// aggregates the facts linked to both, in row order.
+func pivotRef(ex *Executor, rows []int, rowAttr string, rowPath schemagraph.JoinPath, colAttr string, colPath schemagraph.JoinPath, m Measure, agg Agg) map[[2]relation.Value]float64 {
+	rowTable, colTable := ex.g.DB().Table(rowPath.Source), ex.g.DB().Table(colPath.Source)
+	rf2d, cf2d := ex.factToDim(rowPath), ex.factToDim(colPath)
+	states := make(map[[2]relation.Value]*aggState)
+	var row []relation.Value
+	for _, r := range rows {
+		if rf2d[r] < 0 || cf2d[r] < 0 {
+			continue
+		}
+		k := [2]relation.Value{rowTable.Value(int(rf2d[r]), rowAttr), colTable.Value(int(cf2d[r]), colAttr)}
+		if k[0].IsNull() || k[1].IsNull() {
+			continue
+		}
+		st := states[k]
+		if st == nil {
+			s := newAggState()
+			st = &s
+			states[k] = st
+		}
+		row = ex.fact.RowInto(row, r)
+		st.add(m.Eval(row))
+	}
+	out := make(map[[2]relation.Value]float64, len(states))
+	for k, st := range states {
+		out[k] = st.final(agg)
+	}
+	return out
+}
+
 // Shorthands for the executor's entry points under a live context,
 // failing the test on an error.
 
@@ -105,4 +136,13 @@ func mustFilter(t testing.TB, ex *Executor, rows []int, attr string, path schema
 		t.Fatal(err)
 	}
 	return out
+}
+
+func mustPivot(t testing.TB, ex *Executor, rows []int, rowAttr string, rowPath schemagraph.JoinPath, colAttr string, colPath schemagraph.JoinPath, m Measure, agg Agg) *PivotTable {
+	t.Helper()
+	pt, err := ex.Pivot(context.Background(), rows, rowAttr, rowPath, colAttr, colPath, m, agg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pt
 }

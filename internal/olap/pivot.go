@@ -1,12 +1,14 @@
 package olap
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
 
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
+	"kdap/internal/telemetry"
 )
 
 // PivotTable is a two-dimensional cross-tabulation of a sub-dataspace:
@@ -29,9 +31,11 @@ type PivotTable struct {
 }
 
 // Pivot cross-tabulates the given fact rows by two attributes reached
-// through their join paths.
-func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPath,
-	colAttr string, colPath schemagraph.JoinPath, m Measure, agg Agg) *PivotTable {
+// through their join paths. It reads the measure through the same
+// segment walk as the other kernels, so it returns ctx.Err() when
+// cancelled, and counts its column builds and its scan on the request.
+func (ex *Executor) Pivot(ctx context.Context, rows []int, rowAttr string, rowPath schemagraph.JoinPath,
+	colAttr string, colPath schemagraph.JoinPath, m Measure, agg Agg) (*PivotTable, error) {
 
 	rowTable := ex.g.DB().Table(rowPath.Source)
 	colTable := ex.g.DB().Table(colPath.Source)
@@ -41,36 +45,36 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 	// Columnar scan: both axes read fact-aligned dictionary codes, so
 	// the cell key is a pair of int32s instead of two boxed Values. The
 	// axes may differ in code width; at reads either.
-	rCol, _ := ex.attrCodes(rowAttr, rowPath)
-	cCol, _ := ex.attrCodes(colAttr, colPath)
+	rCol, rBuilds := ex.attrCodes(rowAttr, rowPath)
+	cCol, cBuilds := ex.attrCodes(colAttr, colPath)
+	telemetry.Count(ctx, telemetry.CodeColumnBuilds, rBuilds+cBuilds)
 	rDict, cDict := rCol.dict, cCol.dict
-	vec := measureVec(m)
 
 	cellOf := func(rc, cc int32) int64 { return int64(rc)<<32 | int64(uint32(cc)) }
 	states := make(map[int64]*aggState)
 	rowSeen := make([]bool, len(rDict))
 	colSeen := make([]bool, len(cDict))
-	var row []relation.Value // scratch for row-at-a-time measures
-	for _, fr := range rows {
-		rc, cc := rCol.at(fr), cCol.at(fr)
-		if rc < 0 || cc < 0 {
-			continue
+	noteScan(ctx, false, 0, len(rows))
+	err := forStrides(ctx, m.reader(ex.fact), rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
+		for _, fr := range stride {
+			rc, cc := rCol.at(fr), cCol.at(fr)
+			if rc < 0 || cc < 0 {
+				continue
+			}
+			rowSeen[rc] = true
+			colSeen[cc] = true
+			k := cellOf(rc, cc)
+			st := states[k]
+			if st == nil {
+				s := newAggState()
+				st = &s
+				states[k] = st
+			}
+			st.add(seg[fr-base])
 		}
-		rowSeen[rc] = true
-		colSeen[cc] = true
-		k := cellOf(rc, cc)
-		st := states[k]
-		if st == nil {
-			s := newAggState()
-			st = &s
-			states[k] = st
-		}
-		if vec != nil {
-			st.add(vec[fr])
-		} else {
-			row = ex.fact.RowInto(row, fr)
-			st.add(m.Eval(row))
-		}
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	// Order both axes by attribute value; keep the codes alongside so
@@ -126,7 +130,7 @@ func (ex *Executor) Pivot(rows []int, rowAttr string, rowPath schemagraph.JoinPa
 		pt.ColTotals[j] = colState.final(agg)
 	}
 	pt.Grand = grand.final(agg)
-	return pt
+	return pt, nil
 }
 
 // String renders the pivot as an aligned text table with margins.

@@ -1,18 +1,20 @@
 package olap
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
 
 	"kdap/internal/relation"
+	"kdap/internal/telemetry"
 )
 
 func TestPivotTotalsConsistency(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
 	rows := mustFactRows(t, ex, nil)
-	pt := ex.Pivot(rows, "GroupName", pathTo(t, "PGROUP", "Product"),
+	pt := mustPivot(t, ex, rows, "GroupName", pathTo(t, "PGROUP", "Product"),
 		"State", pathTo(t, "LOC", "Store"), m, Sum)
 
 	if len(pt.RowKeys) == 0 || len(pt.ColKeys) == 0 {
@@ -52,7 +54,7 @@ func TestPivotRendering(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
 	rows := mustFactRows(t, ex, nil)[:500]
-	pt := ex.Pivot(rows, "LineName", pathTo(t, "PLINE", "Product"),
+	pt := mustPivot(t, ex, rows, "LineName", pathTo(t, "PLINE", "Product"),
 		"Country", pathTo(t, "LOC", "Store"), m, Sum)
 	out := pt.String()
 	if !strings.Contains(out, "TOTAL") || !strings.Contains(out, "LineName \\ Country") {
@@ -67,9 +69,28 @@ func TestPivotRendering(t *testing.T) {
 func TestPivotCountAgg(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	rows := mustFactRows(t, ex, nil)
-	pt := ex.Pivot(rows, "GroupName", pathTo(t, "PGROUP", "Product"),
+	pt := mustPivot(t, ex, rows, "GroupName", pathTo(t, "PGROUP", "Product"),
 		"Country", pathTo(t, "LOC", "Store"), CountMeasure(), Count)
 	if int(pt.Grand) != len(rows) {
 		t.Errorf("count grand = %g, want %d", pt.Grand, len(rows))
+	}
+}
+
+// A pivot counts its code column builds and its scan on the request, like
+// the other kernels (TestCtxVariantsCancel holds its cancellation).
+func TestPivotCountsOnTrace(t *testing.T) {
+	ex := NewExecutor(ebiz.Graph)
+	rows := mustFactRows(t, ex, nil)
+	tr := telemetry.NewTrace("pivot")
+	if _, err := ex.Pivot(tr.Context(context.Background()), rows, "GroupName", pathTo(t, "PGROUP", "Product"),
+		"State", pathTo(t, "LOC", "Store"), revenue(t), Sum); err != nil {
+		t.Fatal(err)
+	}
+	if tr.Count(telemetry.CodeColumnBuilds) < 1 {
+		t.Errorf("a cold pivot counted %d code column builds", tr.Count(telemetry.CodeColumnBuilds))
+	}
+	if tr.Count(telemetry.SerialScans) != 1 || tr.Count(telemetry.RowsScanned) != int64(len(rows)) {
+		t.Errorf("pivot counted %d scans over %d rows, want 1 over %d",
+			tr.Count(telemetry.SerialScans), tr.Count(telemetry.RowsScanned), len(rows))
 	}
 }

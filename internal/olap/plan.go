@@ -146,18 +146,26 @@ func spanLen(spans []span) int {
 	return n
 }
 
-// forStrides hands body the rows of spans in order, cancelCheckRows at a
-// time, checking for cancellation in between.
-func forStrides(ctx context.Context, rows []int, spans []span, body func(stride []int)) error {
+// forStrides is the one walk of every row-set kernel. It hands body the
+// rows of spans in order, cut at the boundaries of rd's segments: each
+// piece comes with its segment seg and the segment's first row base, so
+// body reads row r's value as seg[r-base]. A segment is fetched once per
+// piece, and cancellation is checked before every fetch.
+func forStrides(ctx context.Context, rd relation.FloatReader, rows []int, spans []span, body func(stride []int, seg []float64, base int)) error {
 	done := ctx.Done()
+	ss := rd.SegmentSize()
 	for _, ix := range spans {
-		for base := ix.lo; base < ix.hi; base += cancelCheckRows {
+		for lo := ix.lo; lo < ix.hi; {
 			if done != nil {
 				if err := ctx.Err(); err != nil {
 					return err
 				}
 			}
-			body(rows[base:min(base+cancelCheckRows, ix.hi)])
+			si := rows[lo] / ss
+			// A segment holds at most ss of the (distinct) rows.
+			hi := lo + sort.SearchInts(rows[lo:min(lo+ss, ix.hi)], (si+1)*ss)
+			body(rows[lo:hi], rd.FloatSegment(si), si*ss)
+			lo = hi
 		}
 	}
 	return nil
@@ -280,7 +288,7 @@ func (ex *Executor) FactRowsInRange(ctx context.Context, constraints []Constrain
 // superset of pred's accepting set (the caller derives it from the
 // predicate's operator). Segments whose zone misses [lo, hi] are dropped
 // wholesale — on a backed table their pages are never read — and the
-// rest are walked through a segment cursor; a resident column is just
+// rest are walked a segment at a time; a resident column is just
 // another reader. NULL (NaN) never matches. rows must be sorted
 // ascending.
 func (ex *Executor) FilterFactNumericCtx(ctx context.Context, rows []int, col string, lo, hi float64, pred func(float64) bool) ([]int, error) {
@@ -294,7 +302,7 @@ func (ex *Executor) FilterFactNumericCtx(ctx context.Context, rows []int, col st
 // skipping segments whose zone over the fact-aligned attribute column
 // misses the interval. Those zones are derived lazily per (path, attr)
 // and memoized alongside the column itself. Cancellation is checked
-// every cancelCheckRows rows.
+// before every segment.
 func (ex *Executor) FilterRowsNumericBoundCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, lo, hi float64, pred func(float64) bool) ([]int, error) {
 	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
 		panic("olap: " + path.Source + " has no column " + attr)
@@ -315,10 +323,9 @@ func (ex *Executor) filterNumeric(ctx context.Context, rows []int, rd relation.F
 	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
 	spans, total := rowSpans(rows, runs)
 	out, err := gather(ctx, ex, spans, total, spanLen, func(out []int, part []span) ([]int, error) {
-		cur := relation.NewFloatCursor(rd) // one per group: cursors are not shareable
-		err := forStrides(ctx, rows, part, func(stride []int) {
+		err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
 			for _, r := range stride {
-				if v := cur.At(r); !math.IsNaN(v) && pred(v) {
+				if v := seg[r-base]; !math.IsNaN(v) && pred(v) {
 					out = append(out, r)
 				}
 			}

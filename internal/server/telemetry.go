@@ -115,10 +115,8 @@ func (s *Server) wireFactCounters(db string, e *kdapcore.Engine) {
 		name, help string
 		labels     []string
 	}{
-		{telemetry.GroupByVector, "kdap_olap_groupby_total", "OLAP groupby calls by execution path (columnar vector, per-row eval).", []string{"path", "vector"}},
-		{telemetry.GroupByEval, "kdap_olap_groupby_total", "OLAP groupby calls by execution path (columnar vector, per-row eval).", []string{"path", "eval"}},
-		{telemetry.AggregateVector, "kdap_olap_aggregate_total", "OLAP aggregate calls by execution path (columnar vector, per-row eval).", []string{"path", "vector"}},
-		{telemetry.AggregateEval, "kdap_olap_aggregate_total", "OLAP aggregate calls by execution path (columnar vector, per-row eval).", []string{"path", "eval"}},
+		{telemetry.GroupBys, "kdap_olap_groupby_total", "OLAP groupby calls.", nil},
+		{telemetry.Aggregates, "kdap_olap_aggregate_total", "OLAP aggregate calls.", nil},
 		{telemetry.ParallelScans, "kdap_olap_scans_total", "Fused scan+aggregate kernel invocations by mode.", []string{"mode", "parallel"}},
 		{telemetry.SerialScans, "kdap_olap_scans_total", "Fused scan+aggregate kernel invocations by mode.", []string{"mode", "serial"}},
 		{telemetry.KernelStripes, "kdap_olap_kernel_chunks_total", "Worker chunks fanned out by parallel kernels.", nil},

@@ -75,13 +75,9 @@ const (
 	AnnealIters
 	// Candidates counts star nets generated before ranking.
 	Candidates
-	// GroupByVector / GroupByEval and AggregateVector / AggregateEval
-	// count group-by and aggregate calls by how the measure was read: a
-	// columnar vector or per-row eval.
-	GroupByVector
-	GroupByEval
-	AggregateVector
-	AggregateEval
+	// GroupBys and Aggregates count group-by and aggregate calls.
+	GroupBys
+	Aggregates
 	// CodeColumnBuilds and FloatColumnBuilds count cold fact-aligned
 	// column materializations.
 	CodeColumnBuilds

@@ -107,7 +107,10 @@ const (
 	Baseline        = kdapcore.Baseline
 )
 
-// Measure evaluates a numeric measure over one fact row.
+// Measure is a numeric measure over the fact rows: RevenueMeasure's, or
+// one built by hand as Measure{Name, Eval}. The engine reads every
+// measure a segment of fact rows at a time; a hand-built one by calling
+// Eval on each row of the segments a scan touches.
 type Measure = olap.Measure
 
 // Agg selects the aggregation function.
