@@ -3,6 +3,7 @@ package kdapcore
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -292,11 +293,10 @@ func (e *Engine) factRowsRange(ctx context.Context, cs []olap.Constraint, filter
 // frozen, so a row set under a fixed key only ever grows: when no
 // appended row qualifies the space is carried forward, distributions
 // included, with its coverage advanced; when some do, the qualifying
-// tail rows merge into a fresh slice (copy-on-grow; readers holding the
+// tail rows follow the old ones in a fresh slice (readers holding the
 // old slice are unaffected) that starts a fresh, empty space — the
-// from-scratch rebuild. The scan that built the entry may have raced
-// past its recorded coverage — results are ascending and membership is
-// deterministic, so the merge deduplicates any overlap exactly.
+// from-scratch rebuild. A space's rows are exactly those below its
+// upTo, so the tail never repeats one.
 func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n int,
 	cs []olap.Constraint, filters []NumericFilter) (*space, error) {
 
@@ -308,34 +308,10 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n i
 	}
 	next := &space{rows: sp.rows, upTo: n, dist: sp.dist}
 	if len(tail) > 0 {
-		next = newSpace(mergeAscUnique(sp.rows, tail), n)
+		next = newSpace(append(slices.Clip(sp.rows), tail...), n)
 	}
 	e.rowsCache.Put(key, next)
 	return next, nil
-}
-
-// mergeAscUnique merges two ascending row lists, dropping duplicates.
-// The result is always a fresh slice (never an alias of a), so cached
-// row sets stay immutable for readers already holding them.
-func mergeAscUnique(a, b []int) []int {
-	out := make([]int, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	return append(out, b[j:]...)
 }
 
 // factRowsKeyed materializes a constrained-and-filtered row set as a
@@ -355,7 +331,7 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 		}
 		return e.extendRowsEntry(ctx, key, sp, n, cs, filters)
 	}
-	rows, err := e.factRowsRange(ctx, cs, filters, 0, e.exec.FactLen())
+	rows, err := e.factRowsRange(ctx, cs, filters, 0, n)
 	if err != nil {
 		return nil, err
 	}

@@ -51,6 +51,9 @@ type AppendResult struct {
 	Start int `json:"start"`
 	// Rows is the number of rows appended.
 	Rows int `json:"rows"`
+	// Seq is the batch's ingest sequence number: IngestSeq as this
+	// batch left it.
+	Seq uint64 `json:"seq"`
 	// NewTerms counts full-text terms first seen in this batch.
 	NewTerms int `json:"new_terms,omitempty"`
 	// EvictedExplore and EvictedDiff count answer-cache entries the
@@ -124,7 +127,7 @@ func (e *Engine) AppendFacts(ctx context.Context, rows [][]relation.Value) (Appe
 	res.EvictedExplore, res.EvictedDiff, res.Kept = e.evictForAppend(res.NewTerms > 0)
 	sp.End()
 
-	e.ingestSeq.Add(1)
+	res.Seq = e.ingestSeq.Add(1)
 	e.ingestBatches.Add(1)
 	e.ingestRows.Add(int64(res.Rows))
 	e.ingestTerms.Add(int64(res.NewTerms))

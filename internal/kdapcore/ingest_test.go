@@ -281,6 +281,79 @@ func TestSubspaceRowsExtendAcrossAppend(t *testing.T) {
 	}
 }
 
+// TestAppendRacingSpacesMatchRebuild is the coverage property of a
+// space, under a concurrent appender (run it under -race): every space
+// factRowsKeyed returns — built cold, carried or extended while batches
+// land — holds only rows below its upTo, and exactly the rows a
+// from-scratch materialization over [0, upTo) finds.
+func TestAppendRacingSpacesMatchRebuild(t *testing.T) {
+	const (
+		scale    = 20_000
+		resident = 12_000
+		batch    = 256
+	)
+	wh, tail := dataset.AWOnlineScaledPartial(scale, resident)
+	e := ingestTestEngine(wh)
+	ctx := context.Background()
+	type key struct {
+		cs      []olap.Constraint
+		filters []NumericFilter
+	}
+	keys := []key{{}} // the full dataspace
+	for _, q := range []string{"Road Bikes", "Helmets", "2001", "Mountain Bikes California"} {
+		sn := top1(t, e, q)
+		keys = append(keys, key{sn.Constraints(), sn.Filters})
+	}
+
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if i%3 == w {
+					e.InvalidateSubspaceRows() // the next fetch builds cold
+				}
+				k := keys[(w+i)%len(keys)]
+				sp, err := e.factRowsKeyed(ctx, k.cs, k.filters)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want, err := e.factRowsRange(ctx, k.cs, k.filters, 0, sp.upTo)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if len(sp.rows) != len(want) {
+					t.Errorf("space over %d facts holds %d rows, a rebuild %d", sp.upTo, len(sp.rows), len(want))
+					return
+				}
+				for j, r := range sp.rows {
+					if r >= sp.upTo || r != want[j] {
+						t.Errorf("space over %d facts: row %d is %d, a rebuild's %d", sp.upTo, j, r, want[j])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	for lo := 0; lo < len(tail); lo += batch {
+		if _, err := e.AppendFacts(ctx, tail[lo:min(lo+batch, len(tail))]); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}
+
 // TestDistributionsCarriedAcrossAppend pins what an append does to a
 // space: one no appended row falls in is carried forward, distributions
 // included, with its coverage advanced; one the batch touches starts a

@@ -3,7 +3,10 @@ package olap
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -208,8 +211,8 @@ func TestNarrowCodesMatchWide(t *testing.T) {
 
 // A fact-table attribute's dictionary grows with the facts. When it
 // outgrows the vector's width the extension rebuilds the vector one
-// width up, copy-on-grow: codes keep their values, and a reader holding
-// the narrow column keeps a whole, unchanged one.
+// width up: codes keep their values, and a reader holding the narrow
+// column keeps a whole, unchanged one.
 func TestCodeVectorWidensAcrossAppends(t *testing.T) {
 	m := buildCodeMart(t, 3)
 	read := func(wantWidth int) *codeColumn {
@@ -359,5 +362,109 @@ func TestCodeVectorBytesPerFact(t *testing.T) {
 	}
 	if perFact > budget {
 		t.Errorf("code vectors average %.2f B per fact per attribute, budget %.1f", perFact, budget)
+	}
+}
+
+// TestDerivedExtensionAllocatesTail holds the executor's derived vectors
+// to the store's growth rule: extended past the length readers were
+// handed, not copied whole. On a 200k-fact codeMart, a fact→dimension
+// mapping, two code vectors and a float column are extended across 50
+// appends of 2048 rows; the extensions together may allocate at most
+// 4× the bytes the vectors end up holding (copying each vector whole on
+// every extension allocated 51×). A call on a vector that already
+// covers the table allocates at most once (its key).
+func TestDerivedExtensionAllocatesTail(t *testing.T) {
+	const facts, appends, batch, budget = 200_000, 50, 2048, 4.0
+	m := buildCodeMart(t, 200)
+	m.appendFacts(t, facts)
+	touch := func() {
+		m.ex.factToDim(m.path)
+		m.ex.attrCodes("Name", m.path)
+		m.ex.attrCodes("Band", m.path)
+		m.ex.attrFloats("DKey", m.path)
+	}
+	touch()
+	var allocated uint64
+	var ms runtime.MemStats
+	for i := 0; i < appends; i++ {
+		m.appendFacts(t, batch)
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		touch()
+		runtime.ReadMemStats(&ms)
+		allocated += ms.TotalAlloc - before
+	}
+	n := m.fact.Len()
+	name, _ := m.ex.attrCodes("Name", m.path)
+	band, _ := m.ex.attrCodes("Band", m.path)
+	keys, _ := m.ex.attrFloats("DKey", m.path)
+	f2d := m.ex.factToDim(m.path)
+	held := 4*len(f2d) + name.rows()*name.width + band.rows()*band.width + 8*len(keys)
+	ratio := float64(allocated) / float64(held)
+	t.Logf("%d extensions to %d facts allocated %.1f MB for %.1f MB of vectors: %.1f×", appends, n, float64(allocated)/1e6, float64(held)/1e6, ratio)
+	if ratio > budget {
+		t.Errorf("extensions allocated %.1f× the bytes the vectors hold, budget %.0f×", ratio, budget)
+	}
+
+	// The vectors grown in place hold what a cold build computes.
+	fresh := NewExecutor(m.ex.Graph())
+	if !slices.Equal(f2d, fresh.factToDim(m.path)) {
+		t.Error("extended fact→dimension mapping differs from a cold build")
+	}
+	for _, attr := range []string{"Name", "Band"} {
+		got, _ := m.ex.attrCodes(attr, m.path)
+		want, _ := fresh.attrCodes(attr, m.path)
+		for r := 0; r < n; r++ {
+			if got.at(r) != want.at(r) {
+				t.Fatalf("%s: extended code of row %d is %d, a cold build's %d", attr, r, got.at(r), want.at(r))
+			}
+		}
+	}
+	if want, _ := fresh.attrFloats("DKey", m.path); !slices.EqualFunc(keys, want, func(a, b float64) bool {
+		return a == b || math.IsNaN(a) && math.IsNaN(b)
+	}) {
+		t.Error("extended float column differs from a cold build")
+	}
+
+	for what, call := range map[string]func(){
+		"factToDim":  func() { m.ex.factToDim(m.path) },
+		"attrCodes":  func() { m.ex.attrCodes("Name", m.path) },
+		"attrFloats": func() { m.ex.attrFloats("DKey", m.path) },
+	} {
+		if allocs := testing.AllocsPerRun(100, call); allocs > 1 {
+			t.Errorf("%s on a covering vector: %.0f allocations per call, want at most 1", what, allocs)
+		}
+	}
+}
+
+// TestProductMeasureExtendsInPlace: the resident product measure grows
+// by the same rule — an extension writes past the length a reader was
+// handed, into the same array while it has room, and the reader's slice
+// is unchanged.
+func TestProductMeasureExtendsInPlace(t *testing.T) {
+	m := buildCodeMart(t, 50)
+	p := ProductMeasure(m.fact, "KV", "K", "V")
+	m.appendFacts(t, 1000)
+	p.reader(m.fact) // the cold build
+	m.appendFacts(t, 10)
+	held := p.reader(m.fact).FloatSegment(0) // extended, with room to grow
+	before := slices.Clone(held)
+	m.appendFacts(t, 10)
+	grown := p.reader(m.fact).FloatSegment(0)
+	if len(held) != 1010 || len(grown) != 1020 {
+		t.Fatalf("product covers %d then %d rows, want 1010 then 1020", len(held), len(grown))
+	}
+	if &held[0] != &grown[0] {
+		t.Error("the extension copied the product instead of appending in place")
+	}
+	same := func(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
+	if !slices.EqualFunc(held, before, same) {
+		t.Error("a reader's held product changed under it")
+	}
+	for r, got := range grown {
+		f := m.factAt(r)
+		if want := f[0].AsFloat() * f[1].AsFloat(); !same(got, want) {
+			t.Fatalf("product row %d = %v, want %v", r, got, want)
+		}
 	}
 }

@@ -331,39 +331,58 @@ func (cc *codeColumn) at(r int) int32 {
 	return -1
 }
 
-// grown returns a column of n rows at the width dict needs whose first
-// cc.rows() codes are cc's — copied when the width is unchanged, widened
-// (NULL to NULL) when dict outgrew it — and whose remaining codes come
-// from composing f2d with src (sourceCodes). cc is left intact for the
-// readers holding it. Only cc's live vector is non-nil, so of the copy
-// and widen calls below exactly the one that reads it does any work.
+// grown returns the codes of rows [cc.rows(), n) at the width dict
+// needs, composed from f2d and src (sourceCodes), for join to append to
+// cc. When dict has outgrown cc's width the result is instead the whole
+// column: cc's codes widened, NULL to NULL, then the new rows. cc is
+// only read.
 func (cc *codeColumn) grown(n int, f2d []int32, src sourceRange, dict []relation.Value) *codeColumn {
-	lo := cc.rows()
+	lo, from := cc.rows(), cc.rows()
 	out := &codeColumn{width: codeWidth(len(dict)), dict: dict}
+	widen := cc != nil && cc.width != out.width
+	if widen {
+		from = 0
+	}
 	switch out.width {
 	case 1:
-		out.u8 = make([]uint8, n)
-		if cc != nil {
-			copy(out.u8, cc.u8)
-		}
-		encodeCodes(out.u8[lo:], f2d[lo:n], src)
+		out.u8 = make([]uint8, n-from)
+		encodeCodes(out.u8[lo-from:], f2d[lo:n], src)
 	case 2:
-		out.u16 = make([]uint16, n)
-		if cc != nil {
-			copy(out.u16, cc.u16)
+		out.u16 = make([]uint16, n-from)
+		if widen {
 			widenCodes(out.u16, cc.u8)
 		}
-		encodeCodes(out.u16[lo:], f2d[lo:n], src)
+		encodeCodes(out.u16[lo-from:], f2d[lo:n], src)
 	default:
-		out.u32 = make([]uint32, n)
-		if cc != nil {
-			copy(out.u32, cc.u32)
+		out.u32 = make([]uint32, n-from)
+		if widen {
 			widenCodes(out.u32, cc.u16)
 			widenCodes(out.u32, cc.u8)
 		}
-		encodeCodes(out.u32[lo:], f2d[lo:n], src)
+		encodeCodes(out.u32[lo-from:], f2d[lo:n], src)
 	}
 	return out
+}
+
+// join publishes grown's result: a tail at cc's width is appended to
+// cc's live vector, in place while its array has room, and a cold build
+// or a widening replaces cc.
+func (cc *codeColumn) join(tail *codeColumn) *codeColumn {
+	if cc == nil || cc.width != tail.width {
+		return tail
+	}
+	return &codeColumn{
+		width: cc.width,
+		u8:    vec[uint8](cc.u8).join(tail.u8),
+		u16:   vec[uint16](cc.u16).join(tail.u16),
+		u32:   vec[uint32](cc.u32).join(tail.u32),
+		dict:  tail.dict,
+	}
+}
+
+// bytes is the memory the column's live vector holds.
+func (cc *codeColumn) bytes() int64 {
+	return int64(cap(cc.u8) + 2*cap(cc.u16) + 4*cap(cc.u32))
 }
 
 // encodeCodes fills dst[i] with the code of the source row f2d[i].
@@ -393,39 +412,22 @@ func widenCodes[D, C code](dst []D, src []C) {
 // attribute at the far end of path: the composition of factToDim with
 // the attribute's codes (sourceCodes). This is what turns GroupBy into a
 // scan over small integer codes. The column always covers the fact row
-// count observed at call time: a memo left short by a streaming append
-// is extended over just the appended rows (copy-on-grow, at the
-// column's width), so kernels never index past a code vector with a row
-// set derived from a newer snapshot. Only a fact-table attribute's
-// dictionary can grow with an append; when it outgrows the width the
-// extension widens the whole vector. builds is how many times this call
-// materialized the column, for a caller with a request to count.
+// count observed at call time (grow): kernels never index past a code
+// vector with a row set derived from a newer snapshot. Only a
+// fact-table attribute's dictionary can grow with an append; when it
+// outgrows the width the extension widens the whole vector. builds is
+// how many times this call materialized the column, for a caller with a
+// request to count.
 func (ex *Executor) attrCodes(attr string, path schemagraph.JoinPath) (_ *codeColumn, builds int) {
-	key := attrColKey{path.Signature(), attr}
-	for ; ; builds++ {
-		n := ex.fact.Len()
-		ex.mu.RLock()
-		cc := ex.attrCode[key]
-		ex.mu.RUnlock()
-		if cc != nil && cc.rows() >= n {
-			return cc, builds
-		}
+	return grow(ex, ex.attrCode, attrColKey{path.Signature(), attr}, func(cc *codeColumn, n int) *codeColumn {
 		var dict []relation.Value
 		if cc != nil {
 			dict = cc.dict
 		}
 		f2d := ex.factToDim(path) // covers ≥ n
 		src, dict := sourceCodes(ex.table(path.Source), attr, f2d[cc.rows():n], dict)
-		next := cc.grown(n, f2d, src, dict)
-		ex.mu.Lock()
-		if ex.attrCode[key] != cc {
-			ex.mu.Unlock()
-			continue // raced with another builder; retry against its result
-		}
-		ex.attrCode[key] = next
-		ex.mu.Unlock()
-		return next, builds + 1
-	}
+		return cc.grown(n, f2d, src, dict)
+	})
 }
 
 // sourceRange holds codes for the rows [from, from+len(codes)) of a
@@ -504,44 +506,25 @@ func readRange[T any](segment func(si int) []T, segSize, from, to int) []T {
 // attrFloats returns, memoized, the fact-aligned numeric column for the
 // attribute at the far end of path: NaN where the fact row is unlinked
 // or the attribute value is NULL or non-numeric. Coverage-complete like
-// attrCodes: always at least the fact row count observed at call time,
-// with builds counted the same way.
+// attrCodes, with builds counted the same way.
 func (ex *Executor) attrFloats(attr string, path schemagraph.JoinPath) (_ []float64, builds int) {
-	key := attrColKey{path.Signature(), attr}
-	for ; ; builds++ {
-		n := ex.fact.Len()
-		ex.mu.RLock()
-		fc := ex.attrFloat[key]
-		ex.mu.RUnlock()
-		if fc != nil && len(fc) >= n {
-			return fc, builds
-		}
-		f2d := ex.factToDim(path) // covers ≥ n
-		lo := len(fc)
+	return grow(ex, ex.attrFloat, attrColKey{path.Signature(), attr}, func(fc vec[float64], n int) vec[float64] {
+		f2d := ex.factToDim(path)[len(fc):n] // covers ≥ n
 		src := ex.table(path.Source)
 		var vals []float64
-		from, to := rowSpan(f2d[lo:n])
+		from, to := rowSpan(f2d)
 		if c, _ := src.Schema().Column(attr); c.Kind == relation.KindInt || c.Kind == relation.KindFloat {
 			rd := src.FloatReader(attr)
 			vals = readRange(rd.FloatSegment, rd.SegmentSize(), from, to)
 		}
-		tail := make([]float64, n-lo)
-		for i := range tail {
-			if d := int(f2d[lo+i]); d < 0 || vals == nil {
+		tail := make([]float64, len(f2d))
+		for i, d := range f2d {
+			if d < 0 || vals == nil {
 				tail[i] = math.NaN()
 			} else {
-				tail[i] = vals[d-from]
+				tail[i] = vals[int(d)-from]
 			}
 		}
-		ex.mu.Lock()
-		prev := ex.attrFloat[key]
-		if len(prev) != lo {
-			ex.mu.Unlock()
-			continue // raced with another builder; retry against its result
-		}
-		merged := append(prev[:lo:lo], tail...)
-		ex.attrFloat[key] = merged
-		ex.mu.Unlock()
-		return merged, builds + 1
-	}
+		return tail
+	})
 }

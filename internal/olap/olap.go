@@ -99,10 +99,10 @@ func ColumnMeasure(t *relation.Table, col string) Measure {
 // ProductMeasure returns a measure multiplying two numeric fact columns,
 // e.g. revenue = UnitPrice × Quantity. While the table holds both
 // columns whole (it has sealed no segment) the product is kept as one
-// dense column, built on first use and extended copy-on-grow past
-// appended rows: readers hold the slice they were handed, so the shared
-// prefix is never rewritten in place. Past the first sealed segment it
-// is computed per segment on fetch (productReader).
+// dense column, built on first use and grown under its own mutex by the
+// store's growth rule: appended rows are written past the length every
+// reader was handed, never over it. Past the first sealed segment it is
+// computed per segment on fetch (productReader).
 func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 	a := t.Schema().ColumnIndex(colA)
 	b := t.Schema().ColumnIndex(colB)
@@ -110,7 +110,7 @@ func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 		panic(fmt.Sprintf("olap: fact table %s lacks %q or %q", t.Name(), colA, colB))
 	}
 	var mu sync.Mutex
-	var vec []float64 // the dense product
+	var prod []float64 // the dense product
 	return Measure{
 		Name: name,
 		Eval: func(row []relation.Value) float64 {
@@ -123,15 +123,13 @@ func ProductMeasure(t *relation.Table, name, colA, colB string) Measure {
 			if ca == nil || cb == nil {
 				return productReader{a: t.FloatReader(colA), b: t.FloatReader(colB)}
 			}
-			if n := min(len(ca), len(cb)); len(vec) < n {
-				grown := make([]float64, n)
-				copy(grown, vec)
-				for i := len(vec); i < n; i++ {
-					grown[i] = ca[i] * cb[i]
+			if n := min(len(ca), len(cb)); len(prod) < n {
+				prod = slices.Grow(prod, n-len(prod))
+				for i := len(prod); i < n; i++ {
+					prod = append(prod, ca[i]*cb[i])
 				}
-				vec = grown
 			}
-			return relation.ResidentFloats(vec)
+			return relation.ResidentFloats(prod)
 		},
 	}
 }
@@ -303,12 +301,12 @@ type Executor struct {
 	fact *relation.Table
 
 	mu        sync.RWMutex
-	factMap   map[string][]int32 // path signature -> fact row -> dim row (-1 when unlinked)
+	factMap   map[string]vec[int32] // path signature -> fact row -> dim row (-1 when unlinked)
 	attrCode  map[attrColKey]*codeColumn
-	attrFloat map[attrColKey][]float64
+	attrFloat map[attrColKey]vec[float64]
 	// attrZones holds lazily-derived per-segment zones over the memoized
-	// fact-aligned attribute columns, keyed like attrFloat and widened
-	// (copy-on-grow) past appended rows on read.
+	// fact-aligned attribute columns, keyed like attrFloat and replaced
+	// by a widened copy past appended rows on read.
 	attrZones map[attrColKey]attrZones
 	// constraintBits caches each constraint's fact-row set; candidate
 	// star nets combine a small vocabulary of hit groups, so hit rates
@@ -328,21 +326,22 @@ type ResidentBytes struct {
 	AttrFloats  int64 `json:"attrFloats"`
 }
 
-// ResidentBytes sums the executor's memoized columns from their lengths
-// and element widths (dictionaries belong to the tables and are counted
+// ResidentBytes sums the executor's memoized columns from their
+// capacities and element widths: a vector grown in place holds its
+// append slack too (dictionaries belong to the tables and are counted
 // there).
 func (ex *Executor) ResidentBytes() ResidentBytes {
 	var b ResidentBytes
 	ex.mu.RLock()
 	defer ex.mu.RUnlock()
 	for _, cc := range ex.attrCode {
-		b.CodeVectors += int64(cc.rows()) * int64(cc.width)
+		b.CodeVectors += cc.bytes()
 	}
 	for _, m := range ex.factMap {
-		b.FactToDim += int64(len(m)) * 4
+		b.FactToDim += int64(cap(m)) * 4
 	}
 	for _, f := range ex.attrFloat {
-		b.AttrFloats += int64(len(f)) * 8
+		b.AttrFloats += int64(cap(f)) * 8
 	}
 	return b
 }
@@ -363,9 +362,9 @@ func NewExecutor(g *schemagraph.Graph) *Executor {
 	}
 	return &Executor{
 		g: g, fact: fact,
-		factMap:        make(map[string][]int32),
+		factMap:        make(map[string]vec[int32]),
 		attrCode:       make(map[attrColKey]*codeColumn),
-		attrFloat:      make(map[attrColKey][]float64),
+		attrFloat:      make(map[attrColKey]vec[float64]),
 		attrZones:      make(map[attrColKey]attrZones),
 		constraintBits: cache.NewClock[string, *bitset.Set](constraintCacheCap),
 	}
@@ -602,43 +601,74 @@ func (ex *Executor) GroupByCtx(ctx context.Context, rows []int, attr string, pat
 	return out, nil
 }
 
+// vec is a derived vector with one element per fact row.
+type vec[E any] []E
+
+func (v vec[E]) rows() int { return len(v) }
+
+// join appends tail to v, in place while v's array has room; a cold
+// vector publishes tail itself.
+func (v vec[E]) join(tail vec[E]) vec[E] {
+	if len(v) == 0 {
+		return tail
+	}
+	return append(v, tail...)
+}
+
+// derived is a fact-aligned vector the executor memoizes: vec, or a
+// codeColumn.
+type derived[V any] interface {
+	rows() int
+	join(tail V) V
+}
+
+// grow is the one extension path of the executor's derived vectors, and
+// the store's growth rule: a vector is appended past its published
+// length or replaced, never rewritten. It returns memo[key] covering at
+// least the fact row count observed at call time. When the vector is
+// short, tail computes what it lacks outside the lock — the rows from
+// cur.rows() to n, or a whole replacement (a cold build, a widened code
+// vector) — and join publishes the result under the lock, provided no
+// other builder published first; otherwise the call retries against
+// that builder's result. So appends into a vector's array happen only
+// under the lock and only past every length a reader was handed, and
+// readers holding the shorter vector see nothing change. builds counts
+// the tails computed.
+func grow[K comparable, V derived[V]](ex *Executor, memo map[K]V, key K, tail func(cur V, n int) V) (_ V, builds int) {
+	for ; ; builds++ {
+		n := ex.fact.Len()
+		ex.mu.RLock()
+		cur, ok := memo[key]
+		ex.mu.RUnlock()
+		if ok && cur.rows() >= n {
+			return cur, builds
+		}
+		t := tail(cur, n)
+		ex.mu.Lock()
+		if memo[key].rows() != cur.rows() {
+			ex.mu.Unlock()
+			continue // raced with another builder; retry against its result
+		}
+		next := cur.join(t)
+		memo[key] = next
+		ex.mu.Unlock()
+		return next, builds + 1
+	}
+}
+
 // factToDim returns, memoized, the functional mapping fact row → dimension
 // row for a path from a dimension table to the fact table. Star schemas
 // make the fact→dimension direction many-to-one, so each fact row maps to
 // at most one dimension row: -1 when a foreign key is NULL or dangling,
 // the first matching row when a key is duplicated. Group-bys read it
 // for attribute columns and semijoin reads it for subspaces, which is
-// why the two agree on dirty keys.
-//
-// The mapping always covers the fact table's row count observed at call
-// time: a memo left short by a streaming append is extended over just
-// the appended rows (copy-on-grow — callers holding the shorter slice
-// keep a consistent prefix view).
+// why the two agree on dirty keys. Like every derived vector it covers
+// the fact row count observed at call time (grow).
 func (ex *Executor) factToDim(path schemagraph.JoinPath) []int32 {
-	sig := path.Signature()
-	for {
-		n := ex.fact.Len()
-		ex.mu.RLock()
-		m, ok := ex.factMap[sig]
-		ex.mu.RUnlock()
-		if ok && len(m) >= n {
-			return m
-		}
-		lo := len(m) // 0 on a cold miss
-		tail := ex.buildF2DRange(path, lo, n)
-		ex.mu.Lock()
-		cur := ex.factMap[sig]
-		if len(cur) != lo {
-			// Another goroutine built a different span meanwhile; retry
-			// against its result.
-			ex.mu.Unlock()
-			continue
-		}
-		merged := append(cur[:lo:lo], tail...)
-		ex.factMap[sig] = merged
-		ex.mu.Unlock()
-		return merged
-	}
+	m, _ := grow(ex, ex.factMap, path.Signature(), func(cur vec[int32], n int) vec[int32] {
+		return ex.buildF2DRange(path, len(cur), n)
+	})
+	return m
 }
 
 // buildF2DRange computes the fact→dimension mapping for fact rows
@@ -661,9 +691,9 @@ func (ex *Executor) buildF2DRange(path schemagraph.JoinPath, lo, hi int) []int32
 
 // factToDimHop resolves one reversed hop in place: rows[f] is a row of
 // curTable (or -1) on entry and the row of next it references on
-// return. The hop column is read through a segment cursor — one column
-// of I/O, never a boxed row — and each distinct value resolves to its
-// first matching target row once, through a memo.
+// return. The hop column is read over the span of the rows named
+// (readRange) — one column of I/O, never a boxed row — and each distinct
+// value resolves to its first matching target row once, through a memo.
 func factToDimHop(curTable, next *relation.Table, fromCol, toCol string, rows []int32) {
 	c, ok := curTable.Schema().Column(fromCol)
 	if !ok {
@@ -676,14 +706,16 @@ func factToDimHop(curTable, next *relation.Table, fromCol, toCol string, rows []
 		}
 		return int32(matches[0])
 	}
+	from, to := rowSpan(rows)
 	if c.Kind == relation.KindInt || c.Kind == relation.KindFloat {
-		cursor := relation.NewFloatCursor(curTable.FloatReader(fromCol))
+		rd := curTable.FloatReader(fromCol)
+		vals := readRange(rd.FloatSegment, rd.SegmentSize(), from, to)
 		memo := make(map[float64]int32)
 		for f, r := range rows {
 			if r < 0 {
 				continue
 			}
-			fv := cursor.At(int(r))
+			fv := vals[int(r)-from]
 			if math.IsNaN(fv) {
 				rows[f] = -1
 				continue
@@ -703,14 +735,14 @@ func factToDimHop(curTable, next *relation.Table, fromCol, toCol string, rows []
 	}
 	rd := curTable.DictReader(fromCol)
 	dict := rd.Dict()
-	cursor := relation.NewDictCursor(rd)
+	codes := readRange(rd.CodeSegment, rd.SegmentSize(), from, to)
 	memo := make([]int32, len(dict))
 	have := make([]bool, len(dict))
 	for f, r := range rows {
 		if r < 0 {
 			continue
 		}
-		code := cursor.At(int(r))
+		code := codes[int(r)-from]
 		if code < 0 {
 			rows[f] = -1
 			continue

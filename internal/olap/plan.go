@@ -348,7 +348,8 @@ type attrZones struct {
 // attrZone returns the zone evidence of [lo, hi] over a fact-aligned
 // attribute column. The per-segment zones are memoized per (path, attr)
 // and cover at least len(vals) rows: an entry left short by a streaming
-// append is widened over just the appended rows (copy-on-grow).
+// append is replaced by one widened over just the appended rows, since
+// the extension rewrites the last segment's zone.
 func (ex *Executor) attrZone(attr string, path schemagraph.JoinPath, vals []float64, lo, hi float64) zoneCheck {
 	key := attrColKey{path.Signature(), attr}
 	ex.mu.RLock()

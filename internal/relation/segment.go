@@ -1,9 +1,6 @@
 package relation
 
-import (
-	"fmt"
-	"math"
-)
+import "math"
 
 // Segmented column access. A column is exposed as a sequence of
 // fixed-size segments (the table's SegmentSize rows, the last one
@@ -63,9 +60,9 @@ func (z *Zone) Observe(v float64) {
 
 // ExtendZones returns per-segment zones covering every row of vals,
 // given zones that already cover its first upTo rows. The input slice
-// is never written (copy-on-grow), so readers holding it keep a
-// consistent, merely narrower, view; zones only ever widen, so an older
-// slice stays conservative for the prefix it covers.
+// is never written — the result replaces it — so readers holding it
+// keep a consistent, merely narrower, view; zones only ever widen, so an
+// older slice stays conservative for the prefix it covers.
 func ExtendZones(zones []Zone, upTo int, vals []float64, segSize int) []Zone {
 	if upTo >= len(vals) {
 		return zones
@@ -150,69 +147,3 @@ func (r residentFloats) FloatSegment(si int) []float64 {
 // ResidentFloats wraps a dense float column in a FloatReader with the
 // default segment size. The slice is shared, not copied.
 func ResidentFloats(vals []float64) FloatReader { return residentFloats{vals} }
-
-// FloatCursor is a sequential random-access view over a FloatReader:
-// At(row) fetches the row's segment on first touch and serves
-// subsequent rows of the same segment from it. Row sets handed to the
-// kernels are sorted, so a cursor fetches each segment at most once per
-// pass. Not safe for concurrent use — each worker takes its own.
-type FloatCursor struct {
-	rd    FloatReader
-	seg   []float64
-	si    int
-	shift uint
-}
-
-// NewFloatCursor returns a cursor over rd. The reader's segment size
-// must be a power of two.
-func NewFloatCursor(rd FloatReader) *FloatCursor {
-	ss := rd.SegmentSize()
-	if !ValidSegmentSize(ss) {
-		panic(fmt.Sprintf("relation: invalid segment size %d", ss))
-	}
-	return &FloatCursor{rd: rd, si: -1, shift: uint(shiftFor(ss))}
-}
-
-// At returns the value at row r.
-func (c *FloatCursor) At(r int) float64 {
-	si := r >> c.shift
-	if si != c.si {
-		c.seg, c.si = c.rd.FloatSegment(si), si
-	}
-	return c.seg[r-si<<c.shift]
-}
-
-// DictCursor is the dictionary-coded counterpart of FloatCursor.
-type DictCursor struct {
-	rd    DictReader
-	seg   []int32
-	si    int
-	shift uint
-}
-
-// NewDictCursor returns a cursor over rd.
-func NewDictCursor(rd DictReader) *DictCursor {
-	ss := rd.SegmentSize()
-	if !ValidSegmentSize(ss) {
-		panic(fmt.Sprintf("relation: invalid segment size %d", ss))
-	}
-	return &DictCursor{rd: rd, si: -1, shift: uint(shiftFor(ss))}
-}
-
-// At returns the code at row r.
-func (c *DictCursor) At(r int) int32 {
-	si := r >> c.shift
-	if si != c.si {
-		c.seg, c.si = c.rd.CodeSegment(si), si
-	}
-	return c.seg[r-si<<c.shift]
-}
-
-// shiftFor returns log2(n) for a power-of-two n.
-func shiftFor(n int) int {
-	s := 0
-	for 1<<uint(s) < n {
-		s++
-	}
-	return s
-}

@@ -30,7 +30,7 @@ func TestNumSegments(t *testing.T) {
 	}
 }
 
-func TestResidentReadersAndCursors(t *testing.T) {
+func TestResidentReaders(t *testing.T) {
 	n := 2*DefaultSegmentSize + 37 // three segments, short tail
 	vals := make([]float64, n)
 	codes := make([]int32, n)
@@ -56,35 +56,17 @@ func TestResidentReadersAndCursors(t *testing.T) {
 	if got := len(fr.FloatSegment(2)); got != 37 {
 		t.Fatalf("tail segment has %d rows, want 37", got)
 	}
-
-	fc := NewFloatCursor(fr)
-	dc := NewDictCursor(dr)
-	// Sequential pass, then backward jumps — cursors must refetch.
-	for _, r := range []int{0, 1, 5, 6, DefaultSegmentSize - 1, DefaultSegmentSize, n - 1, 3, n - 1} {
-		fv := fc.At(r)
+	for _, r := range []int{0, 1, 5, 6, DefaultSegmentSize - 1, DefaultSegmentSize, n - 1} {
+		si, off := r/DefaultSegmentSize, r%DefaultSegmentSize
+		fv := fr.FloatSegment(si)[off]
 		if !(fv == vals[r] || (math.IsNaN(fv) && math.IsNaN(vals[r]))) {
-			t.Fatalf("FloatCursor.At(%d) = %v, want %v", r, fv, vals[r])
+			t.Fatalf("float row %d = %v, want %v", r, fv, vals[r])
 		}
-		if cv := dc.At(r); cv != codes[r] {
-			t.Fatalf("DictCursor.At(%d) = %d, want %d", r, cv, codes[r])
+		if cv := dr.CodeSegment(si)[off]; cv != codes[r] {
+			t.Fatalf("code row %d = %d, want %d", r, cv, codes[r])
 		}
 	}
 }
-
-func TestCursorRejectsBadSegmentSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewFloatCursor accepted a non-power-of-two segment size")
-		}
-	}()
-	NewFloatCursor(badSizeReader{})
-}
-
-type badSizeReader struct{}
-
-func (badSizeReader) Len() int                   { return 10 }
-func (badSizeReader) SegmentSize() int           { return 100 }
-func (badSizeReader) FloatSegment(int) []float64 { return nil }
 
 func TestZoneOverlaps(t *testing.T) {
 	z := Zone{Min: 10, Max: 20}

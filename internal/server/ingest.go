@@ -47,10 +47,11 @@ type IngestResponse struct {
 	// Start and Rows delimit the accepted batch: rows [Start, Start+Rows).
 	Start int `json:"start"`
 	Rows  int `json:"rows"`
-	// FactRows is the fact table's total row count after the append.
+	// FactRows is the fact table's total row count right after this
+	// batch landed, Start+Rows, whatever other batches landed since.
 	FactRows int `json:"factRows"`
-	// IngestSeq is the engine's batch sequence number after this batch;
-	// it participates in the query endpoints' ETags.
+	// IngestSeq is the engine's batch sequence number as this batch left
+	// it; it participates in the query endpoints' ETags.
 	IngestSeq uint64 `json:"ingestSeq"`
 	// NewTerms counts full-text terms first seen in this batch.
 	NewTerms int `json:"newTerms,omitempty"`
@@ -121,8 +122,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		DB:             req.DB,
 		Start:          res.Start,
 		Rows:           res.Rows,
-		FactRows:       fact.Len(),
-		IngestSeq:      e.IngestSeq(),
+		FactRows:       res.Start + res.Rows,
+		IngestSeq:      res.Seq,
 		NewTerms:       res.NewTerms,
 		EvictedAnswers: res.EvictedExplore + res.EvictedDiff,
 		KeptAnswers:    res.Kept,

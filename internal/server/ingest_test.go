@@ -1,10 +1,12 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 
 	"kdap/internal/dataset"
@@ -68,6 +70,58 @@ func TestIngestAppendsRows(t *testing.T) {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("metrics missing %q", want)
 		}
+	}
+}
+
+// TestIngestConcurrentResponses: with several writers, each response
+// reports its own batch's state — FactRows is Start+Rows and IngestSeq
+// is a sequence number no other batch was given — never the state a
+// later batch left behind. Run under -race.
+func TestIngestConcurrentResponses(t *testing.T) {
+	ts := newTestServer(t)
+	const writers, batches, rows = 4, 6, 3
+	resps := make(chan IngestResponse, writers*batches)
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for b := 0; b < batches; b++ {
+				batch := make([][]any, rows)
+				for i := range batch {
+					batch[i] = ebizFactRow(dataset.EBizFactCount + 1 + ((w*batches+b)*rows + i))
+				}
+				body, _ := json.Marshal(map[string]any{"db": "ebiz", "rows": batch})
+				r, err := http.Post(ts.URL+"/api/ingest", "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var resp IngestResponse
+				err = json.NewDecoder(r.Body).Decode(&resp)
+				r.Body.Close()
+				if err != nil || r.StatusCode != http.StatusOK {
+					t.Errorf("ingest: status %d, %v", r.StatusCode, err)
+					return
+				}
+				resps <- resp
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(resps)
+	seqs := map[uint64]bool{}
+	for resp := range resps {
+		if resp.Rows != rows || resp.FactRows != resp.Start+resp.Rows {
+			t.Errorf("batch [%d,+%d) reports factRows %d", resp.Start, resp.Rows, resp.FactRows)
+		}
+		if seqs[resp.IngestSeq] {
+			t.Errorf("ingestSeq %d reported twice", resp.IngestSeq)
+		}
+		seqs[resp.IngestSeq] = true
+	}
+	if !t.Failed() && len(seqs) != writers*batches {
+		t.Errorf("%d distinct sequence numbers for %d batches", len(seqs), writers*batches)
 	}
 }
 
