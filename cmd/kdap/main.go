@@ -304,9 +304,9 @@ func (r *repl) stats() {
 			name string
 			st   kdap.AnswerCacheStats
 		}{{"differentiate", diff}, {"explore", expl}} {
-			fmt.Printf("answer cache %-13s %d/%d entries, %d B, %d hits / %d misses (%.0f%% hit rate), %d coalesced, %d evicted\n",
+			fmt.Printf("answer cache %-13s %d/%d entries, %d B, %d hits / %d misses (%.0f%% hit rate), %d evicted\n",
 				p.name, p.st.Len, p.st.Cap, p.st.Bytes, p.st.Hits, p.st.Misses,
-				100*p.st.HitRate(), p.st.Coalesced, p.st.Evictions)
+				100*p.st.HitRate(), p.st.Evictions)
 		}
 	}
 	rc := e.RowsCacheStats()

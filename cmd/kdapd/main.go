@@ -59,7 +59,7 @@ func main() {
 	flag.IntVar(&srvOpts.MaxInflight, "max-inflight", srvOpts.MaxInflight,
 		"max concurrently executing API requests (0 = unlimited); excess is queued briefly then shed with 503")
 	flag.IntVar(&srvOpts.AnswerCacheSize, "answer-cache-size", srvOpts.AnswerCacheSize,
-		"answer cache entries per warehouse and phase (0 disables caching, ETags, and request coalescing)")
+		"answer cache entries per warehouse and phase (0 disables caching and ETags)")
 	flag.DurationVar(&srvOpts.AnswerCacheTTL, "answer-cache-ttl", srvOpts.AnswerCacheTTL,
 		"answer cache entry lifetime (0 = no expiry)")
 	flag.DurationVar(&srvOpts.SLOTarget, "slo-target", srvOpts.SLOTarget,

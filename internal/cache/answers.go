@@ -10,12 +10,12 @@ import (
 
 // Answers is the second cache shape this package provides, built for
 // finished query answers rather than intermediate memos: a versioned,
-// TTL-aware, size-bounded LRU store with singleflight fill. Callers go
-// through Do, which collapses concurrent identical requests into one
-// computation (losers wait and share the winner's result), refuses to
-// keep cancelled or caller-vetoed results, and captures the store's
-// version when a fill starts so a Bump — an append to the data, say —
-// retires everything computed before it, fills still in flight included.
+// TTL-aware, size-bounded LRU store. Callers go through Do, a plain
+// memo: look up, and on a miss compute and store the result unless it
+// failed or the caller vetoed it. Concurrent first requests for one key
+// each compute. Do captures the store's version before it computes, so
+// a Bump — an append to the data, say — retires everything computed
+// before it, fills still in flight included.
 //
 // Values handed to Put/Do are shared between all future readers and
 // must be treated as immutable. Safe for concurrent use.
@@ -34,7 +34,6 @@ type Answers[V any] struct {
 	// a put that still sees its fill's starting version under mu stores
 	// an answer no Bump has retired.
 	version atomic.Uint64
-	sf      Group[string, fill[V]]
 
 	hits, misses, evictions atomic.Int64
 }
@@ -47,12 +46,6 @@ type aentry[V any] struct {
 	expires time.Time // zero = no expiry
 }
 
-// fill carries a singleflight result plus how the leader obtained it.
-type fill[V any] struct {
-	v         V
-	fromCache bool
-}
-
 // AnswerStats is a point-in-time snapshot of an answer store's
 // counters. Evictions counts every removal — capacity pressure, TTL
 // expiry, and Bump alike.
@@ -60,7 +53,6 @@ type AnswerStats struct {
 	Hits      int64
 	Misses    int64
 	Evictions int64
-	Coalesced int64
 	Len       int
 	Bytes     int64
 	Cap       int
@@ -113,22 +105,6 @@ func (a *Answers[V]) Get(key string) (V, bool) {
 	}
 	a.mu.Unlock()
 	a.misses.Add(1)
-	var zero V
-	return zero, false
-}
-
-// peek is Get without counters or recency: the singleflight leader's
-// last-moment re-check, so two callers racing past a Get miss cannot
-// both compute.
-func (a *Answers[V]) peek(key string) (V, bool) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if el, ok := a.m[key]; ok {
-		e := el.Value.(*aentry[V])
-		if a.liveLocked(e) {
-			return e.v, true
-		}
-	}
 	var zero V
 	return zero, false
 }
@@ -191,68 +167,22 @@ func (a *Answers[V]) Bump() int {
 	return n
 }
 
-// Outcome classifies how Do served an answer.
-type Outcome int
-
-const (
-	// OutcomeMiss: this caller computed the answer.
-	OutcomeMiss Outcome = iota
-	// OutcomeHit: the answer was already stored.
-	OutcomeHit
-	// OutcomeCoalesced: another caller was already computing the same
-	// answer; this caller waited and shared it.
-	OutcomeCoalesced
-)
-
-// Do returns the answer under key, computing it with fn on a miss.
-// Concurrent calls with the same key collapse into one fn invocation;
-// the rest wait and share the winner's result (never a cancelled one —
-// see Group.Do). fn's second result vetoes storage: return false for
-// answers that must not be cached (degraded/partial results). Errors
-// are never stored.
-func (a *Answers[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, bool, error)) (V, Outcome, error) {
+// Do returns the answer under key and whether it was stored already,
+// computing it with fn on a miss. fn's second result vetoes storage:
+// return false for answers that must not be cached (degraded/partial
+// results). Errors — cancellations included — are never stored, and an
+// answer whose computation a Bump overtook is dropped by put.
+func (a *Answers[V]) Do(ctx context.Context, key string, fn func(context.Context) (V, bool, error)) (v V, hit bool, err error) {
 	if v, ok := a.Get(key); ok {
-		return v, OutcomeHit, nil
+		return v, true, nil
 	}
-	return a.Compute(ctx, key, fn)
-}
-
-// Compute is Do for a caller that already consulted Get and missed: it
-// runs the coalesced fill without counting a second lookup, so one
-// request contributes exactly one hit, miss, or coalesce to Stats.
-// OutcomeHit is still possible — another caller may store the answer
-// between the caller's Get and the fill's re-check.
-func (a *Answers[V]) Compute(ctx context.Context, key string, fn func(context.Context) (V, bool, error)) (V, Outcome, error) {
 	ver := a.version.Load()
-	r, shared, err := a.sf.Do(ctx, key, func(ctx context.Context) (fill[V], error) {
-		if v, ok := a.peek(key); ok {
-			return fill[V]{v: v, fromCache: true}, nil
-		}
-		v, store, err := fn(ctx)
-		if err != nil {
-			return fill[V]{}, err
-		}
-		if store {
-			a.put(key, v, ver)
-		}
-		return fill[V]{v: v}, nil
-	})
-	switch {
-	case err != nil:
-		var zero V
-		return zero, OutcomeMiss, err
-	case shared:
-		return r.v, OutcomeCoalesced, nil
-	case r.fromCache:
-		return r.v, OutcomeHit, nil
-	default:
-		return r.v, OutcomeMiss, nil
+	v, store, err := fn(ctx)
+	if err == nil && store {
+		a.put(key, v, ver)
 	}
+	return v, false, err
 }
-
-// Waiting returns how many callers are blocked on the key's in-flight
-// computation (test/debug introspection, see Group.Waiting).
-func (a *Answers[V]) Waiting(key string) int { return a.sf.Waiting(key) }
 
 // Len returns the number of stored entries, including any not yet
 // swept after TTL expiry.
@@ -271,7 +201,6 @@ func (a *Answers[V]) Stats() AnswerStats {
 		Hits:      a.hits.Load(),
 		Misses:    a.misses.Load(),
 		Evictions: a.evictions.Load(),
-		Coalesced: a.sf.Shared(),
 		Len:       n,
 		Bytes:     b,
 		Cap:       a.cap,

@@ -1,5 +1,5 @@
 // Package cache provides the concurrent caching primitives the serving
-// stack is built on. Three shapes, by workload:
+// stack is built on. Two shapes, by workload:
 //
 //   - Clock: a fixed-capacity cache with CLOCK (second-chance)
 //     eviction. The OLAP executor and the KDAP engine bound their
@@ -9,15 +9,15 @@
 //     take only a read lock plus one atomic store of the reference bit,
 //     so concurrent lookups scale.
 //
-//   - Group: generic singleflight. Concurrent calls with the same key
-//     collapse into one computation; losers wait and share the winner's
-//     result. A cancelled computation is never shared — a waiter whose
-//     leader was cancelled retries under its own context.
-//
 //   - Answers: a versioned, TTL-aware, size-bounded LRU store for
-//     finished query answers, with singleflight fill (Do), a bytes
-//     gauge, and version-stamp invalidation (Bump) so data that changed
-//     can never serve answers computed before the change.
+//     finished query answers, with a memo fill (Do), a bytes gauge, and
+//     version-stamp invalidation (Bump) so data that changed can never
+//     serve answers computed before the change.
+//
+// Neither collapses concurrent identical requests: two first requests
+// for one key each compute, and the later store replaces the earlier.
+// The engine's computations are deterministic, so both hold the same
+// value.
 //
 // Clock trades strict recency for read scalability (hot memo lookups);
 // Answers keeps strict LRU under one mutex because answer-granularity

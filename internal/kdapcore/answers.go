@@ -4,13 +4,13 @@ package kdapcore
 // results are kept in two versioned, TTL-aware, size-bounded stores
 // (cache.Answers) keyed by a canonicalized identity — normalized
 // keywords + rank method for differentiate, subspace signature + every
-// result-shaping option for explore. Lookups and fills go through
-// singleflight, so a storm of identical concurrent requests performs
-// the computation once; the rest wait and share it. Three rules keep
-// cached answers honest:
+// result-shaping option for explore. Each store is a plain memo: look
+// up, and on a miss compute and store. Identical concurrent first
+// requests each compute and get the same bytes (the kernels are
+// byte-stable). Three rules keep cached answers honest:
 //
-//   - cancelled computations are never cached or shared (PR 3's rule,
-//     enforced by cache.Group/cache.Answers);
+//   - failed and cancelled computations are never cached
+//     (cache.Answers.Do);
 //   - partial (deadline-degraded) facets are never cached — a complete
 //     answer must not be masked by a degraded one;
 //   - an append retires every cached explore answer at once, fills in
@@ -43,9 +43,6 @@ const (
 	cacheMiss = "miss"
 	// cacheHit: served from the store without computing.
 	cacheHit = "hit"
-	// cacheCoalesced: an identical call was already in flight; this one
-	// waited and shared its result.
-	cacheCoalesced = "coalesced"
 )
 
 // SetAnswerCache enables the engine's answer cache: up to entries
@@ -124,28 +121,29 @@ func ExploreCacheKey(sn *StarNet, o ExploreOptions) (key string, ok bool) {
 
 // noteCache is the one emission site of an answer's cache outcome: it
 // records the outcome on the request's trace, where the server's
-// X-KDAP-Cache header and the REPL's profile both read it. A coalesced
-// caller's work ran in the leader's goroutine, so its own span tree
-// would hold only cache_lookup: its wait since t0 is recorded as an
-// answer_shared stage, and the cache field ("coalesced") marks the
-// request as the follower.
-func noteCache(ctx context.Context, outcome string, t0 time.Time) {
+// X-KDAP-Cache header and the REPL's profile both read it.
+func noteCache(ctx context.Context, outcome string) {
 	telemetry.FromContext(ctx).SetCache(outcome)
-	if outcome == cacheCoalesced {
-		telemetry.SpanFromContext(ctx).AddTimed("answer_shared", time.Since(t0))
-	}
 }
 
-// fromAnswerOutcome maps the store's outcome onto the wide event's.
-func fromAnswerOutcome(o cache.Outcome) string {
-	switch o {
-	case cache.OutcomeHit:
-		return cacheHit
-	case cache.OutcomeCoalesced:
-		return cacheCoalesced
-	default:
-		return cacheMiss
+// cachedAnswer serves one answer through store: a timed cache_lookup,
+// on a miss the computation, and the outcome noted on the trace.
+// compute's bool vetoes storage, as in cache.Answers.Do.
+func cachedAnswer[V any](ctx context.Context, store *cache.Answers[V], key string,
+	compute func(context.Context) (V, bool, error)) (V, error) {
+
+	_, lookup := telemetry.StartSpan(ctx, "cache_lookup")
+	v, hit, err := store.Do(ctx, key, func(ctx context.Context) (V, bool, error) {
+		lookup.End() // a miss: the computation is its own stages
+		return compute(ctx)
+	})
+	outcome := cacheMiss
+	if hit {
+		lookup.End()
+		outcome = cacheHit
 	}
+	noteCache(ctx, outcome)
+	return v, err
 }
 
 // rebindFacets returns a shallow copy of cached facets bound to the

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"kdap/internal/cache"
 	"kdap/internal/fulltext"
@@ -122,31 +121,19 @@ func (e *Engine) DifferentiateCtx(ctx context.Context, query string) ([]*StarNet
 
 // DifferentiateRankedCtx is DifferentiateCtx with an explicit ranking
 // method (the Figure 4 evaluation sweeps all four), served through the
-// answer cache when one is configured (SetAnswerCache): identical
-// concurrent queries collapse into one pipeline run, and repeats within
+// answer cache when one is configured (SetAnswerCache): repeats within
 // the TTL are served from the store. How the answer was served is
 // recorded on the request's trace (telemetry.FromContext). The
 // returned nets are shared — treat as immutable.
 func (e *Engine) DifferentiateRankedCtx(ctx context.Context, query string, method RankMethod) ([]*StarNet, error) {
 	if e.diffAnswers == nil {
-		noteCache(ctx, cacheBypass, time.Time{})
+		noteCache(ctx, cacheBypass)
 		return e.differentiateRanked(ctx, query, method)
 	}
-	key := diffAnswerKey(query, method)
-	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
-	nets, ok := e.diffAnswers.Get(key)
-	sp.End()
-	if ok {
-		noteCache(ctx, cacheHit, time.Time{})
-		return nets, nil
-	}
-	t0 := time.Now()
-	nets, outcome, err := e.diffAnswers.Compute(ctx, key, func(ctx context.Context) ([]*StarNet, bool, error) {
+	return cachedAnswer(ctx, e.diffAnswers, diffAnswerKey(query, method), func(ctx context.Context) ([]*StarNet, bool, error) {
 		nets, err := e.differentiateRanked(ctx, query, method)
-		return nets, err == nil, err
+		return nets, true, err
 	})
-	noteCache(ctx, fromAnswerOutcome(outcome), t0)
-	return nets, err
 }
 
 // differentiateRanked is the uncached differentiate pipeline.
@@ -319,9 +306,10 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n i
 // cache. Sub-dataspaces and roll-up background spaces both go through
 // here, so a space is held once whatever role it was first reached in.
 // Concurrent first requests for one key each scan, and the last Put
-// wins: they compute the same rows, and coalescing them did not pay
-// (DESIGN.md "Cache layers, by ablation"). A cancelled materialization
-// is never cached: partial row sets must not masquerade as the space.
+// wins: they compute the same rows, and making one wait for the other
+// did not pay (DESIGN.md "Cache layers, by ablation"). A cancelled
+// materialization is never cached: partial row sets must not
+// masquerade as the space.
 func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filters []NumericFilter) (*space, error) {
 	key := constraintsKey(cs, filters)
 	n := e.exec.FactLen()

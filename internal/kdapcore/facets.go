@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"time"
 
 	"kdap/internal/olap"
 	"kdap/internal/relation"
@@ -185,9 +184,9 @@ type rollup struct {
 // callers name their trace root "explore", so no wrapper span is added
 // here.
 //
-// When an answer cache is configured (SetAnswerCache), repeated and
-// concurrent identical explores are served through it, and how the
-// answer was served is recorded on the request's trace
+// When an answer cache is configured (SetAnswerCache), repeated
+// identical explores are served through it, and how the answer was
+// served is recorded on the request's trace
 // (telemetry.FromContext). A cached answer is a shallow copy bound to the
 // caller's own net; its inner structure is shared and must be treated
 // as immutable.
@@ -198,18 +197,10 @@ func (e *Engine) ExploreCtx(ctx context.Context, sn *StarNet, opts ExploreOption
 		key, cacheable = ExploreCacheKey(sn, opts)
 	}
 	if !cacheable {
-		noteCache(ctx, cacheBypass, time.Time{})
+		noteCache(ctx, cacheBypass)
 		return e.exploreUncached(ctx, sn, opts)
 	}
-	_, sp := telemetry.StartSpan(ctx, "cache_lookup")
-	f, ok := e.explAnswers.Get(key)
-	sp.End()
-	if ok {
-		noteCache(ctx, cacheHit, time.Time{})
-		return rebindFacets(f, sn), nil
-	}
-	t0 := time.Now()
-	f, outcome, err := e.explAnswers.Compute(ctx, key, func(ctx context.Context) (*Facets, bool, error) {
+	f, err := cachedAnswer(ctx, e.explAnswers, key, func(ctx context.Context) (*Facets, bool, error) {
 		f, err := e.exploreUncached(ctx, sn, opts)
 		if err != nil {
 			return nil, false, err
@@ -218,7 +209,6 @@ func (e *Engine) ExploreCtx(ctx context.Context, sn *StarNet, opts ExploreOption
 		// shadow the complete answer for everyone after it.
 		return f, !f.Partial, nil
 	})
-	noteCache(ctx, fromAnswerOutcome(outcome), t0)
 	if err != nil {
 		return nil, err
 	}

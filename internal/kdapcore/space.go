@@ -4,7 +4,7 @@ package kdapcore
 // cache keeps resident — one constrained-and-filtered fact-row set — is
 // also the unit that owns the work done over it: G(S), G(S, attr) per
 // attribute path, and the bucketised numeric series are filled lazily,
-// exactly once each, and stay with the row list until it is evicted.
+// on first use, and stay with the row list until it is evicted.
 // The memo is role-agnostic. A net's own DS' and the roll-up spaces of
 // other nets live under the one key constraintsKey gives them, so what
 // one explore computed as its local distribution is what a drilled
@@ -19,11 +19,9 @@ package kdapcore
 
 import (
 	"context"
-	"errors"
 	"strconv"
 	"sync"
 
-	"kdap/internal/cache"
 	"kdap/internal/olap"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
@@ -44,85 +42,38 @@ func newSpace(rows []int, upTo int) *space {
 	return &space{rows: rows, upTo: upTo, dist: new(distMemo)}
 }
 
-// distMemo holds a space's distributions. Completed results stay for
-// the space's lifetime; values are heterogeneous (aggregates, group-by
-// maps, bucket series) and treated as immutable by every consumer — the
-// contract cached answers already carry.
+// distMemo holds a space's distributions, a plain memo. Completed
+// results stay for the space's lifetime; values are heterogeneous
+// (aggregates, group-by maps, bucket series) and treated as immutable by
+// every consumer — the contract cached answers already carry.
 type distMemo struct {
 	mu sync.Mutex
-	m  map[string]*distEntry
+	m  map[string]any
 }
 
-// distEntry is one distribution's slot: done closes when the
-// computation finishes, after which v/err are immutable.
-type distEntry struct {
-	done chan struct{}
-	v    any
-	err  error
-}
-
-// do runs fn under key once per memo, sharing the result with every
-// other caller that asks for the same key — whether it asks while the
-// computation is in flight (it waits, bound to its own ctx) or after
-// (it reads the memo); adopted reports which. cache.Group's
-// cancellation rule carries over: a leader's context error is never
-// shared; the entry is vacated and a later caller recomputes under its
-// own (live) context. So does its panic rule: a panicking leader
-// vacates the entry and wakes waiters with cache.ErrLeaderPanicked
-// before the panic propagates.
+// do returns the value under key, computing it with fn on a miss;
+// adopted reports a hit. fn runs outside the lock, so two first
+// requests for one key may each compute: they produce identical bytes,
+// and the later store replaces the earlier. Only a result without an
+// error is stored, so after a cancelled or failed fill the next caller
+// computes.
 func (dm *distMemo) do(ctx context.Context, key string, fn func(context.Context) (any, error)) (v any, adopted bool, err error) {
-	for {
-		if err := ctx.Err(); err != nil {
-			return nil, false, err
-		}
-		dm.mu.Lock()
-		if dm.m == nil {
-			dm.m = make(map[string]*distEntry)
-		}
-		if e, ok := dm.m[key]; ok {
-			dm.mu.Unlock()
-			select {
-			case <-e.done:
-			default:
-				// Waiting on another request's scan is a real pipeline
-				// stage. The name is constant so the kdap_stage_seconds
-				// label set stays bounded.
-				_, wsp := telemetry.StartSpan(ctx, "distribution_wait")
-				select {
-				case <-e.done:
-					wsp.End()
-				case <-ctx.Done():
-					wsp.End()
-					return nil, false, ctx.Err()
-				}
-			}
-			if e.err != nil && isContextErr(e.err) {
-				continue // vacated by the leader; retry, maybe as leader
-			}
-			return e.v, true, e.err
-		}
-		e := &distEntry{done: make(chan struct{})}
-		dm.m[key] = e
-		dm.mu.Unlock()
-		func() {
-			e.err = cache.ErrLeaderPanicked // overwritten unless fn panics
-			defer func() {
-				if isContextErr(e.err) || errors.Is(e.err, cache.ErrLeaderPanicked) {
-					dm.mu.Lock()
-					delete(dm.m, key)
-					dm.mu.Unlock()
-				}
-				close(e.done)
-			}()
-			e.v, e.err = fn(ctx)
-		}()
-		return e.v, false, e.err
+	dm.mu.Lock()
+	v, ok := dm.m[key]
+	dm.mu.Unlock()
+	if ok {
+		return v, true, nil
 	}
-}
-
-// isContextErr mirrors cache.isContextErr for the memo's sharing rule.
-func isContextErr(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
+	if v, err = fn(ctx); err != nil {
+		return nil, false, err
+	}
+	dm.mu.Lock()
+	if dm.m == nil {
+		dm.m = make(map[string]any)
+	}
+	dm.m[key] = v
+	dm.mu.Unlock()
+	return v, false, nil
 }
 
 // distribution is the one lookup site of a space's memo, and the one

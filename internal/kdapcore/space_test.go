@@ -7,9 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
-	"kdap/internal/cache"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 	"kdap/internal/telemetry"
@@ -174,205 +172,115 @@ func TestExploreResolvesSubspaceOnce(t *testing.T) {
 	}
 }
 
-// Exactly once: sibling nets share a one-level roll-up (every bike
-// subcategory generalizes to Category = Bikes), and sixteen concurrent
-// explores of them over materialised spaces run each (space, attribute)
-// group-by and each space's aggregate one time — the kernel-call delta
-// equals the number of distributions the spaces gained. (Spaces are
-// materialised first: two first requests for one row set each scan it,
-// and only the space put last is kept.) Run under -race.
+// Sibling nets share a one-level roll-up (every bike subcategory
+// generalizes to Category = Bikes). Sixteen concurrent explores of them
+// agree byte for byte with serial explores on a fresh engine, and leave
+// every distribution they used on their spaces: a second round runs no
+// group-by and no aggregate kernel. (Spaces are materialised first: two
+// first requests for one row set each scan it, and only the space put
+// last is kept, with the distributions filled into it.) Run under
+// -race.
 func TestSiblingExploresFillEachDistributionOnce(t *testing.T) {
-	e := awOnlineEngine()
+	e, fresh := awOnlineEngine(), awOnlineEngine()
 	opts := DefaultExploreOptions()
 	opts.Parallel = true
-	nets := []*StarNet{top1(t, e, "Road Bikes"), top1(t, e, "Mountain Bikes"), top1(t, e, "Touring Bikes")}
-	held := func() (spaces map[*space]bool, shared map[*space]int, gb, agg int64) {
-		spaces, shared = map[*space]bool{}, map[*space]int{}
+	queries := []string{"Road Bikes", "Mountain Bikes", "Touring Bikes"}
+	nets := make([]*StarNet, len(queries))
+	serial := make([][]byte, len(queries))
+	for i, q := range queries {
+		nets[i] = top1(t, e, q)
+		f, err := fresh.ExploreCtx(context.Background(), top1(t, fresh, q), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial[i] = f.Fingerprint()
+	}
+	// held lists the nets' materialised spaces, and whether one roll-up
+	// space is shared by every net.
+	held := func() (spaces map[*space]bool, meet bool) {
+		spaces, shared := map[*space]bool{}, map[*space]int{}
 		for _, sn := range nets {
 			local, rollups := spacesOf(t, e, sn)
 			spaces[local] = true
 			for _, ru := range rollups {
 				spaces[ru.sp] = true
 				shared[ru.sp]++
+				meet = meet || shared[ru.sp] == len(nets)
 			}
 		}
-		for sp := range spaces {
-			gb += int64(len(distKeys(sp, "gb")))
-			agg += int64(len(distKeys(sp, "agg")))
+		return spaces, meet
+	}
+	spaces0, meet := held()
+	if !meet {
+		t.Fatal("the sibling nets share no roll-up space; the test lost its premise")
+	}
+
+	// round runs sixteen concurrent explores under one trace.
+	round := func() *telemetry.Trace {
+		tr := telemetry.NewTrace("explores")
+		ctx := tr.Context(context.Background())
+		const workers = 16
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				i := w % len(nets)
+				f, err := e.ExploreCtx(ctx, nets[i], opts)
+				if err != nil {
+					t.Errorf("worker %d: %v", w, err)
+					return
+				}
+				if !bytes.Equal(f.Fingerprint(), serial[i]) {
+					t.Errorf("worker %d: concurrent explore of %q differs from the serial one", w, queries[i])
+				}
+			}(w)
 		}
-		return spaces, shared, gb, agg
+		wg.Wait()
+		return tr
 	}
-	spaces0, _, gb0, agg0 := held()
-	// One trace records all sixteen explores.
-	tr := telemetry.NewTrace("explores")
-	ctx := tr.Context(context.Background())
-
-	const workers = 16
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			if _, err := e.ExploreCtx(ctx, nets[w%len(nets)], opts); err != nil {
-				t.Errorf("worker %d: %v", w, err)
-			}
-		}(w)
+	if tr := round(); tr.Count(telemetry.GroupBys) == 0 {
+		t.Fatal("the first round filled no group-by; the test lost its premise")
 	}
-	wg.Wait()
-
-	spaces, shared, gb, agg := held()
+	spaces, _ := held()
 	for sp := range spaces {
 		if !spaces0[sp] {
 			t.Fatal("a materialised space was replaced while the explores ran")
 		}
 	}
-	meet := false
-	for _, n := range shared {
-		meet = meet || n == len(nets)
+	tr := round()
+	if got := tr.Count(telemetry.GroupBys); got != 0 {
+		t.Errorf("second round ran %d group-by kernels, want 0", got)
 	}
-	if !meet || gb == gb0 {
-		t.Fatal("the sibling nets share no roll-up space, or their explores filled no group-by; the test lost its premise")
-	}
-	if got := tr.Count(telemetry.GroupBys); got != gb-gb0 {
-		t.Errorf("%d group-by kernels for %d distinct (space, attr) pairs", got, gb-gb0)
-	}
-	if got := tr.Count(telemetry.Aggregates); got != agg-agg0 {
-		t.Errorf("%d aggregate kernels for %d distinct spaces", got, agg-agg0)
-	}
-	if tr.Count(telemetry.SharedScans) == 0 {
-		t.Error("sixteen explores of three sibling nets adopted nothing")
+	if got := tr.Count(telemetry.Aggregates); got != 0 {
+		t.Errorf("second round ran %d aggregate kernels, want 0", got)
 	}
 }
 
-// The sharing rules of a space's distributions, which are cache.Group's:
-// a cancelled leader's result is not adopted — the waiter recomputes
-// under its own context — and a panicking leader vacates the slot and
-// wakes its waiters with an error before the panic propagates.
+// A space's distributions are a memo that keeps only complete results:
+// a fill ended by cancellation is not stored, and the next caller
+// computes under its own context.
 func TestCancelSharedDistribution(t *testing.T) {
-	// waitFor blocks until the waiter's trace shows it parked on the
-	// in-flight entry.
-	waitFor := func(t *testing.T, tr *telemetry.Trace) {
-		t.Helper()
-		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			if _, waiting := tr.Stages()["distribution_wait"]; waiting {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatal("waiter never blocked on the entry")
-			}
-		}
-	}
-
 	t.Run("cancelled leader is not adopted", func(t *testing.T) {
 		dm := new(distMemo)
-		leaderCtx, cancel := context.WithCancel(context.Background())
-		entered := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		var leaderErr error
-		go func() {
-			defer wg.Done()
-			_, _, leaderErr = dm.do(leaderCtx, "k", func(ctx context.Context) (any, error) {
-				close(entered)
-				<-ctx.Done()
-				return "partial", ctx.Err()
-			})
-		}()
-		<-entered
-		tr := telemetry.NewTrace("waiter")
-		var got any
-		var adopted bool
-		var waiterErr error
-		go func() {
-			defer wg.Done()
-			got, adopted, waiterErr = dm.do(tr.Context(context.Background()), "k", func(context.Context) (any, error) {
-				return "complete", nil
-			})
-		}()
-		waitFor(t, tr)
+		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		wg.Wait()
-		if !errors.Is(leaderErr, context.Canceled) {
-			t.Errorf("leader err = %v, want context.Canceled", leaderErr)
+		if _, _, err := dm.do(ctx, "k", func(ctx context.Context) (any, error) {
+			return "partial", ctx.Err()
+		}); !errors.Is(err, context.Canceled) {
+			t.Errorf("cancelled fill err = %v, want context.Canceled", err)
 		}
-		if waiterErr != nil || got != "complete" || adopted {
-			t.Errorf("waiter got %v (adopted=%v, err=%v), want its own recomputation", got, adopted, waiterErr)
+		got, adopted, err := dm.do(context.Background(), "k", func(context.Context) (any, error) {
+			return "complete", nil
+		})
+		if err != nil || got != "complete" || adopted {
+			t.Errorf("next caller got %v (adopted=%v, err=%v), want its own computation", got, adopted, err)
 		}
 		if v, adopted, err := dm.do(context.Background(), "k", func(context.Context) (any, error) {
 			t.Error("a completed distribution was computed again")
 			return nil, nil
 		}); v != "complete" || !adopted || err != nil {
-			t.Errorf("lookup after the recomputation: v=%v adopted=%v err=%v", v, adopted, err)
-		}
-	})
-
-	t.Run("waiter is bound to its own context", func(t *testing.T) {
-		dm := new(distMemo)
-		entered, release := make(chan struct{}), make(chan struct{})
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			_, _, _ = dm.do(context.Background(), "k", func(context.Context) (any, error) {
-				close(entered)
-				<-release
-				return 1, nil
-			})
-		}()
-		<-entered
-		tr := telemetry.NewTrace("waiter")
-		ctx, cancel := context.WithCancel(tr.Context(context.Background()))
-		waited := make(chan error, 1)
-		go func() {
-			_, _, err := dm.do(ctx, "k", nil)
-			waited <- err
-		}()
-		waitFor(t, tr)
-		cancel()
-		if err := <-waited; !errors.Is(err, context.Canceled) {
-			t.Errorf("cancelled waiter err = %v, want context.Canceled", err)
-		}
-		close(release)
-		<-done
-	})
-
-	t.Run("panicking leader vacates the slot", func(t *testing.T) {
-		dm := new(distMemo)
-		ctx := context.Background()
-		entered, release := make(chan struct{}), make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(2)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if recover() == nil {
-					t.Error("the leader's panic was swallowed")
-				}
-			}()
-			_, _, _ = dm.do(ctx, "k", func(context.Context) (any, error) {
-				close(entered)
-				<-release
-				panic("boom")
-			})
-		}()
-		<-entered
-		tr := telemetry.NewTrace("waiter")
-		var waiterErr error
-		go func() {
-			defer wg.Done()
-			_, _, waiterErr = dm.do(tr.Context(ctx), "k", func(context.Context) (any, error) {
-				t.Error("the waiter ran the scan while the leader held the entry")
-				return nil, nil
-			})
-		}()
-		waitFor(t, tr)
-		close(release)
-		wg.Wait() // a poisoned entry would hang here
-		if !errors.Is(waiterErr, cache.ErrLeaderPanicked) {
-			t.Fatalf("waiter err = %v, want ErrLeaderPanicked", waiterErr)
-		}
-		v, adopted, err := dm.do(ctx, "k", func(context.Context) (any, error) { return 7, nil })
-		if v != 7 || adopted || err != nil {
-			t.Fatalf("call after the panic: v=%v adopted=%v err=%v", v, adopted, err)
+			t.Errorf("lookup after the computation: v=%v adopted=%v err=%v", v, adopted, err)
 		}
 	})
 }

@@ -176,7 +176,8 @@ func copyRows(dst, src *relation.Table) error {
 
 // writeAtomic replaces dir/name with data: written to a temporary file
 // and synced, then renamed over the old file, so a crash leaves either
-// the old file or the new one.
+// the old file or the new one. The directory is synced after the
+// rename, so a crash after writeAtomic returns leaves the new one.
 func writeAtomic(dir, name string, data []byte) error {
 	f, err := os.CreateTemp(dir, name+".tmp*")
 	if err != nil {
@@ -194,6 +195,21 @@ func writeAtomic(dir, name string, data []byte) error {
 	}
 	if err != nil {
 		os.Remove(f.Name())
+		return err
+	}
+	return syncDir(dir)
+}
+
+// syncDir makes the entries of dir durable: a rename is on disk only
+// once its directory is. A variable so tests can count the syncs.
+var syncDir = func(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
 	}
 	return err
 }

@@ -218,7 +218,6 @@ func TestAnswerCacheMetricsExported(t *testing.T) {
 		"kdap_answer_cache_hits_total",
 		"kdap_answer_cache_misses_total",
 		"kdap_answer_cache_evictions_total",
-		"kdap_answer_cache_coalesced_total",
 		"kdap_answer_cache_entries",
 		"kdap_answer_cache_bytes",
 	} {

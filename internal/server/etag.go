@@ -58,8 +58,8 @@ func opaqueTag(tag string) string {
 }
 
 // cacheHeaderName carries the answer-cache disposition of a response,
-// echoed from the request's trace: miss, hit, coalesced or bypass
-// as the engine recorded it, or revalidated (a 304).
+// echoed from the request's trace: miss, hit or bypass as the engine
+// recorded it, or revalidated (a 304).
 const cacheHeaderName = "X-KDAP-Cache"
 
 // writeNotModified answers a revalidation hit: 304 with the matching

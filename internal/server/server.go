@@ -16,8 +16,8 @@
 //
 // When the answer cache is enabled (Options.AnswerCacheSize, on by
 // default), /api/query and /api/explore responses carry a weak ETag and
-// an X-KDAP-Cache disposition header (miss | hit | coalesced | bypass |
-// revalidated); requests presenting a matching If-None-Match answer 304
+// an X-KDAP-Cache disposition header (miss | hit | bypass | revalidated);
+// requests presenting a matching If-None-Match answer 304
 // before the pipeline runs. See docs/OPERATIONS.md for the serving
 // flags and the full metrics reference.
 package server
@@ -66,7 +66,7 @@ type Options struct {
 	SessionCap int
 	// AnswerCacheSize is the per-engine answer cache capacity in entries
 	// (per phase: differentiate and explore each); zero or negative
-	// disables answer caching, ETags, and request coalescing.
+	// disables answer caching and ETags.
 	AnswerCacheSize int
 	// AnswerCacheTTL expires cached answers this long after insertion;
 	// zero keeps them until evicted or invalidated.
@@ -85,9 +85,8 @@ type Options struct {
 }
 
 // DefaultOptions returns the defaults New uses and kdapd's flags start
-// from: a 10s per-request deadline (a request parked behind a stuck
-// answer-cache fill or distribution leader gives up rather than waiting
-// forever), no admission cap, 1024 sessions, a 512-entry answer cache
+// from: a 10s per-request deadline (a runaway explore gives up and
+// frees its worker), no admission cap, 1024 sessions, a 512-entry answer cache
 // with a five-minute TTL, and a 64 MiB segment cache for disk-backed
 // warehouses.
 func DefaultOptions() Options {

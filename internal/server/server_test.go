@@ -441,8 +441,8 @@ func TestServeQuantityWithoutUnitPrice(t *testing.T) {
 	}
 }
 
-// Out of the box every request runs under a deadline: a request parked
-// behind a stuck answer-cache fill or distribution leader must give up.
+// Out of the box every request runs under a deadline: a request that
+// runs too long must give up.
 func TestDefaultOptionsHaveDeadline(t *testing.T) {
 	if d := DefaultOptions().QueryTimeout; d <= 0 {
 		t.Fatalf("DefaultOptions().QueryTimeout = %v, want a positive deadline", d)

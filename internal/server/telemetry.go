@@ -233,9 +233,6 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 			s.reg.CounterFunc("kdap_answer_cache_evictions_total",
 				"Answer cache evictions (capacity, TTL expiry, and version-stamp invalidation) by phase and warehouse.",
 				func() float64 { return float64(fn().Evictions) }, "phase", p.phase, "db", db)
-			s.reg.CounterFunc("kdap_answer_cache_coalesced_total",
-				"Requests that waited on an identical in-flight computation and shared its result, by phase and warehouse.",
-				func() float64 { return float64(fn().Coalesced) }, "phase", p.phase, "db", db)
 			s.reg.GaugeFunc("kdap_answer_cache_entries",
 				"Answers currently stored, by phase and warehouse.",
 				func() float64 { return float64(fn().Len) }, "phase", p.phase, "db", db)

@@ -272,14 +272,13 @@ func TestPruningOnByDefault(t *testing.T) {
 // the pipeline stages below them.
 var stageLabels = map[string]bool{
 	"query": true, "suggest": true, "explore": true, "drill": true, "ingest": true,
-	"queue_wait": true, "cache_lookup": true, "answer_shared": true,
+	"queue_wait": true, "cache_lookup": true,
 	"differentiate": true, "filter_extract": true, "hit_probe": true, "phrase_merge": true,
 	"seed_enum": true, "starnet_gen": true, "rank": true,
 	"subspace_semijoin": true, "subspace_extend": true, "segment_scan": true,
 	"rollup_build": true, "facet_score": true, "score": true, "groupby_kernel": true,
 	"numeric_series": true, "rollup_correlate": true, "interval_anneal": true,
-	"distribution_wait": true,
-	"ingest_append":     true, "append_rows": true, "index_terms": true, "evict_answers": true,
+	"ingest_append": true, "append_rows": true, "index_terms": true, "evict_answers": true,
 }
 
 // The stage label set stays closed whatever the schema: after a query

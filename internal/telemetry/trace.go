@@ -170,8 +170,8 @@ func (t *Trace) Describe(db, query string) {
 	t.mu.Unlock()
 }
 
-// SetCache records the answer-cache disposition: miss, hit, coalesced,
-// bypass, or revalidated (304). Safe on a nil trace.
+// SetCache records the answer-cache disposition: miss, hit, bypass, or
+// revalidated (304). Safe on a nil trace.
 func (t *Trace) SetCache(outcome string) {
 	if t == nil {
 		return
@@ -225,15 +225,6 @@ func StartSpan(ctx context.Context, name string) (context.Context, *Span) {
 	parent.children = append(parent.children, sp)
 	parent.mu.Unlock()
 	return context.WithValue(ctx, spanKey{}, sp), sp
-}
-
-// SpanFromContext returns the current span of ctx, or nil when no trace
-// is attached. Useful with AddTimed for stages whose duration is
-// measured around a call that may or may not have done shared work
-// (e.g. a coalesced follower adopting a peer's in-flight answer).
-func SpanFromContext(ctx context.Context) *Span {
-	sp, _ := ctx.Value(spanKey{}).(*Span)
-	return sp
 }
 
 // AddTimed attaches an already-measured child span — for stages timed
