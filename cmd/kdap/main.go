@@ -293,7 +293,8 @@ func (r *repl) csv() {
 }
 
 // stats prints the session's cache counters: the answer caches (whole
-// differentiate/explore results) and the subspace rows cache.
+// differentiate/explore results), the subspace rows cache (bounded by
+// bytes of row ids) and the distribution memo (bounded by spaces).
 func (r *repl) stats() {
 	e := r.s.Engine()
 	diff, expl, ok := e.AnswerCacheStats()
@@ -310,8 +311,10 @@ func (r *repl) stats() {
 		}
 	}
 	rc := e.RowsCacheStats()
-	fmt.Printf("subspace rows cache         %d/%d entries, %d hits / %d misses (%.0f%% hit rate), %d evicted\n",
-		rc.Len, rc.Cap, rc.Hits, rc.Misses, 100*rc.HitRate(), rc.Evictions)
+	fmt.Printf("subspace rows cache         %d spaces, %d/%d B of row ids, %d hits / %d misses (%.0f%% hit rate), %d evicted\n",
+		rc.Len, rc.Weight, rc.Cap, rc.Hits, rc.Misses, 100*rc.HitRate(), rc.Evictions)
+	ds := e.DistributionStats()
+	fmt.Printf("distributions               %d/%d spaces, %d evicted\n", ds.Len, ds.Cap, ds.Evictions)
 }
 
 func (r *repl) pivot(args []string) {

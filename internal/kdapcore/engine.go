@@ -3,6 +3,7 @@ package kdapcore
 import (
 	"context"
 	"fmt"
+	"math/bits"
 	"slices"
 	"strings"
 	"sync"
@@ -35,17 +36,21 @@ type Engine struct {
 	sim atomic.Pointer[fulltext.Similarity]
 
 	// Materialized spaces — a net's own sub-dataspace and roll-up
-	// background spaces alike — keyed by constraintsKey: the row list
-	// plus the distributions computed over it (space.go). Repeated
-	// exploration of the same interpretation skips the semijoin and the
-	// scans; a drilled or sibling net finds its background here. The
-	// paper's §7 notes subspace aggregation as the cost to optimize; this
-	// is the simplest materialization that helps an interactive session.
+	// background spaces alike — keyed by constraintsKey, and the
+	// distributions computed over them, keyed by the space's identity
+	// (space.go). Repeated exploration of the same interpretation skips
+	// the semijoin and the scans; a drilled or sibling net finds its
+	// background here. The paper's §7 notes subspace aggregation as the
+	// cost to optimize; this is the simplest materialization that helps
+	// an interactive session. The row lists are bounded by bytes and the
+	// distributions, a few KB a space, by a count of spaces, so a space
+	// whose rows were evicted is rebuilt by a semijoin alone.
 	// Second-chance eviction keeps the spaces the session keeps returning
-	// to. Each entry records the fact length it covers; entries left
+	// to. Each row list records the fact length it covers; entries left
 	// behind by a streaming append are extended over just the appended
 	// rows at next fetch, never rebuilt.
 	rowsCache *cache.Clock[string, *space]
+	dists     *cache.Clock[spaceID, *distMemo]
 
 	// Answer caches: finished differentiate and explore results, enabled
 	// by SetAnswerCache (nil = disabled). See answers.go.
@@ -64,8 +69,18 @@ type Engine struct {
 	ingestKept    atomic.Int64
 }
 
-// rowsCacheCap bounds the subspace cache.
-const rowsCacheCap = 128
+const (
+	// rowsCacheBytes bounds the row ids the subspace cache holds. The
+	// widest space of the paper's 60k-fact mart is 480 KB, so its spaces
+	// are rarely evicted; at a million facts the wide roll-ups (up to
+	// 8 MB each) are.
+	rowsCacheBytes = 32 << 20
+	// distsCap bounds the spaces whose distributions are kept.
+	distsCap = 1024
+)
+
+// rowsBytes weighs a space in the subspace cache by its row ids.
+func rowsBytes(sp *space) int64 { return int64(cap(sp.rows)) * bits.UintSize / 8 }
 
 // NewEngine creates an engine. The measure and aggregation define the
 // pre-defined aggregate of §3 (the experiments use SUM of revenue).
@@ -78,7 +93,8 @@ func NewEngine(g *schemagraph.Graph, ix *fulltext.Index, m olap.Measure, agg ola
 		agg:       agg,
 		hitLim:    defaultHitLimits(),
 		netLim:    defaultNetLimits(),
-		rowsCache: cache.NewClock[string, *space](rowsCacheCap),
+		rowsCache: cache.NewWeightedClock[string](rowsCacheBytes, rowsBytes),
+		dists:     cache.NewClock[spaceID, *distMemo](distsCap),
 	}
 }
 
@@ -278,13 +294,13 @@ func (e *Engine) factRowsRange(ctx context.Context, cs []olap.Constraint, filter
 // appended row range is checked against the same constraint bitsets and
 // filters that built the entry. Facts are append-only and dimensions
 // frozen, so a row set under a fixed key only ever grows: when no
-// appended row qualifies the space is carried forward, distributions
-// included, with its coverage advanced; when some do, the qualifying
-// tail rows follow the old ones in a fresh slice (readers holding the
-// old slice are unaffected) that starts a fresh, empty space — the
-// from-scratch rebuild. A space's rows are exactly those below its
-// upTo, so the tail never repeats one.
-func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n int,
+// appended row qualifies the space keeps its rows, and so its identity
+// and its distributions, with its coverage advanced; when some do, the
+// qualifying tail rows follow the old ones in a fresh slice (readers
+// holding the old slice are unaffected) under a new identity, whose
+// distributions start empty — the from-scratch rebuild. A space's rows
+// are exactly those below its upTo, so the tail never repeats one.
+func (e *Engine) extendRowsEntry(ctx context.Context, sp *space, n int,
 	cs []olap.Constraint, filters []NumericFilter) (*space, error) {
 
 	_, span := telemetry.StartSpan(ctx, "subspace_extend")
@@ -293,11 +309,11 @@ func (e *Engine) extendRowsEntry(ctx context.Context, key string, sp *space, n i
 	if err != nil {
 		return nil, err
 	}
-	next := &space{rows: sp.rows, upTo: n, dist: sp.dist}
+	next := &space{key: sp.key, rows: sp.rows, upTo: n}
 	if len(tail) > 0 {
-		next = newSpace(append(slices.Clip(sp.rows), tail...), n)
+		next.rows = append(slices.Clip(sp.rows), tail...)
 	}
-	e.rowsCache.Put(key, next)
+	e.rowsCache.Put(sp.key, next)
 	return next, nil
 }
 
@@ -317,13 +333,13 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 		if sp.upTo >= n {
 			return sp, nil
 		}
-		return e.extendRowsEntry(ctx, key, sp, n, cs, filters)
+		return e.extendRowsEntry(ctx, sp, n, cs, filters)
 	}
 	rows, err := e.factRowsRange(ctx, cs, filters, 0, n)
 	if err != nil {
 		return nil, err
 	}
-	sp := newSpace(rows, n)
+	sp := &space{key: key, rows: rows, upTo: n}
 	e.rowsCache.Put(key, sp)
 	return sp, nil
 }
@@ -331,10 +347,19 @@ func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filter
 // RowsCacheStats snapshots the materialized-subspace cache counters.
 func (e *Engine) RowsCacheStats() cache.Stats { return e.rowsCache.Stats() }
 
-// InvalidateSubspaceRows drops every materialized space so the next
-// SubspaceRowsCtx or ExploreCtx recomputes the semijoin. Benchmarks use
-// it to time the cold drill path.
-func (e *Engine) InvalidateSubspaceRows() { e.rowsCache.Purge() }
+// DistributionStats snapshots the distribution memo's counters, in
+// spaces: every distribution asked looks up its space's memo, and a
+// miss is a space identity with none yet.
+func (e *Engine) DistributionStats() cache.Stats { return e.dists.Stats() }
+
+// InvalidateSubspaceRows drops every materialized space and every
+// distribution, so the next SubspaceRowsCtx or ExploreCtx recomputes
+// the semijoin and the scans. Benchmarks use it to time the cold drill
+// path.
+func (e *Engine) InvalidateSubspaceRows() {
+	e.rowsCache.Purge()
+	e.dists.Purge()
+}
 
 // Index returns the engine's full-text index (telemetry wiring).
 func (e *Engine) Index() *fulltext.Index { return e.index }

@@ -354,14 +354,16 @@ func TestAppendRacingSpacesMatchRebuild(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDistributionsCarriedAcrossAppend pins what an append does to a
-// space: one no appended row falls in is carried forward, distributions
-// included, with its coverage advanced; one the batch touches starts a
-// fresh, empty space over the merged rows — the from-scratch rebuild.
-// The generator's appended facts are late-dated, so the CalendarYear =
-// 2001 slice qualifies as untouched, while its roll-up to "all" is
-// touched by every batch.
-func TestDistributionsCarriedAcrossAppend(t *testing.T) {
+// TestDistributionIdentityAcrossAppend pins what an append does to a
+// space's distributions, which are kept under its identity (key, row
+// count): a space no appended row falls in keeps its identity and so
+// adopts its distributions, with its coverage advanced; a space the
+// batch grows has a new identity and computes its distributions afresh,
+// while a reader still holding the old space finds the old ones. The
+// generator's appended facts are late-dated, so the CalendarYear = 2001
+// slice qualifies as untouched, while its roll-up to "all" is touched
+// by every batch.
+func TestDistributionIdentityAcrossAppend(t *testing.T) {
 	const (
 		scale    = 40_000
 		resident = 30_000
@@ -379,8 +381,8 @@ func TestDistributionsCarriedAcrossAppend(t *testing.T) {
 		t.Fatalf("expected one roll-up to all %d rows, got %d roll-ups", resident, len(rollups))
 	}
 	all := rollups[0].sp
-	yearGB := len(distKeys(year, "gb"))
-	if yearGB == 0 || len(distKeys(all, "gb")) == 0 {
+	yearGB, allGB := len(distKeys(e, year, "gb")), len(distKeys(e, all, "gb"))
+	if yearGB == 0 || allGB == 0 {
 		t.Fatal("explore left no group-bys on its spaces")
 	}
 
@@ -391,19 +393,22 @@ func TestDistributionsCarriedAcrossAppend(t *testing.T) {
 	}
 	year2, rollups2 := spacesOf(t, e, sn)
 	all2 := rollups2[0].sp
-	if year2.dist != year.dist || len(distKeys(year2, "gb")) != yearGB {
+	if year2.id() != year.id() || len(distKeys(e, year2, "gb")) != yearGB {
 		t.Error("a space no appended row falls in lost its distributions")
 	}
 	if year2.upTo != scale || len(year2.rows) != len(year.rows) {
 		t.Errorf("carried space: upTo=%d rows=%d, want upTo=%d rows=%d", year2.upTo, len(year2.rows), scale, len(year.rows))
 	}
-	// (Resolving the roll-ups just now refilled the fresh space's
+	// (Resolving the roll-ups just now filled the grown space's
 	// aggregate; its group-bys stay empty until the next explore.)
-	if all2.dist == all.dist || len(distKeys(all2, "gb")) != 0 {
-		t.Error("a space the append grew kept distributions computed over its old rows")
+	if all2.id() == all.id() || len(distKeys(e, all2, "gb")) != 0 {
+		t.Error("a space the append grew found distributions computed over its old rows")
 	}
 	if len(all2.rows) != scale {
 		t.Errorf("extended \"all\" has %d rows, want %d", len(all2.rows), scale)
+	}
+	if len(distKeys(e, all, "gb")) != allGB {
+		t.Error("the pre-append space lost the distributions computed over its rows")
 	}
 
 	// The explore after the appends scans only what changed — "all" —
@@ -414,7 +419,7 @@ func TestDistributionsCarriedAcrossAppend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := tr.Count(telemetry.GroupBys), int64(len(distKeys(all2, "gb"))); got != want {
+	if got, want := tr.Count(telemetry.GroupBys), int64(len(distKeys(e, all2, "gb"))); got != want {
 		t.Errorf("post-append explore ran %d group-by kernels, want %d (the touched space's only)", got, want)
 	}
 	fresh, err := ingestTestEngine(wh).ExploreCtx(ctx, sn, opts)

@@ -3,6 +3,7 @@ package kdapcore
 import (
 	"context"
 	"math"
+	"strconv"
 	"testing"
 
 	"kdap/internal/olap"
@@ -130,7 +131,7 @@ func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 			for i := 5; i < n; i += 3 {
 				third = append(third, i)
 			}
-			for _, rows := range [][]int{all, third, all[8000:17000], all[9000:9100], nil} {
+			for ri, rows := range [][]int{all, third, all[8000:17000], all[9000:9100], nil} {
 				vals, err := e.exec.NumericSeriesCtx(ctx, rows, "Score", path, e.measure)
 				if err != nil {
 					t.Fatal(err)
@@ -140,7 +141,8 @@ func TestStreamedSeriesMatchesMaterialised(t *testing.T) {
 				for _, iv := range []Intervals{MakeIntervals(vals, 40), MakeIntervals(vals[:len(vals)/9], 7)} {
 					want := iv.AggregateSeries(vals)
 					tr := telemetry.NewTrace("series")
-					got, err := e.spaceSeries(tr.Context(ctx), newSpace(rows, n), "Score", path, iv, nil)
+					sp := &space{key: strconv.Itoa(ri), rows: rows, upTo: n}
+					got, err := e.spaceSeries(tr.Context(ctx), sp, "Score", path, iv, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -191,11 +193,13 @@ func TestNullMeasureDoesNotPoisonBucket(t *testing.T) {
 		t.Fatal("the mart lost its NULL-measure facts")
 	}
 	iv := MakeIntervals(vals, 10)
-	own, err := e.spaceSeries(ctx, newSpace(rows, n), "Score", path, iv, vals)
+	// Two keys, so the roll-up streams its series instead of adopting
+	// the net's.
+	own, err := e.spaceSeries(ctx, &space{key: "own", rows: rows, upTo: n}, "Score", path, iv, vals)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rollup, err := e.spaceSeries(ctx, newSpace(rows, n), "Score", path, iv, nil)
+	rollup, err := e.spaceSeries(ctx, &space{key: "rollup", rows: rows, upTo: n}, "Score", path, iv, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

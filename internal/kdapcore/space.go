@@ -1,10 +1,23 @@
 package kdapcore
 
-// A materialised space carries its distributions. The unit the subspace
-// cache keeps resident — one constrained-and-filtered fact-row set — is
-// also the unit that owns the work done over it: G(S), G(S, attr) per
-// attribute path, and the bucketised numeric series are filled lazily,
-// on first use, and stay with the row list until it is evicted.
+// A materialised space's distributions are kept under its identity.
+// The work done over one constrained-and-filtered fact-row set — G(S),
+// G(S, attr) per attribute path, and the bucketised numeric series — is
+// filled lazily, on first use, into a memo found by the space's key and
+// row count (spaceID), not stored with the row list. A row list is
+// megabytes and its distributions a few KB, so the two are bounded
+// apart: the rows cache by bytes of row ids, the distribution memo by a
+// count of spaces. A space whose row list was evicted is rebuilt by a
+// semijoin and finds its distributions where it left them.
+//
+// The identity is exact. Facts are append-only and dimension tables are
+// frozen, so the rows under one key only grow: the rows at fact length
+// n1 are a prefix of the rows at any n2 > n1, and two row sets under one
+// key with the same length are the same set. An append that adds no
+// row to a space therefore keeps its distributions, one that adds rows
+// gives it a fresh memo, and a reader still holding a pre-append space
+// finds only distributions computed over its own rows.
+//
 // The memo is role-agnostic. A net's own DS' and the roll-up spaces of
 // other nets live under the one key constraintsKey gives them, so what
 // one explore computed as its local distribution is what a drilled
@@ -28,24 +41,29 @@ import (
 	"kdap/internal/telemetry"
 )
 
-// space is one materialised fact-row set plus the fact length it was
-// computed (or last extended) against, and the distributions computed
-// over it. rows and upTo are immutable; dist is shared by pointer with
-// the space that replaces this one when an append adds no row to it.
+// space is one materialised fact-row set: its key, its rows, and the
+// fact length it was computed (or last extended) against. All three are
+// immutable.
 type space struct {
+	key  string
 	rows []int
 	upTo int
-	dist *distMemo
 }
 
-func newSpace(rows []int, upTo int) *space {
-	return &space{rows: rows, upTo: upTo, dist: new(distMemo)}
+// spaceID is a space's identity, the key of its distributions: its
+// constraintsKey and its row count.
+type spaceID struct {
+	key string
+	n   int
 }
 
-// distMemo holds a space's distributions, a plain memo. Completed
-// results stay for the space's lifetime; values are heterogeneous
-// (aggregates, group-by maps, bucket series) and treated as immutable by
-// every consumer — the contract cached answers already carry.
+func (sp *space) id() spaceID { return spaceID{sp.key, len(sp.rows)} }
+
+// distMemo holds one space identity's distributions, a plain memo.
+// Completed results stay while the engine keeps the memo; values are
+// heterogeneous (aggregates, group-by maps, bucket series) and treated
+// as immutable by every consumer — the contract cached answers already
+// carry.
 type distMemo struct {
 	mu sync.Mutex
 	m  map[string]any
@@ -80,8 +98,9 @@ func (dm *distMemo) do(ctx context.Context, key string, fn func(context.Context)
 // emission site of "adopted, not scanned": the request counts a hit as
 // a shared scan and a miss as a fill (the server folds both into
 // kdap_cache_{hits,misses}_total{cache="distributions"}).
-func distribution[T any](ctx context.Context, sp *space, key string, fill func(context.Context) (T, error)) (T, error) {
-	v, adopted, err := sp.dist.do(ctx, key, func(ctx context.Context) (any, error) { return fill(ctx) })
+func distribution[T any](ctx context.Context, e *Engine, sp *space, key string, fill func(context.Context) (T, error)) (T, error) {
+	dm, _ := e.dists.GetOrPut(sp.id(), func() *distMemo { return new(distMemo) })
+	v, adopted, err := dm.do(ctx, key, func(ctx context.Context) (any, error) { return fill(ctx) })
 	f := telemetry.DistFills
 	if adopted {
 		f = telemetry.SharedScans
@@ -96,7 +115,7 @@ func distribution[T any](ctx context.Context, sp *space, key string, fill func(c
 
 // spaceAggregate returns G(S).
 func (e *Engine) spaceAggregate(ctx context.Context, sp *space) (float64, error) {
-	return distribution(ctx, sp, "agg", func(ctx context.Context) (float64, error) {
+	return distribution(ctx, e, sp, "agg", func(ctx context.Context) (float64, error) {
 		return e.exec.AggregateCtx(ctx, sp.rows, e.measure, e.agg)
 	})
 }
@@ -105,7 +124,7 @@ func (e *Engine) spaceAggregate(ctx context.Context, sp *space) (float64, error)
 // path.
 func (e *Engine) spaceGroupBy(ctx context.Context, sp *space, attr string, path schemagraph.JoinPath) (map[relation.Value]float64, error) {
 	key := "gb\x1f" + path.Signature() + "\x1f" + attr
-	return distribution(ctx, sp, key, func(ctx context.Context) (map[relation.Value]float64, error) {
+	return distribution(ctx, e, sp, key, func(ctx context.Context) (map[relation.Value]float64, error) {
 		return e.exec.GroupByCtx(ctx, sp.rows, attr, path, e.measure, e.agg)
 	})
 }
@@ -129,7 +148,7 @@ func (e *Engine) spaceSeries(ctx context.Context, sp *space, attr string, path s
 		"\x1f" + strconv.FormatFloat(iv.Edges[0], 'x', -1, 64) +
 		"\x1f" + strconv.FormatFloat(iv.Edges[n], 'x', -1, 64) +
 		"\x1f" + strconv.Itoa(n)
-	return distribution(ctx, sp, key, func(ctx context.Context) ([]float64, error) {
+	return distribution(ctx, e, sp, key, func(ctx context.Context) ([]float64, error) {
 		if vals != nil {
 			return iv.AggregateSeries(vals), nil
 		}

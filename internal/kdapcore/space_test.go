@@ -23,13 +23,17 @@ func top1(t *testing.T, e *Engine, q string) *StarNet {
 	return nets[0]
 }
 
-// distKeys lists the distributions a space holds whose key starts with
-// prefix.
-func distKeys(sp *space, prefix string) []string {
-	sp.dist.mu.Lock()
-	defer sp.dist.mu.Unlock()
+// distKeys lists the distributions the engine holds for a space whose
+// key starts with prefix.
+func distKeys(e *Engine, sp *space, prefix string) []string {
+	dm, ok := e.dists.Get(sp.id())
+	if !ok {
+		return nil
+	}
+	dm.mu.Lock()
+	defer dm.mu.Unlock()
 	var out []string
-	for k := range sp.dist.m {
+	for k := range dm.m {
 		if strings.HasPrefix(k, prefix) {
 			out = append(out, k)
 		}
@@ -72,7 +76,7 @@ func TestDrillReusesParentSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	parentSpace, _ := spacesOf(t, e, parent)
-	gbBefore, aggBefore := len(distKeys(parentSpace, "gb")), len(distKeys(parentSpace, "agg"))
+	gbBefore, aggBefore := len(distKeys(e, parentSpace, "gb")), len(distKeys(e, parentSpace, "agg"))
 	if gbBefore == 0 || aggBefore != 1 {
 		t.Fatalf("explore left %d group-bys and %d aggregates on its own space", gbBefore, aggBefore)
 	}
@@ -109,7 +113,7 @@ func TestDrillReusesParentSpace(t *testing.T) {
 	if misses := rowsAfter.Misses - rowsBefore.Misses; misses > 2 {
 		t.Errorf("drilled explore missed the rows cache %d times, want <= 2", misses)
 	}
-	if gb, agg := len(distKeys(parentSpace, "gb")), len(distKeys(parentSpace, "agg")); gb != gbBefore || agg != aggBefore {
+	if gb, agg := len(distKeys(e, parentSpace, "gb")), len(distKeys(e, parentSpace, "agg")); gb != gbBefore || agg != aggBefore {
 		t.Errorf("drilled explore scanned the parent space again: group-bys %d -> %d, aggregates %d -> %d",
 			gbBefore, gb, aggBefore, agg)
 	}
@@ -121,8 +125,8 @@ func TestDrillReusesParentSpace(t *testing.T) {
 	for _, sp := range append([]*space{drilledSpace}, rollupSpaces(rollups)...) {
 		if !seen[sp] {
 			seen[sp] = true
-			newGB += len(distKeys(sp, "gb"))
-			newAgg += len(distKeys(sp, "agg"))
+			newGB += len(distKeys(e, sp, "gb"))
+			newAgg += len(distKeys(e, sp, "agg"))
 		}
 	}
 	if got := tr.Count(telemetry.GroupBys); got != int64(newGB) {
@@ -142,6 +146,47 @@ func TestDrillReusesParentSpace(t *testing.T) {
 	}
 	if !bytes.Equal(f.Fingerprint(), want.Fingerprint()) {
 		t.Error("drilled facets over a warm parent space differ from a fresh engine's")
+	}
+}
+
+// A space's distributions are kept under its identity, not with its
+// row list: after a drilled explore, dropping every row list (and only
+// them) costs the next explore its semijoins but no scan — each rebuilt
+// space has the identity it had and adopts every distribution. When
+// distributions were evicted with their rows, the second explore re-ran
+// every group-by and aggregate.
+func TestDistributionsOutliveRows(t *testing.T) {
+	e := awOnlineEngine()
+	ctx := context.Background()
+	opts := DefaultExploreOptions()
+	drilled, err := e.Drill(top1(t, e, "Road Bikes"), schemagraph.AttrRef{Table: "DimProduct", Attr: "Color"}, "Product", relation.String("Red"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.ExploreCtx(ctx, drilled, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.rowsCache.Purge()
+	rowsBefore, tr := e.RowsCacheStats(), telemetry.NewTrace("explore")
+	again, err := e.ExploreCtx(tr.Context(ctx), drilled, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if misses := e.RowsCacheStats().Misses - rowsBefore.Misses; misses == 0 {
+		t.Fatal("the explore after the purge rebuilt no row list; the test lost its premise")
+	}
+	if got := tr.Count(telemetry.GroupBys); got != 0 {
+		t.Errorf("explore over rebuilt row lists ran %d group-by kernels, want 0", got)
+	}
+	if got := tr.Count(telemetry.Aggregates); got != 0 {
+		t.Errorf("explore over rebuilt row lists ran %d aggregate kernels, want 0", got)
+	}
+	if tr.Count(telemetry.SharedScans) == 0 {
+		t.Error("explore over rebuilt row lists adopted no distribution")
+	}
+	if !bytes.Equal(again.Fingerprint(), first.Fingerprint()) {
+		t.Error("facets over rebuilt row lists differ from the first explore's")
 	}
 }
 

@@ -1,6 +1,9 @@
 package persist
 
 import (
+	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -83,4 +86,35 @@ func TestManifestRenameSyncsDirectory(t *testing.T) {
 			}
 		}
 	})
+}
+
+// Every file of a warehouse directory has one mode: the manifests that
+// persist.Write and Store.Flush rename into place are as readable as the
+// column files beside them, so a directory one user writes opens for a
+// kdapd running as another.
+func TestManifestsHaveColumnFileMode(t *testing.T) {
+	dir := t.TempDir()
+	wh := dataset.EBiz()
+	if err := Save(dir, wh, 0); err != nil {
+		t.Fatal(err)
+	}
+	mode := func(path string) fs.FileMode {
+		t.Helper()
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Mode().Perm()
+	}
+	var col fs.FileMode
+	for _, ts := range dataset.ManifestOf(wh).Tables {
+		tdir := filepath.Join(dir, ts.Name)
+		col = mode(filepath.Join(tdir, fmt.Sprintf(colFilePat, 0)))
+		if got := mode(filepath.Join(tdir, manifestName)); got != col {
+			t.Errorf("%s: %s has mode %v, its column files %v", ts.Name, manifestName, got, col)
+		}
+	}
+	if got := mode(filepath.Join(dir, warehouseManifest)); got != col {
+		t.Errorf("%s has mode %v, the column files %v", warehouseManifest, got, col)
+	}
 }

@@ -31,6 +31,7 @@ const segMagic = "KDAPSEG1"
 const (
 	manifestName  = "manifest.kdseg"
 	colFilePat    = "col_%d.dat"
+	filePerm      = 0o644 // column files and manifests alike
 	floatRowBytes = 8
 	codeRowBytes  = 4
 )
@@ -573,7 +574,7 @@ func CreateBackedTable(dir string, schema *relation.Schema, segSize int) (*relat
 	}
 	m := &manifest{segSize: segSize}
 	for ci, c := range schema.Columns {
-		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)), nil, 0o644); err != nil {
+		if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf(colFilePat, ci)), nil, filePerm); err != nil {
 			return nil, nil, err
 		}
 		m.cols = append(m.cols, manifestCol{name: c.Name, kind: c.Kind, isDict: c.Kind != relation.KindInt && c.Kind != relation.KindFloat})

@@ -177,9 +177,10 @@ func copyRows(dst, src *relation.Table) error {
 // writeAtomic replaces dir/name with data: written to a temporary file
 // and synced, then renamed over the old file, so a crash leaves either
 // the old file or the new one. The directory is synced after the
-// rename, so a crash after writeAtomic returns leaves the new one.
+// rename, so a crash after writeAtomic returns leaves the new one. The
+// file gets the column files' mode, filePerm under the umask.
 func writeAtomic(dir, name string, data []byte) error {
-	f, err := os.CreateTemp(dir, name+".tmp*")
+	f, err := os.OpenFile(filepath.Join(dir, name+".tmp"), os.O_WRONLY|os.O_CREATE|os.O_TRUNC, filePerm)
 	if err != nil {
 		return err
 	}

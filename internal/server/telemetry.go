@@ -126,8 +126,9 @@ func (s *Server) wireFactCounters(db string, e *kdapcore.Engine) {
 		// fact tables alike.
 		{telemetry.SegmentsScanned, "kdap_segments_scanned_total", "Fact-table segments the row-space planner let through to a scan, by warehouse.", nil},
 		{telemetry.SegmentsSkippedBits, "kdap_segments_skipped_bits_total", "Segments skipped because a constraint bitset has no member in the segment's rows, by warehouse.", nil},
-		// A space's distributions live and die with its subspace_rows
-		// entry: lookups only. A hit is a scan adopted, not run.
+		// A space's distributions are counted per lookup, on the
+		// request's trace: a hit is a scan adopted, not run. Their
+		// memo's evictions are wired in wireEngineMetrics.
 		{telemetry.SharedScans, "kdap_cache_hits_total", "Clock cache hits by cache and warehouse.", []string{"cache", "distributions"}},
 		{telemetry.DistFills, "kdap_cache_misses_total", "Clock cache misses by cache and warehouse.", []string{"cache", "distributions"}},
 	} {
@@ -170,6 +171,9 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 			"Clock cache evictions by cache and warehouse.",
 			func() float64 { return float64(fn().Evictions) }, "cache", c.name, "db", db)
 	}
+	s.reg.CounterFunc("kdap_cache_evictions_total",
+		"Clock cache evictions by cache and warehouse.",
+		func() float64 { return float64(e.DistributionStats().Evictions) }, "cache", "distributions", "db", db)
 	s.wireFactCounters(db, e)
 
 	s.reg.RegisterHistogram("kdap_fulltext_probe_seconds",

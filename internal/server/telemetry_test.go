@@ -57,6 +57,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`kdap_stage_seconds_bucket{stage="differentiate",le="+Inf"}`,
 		`kdap_stage_seconds_bucket{stage="subspace_semijoin",le="+Inf"}`,
 		`kdap_cache_misses_total{cache="subspace_rows",db="ebiz"}`,
+		`kdap_cache_evictions_total{cache="distributions",db="ebiz"}`,
 		`kdap_olap_groupby_total{db="ebiz"}`,
 		`kdap_olap_scans_total{db="ebiz",mode="serial"}`,
 		`kdap_fulltext_probe_seconds_count{db="ebiz"}`,
