@@ -119,6 +119,12 @@ func (c *Client) post(ctx context.Context, path string, body, out any) error {
 		return err
 	}
 	req.Header.Set("Content-Type", "application/json")
+	return c.send(req, out)
+}
+
+// send runs req and decodes a 2xx body into out (nil: discard it); any
+// other status comes back as an *APIError.
+func (c *Client) send(req *http.Request, out any) error {
 	resp, err := c.http.Do(req)
 	if err != nil {
 		return err
@@ -150,15 +156,10 @@ func (c *Client) Warehouses(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	resp, err := c.http.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
 	var out struct {
 		Warehouses []string `json:"warehouses"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	if err := c.send(req, &out); err != nil {
 		return nil, err
 	}
 	return out.Warehouses, nil

@@ -2,6 +2,8 @@ package client
 
 import (
 	"context"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -105,5 +107,21 @@ func TestClientErrors(t *testing.T) {
 	dead := New("http://127.0.0.1:1", nil)
 	if _, err := dead.Warehouses(ctx); err == nil {
 		t.Error("dead server reachable?")
+	}
+}
+
+// A server error on the warehouse list comes back as an *APIError, not
+// as an empty list.
+func TestClientWarehousesServerError(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusServiceUnavailable)
+		w.Write([]byte(`{"error":"overloaded"}`))
+	}))
+	t.Cleanup(ts.Close)
+	whs, err := New(ts.URL, nil).Warehouses(context.Background())
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable || apiErr.Message != "overloaded" {
+		t.Fatalf("Warehouses = %v, %v; want an *APIError with status 503", whs, err)
 	}
 }

@@ -10,7 +10,7 @@
 // Each -db entry is a built-in warehouse, generated in memory, or a
 // warehouse directory written by kdapgen -out, served under its base
 // name. A directory's fact table is served disk-backed: scans page
-// 8K-row segments in through an LRU cache bounded by -segment-cache-mb,
+// 8K-row segments in through a CLOCK cache bounded by -segment-cache-mb,
 // and per-segment zone maps and Bloom filters let matching scans skip
 // segments without touching disk. Rows ingested into it are in its
 // files once the server shuts down. Answers are byte-identical to

@@ -23,19 +23,33 @@ func TestAnswersGetPut(t *testing.T) {
 	}
 }
 
-func TestAnswersLRUEviction(t *testing.T) {
-	a := NewAnswers[int](2, 0, nil)
+// The answer store evicts by CLOCK: an answer touched since the hand
+// last passed survives one sweep, and an untouched one is the victim.
+func TestAnswersSecondChanceEviction(t *testing.T) {
+	a := NewAnswers[int](3, 0, nil)
 	a.Put("a", 1)
 	a.Put("b", 2)
-	a.Get("a") // touch: a is now more recent than b
 	a.Put("c", 3)
-	if _, ok := a.Get("b"); ok {
-		t.Fatal("b should have been the LRU victim")
+	// The first eviction clears every reference bit along its lap and
+	// evicts "a"; "b" and "c" are left without a second chance.
+	a.Put("d", 4)
+	if _, ok := a.Get("a"); ok {
+		t.Fatal("a should have been the first victim")
 	}
-	if _, ok := a.Get("a"); !ok {
-		t.Fatal("recently touched a was evicted")
+	a.Get("b") // touch b
+	a.Put("e", 5)
+	if _, ok := a.Get("b"); !ok {
+		t.Fatal("touched b was evicted")
 	}
-	if st := a.Stats(); st.Evictions != 1 || st.Len != 2 {
+	if _, ok := a.Get("c"); ok {
+		t.Fatal("untouched c should have been the victim")
+	}
+	for _, k := range []string{"d", "e"} {
+		if _, ok := a.Get(k); !ok {
+			t.Fatalf("%s was evicted", k)
+		}
+	}
+	if st := a.Stats(); st.Evictions != 2 || st.Len != 3 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -1,28 +1,26 @@
 // Package cache provides the concurrent caching primitives the serving
-// stack is built on. Two shapes, by workload:
+// stack is built on. Every bounded store in the repository evicts one
+// way, through Clock:
 //
 //   - Clock: a bounded cache with CLOCK (second-chance) eviction,
 //     bounded by a count of entries or by a budget of per-entry
 //     weights. The OLAP executor and the KDAP engine bound their
-//     per-constraint and per-subspace memos with it: CLOCK approximates
-//     LRU — a recently hit entry survives one sweep of the hand —
-//     without serializing readers the way a linked-list LRU would. Hits
-//     take only a read lock plus one atomic store of the reference bit,
-//     so concurrent lookups scale.
+//     per-constraint and per-subspace memos with it, and a paged
+//     table's segment pages are held in one weighted by bytes. CLOCK
+//     approximates LRU — a recently hit entry survives one sweep of the
+//     hand — without serializing readers the way a linked-list LRU
+//     would. Hits take only a read lock plus one atomic store of the
+//     reference bit, so concurrent lookups scale.
 //
-//   - Answers: a versioned, TTL-aware, size-bounded LRU store for
-//     finished query answers, with a memo fill (Do), a bytes gauge, and
-//     version-stamp invalidation (Bump) so data that changed can never
-//     serve answers computed before the change.
+//   - Answers: finished query answers in a count-bounded Clock, with a
+//     TTL, a memo fill (Do), a bytes gauge, and version-stamp
+//     invalidation (Bump) so data that changed can never serve answers
+//     computed before the change.
 //
 // Neither makes a request wait on another's computation: two first
 // requests for one key each compute, and the later store replaces the
 // earlier. The engine's computations are deterministic, so both hold
 // the same value.
-//
-// Clock trades strict recency for read scalability (hot memo lookups);
-// Answers keeps strict LRU under one mutex because answer-granularity
-// traffic is orders of magnitude lower than memo-granularity traffic.
 package cache
 
 import (
@@ -177,10 +175,10 @@ func (c *Clock[K, V]) put(k K, e *entry[V]) {
 	if old, ok := c.m[k]; ok {
 		c.m[k] = e // ring slot is unchanged, only the value rotates
 		c.used += e.w - old.w
-		c.sweep(0, k)
+		c.sweep(0, &k)
 		return
 	}
-	if !c.sweep(e.w, k) {
+	if !c.sweep(e.w, &k) {
 		c.ring = append(c.ring, k)
 	} else {
 		// The new key takes the last victim's place, behind the hand.
@@ -192,13 +190,16 @@ func (c *Clock[K, V]) put(k K, e *entry[V]) {
 }
 
 // sweep evicts, from the hand on, entries without a second chance until
-// need more weight fits the budget, sparing keep; it reports whether it
-// evicted anything. A sweep clears reference bits as it passes, so it
-// ends within two laps; it stops early when only keep is left.
-func (c *Clock[K, V]) sweep(need int64, keep K) bool {
-	floor := 0 // entries the sweep must leave: keep, if it is held
-	if _, ok := c.m[keep]; ok {
-		floor = 1
+// need more weight fits the budget, sparing *keep unless keep is nil; it
+// reports whether it evicted anything. A sweep clears reference bits as
+// it passes, so it ends within two laps; it stops early when only *keep
+// is left.
+func (c *Clock[K, V]) sweep(need int64, keep *K) bool {
+	floor := 0 // entries the sweep must leave: *keep, if it is held
+	if keep != nil {
+		if _, ok := c.m[*keep]; ok {
+			floor = 1
+		}
 	}
 	evicted := false
 	for c.used+need > c.budget && len(c.ring) > floor {
@@ -206,7 +207,7 @@ func (c *Clock[K, V]) sweep(need int64, keep K) bool {
 			c.hand = 0
 		}
 		victim := c.ring[c.hand]
-		if victim == keep || c.m[victim].ref.CompareAndSwap(true, false) {
+		if (keep != nil && victim == *keep) || c.m[victim].ref.CompareAndSwap(true, false) {
 			c.hand = (c.hand + 1) % len(c.ring)
 			continue
 		}
@@ -219,16 +220,62 @@ func (c *Clock[K, V]) sweep(need int64, keep K) bool {
 	return evicted
 }
 
-// Purge drops every cached entry. Lifetime counters are kept — a purge
-// is an operator action, not amnesia about past traffic. Benchmarks use
-// it to force the cold path on every iteration.
-func (c *Clock[K, V]) Purge() {
+// SetBudget changes the budget, evicting at once, and without sparing
+// any key, until the entries held fit it.
+func (c *Clock[K, V]) SetBudget(budget int64) {
+	if budget <= 0 {
+		panic("cache: non-positive capacity")
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.budget = budget
+	c.sweep(0, nil)
+}
+
+// Delete drops the entry under k and reports whether one was held. A
+// deletion is the owner's decision, not budget pressure, so it is not
+// counted as an eviction.
+func (c *Clock[K, V]) Delete(k K) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e, ok := c.m[k]
+	if !ok {
+		return false
+	}
+	i := slices.Index(c.ring, k)
+	c.ring = slices.Delete(c.ring, i, i+1)
+	if i < c.hand {
+		c.hand-- // the hand stays on the entry it pointed at
+	}
+	delete(c.m, k)
+	c.used -= e.w
+	return true
+}
+
+// Sum totals f over the values held, under the read lock.
+func (c *Clock[K, V]) Sum(f func(V) int64) int64 {
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	var n int64
+	for _, e := range c.m {
+		n += f(e.v)
+	}
+	return n
+}
+
+// Purge drops every cached entry and returns how many there were.
+// Lifetime counters are kept — a purge is an operator action, not
+// amnesia about past traffic. Benchmarks use it to force the cold path
+// on every iteration.
+func (c *Clock[K, V]) Purge() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	n := len(c.m)
 	c.m = make(map[K]*entry[V])
 	c.ring = c.ring[:0]
 	c.hand = 0
 	c.used = 0
+	return n
 }
 
 // Len returns the number of cached entries.

@@ -275,3 +275,86 @@ func TestGetOrPutSharesOneValue(t *testing.T) {
 		t.Errorf("stats %+v, want 1 miss and %d hits", st, len(got))
 	}
 }
+
+// SetBudget evicts to within the new budget at once, and spares no key:
+// not even the zero key, which a put would take for the key it keeps.
+func TestSetBudgetEvictsAtOnce(t *testing.T) {
+	type segKey struct{ ci, si int }
+	c := NewWeightedClock[segKey](100, func(w int64) int64 { return w })
+	for i := 0; i < 5; i++ {
+		c.Put(segKey{0, i}, 20)
+	}
+	c.SetBudget(30)
+	if st := c.Stats(); st.Weight > 30 || st.Len != 1 || st.Cap != 30 || st.Evictions != 4 {
+		t.Fatalf("after shrinking to 30: %+v", st)
+	}
+	c.SetBudget(10) // the one entry left outweighs the budget: it goes too
+	if st := c.Stats(); st.Weight != 0 || st.Len != 0 {
+		t.Fatalf("after shrinking to 10: %+v", st)
+	}
+	c.Put(segKey{0, 0}, 5)
+	c.Put(segKey{1, 0}, 5)
+	c.SetBudget(5)
+	if st := c.Stats(); st.Weight > 5 || st.Len != 1 {
+		t.Fatalf("after shrinking to 5: %+v", st)
+	}
+	c.SetBudget(1)
+	if _, ok := c.Get(segKey{}); ok || c.Len() != 0 {
+		t.Fatalf("the zero key survived a budget it does not fit: len %d", c.Len())
+	}
+}
+
+// A random Put/Get/Delete trace against a map model: the Clock holds
+// what the model says is still held, its ring and map agree, the hand
+// stays on the ring, and the weight is the entries' total and within
+// budget.
+func TestClockDeleteKeepsRingConsistent(t *testing.T) {
+	const budget = 60
+	c := NewWeightedClock[int](budget, func(w int64) int64 { return w })
+	model := map[int]int64{} // a superset of what is held: evictions shrink it
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 5000; i++ {
+		k := rng.Intn(30)
+		switch rng.Intn(3) {
+		case 0:
+			v, ok := c.Get(k)
+			if want, in := model[k]; ok && (!in || v != want) {
+				t.Fatalf("op %d: Get(%d) = %d, model %d (held %v)", i, k, v, want, in)
+			}
+		case 1:
+			w := int64(1 + rng.Intn(15))
+			c.Put(k, w)
+			model[k] = w
+		default:
+			_, in := model[k]
+			held := c.Delete(k)
+			if held && !in {
+				t.Fatalf("op %d: Delete(%d) removed a key the model never held", i, k)
+			}
+			delete(model, k)
+			if _, ok := c.Get(k); ok {
+				t.Fatalf("op %d: %d still held after Delete", i, k)
+			}
+		}
+		c.mu.RLock()
+		var used int64
+		for key, e := range c.m {
+			if model[key] != e.v || e.w != e.v {
+				t.Fatalf("op %d: key %d holds %d weighing %d, model %d", i, key, e.v, e.w, model[key])
+			}
+			used += e.w
+		}
+		seen := map[int]bool{}
+		for _, key := range c.ring {
+			if _, ok := c.m[key]; !ok || seen[key] {
+				t.Fatalf("op %d: ring %v disagrees with the map", i, c.ring)
+			}
+			seen[key] = true
+		}
+		ok := len(c.ring) == len(c.m) && c.hand <= len(c.ring) && used == c.used && c.used <= budget
+		c.mu.RUnlock()
+		if !ok {
+			t.Fatalf("op %d: ring %d, map %d, hand %d, used %d (sum %d), budget %d", i, len(c.ring), len(c.m), c.hand, c.used, used, budget)
+		}
+	}
+}

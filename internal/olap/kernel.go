@@ -60,22 +60,32 @@ const cancelCheckRows = 8192
 // span is one stripe's half-open index range into a row set.
 type span struct{ lo, hi int }
 
-// stripeSpans splits n rows into exactly kernelStripes contiguous
-// spans, the leading n%kernelStripes spans one row longer. The layout
-// depends on n alone.
-func stripeSpans(n int) []span {
-	spans := make([]span, kernelStripes)
-	base, rem := n/kernelStripes, n%kernelStripes
-	lo := 0
-	for i := range spans {
-		hi := lo + base
-		if i < rem {
-			hi++
+// stripes cuts the concatenation of spans into exactly kernelStripes
+// order-preserving groups, the leading total%kernelStripes groups one
+// row longer. Over one row set, spans {0, n}, the grid depends on n
+// alone. spans is left as it was: the groups are fresh spans.
+func stripes(spans []span) [][]span {
+	total := spanLen(spans)
+	base, rem := total/kernelStripes, total%kernelStripes
+	groups := make([][]span, kernelStripes)
+	next := 0
+	var sp span // what is left of the span being cut
+	for g := range groups {
+		room := base
+		if g < rem {
+			room++
 		}
-		spans[i] = span{lo, hi}
-		lo = hi
+		for room > 0 {
+			for sp.lo == sp.hi {
+				sp, next = spans[next], next+1
+			}
+			take := min(sp.hi-sp.lo, room)
+			groups[g] = append(groups[g], span{sp.lo, sp.lo + take})
+			sp.lo += take
+			room -= take
+		}
 	}
-	return spans
+	return groups
 }
 
 // scanWorkers returns how many goroutines a striped scan should use: up
@@ -149,6 +159,34 @@ func runStripes(nstripes, workers int, body func(i int)) {
 	wg.Wait()
 }
 
+// fanOut is the one fan-out of a scan over spans that visits rows rows.
+// Below parallelRowThreshold body runs once, inline, over spans whole;
+// at or above it once per group of stripes(spans), on up to scanWorkers
+// goroutines. plan, when not nil, sees the parts before any body runs.
+// fanOut notes the scan on ctx and returns body's results in part
+// order, or the first error in part order.
+func fanOut[R any](ctx context.Context, spans []span, rows int, plan func(parts [][]span), body func(g int, part []span) (R, error)) ([]R, error) {
+	parts, workers := [][]span{spans}, 1
+	if rows >= parallelRowThreshold {
+		parts, workers = stripes(spans), scanWorkers()
+	}
+	noteScan(ctx, workers > 1, len(parts), rows)
+	if plan != nil {
+		plan(parts)
+	}
+	outs := make([]R, len(parts))
+	errs := make([]error, len(parts))
+	runStripes(len(parts), workers, func(g int) {
+		outs[g], errs[g] = body(g, parts[g])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return outs, nil
+}
+
 // groupScan accumulates the measure over rows into one aggState per
 // dictionary code, returning the dense state slice and a touched mask
 // (a group is "touched" when any row carries its code, even if every
@@ -167,33 +205,25 @@ func groupScan(ctx context.Context, rows []int, cc *codeColumn, rd relation.Floa
 }
 
 func groupScanCodes[C code](ctx context.Context, rows []int, codes []C, ngroups int, rd relation.FloatReader) ([]aggState, []bool, error) {
-	if len(rows) < parallelRowThreshold {
-		noteScan(ctx, false, 0, len(rows))
-		return groupScanChunk(ctx, rows, codes, ngroups, rd)
+	type partial struct {
+		states  []aggState
+		touched []bool
 	}
-	spans := stripeSpans(len(rows))
-	workers := scanWorkers()
-	noteScan(ctx, workers > 1, len(spans), len(rows))
-	states := make([][]aggState, len(spans))
-	touched := make([][]bool, len(spans))
-	errs := make([]error, len(spans))
-	runStripes(len(spans), workers, func(i int) {
-		sp := spans[i]
-		states[i], touched[i], errs[i] = groupScanChunk(ctx, rows[sp.lo:sp.hi], codes, ngroups, rd)
+	parts, err := fanOut(ctx, []span{{0, len(rows)}}, len(rows), nil, func(_ int, part []span) (partial, error) {
+		states, touched, err := groupScanChunk(ctx, rows, part, codes, ngroups, rd)
+		return partial{states, touched}, err
 	})
-	for _, err := range errs {
-		if err != nil {
-			return nil, nil, err
-		}
+	if err != nil {
+		return nil, nil, err
 	}
 	// Merge partials in stripe order so the result is deterministic —
 	// the same bytes no matter how many workers ran the stripes.
-	out, outTouched := states[0], touched[0]
-	for w := 1; w < len(spans); w++ {
+	out, outTouched := parts[0].states, parts[0].touched
+	for _, p := range parts[1:] {
 		for g := range out {
-			if touched[w][g] {
+			if p.touched[g] {
 				outTouched[g] = true
-				out[g].mergeInto(&states[w][g])
+				out[g].mergeInto(&p.states[g])
 			}
 		}
 	}
@@ -201,17 +231,17 @@ func groupScanCodes[C code](ctx context.Context, rows []int, codes []C, ngroups 
 }
 
 // groupScanChunk is the sequential fused scan+aggregate kernel over one
-// stripe of rows. Per row it streams one code (1, 2 or 4 bytes) and one
-// float64 of the measure segment; the all-ones code marks a row with no
-// group.
-func groupScanChunk[C code](ctx context.Context, rows []int, codes []C, ngroups int, rd relation.FloatReader) ([]aggState, []bool, error) {
+// stripe, part, of rows. Per row it streams one code (1, 2 or 4 bytes)
+// and one float64 of the measure segment; the all-ones code marks a row
+// with no group.
+func groupScanChunk[C code](ctx context.Context, rows []int, part []span, codes []C, ngroups int, rd relation.FloatReader) ([]aggState, []bool, error) {
 	null := ^C(0)
 	states := make([]aggState, ngroups)
 	for g := range states {
 		states[g] = newAggState()
 	}
 	touched := make([]bool, ngroups)
-	err := forStrides(ctx, rd, rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
+	err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
 		for _, r := range stride {
 			c := codes[r]
 			if c == null {
@@ -229,23 +259,11 @@ func groupScanChunk[C code](ctx context.Context, rows []int, codes []C, ngroups 
 
 // scanAggregate is the fused single-group scan behind Aggregate.
 func scanAggregate(ctx context.Context, rows []int, rd relation.FloatReader) (aggState, error) {
-	if len(rows) < parallelRowThreshold {
-		noteScan(ctx, false, 0, len(rows))
-		return scanAggregateChunk(ctx, rows, rd)
-	}
-	spans := stripeSpans(len(rows))
-	workers := scanWorkers()
-	noteScan(ctx, workers > 1, len(spans), len(rows))
-	partial := make([]aggState, len(spans))
-	errs := make([]error, len(spans))
-	runStripes(len(spans), workers, func(i int) {
-		sp := spans[i]
-		partial[i], errs[i] = scanAggregateChunk(ctx, rows[sp.lo:sp.hi], rd)
+	partial, err := fanOut(ctx, []span{{0, len(rows)}}, len(rows), nil, func(_ int, part []span) (aggState, error) {
+		return scanAggregateChunk(ctx, rows, part, rd)
 	})
-	for _, err := range errs {
-		if err != nil {
-			return aggState{}, err
-		}
+	if err != nil {
+		return aggState{}, err
 	}
 	st := partial[0]
 	for w := 1; w < len(partial); w++ {
@@ -254,9 +272,9 @@ func scanAggregate(ctx context.Context, rows []int, rd relation.FloatReader) (ag
 	return st, nil
 }
 
-func scanAggregateChunk(ctx context.Context, rows []int, rd relation.FloatReader) (aggState, error) {
+func scanAggregateChunk(ctx context.Context, rows []int, part []span, rd relation.FloatReader) (aggState, error) {
 	st := newAggState()
-	err := forStrides(ctx, rd, rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
+	err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
 		s := st // a local the loop can keep in registers
 		for _, r := range stride {
 			s.add(seg[r-base])

@@ -779,7 +779,7 @@ func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr strin
 	_, sp := telemetry.StartSpan(ctx, "segment_scan")
 	defer sp.End()
 	rd := m.reader(ex.fact)
-	return gather(ctx, ex, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
+	return gather(ctx, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
 		err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
 			out = appendPairs(out, vals, stride, seg, base)
 		})

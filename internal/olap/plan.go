@@ -114,29 +114,6 @@ func rowSpans(rows []int, runs []span) (spans []span, total int) {
 	return spans, total
 }
 
-// splitSpans cuts the concatenation of spans into at most kernelStripes
-// order-preserving groups of near-equal total length.
-func splitSpans(spans []span) [][]span {
-	quota := (spanLen(spans) + kernelStripes - 1) / kernelStripes
-	groups := make([][]span, 0, kernelStripes)
-	var cur []span
-	room := quota
-	for _, sp := range spans {
-		for sp.lo < sp.hi {
-			take := min(sp.hi-sp.lo, room)
-			cur = append(cur, span{sp.lo, sp.lo + take})
-			sp.lo += take
-			if room -= take; room == 0 {
-				groups, cur, room = append(groups, cur), nil, quota
-			}
-		}
-	}
-	if len(cur) > 0 {
-		groups = append(groups, cur)
-	}
-	return groups
-}
-
 // spanLen is the total length of spans.
 func spanLen(spans []span) int {
 	n := 0
@@ -172,41 +149,31 @@ func forStrides(ctx context.Context, rd relation.FloatReader, rows []int, spans 
 }
 
 // gather runs one exact row-set scan over spans, where rows is the
-// output size that decides the schedule: below parallelRowThreshold (or
-// on one core) body runs once over every span; above it the spans split
-// into at most kernelStripes groups scanned concurrently. Either way
-// the output is one buffer: bound gives an upper bound on what body can
-// append for a group, each group appends into its own region, and the
-// regions are closed up in group order — the serial result, element
-// for element, with no second copy when the bounds are tight. body must
-// not depend on how the spans are cut.
-func gather[T any](ctx context.Context, ex *Executor, spans []span, rows int, bound func(part []span) int, body func(dst []T, part []span) ([]T, error)) ([]T, error) {
-	groups := [][]span{spans}
-	workers := scanWorkers()
-	parallel := rows >= parallelRowThreshold && workers > 1
-	if parallel {
-		groups = splitSpans(spans)
-		workers = min(workers, len(groups))
-	} else {
-		workers = 1
-	}
-	noteScan(ctx, parallel, len(groups), rows)
-	offs := make([]int, len(groups)+1)
-	for g, part := range groups {
-		offs[g+1] = offs[g] + bound(part)
-	}
-	buf := make([]T, offs[len(groups)])
-	outs := make([][]T, len(groups))
-	errs := make([]error, len(groups))
-	runStripes(len(groups), workers, func(g int) {
-		outs[g], errs[g] = body(buf[offs[g]:offs[g]:offs[g+1]], groups[g])
-	})
-	n := 0
-	for g, err := range errs {
-		if err != nil {
-			return nil, err
+// output size that decides the schedule (fanOut's): body runs over the
+// spans whole, or over their stripes concurrently. Either way the
+// output is one buffer: bound gives an upper bound on what body can
+// append for a part, each part appends into its own region, and the
+// regions are closed up in part order — the serial result, element for
+// element, with no second copy when the bounds are tight. body must not
+// depend on how the spans are cut.
+func gather[T any](ctx context.Context, spans []span, rows int, bound func(part []span) int, body func(dst []T, part []span) ([]T, error)) ([]T, error) {
+	var offs []int
+	var buf []T
+	outs, err := fanOut(ctx, spans, rows, func(parts [][]span) {
+		offs = make([]int, len(parts)+1)
+		for g, part := range parts {
+			offs[g+1] = offs[g] + bound(part)
 		}
-		n += copy(buf[n:], outs[g])
+		buf = make([]T, offs[len(parts)])
+	}, func(g int, part []span) ([]T, error) {
+		return body(buf[offs[g]:offs[g]:offs[g+1]], part)
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, out := range outs {
+		n += copy(buf[n:], out)
 	}
 	if 2*n < len(buf) {
 		// A loose bound (a selective filter): do not pin the big buffer
@@ -266,7 +233,7 @@ func (ex *Executor) FactRowsInRange(ctx context.Context, constraints []Constrain
 	if total == 0 {
 		return nil, nil
 	}
-	return gather(ctx, ex, runs, total, count, func(out []int, part []span) ([]int, error) {
+	return gather(ctx, runs, total, count, func(out []int, part []span) ([]int, error) {
 		for _, r := range part {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -322,7 +289,7 @@ func (ex *Executor) filterNumeric(ctx context.Context, rows []int, rd relation.F
 	defer sp.End()
 	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
 	spans, total := rowSpans(rows, runs)
-	out, err := gather(ctx, ex, spans, total, spanLen, func(out []int, part []span) ([]int, error) {
+	out, err := gather(ctx, spans, total, spanLen, func(out []int, part []span) ([]int, error) {
 		err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
 			for _, r := range stride {
 				if v := seg[r-base]; !math.IsNaN(v) && pred(v) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"reflect"
 	"runtime"
+	"slices"
 	"testing"
 
 	"kdap/internal/bitset"
@@ -476,30 +477,38 @@ func TestPlanBitEvidence(t *testing.T) {
 	}
 }
 
-// splitSpans must preserve order and content, cut at most kernelStripes
-// groups, and balance them within one row.
-func TestSplitSpans(t *testing.T) {
+// stripes must preserve order and content, cut exactly kernelStripes
+// groups with the leading total%kernelStripes one row longer, leave its
+// input as it was, and over one row set cut the float kernels' layout.
+func TestStripes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 200; trial++ {
 		var spans []span
 		at := 0
 		for i := rng.Intn(6) + 1; i > 0; i-- {
 			at += rng.Intn(50)
-			w := rng.Intn(400) + 1
+			w := rng.Intn(400)
 			spans = append(spans, span{at, at + w})
 			at += w
 		}
+		if trial%10 == 0 {
+			spans = []span{{0, at}} // one row set
+		}
+		input := slices.Clone(spans)
 		var want, got []int
 		for _, sp := range spans {
 			for x := sp.lo; x < sp.hi; x++ {
 				want = append(want, x)
 			}
 		}
-		groups := splitSpans(spans)
-		if len(groups) > kernelStripes {
+		groups := stripes(spans)
+		if !reflect.DeepEqual(spans, input) {
+			t.Fatalf("stripes changed its input: %v, was %v", spans, input)
+		}
+		if len(groups) != kernelStripes {
 			t.Fatalf("%d groups", len(groups))
 		}
-		quota := (len(want) + kernelStripes - 1) / kernelStripes
+		base, rem := len(want)/kernelStripes, len(want)%kernelStripes
 		for gi, g := range groups {
 			size := 0
 			for _, sp := range g {
@@ -508,12 +517,22 @@ func TestSplitSpans(t *testing.T) {
 					got = append(got, x)
 				}
 			}
-			if size > quota || (size < quota && gi != len(groups)-1) {
-				t.Fatalf("group %d holds %d rows, quota %d", gi, size, quota)
+			wantSize := base
+			if gi < rem {
+				wantSize++
+			}
+			if size != wantSize {
+				t.Fatalf("group %d holds %d rows, want %d", gi, size, wantSize)
+			}
+			if len(spans) == 1 && size > 0 {
+				lo := spans[0].lo + gi*base + min(gi, rem)
+				if !reflect.DeepEqual(g, []span{{lo, lo + size}}) {
+					t.Fatalf("row set of %d: group %d is %v, want one span from %d", at, gi, g, lo)
+				}
 			}
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("split lost or reordered rows: %v", spans)
+		if !slices.Equal(got, want) {
+			t.Fatalf("stripes lost or reordered rows: %v", spans)
 		}
 	}
 }

@@ -6,9 +6,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"sync/atomic"
 
+	"kdap/internal/cache"
 	"kdap/internal/relation"
 )
 
@@ -20,7 +20,7 @@ import (
 // full-text columns, and per-term segment lists for full-text columns.
 // The table owns the tail, the dictionaries and the evidence; the Store
 // writes each segment the table seals to the column files, pages sealed
-// segments back in through a byte-budgeted LRU cache, and on Flush
+// segments back in through a byte-budgeted CLOCK cache, and on Flush
 // writes the open tail and encodes the table's evidence into the
 // manifest, which it preloads on open. So a warehouse orders of
 // magnitude beyond RAM answers drills in bounded residency.
@@ -422,7 +422,8 @@ func decodeManifest(data []byte) (*manifest, error) {
 type SegStats struct {
 	// Resident counts segment reads served from the page cache;
 	// PagedIn counts reads that went to disk; Evicted counts segments
-	// dropped to stay inside the cache budget.
+	// dropped to stay inside the cache budget. They are the page
+	// cache's hits, misses and evictions.
 	Resident, PagedIn, Evicted int64
 	// SkippedBloom / SkippedZone count segments a value lookup skipped
 	// without touching their pages: on membership evidence (a Bloom
@@ -434,17 +435,10 @@ type SegStats struct {
 // segKey addresses one cached segment.
 type segKey struct{ ci, si int }
 
-// cacheEnt is one cached segment with LRU links (intrusive list).
-type cacheEnt struct {
-	key        segKey
-	seg        relation.Segment
-	prev, next *cacheEnt
-}
-
 // Store is the pager of one paged table over a segment directory: it
 // writes sealed segments to the column files and pages them back in on
-// demand through a byte-budgeted LRU. Safe for concurrent use; the
-// table serializes Seal and Flush under its append lock.
+// demand through a page cache bounded by bytes. Safe for concurrent
+// use; the table serializes Seal and Flush under its append lock.
 type Store struct {
 	dir     string
 	segSize int
@@ -455,16 +449,8 @@ type Store struct {
 	// by the table's append lock (Persist).
 	flushed int
 
-	mu     sync.Mutex
-	cache  map[segKey]*cacheEnt
-	head   *cacheEnt // most recent
-	tail   *cacheEnt // least recent
-	usage  int64
-	budget int64
+	pages *cache.Clock[segKey, relation.Segment]
 
-	resident     atomic.Int64
-	pagedIn      atomic.Int64
-	evicted      atomic.Int64
 	skippedBloom atomic.Int64
 	skippedZone  atomic.Int64
 }
@@ -500,8 +486,7 @@ func OpenBackedTable(dir string, schema *relation.Schema) (*relation.Table, *Sto
 		dir:     dir,
 		segSize: m.segSize,
 		flushed: m.numRows,
-		cache:   make(map[segKey]*cacheEnt),
-		budget:  DefaultSegmentCacheBytes,
+		pages:   cache.NewWeightedClock[segKey](DefaultSegmentCacheBytes, segBytes),
 	}
 	state := relation.StoreState{N: m.numRows, Base: m.numRows - m.numRows%m.segSize}
 	ok := false
@@ -646,30 +631,25 @@ func (st *Store) closeFiles() error {
 // SetCacheBudget sets the page-cache byte budget. 0 or negative means
 // unbounded. Shrinking evicts immediately.
 func (st *Store) SetCacheBudget(bytes int64) {
-	st.mu.Lock()
-	st.budget = bytes
-	st.evictLocked(nil)
-	st.mu.Unlock()
+	if bytes <= 0 {
+		bytes = math.MaxInt64
+	}
+	st.pages.SetBudget(bytes)
 }
 
 // DropCache discards every cached segment page, so the next reads page
 // in from disk again — the cold-cache hook benchmarks use. Unlike
 // budget-pressure eviction, dropped pages are not counted in
 // SegStats.Evicted.
-func (st *Store) DropCache() {
-	st.mu.Lock()
-	st.cache = make(map[segKey]*cacheEnt)
-	st.head, st.tail = nil, nil
-	st.usage = 0
-	st.mu.Unlock()
-}
+func (st *Store) DropCache() { st.pages.Purge() }
 
 // Stats snapshots the paging and skip counters.
 func (st *Store) Stats() SegStats {
+	pages := st.pages.Stats()
 	return SegStats{
-		Resident:     st.resident.Load(),
-		PagedIn:      st.pagedIn.Load(),
-		Evicted:      st.evicted.Load(),
+		Resident:     pages.Hits,
+		PagedIn:      pages.Misses,
+		Evicted:      pages.Evictions,
 		SkippedBloom: st.skippedBloom.Load(),
 		SkippedZone:  st.skippedZone.Load(),
 	}
@@ -725,95 +705,23 @@ func (st *Store) readRows(ci, lo, n int) (relation.Segment, error) {
 }
 
 // ReadSegment implements relation.Pager: the cached or freshly paged
-// sealed segment (ci, si).
+// sealed segment (ci, si). Concurrent misses on one segment may both
+// read it; they read the same bytes, and the later store replaces the
+// earlier.
 func (st *Store) ReadSegment(ci, si int) relation.Segment {
 	key := segKey{ci, si}
-	st.mu.Lock()
-	if e, ok := st.cache[key]; ok {
-		st.touchLocked(e)
-		st.mu.Unlock()
-		st.resident.Add(1)
-		return e.seg
+	if seg, ok := st.pages.Get(key); ok {
+		return seg
 	}
-	st.mu.Unlock()
-
-	// Page in outside the lock: concurrent misses on the same segment
-	// may both read, but only one result is kept.
 	seg, err := st.readRows(ci, si*st.segSize, st.segSize)
 	if err != nil {
 		panic(fmt.Sprintf("persist: %s segment %d: %v", st.t.Schema().Columns[ci].Name, si, err))
 	}
-	st.pagedIn.Add(1)
-	e := &cacheEnt{key: key, seg: seg}
-	st.mu.Lock()
-	if prior, ok := st.cache[key]; ok {
-		e = prior // lost the page-in race; keep the published segment
-		st.touchLocked(e)
-	} else {
-		st.cache[key] = e
-		st.lruPushFront(e)
-		st.usage += st.segBytes(ci)
-		st.evictLocked(e)
-	}
-	st.mu.Unlock()
-	return e.seg
+	st.pages.Put(key, seg)
+	return seg
 }
 
-// segBytes is the page-cache footprint of one segment of column ci.
-func (st *Store) segBytes(ci int) int64 { return int64(st.segSize * st.width(ci)) }
-
-// ---------------------------------------------------------------------
-// Page cache.
-
-// touchLocked makes e the most recent entry.
-func (st *Store) touchLocked(e *cacheEnt) {
-	if st.head != e {
-		st.lruUnlink(e)
-		st.lruPushFront(e)
-	}
-}
-
-// lruUnlink removes e from the LRU list.
-func (st *Store) lruUnlink(e *cacheEnt) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		st.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		st.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// lruPushFront makes e the most recent entry.
-func (st *Store) lruPushFront(e *cacheEnt) {
-	e.next = st.head
-	if st.head != nil {
-		st.head.prev = e
-	}
-	st.head = e
-	if st.tail == nil {
-		st.tail = e
-	}
-}
-
-// evictLocked drops least-recent entries until usage fits the budget,
-// never evicting keep (the entry being returned to a caller).
-func (st *Store) evictLocked(keep *cacheEnt) {
-	if st.budget <= 0 {
-		return
-	}
-	for st.usage > st.budget && st.tail != nil {
-		victim := st.tail
-		if victim == keep {
-			break
-		}
-		st.lruUnlink(victim)
-		delete(st.cache, victim.key)
-		st.usage -= st.segBytes(victim.key.ci)
-		st.evicted.Add(1)
-	}
+// segBytes is the page-cache footprint of one segment.
+func segBytes(seg relation.Segment) int64 {
+	return int64(len(seg.Floats)*floatRowBytes + len(seg.Codes)*codeRowBytes)
 }

@@ -3,10 +3,12 @@ package persist
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"kdap/internal/relation"
@@ -228,6 +230,55 @@ func TestStoreEvictionUnderBudget(t *testing.T) {
 	}
 	if st.PagedIn <= st.Resident && st.PagedIn == 0 {
 		t.Fatalf("implausible stats: %+v", st)
+	}
+}
+
+// TestStoreConcurrentReaders pages two columns in from several
+// goroutines through a page cache that holds two segments: every read
+// returns the segment's bytes while the cache churns. Run under -race.
+// An unbounded budget then stops the evictions.
+func TestStoreConcurrentReaders(t *testing.T) {
+	tab := segTestTable(t, 4096)
+	_, bt, store := writeSegs(t, tab, 128)
+	store.SetCacheBudget(2 * 128 * 8)
+	nseg := bt.Len() / 128 // whole segments, all on disk after the flush
+	cols := []int{tab.Schema().ColumnIndex("K"), tab.Schema().ColumnIndex("V")}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 3*nseg; i++ {
+				si, ci := (g*7+i*5)%nseg, cols[(g+i)%len(cols)]
+				seg := store.ReadSegment(ci, si).Floats
+				want := tab.FloatColumn(tab.Schema().Columns[ci].Name)[si*128 : (si+1)*128]
+				if len(seg) != len(want) {
+					t.Errorf("reader %d: segment (%d, %d) holds %d rows, want %d", g, ci, si, len(seg), len(want))
+					return
+				}
+				for r := range want {
+					if seg[r] != want[r] && !(math.IsNaN(seg[r]) && math.IsNaN(want[r])) {
+						t.Errorf("reader %d: segment (%d, %d) row %d is %v, want %v", g, ci, si, r, seg[r], want[r])
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := store.Stats()
+	if st.Evicted == 0 || st.PagedIn < int64(2*nseg) {
+		t.Fatalf("no churn under a 2-segment budget: %+v", st)
+	}
+
+	store.SetCacheBudget(0)
+	for pass := 0; pass < 2; pass++ {
+		for si := 0; si < nseg; si++ {
+			store.ReadSegment(cols[0], si)
+		}
+	}
+	if after := store.Stats(); after.Evicted != st.Evicted || after.PagedIn > st.PagedIn+int64(nseg) {
+		t.Fatalf("an unbounded page cache evicted or paged in again: before %+v, after %+v", st, after)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -346,6 +347,7 @@ func (s *Server) handleWarehouses(w http.ResponseWriter, r *http.Request) {
 	for name := range s.engines {
 		names = append(names, name)
 	}
+	slices.Sort(names)
 	writeJSON(w, http.StatusOK, map[string][]string{"warehouses": names})
 }
 

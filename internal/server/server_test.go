@@ -7,6 +7,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -88,6 +89,24 @@ func TestHealthAndWarehouses(t *testing.T) {
 	}
 	if len(whs["warehouses"]) != 1 || whs["warehouses"][0] != "ebiz" {
 		t.Errorf("warehouses = %v", whs)
+	}
+}
+
+// GET /api/warehouses lists the names sorted, so every call agrees.
+func TestWarehousesSorted(t *testing.T) {
+	srv := New(map[string]*dataset.Warehouse{"zeta": dataset.EBiz(), "alpha": dataset.EBiz(), "mid": dataset.EBiz()})
+	srv.SetLogger(slog.New(slog.NewTextHandler(io.Discard, nil)))
+	want := []string{"alpha", "mid", "zeta"}
+	for i := 0; i < 20; i++ {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/warehouses", nil))
+		var got map[string][]string
+		if err := json.NewDecoder(rec.Body).Decode(&got); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got["warehouses"], want) {
+			t.Fatalf("call %d: warehouses = %v, want %v", i, got["warehouses"], want)
+		}
 	}
 }
 
