@@ -42,7 +42,8 @@ import (
 // repl wraps a kdap.Session with terminal rendering.
 type repl struct {
 	s     *kdap.Session
-	trace bool // print each operation's span tree
+	trace bool               // print each operation's span tree
+	store *kdap.SegmentStore // the fact table's pager when serving a directory
 }
 
 func main() {
@@ -59,6 +60,7 @@ func main() {
 	flag.Parse()
 
 	var wh *kdap.Warehouse
+	var store *kdap.SegmentStore
 	var err error
 	switch {
 	case *csvDir != "":
@@ -70,7 +72,6 @@ func main() {
 	case *db == "reseller":
 		wh = kdap.AWReseller()
 	default:
-		var store *kdap.SegmentStore
 		if wh, store, err = kdap.OpenWarehouse(*db); err == nil {
 			defer store.Close() // the REPL only reads
 		}
@@ -83,7 +84,7 @@ func main() {
 	opts := kdap.DefaultExploreOptions()
 	engine := kdap.NewEngine(wh)
 	engine.SetAnswerCache(*answerCacheSize, *answerCacheTTL)
-	r := &repl{s: kdap.NewSession(engine, opts), trace: *trace}
+	r := &repl{s: kdap.NewSession(engine, opts), trace: *trace, store: store}
 	if *timeout > 0 {
 		r.s.SetTimeout(*timeout)
 	}
@@ -294,7 +295,8 @@ func (r *repl) csv() {
 
 // stats prints the session's cache counters: the answer caches (whole
 // differentiate/explore results), the subspace rows cache (bounded by
-// bytes of row ids) and the distribution memo (bounded by spaces).
+// bytes of row ids), the distribution memo (bounded by spaces) and,
+// serving a warehouse directory, the segment store's page cache.
 func (r *repl) stats() {
 	e := r.s.Engine()
 	diff, expl, ok := e.AnswerCacheStats()
@@ -315,6 +317,11 @@ func (r *repl) stats() {
 		rc.Len, rc.Weight, rc.Cap, rc.Hits, rc.Misses, 100*rc.HitRate(), rc.Evictions)
 	ds := e.DistributionStats()
 	fmt.Printf("distributions               %d/%d spaces, %d evicted\n", ds.Len, ds.Cap, ds.Evictions)
+	if r.store != nil {
+		st := r.store.Stats()
+		fmt.Printf("segment store               %d cache hits, %d paged in, %d evicted, %d skipped (bloom), %d skipped (zone)\n",
+			st.Resident, st.PagedIn, st.Evicted, st.SkippedBloom, st.SkippedZone)
+	}
 }
 
 func (r *repl) pivot(args []string) {

@@ -231,7 +231,7 @@ func splitKeywords(query string) []string {
 func (e *Engine) SuggestKeywords(query string, max int) map[string][]string {
 	out := make(map[string][]string)
 	for _, kw := range splitKeywords(query) {
-		if _, _, _, isFilter := parseFilterToken(kw); isFilter {
+		if _, _, _, isFilter, _ := parseFilterToken(kw); isFilter {
 			continue
 		}
 		if hits := e.index.Search(kw, fulltext.Options{Prefix: true, Limit: 1}); len(hits) > 0 {
@@ -261,38 +261,12 @@ func (e *Engine) SubspaceRowsCtx(ctx context.Context, sn *StarNet) ([]int, error
 func (e *Engine) subspaceRowsCtx(ctx context.Context, sn *StarNet) (*space, error) {
 	ctx, span := telemetry.StartSpan(ctx, "subspace_semijoin")
 	defer span.End()
-	return e.factRowsKeyed(ctx, sn.Constraints(), sn.Filters)
-}
-
-// factRowsRange returns the fact rows in [lo, hi) that satisfy the
-// constraints and the numeric filters — exactly the slice of the full
-// materialization that falls in the range. It is the one materialization
-// body: the whole sub-dataspace is the range [0, FactLen), and a cached
-// row set extends over an ingest tail.
-//
-// Numeric drills on fact columns double as declarative bounds for the
-// executor's planner: a segment whose zone misses the bound interval is
-// skipped before any bitset is intersected. The filters still run on
-// the survivors, so the rows are exactly the unbounded semijoin's after
-// filtering.
-func (e *Engine) factRowsRange(ctx context.Context, cs []olap.Constraint, filters []NumericFilter, lo, hi int) ([]int, error) {
-	var bounds []olap.Bound
-	for _, nf := range filters {
-		if nf.OnFact {
-			blo, bhi := nf.bounds()
-			bounds = append(bounds, olap.Bound{Col: nf.Attr.Attr, Lo: blo, Hi: bhi})
-		}
-	}
-	rows, err := e.exec.FactRowsInRange(ctx, cs, bounds, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	return e.applyFiltersCtx(ctx, rows, filters)
+	return e.factRowsKeyed(ctx, append(sn.Constraints(), sn.filterConstraints()...))
 }
 
 // extendRowsEntry grows a cached space to the current fact length: the
-// appended row range is checked against the same constraint bitsets and
-// filters that built the entry. Facts are append-only and dimensions
+// appended row range is checked against the same constraint bitsets
+// that built the entry. Facts are append-only and dimensions
 // frozen, so a row set under a fixed key only ever grows: when no
 // appended row qualifies the space keeps its rows, and so its identity
 // and its distributions, with its coverage advanced; when some do, the
@@ -300,12 +274,10 @@ func (e *Engine) factRowsRange(ctx context.Context, cs []olap.Constraint, filter
 // holding the old slice are unaffected) under a new identity, whose
 // distributions start empty — the from-scratch rebuild. A space's rows
 // are exactly those below its upTo, so the tail never repeats one.
-func (e *Engine) extendRowsEntry(ctx context.Context, sp *space, n int,
-	cs []olap.Constraint, filters []NumericFilter) (*space, error) {
-
+func (e *Engine) extendRowsEntry(ctx context.Context, sp *space, n int, cs []olap.Constraint) (*space, error) {
 	_, span := telemetry.StartSpan(ctx, "subspace_extend")
 	defer span.End()
-	tail, err := e.factRowsRange(ctx, cs, filters, sp.upTo, n)
+	tail, err := e.exec.FactRowsInRange(ctx, cs, sp.upTo, n)
 	if err != nil {
 		return nil, err
 	}
@@ -317,25 +289,25 @@ func (e *Engine) extendRowsEntry(ctx context.Context, sp *space, n int,
 	return next, nil
 }
 
-// factRowsKeyed materializes a constrained-and-filtered row set as a
-// space under its canonical key, serving repeats from the subspace
-// cache. Sub-dataspaces and roll-up background spaces both go through
-// here, so a space is held once whatever role it was first reached in.
+// factRowsKeyed materializes a constrained row set as a space under its
+// canonical key, serving repeats from the subspace cache. Sub-dataspaces
+// and roll-up background spaces both go through here, so a space is
+// held once whatever role it was first reached in.
 // Concurrent first requests for one key each scan, and the last Put
 // wins: they compute the same rows, and making one wait for the other
 // did not pay (DESIGN.md "Cache layers, by ablation"). A cancelled
 // materialization is never cached: partial row sets must not
 // masquerade as the space.
-func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint, filters []NumericFilter) (*space, error) {
-	key := constraintsKey(cs, filters)
+func (e *Engine) factRowsKeyed(ctx context.Context, cs []olap.Constraint) (*space, error) {
+	key := constraintsKey(cs)
 	n := e.exec.FactLen()
 	if sp, ok := e.rowsCache.Get(key); ok {
 		if sp.upTo >= n {
 			return sp, nil
 		}
-		return e.extendRowsEntry(ctx, sp, n, cs, filters)
+		return e.extendRowsEntry(ctx, sp, n, cs)
 	}
-	rows, err := e.factRowsRange(ctx, cs, filters, 0, n)
+	rows, err := e.exec.FactRowsInRange(ctx, cs, 0, n)
 	if err != nil {
 		return nil, err
 	}

@@ -418,11 +418,13 @@ func (e *Engine) generalizeConstraint(ctx context.Context, c olap.Constraint, ro
 // roll-up computations.
 func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet, local *space) ([]rollup, error) {
 	base := sn.Constraints() // merged: one constraint per attribute domain
+	ranges := sn.filterConstraints()
 	var out []rollup
 	for i := range base {
-		others := make([]olap.Constraint, 0, len(base))
+		others := make([]olap.Constraint, 0, len(base)+len(ranges))
 		others = append(others, base[:i]...)
 		others = append(others, base[i+1:]...)
+		others = append(others, ranges...) // numeric filters slice every roll-up
 
 		cur := base[i]
 		role := cur.Path.Role
@@ -438,7 +440,7 @@ func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet, local *space)
 			} else {
 				cs = others // top of the hierarchy: roll up to "all"
 			}
-			sp, err = e.factRowsKeyed(ctx, cs, sn.Filters)
+			sp, err = e.factRowsKeyed(ctx, cs)
 			if err != nil {
 				return nil, err
 			}
@@ -460,22 +462,14 @@ func (e *Engine) buildRollupsCtx(ctx context.Context, sn *StarNet, local *space)
 	return out, nil
 }
 
-// constraintsKey renders the canonical identity of a constrained,
-// filtered fact-row set — the one cache key of a space, whether it is
-// reached as a net's own DS' or as a roll-up background.
-// Order-independent: constraint and filter parts are sorted.
-func constraintsKey(cs []olap.Constraint, filters []NumericFilter) string {
-	parts := make([]string, 0, len(cs)+len(filters))
-	for _, c := range cs {
-		vals := make([]string, len(c.Values))
-		for i, v := range c.Values {
-			vals[i] = v.Text()
-		}
-		sort.Strings(vals)
-		parts = append(parts, c.Table+"."+c.Attr+"["+c.Path.Role+"]{"+strings.Join(vals, "\x1e")+"}")
-	}
-	for _, nf := range filters {
-		parts = append(parts, nf.String())
+// constraintsKey renders the canonical identity of a constrained
+// fact-row set — the one cache key of a space, whether it is reached as
+// a net's own DS' or as a roll-up background — from each constraint's
+// own key. Order-independent: the parts are sorted.
+func constraintsKey(cs []olap.Constraint) string {
+	parts := make([]string, len(cs))
+	for i, c := range cs {
+		parts[i] = c.Key()
 	}
 	sort.Strings(parts)
 	return "ru\x1f" + strings.Join(parts, "\x1f")
@@ -894,6 +888,9 @@ func (e *Engine) attrColumn(attr schemagraph.AttrRef) (relation.Column, error) {
 // maximum, matching the bucketizer's convention, which DrillRange
 // approximates by treating the bound as inclusive.
 func (e *Engine) DrillRange(sn *StarNet, attr schemagraph.AttrRef, role string, lo, hi float64) (*StarNet, error) {
+	if math.IsNaN(lo) || math.IsNaN(hi) || math.IsInf(lo, 0) || math.IsInf(hi, 0) {
+		return nil, fmt.Errorf("kdap: range bounds must be finite, got [%g, %g]", lo, hi)
+	}
 	if hi < lo {
 		return nil, fmt.Errorf("kdap: empty range [%g, %g]", lo, hi)
 	}

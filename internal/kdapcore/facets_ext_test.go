@@ -3,6 +3,7 @@ package kdapcore
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"kdap/internal/schemagraph"
@@ -222,6 +223,62 @@ func TestDrillRangeErrors(t *testing.T) {
 	}
 	if _, err := e.DrillRange(nets[0], schemagraph.AttrRef{Table: "GHOST", Attr: "X"}, "Buyer", 1, 2); err == nil {
 		t.Error("unreachable table accepted")
+	}
+}
+
+// DrillRange takes finite bounds only, the one rule for every caller
+// (the Go API, the REPL, the HTTP API): a NaN bound would make a net
+// that matches nothing, an infinite one a range no facet shows.
+func TestDrillRangeRejectsNonFinite(t *testing.T) {
+	e := ebizEngine()
+	nets, _ := e.DifferentiateCtx(context.Background(), "Projectors")
+	income := schemagraph.AttrRef{Table: "CUSTOMER", Attr: "Income"}
+	for _, b := range [][2]float64{{math.NaN(), 5}, {0, math.NaN()}, {math.Inf(-1), 5}, {0, math.Inf(1)}} {
+		if _, err := e.DrillRange(nets[0], income, "Buyer", b[0], b[1]); err == nil {
+			t.Errorf("DrillRange [%g, %g] accepted", b[0], b[1])
+		}
+	}
+}
+
+// On a numeric dimension attribute a point range and a categorical
+// drill on the same value are one slice: the range constraint is a
+// semijoin from the dimension rows in the interval, as the IN-list is
+// from the rows equal to the value.
+func TestDrillRangePointMatchesDrill(t *testing.T) {
+	e := ebizEngine()
+	nets, err := e.DifferentiateCtx(context.Background(), "Projectors")
+	if err != nil || len(nets) == 0 {
+		t.Fatalf("differentiate: %d nets, %v", len(nets), err)
+	}
+	sn := nets[0]
+	for _, attr := range []schemagraph.AttrRef{{Table: "CUSTOMER", Attr: "Income"}, {Table: "CUSTOMER", Attr: "Age"}} {
+		dim := e.Graph().DB().Table(attr.Table)
+		seen, nonEmpty := map[float64]bool{}, 0
+		for r := 0; r < dim.Len() && len(seen) < 6; r += 5 {
+			v := dim.Value(r, attr.Attr)
+			if v.IsNull() || seen[v.AsFloat()] {
+				continue
+			}
+			seen[v.AsFloat()] = true
+			byRange, err := e.DrillRange(sn, attr, "Buyer", v.AsFloat(), v.AsFloat())
+			if err != nil {
+				t.Fatal(err)
+			}
+			byValue, err := e.Drill(sn, attr, "Buyer", v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, want := subspaceRows(t, e, byRange), subspaceRows(t, e, byValue)
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s = %v: range drill %d rows, value drill %d", attr, v, len(got), len(want))
+			}
+			if len(got) > 0 {
+				nonEmpty++
+			}
+		}
+		if nonEmpty == 0 {
+			t.Errorf("%s: every probed value sliced an empty space — bad fixture", attr)
+		}
 	}
 }
 

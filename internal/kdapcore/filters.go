@@ -1,12 +1,13 @@
 package kdapcore
 
 import (
-	"context"
+	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
 
+	"kdap/internal/olap"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
 )
@@ -96,26 +97,34 @@ func (nf NumericFilter) String() string {
 	return fmt.Sprintf("%s%s%g", nf.Attr, nf.Op, nf.Value)
 }
 
-// bounds returns the conservative closed interval [lo, hi] containing
-// every value the predicate accepts — what licenses the executor's
-// planner to skip segments whose zone misses the interval.
-// Exactness stays with Op.Matches; the bounds only bound.
-func (nf NumericFilter) bounds() (lo, hi float64) {
+// constraint is the predicate as a slice of the sub-dataspace: a range
+// constraint on its attribute, holding exactly the values Op.Matches
+// accepts against Value.
+func (nf NumericFilter) constraint() olap.Constraint {
+	iv := olap.Interval{Lo: math.Inf(-1), Hi: math.Inf(1)}
 	switch nf.Op {
-	case OpGT, OpGE:
-		return nf.Value, math.Inf(1)
-	case OpLT, OpLE:
-		return math.Inf(-1), nf.Value
+	case OpGT:
+		iv.Lo, iv.LoOpen = nf.Value, true
+	case OpGE:
+		iv.Lo = nf.Value
+	case OpLT:
+		iv.Hi, iv.HiOpen = nf.Value, true
+	case OpLE:
+		iv.Hi = nf.Value
 	case OpEQ:
-		return nf.Value, nf.Value
+		iv.Lo, iv.Hi = nf.Value, nf.Value
 	default:
-		return math.Inf(-1), math.Inf(1)
+		iv.Lo, iv.Hi = math.Inf(1), math.Inf(-1) // matches nothing
 	}
+	return olap.Constraint{Table: nf.Attr.Table, Attr: nf.Attr.Attr, Range: &iv, Path: nf.Path}
 }
 
-// parseFilterToken splits a token like "Price>=100" into its parts. The
-// boolean reports whether the token is a well-formed numeric predicate.
-func parseFilterToken(tok string) (attr string, op FilterOp, val float64, ok bool) {
+// parseFilterToken splits a token like "Price>=100" into its parts. ok
+// reports whether the token is predicate-shaped: a name, an operator
+// and a number. A predicate-shaped token whose number is not finite
+// ("Price>NaN", "Price>1e999") is an error naming it — no row can be
+// sliced by it, and read as a keyword it would be dropped silently.
+func parseFilterToken(tok string) (attr string, op FilterOp, val float64, ok bool, err error) {
 	for _, cand := range []struct {
 		sym string
 		op  FilterOp
@@ -129,13 +138,16 @@ func parseFilterToken(tok string) (attr string, op FilterOp, val float64, ok boo
 		}
 		name := tok[:i]
 		numStr := tok[i+len(cand.sym):]
-		v, err := strconv.ParseFloat(numStr, 64)
-		if err != nil {
-			return "", 0, 0, false
+		v, perr := strconv.ParseFloat(numStr, 64)
+		if perr != nil && !errors.Is(perr, strconv.ErrRange) {
+			return "", 0, 0, false, nil
 		}
-		return name, cand.op, v, true
+		if perr != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+			return name, cand.op, v, true, fmt.Errorf("kdap: predicate %q needs a finite number", tok)
+		}
+		return name, cand.op, v, true, nil
 	}
-	return "", 0, 0, false
+	return "", 0, 0, false, nil
 }
 
 // resolveFilter binds a parsed predicate to a concrete numeric attribute:
@@ -180,7 +192,10 @@ func (e *Engine) resolveFilter(raw, name string, op FilterOp, val float64) (Nume
 // silently treating "Price>100" as text would surprise the user.
 func (e *Engine) extractFilters(keywords []string) (filters []NumericFilter, rest []string, err error) {
 	for _, kw := range keywords {
-		name, op, val, ok := parseFilterToken(kw)
+		name, op, val, ok, err := parseFilterToken(kw)
+		if err != nil {
+			return nil, nil, err
+		}
 		if !ok {
 			rest = append(rest, kw)
 			continue
@@ -192,29 +207,4 @@ func (e *Engine) extractFilters(keywords []string) (filters []NumericFilter, res
 		filters = append(filters, nf)
 	}
 	return filters, rest, nil
-}
-
-// applyFiltersCtx narrows fact rows by every predicate: each runs
-// through the executor's planner-driven numeric filter, declaring the
-// closed interval its operator implies so segments whose zone misses it
-// are never scanned.
-func (e *Engine) applyFiltersCtx(ctx context.Context, rows []int, filters []NumericFilter) ([]int, error) {
-	for _, nf := range filters {
-		if len(rows) == 0 {
-			return rows, nil
-		}
-		nf := nf
-		match := func(x float64) bool { return nf.Op.Matches(x, nf.Value) }
-		lo, hi := nf.bounds()
-		var err error
-		if nf.OnFact {
-			rows, err = e.exec.FilterFactNumericCtx(ctx, rows, nf.Attr.Attr, lo, hi, match)
-		} else {
-			rows, err = e.exec.FilterRowsNumericBoundCtx(ctx, rows, nf.Attr.Attr, nf.Path, lo, hi, match)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	return rows, nil
 }

@@ -2,6 +2,8 @@ package kdapcore
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 )
 
@@ -25,7 +27,11 @@ func TestParseFilterToken(t *testing.T) {
 		{"a=b=c", "", 0, 0, false},
 	}
 	for _, c := range cases {
-		attr, op, val, ok := parseFilterToken(c.tok)
+		attr, op, val, ok, err := parseFilterToken(c.tok)
+		if err != nil {
+			t.Errorf("%q: %v", c.tok, err)
+			continue
+		}
 		if ok != c.ok {
 			t.Errorf("%q: ok=%v, want %v", c.tok, ok, c.ok)
 			continue
@@ -57,6 +63,16 @@ func TestFilterOpMatches(t *testing.T) {
 	}
 	if FilterOp(99).Matches(1, 1) {
 		t.Error("unknown op must match nothing")
+	}
+	// A filter's range constraint holds exactly the values its operator
+	// accepts.
+	for _, op := range []FilterOp{OpGT, OpGE, OpLT, OpLE, OpEQ, FilterOp(99)} {
+		iv := NumericFilter{Op: op, Value: 1}.constraint().Range
+		for _, x := range []float64{math.Inf(-1), 0, 1, 2, math.Inf(1), math.NaN()} {
+			if iv.Contains(x) != op.Matches(x, 1) {
+				t.Errorf("op %v: range %v holds %g: %v, Matches says %v", op, iv, x, iv.Contains(x), op.Matches(x, 1))
+			}
+		}
 	}
 }
 
@@ -165,4 +181,18 @@ func TestFilterSurvivesDrill(t *testing.T) {
 		}
 	}
 	t.Skip("no categorical facet to drill")
+}
+
+// A predicate-shaped token whose number is not finite cannot slice
+// anything: it is an error that names the token — not a filter no row
+// passes (NaN), and not a keyword dropped unseen (1e999, beyond
+// float64's range).
+func TestNonFiniteFilterTokenErrors(t *testing.T) {
+	e := ebizEngine()
+	for _, tok := range []string{"UnitPrice>NaN", "UnitPrice<=Inf", "UnitPrice>-Inf", "UnitPrice>1e999", "Income<-1e400"} {
+		nets, err := e.DifferentiateCtx(context.Background(), "Projectors "+tok)
+		if err == nil || !strings.Contains(err.Error(), tok) {
+			t.Errorf("%q: %d nets, err %v; want an error naming the token", tok, len(nets), err)
+		}
+	}
 }

@@ -49,7 +49,7 @@ func FuzzParseFilterToken(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, tok string) {
-		attr, _, _, ok := parseFilterToken(tok)
+		attr, _, _, ok, _ := parseFilterToken(tok)
 		if ok && attr == "" {
 			t.Fatalf("accepted token %q with empty attribute", tok)
 		}

@@ -295,14 +295,10 @@ func TestAppendRacingSpacesMatchRebuild(t *testing.T) {
 	wh, tail := dataset.AWOnlineScaledPartial(scale, resident)
 	e := ingestTestEngine(wh)
 	ctx := context.Background()
-	type key struct {
-		cs      []olap.Constraint
-		filters []NumericFilter
-	}
-	keys := []key{{}} // the full dataspace
-	for _, q := range []string{"Road Bikes", "Helmets", "2001", "Mountain Bikes California"} {
+	keys := [][]olap.Constraint{nil} // the full dataspace
+	for _, q := range []string{"Road Bikes", "Helmets", "2001", "Mountain Bikes California", "Road Bikes SalesKey>9000"} {
 		sn := top1(t, e, q)
-		keys = append(keys, key{sn.Constraints(), sn.Filters})
+		keys = append(keys, append(sn.Constraints(), sn.filterConstraints()...))
 	}
 
 	done := make(chan struct{})
@@ -321,12 +317,12 @@ func TestAppendRacingSpacesMatchRebuild(t *testing.T) {
 					e.InvalidateSubspaceRows() // the next fetch builds cold
 				}
 				k := keys[(w+i)%len(keys)]
-				sp, err := e.factRowsKeyed(ctx, k.cs, k.filters)
+				sp, err := e.factRowsKeyed(ctx, k)
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				want, err := e.factRowsRange(ctx, k.cs, k.filters, 0, sp.upTo)
+				want, err := e.exec.FactRowsInRange(ctx, k, 0, sp.upTo)
 				if err != nil {
 					t.Error(err)
 					return

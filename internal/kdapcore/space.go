@@ -1,7 +1,7 @@
 package kdapcore
 
 // A materialised space's distributions are kept under its identity.
-// The work done over one constrained-and-filtered fact-row set — G(S),
+// The work done over one constrained fact-row set — G(S),
 // G(S, attr) per attribute path, and the bucketised numeric series — is
 // filled lazily, on first use, into a memo found by the space's key and
 // row count (spaceID), not stored with the row list. A row list is

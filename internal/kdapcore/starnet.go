@@ -37,8 +37,8 @@ type StarNet struct {
 	Query  string
 	Groups []BoundGroup
 	// Filters are the query's numeric predicates (the §7 measure-
-	// attribute extension); they further slice the sub-dataspace after
-	// the hit-group semijoin.
+	// attribute extension); each slices the sub-dataspace as one more
+	// (range) constraint.
 	Filters []NumericFilter
 	// Score is the ranking score assigned by the method used during
 	// differentiation.
@@ -98,6 +98,16 @@ func (sn *StarNet) Constraints() []olap.Constraint {
 			Values: bg.Group.Values(),
 			Path:   bg.Path,
 		})
+	}
+	return out
+}
+
+// filterConstraints converts the net's numeric filters into range
+// constraints: with Constraints() they define the sub-dataspace.
+func (sn *StarNet) filterConstraints() []olap.Constraint {
+	out := make([]olap.Constraint, len(sn.Filters))
+	for i, nf := range sn.Filters {
+		out[i] = nf.constraint()
 	}
 	return out
 }

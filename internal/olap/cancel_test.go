@@ -6,6 +6,7 @@ package olap
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -35,9 +36,11 @@ func TestCtxVariantsCancel(t *testing.T) {
 			_, err := ex.NumericSeriesCtx(ctx, rows, "UnitPrice", pathTo(t, "TRANSITEM", ""), m)
 			return err
 		},
-		"FilterRowsNumericBoundCtx": func() error {
-			_, err := ex.FilterRowsNumericBoundCtx(ctx, rows, "UnitPrice", pathTo(t, "TRANSITEM", ""),
-				0, posInf, func(v float64) bool { return v > 0 })
+		"FactRowsCtx/range": func() error {
+			_, err := ex.FactRowsCtx(ctx, []Constraint{
+				{Table: "TRANSITEM", Attr: "UnitPrice", Range: &Interval{Lo: 0, Hi: math.Inf(1), LoOpen: true}},
+				{Table: "CUSTOMER", Attr: "Income", Range: &Interval{Lo: 50000, Hi: math.Inf(1)}, Path: pathTo(t, "CUSTOMER", "Buyer")},
+			})
 			return err
 		},
 		"Pivot": func() error {

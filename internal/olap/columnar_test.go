@@ -204,8 +204,8 @@ func TestAggregateMatchesReference(t *testing.T) {
 	}
 }
 
-// NumericSeriesCtx and FilterRowsNumericBoundCtx through the
-// fact-aligned float column must match the boxed row walk.
+// NumericSeriesCtx through the fact-aligned float column, and a range
+// constraint on the attribute, must match the boxed row walk.
 func TestNumericColumnsMatchRowWalk(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)
 	m := revenue(t)
@@ -236,7 +236,7 @@ func TestNumericColumnsMatchRowWalk(t *testing.T) {
 			}
 		}
 		pred := func(x float64) bool { return x > 80000 }
-		got := mustFilter(t, ex, rows, "Income", path, pred)
+		got := mustRange(t, ex, rows, "Income", path, Interval{Lo: 80000, Hi: math.Inf(1), LoOpen: true})
 		var wantRows []int
 		for _, r := range rows {
 			d := f2d[r]

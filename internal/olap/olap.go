@@ -24,6 +24,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
@@ -279,14 +280,61 @@ func (s *aggState) final(a Agg) float64 {
 }
 
 // Constraint restricts the sub-dataspace: fact rows must link, through
-// Path, to a row of Table whose Attr is one of Values. One constraint per
-// hit group, per the paper's star-net semantics (§4.2): dimension hit
-// groups slice the subspace; all constraints intersect at the fact table.
+// Path, to a row of Table whose Attr is one of Values — or, when Range
+// is set, whose numeric Attr lies in Range. One constraint per hit
+// group, per the paper's star-net semantics (§4.2): dimension hit groups
+// slice the subspace, and so does a numeric drill (§5.2.2's ranges); all
+// constraints intersect at the fact table. A constraint on one of the
+// fact table's own columns has Table the fact table and the empty Path.
 type Constraint struct {
 	Table  string
 	Attr   string
 	Values []relation.Value
+	Range  *Interval
 	Path   schemagraph.JoinPath // from Table to the fact table
+}
+
+// Key canonically identifies the constraint: the key of its cached
+// fact-row set, and its part of a space's key. Value order does not
+// matter.
+func (c Constraint) Key() string {
+	var body string
+	if c.Range != nil {
+		body = "range" + c.Range.String()
+	} else {
+		vals := make([]string, len(c.Values))
+		for i, v := range c.Values {
+			vals[i] = v.GoString()
+		}
+		sort.Strings(vals)
+		body = strings.Join(vals, "\x01")
+	}
+	return c.Table + "\x00" + c.Attr + "\x00" + c.Path.Signature() + "\x00" + body
+}
+
+// Interval is the numbers from Lo to Hi, each end closed unless marked
+// open; an infinite end leaves that side unbounded. NaN (NULL) lies in
+// no interval.
+type Interval struct {
+	Lo, Hi         float64
+	LoOpen, HiOpen bool
+}
+
+// Contains reports whether x lies in the interval.
+func (iv Interval) Contains(x float64) bool {
+	return (x > iv.Lo || !iv.LoOpen && x == iv.Lo) && (x < iv.Hi || !iv.HiOpen && x == iv.Hi)
+}
+
+// String renders the interval in bracket notation, "(5,+Inf]".
+func (iv Interval) String() string {
+	l, r := "[", "]"
+	if iv.LoOpen {
+		l = "("
+	}
+	if iv.HiOpen {
+		r = ")"
+	}
+	return l + strconv.FormatFloat(iv.Lo, 'g', -1, 64) + "," + strconv.FormatFloat(iv.Hi, 'g', -1, 64) + r
 }
 
 // Executor runs star-net queries against one warehouse. It memoizes
@@ -304,10 +352,6 @@ type Executor struct {
 	factMap   map[string]vec[int32] // path signature -> fact row -> dim row (-1 when unlinked)
 	attrCode  map[attrColKey]*codeColumn
 	attrFloat map[attrColKey]vec[float64]
-	// attrZones holds lazily-derived per-segment zones over the memoized
-	// fact-aligned attribute columns, keyed like attrFloat and replaced
-	// by a widened copy past appended rows on read.
-	attrZones map[attrColKey]attrZones
 	// constraintBits caches each constraint's fact-row set; candidate
 	// star nets combine a small vocabulary of hit groups, so hit rates
 	// are high during differentiation-heavy workloads.
@@ -365,7 +409,6 @@ func NewExecutor(g *schemagraph.Graph) *Executor {
 		factMap:        make(map[string]vec[int32]),
 		attrCode:       make(map[attrColKey]*codeColumn),
 		attrFloat:      make(map[attrColKey]vec[float64]),
-		attrZones:      make(map[attrColKey]attrZones),
 		constraintBits: cache.NewClock[string, *bitset.Set](constraintCacheCap),
 	}
 }
@@ -452,16 +495,6 @@ func (ex *Executor) table(name string) *relation.Table {
 	return t
 }
 
-// constraintSig canonically identifies a constraint for caching.
-func constraintSig(c Constraint) string {
-	vals := make([]string, len(c.Values))
-	for i, v := range c.Values {
-		vals[i] = v.GoString()
-	}
-	sort.Strings(vals)
-	return c.Table + "\x00" + c.Attr + "\x00" + c.Path.Signature() + "\x00" + strings.Join(vals, "\x01")
-}
-
 // constraintSet returns (cached) the bitset of fact rows satisfying one
 // constraint. The cache evicts with second-chance/CLOCK so a hot hit
 // group survives churn from one-off candidate nets. A cancelled semijoin
@@ -469,23 +502,50 @@ func constraintSig(c Constraint) string {
 //
 // A cold constraint and a cached set left behind by a streaming append
 // (its universe shorter than the fact table) are the same computation
-// from different starting universes: the semijoin scans only the rows
-// the set does not cover yet, and the shorter set stays intact for
-// readers already holding it.
+// from different starting universes: the build scans only the rows the
+// set does not cover yet, and the shorter set stays intact for readers
+// already holding it. A range on a fact column is a segment scan of the
+// column (rangeScan); every other constraint is a semijoin from the rows
+// of its table it selects.
 func (ex *Executor) constraintSet(ctx context.Context, c Constraint) (*bitset.Set, error) {
 	n := ex.fact.Len()
-	sig := constraintSig(c)
-	s, _ := ex.constraintBits.Get(sig)
+	key := c.Key()
+	s, _ := ex.constraintBits.Get(key)
 	if s != nil && s.Len() >= n {
 		return s, nil
 	}
-	t := ex.table(c.Table)
-	ext, err := ex.semijoin(ctx, t.LookupIn(c.Attr, c.Values), c.Path, s, n)
+	var ext *bitset.Set
+	var err error
+	if c.Range != nil && c.Table == ex.fact.Name() {
+		ext, err = ex.rangeScan(ctx, c.Attr, *c.Range, s, n)
+	} else {
+		ext, err = ex.semijoin(ctx, ex.sourceRows(c), c.Path, s, n)
+	}
 	if err != nil {
 		return nil, err
 	}
-	ex.constraintBits.Put(sig, ext)
+	ex.constraintBits.Put(key, ext)
 	return ext, nil
+}
+
+// sourceRows returns, ascending, the rows of c.Table the constraint
+// selects: those whose Attr is one of Values, or lies in Range.
+func (ex *Executor) sourceRows(c Constraint) []int {
+	t := ex.table(c.Table)
+	if c.Range == nil {
+		return t.LookupIn(c.Attr, c.Values)
+	}
+	rd := t.FloatReader(c.Attr)
+	ss := rd.SegmentSize()
+	var rows []int
+	for si := 0; si*ss < rd.Len(); si++ {
+		for i, v := range rd.FloatSegment(si) {
+			if c.Range.Contains(v) {
+				rows = append(rows, si*ss+i)
+			}
+		}
+	}
+	return rows
 }
 
 // semijoin is the one semijoin into the facts, for resident and backed
@@ -540,7 +600,7 @@ func (ex *Executor) semijoin(ctx context.Context, rows []int, path schemagraph.J
 // semijoin and between segment runs, returning ctx.Err() instead of
 // completing the intersection.
 func (ex *Executor) FactRowsCtx(ctx context.Context, constraints []Constraint) ([]int, error) {
-	return ex.FactRowsInRange(ctx, constraints, nil, 0, ex.fact.Len())
+	return ex.FactRowsInRange(ctx, constraints, 0, ex.fact.Len())
 }
 
 // AggregateCtx applies the measure and aggregation function over fact
@@ -767,19 +827,19 @@ type ValueMeasure struct {
 // Rows with NULL, non-numeric, or unlinked attributes are dropped. The
 // attribute is read from its memoized fact-aligned float column (NaN
 // marks absent), the measure a segment at a time, and cancellation is
-// checked before every segment. Segments in which the attribute is NULL
-// or unlinked on every row are skipped on zone evidence, and a large row
-// set is extracted over concurrent row-ordered spans whose outputs
-// concatenate to exactly the serial series.
+// checked before every segment. A large row set is extracted over
+// concurrent row-ordered spans whose outputs concatenate to exactly the
+// serial series.
 func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure) ([]ValueMeasure, error) {
-	spans, total, vals := ex.seriesSpans(ctx, rows, attr, path)
-	if total == 0 {
+	vals := ex.seriesColumn(ctx, rows, attr, path)
+	if len(rows) == 0 {
 		return []ValueMeasure{}, nil
 	}
 	_, sp := telemetry.StartSpan(ctx, "segment_scan")
 	defer sp.End()
 	rd := m.reader(ex.fact)
-	return gather(ctx, spans, total, spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
+	spans := []span{{0, len(rows)}}
+	return gather(ctx, spans, len(rows), spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
 		err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
 			out = appendPairs(out, vals, stride, seg, base)
 		})
@@ -796,36 +856,32 @@ func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr strin
 // working set is one segment instead of 16 bytes per row of a roll-up
 // space.
 func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure, fold func([]ValueMeasure)) error {
-	spans, total, vals := ex.seriesSpans(ctx, rows, attr, path)
-	if total == 0 {
+	vals := ex.seriesColumn(ctx, rows, attr, path)
+	if len(rows) == 0 {
 		return nil
 	}
 	_, sp := telemetry.StartSpan(ctx, "segment_scan")
 	defer sp.End()
-	noteScan(ctx, false, 0, total)
+	noteScan(ctx, false, 0, len(rows))
 	rd := m.reader(ex.fact)
-	buf := make([]ValueMeasure, 0, min(total, rd.SegmentSize()))
-	return forStrides(ctx, rd, rows, spans, func(stride []int, seg []float64, base int) {
+	buf := make([]ValueMeasure, 0, min(len(rows), rd.SegmentSize()))
+	return forStrides(ctx, rd, rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
 		fold(appendPairs(buf, vals, stride, seg, base))
 	})
 }
 
-// seriesSpans resolves what a numeric-series scan reads: the fact-aligned
-// attribute column and the index spans of rows left after segments with
-// no value for the attribute are skipped on zone evidence.
-func (ex *Executor) seriesSpans(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath) (spans []span, total int, vals []float64) {
+// seriesColumn resolves what a numeric-series scan reads besides the
+// measure: the fact-aligned attribute column (nil for no rows).
+func (ex *Executor) seriesColumn(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath) []float64 {
 	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
 		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
 	}
 	if len(rows) == 0 {
-		return nil, 0, nil
+		return nil
 	}
 	vals, builds := ex.attrFloats(attr, path)
 	telemetry.Count(ctx, telemetry.FloatColumnBuilds, builds)
-	zone := ex.attrZone(attr, path, vals, negInf, posInf)
-	runs := ex.planRuns(ctx, rows[0], rows[len(rows)-1]+1, []zoneCheck{zone}, nil)
-	spans, total = rowSpans(rows, runs)
-	return spans, total, vals
+	return vals
 }
 
 // appendPairs appends to out the (attribute value, measure) pairs of

@@ -456,17 +456,17 @@ func TestConstraintSigDistinguishes(t *testing.T) {
 		Values: []relation.Value{relation.String("Columbus")}, Path: locPath}
 	same := base
 	same.Values = []relation.Value{relation.String("Columbus")}
-	if constraintSig(base) != constraintSig(same) {
+	if base.Key() != same.Key() {
 		t.Error("identical constraints got different signatures")
 	}
 	diffVal := base
 	diffVal.Values = []relation.Value{relation.String("Seattle")}
-	if constraintSig(base) == constraintSig(diffVal) {
+	if base.Key() == diffVal.Key() {
 		t.Error("different values collide")
 	}
 	diffAttr := base
 	diffAttr.Attr = "State"
-	if constraintSig(base) == constraintSig(diffAttr) {
+	if base.Key() == diffAttr.Key() {
 		t.Error("different attrs collide")
 	}
 	// Value order inside one constraint is canonicalized.
@@ -474,8 +474,19 @@ func TestConstraintSigDistinguishes(t *testing.T) {
 	multi.Values = []relation.Value{relation.String("A"), relation.String("B")}
 	multiRev := base
 	multiRev.Values = []relation.Value{relation.String("B"), relation.String("A")}
-	if constraintSig(multi) != constraintSig(multiRev) {
+	if multi.Key() != multiRev.Key() {
 		t.Error("value order changed the signature")
+	}
+	// A range is its own identity: its ends and their openness count,
+	// and it never meets an IN-list.
+	keys := map[string]bool{base.Key(): true}
+	for _, iv := range []Interval{{Lo: 1, Hi: 2}, {Lo: 1, Hi: 2, LoOpen: true}, {Lo: 1, Hi: 2, HiOpen: true}, {Lo: 1, Hi: 3}, {Lo: math.Inf(-1), Hi: 2}} {
+		r := base
+		r.Values, r.Range = nil, &iv
+		if keys[r.Key()] {
+			t.Errorf("range %v collides", iv)
+		}
+		keys[r.Key()] = true
 	}
 }
 
@@ -484,7 +495,7 @@ func TestFilterRowsNumeric(t *testing.T) {
 	m := revenue(t)
 	all := mustFactRows(t, ex, nil)
 	path := pathTo(t, "CUSTOMER", "Buyer")
-	rich := mustFilter(t, ex, all, "Income", path, func(x float64) bool { return x > 100000 })
+	rich := mustRange(t, ex, all, "Income", path, Interval{Lo: 100000, Hi: math.Inf(1), LoOpen: true})
 	if len(rich) == 0 || len(rich) >= len(all) {
 		t.Fatalf("filtered = %d of %d", len(rich), len(all))
 	}
@@ -501,7 +512,7 @@ func TestFilterRowsNumeric(t *testing.T) {
 			t.Error("unknown attr should panic")
 		}
 	}()
-	mustFilter(t, ex, all, "Nope", path, func(float64) bool { return true })
+	mustRange(t, ex, all, "Nope", path, Interval{Lo: math.Inf(-1), Hi: math.Inf(1)})
 }
 
 func TestExecutorAccessors(t *testing.T) {
@@ -524,8 +535,8 @@ func TestPivotTruncate(t *testing.T) {
 }
 
 // TestFactAttributesOnPagedFact: a group-by, a numeric series and a
-// numeric filter over the fact table's own columns read them through the
-// segment readers, so a fact table paged to disk answers exactly as the
+// range constraint over the fact table's own columns read them through
+// the segment readers, so a fact table paged to disk answers exactly as the
 // resident one does.
 func TestFactAttributesOnPagedFact(t *testing.T) {
 	wh := dataset.AWOnline()
@@ -557,7 +568,7 @@ func TestFactAttributesOnPagedFact(t *testing.T) {
 		if a.series, err = ex.NumericSeriesCtx(ctx, rows, "UnitPrice", zero, m); err != nil {
 			t.Fatal(err)
 		}
-		if a.filtered, err = ex.FilterRowsNumericBoundCtx(ctx, rows, "UnitPrice", zero, 100, math.Inf(1), func(f float64) bool { return f >= 100 }); err != nil {
+		if a.filtered, err = ex.FactRowsCtx(ctx, []Constraint{{Table: fact.Name(), Attr: "UnitPrice", Range: &Interval{Lo: 100, Hi: math.Inf(1)}}}); err != nil {
 			t.Fatal(err)
 		}
 		return a
@@ -573,6 +584,6 @@ func TestFactAttributesOnPagedFact(t *testing.T) {
 		t.Errorf("NumericSeries(UnitPrice): %d pairs paged, %d resident, or values differ", len(paged.series), len(resident.series))
 	}
 	if !reflect.DeepEqual(paged.filtered, resident.filtered) {
-		t.Errorf("FilterRowsNumericBound(UnitPrice >= 100): %d rows paged, %d resident", len(paged.filtered), len(resident.filtered))
+		t.Errorf("range UnitPrice >= 100: %d rows paged, %d resident", len(paged.filtered), len(resident.filtered))
 	}
 }

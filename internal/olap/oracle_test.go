@@ -127,15 +127,11 @@ func mustSeries(t testing.TB, ex *Executor, rows []int, attr string, path schema
 	return out
 }
 
-// mustFilter filters under an opaque predicate: the bound interval is
-// the whole line, so only all-NULL segments are skipped.
-func mustFilter(t testing.TB, ex *Executor, rows []int, attr string, path schemagraph.JoinPath, pred func(float64) bool) []int {
+// mustRange keeps the rows whose attribute at the far end of path lies
+// in iv: rows intersected with the fact rows of that range constraint.
+func mustRange(t testing.TB, ex *Executor, rows []int, attr string, path schemagraph.JoinPath, iv Interval) []int {
 	t.Helper()
-	out, err := ex.FilterRowsNumericBoundCtx(context.Background(), rows, attr, path, negInf, posInf, pred)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return intersectSorted(rows, mustFactRows(t, ex, []Constraint{{Table: path.Source, Attr: attr, Range: &iv, Path: path}}))
 }
 
 func mustPivot(t testing.TB, ex *Executor, rows []int, rowAttr string, rowPath schemagraph.JoinPath, colAttr string, colPath schemagraph.JoinPath, m Measure, agg Agg) *PivotTable {

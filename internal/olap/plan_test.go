@@ -35,6 +35,7 @@ type planMart struct {
 	g      *schemagraph.Graph
 	ex     *Executor
 	fact   *relation.Table
+	store  *persist.Store // nil for a resident fact table
 	pathA  schemagraph.JoinPath
 	pathB  schemagraph.JoinPath
 	aName  map[int64]relation.Value // AKey → Name, read off the dimension rows
@@ -122,7 +123,7 @@ func buildPlanMart(t *testing.T, n, segSize int) *planMart {
 			t.Fatal(err)
 		}
 		t.Cleanup(func() { store.Close() })
-		fact = backed
+		fact, m.store = backed, store
 	}
 	ba := relation.NewBatchAppender(fact)
 	for i := 0; i < n; i++ {
@@ -161,20 +162,22 @@ func buildPlanMart(t *testing.T, n, segSize int) *planMart {
 
 // --- the row-at-a-time oracle ---
 
-// numericPred is a closed-interval predicate with its declared bound.
-type numericPred struct{ lo, hi float64 }
-
-func (p numericPred) match(x float64) bool { return x >= p.lo && x <= p.hi }
-
-// satisfies evaluates one constraint on one boxed fact row by looking
-// the foreign key up in maps read straight off the dimension rows.
+// satisfies evaluates one constraint on one boxed fact row: a range on
+// a fact column reads the row itself, any other constraint looks the
+// foreign key up in maps read straight off the dimension rows.
 func (m *planMart) satisfies(row []relation.Value, c Constraint) bool {
+	if c.Table == "F" {
+		v := row[m.fact.Schema().ColumnIndex(c.Attr)]
+		return !v.IsNull() && c.Range.Contains(v.AsFloat())
+	}
 	var fk relation.Value
 	var attr map[int64]relation.Value
-	switch c.Table {
-	case "A":
+	switch {
+	case c.Table == "A" && c.Attr == "Score":
+		fk, attr = row[2], m.aScore
+	case c.Table == "A":
 		fk, attr = row[2], m.aName
-	case "B":
+	case c.Table == "B":
 		fk, attr = row[3], m.bLabel
 	}
 	if fk.IsNull() {
@@ -183,6 +186,9 @@ func (m *planMart) satisfies(row []relation.Value, c Constraint) bool {
 	v, linked := attr[fk.IntVal()]
 	if !linked {
 		return false
+	}
+	if c.Range != nil {
+		return !v.IsNull() && c.Range.Contains(v.AsFloat())
 	}
 	for _, want := range c.Values {
 		if v == want {
@@ -204,10 +210,9 @@ func (m *planMart) score(row []relation.Value) float64 {
 	return v.AsFloat()
 }
 
-// oracleRows is the reference for every row-set producer: walk [lo, hi)
-// one boxed row at a time, keeping rows that satisfy every constraint,
-// the fact-column predicates and the A.Score predicate.
-func (m *planMart) oracleRows(lo, hi int, cs []Constraint, factPreds map[string]numericPred, scorePred *numericPred) []int {
+// oracleRows is the reference for the intersection: walk [lo, hi) one
+// boxed row at a time, keeping rows that satisfy every constraint.
+func (m *planMart) oracleRows(lo, hi int, cs []Constraint) []int {
 	var out []int
 	lo, hi = max(lo, 0), min(hi, m.fact.Len())
 rows:
@@ -215,17 +220,6 @@ rows:
 		row := m.fact.Row(r)
 		for _, c := range cs {
 			if !m.satisfies(row, c) {
-				continue rows
-			}
-		}
-		for col, p := range factPreds {
-			v := row[m.fact.Schema().ColumnIndex(col)]
-			if v.IsNull() || !p.match(v.AsFloat()) {
-				continue rows
-			}
-		}
-		if scorePred != nil {
-			if s := m.score(row); math.IsNaN(s) || !scorePred.match(s) {
 				continue rows
 			}
 		}
@@ -260,27 +254,55 @@ func (m *planMart) randConstraints(rng *rand.Rand) []Constraint {
 		cs = append(cs, Constraint{Table: "B", Attr: "Label",
 			Values: []relation.Value{relation.String(string(rune('p' + rng.Intn(3))))}, Path: m.pathB})
 	}
+	// Range constraints: the clustered fact column, the NULL-holding one,
+	// and a dimension attribute with NULL cells.
+	if rng.Intn(2) == 0 {
+		cs = append(cs, m.rangeOn("F", "Seq", randInterval(rng, func() float64 { return float64(rng.Intn(m.fact.Len() + 1)) })))
+	}
+	if rng.Intn(2) == 0 {
+		cs = append(cs, m.rangeOn("F", "Noise", randInterval(rng, func() float64 { return float64(rng.Intn(1000)) / 10 })))
+	}
+	if rng.Intn(2) == 0 {
+		cs = append(cs, m.rangeOn("A", "Score", randInterval(rng, func() float64 {
+			k := float64(rng.Intn(planNA) + 1)
+			return k * k / 2
+		})))
+	}
 	return cs
 }
 
-func randPred(rng *rand.Rand, span float64) numericPred {
-	lo := rng.Float64() * span
-	switch rng.Intn(4) {
-	case 0:
-		return numericPred{lo, math.Inf(1)}
-	case 1:
-		return numericPred{math.Inf(-1), lo}
-	case 2:
-		return numericPred{lo, lo} // equality
-	default:
-		return numericPred{lo, lo + rng.Float64()*span/4}
+// rangeOn is a range constraint on F's own column or on A's Score.
+func (m *planMart) rangeOn(table, attr string, iv Interval) Constraint {
+	c := Constraint{Table: table, Attr: attr, Range: &iv}
+	if table == "A" {
+		c.Path = m.pathA
 	}
+	return c
+}
+
+// randInterval draws an interval whose ends come from value (values the
+// column holds, so closed and open ends both bite), each end sometimes
+// open and sometimes unbounded; sometimes a point.
+func randInterval(rng *rand.Rand, value func() float64) Interval {
+	iv := Interval{Lo: value(), Hi: value(), LoOpen: rng.Intn(2) == 0, HiOpen: rng.Intn(2) == 0}
+	if iv.Hi < iv.Lo {
+		iv.Lo, iv.Hi = iv.Hi, iv.Lo
+	}
+	switch rng.Intn(5) {
+	case 0:
+		iv.Lo = math.Inf(-1)
+	case 1:
+		iv.Hi = math.Inf(1)
+	case 2:
+		iv = Interval{Lo: iv.Lo, Hi: iv.Lo} // equality
+	}
+	return iv
 }
 
 func sameRows(a, b []int) bool { return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b)) }
 
-// checkPlanned runs one random scan description through all four
-// producers and compares each with the oracle.
+// checkPlanned runs one random scan description through both producers
+// and compares each with the oracle.
 func (m *planMart) checkPlanned(ctx context.Context, t *testing.T, rng *rand.Rand) {
 	t.Helper()
 	n := m.fact.Len()
@@ -290,65 +312,14 @@ func (m *planMart) checkPlanned(ctx context.Context, t *testing.T, rng *rand.Ran
 	}
 	cs := m.randConstraints(rng)
 
-	// Constraint intersection, unbounded.
-	got, err := m.ex.FactRowsInRange(ctx, cs, nil, lo, hi)
+	got, err := m.ex.FactRowsInRange(ctx, cs, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := m.oracleRows(lo, hi, cs, nil, nil); !sameRows(got, want) {
+	if want := m.oracleRows(lo, hi, cs); !sameRows(got, want) {
 		t.Fatalf("FactRowsInRange(%v, [%d,%d)) = %d rows, oracle %d", cs, lo, hi, len(got), len(want))
 	}
 
-	// With declared bounds the intersection may only drop rows the
-	// predicates reject, and the fact-column filter finishes the job.
-	factPreds := map[string]numericPred{}
-	if rng.Intn(2) == 0 {
-		factPreds["Seq"] = randPred(rng, float64(n))
-	}
-	if rng.Intn(2) == 0 {
-		factPreds["Noise"] = randPred(rng, 100)
-	}
-	var bounds []Bound
-	for col, p := range factPreds {
-		bounds = append(bounds, Bound{Col: col, Lo: p.lo, Hi: p.hi})
-	}
-	bounded, err := m.ex.FactRowsInRange(ctx, cs, bounds, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	filtered := bounded
-	for col, p := range factPreds {
-		if filtered, err = m.ex.FilterFactNumericCtx(ctx, filtered, col, p.lo, p.hi, p.match); err != nil {
-			t.Fatal(err)
-		}
-	}
-	wantFiltered := m.oracleRows(lo, hi, cs, factPreds, nil)
-	if !sameRows(filtered, wantFiltered) {
-		t.Fatalf("bounded intersection + fact filters %v over [%d,%d) = %d rows, oracle %d",
-			factPreds, lo, hi, len(filtered), len(wantFiltered))
-	}
-	// The fact filter over the *unbounded* rows must land on the same set.
-	unb := got
-	for col, p := range factPreds {
-		if unb, err = m.ex.FilterFactNumericCtx(ctx, unb, col, p.lo, p.hi, p.match); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sameRows(unb, wantFiltered) {
-		t.Fatalf("fact filters %v over unbounded rows = %d rows, oracle %d", factPreds, len(unb), len(wantFiltered))
-	}
-
-	// Dimension-attribute filter.
-	sp := randPred(rng, planNA*planNA/2)
-	attrRows, err := m.ex.FilterRowsNumericBoundCtx(ctx, got, "Score", m.pathA, sp.lo, sp.hi, sp.match)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := m.oracleRows(lo, hi, cs, nil, &sp); !sameRows(attrRows, want) {
-		t.Fatalf("Score filter [%g,%g] = %d rows, oracle %d", sp.lo, sp.hi, len(attrRows), len(want))
-	}
-
-	// Numeric series.
 	series, err := m.ex.NumericSeriesCtx(ctx, got, "Score", m.pathA, ColumnMeasure(m.fact, "Seq"))
 	if err != nil {
 		t.Fatal(err)
@@ -359,10 +330,11 @@ func (m *planMart) checkPlanned(ctx context.Context, t *testing.T, rng *rand.Ran
 }
 
 // TestPlannedRowsMatchOracle is the planner's property test: random
-// constraint sets × bounds × [lo,hi) ranges × append schedules, over a
-// resident table (8192-row segments) and a backed one (128-row segments,
-// sometimes ending exactly on a segment boundary), serial and fanned
-// out. Every producer must return exactly the oracle's rows.
+// constraint sets (IN-lists and ranges on fact columns and a dimension
+// attribute) × [lo,hi) ranges × append schedules, over a resident table
+// (8192-row segments) and a backed one (128-row segments, sometimes
+// ending exactly on a segment boundary), serial and fanned out. Every
+// producer must return exactly the oracle's rows.
 func TestPlannedRowsMatchOracle(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -422,38 +394,83 @@ func planCounts(fn func(ctx context.Context)) (scanned, zone, bits int64) {
 	return tr.Count(telemetry.SegmentsScanned), tr.Count(telemetry.SegmentsSkippedZone), tr.Count(telemetry.SegmentsSkippedBits)
 }
 
-// Zone evidence on the clustered column leaves exactly the segments the
-// layout predicts, coalesced into one run; an uncorrelated column and a
-// column without zones prune nothing.
+// Zone evidence is consulted where a fact column's range builds its
+// bitset: on the clustered column it skips exactly the segments the
+// layout predicts, on an uncorrelated column none, and the planner then
+// leaves the surviving segments as one run, clipped to the range asked.
 func TestPlanZoneEvidence(t *testing.T) {
 	m := buildPlanMart(t, 1000, 128) // segments 0..7, the last 104 rows
 	ctx := context.Background()
-	var runs []span
-	scanned, zone, bits := planCounts(func(ctx context.Context) {
-		runs = m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 730, Hi: posInf})}, nil)
+	var s *bitset.Set
+	_, zone, _ := planCounts(func(ctx context.Context) {
+		var err error
+		if s, err = m.ex.constraintSet(ctx, m.rangeOn("F", "Seq", Interval{Lo: 730, Hi: math.Inf(1)})); err != nil {
+			t.Fatal(err)
+		}
 	})
-	if !reflect.DeepEqual(runs, []span{{640, 1000}}) || scanned != 3 || zone != 5 || bits != 0 {
+	if zone != 5 || s.Count() != 270 {
+		t.Fatalf("Seq>=730: zone-skipped %d, %d members", zone, s.Count())
+	}
+	var runs []span
+	scanned, zone, bits := planCounts(func(ctx context.Context) { runs = m.ex.planRuns(ctx, 0, 1000, []*bitset.Set{s}) })
+	if !reflect.DeepEqual(runs, []span{{640, 1000}}) || scanned != 3 || zone != 0 || bits != 5 {
 		t.Fatalf("Seq>=730: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
 	}
 	// A range clipped inside segments keeps its own ends.
-	runs = m.ex.planRuns(ctx, 700, 900, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 0, Hi: 800})}, nil)
-	if !reflect.DeepEqual(runs, []span{{700, 896}}) {
+	upTo800, err := m.ex.constraintSet(ctx, m.rangeOn("F", "Seq", Interval{Lo: 0, Hi: 800}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if runs = m.ex.planRuns(ctx, 700, 900, []*bitset.Set{upTo800}); !reflect.DeepEqual(runs, []span{{700, 896}}) {
 		t.Fatalf("clipped range runs = %v", runs)
 	}
 	if _, zone, _ = planCounts(func(ctx context.Context) {
-		m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Noise", Lo: 40, Hi: 60})}, nil)
+		if _, err := m.ex.constraintSet(ctx, m.rangeOn("F", "Noise", Interval{Lo: 40, Hi: 60})); err != nil {
+			t.Fatal(err)
+		}
 	}); zone != 0 {
 		t.Fatalf("uncorrelated column skipped %d segments", zone)
 	}
+}
+
+// On a backed table a range build never pages in a segment its zone
+// skipped: over a cold page cache it reads exactly the sealed segments
+// whose zone overlaps the interval, and an extension over appended rows
+// reads only the segments those rows fall in.
+func TestRangeBuildPagesNoSkippedSegment(t *testing.T) {
+	m := buildPlanMart(t, 128*9+5, 128) // sealed segments 0..8, 5 rows open
+	m.store.DropCache()
+	before := m.store.Stats()
+	var s *bitset.Set
+	_, zone, _ := planCounts(func(ctx context.Context) {
+		var err error
+		if s, err = m.ex.constraintSet(ctx, m.rangeOn("F", "Seq", Interval{Lo: 128 * 6, Hi: math.Inf(1)})); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// Segments 6, 7 and 8 are read from disk; 0..5 are skipped unread.
+	if got := m.store.Stats().PagedIn - before.PagedIn; zone != 6 || got != 3 {
+		t.Fatalf("Seq>=768: zone-skipped %d, paged in %d, want 6 and 3", zone, got)
+	}
+	if want := m.oracleRows(0, m.fact.Len(), []Constraint{m.rangeOn("F", "Seq", Interval{Lo: 128 * 6, Hi: math.Inf(1)})}); !sameRows(s.ToSlice(), want) {
+		t.Fatalf("Seq>=768: %d rows, oracle %d", s.Count(), len(want))
+	}
+	// An interval every zone misses reads nothing at all.
+	m.store.DropCache()
+	before = m.store.Stats()
 	if _, zone, _ = planCounts(func(ctx context.Context) {
-		m.ex.planRuns(ctx, 0, 1000, []zoneCheck{m.ex.factZone(Bound{Col: "Nope", Lo: 0, Hi: 1})}, nil)
-	}); zone != 0 {
-		t.Fatalf("a column without zones skipped %d segments", zone)
+		if _, err := m.ex.constraintSet(ctx, m.rangeOn("F", "Seq", Interval{Lo: -5, Hi: -1})); err != nil {
+			t.Fatal(err)
+		}
+	}); zone != 10 || m.store.Stats().PagedIn != before.PagedIn {
+		t.Fatalf("Seq<=-1: zone-skipped %d of 10, paged in %d", zone, m.store.Stats().PagedIn-before.PagedIn)
 	}
 }
 
 // Bit evidence: a constraint with members in one KB band survives only
-// in the segments that band touches; zone evidence is consulted first.
+// in the segments that band touches; composed with a range on the
+// clustered column only the segment both reach survives, and the range
+// build's zone skips show again as the planner's bit skips.
 func TestPlanBitEvidence(t *testing.T) {
 	m := buildPlanMart(t, 2100, 128) // KB bands of 700 rows: keys 1,2,3
 	ctx := context.Background()
@@ -465,14 +482,18 @@ func TestPlanBitEvidence(t *testing.T) {
 	// Label of key 2 is unique among keys 1..3 → rows [700,1400) →
 	// segments 5 (640..767) through 10 (1280..1407).
 	var runs []span
-	scanned, zone, bits := planCounts(func(ctx context.Context) { runs = m.ex.planRuns(ctx, 0, 2100, nil, []*bitset.Set{s}) })
+	scanned, zone, bits := planCounts(func(ctx context.Context) { runs = m.ex.planRuns(ctx, 0, 2100, []*bitset.Set{s}) })
 	if !reflect.DeepEqual(runs, []span{{640, 1408}}) || scanned != 6 || bits != 11 || zone != 0 {
 		t.Fatalf("band constraint: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
 	}
 	scanned, zone, bits = planCounts(func(ctx context.Context) {
-		runs = m.ex.planRuns(ctx, 0, 2100, []zoneCheck{m.ex.factZone(Bound{Col: "Seq", Lo: 1300, Hi: posInf})}, []*bitset.Set{s})
+		r, err := m.ex.constraintSet(ctx, m.rangeOn("F", "Seq", Interval{Lo: 1300, Hi: math.Inf(1)}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs = m.ex.planRuns(ctx, 0, 2100, []*bitset.Set{s, r})
 	})
-	if !reflect.DeepEqual(runs, []span{{1280, 1408}}) || scanned != 1 || zone != 10 || bits != 6 {
+	if !reflect.DeepEqual(runs, []span{{1280, 1408}}) || scanned != 1 || zone != 10 || bits != 16 {
 		t.Fatalf("composed: runs=%v scanned=%d zone=%d bits=%d", runs, scanned, zone, bits)
 	}
 }
@@ -538,10 +559,10 @@ func TestStripes(t *testing.T) {
 }
 
 // Zones planted while the tail segment held a handful of rows must widen
-// when an append lands values outside them in that same segment — for
-// the table's fact-column zones and the executor's attribute zones
-// alike. Every equality probe over the grown table must match the
-// oracle; a stale zone would skip the tail segment and lose rows.
+// when an append lands values outside them in that same segment. Every
+// range over the grown table must match the oracle, built cold and
+// extended from the pre-append set alike; a stale zone would skip the
+// tail segment and lose rows.
 func TestZonesWidenPastAppendedRows(t *testing.T) {
 	for name, tc := range map[string]struct{ n, seg int }{
 		"resident": {5, 0},
@@ -553,31 +574,16 @@ func TestZonesWidenPastAppendedRows(t *testing.T) {
 			probe := func() {
 				t.Helper()
 				n := m.fact.Len()
-				all, err := m.ex.FactRowsInRange(ctx, nil, nil, 0, n)
-				if err != nil || len(all) != n {
-					t.Fatalf("all rows: %d of %d, err %v", len(all), n, err)
-				}
-				for k := int64(3); k <= planNA; k++ {
-					p := numericPred{m.aScore[k].AsFloat(), m.aScore[k].AsFloat()}
-					got, err := m.ex.FilterRowsNumericBoundCtx(ctx, all, "Score", m.pathA, p.lo, p.hi, p.match)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := m.oracleRows(0, n, nil, nil, &p); !sameRows(got, want) {
-						t.Fatalf("Score=%g over %d rows: %d rows, oracle %d", p.lo, n, len(got), len(want))
-					}
-				}
-				for _, p := range []numericPred{{0, 3}, {50, 51}, {97, 100}} {
-					preds := map[string]numericPred{"Noise": p}
-					got, err := m.ex.FactRowsInRange(ctx, nil, []Bound{{Col: "Noise", Lo: p.lo, Hi: p.hi}}, 0, n)
-					if err == nil {
-						got, err = m.ex.FilterFactNumericCtx(ctx, got, "Noise", p.lo, p.hi, p.match)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					if want := m.oracleRows(0, n, nil, preds, nil); !sameRows(got, want) {
-						t.Fatalf("Noise in [%g,%g] over %d rows: %d rows, oracle %d", p.lo, p.hi, n, len(got), len(want))
+				for _, iv := range []Interval{{Lo: 0, Hi: 3}, {Lo: 50, Hi: 51}, {Lo: 97, Hi: 100}} {
+					cs := []Constraint{m.rangeOn("F", "Noise", iv)}
+					for _, ex := range []*Executor{m.ex, NewExecutor(m.g)} {
+						got, err := ex.FactRowsInRange(ctx, cs, 0, n)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if want := m.oracleRows(0, n, cs); !sameRows(got, want) {
+							t.Fatalf("Noise in %v over %d rows: %d rows, oracle %d", iv, n, len(got), len(want))
+						}
 					}
 				}
 			}

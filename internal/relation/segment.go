@@ -33,9 +33,8 @@ func NumSegments(n, segSize int) int {
 // Zone is the min/max summary of a numeric column over one segment,
 // ignoring NULL (NaN). It is the only zone-map type in the system: every
 // table keeps one per segment of each numeric column as it appends (a
-// paged store's manifest persists them), and the executor keeps them
-// over fact-aligned dimension-attribute columns. A zone with no numeric
-// rows has Min > Max (the empty interval) and overlaps nothing.
+// paged store's manifest persists them). A zone with no numeric rows
+// has Min > Max (the empty interval) and overlaps nothing.
 type Zone struct{ Min, Max float64 }
 
 // EmptyZone is the identity for zone accumulation.
@@ -56,29 +55,6 @@ func (z *Zone) Observe(v float64) {
 	if v > z.Max {
 		z.Max = v
 	}
-}
-
-// ExtendZones returns per-segment zones covering every row of vals,
-// given zones that already cover its first upTo rows. The input slice
-// is never written — the result replaces it — so readers holding it
-// keep a consistent, merely narrower, view; zones only ever widen, so an
-// older slice stays conservative for the prefix it covers.
-func ExtendZones(zones []Zone, upTo int, vals []float64, segSize int) []Zone {
-	if upTo >= len(vals) {
-		return zones
-	}
-	out := make([]Zone, NumSegments(len(vals), segSize))
-	copy(out, zones)
-	for si := len(zones); si < len(out); si++ {
-		out[si] = EmptyZone()
-	}
-	for si := upTo / segSize; si < len(out); si++ {
-		z := &out[si]
-		for _, v := range vals[max(si*segSize, upTo):min((si+1)*segSize, len(vals))] {
-			z.Observe(v)
-		}
-	}
-	return out
 }
 
 // FloatReader yields a numeric column segment by segment as float64

@@ -91,53 +91,6 @@ func TestZoneOverlaps(t *testing.T) {
 	}
 }
 
-// ExtendZones over a growing column must equal zones built in one pass,
-// never write the slice it was handed, and leave all-NULL segments
-// empty.
-func TestExtendZones(t *testing.T) {
-	const ss = 64
-	vals := make([]float64, 5*ss+9)
-	for i := range vals {
-		vals[i] = float64((i * 7919) % 1000)
-		if i%11 == 0 || i/ss == 2 { // segment 2 is all NULL
-			vals[i] = math.NaN()
-		}
-	}
-	whole := ExtendZones(nil, 0, vals, ss)
-	if len(whole) != 6 {
-		t.Fatalf("%d zones over %d rows", len(whole), len(vals))
-	}
-	if whole[2].Overlaps(math.Inf(-1), math.Inf(1)) {
-		t.Errorf("all-NULL segment zone = %+v", whole[2])
-	}
-	for si, z := range whole {
-		want := EmptyZone()
-		for _, v := range vals[si*ss : min((si+1)*ss, len(vals))] {
-			want.Observe(v)
-		}
-		if z != want {
-			t.Errorf("zone %d = %+v, want %+v", si, z, want)
-		}
-	}
-	var zones []Zone
-	upTo := 0
-	for _, n := range []int{1, ss - 1, ss, ss + 1, 3 * ss, 3*ss + 5, len(vals)} {
-		before := append([]Zone(nil), zones...)
-		next := ExtendZones(zones, upTo, vals[:n], ss)
-		for i := range before {
-			if zones[i] != before[i] {
-				t.Fatalf("ExtendZones to %d rows wrote its input at %d", n, i)
-			}
-		}
-		zones, upTo = next, n
-	}
-	for si := range whole {
-		if zones[si] != whole[si] {
-			t.Errorf("incremental zone %d = %+v, one-pass %+v", si, zones[si], whole[si])
-		}
-	}
-}
-
 // A table keeps one zone per segment of each numeric column and widens
 // the open segment's past appended rows; columns without zones give
 // none.

@@ -612,19 +612,6 @@ func (s *Server) handleDrill(w http.ResponseWriter, r *http.Request) {
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Numeric {
-		// A NaN or infinite bound would poison every downstream
-		// comparison; name the field like the explore validation does.
-		for _, f := range []struct {
-			name string
-			val  float64
-		}{{"lo", req.Lo}, {"hi", req.Hi}} {
-			if math.IsNaN(f.val) || math.IsInf(f.val, 0) {
-				writeError(w, http.StatusBadRequest, f.name+" must be a finite number")
-				return
-			}
-		}
-	}
 	e, sn, db, ok := s.resolve(w, req.Session, req.Pick)
 	if !ok {
 		return

@@ -308,6 +308,23 @@ func TestDrillRangeOverHTTP(t *testing.T) {
 	}
 }
 
+// A bound beyond float64's range never reaches the engine: encoding/json
+// refuses it, and the drill answers 400.
+func TestDrillRangeRejectsOutOfRangeJSON(t *testing.T) {
+	ts := newTestServer(t)
+	var q QueryResponse
+	post(t, ts, "/api/query", map[string]any{"db": "ebiz", "q": "Projectors"}, &q)
+	body := `{"session":"` + q.Session + `","pick":1,"numeric":true,"table":"CUSTOMER","attr":"Income","role":"Buyer","lo":1e999,"hi":2}`
+	resp, err := http.Post(ts.URL+"/api/drill", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf(`{"lo":1e999}: status %d, want 400`, resp.StatusCode)
+	}
+}
+
 func TestUIPage(t *testing.T) {
 	ts := newTestServer(t)
 	resp, err := http.Get(ts.URL + "/")

@@ -52,9 +52,11 @@ const (
 	// instead of scanned; DistFills those scanned into it.
 	SharedScans Fact = iota
 	DistFills
-	// SegmentsScanned, SegmentsSkippedZone and SegmentsSkippedBits are
-	// the row-space planner's verdicts: segments let through to a scan,
-	// skipped on zone-map and on constraint-bitset evidence.
+	// SegmentsScanned and SegmentsSkippedBits are the row-space
+	// planner's verdicts: segments let through to an intersection, and
+	// skipped on constraint-bitset evidence. SegmentsSkippedZone counts
+	// the segments a fact-column range build skipped unread on zone-map
+	// evidence; the planner skips those again on their bits.
 	SegmentsScanned
 	SegmentsSkippedZone
 	SegmentsSkippedBits
