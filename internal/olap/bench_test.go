@@ -1,6 +1,7 @@
 package olap
 
 import (
+	"context"
 	"testing"
 
 	"kdap/internal/dataset"
@@ -79,4 +80,48 @@ func BenchmarkFusedAggregate(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkNumericSeries measures the numeric series of the two
+// AW_ONLINE numeric group-by attributes over 200k facts under the
+// revenue measure: folded over every row (a roll-up's buckets) and
+// materialised over every third row (a net's own series). The attribute
+// is read through its code vector, built before the timer starts.
+func BenchmarkNumericSeries(b *testing.B) {
+	wh := dataset.AWOnlineScaled(200_000)
+	ex := NewExecutor(wh.Graph)
+	m := RevenueMeasure(wh.DB.Table(wh.Graph.FactTable()))
+	all := mustFactRows(b, ex, nil)
+	var third []int
+	for i := 0; i < len(all); i += 3 {
+		third = append(third, all[i])
+	}
+	for _, a := range []struct{ table, attr, dim string }{
+		{"DimCustomer", "YearlyIncome", "Customer"},
+		{"DimProduct", "DealerPrice", "Product"},
+	} {
+		path, ok := wh.Graph.PathFromFact(a.table, a.dim)
+		if !ok {
+			b.Fatalf("no path to %s", a.table)
+		}
+		mustSeries(b, ex, third, a.attr, path, m) // build the code vector
+		b.Run(a.attr+"/fold", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pairs := 0
+				err := ex.FoldNumericSeriesCtx(context.Background(), all, a.attr, path, m, func(s []ValueMeasure) {
+					pairs += len(s)
+				})
+				if err != nil || pairs == 0 {
+					b.Fatalf("%d pairs: %v", pairs, err)
+				}
+			}
+		})
+		b.Run(a.attr+"/third", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if len(mustSeries(b, ex, third, a.attr, path, m)) == 0 {
+					b.Fatal("empty series")
+				}
+			}
+		})
+	}
 }

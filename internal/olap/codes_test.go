@@ -153,6 +153,7 @@ func (m *codeMart) check(t *testing.T, rng *rand.Rand, pivot bool) {
 	if cc, _ := m.ex.attrCodes("Name", m.path); cc.width != codeWidth(m.nd) {
 		t.Fatalf("nd %d: Name codes are %d bytes wide, want %d", m.nd, cc.width, codeWidth(m.nd))
 	}
+	m.checkSeries(t, sets, v)
 	if !pivot {
 		return
 	}
@@ -186,6 +187,45 @@ func (m *codeMart) check(t *testing.T, rng *rand.Rand, pivot bool) {
 	}
 }
 
+// checkSeries compares the numeric series, materialised and folded,
+// with one built a row at a time from the generator: DKey through its
+// code vector, whose dictionary holds the keys of the rows the facts
+// span so far, and the fact column V in place.
+func (m *codeMart) checkSeries(t *testing.T, sets [][]int, v Measure) {
+	t.Helper()
+	for _, rows := range sets {
+		for _, tc := range []struct {
+			attr  string
+			path  schemagraph.JoinPath
+			value func(f []relation.Value) (float64, bool)
+		}{
+			{"DKey", m.path, func(f []relation.Value) (float64, bool) {
+				return f[0].AsFloat(), !f[0].IsNull() && f[0].IntVal() >= 0 // NULL or dangling
+			}},
+			{"V", m.zero, func(f []relation.Value) (float64, bool) { return f[1].AsFloat(), true }},
+		} {
+			var want []ValueMeasure
+			for _, r := range rows {
+				f := m.factAt(r)
+				if x, ok := tc.value(f); ok {
+					want = append(want, ValueMeasure{Value: x, Measure: f[1].AsFloat()})
+				}
+			}
+			var folded []ValueMeasure
+			err := m.ex.FoldNumericSeriesCtx(context.Background(), rows, tc.attr, tc.path, v, func(s []ValueMeasure) {
+				folded = append(folded, s...)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := mustSeries(t, m.ex, rows, tc.attr, tc.path, v); !slices.Equal(got, want) || !slices.Equal(folded, want) {
+				t.Fatalf("nd %d, %d facts, %s series over %d rows: %d pairs materialised, %d folded, want %d (or values differ)",
+					m.nd, m.fact.Len(), tc.attr, len(rows), len(got), len(folded), len(want))
+			}
+		}
+	}
+}
+
 func TestNarrowCodesMatchWide(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	sizes := []int{1, 255, 256, 65535, 65536}
@@ -195,16 +235,77 @@ func TestNarrowCodesMatchWide(t *testing.T) {
 	if testing.Short() {
 		sizes = []int{1, 255, 256, 1 + rng.Intn(2000)}
 	}
+	keyWidths := map[int]bool{} // the DKey series' code widths
 	for _, nd := range sizes {
 		m := buildCodeMart(t, nd)
+		check := func(pivot bool) {
+			m.check(t, rng, pivot)
+			cc, _ := m.ex.attrCodes("DKey", m.path)
+			if cc.width != codeWidth(len(cc.dict)) {
+				t.Fatalf("nd %d: DKey codes are %d bytes wide for %d keys", nd, cc.width, len(cc.dict))
+			}
+			keyWidths[cc.width] = true
+		}
 		// A random append schedule: the first read builds the vectors,
 		// each later one extends them over the appended rows.
 		m.appendFacts(t, 1+rng.Intn(2*nd+50))
 		batches := rng.Intn(3)
-		m.check(t, rng, batches == 0)
+		check(batches == 0)
 		for ; batches > 0; batches-- {
 			m.appendFacts(t, 1+rng.Intn(nd+50))
-			m.check(t, rng, batches == 1)
+			check(batches == 1)
+		}
+	}
+	if !testing.Short() && len(keyWidths) != 3 {
+		t.Errorf("the DKey series ran at code widths %v, want 1, 2 and 4", keyWidths)
+	}
+}
+
+// A numeric dimension attribute holding −0 and +0 has one value for
+// them, the first its dictionary saw (the dimension's first row), in the
+// series as in the group-by.
+func TestSignedZeroIsOneValue(t *testing.T) {
+	db := relation.NewDatabase("zeros")
+	d := db.MustCreateTable(relation.MustSchema("D", []relation.Column{
+		{Name: "DKey", Kind: relation.KindInt},
+		{Name: "W", Kind: relation.KindFloat},
+	}, "DKey", nil))
+	for k, w := range []float64{math.Copysign(0, -1), 0, 1.5} {
+		d.MustAppend(relation.Int(int64(k)), relation.Float(w))
+	}
+	f := db.MustCreateTable(relation.MustSchema("F", []relation.Column{
+		{Name: "K", Kind: relation.KindInt},
+		{Name: "V", Kind: relation.KindFloat},
+	}, "", []relation.ForeignKey{{Column: "K", RefTable: "D", RefColumn: "DKey"}}))
+	for i, k := range []int64{1, 0, 2, 1} {
+		f.MustAppend(relation.Int(k), relation.Float(float64(i+1)))
+	}
+	g := schemagraph.New(db, "F")
+	if err := g.AddDimension(&schemagraph.Dimension{Name: "DD", Tables: []string{"D"}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Build(); err != nil {
+		t.Fatal(err)
+	}
+	path, _ := g.PathFromFact("D", "DD")
+	ex := NewExecutor(g)
+	rows := mustFactRows(t, ex, nil)
+	series := mustSeries(t, ex, rows, "W", path, ColumnMeasure(f, "V"))
+	if len(series) != 4 {
+		t.Fatalf("series = %v, want 4 pairs", series)
+	}
+	for i, p := range series {
+		if p.Value == 0 && !math.Signbit(p.Value) {
+			t.Errorf("pair %d is %+v: +0, want the −0 seen first", i, p)
+		}
+	}
+	groups := mustGroupBy(t, ex, rows, "W", path, ColumnMeasure(f, "V"), Sum)
+	if len(groups) != 2 || groups[relation.Float(0)] != 7 {
+		t.Fatalf("groups = %v, want {0: 7, 1.5: 3}", groups)
+	}
+	for k := range groups {
+		if k.AsFloat() == 0 && !math.Signbit(k.AsFloat()) {
+			t.Errorf("the zero group is keyed +0, want the −0 seen first")
 		}
 	}
 }
@@ -352,7 +453,7 @@ func TestCodeVectorBytesPerFact(t *testing.T) {
 		}
 		want += int64(facts * cc.width)
 	}
-	if got.CodeVectors != want || got.FactToDim != int64(len(ex.factMap)*facts*4) || got.AttrFloats != 0 {
+	if got.CodeVectors != want || got.FactToDim != int64(len(ex.factMap)*facts*4) {
 		t.Errorf("ResidentBytes = %+v, want %d B of code vectors and %d mappings", got, want, len(ex.factMap))
 	}
 	perFact := float64(got.CodeVectors) / float64(facts*vectors)
@@ -368,7 +469,7 @@ func TestCodeVectorBytesPerFact(t *testing.T) {
 // TestDerivedExtensionAllocatesTail holds the executor's derived vectors
 // to the store's growth rule: extended past the length readers were
 // handed, not copied whole. On a 200k-fact codeMart, a fact→dimension
-// mapping, two code vectors and a float column are extended across 50
+// mapping and two code vectors are extended across 50
 // appends of 2048 rows; the extensions together may allocate at most
 // 4× the bytes the vectors end up holding (copying each vector whole on
 // every extension allocated 51×). A call on a vector that already
@@ -381,7 +482,6 @@ func TestDerivedExtensionAllocatesTail(t *testing.T) {
 		m.ex.factToDim(m.path)
 		m.ex.attrCodes("Name", m.path)
 		m.ex.attrCodes("Band", m.path)
-		m.ex.attrFloats("DKey", m.path)
 	}
 	touch()
 	var allocated uint64
@@ -397,9 +497,8 @@ func TestDerivedExtensionAllocatesTail(t *testing.T) {
 	n := m.fact.Len()
 	name, _ := m.ex.attrCodes("Name", m.path)
 	band, _ := m.ex.attrCodes("Band", m.path)
-	keys, _ := m.ex.attrFloats("DKey", m.path)
 	f2d := m.ex.factToDim(m.path)
-	held := 4*len(f2d) + name.rows()*name.width + band.rows()*band.width + 8*len(keys)
+	held := 4*len(f2d) + name.rows()*name.width + band.rows()*band.width
 	ratio := float64(allocated) / float64(held)
 	t.Logf("%d extensions to %d facts allocated %.1f MB for %.1f MB of vectors: %.1f×", appends, n, float64(allocated)/1e6, float64(held)/1e6, ratio)
 	if ratio > budget {
@@ -420,16 +519,10 @@ func TestDerivedExtensionAllocatesTail(t *testing.T) {
 			}
 		}
 	}
-	if want, _ := fresh.attrFloats("DKey", m.path); !slices.EqualFunc(keys, want, func(a, b float64) bool {
-		return a == b || math.IsNaN(a) && math.IsNaN(b)
-	}) {
-		t.Error("extended float column differs from a cold build")
-	}
 
 	for what, call := range map[string]func(){
-		"factToDim":  func() { m.ex.factToDim(m.path) },
-		"attrCodes":  func() { m.ex.attrCodes("Name", m.path) },
-		"attrFloats": func() { m.ex.attrFloats("DKey", m.path) },
+		"factToDim": func() { m.ex.factToDim(m.path) },
+		"attrCodes": func() { m.ex.attrCodes("Name", m.path) },
 	} {
 		if allocs := testing.AllocsPerRun(100, call); allocs > 1 {
 			t.Errorf("%s on a covering vector: %.0f allocations per call, want at most 1", what, allocs)

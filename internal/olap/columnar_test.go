@@ -204,7 +204,7 @@ func TestAggregateMatchesReference(t *testing.T) {
 	}
 }
 
-// NumericSeriesCtx through the fact-aligned float column, and a range
+// NumericSeriesCtx through the attribute's code vector, and a range
 // constraint on the attribute, must match the boxed row walk.
 func TestNumericColumnsMatchRowWalk(t *testing.T) {
 	ex := NewExecutor(ebiz.Graph)

@@ -520,29 +520,3 @@ func readRange[T any](segment func(si int) []T, segSize, from, to int) []T {
 	}
 	return out
 }
-
-// attrFloats returns, memoized, the fact-aligned numeric column for the
-// attribute at the far end of path: NaN where the fact row is unlinked
-// or the attribute value is NULL or non-numeric. Coverage-complete like
-// attrCodes, with builds counted the same way.
-func (ex *Executor) attrFloats(attr string, path schemagraph.JoinPath) (_ []float64, builds int) {
-	return grow(ex, ex.attrFloat, attrColKey{path.Signature(), attr}, func(fc vec[float64], n int) vec[float64] {
-		f2d := ex.factToDim(path)[len(fc):n] // covers ≥ n
-		src := ex.table(path.Source)
-		var vals []float64
-		from, to := rowSpan(f2d)
-		if c, _ := src.Schema().Column(attr); c.Kind == relation.KindInt || c.Kind == relation.KindFloat {
-			rd := src.FloatReader(attr)
-			vals = readRange(rd.FloatSegment, rd.SegmentSize(), from, to)
-		}
-		tail := make([]float64, len(f2d))
-		for i, d := range f2d {
-			if d < 0 || vals == nil {
-				tail[i] = math.NaN()
-			} else {
-				tail[i] = vals[int(d)-from]
-			}
-		}
-		return tail
-	})
-}

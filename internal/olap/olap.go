@@ -338,8 +338,8 @@ func (iv Interval) String() string {
 }
 
 // Executor runs star-net queries against one warehouse. It memoizes
-// fact-row→dimension-row mappings and fact-aligned attribute code/float
-// columns per join path, and per-constraint semijoin results (as
+// fact-row→dimension-row mappings and fact-aligned attribute code
+// vectors per join path, and per-constraint semijoin results (as
 // bitsets over fact rows), so repeated facet construction and the
 // evaluation of many star nets sharing hit groups are cheap. Safe for
 // concurrent use; cache hits take only a read lock, so the facet
@@ -348,10 +348,9 @@ type Executor struct {
 	g    *schemagraph.Graph
 	fact *relation.Table
 
-	mu        sync.RWMutex
-	factMap   map[string]vec[int32] // path signature -> fact row -> dim row (-1 when unlinked)
-	attrCode  map[attrColKey]*codeColumn
-	attrFloat map[attrColKey]vec[float64]
+	mu       sync.RWMutex
+	factMap  map[string]vec[int32] // path signature -> fact row -> dim row (-1 when unlinked)
+	attrCode map[attrColKey]*codeColumn
 	// constraintBits caches each constraint's fact-row set; candidate
 	// star nets combine a small vocabulary of hit groups, so hit rates
 	// are high during differentiation-heavy workloads.
@@ -363,11 +362,9 @@ type Executor struct {
 type ResidentBytes struct {
 	// CodeVectors: dictionary-coded attribute columns, 1, 2 or 4 bytes
 	// per fact row each. FactToDim: fact→dimension row mappings, 4 bytes
-	// per fact row per join path. AttrFloats: numeric attribute columns,
-	// 8 bytes per fact row each.
+	// per fact row per join path.
 	CodeVectors int64 `json:"codeVectors"`
 	FactToDim   int64 `json:"factToDim"`
-	AttrFloats  int64 `json:"attrFloats"`
 }
 
 // ResidentBytes sums the executor's memoized columns from their
@@ -383,9 +380,6 @@ func (ex *Executor) ResidentBytes() ResidentBytes {
 	}
 	for _, m := range ex.factMap {
 		b.FactToDim += int64(cap(m)) * 4
-	}
-	for _, f := range ex.attrFloat {
-		b.AttrFloats += int64(cap(f)) * 8
 	}
 	return b
 }
@@ -408,7 +402,6 @@ func NewExecutor(g *schemagraph.Graph) *Executor {
 		g: g, fact: fact,
 		factMap:        make(map[string]vec[int32]),
 		attrCode:       make(map[attrColKey]*codeColumn),
-		attrFloat:      make(map[attrColKey]vec[float64]),
 		constraintBits: cache.NewClock[string, *bitset.Set](constraintCacheCap),
 	}
 }
@@ -825,13 +818,12 @@ type ValueMeasure struct {
 // NumericSeriesCtx extracts, for each fact row, the numeric value of the
 // attribute reached via path together with the row's measure value.
 // Rows with NULL, non-numeric, or unlinked attributes are dropped. The
-// attribute is read from its memoized fact-aligned float column (NaN
-// marks absent), the measure a segment at a time, and cancellation is
-// checked before every segment. A large row set is extracted over
-// concurrent row-ordered spans whose outputs concatenate to exactly the
-// serial series.
+// attribute is read by seriesPairs, the measure a segment at a time, and
+// cancellation is checked before every segment. A large row set is
+// extracted over concurrent row-ordered spans whose outputs concatenate
+// to exactly the serial series.
 func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure) ([]ValueMeasure, error) {
-	vals := ex.seriesColumn(ctx, rows, attr, path)
+	pairs := ex.seriesPairs(ctx, rows, attr, path)
 	if len(rows) == 0 {
 		return []ValueMeasure{}, nil
 	}
@@ -841,7 +833,7 @@ func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr strin
 	spans := []span{{0, len(rows)}}
 	return gather(ctx, spans, len(rows), spanLen, func(out []ValueMeasure, part []span) ([]ValueMeasure, error) {
 		err := forStrides(ctx, rd, rows, part, func(stride []int, seg []float64, base int) {
-			out = appendPairs(out, vals, stride, seg, base)
+			out = pairs(out, stride, seg, base)
 		})
 		return out, err
 	})
@@ -856,7 +848,7 @@ func (ex *Executor) NumericSeriesCtx(ctx context.Context, rows []int, attr strin
 // working set is one segment instead of 16 bytes per row of a roll-up
 // space.
 func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath, m Measure, fold func([]ValueMeasure)) error {
-	vals := ex.seriesColumn(ctx, rows, attr, path)
+	pairs := ex.seriesPairs(ctx, rows, attr, path)
 	if len(rows) == 0 {
 		return nil
 	}
@@ -866,36 +858,75 @@ func (ex *Executor) FoldNumericSeriesCtx(ctx context.Context, rows []int, attr s
 	rd := m.reader(ex.fact)
 	buf := make([]ValueMeasure, 0, min(len(rows), rd.SegmentSize()))
 	return forStrides(ctx, rd, rows, []span{{0, len(rows)}}, func(stride []int, seg []float64, base int) {
-		fold(appendPairs(buf, vals, stride, seg, base))
+		fold(pairs(buf, stride, seg, base))
 	})
 }
 
-// seriesColumn resolves what a numeric-series scan reads besides the
-// measure: the fact-aligned attribute column (nil for no rows).
-func (ex *Executor) seriesColumn(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath) []float64 {
-	if ex.g.DB().Table(path.Source).Schema().ColumnIndex(attr) < 0 {
+// pairsFunc appends to out the (attribute value, measure) pairs of rows,
+// one stride of a measure segment seg starting at row base, dropping
+// rows whose attribute is absent.
+type pairsFunc func(out []ValueMeasure, rows []int, seg []float64, base int) []ValueMeasure
+
+// seriesPairs resolves what a numeric-series scan reads besides the
+// measure (nil for no rows): a dimension attribute's code vector, the
+// one GroupByCtx reads, with its width dispatched here, once per call;
+// a fact-table column in place, since its dictionary can be as large as
+// the fact table.
+func (ex *Executor) seriesPairs(ctx context.Context, rows []int, attr string, path schemagraph.JoinPath) pairsFunc {
+	c, ok := ex.table(path.Source).Schema().Column(attr)
+	switch {
+	case !ok:
 		panic(fmt.Sprintf("olap: %s has no column %q", path.Source, attr))
-	}
-	if len(rows) == 0 {
+	case len(rows) == 0:
 		return nil
+	case c.Kind != relation.KindInt && c.Kind != relation.KindFloat:
+		return func(out []ValueMeasure, _ []int, _ []float64, _ int) []ValueMeasure { return out }
+	case len(path.Hops) == 0:
+		return columnPairs(ex.fact.FloatReader(attr))
 	}
-	vals, builds := ex.attrFloats(attr, path)
-	telemetry.Count(ctx, telemetry.FloatColumnBuilds, builds)
-	return vals
+	cc, builds := ex.attrCodes(attr, path)
+	telemetry.Count(ctx, telemetry.CodeColumnBuilds, builds)
+	vals := make([]float64, len(cc.dict))
+	for i, v := range cc.dict {
+		vals[i] = v.AsFloat()
+	}
+	switch cc.width {
+	case 1:
+		return codePairs(cc.u8, vals)
+	case 2:
+		return codePairs(cc.u16, vals)
+	default:
+		return codePairs(cc.u32, vals)
+	}
 }
 
-// appendPairs appends to out the (attribute value, measure) pairs of
-// rows, one stride of a measure segment starting at row base, dropping
-// rows whose attribute is absent (NaN).
-func appendPairs(out []ValueMeasure, vals []float64, rows []int, seg []float64, base int) []ValueMeasure {
-	for _, r := range rows {
-		v := vals[r]
-		if math.IsNaN(v) {
-			continue
+// codePairs reads the attribute as codes into vals; the all-ones code
+// marks a row with no value.
+func codePairs[C code](codes []C, vals []float64) pairsFunc {
+	return func(out []ValueMeasure, rows []int, seg []float64, base int) []ValueMeasure {
+		for _, r := range rows {
+			if c := codes[r]; c != ^C(0) {
+				out = append(out, ValueMeasure{Value: vals[c], Measure: seg[r-base]})
+			}
 		}
-		out = append(out, ValueMeasure{Value: v, Measure: seg[r-base]})
+		return out
 	}
-	return out
+}
+
+// columnPairs reads the attribute from col's own segments, cutting the
+// measure's stride again where the two do not line up (the measure's
+// walk checks for cancellation). NaN marks a NULL.
+func columnPairs(col relation.FloatReader) pairsFunc {
+	return func(out []ValueMeasure, rows []int, seg []float64, base int) []ValueMeasure {
+		forStrides(context.Background(), col, rows, []span{{0, len(rows)}}, func(rows []int, vals []float64, vbase int) {
+			for _, r := range rows {
+				if v := vals[r-vbase]; !math.IsNaN(v) {
+					out = append(out, ValueMeasure{Value: v, Measure: seg[r-base]})
+				}
+			}
+		})
+		return out
+	}
 }
 
 // DimValues projects the distinct values of attr over the dimension rows

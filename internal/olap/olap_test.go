@@ -11,6 +11,7 @@ import (
 	"kdap/internal/persist"
 	"kdap/internal/relation"
 	"kdap/internal/schemagraph"
+	"kdap/internal/telemetry"
 )
 
 var ebiz = dataset.EBiz() // shared read-only warehouse across tests
@@ -537,7 +538,9 @@ func TestPivotTruncate(t *testing.T) {
 // TestFactAttributesOnPagedFact: a group-by, a numeric series and a
 // range constraint over the fact table's own columns read them through
 // the segment readers, so a fact table paged to disk answers exactly as the
-// resident one does.
+// resident one does. The series reads its column in place — it builds no
+// code vector — and the count measure's segments, longer than the paged
+// column's, are cut at the column's.
 func TestFactAttributesOnPagedFact(t *testing.T) {
 	wh := dataset.AWOnline()
 	dir := t.TempDir()
@@ -552,6 +555,7 @@ func TestFactAttributesOnPagedFact(t *testing.T) {
 	type answers struct {
 		groups   map[relation.Value]float64
 		series   []ValueMeasure
+		counted  []ValueMeasure
 		filtered []int
 	}
 	run := func(wh *dataset.Warehouse) answers {
@@ -565,8 +569,15 @@ func TestFactAttributesOnPagedFact(t *testing.T) {
 		if a.groups, err = ex.GroupByCtx(ctx, rows, "OrderQuantity", zero, m, Sum); err != nil {
 			t.Fatal(err)
 		}
-		if a.series, err = ex.NumericSeriesCtx(ctx, rows, "UnitPrice", zero, m); err != nil {
+		tr := telemetry.NewTrace("series")
+		if a.series, err = ex.NumericSeriesCtx(tr.Context(ctx), rows, "UnitPrice", zero, m); err != nil {
 			t.Fatal(err)
+		}
+		if a.counted, err = ex.NumericSeriesCtx(tr.Context(ctx), rows, "UnitPrice", zero, CountMeasure()); err != nil {
+			t.Fatal(err)
+		}
+		if builds := tr.Count(telemetry.CodeColumnBuilds); builds != 0 || len(ex.attrCode) != 1 {
+			t.Errorf("the fact-column series built %d code vectors (%d held)", builds, len(ex.attrCode))
 		}
 		if a.filtered, err = ex.FactRowsCtx(ctx, []Constraint{{Table: fact.Name(), Attr: "UnitPrice", Range: &Interval{Lo: 100, Hi: math.Inf(1)}}}); err != nil {
 			t.Fatal(err)
@@ -582,6 +593,14 @@ func TestFactAttributesOnPagedFact(t *testing.T) {
 	}
 	if !reflect.DeepEqual(paged.series, resident.series) {
 		t.Errorf("NumericSeries(UnitPrice): %d pairs paged, %d resident, or values differ", len(paged.series), len(resident.series))
+	}
+	if len(paged.counted) != len(paged.series) || !reflect.DeepEqual(paged.counted, resident.counted) {
+		t.Errorf("NumericSeries(UnitPrice, count): %d pairs paged, %d resident, or values differ", len(paged.counted), len(resident.counted))
+	}
+	for i, p := range paged.counted {
+		if p.Value != paged.series[i].Value || p.Measure != 1 {
+			t.Fatalf("pair %d of the counted series is %+v, want (%v, 1)", i, p, paged.series[i].Value)
+		}
 	}
 	if !reflect.DeepEqual(paged.filtered, resident.filtered) {
 		t.Errorf("range UnitPrice >= 100: %d rows paged, %d resident", len(paged.filtered), len(resident.filtered))

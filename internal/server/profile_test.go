@@ -3,11 +3,15 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"kdap/internal/dataset"
 	"kdap/internal/telemetry"
 )
 
@@ -92,7 +96,11 @@ func TestProfileInline(t *testing.T) {
 // A client-supplied X-Request-ID is kept (truncated to the cap) and
 // echoed; absent one, the server generates and echoes an ID.
 func TestRequestIDPropagation(t *testing.T) {
-	ts := newTestServer(t)
+	logs := &lockedBuffer{}
+	srv := New(map[string]*dataset.Warehouse{"ebiz": dataset.EBiz()})
+	srv.SetLogger(slog.New(slog.NewJSONHandler(logs, nil)))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
 	req, _ := http.NewRequest(http.MethodPost, ts.URL+"/api/query?profile=1",
 		bytes.NewReader([]byte(`{"db":"ebiz","q":"Columbus"}`)))
 	req.Header.Set("Content-Type", "application/json")
@@ -112,6 +120,57 @@ func TestRequestIDPropagation(t *testing.T) {
 	if q.Profile == nil || q.Profile.ID != "trace-abc-123" {
 		t.Errorf("profile did not keep the client ID: %+v", q.Profile)
 	}
+
+	// The access log line carries the ID too, generated or not. It is
+	// written when the handler returns, which may be after the client
+	// has its response.
+	var generated QueryResponse
+	resp2 := postJSON(t, ts.URL, "/api/query?profile=1", `{"db":"ebiz","q":"Columbus"}`, &generated)
+	id := resp2.Header.Get("X-Request-ID")
+	if id == "" || generated.Profile == nil || generated.Profile.ID != id {
+		t.Fatalf("generated ID %q not on the profile: %+v", id, generated.Profile)
+	}
+	for _, want := range []string{"trace-abc-123", id} {
+		var line map[string]any
+		for deadline := time.Now().Add(2 * time.Second); line == nil && time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			line = logs.line("request_id", want)
+		}
+		if line == nil {
+			t.Fatalf("no access log line with request_id %q in:\n%s", want, logs.String())
+		}
+		if line["route"] != "/api/query" || line["status"] != float64(http.StatusOK) {
+			t.Errorf("access log line for %s: %v", want, line)
+		}
+	}
+}
+
+// lockedBuffer collects JSON log lines written from server goroutines.
+type lockedBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *lockedBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *lockedBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
+// line returns the first logged line whose key holds value, or nil.
+func (b *lockedBuffer) line(key, value string) map[string]any {
+	for _, l := range strings.Split(b.String(), "\n") {
+		var m map[string]any
+		if json.Unmarshal([]byte(l), &m) == nil && m[key] == value {
+			return m
+		}
+	}
+	return nil
 }
 
 // /debug/queries serves the flight recorder: completed events land in
@@ -169,10 +228,20 @@ func TestDebugQueriesEndpoint(t *testing.T) {
 	if f := get("/debug/queries?min_ms=600000"); len(f.Recent) != 0 {
 		t.Errorf("min_ms filter leaked %d events", len(f.Recent))
 	}
-	if resp, err := http.Get(ts.URL + "/debug/queries?min_ms=bogus"); err != nil || resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("bogus min_ms: %v %v", err, resp.Status)
-	} else {
+	// Past the longest duration a filter matches nothing; it must not
+	// wrap round to a negative one that matches everything.
+	if f := get("/debug/queries?min_ms=1e300"); len(f.Recent) != 0 {
+		t.Errorf("min_ms=1e300 leaked %d events", len(f.Recent))
+	}
+	for _, bad := range []string{"bogus", "NaN", "Inf", "-Inf", "1e999", "-1"} {
+		resp, err := http.Get(ts.URL + "/debug/queries?min_ms=" + bad)
+		if err != nil {
+			t.Fatal(err)
+		}
 		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("min_ms=%s: status %d, want 400", bad, resp.StatusCode)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ package server
 
 import (
 	"errors"
+	"math"
 	"net/http"
 	"strconv"
 	"time"
@@ -45,35 +46,6 @@ func requestID(r *http.Request) string {
 		id = id[:maxRequestIDLen]
 	}
 	return id
-}
-
-// recordWriter completes an API request's record when its status is
-// written, before any of the body reaches the client: a client that has
-// read a response finds it in /debug/queries and its counts on
-// /metrics. A handler that writes nothing completes with 200 when it
-// returns.
-type recordWriter struct {
-	http.ResponseWriter
-	s    *Server
-	tr   *telemetry.Trace
-	done bool
-}
-
-func (w *recordWriter) WriteHeader(code int) {
-	w.complete(code)
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *recordWriter) Write(b []byte) (int, error) {
-	w.complete(http.StatusOK)
-	return w.ResponseWriter.Write(b)
-}
-
-func (w *recordWriter) complete(status int) {
-	if !w.done {
-		w.done = true
-		w.s.complete(w.tr, status)
-	}
 }
 
 // complete is the one fold of a finished request: it seals the trace
@@ -126,18 +98,19 @@ type DebugQueriesResponse struct {
 
 // handleDebugQueries serves the flight recorder. Optional filters:
 // ?route=/api/query, ?db=name, ?min_ms=12.5 (minimum duration, applied
-// to every view including in-flight elapsed time).
+// to every view including in-flight elapsed time; a finite value too
+// large for a time.Duration matches nothing).
 func (s *Server) handleDebugQueries(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	route, db := q.Get("route"), q.Get("db")
 	var minDur time.Duration
 	if v := q.Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
-		if err != nil || ms < 0 {
+		if err != nil || !(ms >= 0) || math.IsInf(ms, 1) {
 			writeError(w, http.StatusBadRequest, "min_ms must be a non-negative number")
 			return
 		}
-		minDur = time.Duration(ms * float64(time.Millisecond))
+		minDur = time.Duration(min(ms*float64(time.Millisecond), 1<<62)) // 146 years: no event is longer
 	}
 	filt := func(evs []*telemetry.Event) []*telemetry.Event {
 		return profile.Filter(evs, route, db, minDur)

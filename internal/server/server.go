@@ -174,13 +174,13 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 	s.handle("GET /{$}", "/", s.handleUI)
 	s.handle("GET /healthz", "/healthz", s.handleHealth)
 	s.handle("GET /api/warehouses", "/api/warehouses", s.handleWarehouses)
-	// The query-executing routes additionally pass through the admission
-	// and deadline layer; cheap metadata routes above do not.
-	s.handle("POST /api/query", "/api/query", s.api("/api/query", s.handleQuery))
-	s.handle("POST /api/suggest", "/api/suggest", s.api("/api/suggest", s.handleSuggest))
-	s.handle("POST /api/explore", "/api/explore", s.api("/api/explore", s.handleExplore))
-	s.handle("POST /api/drill", "/api/drill", s.api("/api/drill", s.handleDrill))
-	s.handle("POST /api/ingest", "/api/ingest", s.api("/api/ingest", s.handleIngest))
+	// The query-executing routes additionally pass through the request
+	// lifecycle layer; cheap metadata routes above do not.
+	s.handleAPI("/api/query", s.handleQuery)
+	s.handleAPI("/api/suggest", s.handleSuggest)
+	s.handleAPI("/api/explore", s.handleExplore)
+	s.handleAPI("/api/drill", s.handleDrill)
+	s.handleAPI("/api/ingest", s.handleIngest)
 	s.registerDebugEndpoints()
 	s.wireAdmissionMetrics()
 	s.wireSLOMetrics()
@@ -188,22 +188,22 @@ func NewWithOptions(warehouses map[string]*dataset.Warehouse, opts Options) *Ser
 	return s
 }
 
-// api wraps a query-executing handler in the request lifecycle layer:
-// the request's trace (started and attached here, its root span named
+// handleAPI registers a query-executing handler under POST route, in
+// the request lifecycle layer: the request's trace (its root span named
 // for the route's operation, "/api/query" → "query"; folded when the
-// response's status is written — see recordWriter), admission control
-// (shed with 503 + Retry-After when saturated), the per-request
-// deadline, and the queue_wait span. The request ID — the client's
-// X-Request-ID or a generated one — is echoed on the response and
-// stamped on the trace so a slow request in /debug/queries can be
-// matched to the client's own logs.
-func (s *Server) api(route string, h http.HandlerFunc) http.HandlerFunc {
+// response's status is written — see responseWriter), whose clock the
+// middleware times the request by, admission control (shed with 503 +
+// Retry-After when saturated), the per-request deadline, and the
+// queue_wait span. The request ID — the client's X-Request-ID or a
+// generated one — is echoed on the response and stamped on the trace
+// and the access log line, to match all three.
+func (s *Server) handleAPI(route string, h http.HandlerFunc) {
 	op := strings.TrimPrefix(route, "/api/")
-	return func(w http.ResponseWriter, r *http.Request) {
+	s.mux.HandleFunc("POST "+route, func(w http.ResponseWriter, r *http.Request) {
 		tr := s.rec.Start(route, op, requestID(r))
 		w.Header().Set(requestIDHeader, tr.ID())
-		rw := &recordWriter{ResponseWriter: w, s: s, tr: tr}
-		defer rw.complete(http.StatusOK)
+		rw := &responseWriter{ResponseWriter: w, s: s, tr: tr}
+		defer s.observe(r, route, rw, tr.Start())
 		release, wait, admitted := s.adm.acquire(r.Context())
 		if wait > 0 {
 			tr.Root().AddTimed("queue_wait", wait)
@@ -225,7 +225,7 @@ func (s *Server) api(route string, h http.HandlerFunc) http.HandlerFunc {
 			defer cancel()
 		}
 		h(rw, r.WithContext(ctx))
-	}
+	})
 }
 
 // writePipelineError maps a pipeline error to its HTTP response: a
@@ -233,7 +233,7 @@ func (s *Server) api(route string, h http.HandlerFunc) http.HandlerFunc {
 // request" code), an expired deadline 504, anything else the fallback
 // status. Context-ended requests also bump the per-route cancellation
 // counter. The request's trace is sealed here with the error and its
-// disposition (Finish is first-call-wins, so the api wrapper's fold
+// disposition (Finish is first-call-wins, so the lifecycle layer's fold
 // keeps what this records).
 func (s *Server) writePipelineError(w http.ResponseWriter, r *http.Request, route string, err error, fallback int) {
 	tr := telemetry.FromContext(r.Context())

@@ -25,55 +25,79 @@ import (
 	"kdap/internal/telemetry"
 )
 
-// statusRecorder captures the response status code for the request
-// counters and the access log.
-type statusRecorder struct {
+// responseWriter is the one writer a request is served through: it
+// keeps the first status written and, on an API route (tr set), then
+// completes the request's record, before any of the body reaches the
+// client, so a client that has read a response finds it in
+// /debug/queries and its counts on /metrics.
+type responseWriter struct {
 	http.ResponseWriter
 	status int
+	s      *Server
+	tr     *telemetry.Trace
 }
 
-func (sr *statusRecorder) WriteHeader(code int) {
-	sr.status = code
-	sr.ResponseWriter.WriteHeader(code)
+func (w *responseWriter) WriteHeader(code int) {
+	w.complete(code)
+	w.ResponseWriter.WriteHeader(code)
 }
 
-func (sr *statusRecorder) Write(b []byte) (int, error) {
-	if sr.status == 0 {
-		sr.status = http.StatusOK
+func (w *responseWriter) Write(b []byte) (int, error) {
+	w.complete(http.StatusOK)
+	return w.ResponseWriter.Write(b)
+}
+
+func (w *responseWriter) complete(status int) {
+	if w.status == 0 {
+		w.status = status
+		if w.tr != nil {
+			w.s.complete(w.tr, status)
+		}
 	}
-	return sr.ResponseWriter.Write(b)
 }
 
-// handle registers h under pattern, wrapped in the telemetry
-// middleware: per-route request counters by status code, a request
-// latency histogram, an error counter, and a structured access log
-// line per request.
+// handle registers h under pattern as route, behind the request
+// middleware (observe). The query-executing routes register through
+// handleAPI instead.
 func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 	s.mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sr := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		h(sr, r)
-		dur := time.Since(start)
-		s.reg.Counter("kdap_http_requests_total",
-			"HTTP requests by route and status code.",
-			"route", route, "code", fmt.Sprint(sr.status)).Inc()
-		s.reg.Histogram("kdap_http_request_seconds",
-			"HTTP request latency by route.", nil,
-			"route", route).Observe(dur.Seconds())
-		if sr.status >= 400 {
-			s.reg.Counter("kdap_http_errors_total",
-				"HTTP error responses (status >= 400) by route.",
-				"route", route).Inc()
-		}
-		s.logger.Info("request",
-			"method", r.Method,
-			"route", route,
-			"path", r.URL.Path,
-			"status", sr.status,
-			"duration_ms", float64(dur.Microseconds())/1000,
-			"remote", r.RemoteAddr,
-		)
+		rw := &responseWriter{ResponseWriter: w}
+		defer s.observe(r, route, rw, time.Now())
+		h(rw, r)
 	})
+}
+
+// observe is the request middleware, deferred over the handler (a
+// response nothing was written to answered 200): per-route request
+// counters by status code, a latency histogram timed from start, an
+// error counter, and an access log line, with the request ID on an API
+// route.
+func (s *Server) observe(r *http.Request, route string, rw *responseWriter, start time.Time) {
+	rw.complete(http.StatusOK)
+	dur := time.Since(start)
+	s.reg.Counter("kdap_http_requests_total",
+		"HTTP requests by route and status code.",
+		"route", route, "code", fmt.Sprint(rw.status)).Inc()
+	s.reg.Histogram("kdap_http_request_seconds",
+		"HTTP request latency by route.", nil,
+		"route", route).Observe(dur.Seconds())
+	if rw.status >= 400 {
+		s.reg.Counter("kdap_http_errors_total",
+			"HTTP error responses (status >= 400) by route.",
+			"route", route).Inc()
+	}
+	attrs := []any{
+		"method", r.Method,
+		"route", route,
+		"path", r.URL.Path,
+		"status", rw.status,
+		"duration_ms", float64(dur.Microseconds()) / 1000,
+		"remote", r.RemoteAddr,
+	}
+	if rw.tr != nil {
+		attrs = append(attrs, "request_id", rw.tr.ID())
+	}
+	s.logger.Info("request", attrs...)
 }
 
 // wireAdmissionMetrics registers the request-lifecycle series: the
@@ -121,7 +145,6 @@ func (s *Server) wireFactCounters(db string, e *kdapcore.Engine) {
 		{telemetry.SerialScans, "kdap_olap_scans_total", "Fused scan+aggregate kernel invocations by mode.", []string{"mode", "serial"}},
 		{telemetry.KernelStripes, "kdap_olap_kernel_chunks_total", "Worker chunks fanned out by parallel kernels.", nil},
 		{telemetry.CodeColumnBuilds, "kdap_olap_column_builds_total", "Cold fact-aligned column materializations by kind.", []string{"kind", "code"}},
-		{telemetry.FloatColumnBuilds, "kdap_olap_column_builds_total", "Cold fact-aligned column materializations by kind.", []string{"kind", "float"}},
 		// The planner's verdict, in segments, for resident and backed
 		// fact tables alike.
 		{telemetry.SegmentsScanned, "kdap_segments_scanned_total", "Fact-table segments the row-space planner let through to a scan, by warehouse.", nil},
@@ -192,7 +215,6 @@ func (s *Server) wireEngineMetrics(db string, e *kdapcore.Engine) {
 	}{
 		{"code_vectors", func(b olap.ResidentBytes) int64 { return b.CodeVectors }},
 		{"fact_to_dim", func(b olap.ResidentBytes) int64 { return b.FactToDim }},
-		{"attr_floats", func(b olap.ResidentBytes) int64 { return b.AttrFloats }},
 	} {
 		s.reg.GaugeFunc("kdap_executor_resident_bytes",
 			"Bytes of fact-aligned columns the executor has derived and memoized, by kind, computed from slice lengths and element widths.",

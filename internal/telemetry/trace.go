@@ -80,10 +80,9 @@ const (
 	// GroupBys and Aggregates count group-by and aggregate calls.
 	GroupBys
 	Aggregates
-	// CodeColumnBuilds and FloatColumnBuilds count cold fact-aligned
-	// column materializations.
+	// CodeColumnBuilds counts cold fact-aligned code vector
+	// materializations.
 	CodeColumnBuilds
-	FloatColumnBuilds
 
 	// NumFacts is the size of a trace's count array.
 	NumFacts
@@ -124,6 +123,9 @@ func (t *Trace) Context(ctx context.Context) context.Context {
 
 // Root returns the root span.
 func (t *Trace) Root() *Span { return &t.root }
+
+// Start returns when the trace was started.
+func (t *Trace) Start() time.Time { return t.root.start }
 
 // FromContext returns the trace attached to ctx, or nil. A nil trace
 // accepts Add, SetCache and Finish as no-ops.
